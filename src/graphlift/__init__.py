@@ -14,7 +14,7 @@ from .corpus import (LINEAR_FAMILIES, MICRO_FAMILIES, CorpusEntry, MicroNet,
 from .errors import (CycleError, GraphliftError, MissingCacheEntry,
                      NoPathError, NumericError, ParseError, ShapeError,
                      StuckError, UnsupportedOp, ValidationError)
-from .executor import execute
+from .executor import ExecutionPlan, execute
 from .explainer import (Attribution, ExplainerArtifact, compile_explainer,
                         completeness_check, explain, load_artifact,
                         save_artifact, write_pgm)
@@ -39,6 +39,7 @@ __all__ = [
     "GraphModel", "Node", "TensorValue", "ValueSpec", "validate_model",
     "topological_order", "save_model", "load_model", "save_tensor",
     "load_tensor", "model_digest", "infer_graph_shapes", "execute",
+    "ExecutionPlan",
     # compilation and use
     "compile_explainer", "explain", "completeness_check", "Attribution",
     "ExplainerArtifact", "save_artifact", "load_artifact", "write_pgm",

@@ -5,6 +5,16 @@ same model on the same feed is bit-deterministic.  Semantics follow the ONNX
 operator definitions for the supported configurations: multidirectional
 broadcasting on binary ops, NCHW layout for convolutions and pools, and
 average pooling that excludes padding from the divisor.
+
+Execution is planned once per model.  ``ExecutionPlan`` fixes the
+topological order, gives every value an integer slot, materializes the
+``Constant`` outputs once (read-only) and records where each intermediate is
+read for the last time; ``execute`` is then one loop over the plan that
+dispatches each node through ``eval_node`` and drops every intermediate after
+its last consumer.  ``execute`` takes a plan, or a model that it plans on the
+spot, so a model edited between calls is never run from a stale plan.  An
+``ExplainerArtifact`` builds its plan on its first ``explain`` and keeps it,
+so an artifact must not be changed after that.
 """
 
 from __future__ import annotations
@@ -12,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError, UnsupportedOp, ValidationError
-from .ir import DTYPES, GraphModel, Node, TensorValue, topological_order
+from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, topological_order
 
-__all__ = ["execute", "eval_node", "run_kernel"]
+__all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
 
 
 def _sigmoid(x):
@@ -151,92 +161,80 @@ def _split(x, node):
     return out
 
 
-def _constant(node, dtype):
+def _constant(node):
     attrs = node.attributes
     want = attrs["dtype"]
     if want not in DTYPES:
         raise ValidationError(f"Constant node {node.name!r}: bad dtype {want!r}")
-    arr = np.asarray(attrs["value"], dtype=DTYPES[want]).reshape(attrs["shape"])
-    return arr
+    return np.asarray(attrs["value"], dtype=DTYPES[want]).reshape(attrs["shape"])
+
+
+def _matmul(a, b):
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError("MatMul operands must be at least 2-D")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"MatMul inner dimensions differ: {a.shape} vs {b.shape}")
+    return np.matmul(a, b)
+
+
+def _flatten(x, attrs):
+    axis = attrs.get("axis", 1)
+    head = int(np.prod(x.shape[:axis], dtype=np.int64)) if axis else 1
+    return x.reshape(head, -1)
+
+
+def _where(cond, a, b):
+    if cond.dtype != np.bool_:
+        cond = cond != 0
+    return np.where(cond, a, b)
+
+
+# op_type -> kernel(inputs, attributes, node) returning one array per output
+_KERNELS = {
+    "MatMul": lambda x, a, n: [_matmul(x[0], x[1])],
+    "Gemm": lambda x, a, n: [_gemm(x, a)],
+    "Conv": lambda x, a, n: [_conv(x[0], x[1], x[2] if len(x) == 3 else None, a)],
+    "Add": lambda x, a, n: [x[0] + x[1]],
+    "Sub": lambda x, a, n: [x[0] - x[1]],
+    "Mul": lambda x, a, n: [x[0] * x[1]],
+    "Div": lambda x, a, n: [x[0] / x[1]],
+    "Concat": lambda x, a, n: [np.concatenate(x, axis=a["axis"])],
+    "Relu": lambda x, a, n: [np.maximum(x[0], 0)],
+    "Sigmoid": lambda x, a, n: [_sigmoid(x[0])],
+    "Tanh": lambda x, a, n: [np.tanh(x[0])],
+    "Exp": lambda x, a, n: [np.exp(x[0])],
+    "Softmax": lambda x, a, n: [_softmax(x[0], a)],
+    "MaxPool": lambda x, a, n: [_max_pool(x[0], a)],
+    "AveragePool": lambda x, a, n: [_avg_pool(x[0], a)],
+    "GlobalAveragePool": lambda x, a, n: [x[0].mean(axis=(2, 3), keepdims=True)],
+    "GlobalMaxPool": lambda x, a, n: [x[0].max(axis=(2, 3), keepdims=True)],
+    "BatchNormalization": lambda x, a, n: [_batch_norm(x, a)],
+    "Transpose": lambda x, a, n: [np.ascontiguousarray(x[0].transpose(a["perm"]))],
+    "Reshape": lambda x, a, n: [x[0].reshape(a["shape"])],
+    "Flatten": lambda x, a, n: [_flatten(x[0], a)],
+    "ReduceSum": lambda x, a, n: [_reduce(x[0], a, np.sum)],
+    "ReduceMean": lambda x, a, n: [_reduce(x[0], a, np.mean)],
+    "Greater": lambda x, a, n: [x[0] > x[1]],
+    "Where": lambda x, a, n: [_where(x[0], x[1], x[2])],
+    "Tile": lambda x, a, n: [np.tile(x[0], a["repeats"])],
+    "Split": lambda x, a, n: _split(x[0], n),
+    "Constant": lambda x, a, n: [_constant(n)],
+}
 
 
 def eval_node(node: Node, inputs: list[np.ndarray], dtype: str = "float64") -> list[np.ndarray]:
-    """Apply one operator to concrete arrays; returns one array per output."""
-    op = node.op_type
-    attrs = node.attributes
+    """Apply one operator to concrete arrays; returns one array per output.
+
+    ``dtype`` is kept for callers that pass the model's dtype; every kernel
+    takes its dtype from its operands or, for ``Constant``, its attributes.
+    """
+    kernel = _KERNELS.get(node.op_type)
+    if kernel is None:
+        raise UnsupportedOp(f"no kernel for op {node.op_type!r}")
     try:
-        if op == "MatMul":
-            a, b = inputs
-            if a.ndim < 2 or b.ndim < 2:
-                raise ShapeError("MatMul operands must be at least 2-D")
-            if a.shape[-1] != b.shape[-2]:
-                raise ShapeError(f"MatMul inner dimensions differ: {a.shape} vs {b.shape}")
-            return [np.matmul(a, b)]
-        if op == "Gemm":
-            return [_gemm(inputs, attrs)]
-        if op == "Conv":
-            bias = inputs[2] if len(inputs) == 3 else None
-            return [_conv(inputs[0], inputs[1], bias, attrs)]
-        if op == "Add":
-            return [inputs[0] + inputs[1]]
-        if op == "Sub":
-            return [inputs[0] - inputs[1]]
-        if op == "Mul":
-            return [inputs[0] * inputs[1]]
-        if op == "Div":
-            return [inputs[0] / inputs[1]]
-        if op == "Concat":
-            return [np.concatenate(inputs, axis=attrs["axis"])]
-        if op == "Relu":
-            return [np.maximum(inputs[0], 0)]
-        if op == "Sigmoid":
-            return [_sigmoid(inputs[0])]
-        if op == "Tanh":
-            return [np.tanh(inputs[0])]
-        if op == "Exp":
-            return [np.exp(inputs[0])]
-        if op == "Softmax":
-            return [_softmax(inputs[0], attrs)]
-        if op == "MaxPool":
-            return [_max_pool(inputs[0], attrs)]
-        if op == "AveragePool":
-            return [_avg_pool(inputs[0], attrs)]
-        if op == "GlobalAveragePool":
-            return [inputs[0].mean(axis=(2, 3), keepdims=True)]
-        if op == "GlobalMaxPool":
-            return [inputs[0].max(axis=(2, 3), keepdims=True)]
-        if op == "BatchNormalization":
-            return [_batch_norm(inputs, attrs)]
-        if op == "Transpose":
-            return [np.ascontiguousarray(inputs[0].transpose(attrs["perm"]))]
-        if op == "Reshape":
-            return [inputs[0].reshape(attrs["shape"])]
-        if op == "Flatten":
-            axis = attrs.get("axis", 1)
-            head = int(np.prod(inputs[0].shape[:axis], dtype=np.int64)) if axis else 1
-            return [inputs[0].reshape(head, -1)]
-        if op == "ReduceSum":
-            return [_reduce(inputs[0], attrs, np.sum)]
-        if op == "ReduceMean":
-            return [_reduce(inputs[0], attrs, np.mean)]
-        if op == "Greater":
-            return [inputs[0] > inputs[1]]
-        if op == "Where":
-            cond = inputs[0]
-            if cond.dtype != np.bool_:
-                cond = cond != 0
-            return [np.where(cond, inputs[1], inputs[2])]
-        if op == "Tile":
-            return [np.tile(inputs[0], attrs["repeats"])]
-        if op == "Split":
-            return _split(inputs[0], node)
-        if op == "Constant":
-            return [_constant(node, dtype)]
-    except (ShapeError, UnsupportedOp, ValidationError):
-        raise
+        return kernel(inputs, node.attributes, node)
     except ValueError as exc:
-        raise ShapeError(f"{op}: {exc}") from exc
-    raise UnsupportedOp(f"no kernel for op {op!r}")
+        raise ShapeError(f"{node.op_type}: {exc}") from exc
 
 
 def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None,
@@ -247,59 +245,128 @@ def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None
     return eval_node(node, inputs, dtype)
 
 
-def _coerce_feed(model: GraphModel, feed: dict) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    declared = {spec.name: spec for spec in model.inputs}
-    for name, spec in declared.items():
-        if name not in feed:
-            raise ShapeError(f"feed is missing graph input {name!r}")
-        value = feed[name]
-        arr = value.array if isinstance(value, TensorValue) else np.asarray(value)
-        want = DTYPES[spec.dtype]
-        if arr.dtype != want:
+def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
+    name = spec.name
+    if name not in feed:
+        raise ShapeError(f"feed is missing graph input {name!r}")
+    value = feed[name]
+    arr = value.array if isinstance(value, TensorValue) else np.asarray(value)
+    if arr.dtype != DTYPES[spec.dtype]:
+        raise ShapeError(
+            f"input {name!r} has dtype {arr.dtype}, model wants {spec.dtype}")
+    if len(arr.shape) != len(spec.shape):
+        raise ShapeError(
+            f"input {name!r} has rank {arr.ndim}, spec is {spec.shape}")
+    for i, (got, want) in enumerate(zip(arr.shape, spec.shape)):
+        if want != -1 and got != want:
             raise ShapeError(
-                f"input {name!r} has dtype {arr.dtype}, model wants {spec.dtype}")
-        if len(arr.shape) != len(spec.shape):
-            raise ShapeError(
-                f"input {name!r} has rank {arr.ndim}, spec is {spec.shape}")
-        for i, (got, want_d) in enumerate(zip(arr.shape, spec.shape)):
-            if want_d != -1 and got != want_d:
-                raise ShapeError(
-                    f"input {name!r} extent {got} at axis {i} does not match "
-                    f"spec {spec.shape}")
-        arrays[name] = arr
-    return arrays
+                f"input {name!r} extent {got} at axis {i} does not match "
+                f"spec {spec.shape}")
+    return arr
 
 
-def execute(model: GraphModel, feed: dict, capture: bool = False,
-            check_numerics: bool = True):
-    """Run a model on a feed.
+def _eval(node: Node, inputs: list[np.ndarray], dtype: str) -> list[np.ndarray]:
+    try:
+        return eval_node(node, inputs, dtype)
+    except (ShapeError, UnsupportedOp) as exc:
+        raise type(exc)(f"node {node.name!r}: {exc}") from exc
 
-    Returns ``(outputs, trace)`` where outputs maps each declared graph output
-    to its array and trace maps every computed value name to its array when
-    ``capture`` is set (None otherwise).
+
+def _finite(arr: np.ndarray) -> bool:
+    return arr.dtype == np.bool_ or bool(np.isfinite(arr).all())
+
+
+class ExecutionPlan:
+    """A model resolved once for repeated execution.
+
+    The plan holds the topological order with every value name replaced by
+    an integer slot, the ``Constant`` outputs materialized once and made
+    read-only, and per step the slots it reads for the last time, so that an
+    intermediate is dropped as soon as its last consumer has run.  It keeps
+    the model's initializer arrays by reference and reads nothing else from
+    the model after it is built: a model changed afterwards needs a new plan.
     """
-    values = _coerce_feed(model, feed)
-    for name, tensor in model.initializers.items():
-        values[name] = tensor.array
-    dtype = model.inputs[0].dtype if model.inputs else "float64"
-    for node in topological_order(model):
-        try:
-            ins = [values[n] for n in node.inputs]
-        except KeyError as exc:
-            raise ShapeError(f"node {node.name!r} consumes unknown value {exc}") from exc
-        try:
-            outs = eval_node(node, ins, dtype)
-        except (ShapeError, UnsupportedOp) as exc:
-            raise type(exc)(f"node {node.name!r}: {exc}") from exc
-        for out_name, arr in zip(node.outputs, outs):
-            if check_numerics and arr.dtype != np.bool_ and not np.all(np.isfinite(arr)):
+
+    def __init__(self, model: GraphModel):
+        self.dtype = model.inputs[0].dtype if model.inputs else "float64"
+        self.slots: dict[str, int] = {}
+        self.template: list[np.ndarray | None] = []
+        # (node name, value name) of the first non-finite Constant output
+        self.non_finite: tuple[str, str] | None = None
+        self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
+        for name, tensor in model.initializers.items():
+            self._claim(name, tensor.array)
+        steps = []
+        for node in topological_order(model):
+            if node.op_type == "Constant":
+                for name, arr in zip(node.outputs, _eval(node, [], self.dtype)):
+                    arr.flags.writeable = False
+                    if self.non_finite is None and not _finite(arr):
+                        self.non_finite = (node.name, name)
+                    self._claim(name, arr)
+                continue
+            ins = tuple(self.slots[name] for name in node.inputs)
+            outs = tuple(self._claim(name, None) for name in node.outputs)
+            steps.append((node, ins, outs))
+        self.outputs: list[tuple[str, int]] = []
+        for spec in model.outputs:
+            if spec.name not in self.slots:
+                raise ShapeError(f"graph output {spec.name!r} was never computed")
+            self.outputs.append((spec.name, self.slots[spec.name]))
+
+        last_read: dict[int, int] = {}
+        for k, (_, ins, outs) in enumerate(steps):
+            for slot in ins:
+                last_read[slot] = k
+            for slot in outs:
+                last_read.setdefault(slot, k)   # never read: free at once
+        kept = {slot for _, slot in self.outputs}
+        frees: list[list[int]] = [[] for _ in steps]
+        for slot, k in last_read.items():
+            if slot not in kept:
+                frees[k].append(slot)
+        self.steps = [(node, ins, outs, tuple(free))
+                      for (node, ins, outs), free in zip(steps, frees)]
+
+    def _claim(self, name: str, value) -> int:
+        if name in self.slots:
+            raise ValidationError(f"value {name!r} is produced more than once")
+        self.slots[name] = len(self.template)
+        self.template.append(value)
+        return self.slots[name]
+
+
+def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
+            capture: bool = False, check_numerics: bool = True):
+    """Run a model, or a plan built from one, on a feed.
+
+    A model is planned on the spot, so it may change between calls; a caller
+    that runs one model many times builds an ``ExecutionPlan`` once and
+    passes that.  Returns ``(outputs, trace)`` where outputs maps each
+    declared graph output to its array and trace maps every value name to its
+    array when ``capture`` is set (None otherwise).  Without ``capture``
+    each intermediate is released after its last consumer runs.
+    """
+    plan = model_or_plan if isinstance(model_or_plan, ExecutionPlan) \
+        else ExecutionPlan(model_or_plan)
+    values = list(plan.template)
+    for spec, slot in plan.feed:
+        values[slot] = _coerce_input(spec, feed)
+    if check_numerics and plan.non_finite is not None:
+        raise NumericError("node {!r} produced non-finite values in {!r}"
+                           .format(*plan.non_finite))
+    dtype = plan.dtype
+    for node, ins, outs, frees in plan.steps:
+        results = _eval(node, [values[s] for s in ins], dtype)
+        for name, slot, arr in zip(node.outputs, outs, results):
+            if check_numerics and not _finite(arr):
                 raise NumericError(
-                    f"node {node.name!r} produced non-finite values in {out_name!r}")
-            values[out_name] = arr
-    outputs = {}
-    for spec in model.outputs:
-        if spec.name not in values:
-            raise ShapeError(f"graph output {spec.name!r} was never computed")
-        outputs[spec.name] = values[spec.name]
-    return outputs, (values if capture else None)
+                    f"node {node.name!r} produced non-finite values in {name!r}")
+            values[slot] = arr
+        if not capture:
+            for slot in frees:
+                values[slot] = None
+    outputs = {name: values[slot] for name, slot in plan.outputs}
+    trace = {name: values[slot] for name, slot in plan.slots.items()} \
+        if capture else None
+    return outputs, trace

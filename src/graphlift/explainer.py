@@ -9,12 +9,12 @@ shipped and executed anywhere the executor runs, with no other state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
-from .executor import execute
+from .executor import ExecutionPlan, execute
 from .ir import (DTYPES, GraphModel, TensorValue, load_document,
                  model_from_document, save_model)
 from .refopt import build_naive, build_optimized, precompute_reference_cache
@@ -34,16 +34,62 @@ __all__ = [
 _SCHEMES = {"opt": "optimized", "optimized": "optimized", "naive": "naive"}
 
 
+# metadata key -> accepted types, for every key ``explain`` reads
+_EXPLAIN_KEYS = {"input_name": str, "prediction_output": str,
+                 "attribution_output": str, "output_index": int,
+                 "seed_scale": (int, float), "ref_output_mean": (int, float)}
+
+
+def _check_metadata(model: GraphModel, meta) -> None:
+    """Reject metadata that ``explain`` could not act on."""
+    if not isinstance(meta, dict):
+        raise ValidationError("artifact metadata must be a JSON object")
+    for key, kinds in _EXPLAIN_KEYS.items():
+        if key not in meta:
+            raise ValidationError(f"artifact metadata lacks {key!r}")
+        if isinstance(meta[key], bool) or not isinstance(meta[key], kinds):
+            raise ValidationError(
+                f"artifact metadata {key!r} has the wrong type: {meta[key]!r}")
+    if [spec.name for spec in model.inputs] != [meta["input_name"]]:
+        raise ValidationError(
+            f"metadata input {meta['input_name']!r} is not the artifact's "
+            "only input")
+    outputs = {spec.name: spec for spec in model.outputs}
+    for key in ("prediction_output", "attribution_output"):
+        if meta[key] not in outputs:
+            raise ValidationError(
+                f"metadata {key} {meta[key]!r} is not an artifact output")
+    shape = outputs[meta["prediction_output"]].shape
+    classes = shape[-1] if shape else 0
+    if not 0 <= meta["output_index"] < classes:
+        raise ValidationError(
+            f"output index {meta['output_index']} outside the {classes}-class "
+            "head")
+
+
 @dataclass
 class ExplainerArtifact:
-    """A deployable graph plus the metadata describing how it was built."""
+    """A deployable graph plus the metadata describing how it was built.
+
+    The execution plan is built, and the metadata checked, on the first
+    ``explain``; neither the model nor the metadata may change after that.
+    """
 
     model: GraphModel
     metadata: dict
+    _plan: ExecutionPlan | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @property
     def scheme(self) -> str:
         return self.metadata["scheme"]
+
+    @property
+    def plan(self) -> ExecutionPlan:
+        if self._plan is None:
+            _check_metadata(self.model, self.metadata)
+            self._plan = ExecutionPlan(self.model)
+        return self._plan
 
 
 @dataclass
@@ -84,9 +130,10 @@ def _as_input(artifact: ExplainerArtifact, sample) -> np.ndarray:
 
 def explain(artifact: ExplainerArtifact, sample) -> Attribution:
     """Run the artifact on one sample row."""
+    plan = artifact.plan
     meta = artifact.metadata
     arr = _as_input(artifact, sample)
-    outputs, _ = execute(artifact.model, {meta["input_name"]: arr})
+    outputs, _ = execute(plan, {meta["input_name"]: arr})
     prediction = outputs[meta["prediction_output"]]
     phi = outputs[meta["attribution_output"]]
     dtype = artifact.model.inputs[0].dtype

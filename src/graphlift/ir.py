@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -300,23 +301,42 @@ def validate_model(model: GraphModel) -> None:
 
 
 def topological_order(model: GraphModel) -> list[Node]:
-    """Nodes in dependency order, ties broken by declaration order."""
+    """Nodes in dependency order, ties broken by declaration order.
+
+    Kahn's algorithm with a min-heap of declaration indices: a node becomes
+    ready once every name it reads is available, and the earliest-declared
+    ready node is placed next.  O(N log N + E) for N nodes and E input edges.
+    """
+    nodes = model.nodes
     available = {spec.name for spec in model.inputs} | set(model.initializers)
-    index = {id(node): i for i, node in enumerate(model.nodes)}
-    remaining = list(model.nodes)
-    ordered: list[Node] = []
-    while remaining:
-        ready = [n for n in remaining
-                 if all(i in available for i in n.inputs)]
-        if not ready:
-            stuck = ", ".join(repr(n.name) for n in remaining[:8])
-            raise CycleError(f"graph is cyclic or disconnected at nodes: {stuck}")
-        ready.sort(key=lambda n: index[id(n)])
-        node = ready[0]
-        remaining.remove(node)
-        ordered.append(node)
-        available.update(node.outputs)
-    return ordered
+    waiting = [0] * len(nodes)              # distinct input names not yet available
+    readers: dict[str, list[int]] = {}
+    ready: list[int] = []
+    for i, node in enumerate(nodes):
+        missing = set(node.inputs) - available
+        waiting[i] = len(missing)
+        for name in missing:
+            readers.setdefault(name, []).append(i)
+        if not missing:
+            ready.append(i)
+    heapq.heapify(ready)
+    placed: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        placed.append(i)
+        for name in nodes[i].outputs:
+            if name in available:
+                continue
+            available.add(name)
+            for j in readers.pop(name, ()):
+                waiting[j] -= 1
+                if not waiting[j]:
+                    heapq.heappush(ready, j)
+    if len(placed) < len(nodes):
+        stuck = [n.name for i, n in enumerate(nodes) if waiting[i]]
+        raise CycleError("graph is cyclic or disconnected at nodes: "
+                         + ", ".join(map(repr, stuck[:8])))
+    return [nodes[i] for i in placed]
 
 
 def _spec_to_dict(spec: ValueSpec) -> dict:

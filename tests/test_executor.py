@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from graphlift import (GraphModel, Node, NumericError, ShapeError,
-                       TensorValue, ValueSpec)
+import graphlift as gl
+from graphlift import (ExecutionPlan, GraphModel, Node, NumericError,
+                       ShapeError, TensorValue, ValueSpec)
 from graphlift.executor import execute, run_kernel
 
 
@@ -153,5 +154,116 @@ def test_numeric_check_flags_non_finite():
                        [ValueSpec("y", "float64", (-1, 2))],
                        {"z": TensorValue(np.zeros((1, 2)))},
                        [Node("Div", "dv", ["x", "z"], ["y"])])
-    with np.errstate(divide="ignore"), pytest.raises(NumericError):
+    with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'dv'"):
         execute(model, {"x": np.ones((1, 2))}, check_numerics=True)
+    plan = ExecutionPlan(model)
+    with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'dv'"):
+        execute(plan, {"x": np.ones((1, 2))})
+    with np.errstate(divide="ignore"):
+        outs, _ = execute(plan, {"x": np.ones((1, 2))}, check_numerics=False)
+    assert np.isinf(outs["y"]).all()
+
+
+def test_numeric_check_flags_non_finite_constant():
+    model = GraphModel("c", [ValueSpec("x", "float64", (-1, 2))],
+                       [ValueSpec("y", "float64", (-1, 2))], {},
+                       [Node("Constant", "big", [], ["k"],
+                             {"dtype": "float64", "shape": [1, 2],
+                              "value": [1.0, float("inf")]}),
+                        Node("Mul", "scale", ["x", "k"], ["y"])])
+    plan = ExecutionPlan(model)
+    with pytest.raises(NumericError, match="'big'"):
+        execute(plan, {"x": np.ones((1, 2))})
+    outs, _ = execute(plan, {"x": np.ones((1, 2))}, check_numerics=False)
+    assert np.array_equal(outs["y"], [[1.0, np.inf]])
+
+
+@pytest.mark.parametrize("name", ["plain_deep", "dense_concat"])
+def test_plan_matches_per_call_planning_bit_for_bit(artifacts, name):
+    model = artifacts(name, "float64").model
+    feed = {model.inputs[0].name:
+            gl.random_inputs(model, 1, seed=3)[0].astype(np.float64)}
+    plan = ExecutionPlan(model)
+    want, _ = execute(model, feed)
+    for _ in range(2):
+        got, _ = execute(plan, feed)
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+    outs, trace = execute(plan, feed, capture=True)
+    names = ({s.name for s in model.inputs} | set(model.initializers)
+             | {o for n in model.nodes for o in n.outputs})
+    assert set(trace) == names
+    assert all(trace[k].tobytes() == want[k].tobytes() for k in want)
+    # capturing through a plan and through the model agree
+    again = execute(model, feed, capture=True)[1]
+    assert all(np.array_equal(trace[k], again[k]) for k in names)
+
+
+def test_plan_frees_each_intermediate_after_its_last_reader(artifacts):
+    plan = ExecutionPlan(artifacts("residual_add", "float64").model)
+    outputs = {slot for _, slot in plan.outputs}
+    produced = {s for _, _, outs, _ in plan.steps for s in outs}
+    freed_at = {}
+    for k, (_, _, _, frees) in enumerate(plan.steps):
+        for slot in frees:
+            assert slot not in freed_at, "freed twice"
+            freed_at[slot] = k
+    assert produced - outputs <= set(freed_at)
+    assert not outputs & set(freed_at)
+    for k, (_, ins, _, _) in enumerate(plan.steps):
+        assert all(freed_at.get(s, k) >= k for s in ins), "read after free"
+
+
+def test_graph_output_read_downstream_is_kept():
+    model = GraphModel("o", [ValueSpec("x", "float64", (-1, 2))],
+                       [ValueSpec("h", "float64", (-1, 2)),
+                        ValueSpec("y", "float64", (-1, 2))], {},
+                       [Node("Relu", "r", ["x"], ["h"]),
+                        Node("Tanh", "t", ["h"], ["y"]),
+                        Node("Exp", "unused", ["h"], ["z"])])
+    x = np.array([[-1.0, 2.0]])
+    outs, _ = execute(ExecutionPlan(model), {"x": x})
+    assert np.array_equal(outs["h"], [[0.0, 2.0]])
+    assert np.array_equal(outs["y"], np.tanh([[0.0, 2.0]]))
+
+
+def test_constants_are_materialized_once_and_read_only():
+    model = GraphModel("k", [ValueSpec("x", "float64", (-1, 2))],
+                       [ValueSpec("k", "float64", (1, 2)),
+                        ValueSpec("y", "float64", (-1, 2))], {},
+                       [Node("Constant", "c", [], ["k"],
+                             {"dtype": "float64", "shape": [1, 2],
+                              "value": [2.0, 3.0]}),
+                        Node("Mul", "m", ["x", "k"], ["y"])])
+    plan = ExecutionPlan(model)
+    first, _ = execute(plan, {"x": np.ones((1, 2))})
+    second, _ = execute(plan, {"x": np.ones((1, 2))})
+    assert first["k"] is second["k"]
+    assert not first["k"].flags.writeable
+    assert [node.name for node, _, _, _ in plan.steps] == ["m"]
+
+
+def test_execute_replans_a_mutated_model():
+    model = small_model()
+    x = RNG.normal(size=(4, 3)).astype(np.float32)
+    before, _ = execute(model, {"x": x})
+    model.nodes[1] = Node("Tanh", "act", ["h"], ["y"])
+    after, _ = execute(model, {"x": x})
+    h = x @ model.initializers["w"].array
+    assert np.array_equal(before["y"], np.maximum(h, 0))
+    assert np.array_equal(after["y"], np.tanh(h))
+
+
+def test_explain_is_repeatable_and_survives_save_load(artifacts, tmp_path):
+    art = artifacts("plain_deep", "float64")
+    x = gl.random_inputs(art.model, 1, seed=8)[0].astype(np.float64)
+    first = gl.explain(art, x)
+    plan = art.plan
+    second = gl.explain(art, x)
+    assert art.plan is plan
+    assert first.phi.array.tobytes() == second.phi.array.tobytes()
+    path = str(tmp_path / "plain_deep.sgm")
+    gl.save_artifact(art, path)
+    loaded = gl.load_artifact(path)
+    assert loaded == art
+    assert gl.explain(loaded, x).phi.array.tobytes() == first.phi.array.tobytes()

@@ -1,5 +1,7 @@
 """End-to-end artifact behaviour: compile, explain, persist, render."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,29 @@ def test_artifact_needs_only_the_sample(demo):
     feeds = {art.metadata["input_name"]: sample}
     outputs, _ = gl.execute(art.model, feeds)
     assert art.metadata["attribution_output"] in outputs
+
+
+@pytest.mark.parametrize("key", ["seed_scale", "input_name"])
+def test_explain_rejects_metadata_missing_a_key(demo, key):
+    model, refs, sample = demo
+    art = gl.compile_explainer(model, refs)
+    meta = {k: v for k, v in art.metadata.items() if k != key}
+    broken = gl.ExplainerArtifact(model=art.model, metadata=meta)
+    with pytest.raises(ValidationError, match=key):
+        gl.explain(broken, sample)
+
+
+def test_explain_rejects_out_of_range_output_index(demo, tmp_path):
+    model, refs, sample = demo
+    art = gl.compile_explainer(model, refs)
+    path = tmp_path / "demo.sge"
+    gl.save_artifact(art, str(path))
+    doc = json.loads(path.read_text())
+    doc["metadata"]["output_index"] = 99
+    path.write_text(json.dumps(doc))
+    loaded = gl.load_artifact(str(path))
+    with pytest.raises(ValidationError, match="output index 99"):
+        gl.explain(loaded, sample)
 
 
 def test_load_rejects_plain_model(demo, tmp_path):

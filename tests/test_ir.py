@@ -89,12 +89,90 @@ def test_topological_order_handles_shuffled_nodes():
     assert names == ["mm", "act"]
 
 
+def _reference_order(model):
+    """The quadratic definition: place the earliest-declared ready node."""
+    available = {s.name for s in model.inputs} | set(model.initializers)
+    remaining = list(model.nodes)
+    ordered = []
+    while remaining:
+        node = next(n for n in remaining
+                    if all(i in available for i in n.inputs))
+        remaining.remove(node)
+        ordered.append(node)
+        available.update(node.outputs)
+    return ordered
+
+
+def random_dag(seed, n_nodes=40):
+    """Unary and binary nodes over earlier values, declared in shuffled order."""
+    rng = np.random.default_rng(seed)
+    names = ["x"]
+    nodes = []
+    for k in range(n_nodes):
+        picks = rng.choice(len(names), size=int(rng.integers(1, 3)))
+        ins = [names[i] for i in picks]
+        op = "Relu" if len(ins) == 1 else "Add"
+        nodes.append(Node(op, f"n{k}", ins, [f"v{k}"]))
+        names.append(f"v{k}")
+    order = rng.permutation(n_nodes)
+    return GraphModel("dag", [ValueSpec("x", "float64", (-1, 3))],
+                      [ValueSpec(names[-1], "float64", (-1, 3))], {},
+                      [nodes[i] for i in order])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_topological_order_of_shuffled_dag_matches_reference(seed):
+    m = random_dag(seed)
+    got = topological_order(m)
+    assert [n.name for n in got] == [n.name for n in _reference_order(m)]
+    seen = {"x"}
+    for node in got:
+        assert set(node.inputs) <= seen
+        seen.update(node.outputs)
+
+
+def test_topological_order_node_reading_one_name_twice():
+    m = tiny_model()
+    m.nodes = [Node("Mul", "sq", ["h", "h"], ["y"]),
+               Node("MatMul", "mm", ["x", "w"], ["h"])]
+    assert [n.name for n in topological_order(m)] == ["mm", "sq"]
+
+
+def test_topological_order_breaks_ties_by_declaration():
+    m = tiny_model()
+    m.nodes = [Node("Tanh", "t", ["x"], ["p"]),
+               Node("Relu", "r", ["x"], ["q"])]
+    assert [n.name for n in topological_order(m)] == ["t", "r"]
+    m.nodes.reverse()
+    assert [n.name for n in topological_order(m)] == ["r", "t"]
+    # "c" becomes ready only after "a", and then goes before the
+    # later-declared "b" that was ready all along
+    m.nodes = [Node("Relu", "c", ["p"], ["u"]),
+               Node("Tanh", "a", ["x"], ["p"]),
+               Node("Relu", "b", ["x"], ["q"])]
+    assert [n.name for n in topological_order(m)] == ["a", "c", "b"]
+
+
+def test_topological_order_keeps_corpus_artifact_order(corpus_f32, artifacts):
+    for entry in corpus_f32:
+        for scheme in ("optimized", "naive"):
+            model = artifacts(entry.name, "float32", scheme).model
+            assert topological_order(model) == model.nodes, (entry.name, scheme)
+
+
 def test_topological_order_detects_cycle():
     m = tiny_model()
     m.nodes = [Node("Add", "a", ["x", "v"], ["u"]),
                Node("Relu", "b", ["u"], ["v"]),
                Node("MatMul", "mm", ["v", "w"], ["y"])]
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match="'a', 'b', 'mm'"):
+        topological_order(m)
+
+
+def test_topological_order_names_node_with_dangling_input():
+    m = tiny_model()
+    m.nodes[0] = Node("MatMul", "mm", ["x", "missing"], ["h"])
+    with pytest.raises(CycleError, match="'mm', 'act'"):
         topological_order(m)
 
 
