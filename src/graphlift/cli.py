@@ -27,8 +27,8 @@ from .corpus import (build_corpus, corpus_entry, demo_model, demo_sample,
 from .errors import GraphliftError, ValidationError
 from .explainer import (compile_explainer, explain, load_artifact,
                         save_artifact, write_pgm)
-from .ir import (DTYPES, GraphModel, TensorValue, ValueSpec, load_model,
-                 load_tensor, save_model, save_tensor)
+from .ir import (DTYPES, GraphModel, TensorValue, ValueSpec, dumps_model,
+                 load_model, load_tensor, save_model, save_tensor)
 from .oracle import compare_attributions, deeplift_oracle
 from .refopt import count_flops, op_census
 
@@ -171,14 +171,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.images < 1:
+        raise ValidationError(f"--images must be at least 1, got {args.images}")
     model, refs = _load_pair(args)
     schemes = ["optimized", "naive"] if args.schemes == "both" \
         else [{"opt": "optimized"}.get(args.schemes, args.schemes)]
     samples = random_inputs(model, args.images, seed=args.seed)
     reports = []
+    records = []
     for scheme in schemes:
+        start = time.perf_counter()
         artifact = compile_explainer(model, refs, scheme=scheme,
                                      output_index=args.output_index)
+        compile_ms = (time.perf_counter() - start) * 1e3
         timings = []
         for sample in samples:
             start = time.perf_counter()
@@ -189,6 +194,18 @@ def cmd_bench(args) -> int:
                                    mean_ms=float(np.mean(warm)),
                                    min_ms=float(np.min(warm)),
                                    max_ms=float(np.max(warm))))
+        if args.json:
+            saved = dumps_model(artifact.model,
+                                extra={"metadata": artifact.metadata})
+            records.append({
+                "model": model.name, "scheme": scheme,
+                "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
+                "images": len(warm),
+                "p50_ms": float(np.percentile(warm, 50)),
+                "p95_ms": float(np.percentile(warm, 95)),
+                "cold_ms": timings[0], "compile_ms": compile_ms,
+                "artifact_bytes": len(saved.encode("ascii")),
+            })
     print(f"model {model.name}  batch {refs.shape[0]}  "
           f"(first run excluded from stats)")
     for report in reports:
@@ -196,14 +213,36 @@ def cmd_bench(args) -> int:
     if len(reports) == 2:
         ratio = reports[1].mean_ms / reports[0].mean_ms
         print(f"naive/optimized mean ratio: {ratio:.2f}x")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"records": records}, fh, indent=2, sort_keys=True)
+        print(f"wrote {args.json}")
     return 0
 
 
-def cmd_flops(args) -> int:
-    model, refs = _load_pair(args)
-    batches = [int(tok) for tok in args.b_range.split(",") if tok]
+def _batch_sizes(text: str) -> list[int]:
+    """Parse a comma separated list of positive batch sizes."""
+    batches = []
+    for tok in (t.strip() for t in text.split(",")):
+        if not tok:
+            continue
+        try:
+            batch = int(tok)
+        except ValueError:
+            raise ValidationError(
+                f"--b-range entry {tok!r} is not an integer") from None
+        if batch < 1:
+            raise ValidationError(
+                f"--b-range batch sizes must be positive, got {batch}")
+        batches.append(batch)
     if not batches:
         raise ValidationError("--b-range must name at least one batch size")
+    return batches
+
+
+def cmd_flops(args) -> int:
+    batches = _batch_sizes(args.b_range)
+    model, refs = _load_pair(args)
     rows = []
     for batch in batches:
         picked = np.resize(refs, (batch,) + refs.shape[1:])
@@ -309,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--schemes", choices=["opt", "optimized", "naive", "both"],
                    default="both")
     c.add_argument("--seed", type=int, default=42)
+    c.add_argument("--json", help="also write one timing record per scheme")
     c.set_defaults(func=cmd_bench)
 
     c = sub.add_parser("flops", help="arithmetic cost across batch sizes")

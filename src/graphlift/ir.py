@@ -4,7 +4,10 @@ A model is a flat list of operator nodes in static single assignment form:
 every value name is produced exactly once, by a graph input, an initializer,
 or a node output.  Models are serialized as ``.sgm`` JSON documents with
 tensor payloads stored as base64 raw bytes (row-major, little-endian), and
-single tensors as ``.stn`` envelopes.
+single tensors as ``.stn`` envelopes.  ``model_digest`` hashes the same
+content without serializing it: sha256 over a canonical JSON header (name,
+specs, nodes, and each initializer's name, dtype and shape) followed by the
+raw little-endian payloads in declaration order.
 """
 
 from __future__ import annotations
@@ -127,9 +130,13 @@ class TensorValue:
     def from_array(cls, array: np.ndarray) -> "TensorValue":
         return cls(np.asarray(array))
 
-    def to_bytes(self) -> bytes:
+    def little_endian(self) -> np.ndarray:
+        """Row-major little-endian payload; a copy only on big-endian hosts."""
         kind = "<f4" if self.dtype == "float32" else "<f8"
-        return self.array.astype(kind, copy=False).tobytes(order="C")
+        return self.array.astype(kind, copy=False)
+
+    def to_bytes(self) -> bytes:
+        return self.little_endian().tobytes(order="C")
 
     @classmethod
     def from_bytes(cls, raw: bytes, dtype: str, shape: tuple[int, ...]) -> "TensorValue":
@@ -350,6 +357,13 @@ def _spec_from_dict(obj, role: str) -> ValueSpec:
         raise ParseError(f"malformed {role} spec: {obj!r}") from exc
 
 
+def _node_to_dict(node: Node) -> dict:
+    return {"op_type": node.op_type, "name": node.name,
+            "inputs": list(node.inputs), "outputs": list(node.outputs),
+            "attributes": {k: (list(v) if isinstance(v, (list, tuple)) else v)
+                           for k, v in sorted(node.attributes.items())}}
+
+
 def dumps_model(model: GraphModel, extra: dict | None = None, validate: bool = True) -> str:
     """Serialize to canonical JSON text; identical models give identical bytes."""
     if validate:
@@ -363,13 +377,7 @@ def dumps_model(model: GraphModel, extra: dict | None = None, validate: bool = T
              "data_b64": base64.b64encode(t.to_bytes()).decode("ascii")}
             for name, t in model.initializers.items()
         ],
-        "nodes": [
-            {"op_type": n.op_type, "name": n.name, "inputs": list(n.inputs),
-             "outputs": list(n.outputs),
-             "attributes": {k: (list(v) if isinstance(v, (list, tuple)) else v)
-                            for k, v in sorted(n.attributes.items())}}
-            for n in model.nodes
-        ],
+        "nodes": [_node_to_dict(n) for n in model.nodes],
     }
     if extra:
         doc.update(extra)
@@ -472,5 +480,25 @@ def load_tensor(path: str) -> TensorValue:
 
 
 def model_digest(model: GraphModel) -> str:
-    """Stable content hash of a model's canonical serialization."""
-    return hashlib.sha256(dumps_model(model, validate=False).encode()).hexdigest()
+    """Stable content hash of a model, fed to sha256 without serializing it.
+
+    The hash covers a canonical JSON header (name, input and output specs,
+    nodes with sorted attributes, and each initializer's name, dtype and
+    shape) followed by every initializer's raw little-endian payload in
+    declaration order.  The header fixes each payload's length, so a change
+    to any name, spec, node, attribute, dtype, shape or payload byte changes
+    the digest.
+    """
+    header = {
+        "name": model.name,
+        "inputs": [_spec_to_dict(s) for s in model.inputs],
+        "outputs": [_spec_to_dict(s) for s in model.outputs],
+        "initializers": [{"name": name, "dtype": t.dtype, "shape": list(t.shape)}
+                         for name, t in model.initializers.items()],
+        "nodes": [_node_to_dict(n) for n in model.nodes],
+    }
+    digest = hashlib.sha256(
+        json.dumps(header, separators=(",", ":"), allow_nan=False).encode())
+    for tensor in model.initializers.values():
+        digest.update(tensor.little_endian())
+    return digest.hexdigest()

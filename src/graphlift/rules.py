@@ -595,25 +595,21 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
     one = b.scalar(1.0, "one")
     shape = b.shape(act)
     if node.op_type == "GlobalMaxPool":
-        rows_a, channels, height, width = shape
-        count = height * width
-        is_max = b.emit("Where", [b.emit("Greater", [pooled, act],
-                                         tag=f"{tag}_below"), zero, one],
-                        tag=f"{tag}_ismax")
-        lanes = b.emit("Reshape", [is_max],
-                       {"shape": [rows_a * channels, 1, 1, count]},
-                       tag=f"{tag}_lanes")
-        # running count of maxima up to each position; 1 marks the first
-        ones_k = b.const(np.ones((1, 1, 1, count)), f"{tag}_runones")
-        running = b.emit("Conv", [lanes, ones_k],
-                         {"kernel_shape": [1, count], "strides": [1, 1],
-                          "pads": [0, count - 1, 0, 0]}, tag=f"{tag}_running")
-        later = b.emit("Greater", [running, b.scalar(1.5, "onehalf")],
-                       tag=f"{tag}_later")
-        keep = b.emit("Where", [later, zero, one], tag=f"{tag}_keep")
-        first_flat = b.emit("Mul", [lanes, keep], tag=f"{tag}_firstflat")
-        first = b.emit("Reshape", [first_flat],
-                       {"shape": [rows_a, channels, height, width]},
+        height, width = shape[2], shape[3]
+        if b.dtype == "float32" and height * width > 2 ** 24:
+            raise UnsupportedOp(
+                f"node {node.name!r}: float32 cannot rank {height * width} "
+                "window positions exactly")
+        # rank falls in row-major order, so the top-ranked maximum is the
+        # first one
+        rank = b.const(np.arange(height * width, 0, -1).reshape(
+            1, 1, height, width), f"{tag}_rank")
+        score = b.emit("Where", [b.emit("Greater", [pooled, act],
+                                        tag=f"{tag}_below"), zero, rank],
+                       tag=f"{tag}_score")
+        top = b.emit("GlobalMaxPool", [score], tag=f"{tag}_top")
+        first = b.emit("Where", [b.emit("Greater", [top, score],
+                                        tag=f"{tag}_later"), zero, one],
                        tag=f"{tag}_first")
         return b.emit("Mul", [first, m], tag=f"{tag}_route")
 

@@ -140,6 +140,47 @@ def test_bench_reports_both_schemes(demo_files, capsys):
     assert "naive" in out and "optimized" in out and "ratio" in out
 
 
+def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
+    report = str(tmp_path / "bench.json")
+    code, out, _ = run(capsys, "bench", "--model", demo_files["model"],
+                       "--refs", demo_files["refs"], "--images", "4",
+                       "--json", report)
+    assert code == 0
+    assert "ratio" in out and report in out
+    records = json.loads(open(report).read())["records"]
+    assert [r["scheme"] for r in records] == ["optimized", "naive"]
+    for record in records:
+        assert set(record) == {"model", "scheme", "dtype", "batch", "images",
+                               "p50_ms", "p95_ms", "cold_ms", "compile_ms",
+                               "artifact_bytes"}
+        assert record["model"] == "demo"
+        assert record["dtype"] == "float64"
+        assert record["batch"] == 5 and record["images"] == 3
+        assert 0 < record["p50_ms"] <= record["p95_ms"]
+        assert record["cold_ms"] > 0 and record["compile_ms"] > 0
+    art = str(tmp_path / "opt.sgm")
+    assert run(capsys, "compile", "--model", demo_files["model"],
+               "--refs", demo_files["refs"], "--out", art)[0] == 0
+    assert records[0]["artifact_bytes"] == len(open(art, "rb").read())
+
+
+def test_bench_rejects_zero_images(demo_files, capsys):
+    code, _, err = run(capsys, "bench", "--model", demo_files["model"],
+                       "--refs", demo_files["refs"], "--images", "0")
+    assert code == 2
+    assert "--images" in err
+
+
+@pytest.mark.parametrize("spec, word", [("2,-1", "positive"),
+                                         ("2,0", "positive"),
+                                         ("2,two", "integer")])
+def test_flops_rejects_bad_batch_sizes(demo_files, capsys, spec, word):
+    code, _, err = run(capsys, "flops", "--model", demo_files["model"],
+                       "--refs", demo_files["refs"], "--b-range", spec)
+    assert code == 2
+    assert "--b-range" in err and word in err
+
+
 def test_dtype_flag_recasts(demo_files, capsys):
     art = str(demo_files["dir"] / "f32.sgm")
     code, _, _ = run(capsys, "compile", "--model", demo_files["model"],

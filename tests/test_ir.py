@@ -195,6 +195,78 @@ def test_digest_tracks_weight_changes():
     assert model_digest(a) != model_digest(b)
 
 
+def test_digest_tracks_one_payload_element():
+    a, b = tiny_model(), tiny_model()
+    arr = b.initializers["w"].array
+    arr.reshape(-1)[-1] = np.nextafter(arr.reshape(-1)[-1], np.float32(2))
+    assert a.initializers["w"].to_bytes() != b.initializers["w"].to_bytes()
+    assert model_digest(a) != model_digest(b)
+
+
+def with_weight(array, dtype="float32"):
+    m = tiny_model()
+    m.initializers["w"] = TensorValue(array, dtype)
+    return m
+
+
+def test_digest_separates_shapes_holding_the_same_bytes():
+    flat = np.arange(6, dtype=np.float32)
+    a = with_weight(flat.reshape(2, 3))
+    b = with_weight(flat.reshape(3, 2))
+    assert a.initializers["w"].to_bytes() == b.initializers["w"].to_bytes()
+    assert model_digest(a) != model_digest(b)
+
+
+def test_digest_tracks_dtype():
+    values = np.arange(6, dtype=np.float32).reshape(3, 2)
+    assert model_digest(with_weight(values)) != model_digest(
+        with_weight(values.astype(np.float64), "float64"))
+    # the same eight payload bytes read as two float32s or one float64
+    raw = np.arange(1, 3, dtype=np.float32).tobytes()
+    a = with_weight(np.frombuffer(raw, np.float32).copy())
+    b = with_weight(np.frombuffer(raw, np.float64).copy(), "float64")
+    assert a.initializers["w"].to_bytes() == b.initializers["w"].to_bytes()
+    assert model_digest(a) != model_digest(b)
+    m = tiny_model()
+    m.inputs[0] = ValueSpec("x", "float64", (-1, 3))
+    assert model_digest(m) != model_digest(tiny_model())
+
+
+def test_digest_tracks_attributes_and_node_names():
+    def softmax_model(axis, name="sm"):
+        return GraphModel("soft", [ValueSpec("x", "float64", (-1, 3))],
+                          [ValueSpec("y", "float64", (-1, 3))], {},
+                          [Node("Softmax", name, ["x"], ["y"], {"axis": axis})])
+
+    assert model_digest(softmax_model(-1)) == model_digest(softmax_model(-1))
+    assert model_digest(softmax_model(-1)) != model_digest(softmax_model(1))
+    assert model_digest(softmax_model(-1)) != model_digest(
+        softmax_model(-1, name="sm2"))
+    renamed = tiny_model()
+    renamed.nodes[0].name = "mm2"
+    assert model_digest(renamed) != model_digest(tiny_model())
+
+
+def test_digest_survives_save_and_load_at_float64(tmp_path):
+    m = with_weight(np.linspace(-1, 1, 6).reshape(3, 2), "float64")
+    path = str(tmp_path / "wide.sgm")
+    save_model(m, path)
+    assert model_digest(load_model(path)) == model_digest(m)
+
+
+def test_digest_never_serializes_the_model(monkeypatch):
+    import graphlift.ir as ir
+    want = model_digest(tiny_model())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("model_digest must not serialize the model")
+
+    monkeypatch.setattr(ir, "dumps_model", refuse)
+    monkeypatch.setattr(ir.base64, "b64encode", refuse)
+    assert ir.model_digest(tiny_model()) == want
+    assert len(want) == 64 and int(want, 16) >= 0
+
+
 def test_model_from_document_rejects_garbage():
     with pytest.raises(ParseError):
         model_from_document({"nodes": []})

@@ -1,9 +1,12 @@
 """Reference baking, both compile schemes, and the analytic cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import graphlift as gl
+from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, random_references
 from graphlift.executor import execute
 from graphlift.refopt import (build_naive, build_optimized, count_flops,
@@ -164,3 +167,43 @@ def test_build_digest_is_reproducible(demo):
     art_b, meta_b = build_optimized(model, cache)
     assert meta_a["build_digest"] == meta_b["build_digest"]
     assert gl.model_digest(art_a) == gl.model_digest(art_b)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_compile_peak_memory_stays_small(scheme):
+    # first-maximum routing once folded a 1x(H*W) running-sum Conv over
+    # every lane, which peaked near 270 MB on this compile
+    entry = gl.corpus_entry("dense_concat", seed=0, batch=64)
+    model = cast_model(entry.model, "float64")
+    refs = entry.references.astype(np.float64)
+    tracemalloc.start()
+    try:
+        gl.compile_explainer(model, refs, scheme=scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"compile peaked at {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
+                                                  dtype, scheme):
+    checked = 0
+    for entry in corpus_f32:
+        shapes = gl.infer_graph_shapes(entry.model)
+        windows = {int(np.prod(shapes[n.inputs[0]][2:]))
+                   for n in entry.model.nodes if n.op_type == "GlobalMaxPool"}
+        art = artifacts(entry.name, dtype, scheme)
+        for node in art.model.nodes:
+            if node.op_type == "Conv":
+                taps = int(np.prod(node.attributes["kernel_shape"]))
+                assert taps not in windows, (entry.name, node.name)
+        checked += len(windows)
+    assert checked, "the corpus must hold a GlobalMaxPool"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_dense_concat_node_counts(artifacts, dtype):
+    assert len(artifacts("dense_concat", dtype, "optimized").model.nodes) == 68
+    assert len(artifacts("dense_concat", dtype, "naive").model.nodes) == 89

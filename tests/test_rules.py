@@ -11,20 +11,23 @@ from graphlift.executor import execute
 F64 = "float64"
 
 
-def build(name, input_shape, nodes, initializers, head, head_shape):
-    model = GraphModel(name, [ValueSpec("x", F64, input_shape)],
-                       [ValueSpec(head, F64, head_shape)],
+def build(name, input_shape, nodes, initializers, head, head_shape, dtype=F64):
+    model = GraphModel(name, [ValueSpec("x", dtype, input_shape)],
+                       [ValueSpec(head, dtype, head_shape)],
                        initializers, nodes)
     validate_model(model)
     return model
 
 
-def graph_multipliers(model, x, refs, output_index=0):
-    art = gl.compile_explainer(model, refs, output_index=output_index,
+def graph_multipliers(model, x, refs, output_index=0, scheme="optimized"):
+    dtype = np.dtype(model.inputs[0].dtype)
+    art = gl.compile_explainer(model, np.asarray(refs, dtype),
+                               output_index=output_index, scheme=scheme,
                                expose_multipliers=True)
     outs, _ = execute(art.model,
-                      {art.metadata["input_name"]: np.asarray(x, np.float64)})
-    return outs[art.metadata["multipliers_output"]]
+                      {art.metadata["input_name"]: np.asarray(x, dtype)})
+    # the stacked scheme's stream also carries the reference half's rows
+    return outs[art.metadata["multipliers_output"]][:len(refs)]
 
 
 def selector(rows, col):
@@ -98,6 +101,84 @@ def test_maxpool_tie_parity_with_oracle():
         _, want = gl.deeplift_oracle(model, x, refs, output_index=k,
                                      return_multipliers=True)
         assert np.allclose(got, want, atol=1e-15), k
+
+
+def global_max_net(dtype, channels, height, width):
+    nodes = [Node("GlobalMaxPool", "p", ["x"], ["pool"]),
+             Node("Reshape", "r", ["pool"], ["y"], {"shape": [-1, channels]})]
+    return build("gmx", (-1, channels, height, width), nodes, {}, "y",
+                 (-1, channels), dtype=dtype)
+
+
+# channel 0: every position equal; channel 1: the maximum 5 sits on three
+# rows; channel 2: a single maximum at the last position
+GLOBAL_TIE_X = np.array([[
+    [[2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]],
+    [[1.0, 0.0, 3.0, 5.0], [5.0, 1.0, 0.0, 2.0], [4.0, 5.0, 1.0, 0.0]],
+    [[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 6.0]],
+]])
+# four references: all-equal channels, ties across rows on the reference
+# side, maxima that coincide with the sample's and strictly larger ones
+GLOBAL_TIE_REFS = np.array([
+    [[[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]],
+     [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+     [[3.0, 0.0, 3.0, 0.0], [0.0, 3.0, 0.0, 3.0], [3.0, 0.0, 0.0, 0.0]]],
+    [[[0.0, 4.0, 0.0, 0.0], [4.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, 0.0]],
+     [[2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]],
+     [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 7.0, 7.0]]],
+    [[[2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]],
+     [[1.0, 0.0, 3.0, 5.0], [5.0, 1.0, 0.0, 2.0], [4.0, 5.0, 1.0, 0.0]],
+     [[6.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 6.0]]],
+    [[[-1.0, -3.0, -1.0, -2.0], [-3.0, -1.0, -2.0, -1.0], [-2.0, -2.0, -2.0, -2.0]],
+     [[9.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.0], [0.0, 9.0, 0.0, 0.0]],
+     [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]],
+])
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_global_maxpool_tie_parity_with_oracle(dtype, scheme):
+    model = global_max_net(dtype, 3, 3, 4)
+    for k in range(3):
+        got = graph_multipliers(model, GLOBAL_TIE_X, GLOBAL_TIE_REFS,
+                                output_index=k, scheme=scheme)
+        _, want = gl.deeplift_oracle(model, GLOBAL_TIE_X.astype(dtype),
+                                     GLOBAL_TIE_REFS.astype(dtype),
+                                     output_index=k, return_multipliers=True)
+        assert got.shape == want.shape == (4, 3, 3, 4)
+        assert np.allclose(got, want, rtol=0, atol=1e-15), (k, got - want)
+        # only the explained channel carries multipliers
+        others = [c for c in range(3) if c != k]
+        assert np.all(got[:, others] == 0.0)
+
+
+def test_global_maxpool_routes_ties_to_first_row_major_maximum():
+    # x wins with 5 at (0,3), (1,0) and (2,1); the reference's 1s tie
+    # everywhere, so each side must route to its own first position only
+    model = global_max_net(F64, 1, 3, 4)
+    x = GLOBAL_TIE_X[:, 1:2]
+    refs = np.ones((3, 1, 3, 4))
+    got = graph_multipliers(model, x, refs)
+    assert got.shape == (3, 1, 3, 4)
+    want = np.zeros((3, 1, 3, 4))
+    # the x side routes max(5, 1) - 1 = 4 to (0,3) and divides by x - r = 4;
+    # the reference side routes 5 - max(5, 1) = 0 to (0,0)
+    want[:, 0, 0, 3] = 4.0 / 4.0
+    assert np.array_equal(got, want)
+
+
+def test_global_maxpool_window_too_wide_for_float32_ranks():
+    from graphlift.builder import GraphBuilder, RuleEnv
+    from graphlift.rules import RuleContext, _route_to_argmax
+
+    b = GraphBuilder(dtype="float32")
+    b.register_value("x", (1, 1, 4097, 4097))
+    b.register_value("pool", (1, 1, 1, 1))
+    b.register_value("m", (1, 1, 1, 1))
+    ctx = RuleContext(node=Node("GlobalMaxPool", "gmp", ["x"], ["pool"]),
+                      grad_in="m", env=RuleEnv(b, 1, False, {}))
+    with pytest.raises(UnsupportedOp, match="'gmp'"):
+        _route_to_argmax(ctx, "x", "pool", "m", "mpx")
 
 
 def test_maxpool_zero_delta_coordinates_get_zero():
