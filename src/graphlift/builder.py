@@ -40,6 +40,8 @@ class GraphBuilder:
         # values whose arrays are known at build time (initializers and
         # anything computed only from them); folded booleans live here too
         self.known: dict[str, np.ndarray] = {}
+        # outputs of nodes already in the graph: never materialized as constants
+        self._produced: set[str] = set()
         self._counter = itertools.count()
         self._scalars: dict[float, str] = {}
 
@@ -78,6 +80,7 @@ class GraphBuilder:
     def append_raw(self, node: Node, out_shapes: list[tuple[int, ...]]) -> None:
         """Adopt an externally constructed node with known output shapes."""
         self.nodes.append(node)
+        self._produced.update(node.outputs)
         for name, shape in zip(node.outputs, out_shapes):
             self.shapes[name] = tuple(shape)
 
@@ -110,30 +113,16 @@ class GraphBuilder:
             if i in self.known and i not in self.shapes:
                 raise ShapeError(f"value {i!r} is known but has no shape")
             if i in self.known and i not in self.initializers \
-                    and not self._is_graph_value(i):
+                    and i not in self._produced:
                 self._materialize(i)
         node = Node(op_type, self.fresh(f"n_{tag}"), list(inputs), names, attrs)
         out_shapes = infer_node_shapes(node, [self.shape(i) for i in inputs])
         self.append_raw(node, out_shapes)
         return names[0] if n_outputs == 1 else names
 
-    def _is_graph_value(self, name: str) -> bool:
-        # values produced by already-present nodes need no materialization
-        return name in self._produced()
-
-    def _produced(self) -> set[str]:
-        if not hasattr(self, "_produced_cache"):
-            self._produced_cache: set[str] = set()
-            self._produced_len = 0
-        while self._produced_len < len(self.nodes):
-            self._produced_cache.update(self.nodes[self._produced_len].outputs)
-            self._produced_len += 1
-        return self._produced_cache
-
     def mark_produced(self, names) -> None:
         """Record external node outputs so folding never shadows them."""
-        self._produced()
-        self._produced_cache.update(names)
+        self._produced.update(names)
 
 
 class RuleEnv:
@@ -164,7 +153,6 @@ class RuleEnv:
         self._ref_names: dict[str, str] = {}
         self._x_grads: dict[str, str] = {}
         self._zeros: dict[tuple[int, ...], str] = {}
-        self.consumed_refs: set[str] = set()
 
     @property
     def rows(self) -> int:
@@ -197,7 +185,6 @@ class RuleEnv:
             if name not in self._ref_values:
                 raise MissingCacheEntry(
                     f"reference cache holds no entry for value {name!r}")
-            self.consumed_refs.add(name)
             self._ref_names[name] = self.builder.const(
                 self._ref_values[name], f"ref_{_short(name)}")
         return self._ref_names[name]

@@ -197,6 +197,7 @@ def cmd_bench(args) -> int:
         if args.json:
             saved = dumps_model(artifact.model,
                                 extra={"metadata": artifact.metadata})
+            census = op_census(artifact.model)
             records.append({
                 "model": model.name, "scheme": scheme,
                 "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
@@ -205,6 +206,8 @@ def cmd_bench(args) -> int:
                 "p95_ms": float(np.percentile(warm, 95)),
                 "cold_ms": timings[0], "compile_ms": compile_ms,
                 "artifact_bytes": len(saved.encode("ascii")),
+                "nodes": len(artifact.model.nodes),
+                "split_concat_nodes": census["Split"] + census["Concat"],
             })
     print(f"model {model.name}  batch {refs.shape[0]}  "
           f"(first run excluded from stats)")

@@ -4,7 +4,10 @@ Every kernel is a pure function of numpy arrays, so repeated execution of the
 same model on the same feed is bit-deterministic.  Semantics follow the ONNX
 operator definitions for the supported configurations: multidirectional
 broadcasting on binary ops, NCHW layout for convolutions and pools, and
-average pooling that excludes padding from the divisor.
+average pooling that excludes padding from the divisor.  ``Pad`` (constant
+mode, non-negative pads), ``Slice`` (attributes, not inputs) and
+``ConvTranspose`` (``group=1``) check their attributes through their shape
+laws before they index anything.
 
 Execution is planned once per model.  ``ExecutionPlan`` fixes the
 topological order, gives every value an integer slot, materializes the
@@ -23,6 +26,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, UnsupportedOp, ValidationError
 from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, topological_order
+from .shapes import infer_node_shapes
 
 __all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
 
@@ -78,6 +82,53 @@ def _conv(x, w, bias, attrs):
     if bias is not None:
         out = out + bias.reshape(1, -1, 1, 1)
     return out
+
+
+def _conv_transpose(x, w, bias, attrs):
+    """Adjoint of a unit-dilation Conv with the same weights and geometry.
+
+    x is dilated by the strides into a zero canvas framed by k-1-pad on each
+    side (a negative frame crops), which the channel-swapped, flipped filters
+    then correlate at unit stride.
+    """
+    kernel, strides, pads, _ = _pair_attrs(attrs, 2)
+    extra = attrs.get("output_padding", [0, 0])
+    size, place, keep = [], [], []
+    for d, k, s, lo, hi, e in zip(x.shape[2:], kernel, strides, pads[:2],
+                                  pads[2:], extra):
+        lo, hi, span = k - 1 - lo, k - 1 - hi + e, (d - 1) * s + 1
+        size.append(max(lo, 0) + span + max(hi, 0))
+        place.append(slice(max(lo, 0), max(lo, 0) + span, s))
+        keep.append(slice(max(-lo, 0), size[-1] - max(-hi, 0)))
+    canvas = np.zeros(x.shape[:2] + tuple(size), dtype=x.dtype)
+    canvas[(Ellipsis, *place)] = x
+    flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return _conv(canvas[(Ellipsis, *keep)], flipped, bias, {"kernel_shape": kernel})
+
+
+def _pad(x, attrs):
+    pads = attrs["pads"]
+    return np.pad(x, list(zip(pads, pads[x.ndim:])),
+                  constant_values=attrs.get("value", 0.0))
+
+
+def _slice(x, attrs):
+    starts = attrs["starts"]
+    index = [slice(None)] * x.ndim
+    for start, end, axis, step in zip(starts, attrs["ends"],
+                                      attrs.get("axes", range(len(starts))),
+                                      attrs.get("steps", [1] * len(starts))):
+        index[axis] = slice(start, end, step)
+    return np.ascontiguousarray(x[tuple(index)])
+
+
+def _checked(kernel):
+    """Run the op's shape law on the operands first, so malformed
+    attributes raise ShapeError or UnsupportedOp before any indexing."""
+    def run(x, a, n):
+        infer_node_shapes(n, [v.shape for v in x])
+        return [kernel(x, a)]
+    return run
 
 
 def _max_pool(x, attrs):
@@ -219,6 +270,11 @@ _KERNELS = {
     "Tile": lambda x, a, n: [np.tile(x[0], a["repeats"])],
     "Split": lambda x, a, n: _split(x[0], n),
     "Constant": lambda x, a, n: [_constant(n)],
+    "Abs": lambda x, a, n: [np.abs(x[0])],
+    "Pad": _checked(lambda x, a: _pad(x[0], a)),
+    "Slice": _checked(lambda x, a: _slice(x[0], a)),
+    "ConvTranspose": _checked(lambda x, a: _conv_transpose(
+        x[0], x[1], x[2] if len(x) == 3 else None, a)),
 }
 
 

@@ -72,6 +72,10 @@ _ARITY = {
     "Tile": (1, 1, 1),
     "Split": (1, 1, None),
     "Constant": (0, 0, 1),
+    "Abs": (1, 1, 1),
+    "Pad": (1, 1, 1),
+    "Slice": (1, 1, 1),
+    "ConvTranspose": (2, 3, 1),
 }
 
 SUPPORTED_OPS = frozenset(_ARITY)
@@ -95,6 +99,10 @@ _ATTR_KINDS = {
     "Tile": {"repeats": "ints"},
     "Split": {"axis": "int", "split": "ints"},
     "Constant": {"dtype": "string", "shape": "ints", "value": "floats"},
+    "Pad": {"mode": "string", "pads": "ints", "value": "float"},
+    "Slice": {"starts": "ints", "ends": "ints", "axes": "ints", "steps": "ints"},
+    "ConvTranspose": {"kernel_shape": "ints", "strides": "ints", "pads": "ints",
+                      "output_padding": "ints", "group": "int"},
 }
 
 _REQUIRED_ATTRS = {
@@ -106,6 +114,9 @@ _REQUIRED_ATTRS = {
     "Reshape": {"shape"},
     "Tile": {"repeats"},
     "Constant": {"dtype", "shape", "value"},
+    "Pad": {"pads"},
+    "Slice": {"starts", "ends"},
+    "ConvTranspose": {"kernel_shape"},
 }
 
 

@@ -167,6 +167,14 @@ def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
     return meta
 
 
+def _read_initializers(initializers: dict[str, TensorValue], nodes: list[Node],
+                       outputs: list[ValueSpec]) -> dict[str, TensorValue]:
+    """The initializers some node reads or some output names, in order; a
+    constant every consumer of which folded away is left out."""
+    read = {i for node in nodes for i in node.inputs} | {s.name for s in outputs}
+    return {name: t for name, t in initializers.items() if name in read}
+
+
 def build_optimized(model: GraphModel, cache: ReferenceCache,
                     output_index: int = 0, *, eps_act: float = EPS_ACT,
                     eps_pool: float = EPS_POOL, seed_scale: float = 1.0,
@@ -211,18 +219,20 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
     if expose_multipliers:
         outputs.append(ValueSpec(result.input_grad, dtype,
                                  builder.shape(result.input_grad)))
+    nodes = [*model.nodes, *builder.nodes]
     artifact = GraphModel(
         name=f"{model.name}.explainer",
         inputs=[ValueSpec(input_name, dtype, sample[input_name])],
         outputs=outputs,
-        initializers={**model.initializers, **builder.initializers},
-        nodes=[*model.nodes, *builder.nodes],
+        initializers=_read_initializers(
+            {**model.initializers, **builder.initializers}, nodes, outputs),
+        nodes=nodes,
     )
     validate_model(artifact)
 
-    baked = env.baked_refs()
-    cache_bytes = sum(builder.initializers[baked[n]].array.nbytes
-                      for n in env.consumed_refs)
+    baked = {name: init for name, init in env.baked_refs().items()
+             if init in artifact.initializers}
+    cache_bytes = sum(artifact.initializers[init].nbytes for init in baked.values())
     meta = _metadata(
         "optimized", model, artifact, output_index=output_index, batch=batch,
         eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
@@ -231,7 +241,7 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
         forward_nodes=[n.name for n in model.nodes], target_rows=1,
         reference_rows=0,
         ref_output_mean=cache.values[explained][:, output_index].mean(),
-        cache_entries=env.consumed_refs, cache_bytes=cache_bytes,
+        cache_entries=baked, cache_bytes=cache_bytes,
         source_digest=cache.digest)
     return artifact, meta
 
@@ -315,7 +325,8 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
         name=f"{model.name}.explainer",
         inputs=[ValueSpec(input_name, dtype, sample[input_name])],
         outputs=outputs,
-        initializers={**model.initializers, **builder.initializers},
+        initializers=_read_initializers(
+            {**model.initializers, **builder.initializers}, builder.nodes, outputs),
         nodes=list(builder.nodes),
     )
     validate_model(artifact)
@@ -390,13 +401,16 @@ def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
         if op == "Gemm" and len(node.inputs) == 3:
             flops += out_elems
         return flops
-    if op == "Conv":
+    if op in ("Conv", "ConvTranspose"):
+        # each element on the filters' leading-channel side meets every tap
+        # of the other side: Conv's outputs, ConvTranspose's inputs
         w = shapes[node.inputs[1]]
-        flops = 2 * out_elems * int(w[1] * w[2] * w[3])
+        lead = out_elems if op == "Conv" else int(np.prod(shapes[node.inputs[0]]))
+        flops = 2 * lead * int(w[1] * w[2] * w[3])
         if len(node.inputs) == 3:
             flops += out_elems
         return flops
-    if op in ("Add", "Sub", "Mul", "Div", "Greater", "Where"):
+    if op in ("Add", "Sub", "Mul", "Div", "Greater", "Where", "Abs"):
         return out_elems
     if op in ("Sigmoid", "Tanh", "Exp", "Softmax", "Relu"):
         return ACTIVATION_FLOP_COST * out_elems
@@ -407,7 +421,8 @@ def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
         return int(np.prod(shapes[node.inputs[0]]))
     if op == "BatchNormalization":
         return 2 * out_elems
-    # movement only: Transpose, Reshape, Flatten, Tile, Concat, Split, Constant
+    # movement only: Transpose, Reshape, Flatten, Tile, Concat, Split, Pad,
+    # Slice, Constant
     return 0
 
 

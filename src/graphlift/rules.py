@@ -8,6 +8,13 @@ reference activation, falling back to the instantaneous derivative when the
 two are closer than an epsilon.  Max pooling routes through the winning
 window position of each side and rescales by the input difference.
 
+The rules emit standard ops only.  Convolution and average-pooling gradients
+are one ``ConvTranspose`` each, reading the forward filters (or a ones
+kernel) directly.  Max-pool routing pads with a huge negative (``Pad``),
+takes one strided ``Slice`` per window offset, keeps each window's first
+maximum in row-major order, and scatters the routes of every offset with one
+``ConvTranspose`` over a one-hot filter.  ``|v|`` is ``Abs``.
+
 Rules are scheme-agnostic: they resolve target/reference activations through
 a RuleEnv, so the same code produces baked reference constants under the
 caching scheme and live 2B-row streams under the stacked scheme.
@@ -21,6 +28,7 @@ import numpy as np
 
 from .builder import GraphBuilder, RuleEnv
 from .errors import UnsupportedOp
+from .executor import run_kernel
 from .ir import Node
 
 __all__ = [
@@ -94,20 +102,13 @@ def f_grad(ctx: RuleContext) -> RuleOutput:
 # shared emission helpers
 
 
-def _abs_value(b: GraphBuilder, name: str, tag: str) -> str:
-    # |v| built from the comparison ops so boundary behaviour is explicit
-    zero = b.scalar(0.0, "zero")
-    pos = b.emit("Greater", [name, zero], tag=f"{tag}_pos")
-    neg = b.emit("Mul", [name, b.scalar(-1.0, "negone")], tag=f"{tag}_neg")
-    return b.emit("Where", [pos, name, neg], tag=f"{tag}_abs")
-
-
 def _guarded_ratio(b: GraphBuilder, num: str, den: str, fallback: str,
                    eps: float, tag: str) -> str:
     """num/den where |den| >= eps, otherwise fallback; never divides by ~0."""
     one = b.scalar(1.0, "one")
     small = b.emit("Greater", [b.scalar(eps, f"eps_{tag}"),
-                               _abs_value(b, den, tag)], tag=f"{tag}_small")
+                               b.emit("Abs", [den], tag=f"{tag}_abs")],
+                  tag=f"{tag}_small")
     safe = b.emit("Where", [small, one, den], tag=f"{tag}_safe")
     ratio = b.emit("Div", [num, safe], tag=f"{tag}_ratio")
     return b.emit("Where", [small, fallback, ratio], tag=f"{tag}_sel")
@@ -127,104 +128,16 @@ def _reduce_like(env: RuleEnv, grad: str, sample: tuple[int, ...], tag: str) -> 
     return b.emit("ReduceSum", [grad], {"axes": axes, "keepdims": 1}, tag=tag)
 
 
-def _crop_axis(b: GraphBuilder, name: str, axis: int, start: int, size: int,
-               tag: str) -> str:
-    """Keep [start, start+size) of one axis via a Split."""
-    total = b.shape(name)[axis]
-    if start == 0 and size == total:
-        return name
-    segs = []
-    if start:
-        segs.append(start)
-    keep = len(segs)
-    segs.append(size)
-    if total - start - size:
-        segs.append(total - start - size)
-    outs = b.emit("Split", [name], {"axis": axis, "split": segs},
-                  n_outputs=len(segs), tag=tag)
-    outs = outs if isinstance(outs, list) else [outs]
-    return outs[keep]
-
-
-def _pad_axis(b: GraphBuilder, name: str, axis: int, before: int, after: int,
-              tag: str) -> str:
-    """Zero-pad one axis; negative amounts crop instead."""
-    shape = list(b.shape(name))
-    n = shape[axis]
-    start = -before if before < 0 else 0
-    stop = n + after if after < 0 else n
-    if start or stop != n:
-        name = _crop_axis(b, name, axis, start, stop - start, f"{tag}_clip")
-        shape[axis] = stop - start
-    parts = []
-    if before > 0:
-        zshape = shape[:axis] + [before] + shape[axis + 1:]
-        parts.append(b.const(np.zeros(zshape), f"{tag}_lpad"))
-    parts.append(name)
-    if after > 0:
-        zshape = shape[:axis] + [after] + shape[axis + 1:]
-        parts.append(b.const(np.zeros(zshape), f"{tag}_rpad"))
-    if len(parts) == 1:
-        return name
-    return b.emit("Concat", parts, {"axis": axis}, tag=f"{tag}_pad")
-
-
-def _scatter_strided(b: GraphBuilder, name: str, axis: int, start: int,
-                     stride: int, total: int, tag: str) -> str:
-    """Place the axis elements at start, start+stride, ... on a zero canvas."""
-    shape = list(b.shape(name))
-    count = shape[axis]
-    span = (count - 1) * stride + 1
-    body = name
-    if stride > 1 and count > 1:
-        pre = shape[:axis + 1]
-        post = shape[axis + 1:]
-        grouped = b.emit("Reshape", [name], {"shape": pre + [1] + post},
-                         tag=f"{tag}_grp")
-        gap = b.const(np.zeros(pre + [stride - 1] + post), f"{tag}_gap")
-        inter = b.emit("Concat", [grouped, gap], {"axis": axis + 1},
-                       tag=f"{tag}_gaps")
-        flat = b.emit("Reshape", [inter],
-                      {"shape": shape[:axis] + [count * stride] + post},
-                      tag=f"{tag}_flat")
-        body = _crop_axis(b, flat, axis, 0, span, f"{tag}_trim")
-    return _pad_axis(b, body, axis, start, total - start - span, tag)
-
-
-def _strided_slices(b: GraphBuilder, name: str, axis: int, start: int,
-                    stride: int, count: int, tag: str) -> str:
-    """Extract the axis elements start, start+stride, ... (count of them)."""
-    span = (count - 1) * stride + 1
-    window = _crop_axis(b, name, axis, start, span, f"{tag}_win")
-    if stride == 1 or count == 1:
-        return window
-    shape = list(b.shape(name))
-    pre = shape[:axis]
-    post = shape[axis + 1:]
-    head = _crop_axis(b, window, axis, 0, (count - 1) * stride, f"{tag}_head")
-    tail = _crop_axis(b, window, axis, (count - 1) * stride, 1, f"{tag}_tail")
-    grouped = b.emit("Reshape", [head], {"shape": pre + [count - 1, stride] + post},
-                     tag=f"{tag}_grp")
-    first = _crop_axis(b, grouped, axis + 1, 0, 1, f"{tag}_first")
-    lead = b.emit("Reshape", [first], {"shape": pre + [count - 1] + post},
-                  tag=f"{tag}_lead")
-    return b.emit("Concat", [lead, tail], {"axis": axis}, tag=f"{tag}_cat")
-
-
-def _upsample_canvas(b: GraphBuilder, grad: str, in_hw: tuple[int, int],
-                     kernel, strides, pads, tag: str) -> str:
-    """Dilate a pooled/convolved gradient by its strides and frame it so a
-    plain unit-stride convolution with the (flipped) kernel lands each
-    contribution on the forward input position that produced it."""
-    x = grad
-    for axis, n, k, s, p in ((2, in_hw[0], kernel[0], strides[0], pads[0]),
-                             (3, in_hw[1], kernel[1], strides[1], pads[1])):
-        count = b.shape(x)[axis]
-        x = _scatter_strided(b, x, axis, 0, s, (count - 1) * s + 1,
-                             f"{tag}_dil{axis}")
-        x = _pad_axis(b, x, axis, k - 1 - p, n + p - (count - 1) * s - 1,
-                      f"{tag}_frame{axis}")
-    return x
+def _transpose_conv(b: GraphBuilder, grad: str, weight: str, in_hw, kernel,
+                    strides, pads, tag: str) -> str:
+    """ConvTranspose that lands each cell of a convolved or pooled gradient
+    back on the in_hw input positions its forward window read."""
+    out_hw = b.shape(grad)[2:]
+    extra = [in_hw[i] + pads[i] + pads[i + 2] - kernel[i] - strides[i] * (out_hw[i] - 1)
+             for i in range(2)]
+    return b.emit("ConvTranspose", [grad, weight],
+                  {"kernel_shape": list(kernel), "strides": list(strides),
+                   "pads": list(pads), "output_padding": extra}, tag=tag)
 
 
 def _pool_geometry(node: Node, in_shape: tuple[int, ...]):
@@ -291,29 +204,18 @@ def rule_conv(ctx: RuleContext) -> dict[str, str]:
             f"node {node.name!r}: convolution filters must be constant")
     if len(node.inputs) == 3 and ctx.pass_grads.get(node.inputs[2], False):
         raise UnsupportedOp(f"node {node.name!r}: convolution bias must be constant")
-    if weight not in b.known:
-        raise UnsupportedOp(
-            f"node {node.name!r}: convolution filters must be known at build time")
     attrs = node.attributes
     dil = [int(v) for v in attrs.get("dilations", [1, 1])]
     if dil != [1, 1]:
         raise UnsupportedOp(f"node {node.name!r}: dilated convolution gradients "
                             "are not supported")
-    w = b.known[weight]  # (Cout, Cin, kh, kw)
-    kernel = [w.shape[2], w.shape[3]]
+    kernel = list(b.shape(weight)[2:])
     strides = [int(v) for v in attrs.get("strides", [1, 1])]
     pads = [int(v) for v in attrs.get("pads", [0, 0, 0, 0])]
     sample = env.sample_shape(data)
-    # swap in/out channels and flip the taps: correlation turns into the
-    # adjoint scatter once the gradient is dilated and framed
-    wback = b.const(np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]),
-                    "convback")
-    canvas = _upsample_canvas(b, ctx.grad_in, (sample[2], sample[3]),
-                              kernel, (strides[0], strides[1]),
-                              (pads[0], pads[1]), "convb")
-    grad = b.emit("Conv", [canvas, wback],
-                  {"kernel_shape": kernel, "strides": [1, 1],
-                   "pads": [0, 0, 0, 0]}, tag="convgrad")
+    # the adjoint of the forward correlation reads the forward filters as is
+    grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], kernel, strides,
+                           pads, "convgrad")
     return {data: grad}
 
 
@@ -520,7 +422,10 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
                              tag="gapgrad")}
     kernel, strides, pads = _pool_geometry(node, sample)
     out_h, out_w = b.shape(ctx.grad_in)[2], b.shape(ctx.grad_in)[3]
-    counts = _window_counts(height, width, kernel, strides, pads, out_h, out_w)
+    ones_k = np.ones((1, 1, *kernel))
+    # in-bounds element count of every window (pad excluded)
+    counts = run_kernel("Conv", [np.ones((1, 1, height, width)), ones_k],
+                        {"kernel_shape": kernel, "strides": strides, "pads": pads})[0]
     if np.any(counts == 0):
         raise UnsupportedOp(
             f"node {node.name!r}: a pooling window lies entirely in padding")
@@ -530,34 +435,16 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
     # back over exactly the window it averaged
     flat = b.emit("Reshape", [normed], {"shape": [rows * channels, 1, out_h, out_w]},
                   tag="avgflat")
-    canvas = _upsample_canvas(b, flat, (height, width),
-                              (kernel[0], kernel[1]), (strides[0], strides[1]),
-                              (pads[0], pads[1]), "avgb")
-    ones_k = b.const(np.ones((1, 1, kernel[0], kernel[1])), "avgones")
-    spread = b.emit("Conv", [canvas, ones_k],
-                    {"kernel_shape": kernel, "strides": [1, 1],
-                     "pads": [0, 0, 0, 0]}, tag="avgspread")
+    spread = _transpose_conv(b, flat, b.const(ones_k, "avgones"), (height, width),
+                             kernel, strides, pads, "avgspread")
     grad = b.emit("Reshape", [spread], {"shape": [rows, channels, height, width]},
                   tag="avggrad")
     return {data: grad}
 
 
-def _window_counts(height, width, kernel, strides, pads, out_h, out_w):
-    """In-bounds element count of every pooling window (pad excluded)."""
-    mask = np.zeros((height + pads[0] + pads[2], width + pads[1] + pads[3]))
-    mask[pads[0]:pads[0] + height, pads[1]:pads[1] + width] = 1.0
-    counts = np.zeros((1, 1, out_h, out_w))
-    for i in range(out_h):
-        for j in range(out_w):
-            window = mask[i * strides[0]:i * strides[0] + kernel[0],
-                          j * strides[1]:j * strides[1] + kernel[1]]
-            counts[0, 0, i, j] = window.sum()
-    return counts
-
-
 def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
-    data, out = node.inputs[0], node.outputs[0]
+    data = node.inputs[0]
     sample = env.sample_shape(data)
     if len(sample) != 4:
         raise UnsupportedOp(
@@ -565,31 +452,39 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     xs, rs = ctx.x_act, ctx.r_act
     yx, yr = ctx.y_x, ctx.y_r
     g = env.grad_x_half(ctx.grad_in)
-    zero = b.scalar(0.0, "zero")
-    one = b.scalar(1.0, "one")
     # each pooled cell scores the larger of its two winners, and each side
     # receives its distance from the other side's winner
     upper = b.emit("Where", [b.emit("Greater", [yx, yr], tag="mpgt"), yx, yr],
                    tag="mpupper")
     m_x = b.emit("Mul", [b.emit("Sub", [upper, yr], tag="mpxgap"), g], tag="mpmx")
     m_r = b.emit("Mul", [b.emit("Sub", [yx, upper], tag="mprgap"), g], tag="mpmr")
-    routed = None
-    for side, act, pooled, m in (("x", xs, yx, m_x), ("r", rs, yr, m_r)):
-        part = _route_to_argmax(ctx, act, pooled, m, f"mp{side}")
-        routed = part if routed is None else b.emit("Add", [routed, part],
-                                                    tag="mproutes")
+    routed = b.emit("Add", [_route_to_argmax(ctx, xs, yx, m_x, "mpx"),
+                            _route_to_argmax(ctx, rs, yr, m_r, "mpr")],
+                    tag="mproutes")
+    if node.op_type == "MaxPool":
+        # a one-hot filter per window offset scatters the stacked routes back
+        # onto the positions they came from, summing where windows overlap
+        kernel, strides, pads = _pool_geometry(node, sample)
+        onehot = b.const(np.eye(kernel[0] * kernel[1]).reshape(
+            -1, 1, kernel[0], kernel[1]), "mponehot")
+        spread = _transpose_conv(b, routed, onehot, sample[2:], kernel, strides,
+                                 pads, "mpscatter")
+        routed = b.emit("Reshape", [spread],
+                        {"shape": [b.shape(routed)[0] // sample[1], *sample[1:]]},
+                        tag="mpscattered")
     gap = b.emit("Sub", [xs, rs], tag="mpdx")
-    small = b.emit("Greater", [b.scalar(ctx.eps_pool, "epspool"),
-                               _abs_value(b, gap, "mpdx")], tag="mpsmall")
-    safe = b.emit("Where", [small, one, gap], tag="mpsafe")
-    ratio = b.emit("Div", [routed, safe], tag="mpratio")
-    grad = b.emit("Where", [small, zero, ratio], tag="mpgrad")
+    grad = _guarded_ratio(b, routed, gap, b.scalar(0.0, "zero"), ctx.eps_pool, "mp")
     return {data: env.wrap_stream(grad, sample)}
 
 
 def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
                      tag: str) -> str:
-    """Scatter each pooled gradient cell onto its window's first maximum."""
+    """Route each pooled gradient cell to its window's first maximum.
+
+    A GlobalMaxPool's routes land on the input positions directly.  A
+    MaxPool's stay stacked per window offset, as (rows * C, K, out_h, out_w)
+    lanes for K offsets, for ``rule_maxpool`` to scatter.
+    """
     node, b = ctx.node, ctx.builder
     zero = b.scalar(0.0, "zero")
     one = b.scalar(1.0, "one")
@@ -614,62 +509,40 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
         return b.emit("Mul", [first, m], tag=f"{tag}_route")
 
     kernel, strides, pads = _pool_geometry(node, shape)
-    height, width = shape[2], shape[3]
-    out_h = b.shape(pooled)[2]
-    out_w = b.shape(pooled)[3]
-    padded = act
-    pad_h, pad_w = height, width
+    out_h, out_w = b.shape(pooled)[2:]
     if any(pads):
         # pad with a huge negative so padding never ties with a real maximum
-        low = float(np.finfo(np.float32).min) / 4
-        for axis, before, after in ((2, pads[0], pads[2]), (3, pads[1], pads[3])):
-            shp = list(b.shape(padded))
-            parts = []
-            if before:
-                parts.append(b.const(
-                    np.full(shp[:axis] + [before] + shp[axis + 1:], low),
-                    f"{tag}_lowpadl"))
-            parts.append(padded)
-            if after:
-                parts.append(b.const(
-                    np.full(shp[:axis] + [after] + shp[axis + 1:], low),
-                    f"{tag}_lowpadr"))
-            if len(parts) > 1:
-                padded = b.emit("Concat", parts, {"axis": axis},
-                                tag=f"{tag}_lowpad{axis}")
-        pad_h = height + pads[0] + pads[2]
-        pad_w = width + pads[1] + pads[3]
-    total = None
-    found = None
+        act = b.emit("Pad", [act], {"pads": [0, 0, pads[0], pads[1],
+                                              0, 0, pads[2], pads[3]],
+                                     "value": float(np.finfo(np.float32).min) / 4},
+                     tag=f"{tag}_lowpad")
     # walk window offsets in row-major order so ties resolve to the first
-    # position, matching an argmax over the flattened window
+    # position, matching an argmax over the flattened window; `avail` is 1
+    # until a window has found its maximum
+    firsts, avail = [], one
     for di in range(kernel[0]):
         for dj in range(kernel[1]):
-            cell = _strided_slices(b, padded, 2, di, strides[0], out_h,
-                                   f"{tag}_o{di}{dj}h")
-            cell = _strided_slices(b, cell, 3, dj, strides[1], out_w,
-                                   f"{tag}_o{di}{dj}w")
-            at_max = b.emit("Where", [b.emit("Greater", [pooled, cell],
-                                             tag=f"{tag}_below{di}{dj}"),
-                                      zero, one], tag=f"{tag}_ismax{di}{dj}")
-            if found is None:
-                first = at_max
-                found = at_max
-            else:
-                unseen = b.emit("Sub", [one, found], tag=f"{tag}_unseen{di}{dj}")
-                first = b.emit("Mul", [at_max, unseen], tag=f"{tag}_first{di}{dj}")
-                found = b.emit("Add", [found, first], tag=f"{tag}_found{di}{dj}")
-            contrib = b.emit("Mul", [first, m], tag=f"{tag}_take{di}{dj}")
-            canvas = _scatter_strided(b, contrib, 2, di, strides[0], pad_h,
-                                      f"{tag}_sc{di}{dj}h")
-            canvas = _scatter_strided(b, canvas, 3, dj, strides[1], pad_w,
-                                      f"{tag}_sc{di}{dj}w")
-            total = canvas if total is None else b.emit(
-                "Add", [total, canvas], tag=f"{tag}_gather{di}{dj}")
-    if any(pads):
-        total = _crop_axis(b, total, 2, pads[0], height, f"{tag}_croph")
-        total = _crop_axis(b, total, 3, pads[1], width, f"{tag}_cropw")
-    return total
+            cell = b.emit("Slice", [act],
+                          {"starts": [di, dj],
+                           "ends": [di + (out_h - 1) * strides[0] + 1,
+                                    dj + (out_w - 1) * strides[1] + 1],
+                           "axes": [2, 3], "steps": list(strides)},
+                          tag=f"{tag}_o{di}{dj}")
+            firsts.append(b.emit("Where", [b.emit("Greater", [pooled, cell],
+                                                  tag=f"{tag}_below{di}{dj}"),
+                                           zero, avail], tag=f"{tag}_first{di}{dj}"))
+            if len(firsts) < kernel[0] * kernel[1]:
+                avail = b.emit("Sub", [avail, firsts[-1]], tag=f"{tag}_avail{di}{dj}")
+    first_rows, rows, channels = b.shape(pooled)[0], b.shape(m)[0], shape[1]
+    stacked = b.emit("Reshape", [b.emit("Concat", firsts, {"axis": 2},
+                                        tag=f"{tag}_firsts")],
+                     {"shape": [first_rows, channels, len(firsts), out_h, out_w]},
+                     tag=f"{tag}_stacked")
+    lanes = b.emit("Reshape", [m], {"shape": [rows, channels, 1, out_h, out_w]},
+                   tag=f"{tag}_lanes")
+    return b.emit("Reshape", [b.emit("Mul", [stacked, lanes], tag=f"{tag}_takes")],
+                  {"shape": [rows * channels, len(firsts), out_h, out_w]},
+                  tag=f"{tag}_route")
 
 
 RULES = {

@@ -79,7 +79,7 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
     if op == "Where":
         return [broadcast_shapes(broadcast_shapes(in_shapes[0], in_shapes[1]),
                                  in_shapes[2])]
-    if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Softmax"):
+    if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Softmax", "Abs"):
         return [in_shapes[0]]
 
     if op == "MatMul":
@@ -103,17 +103,62 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
             raise ShapeError(f"Gemm inner dimensions differ: {a} vs {b}")
         return [(a[0], b[1])]
 
-    if op == "Conv":
+    if op in ("Conv", "ConvTranspose"):
         x, w = in_shapes[0], in_shapes[1]
         if len(x) != 4 or len(w) != 4:
-            raise ShapeError("Conv supports 4-D NCHW tensors only")
-        group = attrs.get("group", 1)
-        if group != 1:
-            raise UnsupportedOp("Conv with group != 1 is not supported")
-        if x[1] != w[1] and x[1] != -1:
-            raise ShapeError(f"Conv channel mismatch: input {x}, weight {w}")
-        spatial = _conv_like(x, attrs, 2)
-        return [(x[0], w[0]) + spatial]
+            raise ShapeError(f"{op} supports 4-D NCHW tensors only")
+        if attrs.get("group", 1) != 1:
+            raise UnsupportedOp(f"{op} with group != 1 is not supported")
+        c_in, c_out = (w[1], w[0]) if op == "Conv" else (w[0], w[1])
+        if x[1] != c_in and x[1] != -1:
+            raise ShapeError(f"{op} channel mismatch: input {x}, weight {w}")
+        if op == "Conv":
+            return [(x[0], c_out) + _conv_like(x, attrs, 2)]
+        kernel = list(attrs["kernel_shape"])
+        strides = list(attrs.get("strides", [1, 1]))
+        pads = list(attrs.get("pads", [0, 0, 0, 0]))
+        extra = list(attrs.get("output_padding", [0, 0]))
+        if kernel != list(w[2:]) or len(pads) != 4 or min(pads) < 0 \
+                or len(strides) != 2 or len(extra) != 2 or -1 in x[2:] \
+                or not all(0 <= e < s for e, s in zip(extra, strides)):
+            raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
+                             f"input {x} and weight {w}")
+        spatial = tuple(s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
+                        in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra))
+        if min(spatial) < 1:
+            raise ShapeError(f"ConvTranspose pads {pads} crop away the output")
+        return [(x[0], c_out) + spatial]
+
+    if op == "Pad":
+        x, pads = in_shapes[0], list(attrs["pads"])
+        if attrs.get("mode", "constant") != "constant":
+            raise UnsupportedOp(f"Pad supports constant mode only, got {attrs['mode']!r}")
+        if len(pads) != 2 * len(x):
+            raise ShapeError(f"Pad needs 2 entries per axis of {x}, got pads {pads}")
+        if min(pads, default=0) < 0:
+            raise UnsupportedOp("Pad with negative pads is not supported")
+        out = tuple(d + lo + hi for d, lo, hi in zip(x, pads, pads[len(x):]))
+        if any(d == -1 and o != -1 for d, o in zip(x, out)):
+            raise ShapeError("Pad along a symbolic axis")
+        return [out]
+
+    if op == "Slice":
+        x, starts, ends = list(in_shapes[0]), attrs["starts"], attrs["ends"]
+        axes = attrs.get("axes", list(range(len(starts))))
+        steps = attrs.get("steps", [1] * len(starts))
+        if not len(starts) == len(ends) == len(axes) == len(steps):
+            raise ShapeError("Slice starts, ends, axes and steps differ in length")
+        if 0 in steps:
+            raise ShapeError("Slice steps may not be 0")
+        if any(not -len(x) <= a < len(x) for a in axes) \
+                or len({a % len(x) for a in axes}) != len(axes):
+            raise ShapeError(f"Slice axes {axes} are out of range or repeated "
+                             f"for rank {len(x)}")
+        for start, end, axis, step in zip(starts, ends, axes, steps):
+            if x[axis] == -1:
+                raise ShapeError("Slice along a symbolic axis")
+            x[axis] = len(range(*slice(start, end, step).indices(x[axis])))
+        return [tuple(x)]
 
     if op in ("MaxPool", "AveragePool"):
         x = in_shapes[0]

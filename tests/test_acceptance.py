@@ -135,13 +135,15 @@ def test_criterion_04_hand_derived_unit_examples(criterion_log):
     m = multipliers(sig, [[0.0]], np.zeros((1, 1)))
     checks.append(abs(float(m[0, 0]) - 0.25))
 
-    # folded normalization factor collapses to unity
+    # folded normalization factor collapses to unity: the gradient baked
+    # below the normalization is the head's weight column, unscaled
     net = corpus.micro_net("batchnorm")
     art = gl.compile_explainer(net.model, net.references)
     baked = [tv.array for name, tv in art.model.initializers.items()
-             if "bnback" in name]
-    assert baked, "normalization backward factor was not folded"
-    checks.extend(float(np.abs(arr - 1.0).max()) for arr in baked)
+             if "bngrad" in name]
+    assert baked, "normalization backward gradient was not folded"
+    head = net.model.initializers["w"].array[:, 0].reshape(1, 3, 2, 2)
+    checks.extend(float(np.abs(arr - head).max()) for arr in baked)
 
     worst = max(checks)
     ok = worst <= 1e-12

@@ -1,0 +1,231 @@
+"""The backward-plumbing ops Abs, Pad, Slice and ConvTranspose.
+
+Each kernel is checked against a plain nested-loop reference, each shape law
+against the kernel's output, ConvTranspose against Conv as its adjoint, and
+malformed attributes against the package's typed errors.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from graphlift import (GraphModel, Node, ShapeError, UnsupportedOp,
+                       ValidationError, ValueSpec, validate_model)
+from graphlift.executor import run_kernel
+from graphlift.shapes import infer_node_shapes
+
+TYPED = (ValidationError, ShapeError, UnsupportedOp)
+
+
+def node_for(op, inputs, attrs):
+    return Node(op, "n", [f"i{k}" for k in range(len(inputs))], ["o"], attrs)
+
+
+def run_checked(op, inputs, attrs):
+    """Kernel output, asserting that the shape law predicts its shape."""
+    out = run_kernel(op, inputs, attrs)[0]
+    law = infer_node_shapes(node_for(op, inputs, attrs), [x.shape for x in inputs])
+    assert law == [out.shape]
+    return out
+
+
+def ref_pad(x, pads, value):
+    rank = x.ndim
+    out = np.full([d + pads[a] + pads[rank + a] for a, d in enumerate(x.shape)],
+                  value, dtype=x.dtype)
+    for idx in itertools.product(*map(range, x.shape)):
+        out[tuple(i + pads[a] for a, i in enumerate(idx))] = x[idx]
+    return out
+
+
+def ref_slice(x, starts, ends, axes, steps):
+    # ONNX clamping, written out: negative indices count from the end, then
+    # starts clamp to [0, d] ([0, d-1] stepping down), ends to [0, d] ([-1, d-1])
+    picks = [list(range(d)) for d in x.shape]
+    for start, end, axis, step in zip(starts, ends, axes, steps):
+        d = x.shape[axis]
+        start, end = (start + d if start < 0 else start), (end + d if end < 0 else end)
+        if step > 0:
+            start, end = min(max(start, 0), d), min(max(end, 0), d)
+        else:
+            start, end = min(max(start, 0), d - 1), min(max(end, -1), d - 1)
+        picks[axis] = list(range(start, end, step))
+    out = np.empty([len(p) for p in picks], dtype=x.dtype)
+    for idx in itertools.product(*[range(len(p)) for p in picks]):
+        out[idx] = x[tuple(p[i] for p, i in zip(picks, idx))]
+    return out
+
+
+def ref_conv_transpose(x, w, strides, pads, extra):
+    n, cin, h, wd = x.shape
+    _, cout, kh, kw = w.shape
+    full = np.zeros((n, cout, strides[0] * (h - 1) + kh + extra[0],
+                     strides[1] * (wd - 1) + kw + extra[1]))
+    for b, ci, i, j, co, di, dj in itertools.product(
+            range(n), range(cin), range(h), range(wd), range(cout),
+            range(kh), range(kw)):
+        full[b, co, i * strides[0] + di, j * strides[1] + dj] += \
+            x[b, ci, i, j] * w[ci, co, di, dj]
+    return full[:, :, pads[0]:full.shape[2] - pads[2],
+                pads[1]:full.shape[3] - pads[3]]
+
+
+def test_abs_matches_sign_flip():
+    x = np.array([[-2.5, -0.0, 0.0, 1e-300, 3.0]])
+    got = run_checked("Abs", [x], {})
+    assert np.array_equal(got, np.where(x > 0, x, -x))
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("pads", [[0, 0, 0, 0, 0, 0], [1, 0, 2, 0, 3, 1],
+                                  [0, 2, 0, 1, 0, 0]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pad_matches_loop_reference(pads, dtype):
+    x = np.arange(24, dtype=dtype).reshape(2, 3, 4) - 7
+    got = run_checked("Pad", [x], {"pads": pads, "value": -1.5})
+    assert got.dtype == dtype
+    assert np.array_equal(got, ref_pad(x, pads, -1.5))
+    assert np.array_equal(run_kernel("Pad", [x], {"pads": pads})[0],
+                          ref_pad(x, pads, 0.0))
+
+
+@pytest.mark.parametrize("starts, ends, axes, steps", [
+    ([1, 0], [3, 5], [1, 2], [1, 2]),
+    ([0, 1], [5, 6], [2, 1], [2, 3]),
+    ([-2], [100], [2], [1]),
+    ([4, -1], [-100, 0], [2, 1], [-2, -1]),
+    ([2], [2], [1], [1]),
+])
+def test_slice_matches_loop_reference(starts, ends, axes, steps):
+    x = np.arange(2 * 6 * 5, dtype=np.float64).reshape(2, 6, 5)
+    attrs = {"starts": starts, "ends": ends, "axes": axes, "steps": steps}
+    got = run_checked("Slice", [x], attrs)
+    assert np.array_equal(got, ref_slice(x, starts, ends, axes, steps))
+    assert got.flags.c_contiguous
+
+
+def test_slice_axes_and_steps_default_to_leading_unit_steps():
+    x = np.arange(12.0).reshape(3, 4)
+    got = run_checked("Slice", [x], {"starts": [1, 1], "ends": [3, 3]})
+    assert np.array_equal(got, x[1:3, 1:3])
+
+
+# (strides, pads, output_padding), with symmetric and asymmetric pads
+CONV_T_CASES = [([1, 1], [0, 0, 0, 0], [0, 0]),
+                ([1, 1], [1, 1, 1, 1], [0, 0]),
+                ([1, 1], [2, 0, 1, 1], [0, 0]),
+                ([2, 2], [0, 0, 0, 0], [1, 0]),
+                ([2, 2], [1, 1, 1, 1], [1, 1]),
+                ([2, 1], [0, 1, 2, 0], [0, 0]),
+                ([2, 2], [2, 1, 0, 2], [1, 1])]
+
+
+@pytest.mark.parametrize("strides, pads, extra", CONV_T_CASES)
+def test_conv_transpose_matches_loop_reference(strides, pads, extra):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 2, 3, 4))
+    w = rng.normal(size=(2, 3, 3, 2))
+    attrs = {"kernel_shape": [3, 2], "strides": strides, "pads": pads,
+             "output_padding": extra}
+    got = run_checked("ConvTranspose", [x, w], attrs)
+    assert np.allclose(got, ref_conv_transpose(x, w, strides, pads, extra),
+                       rtol=0, atol=1e-13)
+    bias = rng.normal(size=(3,))
+    with_bias = run_checked("ConvTranspose", [x, w, bias], attrs)
+    assert np.allclose(with_bias, got + bias.reshape(1, 3, 1, 1), rtol=0,
+                       atol=1e-13)
+
+
+@pytest.mark.parametrize("height, width", [(7, 6), (8, 7)])
+@pytest.mark.parametrize("strides", [[1, 1], [2, 2]])
+@pytest.mark.parametrize("pads", [[0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 2, 1]])
+def test_conv_transpose_is_the_adjoint_of_conv(height, width, strides, pads):
+    rng = np.random.default_rng(height * 10 + strides[0] + sum(pads))
+    x = rng.normal(size=(2, 3, height, width))
+    w = rng.normal(size=(4, 3, 3, 2))
+    y = run_kernel("Conv", [x, w], {"kernel_shape": [3, 2], "strides": strides,
+                                    "pads": pads})[0]
+    g = rng.normal(size=y.shape)
+    extra = [(height, width)[i] + pads[i] + pads[i + 2] - w.shape[2 + i]
+             - strides[i] * (y.shape[2 + i] - 1) for i in range(2)]
+    back = run_checked("ConvTranspose", [g, w],
+                       {"kernel_shape": [3, 2], "strides": strides,
+                        "pads": pads, "output_padding": extra})
+    assert back.shape == x.shape
+    assert abs(float((y * g).sum()) - float((x * back).sum())) < 1e-12
+
+
+def test_adjoint_cases_cover_both_output_paddings():
+    extras = set()
+    for height, strides, pads in itertools.product(
+            (7, 8), ([1, 1], [2, 2]), ([0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 2, 1])):
+        out = (height + pads[0] + pads[2] - 3) // strides[0] + 1
+        extras.add(height + pads[0] + pads[2] - 3 - strides[0] * (out - 1))
+    assert extras == {0, 1}
+
+
+X4 = np.zeros((1, 3, 4, 4))
+W4 = np.zeros((3, 2, 3, 3))
+CT = {"kernel_shape": [3, 3]}
+
+
+@pytest.mark.parametrize("op, inputs, attrs", [
+    ("Pad", [X4], {"pads": [1, 1]}),
+    ("Pad", [X4], {"pads": [0, 0, -1, 0, 0, 0, 0, 0]}),
+    ("Pad", [X4], {"pads": [0] * 8, "mode": "reflect"}),
+    ("Slice", [X4], {"starts": [0, 0], "ends": [1]}),
+    ("Slice", [X4], {"starts": [0], "ends": [1], "axes": [1, 2]}),
+    ("Slice", [X4], {"starts": [0], "ends": [1], "steps": [1, 1]}),
+    ("Slice", [X4], {"starts": [0], "ends": [4], "axes": [2], "steps": [0]}),
+    ("Slice", [X4], {"starts": [0], "ends": [1], "axes": [4]}),
+    ("Slice", [X4], {"starts": [0, 0], "ends": [1, 1], "axes": [3, -1]}),
+    ("ConvTranspose", [X4, W4], {**CT, "group": 3}),
+    ("ConvTranspose", [X4, np.zeros((2, 3, 3, 3))], CT),
+    ("ConvTranspose", [X4, W4], {**CT, "pads": [1, 1]}),
+    ("ConvTranspose", [X4, W4], {**CT, "strides": [2]}),
+    ("ConvTranspose", [X4, W4], {**CT, "output_padding": [0]}),
+    ("ConvTranspose", [X4, W4], {"kernel_shape": [2, 2]}),
+    ("ConvTranspose", [X4, W4], {**CT, "strides": [2, 2],
+                                 "output_padding": [2, 0]}),
+    ("ConvTranspose", [X4, W4], {**CT, "strides": [0, 1]}),
+    ("ConvTranspose", [X4, W4], {**CT, "pads": [5, 0, 5, 0]}),
+    ("ConvTranspose", [np.zeros((3, 4, 4)), W4], CT),
+])
+def test_malformed_attributes_raise_typed_errors(op, inputs, attrs):
+    with pytest.raises(TYPED):
+        run_kernel(op, inputs, attrs)
+    with pytest.raises(TYPED):
+        infer_node_shapes(node_for(op, inputs, attrs), [x.shape for x in inputs])
+
+
+@pytest.mark.parametrize("op, attrs", [
+    ("Pad", {}),
+    ("Pad", {"pads": [0.5, 0, 0, 0]}),
+    ("Slice", {"starts": [0]}),
+    ("Slice", {"starts": [0], "ends": [1], "steps": 1}),
+    ("ConvTranspose", {"strides": [1, 1]}),
+    ("ConvTranspose", {"kernel_shape": [1, 1], "dilations": [1, 1]}),
+])
+def test_missing_or_mistyped_attributes_fail_validation(op, attrs):
+    inputs = ["x", "w"] if op == "ConvTranspose" else ["x"]
+    model = GraphModel("m", [ValueSpec(n, "float64", (-1, 1, 2, 2)) for n in inputs],
+                       [ValueSpec("y", "float64", (-1, 1, 2, 2))], {},
+                       [Node(op, "n", inputs, ["y"], attrs)])
+    with pytest.raises(ValidationError):
+        validate_model(model)
+
+
+def test_symbolic_batch_survives_and_symbolic_axes_are_refused():
+    x = (-1, 3, 4, 4)
+    pad = node_for("Pad", [X4], {"pads": [0, 0, 1, 1, 0, 0, 1, 1]})
+    assert infer_node_shapes(pad, [x]) == [(-1, 3, 6, 6)]
+    sl = node_for("Slice", [X4], {"starts": [1], "ends": [3], "axes": [2]})
+    assert infer_node_shapes(sl, [x]) == [(-1, 3, 2, 4)]
+    ct = node_for("ConvTranspose", [X4, W4], CT)
+    assert infer_node_shapes(ct, [x, W4.shape]) == [(-1, 2, 6, 6)]
+    with pytest.raises(ShapeError):
+        infer_node_shapes(node_for("Pad", [X4], {"pads": [1] + [0] * 7}), [x])
+    with pytest.raises(ShapeError):
+        infer_node_shapes(node_for("Slice", [X4], {"starts": [0], "ends": [1]}),
+                          [x])

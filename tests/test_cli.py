@@ -152,7 +152,7 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     for record in records:
         assert set(record) == {"model", "scheme", "dtype", "batch", "images",
                                "p50_ms", "p95_ms", "cold_ms", "compile_ms",
-                               "artifact_bytes"}
+                               "artifact_bytes", "nodes", "split_concat_nodes"}
         assert record["model"] == "demo"
         assert record["dtype"] == "float64"
         assert record["batch"] == 5 and record["images"] == 3
@@ -162,6 +162,12 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     assert run(capsys, "compile", "--model", demo_files["model"],
                "--refs", demo_files["refs"], "--out", art)[0] == 0
     assert records[0]["artifact_bytes"] == len(open(art, "rb").read())
+    census = gl.op_census(gl.load_artifact(art).model)
+    assert records[0]["nodes"] == sum(census.values())
+    assert records[0]["split_concat_nodes"] == census["Split"] + census["Concat"]
+    # the stacked scheme splits its 2B-row stream, the cached one does not
+    assert records[1]["nodes"] > records[0]["nodes"]
+    assert records[1]["split_concat_nodes"] > records[0]["split_concat_nodes"]
 
 
 def test_bench_rejects_zero_images(demo_files, capsys):

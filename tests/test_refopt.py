@@ -1,5 +1,6 @@
 """Reference baking, both compile schemes, and the analytic cost model."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -203,7 +204,42 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
     assert checked, "the corpus must hold a GlobalMaxPool"
 
 
+# (optimized, naive) node count of every corpus artifact
+CORPUS_NODE_COUNTS = {"plain_deep": (98, 136), "residual_add": (36, 50),
+                      "dense_concat": (58, 79), "scaled_add_mul": (44, 56)}
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_dense_concat_node_counts(artifacts, dtype):
-    assert len(artifacts("dense_concat", dtype, "optimized").model.nodes) == 68
-    assert len(artifacts("dense_concat", dtype, "naive").model.nodes) == 89
+def test_corpus_node_counts(artifacts, corpus_f32, dtype):
+    assert {e.name for e in corpus_f32} == set(CORPUS_NODE_COUNTS)
+    for name, counts in CORPUS_NODE_COUNTS.items():
+        got = tuple(len(artifacts(name, dtype, scheme).model.nodes)
+                    for scheme in ("optimized", "naive"))
+        assert got == counts, name
+
+
+def test_plain_deep_carries_no_emulation_chains(artifacts):
+    census = op_census(artifacts("plain_deep", "float32", "optimized").model)
+    assert census["Split"] == 0
+    assert census["Concat"] <= 2
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_artifact_carries_an_unread_initializer(artifacts, corpus_f32,
+                                                   dtype, scheme):
+    arts = [artifacts(e.name, dtype, scheme) for e in corpus_f32]
+    for family in gl.MICRO_FAMILIES:
+        net = gl.micro_net(family, dtype=dtype)
+        arts.append(gl.compile_explainer(net.model, net.references,
+                                         scheme=scheme))
+    for art in arts:
+        model = art.model
+        read = {i for n in model.nodes for i in n.inputs}
+        read.update(spec.name for spec in model.outputs)
+        assert set(model.initializers) <= read, model.name
+        # cache_bytes counts exactly the baked reference entries that ship
+        baked = [t.nbytes for name, t in model.initializers.items()
+                 if re.search(r"/\d+_ref_", name)]
+        assert art.metadata["cache_bytes"] == sum(baked)
+        assert len(art.metadata["cache_entries"]) == len(baked)

@@ -242,11 +242,14 @@ def test_softmax_multipliers_recover_exact_jacobian_at_equal_refs():
 
 
 def test_batchnorm_factor_bakes_to_exact_one():
+    # the factor itself folds away; the gradient it scaled is baked unscaled
     net = gl.micro_net("batchnorm")
     art = gl.compile_explainer(net.model, net.references)
     baked = [v.array for k, v in art.model.initializers.items()
-             if "bnback" in k]
-    assert baked and all(np.all(arr == 1.0) for arr in baked)
+             if "bngrad" in k]
+    head = net.model.initializers["w"].array[:, 0].reshape(1, 3, 2, 2)
+    assert baked and all(np.array_equal(arr, np.broadcast_to(head, arr.shape))
+                         for arr in baked)
 
 
 def test_concat_routes_segments_back_to_branches():
@@ -321,3 +324,77 @@ def test_split_on_differentiable_path_rejected():
            [Node("Split", "s", ["x"], ["lo", "hi"], {"axis": 1, "split": [2, 2]}),
             Node("Add", "a", ["lo", "hi"], ["y"])],
            {}, "y", (-1, 2))
+
+
+@pytest.mark.parametrize("op, attrs, extra, in_shape, head_shape", [
+    ("Abs", {}, {}, (-1, 2), (-1, 2)),
+    ("Pad", {"pads": [0, 1, 0, 1]}, {}, (-1, 2), (-1, 4)),
+    ("Slice", {"starts": [1], "ends": [3], "axes": [1]}, {}, (-1, 4), (-1, 2)),
+    ("ConvTranspose", {"kernel_shape": [1, 2]},
+     {"w": TensorValue(np.ones((1, 2, 1, 2)), F64)}, (-1, 1, 1, 1), None),
+])
+def test_backward_plumbing_ops_have_no_multiplier_rule(op, attrs, extra,
+                                                       in_shape, head_shape):
+    inputs = ["x", *extra]
+    nodes = [Node(op, "n", inputs, ["y" if head_shape else "h"], attrs)]
+    if head_shape is None:
+        nodes.append(Node("Flatten", "f", ["h"], ["y"], {"axis": 1}))
+        head_shape = (-1, 4)
+    model = build(op, in_shape, nodes, extra, "y", head_shape)
+    for scheme in ("optimized", "naive"):
+        with pytest.raises(UnsupportedOp, match="no gradient rule"):
+            gl.compile_explainer(model, np.zeros((2,) + in_shape[1:]),
+                                 scheme=scheme)
+
+
+def overlapping_pool_net(dtype):
+    # 3x3 windows at stride 2 over a padded 5x5 plane overlap on rows and
+    # columns 1 and 3, so one input position can win several windows
+    nodes = [Node("MaxPool", "p", ["x"], ["pool"],
+                  {"kernel_shape": [3, 3], "strides": [2, 2],
+                   "pads": [1, 1, 1, 1]}),
+             Node("Flatten", "f", ["pool"], ["flat"], {"axis": 1}),
+             Node("MatMul", "h", ["flat", "w"], ["y"])]
+    w = np.random.default_rng(11).normal(size=(18, 3))
+    return build("overlap", (-1, 2, 5, 5), nodes, {"w": TensorValue(w, dtype)},
+                 "y", (-1, 3), dtype=dtype)
+
+
+# channel 0: the maximum 5 ties at (1,1) and (1,3); (1,1) comes first in
+# windows (0,0), (0,1), (1,0) and (1,1), (1,3) in (0,2) and (1,2); every other
+# value is negative, so a padding that could tie would win the border windows
+OVERLAP_X = -1.0 - np.arange(50.0).reshape(1, 2, 5, 5) / 50.0
+OVERLAP_X[0, 0, 1, 1] = OVERLAP_X[0, 0, 1, 3] = 5.0
+OVERLAP_X[0, 1, 3, 3] = OVERLAP_X[0, 1, 3, 1] = OVERLAP_X[0, 1, 2, 2] = 2.0
+OVERLAP_REFS = np.stack([np.full((2, 5, 5), -3.0),
+                         OVERLAP_X[0] * 0.5,
+                         np.where(OVERLAP_X[0] > 0, 5.0, -2.0)])
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_overlapping_padded_maxpool_tie_parity_with_oracle(dtype, scheme):
+    model = overlapping_pool_net(dtype)
+    tol = 1e-12 if dtype == "float64" else 1e-5
+    for k in range(3):
+        got = graph_multipliers(model, OVERLAP_X, OVERLAP_REFS,
+                                output_index=k, scheme=scheme)
+        _, want = gl.deeplift_oracle(model, OVERLAP_X.astype(dtype),
+                                     OVERLAP_REFS.astype(dtype),
+                                     output_index=k, return_multipliers=True)
+        assert got.shape == want.shape == (3, 2, 5, 5)
+        assert np.allclose(got, want, rtol=0, atol=tol), (k, got - want)
+
+
+def test_overlapping_maxpool_sums_the_routes_of_every_window_won():
+    # all-(-3) references: the x side wins every window, so the multiplier at
+    # a position is the sum of the head weights of the windows it wins first
+    model = overlapping_pool_net(F64)
+    refs = OVERLAP_REFS[:1]
+    got = graph_multipliers(model, OVERLAP_X, refs, output_index=0)
+    w = model.initializers["w"].array[:, 0].reshape(2, 3, 3)
+    gap = OVERLAP_X[0, 0, 1, 1] + 3.0
+    want_11 = (w[0, 0, 0] + w[0, 0, 1] + w[0, 1, 0] + w[0, 1, 1]) * gap / gap
+    assert np.isclose(got[0, 0, 1, 1], want_11, rtol=0, atol=1e-14)
+    assert np.isclose(got[0, 0, 1, 3], w[0, 0, 2] + w[0, 1, 2], rtol=0,
+                      atol=1e-14)
