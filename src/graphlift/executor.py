@@ -4,10 +4,16 @@ Every kernel is a pure function of numpy arrays, so repeated execution of the
 same model on the same feed is bit-deterministic.  Semantics follow the ONNX
 operator definitions for the supported configurations: multidirectional
 broadcasting on binary ops, NCHW layout for convolutions and pools, and
-average pooling that excludes padding from the divisor.  ``Pad`` (constant
-mode, non-negative pads), ``Slice`` (attributes, not inputs) and
-``ConvTranspose`` (``group=1``) check their attributes through their shape
-laws before they index anything.
+average pooling that excludes padding from the divisor.  ``Conv`` and
+``ConvTranspose`` (both ``group=1``), ``MaxPool``, ``AveragePool``, ``Pad``
+(constant mode, non-negative pads) and ``Slice`` (attributes, not inputs)
+check their attributes through their shape laws before they index anything,
+so no strided window view is built on geometry the shape law refuses.
+
+Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
+(C·kh·kw, Ho·Wo) matrix (im2col) and multiplies the filters into it;
+``ConvTranspose`` is one such unit-stride ``Conv`` per stride phase of its
+output, so it never multiplies the zeros of a dilated input.
 
 Execution is planned once per model.  ``ExecutionPlan`` fixes the
 topological order, gives every value an integer slot, materializes the
@@ -48,8 +54,20 @@ def _pair_attrs(attrs, n_spatial):
     return kernel, strides, pads, dilations
 
 
+def _framed(x, pads, fill=0.0):
+    """x inside a border of ``fill``, ``pads`` as [top, left, bottom, right];
+    x itself when every pad is 0."""
+    if not any(pads):
+        return x
+    b, c, h, w = x.shape
+    out = np.full((b, c, h + pads[0] + pads[2], w + pads[1] + pads[3]), fill,
+                  dtype=x.dtype)
+    out[:, :, pads[0]:pads[0] + h, pads[1]:pads[1] + w] = x
+    return out
+
+
 def _window_views(x, kernel, strides, dilations):
-    """(B, C, Ho, Wo, kh, kw) strided view over an already padded NCHW array."""
+    """(B, C, kh, kw, Ho, Wo) strided view over an already framed NCHW array."""
     b, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = strides
@@ -57,53 +75,65 @@ def _window_views(x, kernel, strides, dilations):
     ho = (h - (kh - 1) * dh - 1) // sh + 1
     wo = (w - (kw - 1) * dw - 1) // sw + 1
     sb, sc, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x, shape=(b, c, ho, wo, kh, kw),
-        strides=(sb, sc, s2 * sh, s3 * sw, s2 * dh, s3 * dw),
-        writeable=False)
-    return view
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(b, c, kh, kw, ho, wo),
+        strides=(sb, sc, s2 * dh, s3 * dw, s2 * sh, s3 * sw), writeable=False)
 
 
 def _conv(x, w, bias, attrs):
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError("Conv expects 4-D NCHW input and OIHW weights")
-    if attrs.get("group", 1) != 1:
-        raise UnsupportedOp("Conv with group != 1 is not supported")
+    """im2col and one GEMM: the (C·kh·kw, Ho·Wo) window matrix of every
+    image, left-multiplied by the (O, C·kh·kw) filters, is already NCHW."""
     kernel, strides, pads, dilations = _pair_attrs(attrs, 2)
-    if tuple(kernel) != w.shape[2:]:
-        raise ShapeError(f"kernel_shape {kernel} does not match weights {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"Conv channel mismatch: {x.shape} vs {w.shape}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[2]), (pads[1], pads[3])))
-    view = _window_views(xp, kernel, strides, dilations)
-    # contract over (C_in, kh, kw) for every output position and filter
-    out = np.einsum("bchwij,ocij->bohw", view, w, optimize=True)
-    out = np.ascontiguousarray(out)
+    view = _window_views(_framed(x, pads), kernel, strides, dilations)
+    b, c, kh, kw, ho, wo = view.shape
+    cols = view.reshape(b, c * kh * kw, ho * wo)
+    out = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(b, -1, ho, wo)
     if bias is not None:
         out = out + bias.reshape(1, -1, 1, 1)
     return out
 
 
 def _conv_transpose(x, w, bias, attrs):
-    """Adjoint of a unit-dilation Conv with the same weights and geometry.
+    """Adjoint of a unit-dilation Conv with the same weights and geometry,
+    split into stride phases (sub-pixel convolution).
 
-    x is dilated by the strides into a zero canvas framed by k-1-pad on each
-    side (a negative frame crops), which the channel-swapped, flipped filters
-    then correlate at unit stride.
+    Output row j = q·s + r is row p = j + pad of the uncropped output, which
+    input row i reaches through tap t = p - i·s, so only the taps
+    t ≡ r + pad (mod s) feed phase r.  Each output phase (rh, rw) is one
+    unit-stride Conv of x with its taps, flipped and channel-swapped, over x
+    framed (or cropped, where the frame is negative) to exactly the rows the
+    phase reads.  A phase that no tap reaches stays zero; at stride 1 the one
+    phase is the whole output.
     """
     kernel, strides, pads, _ = _pair_attrs(attrs, 2)
     extra = attrs.get("output_padding", [0, 0])
-    size, place, keep = [], [], []
-    for d, k, s, lo, hi, e in zip(x.shape[2:], kernel, strides, pads[:2],
-                                  pads[2:], extra):
-        lo, hi, span = k - 1 - lo, k - 1 - hi + e, (d - 1) * s + 1
-        size.append(max(lo, 0) + span + max(hi, 0))
-        place.append(slice(max(lo, 0), max(lo, 0) + span, s))
-        keep.append(slice(max(-lo, 0), size[-1] - max(-hi, 0)))
-    canvas = np.zeros(x.shape[:2] + tuple(size), dtype=x.dtype)
-    canvas[(Ellipsis, *place)] = x
-    flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    return _conv(canvas[(Ellipsis, *keep)], flipped, bias, {"kernel_shape": kernel})
+    size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
+            in zip(x.shape[2:], kernel, strides, pads[:2], pads[2:], extra)]
+    out = None if strides == [1, 1] else \
+        np.zeros(x.shape[:1] + w.shape[1:2] + tuple(size), dtype=x.dtype)
+    for phase in np.ndindex(*strides):
+        first, crop, frame = [], [], [0, 0, 0, 0]
+        for a, (r, d, s, lo, n) in enumerate(zip(phase, x.shape[2:], strides,
+                                                  pads[:2], size)):
+            first.append((r + lo) % s)
+            m = len(range(first[a], kernel[a], s))        # taps of this phase
+            before = m - 1 - (r + lo) // s                # frame; < 0 crops
+            after = len(range(r, n, s)) - d + (r + lo) // s
+            crop.append(slice(max(-before, 0), d - max(-after, 0)))
+            frame[a], frame[a + 2] = max(before, 0), max(after, 0)
+        taps = w[:, :, first[0]::strides[0], first[1]::strides[1]]
+        if 0 in taps.shape[2:] or any(r >= n for r, n in zip(phase, size)):
+            continue                                      # stays zero
+        taps = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        part = _conv(x[(Ellipsis, *crop)], taps, None,
+                     {"kernel_shape": list(taps.shape[2:]), "pads": frame})
+        if out is None:
+            out = part
+        else:
+            out[:, :, phase[0]::strides[0], phase[1]::strides[1]] = part
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    return out
 
 
 def _pad(x, attrs):
@@ -133,11 +163,8 @@ def _checked(kernel):
 
 def _max_pool(x, attrs):
     kernel, strides, pads, dilations = _pair_attrs(attrs, 2)
-    fill = np.finfo(x.dtype).min
-    xp = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[2]), (pads[1], pads[3])),
-                constant_values=fill)
-    view = _window_views(xp, kernel, strides, dilations)
-    return np.ascontiguousarray(view.max(axis=(4, 5)))
+    framed = _framed(x, pads, np.finfo(x.dtype).min)
+    return _window_views(framed, kernel, strides, dilations).max(axis=(2, 3))
 
 
 def _avg_pool(x, attrs):
@@ -146,12 +173,10 @@ def _avg_pool(x, attrs):
     kernel, strides, pads, dilations = _pair_attrs(attrs, 2)
     if dilations != [1, 1]:
         raise UnsupportedOp("AveragePool with dilations is not supported")
-    xp = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[2]), (pads[1], pads[3])))
-    ones = np.pad(np.ones(x.shape[2:], dtype=x.dtype),
-                  ((pads[0], pads[2]), (pads[1], pads[3])))
-    total = _window_views(xp, kernel, strides, dilations).sum(axis=(4, 5))
-    count = _window_views(ones[None, None], kernel, strides, dilations).sum(axis=(4, 5))
-    return np.ascontiguousarray(total / count)
+    ones = _framed(np.ones((1, 1) + x.shape[2:], dtype=x.dtype), pads)
+    total = _window_views(_framed(x, pads), kernel, strides, dilations).sum(axis=(2, 3))
+    count = _window_views(ones, kernel, strides, dilations).sum(axis=(2, 3))
+    return total / count
 
 
 def _reduce(x, attrs, fn):
@@ -244,7 +269,7 @@ def _where(cond, a, b):
 _KERNELS = {
     "MatMul": lambda x, a, n: [_matmul(x[0], x[1])],
     "Gemm": lambda x, a, n: [_gemm(x, a)],
-    "Conv": lambda x, a, n: [_conv(x[0], x[1], x[2] if len(x) == 3 else None, a)],
+    "Conv": _checked(lambda x, a: _conv(x[0], x[1], x[2] if len(x) == 3 else None, a)),
     "Add": lambda x, a, n: [x[0] + x[1]],
     "Sub": lambda x, a, n: [x[0] - x[1]],
     "Mul": lambda x, a, n: [x[0] * x[1]],
@@ -255,8 +280,8 @@ _KERNELS = {
     "Tanh": lambda x, a, n: [np.tanh(x[0])],
     "Exp": lambda x, a, n: [np.exp(x[0])],
     "Softmax": lambda x, a, n: [_softmax(x[0], a)],
-    "MaxPool": lambda x, a, n: [_max_pool(x[0], a)],
-    "AveragePool": lambda x, a, n: [_avg_pool(x[0], a)],
+    "MaxPool": _checked(lambda x, a: _max_pool(x[0], a)),
+    "AveragePool": _checked(lambda x, a: _avg_pool(x[0], a)),
     "GlobalAveragePool": lambda x, a, n: [x[0].mean(axis=(2, 3), keepdims=True)],
     "GlobalMaxPool": lambda x, a, n: [x[0].max(axis=(2, 3), keepdims=True)],
     "BatchNormalization": lambda x, a, n: [_batch_norm(x, a)],

@@ -46,6 +46,10 @@ def _numel(shape):
 def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation=1):
     if size == -1:
         raise ShapeError("pooling over a symbolic dimension")
+    if min(kernel, stride, dilation) < 1 or min(pad_begin, pad_end) < 0:
+        raise ShapeError(
+            f"window {kernel}, stride {stride} and dilation {dilation} must be "
+            f"at least 1, pads ({pad_begin}, {pad_end}) at least 0")
     eff = (kernel - 1) * dilation + 1
     span = size + pad_begin + pad_end - eff
     if span < 0:
@@ -112,13 +116,16 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
         c_in, c_out = (w[1], w[0]) if op == "Conv" else (w[0], w[1])
         if x[1] != c_in and x[1] != -1:
             raise ShapeError(f"{op} channel mismatch: input {x}, weight {w}")
+        if list(attrs["kernel_shape"]) != list(w[2:]):
+            raise ShapeError(f"{op} kernel_shape {attrs['kernel_shape']} does "
+                             f"not match weight {w}")
         if op == "Conv":
             return [(x[0], c_out) + _conv_like(x, attrs, 2)]
         kernel = list(attrs["kernel_shape"])
         strides = list(attrs.get("strides", [1, 1]))
         pads = list(attrs.get("pads", [0, 0, 0, 0]))
         extra = list(attrs.get("output_padding", [0, 0]))
-        if kernel != list(w[2:]) or len(pads) != 4 or min(pads) < 0 \
+        if min(kernel) < 1 or len(pads) != 4 or min(pads) < 0 \
                 or len(strides) != 2 or len(extra) != 2 or -1 in x[2:] \
                 or not all(0 <= e < s for e, s in zip(extra, strides)):
             raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "

@@ -230,15 +230,17 @@ def test_criterion_08_latency_floor_on_commodity_cpu(criterion_log):
         opt = gl.compile_explainer(model, refs)
         naive = gl.compile_explainer(model, refs, scheme="naive")
         inputs = corpus.random_inputs(model, images + 1, seed=42)
-        means = {}
-        for tag, art in (("opt", opt), ("naive", naive)):
-            laps = []
-            for x in inputs:
+        # the two schemes take turns on each input, and the medians compare,
+        # so a stall of the machine hits both sides and counts only once
+        laps = {"opt": [], "naive": []}
+        for x in inputs:
+            for tag, art in (("opt", opt), ("naive", naive)):
                 t0 = time.perf_counter()
                 gl.explain(art, x)
-                laps.append(time.perf_counter() - t0)
-            means[tag] = float(np.mean(laps[1:]))  # cold start excluded
-        ratios[entry.name] = means["naive"] / means["opt"]
+                laps[tag].append(time.perf_counter() - t0)
+        # cold start excluded
+        ratios[entry.name] = float(np.median(laps["naive"][1:])
+                                   / np.median(laps["opt"][1:]))
     ok = all(ratio >= floor for ratio in ratios.values())
     criterion_log(8, "optimized latency beats naive by the floor", ok)
     assert ok, {k: round(v, 2) for k, v in ratios.items()}

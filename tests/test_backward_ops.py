@@ -2,7 +2,8 @@
 
 Each kernel is checked against a plain nested-loop reference, each shape law
 against the kernel's output, ConvTranspose against Conv as its adjoint, and
-malformed attributes against the package's typed errors.
+malformed attributes, of these ops and of Conv and the pools, against the
+package's typed errors.
 """
 
 import itertools
@@ -10,8 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
+import graphlift as gl
 from graphlift import (GraphModel, Node, ShapeError, UnsupportedOp,
-                       ValidationError, ValueSpec, validate_model)
+                       ValidationError, ValueSpec, corpus, validate_model)
 from graphlift.executor import run_kernel
 from graphlift.shapes import infer_node_shapes
 
@@ -118,23 +120,29 @@ CONV_T_CASES = [([1, 1], [0, 0, 0, 0], [0, 0]),
                 ([2, 2], [0, 0, 0, 0], [1, 0]),
                 ([2, 2], [1, 1, 1, 1], [1, 1]),
                 ([2, 1], [0, 1, 2, 0], [0, 0]),
-                ([2, 2], [2, 1, 0, 2], [1, 1])]
+                ([2, 2], [2, 1, 0, 2], [1, 1]),
+                # stride past the 2-wide kernel: some phases get no tap
+                ([3, 3], [0, 0, 0, 0], [2, 2]),
+                ([3, 3], [2, 1, 1, 0], [1, 2])]
 
 
 @pytest.mark.parametrize("strides, pads, extra", CONV_T_CASES)
 def test_conv_transpose_matches_loop_reference(strides, pads, extra):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 2, 3, 4))
-    w = rng.normal(size=(2, 3, 3, 2))
     attrs = {"kernel_shape": [3, 2], "strides": strides, "pads": pads,
              "output_padding": extra}
-    got = run_checked("ConvTranspose", [x, w], attrs)
-    assert np.allclose(got, ref_conv_transpose(x, w, strides, pads, extra),
-                       rtol=0, atol=1e-13)
-    bias = rng.normal(size=(3,))
-    with_bias = run_checked("ConvTranspose", [x, w, bias], attrs)
-    assert np.allclose(with_bias, got + bias.reshape(1, 3, 1, 1), rtol=0,
-                       atol=1e-13)
+    for dtype, atol in ((np.float64, 1e-13), (np.float32, 1e-5)):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 2, 3, 4)).astype(dtype)
+        w = rng.normal(size=(2, 3, 3, 2)).astype(dtype)
+        got = run_checked("ConvTranspose", [x, w], attrs)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert np.allclose(got, ref_conv_transpose(x, w, strides, pads, extra),
+                           rtol=0, atol=atol)
+        bias = rng.normal(size=(3,)).astype(dtype)
+        with_bias = run_checked("ConvTranspose", [x, w, bias], attrs)
+        assert with_bias.dtype == dtype
+        assert np.allclose(with_bias, got + bias.reshape(1, 3, 1, 1), rtol=0,
+                           atol=atol)
 
 
 @pytest.mark.parametrize("height, width", [(7, 6), (8, 7)])
@@ -168,6 +176,8 @@ def test_adjoint_cases_cover_both_output_paddings():
 X4 = np.zeros((1, 3, 4, 4))
 W4 = np.zeros((3, 2, 3, 3))
 CT = {"kernel_shape": [3, 3]}
+WC = np.zeros((2, 3, 2, 2))
+K2 = {"kernel_shape": [2, 2]}
 
 
 @pytest.mark.parametrize("op, inputs, attrs", [
@@ -191,12 +201,32 @@ CT = {"kernel_shape": [3, 3]}
     ("ConvTranspose", [X4, W4], {**CT, "strides": [0, 1]}),
     ("ConvTranspose", [X4, W4], {**CT, "pads": [5, 0, 5, 0]}),
     ("ConvTranspose", [np.zeros((3, 4, 4)), W4], CT),
+    ("ConvTranspose", [X4, np.zeros((3, 2, 0, 3))], {"kernel_shape": [0, 3]}),
+    ("Conv", [X4, WC], {**K2, "strides": [0, 0]}),
+    ("Conv", [X4, WC], {**K2, "pads": [-1, 0, 0, 0]}),
+    ("Conv", [X4, WC], {**K2, "dilations": [0, 1]}),
+    ("Conv", [X4, WC], {"kernel_shape": [2, 1]}),
+    ("Conv", [X4, np.zeros((2, 3, 0, 2))], {"kernel_shape": [0, 2]}),
+    ("MaxPool", [X4], {"kernel_shape": [0, 2]}),
+    ("MaxPool", [X4], {**K2, "strides": [1, -1]}),
+    ("MaxPool", [X4], {**K2, "dilations": [0, 1]}),
+    ("MaxPool", [X4], {**K2, "pads": [0, 0, 0, -1]}),
+    ("AveragePool", [X4], {**K2, "strides": [0, 0]}),
+    ("AveragePool", [X4], {**K2, "pads": [-1, 0, 0, 0]}),
 ])
 def test_malformed_attributes_raise_typed_errors(op, inputs, attrs):
     with pytest.raises(TYPED):
         run_kernel(op, inputs, attrs)
     with pytest.raises(TYPED):
         infer_node_shapes(node_for(op, inputs, attrs), [x.shape for x in inputs])
+
+
+def test_compile_refuses_a_zero_conv_stride():
+    entry = next(e for e in corpus.build_corpus(seed=0) if e.name == "residual_add")
+    conv = next(n for n in entry.model.nodes if n.op_type == "Conv")
+    conv.attributes["strides"] = [0, 0]
+    with pytest.raises(ShapeError, match=conv.name):
+        gl.compile_explainer(entry.model, entry.references)
 
 
 @pytest.mark.parametrize("op, attrs", [

@@ -27,19 +27,53 @@ def test_matmul_gemm_against_numpy():
     assert np.allclose(got, 0.5 * (a @ w) + 2.0 * c)
 
 
+def ref_window(x, kernel, strides, pads, dilations, fill):
+    """(B, C, Ho, Wo, kh, kw) windows of x framed by ``fill``, by plain loops."""
+    padded = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[2]), (pads[1], pads[3])),
+                    constant_values=fill)
+    spans = [(kernel[a] - 1) * dilations[a] + 1 for a in range(2)]
+    ho, wo = [(padded.shape[2 + a] - spans[a]) // strides[a] + 1 for a in range(2)]
+    out = np.empty(x.shape[:2] + (ho, wo) + tuple(kernel), dtype=x.dtype)
+    for i in range(ho):
+        for j in range(wo):
+            for u in range(kernel[0]):
+                for v in range(kernel[1]):
+                    out[:, :, i, j, u, v] = padded[:, :, i * strides[0] + u * dilations[0],
+                                                   j * strides[1] + v * dilations[1]]
+    return out
+
+
 def test_conv_matches_direct_loop():
-    x = RNG.normal(size=(2, 3, 6, 6))
-    w = RNG.normal(size=(4, 3, 3, 3))
-    b = RNG.normal(size=(4,))
-    attrs = {"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 1, 1]}
-    got = kernel("Conv", [x, w, b], attrs)
-    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    want = np.zeros((2, 4, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            patch = padded[:, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
-            want[:, :, i, j] = np.einsum("bchw,ochw->bo", patch, w) + b
-    assert np.allclose(got, want)
+    # (strides, pads, dilations), the second with asymmetric pads
+    for strides, pads, dilations in (([2, 2], [1, 1, 1, 1], [1, 1]),
+                                     ([2, 2], [2, 0, 1, 1], [2, 1])):
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            x = RNG.normal(size=(2, 3, 7, 6)).astype(dtype)
+            w = RNG.normal(size=(4, 3, 3, 3)).astype(dtype)
+            b = RNG.normal(size=(4,)).astype(dtype)
+            got = kernel("Conv", [x, w, b], {"kernel_shape": [3, 3],
+                                             "strides": strides, "pads": pads,
+                                             "dilations": dilations})
+            windows = ref_window(x, [3, 3], strides, pads, dilations, 0.0)
+            want = (windows[:, None] * w[None, :, :, None, None]).sum(
+                axis=(2, 5, 6)) + b.reshape(1, -1, 1, 1)
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_max_pool_never_picks_the_frame(dtype):
+    # every value is negative, so a frame of zeros would win at the borders
+    x = -1.0 - RNG.random(size=(2, 3, 6, 5)).astype(dtype)
+    attrs = {"kernel_shape": [3, 2], "strides": [2, 1], "pads": [1, 2, 1, 0],
+             "dilations": [1, 2]}
+    got = kernel("MaxPool", [x], attrs)
+    want = ref_window(x, [3, 2], [2, 1], [1, 2, 1, 0], [1, 2],
+                      -np.inf).max(axis=(4, 5))
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+    assert (got < 0).all()
 
 
 def test_pool_kernels():
