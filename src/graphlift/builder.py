@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from .errors import MissingCacheEntry, ShapeError
-from .executor import run_kernel
+from .executor import eval_node
 from .ir import DTYPES, Node, TensorValue
 from .shapes import infer_node_shapes
 
@@ -97,26 +97,26 @@ class GraphBuilder:
 
     def emit(self, op_type: str, inputs: list[str], attrs: dict | None = None,
              n_outputs: int = 1, tag: str | None = None):
-        """Emit one op; returns the output name (or a list when n_outputs > 1)."""
-        attrs = dict(attrs or {})
+        """Emit one op; returns the output name (or a list when n_outputs > 1).
+
+        The op's shape law runs once, whether the op is folded or appended.
+        """
         tag = tag or op_type.lower()
         names = [self.fresh(tag if n_outputs == 1 else f"{tag}{k}")
                  for k in range(n_outputs)]
+        node = Node(op_type, f"n_{tag}", list(inputs), names, dict(attrs or {}))
+        out_shapes = infer_node_shapes(node, [self.shape(i) for i in inputs])
         if self.fold and inputs and all(i in self.known for i in inputs):
-            arrays = run_kernel(op_type, [self.known[i] for i in inputs],
-                                attrs, n_outputs, self.dtype)
+            arrays = eval_node(node, [self.known[i] for i in inputs])
             for name, arr in zip(names, arrays):
                 self.known[name] = arr
                 self.shapes[name] = tuple(arr.shape)
             return names[0] if n_outputs == 1 else names
         for i in inputs:
-            if i in self.known and i not in self.shapes:
-                raise ShapeError(f"value {i!r} is known but has no shape")
             if i in self.known and i not in self.initializers \
                     and i not in self._produced:
                 self._materialize(i)
-        node = Node(op_type, self.fresh(f"n_{tag}"), list(inputs), names, attrs)
-        out_shapes = infer_node_shapes(node, [self.shape(i) for i in inputs])
+        node.name = self.fresh(f"n_{tag}")
         self.append_raw(node, out_shapes)
         return names[0] if n_outputs == 1 else names
 

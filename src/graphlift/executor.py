@@ -4,10 +4,11 @@ Every kernel is a pure function of numpy arrays, so repeated execution of the
 same model on the same feed is bit-deterministic.  Semantics follow the ONNX
 operator definitions for the supported configurations: multidirectional
 broadcasting on binary ops, NCHW layout for convolutions and pools, and
-average pooling that excludes padding from the divisor.  ``Conv`` and
-``ConvTranspose`` (both ``group=1``), ``MaxPool``, ``AveragePool``, ``Pad``
-(constant mode, non-negative pads) and ``Slice`` (attributes, not inputs)
-check their attributes through their shape laws before they index anything,
+average pooling that excludes padding from the divisor.  Kernels check
+nothing: the shape laws of ``shapes.infer_node_shapes`` are the only check of
+operands and attributes, and every path into a kernel runs them first.
+``ExecutionPlan`` runs them over all its steps once per feed shape,
+``run_kernel`` on its one node and ``GraphBuilder.emit`` on the op it emits,
 so no strided window view is built on geometry the shape law refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, UnsupportedOp, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, topological_order
-from .shapes import infer_node_shapes
+from .shapes import infer_node_shapes, window_attrs
 
 __all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
 
@@ -44,14 +45,6 @@ def _sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _pair_attrs(attrs, n_spatial):
-    kernel = list(attrs["kernel_shape"])
-    strides = list(attrs.get("strides", [1] * n_spatial))
-    pads = list(attrs.get("pads", [0] * 2 * n_spatial))
-    dilations = list(attrs.get("dilations", [1] * n_spatial))
-    return kernel, strides, pads, dilations
 
 
 def _framed(x, pads, fill=0.0):
@@ -80,11 +73,10 @@ def _window_views(x, kernel, strides, dilations):
         strides=(sb, sc, s2 * dh, s3 * dw, s2 * sh, s3 * sw), writeable=False)
 
 
-def _conv(x, w, bias, attrs):
+def _conv(x, w, bias, strides, pads, dilations):
     """im2col and one GEMM: the (C·kh·kw, Ho·Wo) window matrix of every
     image, left-multiplied by the (O, C·kh·kw) filters, is already NCHW."""
-    kernel, strides, pads, dilations = _pair_attrs(attrs, 2)
-    view = _window_views(_framed(x, pads), kernel, strides, dilations)
+    view = _window_views(_framed(x, pads), w.shape[2:], strides, dilations)
     b, c, kh, kw, ho, wo = view.shape
     cols = view.reshape(b, c * kh * kw, ho * wo)
     out = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(b, -1, ho, wo)
@@ -105,7 +97,7 @@ def _conv_transpose(x, w, bias, attrs):
     phase reads.  A phase that no tap reaches stays zero; at stride 1 the one
     phase is the whole output.
     """
-    kernel, strides, pads, _ = _pair_attrs(attrs, 2)
+    kernel, strides, pads, _ = window_attrs(attrs)
     extra = attrs.get("output_padding", [0, 0])
     size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
             in zip(x.shape[2:], kernel, strides, pads[:2], pads[2:], extra)]
@@ -125,8 +117,7 @@ def _conv_transpose(x, w, bias, attrs):
         if 0 in taps.shape[2:] or any(r >= n for r, n in zip(phase, size)):
             continue                                      # stays zero
         taps = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        part = _conv(x[(Ellipsis, *crop)], taps, None,
-                     {"kernel_shape": list(taps.shape[2:]), "pads": frame})
+        part = _conv(x[(Ellipsis, *crop)], taps, None, [1, 1], frame, [1, 1])
         if out is None:
             out = part
         else:
@@ -152,27 +143,14 @@ def _slice(x, attrs):
     return np.ascontiguousarray(x[tuple(index)])
 
 
-def _checked(kernel):
-    """Run the op's shape law on the operands first, so malformed
-    attributes raise ShapeError or UnsupportedOp before any indexing."""
-    def run(x, a, n):
-        infer_node_shapes(n, [v.shape for v in x])
-        return [kernel(x, a)]
-    return run
-
-
 def _max_pool(x, attrs):
-    kernel, strides, pads, dilations = _pair_attrs(attrs, 2)
+    kernel, strides, pads, dilations = window_attrs(attrs)
     framed = _framed(x, pads, np.finfo(x.dtype).min)
     return _window_views(framed, kernel, strides, dilations).max(axis=(2, 3))
 
 
 def _avg_pool(x, attrs):
-    if attrs.get("count_include_pad", 0) != 0:
-        raise UnsupportedOp("AveragePool supports count_include_pad=0 only")
-    kernel, strides, pads, dilations = _pair_attrs(attrs, 2)
-    if dilations != [1, 1]:
-        raise UnsupportedOp("AveragePool with dilations is not supported")
+    kernel, strides, pads, dilations = window_attrs(attrs)
     ones = _framed(np.ones((1, 1) + x.shape[2:], dtype=x.dtype), pads)
     total = _window_views(_framed(x, pads), kernel, strides, dilations).sum(axis=(2, 3))
     count = _window_views(ones, kernel, strides, dilations).sum(axis=(2, 3))
@@ -195,14 +173,10 @@ def _softmax(x, attrs):
 
 def _gemm(inputs, attrs):
     a, b = inputs[0], inputs[1]
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("Gemm operands must be 2-D")
     if attrs.get("transA", 0):
         a = a.T
     if attrs.get("transB", 0):
         b = b.T
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"Gemm inner dimensions differ: {a.shape} vs {b.shape}")
     out = attrs.get("alpha", 1.0) * (a @ b)
     if len(inputs) == 3:
         out = out + attrs.get("beta", 1.0) * inputs[2]
@@ -220,14 +194,8 @@ def _batch_norm(inputs, attrs):
 def _split(x, node):
     axis = node.attributes.get("axis", 0) % x.ndim
     parts = node.attributes.get("split")
-    n_out = len(node.outputs)
     if parts is None:
-        if x.shape[axis] % n_out:
-            raise ShapeError(
-                f"Split extent {x.shape[axis]} not divisible into {n_out} parts")
-        parts = [x.shape[axis] // n_out] * n_out
-    if sum(parts) != x.shape[axis]:
-        raise ShapeError(f"Split sizes {parts} do not cover extent {x.shape[axis]}")
+        parts = [x.shape[axis] // len(node.outputs)] * len(node.outputs)
     offsets = np.cumsum([0] + list(parts))
     slicer = [slice(None)] * x.ndim
     out = []
@@ -245,20 +213,6 @@ def _constant(node):
     return np.asarray(attrs["value"], dtype=DTYPES[want]).reshape(attrs["shape"])
 
 
-def _matmul(a, b):
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("MatMul operands must be at least 2-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"MatMul inner dimensions differ: {a.shape} vs {b.shape}")
-    return np.matmul(a, b)
-
-
-def _flatten(x, attrs):
-    axis = attrs.get("axis", 1)
-    head = int(np.prod(x.shape[:axis], dtype=np.int64)) if axis else 1
-    return x.reshape(head, -1)
-
-
 def _where(cond, a, b):
     if cond.dtype != np.bool_:
         cond = cond != 0
@@ -267,9 +221,10 @@ def _where(cond, a, b):
 
 # op_type -> kernel(inputs, attributes, node) returning one array per output
 _KERNELS = {
-    "MatMul": lambda x, a, n: [_matmul(x[0], x[1])],
+    "MatMul": lambda x, a, n: [np.matmul(x[0], x[1])],
     "Gemm": lambda x, a, n: [_gemm(x, a)],
-    "Conv": _checked(lambda x, a: _conv(x[0], x[1], x[2] if len(x) == 3 else None, a)),
+    "Conv": lambda x, a, n: [_conv(x[0], x[1], x[2] if len(x) == 3 else None,
+                                   *window_attrs(a)[1:])],
     "Add": lambda x, a, n: [x[0] + x[1]],
     "Sub": lambda x, a, n: [x[0] - x[1]],
     "Mul": lambda x, a, n: [x[0] * x[1]],
@@ -280,14 +235,15 @@ _KERNELS = {
     "Tanh": lambda x, a, n: [np.tanh(x[0])],
     "Exp": lambda x, a, n: [np.exp(x[0])],
     "Softmax": lambda x, a, n: [_softmax(x[0], a)],
-    "MaxPool": _checked(lambda x, a: _max_pool(x[0], a)),
-    "AveragePool": _checked(lambda x, a: _avg_pool(x[0], a)),
+    "MaxPool": lambda x, a, n: [_max_pool(x[0], a)],
+    "AveragePool": lambda x, a, n: [_avg_pool(x[0], a)],
     "GlobalAveragePool": lambda x, a, n: [x[0].mean(axis=(2, 3), keepdims=True)],
     "GlobalMaxPool": lambda x, a, n: [x[0].max(axis=(2, 3), keepdims=True)],
     "BatchNormalization": lambda x, a, n: [_batch_norm(x, a)],
     "Transpose": lambda x, a, n: [np.ascontiguousarray(x[0].transpose(a["perm"]))],
     "Reshape": lambda x, a, n: [x[0].reshape(a["shape"])],
-    "Flatten": lambda x, a, n: [_flatten(x[0], a)],
+    "Flatten": lambda x, a, n: [x[0].reshape(
+        int(np.prod(x[0].shape[:a.get("axis", 1)], dtype=np.int64)), -1)],
     "ReduceSum": lambda x, a, n: [_reduce(x[0], a, np.sum)],
     "ReduceMean": lambda x, a, n: [_reduce(x[0], a, np.mean)],
     "Greater": lambda x, a, n: [x[0] > x[1]],
@@ -296,34 +252,34 @@ _KERNELS = {
     "Split": lambda x, a, n: _split(x[0], n),
     "Constant": lambda x, a, n: [_constant(n)],
     "Abs": lambda x, a, n: [np.abs(x[0])],
-    "Pad": _checked(lambda x, a: _pad(x[0], a)),
-    "Slice": _checked(lambda x, a: _slice(x[0], a)),
-    "ConvTranspose": _checked(lambda x, a: _conv_transpose(
-        x[0], x[1], x[2] if len(x) == 3 else None, a)),
+    "Pad": lambda x, a, n: [_pad(x[0], a)],
+    "Slice": lambda x, a, n: [_slice(x[0], a)],
+    "ConvTranspose": lambda x, a, n: [_conv_transpose(
+        x[0], x[1], x[2] if len(x) == 3 else None, a)],
 }
 
 
-def eval_node(node: Node, inputs: list[np.ndarray], dtype: str = "float64") -> list[np.ndarray]:
+def eval_node(node: Node, inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Apply one operator to concrete arrays; returns one array per output.
 
-    ``dtype`` is kept for callers that pass the model's dtype; every kernel
-    takes its dtype from its operands or, for ``Constant``, its attributes.
+    The node's shape law must already have passed on the inputs' shapes.
+    Every kernel takes its dtype from its operands or, for ``Constant``, its
+    attributes.
     """
-    kernel = _KERNELS.get(node.op_type)
-    if kernel is None:
-        raise UnsupportedOp(f"no kernel for op {node.op_type!r}")
     try:
-        return kernel(inputs, node.attributes, node)
+        return _KERNELS[node.op_type](inputs, node.attributes, node)
     except ValueError as exc:
         raise ShapeError(f"{node.op_type}: {exc}") from exc
 
 
 def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None,
-               n_outputs: int = 1, dtype: str = "float64") -> list[np.ndarray]:
-    """Kernel dispatch without a pre-built Node, for folding and tests."""
+               n_outputs: int = 1) -> list[np.ndarray]:
+    """One op on concrete arrays without a pre-built Node: its shape law,
+    then its kernel."""
     node = Node(op_type, "anon", [f"i{k}" for k in range(len(inputs))],
                 [f"o{k}" for k in range(n_outputs)], dict(attrs or {}))
-    return eval_node(node, inputs, dtype)
+    infer_node_shapes(node, [x.shape for x in inputs])
+    return eval_node(node, inputs)
 
 
 def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
@@ -346,13 +302,6 @@ def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
     return arr
 
 
-def _eval(node: Node, inputs: list[np.ndarray], dtype: str) -> list[np.ndarray]:
-    try:
-        return eval_node(node, inputs, dtype)
-    except (ShapeError, UnsupportedOp) as exc:
-        raise type(exc)(f"node {node.name!r}: {exc}") from exc
-
-
 def _finite(arr: np.ndarray) -> bool:
     return arr.dtype == np.bool_ or bool(np.isfinite(arr).all())
 
@@ -366,21 +315,30 @@ class ExecutionPlan:
     intermediate is dropped as soon as its last consumer has run.  It keeps
     the model's initializer arrays by reference and reads nothing else from
     the model after it is built: a model changed afterwards needs a new plan.
+
+    Checks run here, not in the kernels.  A ``Constant``'s shape law runs
+    when the plan is built.  Every step's law runs in ``verify`` on the
+    concrete shapes of a feed, the first time the plan sees those feed shapes
+    and again only when they change, so a plan over a free-batch model checks
+    again when the batch changes.  A law that refuses raises ShapeError or
+    UnsupportedOp naming the node, before any kernel of that feed runs.
     """
 
     def __init__(self, model: GraphModel):
-        self.dtype = model.inputs[0].dtype if model.inputs else "float64"
         self.slots: dict[str, int] = {}
         self.template: list[np.ndarray | None] = []
         # (node name, value name) of the first non-finite Constant output
         self.non_finite: tuple[str, str] | None = None
+        # feed shapes that every step's shape law last passed on
+        self.verified: tuple[tuple[int, ...], ...] | None = None
         self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
         for name, tensor in model.initializers.items():
             self._claim(name, tensor.array)
         steps = []
         for node in topological_order(model):
             if node.op_type == "Constant":
-                for name, arr in zip(node.outputs, _eval(node, [], self.dtype)):
+                infer_node_shapes(node, [])
+                for name, arr in zip(node.outputs, eval_node(node, [])):
                     arr.flags.writeable = False
                     if self.non_finite is None and not _finite(arr):
                         self.non_finite = (node.name, name)
@@ -409,6 +367,20 @@ class ExecutionPlan:
         self.steps = [(node, ins, outs, tuple(free))
                       for (node, ins, outs), free in zip(steps, frees)]
 
+    def verify(self, values: list) -> None:
+        """Run every step's shape law on the shapes of ``values``, a slot
+        list with the feed filled in, unless the feed shapes are the ones
+        last verified."""
+        fed = tuple(values[slot].shape for _, slot in self.feed)
+        if fed == self.verified:
+            return
+        shapes = [None if v is None else v.shape for v in values]
+        for node, ins, outs, _ in self.steps:
+            for slot, shape in zip(outs, infer_node_shapes(
+                    node, [shapes[s] for s in ins])):
+                shapes[slot] = shape
+        self.verified = fed
+
     def _claim(self, name: str, value) -> int:
         if name in self.slots:
             raise ValidationError(f"value {name!r} is produced more than once")
@@ -433,12 +405,12 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     values = list(plan.template)
     for spec, slot in plan.feed:
         values[slot] = _coerce_input(spec, feed)
+    plan.verify(values)
     if check_numerics and plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
-    dtype = plan.dtype
     for node, ins, outs, frees in plan.steps:
-        results = _eval(node, [values[s] for s in ins], dtype)
+        results = eval_node(node, [values[s] for s in ins])
         for name, slot, arr in zip(node.outputs, outs, results):
             if check_numerics and not _finite(arr):
                 raise NumericError(

@@ -137,10 +137,6 @@ class TensorValue:
         self.shape = tuple(int(d) for d in arr.shape)
         self.array = arr
 
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "TensorValue":
-        return cls(np.asarray(array))
-
     def little_endian(self) -> np.ndarray:
         """Row-major little-endian payload; a copy only on big-endian hosts."""
         kind = "<f4" if self.dtype == "float32" else "<f8"

@@ -93,14 +93,10 @@ def _sample_shapes(model: GraphModel) -> dict[str, tuple[int, ...]]:
 def _const_chain(model: GraphModel) -> dict[str, np.ndarray]:
     """Values computable from initializers alone (no graph-input dependence)."""
     known = {name: tv.array for name, tv in model.initializers.items()}
-    dtype = model.inputs[0].dtype if model.inputs else "float64"
     for node in topological_order(model):
-        if node.inputs and all(i in known for i in node.inputs):
-            outs = eval_node(node, [known[i] for i in node.inputs], dtype)
-            known.update(zip(node.outputs, outs))
-        elif not node.inputs:  # Constant
-            outs = eval_node(node, [], dtype)
-            known.update(zip(node.outputs, outs))
+        if all(i in known for i in node.inputs):   # a Constant has no inputs
+            known.update(zip(node.outputs,
+                             eval_node(node, [known[i] for i in node.inputs])))
     return known
 
 

@@ -30,6 +30,7 @@ from .builder import GraphBuilder, RuleEnv
 from .errors import UnsupportedOp
 from .executor import run_kernel
 from .ir import Node
+from .shapes import window_attrs
 
 __all__ = [
     "EPS_ACT",
@@ -140,17 +141,6 @@ def _transpose_conv(b: GraphBuilder, grad: str, weight: str, in_hw, kernel,
                    "pads": list(pads), "output_padding": extra}, tag=tag)
 
 
-def _pool_geometry(node: Node, in_shape: tuple[int, ...]):
-    attrs = node.attributes
-    kernel = [int(v) for v in attrs["kernel_shape"]]
-    strides = [int(v) for v in attrs.get("strides", [1, 1])]
-    pads = [int(v) for v in attrs.get("pads", [0, 0, 0, 0])]
-    if len(in_shape) != 4:
-        raise UnsupportedOp(
-            f"pooling gradients need NCHW operands, got rank {len(in_shape)}")
-    return kernel, strides, pads
-
-
 def _merge(b: GraphBuilder, grads: dict[str, str], name: str, grad: str,
            tag: str) -> None:
     # the same value feeding two input slots receives the sum of both flows
@@ -204,14 +194,10 @@ def rule_conv(ctx: RuleContext) -> dict[str, str]:
             f"node {node.name!r}: convolution filters must be constant")
     if len(node.inputs) == 3 and ctx.pass_grads.get(node.inputs[2], False):
         raise UnsupportedOp(f"node {node.name!r}: convolution bias must be constant")
-    attrs = node.attributes
-    dil = [int(v) for v in attrs.get("dilations", [1, 1])]
-    if dil != [1, 1]:
+    kernel, strides, pads, dilations = window_attrs(node.attributes)
+    if dilations != [1, 1]:
         raise UnsupportedOp(f"node {node.name!r}: dilated convolution gradients "
                             "are not supported")
-    kernel = list(b.shape(weight)[2:])
-    strides = [int(v) for v in attrs.get("strides", [1, 1])]
-    pads = [int(v) for v in attrs.get("pads", [0, 0, 0, 0])]
     sample = env.sample_shape(data)
     # the adjoint of the forward correlation reads the forward filters as is
     grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], kernel, strides,
@@ -420,7 +406,7 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
         k = np.full((1, 1, height, width), 1.0 / (height * width))
         return {data: b.emit("Mul", [ctx.grad_in, b.const(k, "gapback")],
                              tag="gapgrad")}
-    kernel, strides, pads = _pool_geometry(node, sample)
+    kernel, strides, pads, _ = window_attrs(node.attributes)
     out_h, out_w = b.shape(ctx.grad_in)[2], b.shape(ctx.grad_in)[3]
     ones_k = np.ones((1, 1, *kernel))
     # in-bounds element count of every window (pad excluded)
@@ -464,7 +450,7 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     if node.op_type == "MaxPool":
         # a one-hot filter per window offset scatters the stacked routes back
         # onto the positions they came from, summing where windows overlap
-        kernel, strides, pads = _pool_geometry(node, sample)
+        kernel, strides, pads, _ = window_attrs(node.attributes)
         onehot = b.const(np.eye(kernel[0] * kernel[1]).reshape(
             -1, 1, kernel[0], kernel[1]), "mponehot")
         spread = _transpose_conv(b, routed, onehot, sample[2:], kernel, strides,
@@ -508,7 +494,7 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
                        tag=f"{tag}_first")
         return b.emit("Mul", [first, m], tag=f"{tag}_route")
 
-    kernel, strides, pads = _pool_geometry(node, shape)
+    kernel, strides, pads, _ = window_attrs(node.attributes)
     out_h, out_w = b.shape(pooled)[2:]
     if any(pads):
         # pad with a huge negative so padding never ties with a real maximum

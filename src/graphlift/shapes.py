@@ -2,7 +2,9 @@
 
 Shapes are tuples of ints; a -1 marks the free batch dimension of a graph
 input and is carried through untouched where that is well defined.  Ops that
-cannot tolerate a symbolic extent raise ShapeError when they meet one.
+cannot tolerate a symbolic extent raise ShapeError when they meet one.  The
+laws are the package's only check of operands and attributes: a kernel runs
+unchecked on whatever its law accepts.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from .errors import ShapeError, UnsupportedOp
 from .ir import GraphModel, Node
 
-__all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes"]
+__all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
+           "window_attrs"]
 
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -43,7 +46,24 @@ def _numel(shape):
     return n
 
 
-def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation=1):
+def _axis(axis: int, rank: int, op: str) -> int:
+    """``axis`` counted from the front, or ShapeError when it is outside
+    [-rank, rank)."""
+    if not -rank <= axis < rank:
+        raise ShapeError(f"{op} axis {axis} out of range for rank {rank}")
+    return axis % rank
+
+
+def window_attrs(attrs: dict) -> tuple[list, list, list, list]:
+    """Kernel, strides, pads and dilations of a 2-D window op, with the ONNX
+    defaults filled in: unit strides and dilations, no padding.  Pads are
+    [top, left, bottom, right]."""
+    return (list(attrs["kernel_shape"]), list(attrs.get("strides", [1, 1])),
+            list(attrs.get("pads", [0, 0, 0, 0])),
+            list(attrs.get("dilations", [1, 1])))
+
+
+def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
     if size == -1:
         raise ShapeError("pooling over a symbolic dimension")
     if min(kernel, stride, dilation) < 1 or min(pad_begin, pad_end) < 0:
@@ -59,22 +79,65 @@ def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation=1):
     return span // stride + 1
 
 
-def _conv_like(shape, attrs, n_spatial):
-    kernel = list(attrs["kernel_shape"])
-    strides = list(attrs.get("strides", [1] * n_spatial))
-    pads = list(attrs.get("pads", [0] * (2 * n_spatial)))
-    dilations = list(attrs.get("dilations", [1] * n_spatial))
-    if len(kernel) != n_spatial or len(strides) != n_spatial \
-            or len(pads) != 2 * n_spatial or len(dilations) != n_spatial:
-        raise ShapeError(f"window attributes do not match {n_spatial} spatial axes")
-    out = []
-    for i in range(n_spatial):
-        out.append(_pool_axis(shape[2 + i], kernel[i], strides[i],
-                              pads[i], pads[n_spatial + i], dilations[i]))
-    return tuple(out)
+def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
+    """Output shape of Conv, ConvTranspose, MaxPool or AveragePool."""
+    x = in_shapes[0]
+    kernel, strides, pads, dilations = window_attrs(attrs)
+    if len(x) != 4:
+        raise ShapeError(f"{op} supports 4-D NCHW tensors only")
+    if len(kernel) != 2 or len(strides) != 2 or len(pads) != 4 \
+            or len(dilations) != 2:
+        raise ShapeError(f"{op} window attributes do not match 2 spatial axes")
+    if op == "AveragePool" and (attrs.get("count_include_pad", 0) != 0
+                                or dilations != [1, 1]):
+        raise UnsupportedOp("AveragePool supports count_include_pad=0 and "
+                            "unit dilations only")
+    channels = x[1]
+    if op in ("Conv", "ConvTranspose"):
+        w = in_shapes[1]
+        if len(w) != 4:
+            raise ShapeError(f"{op} supports 4-D weights only")
+        if attrs.get("group", 1) != 1:
+            raise UnsupportedOp(f"{op} with group != 1 is not supported")
+        c_in, channels = (w[1], w[0]) if op == "Conv" else (w[0], w[1])
+        if x[1] != c_in and x[1] != -1:
+            raise ShapeError(f"{op} channel mismatch: input {x}, weight {w}")
+        if kernel != list(w[2:]):
+            raise ShapeError(f"{op} kernel_shape {kernel} does not match weight {w}")
+        if len(in_shapes) == 3 and tuple(in_shapes[2]) != (channels,):
+            raise ShapeError(f"{op} bias {in_shapes[2]} does not hold one "
+                             f"value per output channel of weight {w}")
+    if op != "ConvTranspose":
+        return (x[0], channels) + tuple(
+            _pool_axis(x[2 + i], kernel[i], strides[i], pads[i], pads[2 + i],
+                       dilations[i]) for i in range(2))
+    extra = list(attrs.get("output_padding", [0, 0]))
+    if min(kernel) < 1 or min(pads) < 0 or dilations != [1, 1] \
+            or len(extra) != 2 or -1 in x[2:] \
+            or not all(0 <= e < s for e, s in zip(extra, strides)):
+        raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
+                         f"input {x} and weight {w}")
+    spatial = tuple(s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
+                    in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra))
+    if min(spatial) < 1:
+        raise ShapeError(f"ConvTranspose pads {pads} crop away the output")
+    return (x[0], channels) + spatial
 
 
 def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Output shapes of one node, or ShapeError / UnsupportedOp naming the
+    node for operands or attributes its kernel cannot run on.
+
+    This is the only check of a node's operands and attributes: the
+    executor's kernels assume that the law has passed on their shapes.
+    """
+    try:
+        return _node_shapes(node, in_shapes)
+    except (ShapeError, UnsupportedOp) as exc:
+        raise type(exc)(f"node {node.name!r}: {exc}") from exc
+
+
+def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     op = node.op_type
     attrs = node.attributes
 
@@ -83,7 +146,10 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
     if op == "Where":
         return [broadcast_shapes(broadcast_shapes(in_shapes[0], in_shapes[1]),
                                  in_shapes[2])]
-    if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Softmax", "Abs"):
+    if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Abs"):
+        return [in_shapes[0]]
+    if op == "Softmax":
+        _axis(attrs.get("axis", -1), len(in_shapes[0]), op)
         return [in_shapes[0]]
 
     if op == "MatMul":
@@ -105,36 +171,13 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
             b = (b[1], b[0])
         if a[1] != b[0] and -1 not in (a[1], b[0]):
             raise ShapeError(f"Gemm inner dimensions differ: {a} vs {b}")
-        return [(a[0], b[1])]
+        out = (a[0], b[1])
+        if len(in_shapes) == 3 and broadcast_shapes(out, in_shapes[2]) != out:
+            raise ShapeError(f"Gemm bias {in_shapes[2]} does not broadcast to {out}")
+        return [out]
 
-    if op in ("Conv", "ConvTranspose"):
-        x, w = in_shapes[0], in_shapes[1]
-        if len(x) != 4 or len(w) != 4:
-            raise ShapeError(f"{op} supports 4-D NCHW tensors only")
-        if attrs.get("group", 1) != 1:
-            raise UnsupportedOp(f"{op} with group != 1 is not supported")
-        c_in, c_out = (w[1], w[0]) if op == "Conv" else (w[0], w[1])
-        if x[1] != c_in and x[1] != -1:
-            raise ShapeError(f"{op} channel mismatch: input {x}, weight {w}")
-        if list(attrs["kernel_shape"]) != list(w[2:]):
-            raise ShapeError(f"{op} kernel_shape {attrs['kernel_shape']} does "
-                             f"not match weight {w}")
-        if op == "Conv":
-            return [(x[0], c_out) + _conv_like(x, attrs, 2)]
-        kernel = list(attrs["kernel_shape"])
-        strides = list(attrs.get("strides", [1, 1]))
-        pads = list(attrs.get("pads", [0, 0, 0, 0]))
-        extra = list(attrs.get("output_padding", [0, 0]))
-        if min(kernel) < 1 or len(pads) != 4 or min(pads) < 0 \
-                or len(strides) != 2 or len(extra) != 2 or -1 in x[2:] \
-                or not all(0 <= e < s for e, s in zip(extra, strides)):
-            raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
-                             f"input {x} and weight {w}")
-        spatial = tuple(s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
-                        in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra))
-        if min(spatial) < 1:
-            raise ShapeError(f"ConvTranspose pads {pads} crop away the output")
-        return [(x[0], c_out) + spatial]
+    if op in ("Conv", "ConvTranspose", "MaxPool", "AveragePool"):
+        return [_window_op(op, in_shapes, attrs)]
 
     if op == "Pad":
         x, pads = in_shapes[0], list(attrs["pads"])
@@ -157,38 +200,32 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
             raise ShapeError("Slice starts, ends, axes and steps differ in length")
         if 0 in steps:
             raise ShapeError("Slice steps may not be 0")
-        if any(not -len(x) <= a < len(x) for a in axes) \
-                or len({a % len(x) for a in axes}) != len(axes):
-            raise ShapeError(f"Slice axes {axes} are out of range or repeated "
-                             f"for rank {len(x)}")
+        if len({_axis(a, len(x), op) for a in axes}) != len(axes):
+            raise ShapeError(f"Slice axes {axes} repeat an axis")
         for start, end, axis, step in zip(starts, ends, axes, steps):
             if x[axis] == -1:
                 raise ShapeError("Slice along a symbolic axis")
             x[axis] = len(range(*slice(start, end, step).indices(x[axis])))
         return [tuple(x)]
 
-    if op in ("MaxPool", "AveragePool"):
-        x = in_shapes[0]
-        if len(x) != 4:
-            raise ShapeError(f"{op} supports 4-D NCHW tensors only")
-        spatial = _conv_like(x, attrs, 2)
-        return [(x[0], x[1]) + spatial]
-
     if op in ("GlobalAveragePool", "GlobalMaxPool"):
         x = in_shapes[0]
-        if len(x) != 4:
-            raise ShapeError(f"{op} supports 4-D NCHW tensors only")
+        if len(x) != 4 or 0 in x[2:]:
+            raise ShapeError(f"{op} supports non-empty 4-D NCHW tensors only")
         return [(x[0], x[1], 1, 1)]
 
     if op == "BatchNormalization":
-        return [in_shapes[0]]
+        x = in_shapes[0]
+        if len(x) < 2 or len(in_shapes) != 5 \
+                or any(tuple(p) != (x[1],) for p in in_shapes[1:]):
+            raise ShapeError(f"BatchNormalization of {x} takes scale, bias, "
+                             f"mean and variance of shape ({x[1]},), got "
+                             f"{in_shapes[1:]}")
+        return [x]
 
     if op == "Concat":
-        axis = attrs["axis"]
         base = list(in_shapes[0])
-        axis = axis if axis >= 0 else axis + len(base)
-        if not 0 <= axis < len(base):
-            raise ShapeError(f"Concat axis {attrs['axis']} out of range for {base}")
+        axis = _axis(attrs["axis"], len(base), op)
         total = 0
         for s in in_shapes:
             if len(s) != len(base):
@@ -212,8 +249,9 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
     if op == "Reshape":
         target = list(attrs["shape"])
         x = in_shapes[0]
-        if target.count(-1) > 1:
-            raise ShapeError("Reshape allows at most one inferred extent")
+        if target.count(-1) > 1 or min(target, default=0) < -1:
+            raise ShapeError(f"Reshape target {target} allows one inferred "
+                             "extent and no other negative one")
         if -1 in x:
             # a free batch extent survives only as the leading -1 of both sides
             if x[0] != -1 or -1 in x[1:] or not target or target[0] != -1:
@@ -235,14 +273,19 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
     if op == "Flatten":
         x = in_shapes[0]
         axis = attrs.get("axis", 1)
-        head = -1 if -1 in x[:axis] else (_numel(x[:axis]) if axis > 0 else 1)
-        tail = -1 if -1 in x[axis:] else (_numel(x[axis:]) if axis < len(x) else 1)
+        if not -len(x) <= axis <= len(x):
+            raise ShapeError(f"Flatten axis {axis} out of range for rank {len(x)}")
+        axis = axis + len(x) if axis < 0 else axis
+        head = -1 if -1 in x[:axis] else _numel(x[:axis])
+        tail = -1 if -1 in x[axis:] else _numel(x[axis:])
         return [(head, tail)]
 
     if op in ("ReduceSum", "ReduceMean"):
         x = in_shapes[0]
         axes = attrs.get("axes")
-        axes = list(range(len(x))) if axes is None else [a % len(x) for a in axes]
+        axes = range(len(x)) if axes is None else [_axis(a, len(x), op) for a in axes]
+        if len(set(axes)) != len(axes):
+            raise ShapeError(f"{op} axes {attrs['axes']} repeat an axis")
         keep = attrs.get("keepdims", 1)
         out = []
         for i, d in enumerate(x):
@@ -256,13 +299,14 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
     if op == "Tile":
         reps = attrs["repeats"]
         x = in_shapes[0]
-        if len(reps) != len(x):
-            raise ShapeError(f"Tile repeats {reps} must match rank of {x}")
+        if len(reps) != len(x) or min(reps, default=0) < 0:
+            raise ShapeError(f"Tile repeats {reps} must be non-negative, one "
+                             f"per axis of {x}")
         return [tuple(d * r if d != -1 else -1 for d, r in zip(x, reps))]
 
     if op == "Split":
         x = in_shapes[0]
-        axis = attrs.get("axis", 0) % len(x)
+        axis = _axis(attrs.get("axis", 0), len(x), op)
         if x[axis] == -1:
             raise ShapeError("Split along a symbolic axis")
         parts = attrs.get("split")
@@ -272,12 +316,17 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
                 raise ShapeError(
                     f"Split axis extent {x[axis]} not divisible into {n_out} parts")
             parts = [x[axis] // n_out] * n_out
-        if len(parts) != n_out or sum(parts) != x[axis]:
+        if len(parts) != n_out or sum(parts) != x[axis] \
+                or min(parts, default=0) < 0:
             raise ShapeError(f"Split sizes {parts} do not cover extent {x[axis]}")
         return [x[:axis] + (p,) + x[axis + 1:] for p in parts]
 
     if op == "Constant":
-        return [tuple(attrs["shape"])]
+        shape = tuple(attrs["shape"])
+        if min(shape, default=0) < 0 or _numel(shape) != len(attrs["value"]):
+            raise ShapeError(f"Constant of shape {shape} holds "
+                             f"{len(attrs['value'])} values")
+        return [shape]
 
     raise UnsupportedOp(f"no shape law for op {op!r}")
 
@@ -297,10 +346,7 @@ def infer_graph_shapes(model: GraphModel,
     for name, tensor in model.initializers.items():
         shapes[name] = tensor.shape
     for node in topological_order(model):
-        try:
-            outs = infer_node_shapes(node, [shapes[i] for i in node.inputs])
-        except (ShapeError, UnsupportedOp) as exc:
-            raise type(exc)(f"node {node.name!r}: {exc}") from exc
+        outs = infer_node_shapes(node, [shapes[i] for i in node.inputs])
         for out_name, shape in zip(node.outputs, outs):
             shapes[out_name] = shape
     return shapes

@@ -213,6 +213,20 @@ K2 = {"kernel_shape": [2, 2]}
     ("MaxPool", [X4], {**K2, "pads": [0, 0, 0, -1]}),
     ("AveragePool", [X4], {**K2, "strides": [0, 0]}),
     ("AveragePool", [X4], {**K2, "pads": [-1, 0, 0, 0]}),
+    ("Softmax", [np.zeros((2, 3))], {"axis": 5}),
+    ("ReduceSum", [np.zeros((2, 3))], {"axes": [0, 2]}),
+    ("ReduceSum", [np.zeros((2, 3))], {"axes": [1, 1]}),
+    ("Tile", [np.zeros((2, 3))], {"repeats": [-1, 1]}),
+    ("AveragePool", [X4], {**K2, "count_include_pad": 1}),
+    ("AveragePool", [X4], {**K2, "dilations": [2, 1]}),
+    ("BatchNormalization", [X4] + [np.ones(2)] * 4, {}),
+    ("Gemm", [np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(3)], {}),
+    ("Constant", [], {"dtype": "float64", "shape": [2, 2], "value": [1.0] * 3}),
+    ("Conv", [X4, WC, np.zeros(3)], K2),
+    ("ConvTranspose", [X4, W4], {**CT, "dilations": [2, 2]}),
+    ("BatchNormalization", [X4] + [np.ones(3)] * 3, {}),
+    ("GlobalMaxPool", [np.zeros((1, 3, 0, 4))], {}),
+    ("Reshape", [np.zeros((2, 6))], {"shape": [-2, -6]}),
 ])
 def test_malformed_attributes_raise_typed_errors(op, inputs, attrs):
     with pytest.raises(TYPED):

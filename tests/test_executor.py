@@ -6,6 +6,7 @@ import pytest
 import graphlift as gl
 from graphlift import (ExecutionPlan, GraphModel, Node, NumericError,
                        ShapeError, TensorValue, ValueSpec)
+from graphlift import executor
 from graphlift.executor import execute, run_kernel
 
 
@@ -301,3 +302,49 @@ def test_explain_is_repeatable_and_survives_save_load(artifacts, tmp_path):
     loaded = gl.load_artifact(path)
     assert loaded == art
     assert gl.explain(loaded, x).phi.array.tobytes() == first.phi.array.tobytes()
+
+
+def count_laws(monkeypatch):
+    """Names of the nodes whose shape law the executor runs from now on."""
+    calls = []
+    law = executor.infer_node_shapes
+
+    def counted(node, in_shapes):
+        calls.append(node.name)
+        return law(node, in_shapes)
+
+    monkeypatch.setattr(executor, "infer_node_shapes", counted)
+    return calls
+
+
+def test_artifact_checks_its_laws_on_the_first_explain_only(artifacts,
+                                                            monkeypatch):
+    built = artifacts("plain_deep", "float32")
+    art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
+    calls = count_laws(monkeypatch)
+    xs = gl.random_inputs(art.model, 2, seed=4)
+    gl.explain(art, xs[0])
+    assert sorted(calls) == sorted(node.name for node in art.model.nodes)
+    gl.explain(art, xs[1])
+    assert len(calls) == len(art.model.nodes)
+
+
+def test_plan_checks_again_when_the_batch_changes(monkeypatch):
+    model = GraphModel("b", [ValueSpec("x", "float64", (-1, 2))],
+                       [ValueSpec("y", "float64", (-1, 2))],
+                       {"w": TensorValue(np.ones((2, 2)))},
+                       [Node("Relu", "r", ["x"], ["h"]),
+                        Node("Add", "a", ["h", "w"], ["y"])])
+    plan = ExecutionPlan(model)
+    calls = count_laws(monkeypatch)
+    for batch in (2, 2, 1):
+        execute(plan, {"x": np.ones((batch, 2))})
+    assert calls == ["r", "a", "r", "a"]
+    kernels = []
+    monkeypatch.setattr(executor, "eval_node",
+                        lambda node, inputs: kernels.append(node.name))
+    # (3, 2) does not broadcast against the (2, 2) weight: refused by the
+    # law of 'a' before the kernel of 'r' runs
+    with pytest.raises(ShapeError, match="'a'"):
+        execute(plan, {"x": np.ones((3, 2))})
+    assert calls[4:] == ["r", "a"] and kernels == []

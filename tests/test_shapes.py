@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from graphlift import GraphModel, Node, ShapeError, TensorValue, ValueSpec
+from graphlift.executor import eval_node
+from graphlift.ir import SUPPORTED_OPS
 from graphlift.shapes import broadcast_shapes, infer_graph_shapes, infer_node_shapes
 
 
@@ -96,3 +98,77 @@ def test_graph_inference_with_override():
     assert free["y"] == (-1, 2)
     pinned = infer_graph_shapes(model, {"x": (7, 3)})
     assert pinned["y"] == (7, 2)
+
+
+def test_flatten_negative_axis_counts_from_the_end():
+    assert infer("Flatten", [(2, 3)], {"axis": -1}) == [(2, 3)]
+    assert infer("Flatten", [(2, 3, 4)], {"axis": -2}) == [(2, 12)]
+    assert infer("Flatten", [(-1, 3, 4)], {"axis": -3}) == [(1, -1)]
+    with pytest.raises(ShapeError):
+        infer("Flatten", [(2, 3)], {"axis": -3})
+
+
+def test_split_refuses_negative_parts():
+    with pytest.raises(ShapeError):
+        infer("Split", [(4, 2)], {"axis": 0, "split": [-1, 5]}, n_outputs=2)
+
+
+CONV = {"kernel_shape": [3, 2], "strides": [2, 1], "pads": [1, 0, 1, 1],
+        "dilations": [1, 2]}
+
+# (op, input shapes, attributes, outputs): valid operands of every op
+VALID = [
+    ("Add", [(2, 1, 4), (3, 1)], {}, 1),
+    ("Sub", [(2, 3), (3,)], {}, 1),
+    ("Mul", [(1, 3), (2, 1)], {}, 1),
+    ("Div", [(2, 3), (2, 3)], {}, 1),
+    ("Greater", [(2, 3), (1,)], {}, 1),
+    ("Where", [(2, 3), (1, 3), (2, 1)], {}, 1),
+    ("Relu", [(2, 3)], {}, 1),
+    ("Sigmoid", [(2, 3)], {}, 1),
+    ("Tanh", [(2, 3)], {}, 1),
+    ("Exp", [(2, 3)], {}, 1),
+    ("Abs", [(2, 3)], {}, 1),
+    ("Softmax", [(2, 3, 4)], {"axis": -2}, 1),
+    ("MatMul", [(2, 2, 3), (3, 4)], {}, 1),
+    ("Gemm", [(3, 2), (4, 3), (1, 4)], {"transA": 1, "transB": 1}, 1),
+    ("Conv", [(2, 3, 7, 6), (4, 3, 3, 2), (4,)], CONV, 1),
+    ("ConvTranspose", [(2, 3, 4, 5), (3, 2, 3, 3), (2,)],
+     {"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 0, 1],
+      "output_padding": [1, 0]}, 1),
+    ("MaxPool", [(1, 2, 7, 7)], {"kernel_shape": [3, 3], "strides": [2, 2],
+                                 "pads": [1, 1, 1, 1], "dilations": [2, 1]}, 1),
+    ("AveragePool", [(1, 2, 6, 5)], {"kernel_shape": [2, 3], "strides": [2, 1],
+                                     "pads": [1, 0, 0, 1]}, 1),
+    ("GlobalAveragePool", [(2, 3, 4, 5)], {}, 1),
+    ("GlobalMaxPool", [(2, 3, 4, 5)], {}, 1),
+    ("BatchNormalization", [(2, 3, 4), (3,), (3,), (3,), (3,)], {}, 1),
+    ("Concat", [(2, 3), (2, 1)], {"axis": -1}, 1),
+    ("Transpose", [(2, 3, 4)], {"perm": [2, 0, 1]}, 1),
+    ("Reshape", [(2, 6)], {"shape": [3, -1]}, 1),
+    ("Flatten", [(2, 3)], {"axis": -1}, 1),
+    ("Flatten", [(2, 3, 4)], {"axis": 0}, 1),
+    ("ReduceSum", [(2, 3, 4)], {"axes": [-1, 0], "keepdims": 0}, 1),
+    ("ReduceMean", [(2, 3, 4)], {}, 1),
+    ("Tile", [(2, 3)], {"repeats": [2, 0]}, 1),
+    ("Split", [(5, 2)], {"axis": -2, "split": [2, 3]}, 2),
+    ("Split", [(4, 2)], {"axis": 1}, 2),
+    ("Constant", [], {"dtype": "float32", "shape": [2, 3], "value": [0.5] * 6}, 1),
+    ("Pad", [(2, 3)], {"pads": [1, 0, 0, 2], "value": 1.0}, 1),
+    ("Slice", [(4, 5)], {"starts": [3, 0], "ends": [0, 5], "axes": [0, 1],
+                         "steps": [-1, 2]}, 1),
+]
+
+
+def test_valid_cases_cover_every_op():
+    assert {case[0] for case in VALID} == SUPPORTED_OPS
+
+
+@pytest.mark.parametrize("op, in_shapes, attrs, n_outputs", VALID)
+def test_law_predicts_the_kernel_output_shape(op, in_shapes, attrs, n_outputs):
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=shape) for shape in in_shapes]
+    node = Node(op, "probe", [f"i{k}" for k in range(len(arrays))],
+                [f"o{k}" for k in range(n_outputs)], attrs)
+    got = [out.shape for out in eval_node(node, arrays)]
+    assert infer_node_shapes(node, [a.shape for a in arrays]) == got
