@@ -47,7 +47,6 @@ def accumulate_incoming(env: RuleEnv, vertex: GraphVertex, tag: str) -> str:
     total = vertex.flowin_grads[0]
     for grad in vertex.flowin_grads[1:]:
         total = env.builder.emit("Add", [total, grad], tag=f"flowsum_{tag}")
-    vertex.flowout_grad = total
     return total
 
 

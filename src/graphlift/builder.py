@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from .errors import MissingCacheEntry, ShapeError
-from .executor import eval_node
+from .executor import bind, eval_node
 from .ir import DTYPES, Node, TensorValue
 from .shapes import infer_node_shapes
 
@@ -107,7 +107,8 @@ class GraphBuilder:
         node = Node(op_type, f"n_{tag}", list(inputs), names, dict(attrs or {}))
         out_shapes = infer_node_shapes(node, [self.shape(i) for i in inputs])
         if self.fold and inputs and all(i in self.known for i in inputs):
-            arrays = eval_node(node, [self.known[i] for i in inputs])
+            args = [self.known[i] for i in inputs]
+            arrays = eval_node(node, args, bind(node, [a.shape for a in args]))
             for name, arr in zip(names, arrays):
                 self.known[name] = arr
                 self.shapes[name] = tuple(arr.shape)

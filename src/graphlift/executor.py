@@ -7,9 +7,16 @@ broadcasting on binary ops, NCHW layout for convolutions and pools, and
 average pooling that excludes padding from the divisor.  Kernels check
 nothing: the shape laws of ``shapes.infer_node_shapes`` are the only check of
 operands and attributes, and every path into a kernel runs them first.
-``ExecutionPlan`` runs them over all its steps once per feed shape,
-``run_kernel`` on its one node and ``GraphBuilder.emit`` on the op it emits,
-so no strided window view is built on geometry the shape law refuses.
+
+A kernel resolves no geometry itself.  ``bind`` resolves what depends only
+on the node and its input shapes (window geometry with its defaults, the
+``ConvTranspose`` phase table, the ``AveragePool`` divisor plane, slice and
+split indices) into the parameters ``eval_node`` hands the kernel; an op with
+nothing to resolve gets its attribute dict.
+``ExecutionPlan`` runs the law and ``bind`` over all its steps once per feed
+shape; ``run_kernel`` and ``GraphBuilder.emit`` run both on the spot for
+their one node.  Each op has one kernel, whoever calls it, and no strided
+window view is built on geometry the shape law refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
 (C·kh·kw, Ho·Wo) matrix (im2col) and multiplies the filters into it;
@@ -18,16 +25,23 @@ output, so it never multiplies the zeros of a dilated input.
 
 Execution is planned once per model.  ``ExecutionPlan`` fixes the
 topological order, gives every value an integer slot, materializes the
-``Constant`` outputs once (read-only) and records where each intermediate is
-read for the last time; ``execute`` is then one loop over the plan that
-dispatches each node through ``eval_node`` and drops every intermediate after
-its last consumer.  ``execute`` takes a plan, or a model that it plans on the
-spot, so a model edited between calls is never run from a stale plan.  An
+``Constant`` outputs once (read-only), records where each intermediate is
+read for the last time and which steps need a finiteness scan; ``execute``
+is then one loop over the plan that dispatches each step through
+``eval_node`` with its bound parameters, scans the outputs of guarded steps
+and drops every intermediate after its last consumer.  A step is left
+unguarded only where no non-finite value can arise: its op maps finite
+inputs to finite outputs and it reads neither the feed nor a non-finite
+initializer, so a NumericError names the same node as a scan after every
+step would.  ``execute`` takes a plan, or a model that it plans on the spot,
+so a model edited between calls is never run from a stale plan.  An
 ``ExplainerArtifact`` builds its plan on its first ``explain`` and keeps it,
 so an artifact must not be changed after that.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,7 +49,7 @@ from .errors import NumericError, ShapeError, ValidationError
 from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, topological_order
 from .shapes import infer_node_shapes, window_attrs
 
-__all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
+__all__ = ["ExecutionPlan", "bind", "execute", "eval_node", "run_kernel"]
 
 
 def _sigmoid(x):
@@ -85,88 +99,114 @@ def _conv(x, w, bias, strides, pads, dilations):
     return out
 
 
-def _conv_transpose(x, w, bias, attrs):
-    """Adjoint of a unit-dilation Conv with the same weights and geometry,
-    split into stride phases (sub-pixel convolution).
+def _bind_conv_transpose(node, shapes):
+    """Output shape and stride-phase table of a unit-dilation ConvTranspose,
+    the adjoint of a Conv with the same weights and geometry.
 
     Output row j = q·s + r is row p = j + pad of the uncropped output, which
     input row i reaches through tap t = p - i·s, so only the taps
     t ≡ r + pad (mod s) feed phase r.  Each output phase (rh, rw) is one
     unit-stride Conv of x with its taps, flipped and channel-swapped, over x
     framed (or cropped, where the frame is negative) to exactly the rows the
-    phase reads.  A phase that no tap reaches stays zero; at stride 1 the one
-    phase is the whole output.
+    phase reads.  Per phase that some tap reaches, the table holds the
+    phase's output rows, its flipped taps, the crop of x and the frame; a
+    phase that no tap reaches stays zero.  At stride 1 the one phase is the
+    whole output and the shape is None.
     """
-    kernel, strides, pads, _ = window_attrs(attrs)
-    extra = attrs.get("output_padding", [0, 0])
+    x, w = shapes[0], shapes[1]
+    kernel, strides, pads, _ = window_attrs(node.attributes)
+    extra = node.attributes.get("output_padding", [0, 0])
     size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
-            in zip(x.shape[2:], kernel, strides, pads[:2], pads[2:], extra)]
-    out = None if strides == [1, 1] else \
-        np.zeros(x.shape[:1] + w.shape[1:2] + tuple(size), dtype=x.dtype)
+            in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra)]
+    phases = []
     for phase in np.ndindex(*strides):
-        first, crop, frame = [], [], [0, 0, 0, 0]
-        for a, (r, d, s, lo, n) in enumerate(zip(phase, x.shape[2:], strides,
-                                                  pads[:2], size)):
-            first.append((r + lo) % s)
-            m = len(range(first[a], kernel[a], s))        # taps of this phase
+        taps, crop, frame = [], [], [0, 0, 0, 0]
+        for a, (r, d, k, s, lo, n) in enumerate(zip(phase, x[2:], kernel, strides,
+                                                     pads[:2], size)):
+            first = (r + lo) % s
+            m = len(range(first, k, s))                   # taps of this phase
             before = m - 1 - (r + lo) // s                # frame; < 0 crops
             after = len(range(r, n, s)) - d + (r + lo) // s
+            taps.append(slice(first + (m - 1) * s, first - 1 if first else None, -s))
             crop.append(slice(max(-before, 0), d - max(-after, 0)))
             frame[a], frame[a + 2] = max(before, 0), max(after, 0)
-        taps = w[:, :, first[0]::strides[0], first[1]::strides[1]]
-        if 0 in taps.shape[2:] or any(r >= n for r, n in zip(phase, size)):
-            continue                                      # stays zero
-        taps = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        part = _conv(x[(Ellipsis, *crop)], taps, None, [1, 1], frame, [1, 1])
+            if m == 0 or r >= n:
+                break                                     # stays zero
+        else:
+            phases.append(((Ellipsis, slice(phase[0], None, strides[0]),
+                            slice(phase[1], None, strides[1])),
+                           (Ellipsis, *taps), (Ellipsis, *crop), frame))
+    shape = None if strides == [1, 1] else (x[0], w[1], *size)
+    return shape, phases
+
+
+def _conv_transpose(x, w, bias, geometry):
+    """ConvTranspose over the phase table ``_bind_conv_transpose`` resolved
+    for these shapes: one unit-stride Conv per phase."""
+    shape, phases = geometry
+    out = None if shape is None else np.zeros(shape, dtype=x.dtype)
+    for rows, taps, crop, frame in phases:
+        part = _conv(x[crop], w[taps].transpose(1, 0, 2, 3), None, [1, 1],
+                     frame, [1, 1])
         if out is None:
             out = part
         else:
-            out[:, :, phase[0]::strides[0], phase[1]::strides[1]] = part
+            out[rows] = part
     if bias is not None:
         out = out + bias.reshape(1, -1, 1, 1)
     return out
 
 
-def _pad(x, attrs):
-    pads = attrs["pads"]
-    return np.pad(x, list(zip(pads, pads[x.ndim:])),
-                  constant_values=attrs.get("value", 0.0))
+def _bind_pad(node, shapes):
+    pads = node.attributes["pads"]
+    return list(zip(pads, pads[len(shapes[0]):])), node.attributes.get("value", 0.0)
 
 
-def _slice(x, attrs):
+def _bind_slice(node, shapes):
+    attrs = node.attributes
     starts = attrs["starts"]
-    index = [slice(None)] * x.ndim
+    index = [slice(None)] * len(shapes[0])
     for start, end, axis, step in zip(starts, attrs["ends"],
                                       attrs.get("axes", range(len(starts))),
                                       attrs.get("steps", [1] * len(starts))):
         index[axis] = slice(start, end, step)
-    return np.ascontiguousarray(x[tuple(index)])
+    return tuple(index)
 
 
-def _max_pool(x, attrs):
-    kernel, strides, pads, dilations = window_attrs(attrs)
+def _max_pool(x, geometry):
+    kernel, strides, pads, dilations = geometry
     framed = _framed(x, pads, np.finfo(x.dtype).min)
     return _window_views(framed, kernel, strides, dilations).max(axis=(2, 3))
 
 
-def _avg_pool(x, attrs):
-    kernel, strides, pads, dilations = window_attrs(attrs)
-    ones = _framed(np.ones((1, 1) + x.shape[2:], dtype=x.dtype), pads)
-    total = _window_views(_framed(x, pads), kernel, strides, dilations).sum(axis=(2, 3))
+def _bind_avg_pool(node, shapes):
+    """Window geometry and the divisor plane: the in-bounds cell count of
+    every window, so padding is excluded from the mean."""
+    kernel, strides, pads, dilations = window_attrs(node.attributes)
+    ones = _framed(np.ones((1, 1) + tuple(shapes[0][2:])), pads)
     count = _window_views(ones, kernel, strides, dilations).sum(axis=(2, 3))
-    return total / count
+    return kernel, strides, pads, dilations, count
 
 
-def _reduce(x, attrs, fn):
-    axes = attrs.get("axes")
-    axes = tuple(range(x.ndim)) if axes is None else tuple(a % x.ndim for a in axes)
-    keep = bool(attrs.get("keepdims", 1))
-    return fn(x, axis=axes, keepdims=keep)
+def _avg_pool(x, geometry):
+    kernel, strides, pads, dilations, count = geometry
+    total = _window_views(_framed(x, pads), kernel, strides, dilations).sum(axis=(2, 3))
+    # the count plane is float64; dividing in x's dtype keeps float32 float32
+    return np.divide(total, count, out=total, dtype=total.dtype)
+
+
+def _bind_reduce(node, shapes):
+    rank = len(shapes[0])
+    axes = node.attributes.get("axes")
+    axes = tuple(range(rank)) if axes is None else tuple(a % rank for a in axes)
+    return axes, bool(node.attributes.get("keepdims", 1))
 
 
 def _softmax(x, attrs):
     axis = attrs.get("axis", -1)
-    shifted = x - x.max(axis=axis, keepdims=True)
+    # a shift below -finfo.max rounds to -inf, whose exp is the exact weight 0
+    with np.errstate(over="ignore"):
+        shifted = x - x.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=axis, keepdims=True)
 
@@ -191,18 +231,18 @@ def _batch_norm(inputs, attrs):
     return x * k + (bias.reshape(shape) - mean.reshape(shape) * k)
 
 
-def _split(x, node):
-    axis = node.attributes.get("axis", 0) % x.ndim
+def _bind_split(node, shapes):
+    """One index per output: its part of the split axis."""
+    x = shapes[0]
+    axis = node.attributes.get("axis", 0) % len(x)
     parts = node.attributes.get("split")
     if parts is None:
-        parts = [x.shape[axis] // len(node.outputs)] * len(node.outputs)
-    offsets = np.cumsum([0] + list(parts))
-    slicer = [slice(None)] * x.ndim
-    out = []
-    for start, size in zip(offsets, parts):
-        slicer[axis] = slice(int(start), int(start + size))
-        out.append(np.ascontiguousarray(x[tuple(slicer)]))
-    return out
+        parts = [x[axis] // len(node.outputs)] * len(node.outputs)
+    index, start = [], 0
+    for size in parts:
+        index.append((slice(None),) * axis + (slice(start, start + size),))
+        start += size
+    return index
 
 
 def _constant(node):
@@ -219,55 +259,93 @@ def _where(cond, a, b):
     return np.where(cond, a, b)
 
 
-# op_type -> kernel(inputs, attributes, node) returning one array per output
-_KERNELS = {
-    "MatMul": lambda x, a, n: [np.matmul(x[0], x[1])],
-    "Gemm": lambda x, a, n: [_gemm(x, a)],
-    "Conv": lambda x, a, n: [_conv(x[0], x[1], x[2] if len(x) == 3 else None,
-                                   *window_attrs(a)[1:])],
-    "Add": lambda x, a, n: [x[0] + x[1]],
-    "Sub": lambda x, a, n: [x[0] - x[1]],
-    "Mul": lambda x, a, n: [x[0] * x[1]],
-    "Div": lambda x, a, n: [x[0] / x[1]],
-    "Concat": lambda x, a, n: [np.concatenate(x, axis=a["axis"])],
-    "Relu": lambda x, a, n: [np.maximum(x[0], 0)],
-    "Sigmoid": lambda x, a, n: [_sigmoid(x[0])],
-    "Tanh": lambda x, a, n: [np.tanh(x[0])],
-    "Exp": lambda x, a, n: [np.exp(x[0])],
-    "Softmax": lambda x, a, n: [_softmax(x[0], a)],
-    "MaxPool": lambda x, a, n: [_max_pool(x[0], a)],
-    "AveragePool": lambda x, a, n: [_avg_pool(x[0], a)],
-    "GlobalAveragePool": lambda x, a, n: [x[0].mean(axis=(2, 3), keepdims=True)],
-    "GlobalMaxPool": lambda x, a, n: [x[0].max(axis=(2, 3), keepdims=True)],
-    "BatchNormalization": lambda x, a, n: [_batch_norm(x, a)],
-    "Transpose": lambda x, a, n: [np.ascontiguousarray(x[0].transpose(a["perm"]))],
-    "Reshape": lambda x, a, n: [x[0].reshape(a["shape"])],
-    "Flatten": lambda x, a, n: [x[0].reshape(
-        int(np.prod(x[0].shape[:a.get("axis", 1)], dtype=np.int64)), -1)],
-    "ReduceSum": lambda x, a, n: [_reduce(x[0], a, np.sum)],
-    "ReduceMean": lambda x, a, n: [_reduce(x[0], a, np.mean)],
-    "Greater": lambda x, a, n: [x[0] > x[1]],
-    "Where": lambda x, a, n: [_where(x[0], x[1], x[2])],
-    "Tile": lambda x, a, n: [np.tile(x[0], a["repeats"])],
-    "Split": lambda x, a, n: _split(x[0], n),
-    "Constant": lambda x, a, n: [_constant(n)],
-    "Abs": lambda x, a, n: [np.abs(x[0])],
-    "Pad": lambda x, a, n: [_pad(x[0], a)],
-    "Slice": lambda x, a, n: [_slice(x[0], a)],
-    "ConvTranspose": lambda x, a, n: [_conv_transpose(
-        x[0], x[1], x[2] if len(x) == 3 else None, a)],
+# op_type -> binder(node, input shapes) returning the parameters of its
+# kernel at those shapes; an op without a binder takes its attribute dict
+_BINDERS = {
+    "Conv": lambda n, s: window_attrs(n.attributes)[1:],
+    "ConvTranspose": _bind_conv_transpose,
+    "MaxPool": lambda n, s: window_attrs(n.attributes),
+    "AveragePool": _bind_avg_pool,
+    "Flatten": lambda n, s: (math.prod(s[0][:n.attributes.get("axis", 1)]), -1),
+    "ReduceSum": _bind_reduce,
+    "ReduceMean": _bind_reduce,
+    "Split": _bind_split,
+    "Constant": lambda n, s: n,
+    "Pad": _bind_pad,
+    "Slice": _bind_slice,
 }
 
+# op_type -> kernel(inputs, parameters) returning one array per output
+_KERNELS = {
+    "MatMul": lambda x, p: [np.matmul(x[0], x[1])],
+    "Gemm": lambda x, p: [_gemm(x, p)],
+    "Conv": lambda x, p: [_conv(x[0], x[1], x[2] if len(x) == 3 else None, *p)],
+    "Add": lambda x, p: [x[0] + x[1]],
+    "Sub": lambda x, p: [x[0] - x[1]],
+    "Mul": lambda x, p: [x[0] * x[1]],
+    "Div": lambda x, p: [x[0] / x[1]],
+    "Concat": lambda x, p: [np.concatenate(x, axis=p["axis"])],
+    "Relu": lambda x, p: [np.maximum(x[0], 0)],
+    "Sigmoid": lambda x, p: [_sigmoid(x[0])],
+    "Tanh": lambda x, p: [np.tanh(x[0])],
+    "Exp": lambda x, p: [np.exp(x[0])],
+    "Softmax": lambda x, p: [_softmax(x[0], p)],
+    "MaxPool": lambda x, p: [_max_pool(x[0], p)],
+    "AveragePool": lambda x, p: [_avg_pool(x[0], p)],
+    "GlobalAveragePool": lambda x, p: [x[0].mean(axis=(2, 3), keepdims=True)],
+    "GlobalMaxPool": lambda x, p: [x[0].max(axis=(2, 3), keepdims=True)],
+    "BatchNormalization": lambda x, p: [_batch_norm(x, p)],
+    "Transpose": lambda x, p: [np.ascontiguousarray(x[0].transpose(p["perm"]))],
+    "Reshape": lambda x, p: [x[0].reshape(p["shape"])],
+    "Flatten": lambda x, p: [x[0].reshape(p)],
+    "ReduceSum": lambda x, p: [np.sum(x[0], axis=p[0], keepdims=p[1])],
+    "ReduceMean": lambda x, p: [np.mean(x[0], axis=p[0], keepdims=p[1])],
+    "Greater": lambda x, p: [x[0] > x[1]],
+    "Where": lambda x, p: [_where(x[0], x[1], x[2])],
+    "Tile": lambda x, p: [np.tile(x[0], p["repeats"])],
+    "Split": lambda x, p: [np.ascontiguousarray(x[0][index]) for index in p],
+    "Constant": lambda x, p: [_constant(p)],
+    "Abs": lambda x, p: [np.abs(x[0])],
+    "Pad": lambda x, p: [np.pad(x[0], p[0], constant_values=p[1])],
+    "Slice": lambda x, p: [np.ascontiguousarray(x[0][p])],
+    "ConvTranspose": lambda x, p: [_conv_transpose(
+        x[0], x[1], x[2] if len(x) == 3 else None, p)],
+}
 
-def eval_node(node: Node, inputs: list[np.ndarray]) -> list[np.ndarray]:
+# Ops whose kernel cannot turn finite operands into a non-finite value: they
+# select, copy, compare, take maxima or are bounded (Sigmoid, Tanh,
+# Softmax).  Pad is one only while its fill value is finite.
+_FINITE_CLOSED = frozenset({
+    "Where", "Greater", "Reshape", "Flatten", "Transpose", "Slice", "Concat",
+    "Split", "Abs", "Relu", "MaxPool", "GlobalMaxPool", "Tile", "Sigmoid",
+    "Tanh", "Softmax", "Pad"})
+
+
+def _closed_over_finite(node: Node) -> bool:
+    """Whether ``node`` gives finite outputs whenever its inputs are finite."""
+    return node.op_type in _FINITE_CLOSED and (
+        node.op_type != "Pad" or math.isfinite(node.attributes.get("value", 0.0)))
+
+
+def bind(node: Node, in_shapes: list[tuple[int, ...]]):
+    """The parameters ``eval_node`` takes for ``node`` on inputs of these
+    concrete shapes: window geometry with its defaults filled in, the phase
+    table of a ``ConvTranspose``, the divisor plane of an ``AveragePool``, the
+    index of a ``Slice`` or ``Split``.  The node's shape law must already
+    have passed on the same shapes."""
+    binder = _BINDERS.get(node.op_type)
+    return node.attributes if binder is None else binder(node, in_shapes)
+
+
+def eval_node(node: Node, inputs: list[np.ndarray], params) -> list[np.ndarray]:
     """Apply one operator to concrete arrays; returns one array per output.
 
-    The node's shape law must already have passed on the inputs' shapes.
+    ``params`` is what ``bind`` returned for the node at the inputs' shapes.
     Every kernel takes its dtype from its operands or, for ``Constant``, its
     attributes.
     """
     try:
-        return _KERNELS[node.op_type](inputs, node.attributes, node)
+        return _KERNELS[node.op_type](inputs, params)
     except ValueError as exc:
         raise ShapeError(f"{node.op_type}: {exc}") from exc
 
@@ -278,8 +356,9 @@ def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None
     then its kernel."""
     node = Node(op_type, "anon", [f"i{k}" for k in range(len(inputs))],
                 [f"o{k}" for k in range(n_outputs)], dict(attrs or {}))
-    infer_node_shapes(node, [x.shape for x in inputs])
-    return eval_node(node, inputs)
+    shapes = [x.shape for x in inputs]
+    infer_node_shapes(node, shapes)
+    return eval_node(node, inputs, bind(node, shapes))
 
 
 def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
@@ -314,14 +393,31 @@ class ExecutionPlan:
     read-only, and per step the slots it reads for the last time, so that an
     intermediate is dropped as soon as its last consumer has run.  It keeps
     the model's initializer arrays by reference and reads nothing else from
-    the model after it is built: a model changed afterwards needs a new plan.
+    the model after it is built: a model changed afterwards, initializer
+    contents included, needs a new plan.
 
     Checks run here, not in the kernels.  A ``Constant``'s shape law runs
-    when the plan is built.  Every step's law runs in ``verify`` on the
-    concrete shapes of a feed, the first time the plan sees those feed shapes
-    and again only when they change, so a plan over a free-batch model checks
-    again when the batch changes.  A law that refuses raises ShapeError or
-    UnsupportedOp naming the node, before any kernel of that feed runs.
+    when the plan is built.  ``verify`` runs every step's law on the concrete
+    shapes of a feed and binds the step to them: ``bind`` resolves its kernel
+    parameters (window geometry, the ``ConvTranspose`` phase table, the
+    ``AveragePool`` divisor plane).  Both happen the first time the plan sees
+    those feed shapes and again only when they change, so a plan over a
+    free-batch model checks and binds again when the batch changes.  The
+    feed shapes and the parameters bound to them are replaced as one value,
+    so a feed never runs on parameters bound to another's shapes.  A law
+    that refuses raises ShapeError, UnsupportedOp or ValidationError naming
+    the node, before any kernel of that feed runs.
+
+    Each step records whether its outputs are scanned for non-finite values.
+    A step is unguarded only when its op maps finite inputs to finite outputs
+    (``_FINITE_CLOSED``) and each of its inputs is the output of an earlier
+    step, a ``Constant``, or an initializer found finite when the plan was
+    built; a step that reads the feed or a non-finite initializer is guarded.
+    That is exact: by induction over the order, every input of an unguarded
+    step is finite once the guarded steps before it passed (a non-finite
+    ``Constant`` stops ``execute`` before the first step), so its outputs are
+    finite, and the first node a NumericError names is the one a scan after
+    every step would name.
     """
 
     def __init__(self, model: GraphModel):
@@ -329,16 +425,19 @@ class ExecutionPlan:
         self.template: list[np.ndarray | None] = []
         # (node name, value name) of the first non-finite Constant output
         self.non_finite: tuple[str, str] | None = None
-        # feed shapes that every step's shape law last passed on
-        self.verified: tuple[tuple[int, ...], ...] | None = None
+        # (feed shapes that every step's shape law last passed on, each
+        # step's kernel parameters bound to them), replaced as one value
+        self.bound: tuple[tuple | None, list] = (None, [])
         self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
-        for name, tensor in model.initializers.items():
-            self._claim(name, tensor.array)
+        initial = {self._claim(name, tensor.array): tensor.array
+                   for name, tensor in model.initializers.items()}
+        unchecked = {slot for _, slot in self.feed}
+        unchecked.update(slot for slot, arr in initial.items() if not _finite(arr))
         steps = []
         for node in topological_order(model):
             if node.op_type == "Constant":
                 infer_node_shapes(node, [])
-                for name, arr in zip(node.outputs, eval_node(node, [])):
+                for name, arr in zip(node.outputs, eval_node(node, [], bind(node, []))):
                     arr.flags.writeable = False
                     if self.non_finite is None and not _finite(arr):
                         self.non_finite = (node.name, name)
@@ -346,7 +445,8 @@ class ExecutionPlan:
                 continue
             ins = tuple(self.slots[name] for name in node.inputs)
             outs = tuple(self._claim(name, None) for name in node.outputs)
-            steps.append((node, ins, outs))
+            guarded = not _closed_over_finite(node) or not unchecked.isdisjoint(ins)
+            steps.append((node, ins, outs, guarded))
         self.outputs: list[tuple[str, int]] = []
         for spec in model.outputs:
             if spec.name not in self.slots:
@@ -354,7 +454,7 @@ class ExecutionPlan:
             self.outputs.append((spec.name, self.slots[spec.name]))
 
         last_read: dict[int, int] = {}
-        for k, (_, ins, outs) in enumerate(steps):
+        for k, (_, ins, outs, _) in enumerate(steps):
             for slot in ins:
                 last_read[slot] = k
             for slot in outs:
@@ -364,22 +464,27 @@ class ExecutionPlan:
         for slot, k in last_read.items():
             if slot not in kept:
                 frees[k].append(slot)
-        self.steps = [(node, ins, outs, tuple(free))
-                      for (node, ins, outs), free in zip(steps, frees)]
+        self.steps = [(node, ins, outs, tuple(free), guarded)
+                      for (node, ins, outs, guarded), free in zip(steps, frees)]
 
-    def verify(self, values: list) -> None:
+    def verify(self, values: list) -> list:
         """Run every step's shape law on the shapes of ``values``, a slot
-        list with the feed filled in, unless the feed shapes are the ones
-        last verified."""
+        list with the feed filled in, and bind the step's kernel parameters
+        to them, unless the feed shapes are the ones last verified.  Returns
+        the parameters of every step, in step order."""
         fed = tuple(values[slot].shape for _, slot in self.feed)
-        if fed == self.verified:
-            return
+        verified, params = self.bound
+        if fed == verified:
+            return params
         shapes = [None if v is None else v.shape for v in values]
-        for node, ins, outs, _ in self.steps:
-            for slot, shape in zip(outs, infer_node_shapes(
-                    node, [shapes[s] for s in ins])):
+        params = []
+        for node, ins, outs, _, _ in self.steps:
+            in_shapes = [shapes[s] for s in ins]
+            for slot, shape in zip(outs, infer_node_shapes(node, in_shapes)):
                 shapes[slot] = shape
-        self.verified = fed
+            params.append(bind(node, in_shapes))
+        self.bound = (fed, params)
+        return params
 
     def _claim(self, name: str, value) -> int:
         if name in self.slots:
@@ -398,21 +503,23 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     passes that.  Returns ``(outputs, trace)`` where outputs maps each
     declared graph output to its array and trace maps every value name to its
     array when ``capture`` is set (None otherwise).  Without ``capture``
-    each intermediate is released after its last consumer runs.
+    each intermediate is released after its last consumer runs.  With
+    ``check_numerics`` the first node whose output holds a NaN or an
+    infinity raises NumericError.
     """
     plan = model_or_plan if isinstance(model_or_plan, ExecutionPlan) \
         else ExecutionPlan(model_or_plan)
     values = list(plan.template)
     for spec, slot in plan.feed:
         values[slot] = _coerce_input(spec, feed)
-    plan.verify(values)
+    params = plan.verify(values)
     if check_numerics and plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
-    for node, ins, outs, frees in plan.steps:
-        results = eval_node(node, [values[s] for s in ins])
+    for (node, ins, outs, frees, guarded), bound in zip(plan.steps, params):
+        results = eval_node(node, [values[s] for s in ins], bound)
         for name, slot, arr in zip(node.outputs, outs, results):
-            if check_numerics and not _finite(arr):
+            if guarded and check_numerics and not _finite(arr):
                 raise NumericError(
                     f"node {node.name!r} produced non-finite values in {name!r}")
             values[slot] = arr

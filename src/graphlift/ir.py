@@ -80,6 +80,21 @@ _ARITY = {
 
 SUPPORTED_OPS = frozenset(_ARITY)
 
+
+def _check_arity(node: Node, n_inputs: int) -> None:
+    """ValidationError naming ``node`` unless its supported op takes
+    ``n_inputs`` operands and produces as many outputs as it declares."""
+    lo, hi, n_out = _ARITY[node.op_type]
+    if n_inputs < lo or (hi is not None and n_inputs > hi):
+        raise ValidationError(
+            f"node {node.name!r}: {node.op_type} takes between {lo} and "
+            f"{hi if hi is not None else 'any'} inputs, got {n_inputs}")
+    if n_out is not None and len(node.outputs) != n_out:
+        raise ValidationError(
+            f"node {node.name!r}: {node.op_type} produces {n_out} outputs, "
+            f"got {len(node.outputs)}")
+
+
 # op_type -> {attribute name: kind}, with the subset that is mandatory.
 _ATTR_KINDS = {
     "Gemm": {"alpha": "float", "beta": "float", "transA": "int", "transB": "int"},
@@ -271,15 +286,7 @@ def validate_model(model: GraphModel) -> None:
         if not node.name or node.name in seen_node_names:
             raise ValidationError(f"node name {node.name!r} is missing or duplicated")
         seen_node_names.add(node.name)
-        lo, hi, n_out = _ARITY[node.op_type]
-        if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
-            raise ValidationError(
-                f"node {node.name!r}: {node.op_type} takes between {lo} and "
-                f"{hi if hi is not None else 'any'} inputs, got {len(node.inputs)}")
-        if n_out is not None and len(node.outputs) != n_out:
-            raise ValidationError(
-                f"node {node.name!r}: {node.op_type} produces {n_out} outputs, "
-                f"got {len(node.outputs)}")
+        _check_arity(node, len(node.inputs))
         if not node.outputs:
             raise ValidationError(f"node {node.name!r} declares no outputs")
         allowed = _ATTR_KINDS.get(node.op_type, {})

@@ -2,12 +2,12 @@
 
 The forward graph is parsed into two maps: consumers of every value and the
 producer of every value.  The backward graph keys a vertex by each produced
-value name; a vertex's neighbors are the producers of the values its node
-consumes, i.e. edges point from the explained output toward the model input.
-A vertex whose value feeds several downstream consumers must collect one
-gradient flow per consumer before it can fire, which ``forward_times``
-records.  Consumers that cannot influence the explained output (constant-only
-branches, heads that are not being explained) are excluded from that count.
+value name; the traversal reaches the producers of the values a vertex's node
+consumes, from the explained output toward the model input.  A vertex whose
+value feeds several downstream consumers must collect one gradient flow per
+consumer before it can fire, which ``forward_times`` records.  Consumers that
+cannot influence the explained output (constant-only branches, heads that are
+not being explained) are excluded from that count.
 """
 
 from __future__ import annotations
@@ -20,24 +20,18 @@ from .ir import GraphModel, Node
 __all__ = [
     "GraphVertex",
     "BackwardGraph",
-    "BACKWARD_START",
     "build_io_maps",
     "mark_differentiable",
     "build_backward_graph",
-    "format_backward_graph",
 ]
-
-BACKWARD_START = "backward_start"
 
 
 @dataclass
 class GraphVertex:
     """Traversal state for the producer of one value."""
 
-    node: Node | None
-    neighbors: list[Node] = field(default_factory=list)
+    node: Node
     flowin_grads: list[str] = field(default_factory=list)
-    flowout_grad: str | None = None
     forward_times: int = 1
     pass_grads: dict[str, bool] = field(default_factory=dict)
 
@@ -50,7 +44,6 @@ class BackwardGraph:
     explained_output: str
     differentiable: set[str]
     relevant_nodes: set[str]
-    input_names: set[str]
 
     def vertex_for_node(self, node: Node) -> GraphVertex:
         return self.vertices[node.outputs[0]]
@@ -112,8 +105,6 @@ def build_backward_graph(model: GraphModel,
     for node in model.nodes:
         vertex = GraphVertex(node=node)
         vertex.pass_grads = {i: (i in diff) for i in node.inputs}
-        vertex.neighbors = [output2node[i] for i in dict.fromkeys(node.inputs)
-                            if i in output2node]
         for out in node.outputs:
             vertices[out] = vertex
 
@@ -130,7 +121,6 @@ def build_backward_graph(model: GraphModel,
             if iname in diff and iname in output2node:
                 frontier.append(output2node[iname])
 
-    input_names = {spec.name for spec in model.inputs}
     for name, consumers in input2node.items():
         if name not in vertices or name not in diff:
             continue
@@ -139,30 +129,9 @@ def build_backward_graph(model: GraphModel,
             count += 1  # the seed gradient arrives from downstream of the graph
         vertices[name].forward_times = max(count, 1)
 
-    start = GraphVertex(node=None, neighbors=[output2node[explained_output]])
-    vertices[BACKWARD_START] = start
     return BackwardGraph(
         vertices=vertices,
         explained_output=explained_output,
         differentiable=diff,
         relevant_nodes=relevant,
-        input_names=input_names,
     )
-
-
-def format_backward_graph(bg: BackwardGraph) -> str:
-    """Human-readable adjacency dump for debugging."""
-    lines = [f"explained output: {bg.explained_output}"]
-    for name, vertex in bg.vertices.items():
-        if name == BACKWARD_START:
-            targets = ", ".join(n.name for n in vertex.neighbors)
-            lines.append(f"{name} -> [{targets}]")
-            continue
-        if vertex.node is None or name != vertex.node.outputs[0]:
-            continue
-        targets = ", ".join(n.name for n in vertex.neighbors) or "-"
-        passes = ", ".join(i for i, ok in vertex.pass_grads.items() if ok) or "-"
-        lines.append(
-            f"{name} (node {vertex.node.name}, op {vertex.node.op_type}) -> "
-            f"[{targets}] flows={vertex.forward_times} grads_to=[{passes}]")
-    return "\n".join(lines)

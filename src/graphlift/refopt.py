@@ -28,7 +28,7 @@ import numpy as np
 from .autodiff import differentiate
 from .builder import GraphBuilder, RuleEnv
 from .errors import ShapeError, UnsupportedOp, ValidationError
-from .executor import eval_node, execute
+from .executor import bind, eval_node, execute
 from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
                  model_digest, topological_order, validate_model)
 from .parser import build_backward_graph, mark_differentiable
@@ -95,8 +95,9 @@ def _const_chain(model: GraphModel) -> dict[str, np.ndarray]:
     known = {name: tv.array for name, tv in model.initializers.items()}
     for node in topological_order(model):
         if all(i in known for i in node.inputs):   # a Constant has no inputs
-            known.update(zip(node.outputs,
-                             eval_node(node, [known[i] for i in node.inputs])))
+            args = [known[i] for i in node.inputs]
+            known.update(zip(node.outputs, eval_node(
+                node, args, bind(node, [a.shape for a in args]))))
     return known
 
 

@@ -10,7 +10,7 @@ unchecked on whatever its law accepts.
 from __future__ import annotations
 
 from .errors import ShapeError, UnsupportedOp
-from .ir import GraphModel, Node
+from .ir import SUPPORTED_OPS, GraphModel, Node, _check_arity
 
 __all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
            "window_attrs"]
@@ -126,7 +126,8 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
 
 def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Output shapes of one node, or ShapeError / UnsupportedOp naming the
-    node for operands or attributes its kernel cannot run on.
+    node for operands or attributes its kernel cannot run on, and
+    ValidationError for a wrong number of operands or outputs.
 
     This is the only check of a node's operands and attributes: the
     executor's kernels assume that the law has passed on their shapes.
@@ -140,6 +141,8 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
 def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     op = node.op_type
     attrs = node.attributes
+    if op in SUPPORTED_OPS:
+        _check_arity(node, len(in_shapes))
 
     if op in ("Add", "Sub", "Mul", "Div", "Greater"):
         return [broadcast_shapes(in_shapes[0], in_shapes[1])]
@@ -216,8 +219,9 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
 
     if op == "BatchNormalization":
         x = in_shapes[0]
-        if len(x) < 2 or len(in_shapes) != 5 \
-                or any(tuple(p) != (x[1],) for p in in_shapes[1:]):
+        if len(x) < 2:
+            raise ShapeError(f"BatchNormalization needs a channel axis, got {x}")
+        if any(tuple(p) != (x[1],) for p in in_shapes[1:]):
             raise ShapeError(f"BatchNormalization of {x} takes scale, bias, "
                              f"mean and variance of shape ({x[1]},), got "
                              f"{in_shapes[1:]}")

@@ -237,15 +237,15 @@ def test_plan_matches_per_call_planning_bit_for_bit(artifacts, name):
 def test_plan_frees_each_intermediate_after_its_last_reader(artifacts):
     plan = ExecutionPlan(artifacts("residual_add", "float64").model)
     outputs = {slot for _, slot in plan.outputs}
-    produced = {s for _, _, outs, _ in plan.steps for s in outs}
+    produced = {s for _, _, outs, _, _ in plan.steps for s in outs}
     freed_at = {}
-    for k, (_, _, _, frees) in enumerate(plan.steps):
+    for k, (_, _, _, frees, _) in enumerate(plan.steps):
         for slot in frees:
             assert slot not in freed_at, "freed twice"
             freed_at[slot] = k
     assert produced - outputs <= set(freed_at)
     assert not outputs & set(freed_at)
-    for k, (_, ins, _, _) in enumerate(plan.steps):
+    for k, (_, ins, _, _, _) in enumerate(plan.steps):
         assert all(freed_at.get(s, k) >= k for s in ins), "read after free"
 
 
@@ -275,7 +275,7 @@ def test_constants_are_materialized_once_and_read_only():
     second, _ = execute(plan, {"x": np.ones((1, 2))})
     assert first["k"] is second["k"]
     assert not first["k"].flags.writeable
-    assert [node.name for node, _, _, _ in plan.steps] == ["m"]
+    assert [node.name for node, _, _, _, _ in plan.steps] == ["m"]
 
 
 def test_execute_replans_a_mutated_model():
@@ -342,9 +342,145 @@ def test_plan_checks_again_when_the_batch_changes(monkeypatch):
     assert calls == ["r", "a", "r", "a"]
     kernels = []
     monkeypatch.setattr(executor, "eval_node",
-                        lambda node, inputs: kernels.append(node.name))
+                        lambda node, inputs, params: kernels.append(node.name))
     # (3, 2) does not broadcast against the (2, 2) weight: refused by the
     # law of 'a' before the kernel of 'r' runs
     with pytest.raises(ShapeError, match="'a'"):
         execute(plan, {"x": np.ones((3, 2))})
     assert calls[4:] == ["r", "a"] and kernels == []
+
+
+def extremes(dtype, shape, seed):
+    """An array of ``shape`` filled with ±finfo.max, ±finfo.tiny, zeros and
+    ordinary values in random positions."""
+    info = np.finfo(dtype)
+    pool = np.array([info.max, -info.max, info.tiny, -info.tiny, 0.0, 1.0,
+                     -2.5, 3.0], dtype=dtype)
+    return np.random.default_rng(seed).choice(pool, size=shape)
+
+
+# (op, input shapes, attributes, outputs) for every op the guard may skip
+FINITE_CLOSED_CASES = [
+    ("Where", [(2, 3, 4, 4), (2, 3, 4, 4), (1, 3, 1, 4)], {}, 1),
+    ("Greater", [(2, 3, 4, 4), (2, 3, 4, 4)], {}, 1),
+    ("Reshape", [(2, 3, 4, 4)], {"shape": [2, -1]}, 1),
+    ("Flatten", [(2, 3, 4, 4)], {"axis": 2}, 1),
+    ("Transpose", [(2, 3, 4, 4)], {"perm": [0, 2, 3, 1]}, 1),
+    ("Slice", [(2, 3, 4, 4)], {"starts": [3, 0], "ends": [0, 4], "axes": [2, 3],
+                               "steps": [-1, 2]}, 1),
+    ("Concat", [(2, 3, 4, 4), (2, 1, 4, 4)], {"axis": 1}, 1),
+    ("Split", [(2, 3, 4, 4)], {"axis": 1, "split": [1, 2]}, 2),
+    ("Abs", [(2, 3, 4, 4)], {}, 1),
+    ("Relu", [(2, 3, 4, 4)], {}, 1),
+    ("MaxPool", [(2, 3, 4, 4)], {"kernel_shape": [3, 3], "strides": [2, 2],
+                                 "pads": [2, 1, 2, 1]}, 1),
+    ("GlobalMaxPool", [(2, 3, 4, 4)], {}, 1),
+    ("Tile", [(2, 3, 4, 4)], {"repeats": [1, 2, 1, 3]}, 1),
+    ("Sigmoid", [(2, 3, 4, 4)], {}, 1),
+    ("Tanh", [(2, 3, 4, 4)], {}, 1),
+    ("Softmax", [(2, 3, 4, 4)], {"axis": 1}, 1),
+    ("Pad", [(2, 3, 4, 4)], {"pads": [0, 0, 1, 2, 0, 1, 0, 1],
+                             "value": -3.4e38}, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, shapes, attrs, n_outputs", FINITE_CLOSED_CASES)
+def test_unguarded_ops_keep_finite_inputs_finite(op, shapes, attrs, n_outputs,
+                                                 dtype):
+    for seed in range(4):
+        arrays = [extremes(dtype, shape, seed + k) for k, shape in enumerate(shapes)]
+        if op == "Where":
+            arrays[0] = arrays[0] > 0
+        outs = run_kernel(op, arrays, attrs, n_outputs)
+        assert all(np.isfinite(out).all() for out in outs), (op, seed)
+
+
+def test_guard_skips_exactly_the_finite_closed_ops():
+    closed = executor._FINITE_CLOSED
+    assert closed <= gl.ir.SUPPORTED_OPS
+    assert {case[0] for case in FINITE_CLOSED_CASES} == closed
+
+    def node(op, **attrs):
+        return Node(op, "n", ["x"], ["y"], attrs)
+
+    for op in gl.ir.SUPPORTED_OPS:
+        assert executor._closed_over_finite(node(op)) == (op in closed), op
+    assert executor._closed_over_finite(node("Pad", value=-1e300))
+    for value in (np.inf, -np.inf, np.nan):
+        assert not executor._closed_over_finite(node("Pad", value=value))
+
+
+def chain_model(nodes, initializers=None, shape=(-1, 2)):
+    """x -> nodes -> y, float64."""
+    return GraphModel("g", [ValueSpec("x", "float64", shape)],
+                      [ValueSpec("y", "float64", shape)],
+                      {k: TensorValue(v) for k, v in (initializers or {}).items()},
+                      nodes)
+
+
+def test_non_finite_feed_is_named_at_its_first_reader():
+    plan = ExecutionPlan(chain_model([Node("Relu", "first", ["x"], ["h"]),
+                                      Node("Tanh", "second", ["h"], ["y"])]))
+    with pytest.raises(NumericError, match="'first'"):
+        execute(plan, {"x": np.array([[1.0, np.nan]])})
+
+
+def test_where_selecting_a_non_finite_initializer_is_named():
+    model = chain_model([Node("Relu", "r", ["x"], ["h"]),
+                         Node("Greater", "g", ["h", "two"], ["m"]),
+                         Node("Where", "pick", ["m", "h", "bad"], ["y"])],
+                        {"two": np.full((1, 2), 2.0), "bad": np.ones((1, 2))})
+    # TensorValue refuses a non-finite payload; an array edited in place
+    # afterwards is how an initializer comes to hold one
+    model.initializers["bad"].array[0, 0] = np.nan
+    plan = ExecutionPlan(model)
+    with pytest.raises(NumericError, match="'pick'"):
+        execute(plan, {"x": np.ones((1, 2))})
+    # the same plan passes a feed for which the Where never selects the NaN
+    outs, _ = execute(plan, {"x": np.full((1, 2), 3.0)})
+    assert np.array_equal(outs["y"], np.full((1, 2), 3.0))
+
+
+def test_pad_with_an_infinite_fill_is_named():
+    plan = ExecutionPlan(chain_model(
+        [Node("Relu", "r", ["x"], ["h"]),
+         Node("Pad", "frame", ["h"], ["y"], {"pads": [0, 1, 0, 1],
+                                             "value": float("inf")})]))
+    with pytest.raises(NumericError, match="'frame'"):
+        execute(plan, {"x": np.ones((1, 2))})
+
+
+def test_plan_rebinds_a_strided_conv_transpose_when_the_batch_changes():
+    w = RNG.normal(size=(3, 2, 3, 3))
+    attrs = {"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 0, 1],
+             "output_padding": [1, 0]}
+    plan = ExecutionPlan(GraphModel(
+        "ct", [ValueSpec("x", "float64", (-1, 3, 4, 5))],
+        [ValueSpec("y", "float64", (-1, 2, 9, 9))], {"w": TensorValue(w)},
+        [Node("ConvTranspose", "up", ["x", "w"], ["y"], attrs)]))
+    for batch in (2, 3, 2):
+        x = RNG.normal(size=(batch, 3, 4, 5))
+        got = execute(plan, {"x": x})[0]["y"]
+        want = run_kernel("ConvTranspose", [x, w], attrs)[0]
+        assert got.shape == want.shape == (batch, 2, 9, 9)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
+                                                           monkeypatch):
+    built = artifacts("plain_deep", "float32")
+    art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
+    binds = []
+    bind = executor.bind
+
+    def counted(node, in_shapes):
+        binds.append(node.name)
+        return bind(node, in_shapes)
+
+    monkeypatch.setattr(executor, "bind", counted)
+    xs = gl.random_inputs(art.model, 2, seed=4)
+    gl.explain(art, xs[0])
+    assert sorted(binds) == sorted(node.name for node in art.model.nodes)
+    gl.explain(art, xs[1])
+    assert len(binds) == len(art.model.nodes)

@@ -5,8 +5,7 @@ import pytest
 
 import graphlift as gl
 from graphlift import GraphModel, Node, NoPathError, TensorValue, ValueSpec
-from graphlift.parser import (BACKWARD_START, build_backward_graph,
-                              build_io_maps, format_backward_graph,
+from graphlift.parser import (build_backward_graph, build_io_maps,
                               mark_differentiable)
 
 
@@ -90,15 +89,19 @@ def test_pass_grads_mark_constant_operands():
     assert mix.pass_grads == {"x": True, "w": False}
 
 
-def test_start_vertex_points_at_explained_producer():
+def test_explained_output_vertex_is_its_producer():
     bg = build_backward_graph(diamond_model())
-    start = bg.vertices[BACKWARD_START]
-    assert start.node is None
-    assert [n.name for n in start.neighbors] == ["scale"]
+    vertex = bg.vertices[bg.explained_output]
+    assert bg.explained_output == "y"
+    assert vertex.node.name == "scale"
+    assert bg.vertex_for_node(vertex.node) is vertex
+    assert vertex.flowin_grads == []
 
 
-def test_format_backward_graph_mentions_every_relevant_node():
-    bg = build_backward_graph(diamond_model())
-    text = format_backward_graph(bg)
-    for name in bg.relevant_nodes:
-        assert name in text
+def test_every_relevant_node_has_a_vertex_per_output():
+    m = diamond_model()
+    bg = build_backward_graph(m)
+    assert bg.relevant_nodes == {n.name for n in m.nodes}
+    assert set(bg.vertices) == {o for n in m.nodes for o in n.outputs}
+    for node in m.nodes:
+        assert bg.vertex_for_node(node).node is node

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from graphlift import GraphModel, Node, ShapeError, TensorValue, ValueSpec
-from graphlift.executor import eval_node
+from graphlift import (ExecutionPlan, GraphModel, Node, ShapeError, TensorValue,
+                       ValidationError, ValueSpec, execute)
+from graphlift.executor import bind, eval_node, run_kernel
 from graphlift.ir import SUPPORTED_OPS
 from graphlift.shapes import broadcast_shapes, infer_graph_shapes, infer_node_shapes
 
@@ -170,5 +171,28 @@ def test_law_predicts_the_kernel_output_shape(op, in_shapes, attrs, n_outputs):
     arrays = [rng.normal(size=shape) for shape in in_shapes]
     node = Node(op, "probe", [f"i{k}" for k in range(len(arrays))],
                 [f"o{k}" for k in range(n_outputs)], attrs)
-    got = [out.shape for out in eval_node(node, arrays)]
-    assert infer_node_shapes(node, [a.shape for a in arrays]) == got
+    shapes = [a.shape for a in arrays]
+    got = [out.shape for out in eval_node(node, arrays, bind(node, shapes))]
+    assert infer_node_shapes(node, shapes) == got
+
+
+@pytest.mark.parametrize("op, n_inputs", [("Add", 1), ("Where", 2), ("Relu", 0),
+                                          ("Relu", 2), ("BatchNormalization", 4)])
+def test_operand_count_is_checked_by_the_law(op, n_inputs):
+    x = np.ones((2, 3))
+    with pytest.raises(ValidationError, match=f"'anon'.*{op} takes"):
+        run_kernel(op, [x] * n_inputs)
+
+
+def test_batchnorm_without_a_channel_axis_is_a_shape_error():
+    with pytest.raises(ShapeError, match="'anon'.*channel axis"):
+        run_kernel("BatchNormalization", [np.ones(3)] * 5)
+
+
+def test_plan_of_an_unvalidated_model_names_a_node_with_missing_operands():
+    model = GraphModel("m", [ValueSpec("x", "float64", (-1, 2))],
+                       [ValueSpec("y", "float64", (-1, 2))], {},
+                       [Node("Relu", "r", ["x"], ["h"]),
+                        Node("Add", "lonely", ["h"], ["y"])])
+    with pytest.raises(ValidationError, match="'lonely'"):
+        execute(ExecutionPlan(model), {"x": np.ones((1, 2))})
