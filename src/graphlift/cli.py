@@ -195,8 +195,6 @@ def cmd_bench(args) -> int:
                                    min_ms=float(np.min(warm)),
                                    max_ms=float(np.max(warm))))
         if args.json:
-            saved = dumps_model(artifact.model,
-                                extra={"metadata": artifact.metadata})
             census = op_census(artifact.model)
             records.append({
                 "model": model.name, "scheme": scheme,
@@ -205,7 +203,8 @@ def cmd_bench(args) -> int:
                 "p50_ms": float(np.percentile(warm, 50)),
                 "p95_ms": float(np.percentile(warm, 95)),
                 "cold_ms": timings[0], "compile_ms": compile_ms,
-                "artifact_bytes": len(saved.encode("ascii")),
+                "artifact_bytes": len(dumps_model(artifact.model,
+                                                   artifact.metadata)),
                 "nodes": len(artifact.model.nodes),
                 "split_concat_nodes": census["Split"] + census["Concat"],
             })

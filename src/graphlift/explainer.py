@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
-from .ir import (DTYPES, GraphModel, TensorValue, load_document,
-                 model_from_document, save_model)
-from .refopt import build_naive, build_optimized, precompute_reference_cache
+from .ir import DTYPES, GraphModel, TensorValue, _read_model, save_model
+from .refopt import (_build_digest, build_naive, build_optimized,
+                     precompute_reference_cache)
 from .rules import EPS_ACT, EPS_POOL
 
 __all__ = [
@@ -162,15 +162,18 @@ def completeness_check(attribution: Attribution, y_x, y_refs,
 
 
 def save_artifact(artifact: ExplainerArtifact, path: str) -> None:
-    save_model(artifact.model, path, extra={"metadata": artifact.metadata})
+    save_model(artifact.model, path, metadata=artifact.metadata)
 
 
 def load_artifact(path: str) -> ExplainerArtifact:
-    document = load_document(path)
-    if "metadata" not in document:
+    """A saved artifact, or ParseError unless its container digest and its
+    ``build_digest`` both recompute."""
+    model, digest, meta = _read_model(path)
+    if meta is None:
         raise ParseError(f"{path!r} holds a plain model, not an explainer")
-    return ExplainerArtifact(model=model_from_document(document),
-                             metadata=document["metadata"])
+    if not isinstance(meta, dict) or meta.get("build_digest") != _build_digest(meta, digest):
+        raise ParseError(f"{path!r}: build_digest does not match the metadata")
+    return ExplainerArtifact(model=model, metadata=meta)
 
 
 def write_pgm(phi, path: str) -> None:

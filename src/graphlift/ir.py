@@ -1,21 +1,30 @@
-"""Graph intermediate representation and its JSON exchange format.
+"""Graph intermediate representation and its binary container.
 
 A model is a flat list of operator nodes in static single assignment form:
 every value name is produced exactly once, by a graph input, an initializer,
-or a node output.  Models are serialized as ``.sgm`` JSON documents with
-tensor payloads stored as base64 raw bytes (row-major, little-endian), and
-single tensors as ``.stn`` envelopes.  ``model_digest`` hashes the same
-content without serializing it: sha256 over a canonical JSON header (name,
-specs, nodes, and each initializer's name, dtype and shape) followed by the
-raw little-endian payloads in declaration order.
+or a node output.
+
+Models and explainer artifacts (``.sgm``) and single tensors (``.stn``) share
+one container, laid out like safetensors: the 8-byte magic ``GLIFT\\0\\1\\n``,
+a little-endian u64 header length, a canonical JSON header padded with
+spaces to a 64-byte boundary, then each payload once, raw, row-major and
+little-endian, at a 64-byte aligned offset from the end of the header.  The
+header is the one ``model_digest`` hashes (name, specs, nodes, and each
+initializer's name, dtype and shape; a tensor file has only the
+initializer list), followed by the payload ``offsets``, the ``digest`` and,
+for an artifact, its ``metadata``.  A load reads the file once, takes every
+payload as a read-only ``np.frombuffer`` view and recomputes the digest, so
+a flipped byte, an edited header or a truncated file raises ParseError.
+Files in the earlier JSON format are not containers and do not load.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import heapq
 import json
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +39,6 @@ __all__ = [
     "Node",
     "GraphModel",
     "load_model",
-    "loads_model",
     "save_model",
     "dumps_model",
     "load_tensor",
@@ -81,9 +89,10 @@ _ARITY = {
 SUPPORTED_OPS = frozenset(_ARITY)
 
 
-def _check_arity(node: Node, n_inputs: int) -> None:
+def _check_signature(node: Node, n_inputs: int) -> None:
     """ValidationError naming ``node`` unless its supported op takes
-    ``n_inputs`` operands and produces as many outputs as it declares."""
+    ``n_inputs`` operands, produces as many outputs as it declares and has
+    every attribute the op requires."""
     lo, hi, n_out = _ARITY[node.op_type]
     if n_inputs < lo or (hi is not None and n_inputs > hi):
         raise ValidationError(
@@ -93,6 +102,10 @@ def _check_arity(node: Node, n_inputs: int) -> None:
         raise ValidationError(
             f"node {node.name!r}: {node.op_type} produces {n_out} outputs, "
             f"got {len(node.outputs)}")
+    for key in _REQUIRED_ATTRS.get(node.op_type, ()):
+        if key not in node.attributes:
+            raise ValidationError(
+                f"node {node.name!r}: {node.op_type} requires attribute {key!r}")
 
 
 # op_type -> {attribute name: kind}, with the subset that is mandatory.
@@ -160,23 +173,6 @@ class TensorValue:
     def to_bytes(self) -> bytes:
         return self.little_endian().tobytes(order="C")
 
-    @classmethod
-    def from_bytes(cls, raw: bytes, dtype: str, shape: tuple[int, ...]) -> "TensorValue":
-        if dtype not in DTYPES:
-            raise ParseError(f"unsupported tensor dtype {dtype!r}")
-        kind = "<f4" if dtype == "float32" else "<f8"
-        count = 1
-        for d in shape:
-            if d < 0:
-                raise ParseError("tensor payloads may not use symbolic dimensions")
-            count *= d
-        flat = np.frombuffer(raw, dtype=kind)
-        if flat.size != count:
-            raise ParseError(
-                f"tensor payload holds {flat.size} elements, shape {shape} needs {count}")
-        arr = flat.astype(DTYPES[dtype]).reshape(shape)
-        return cls(arr, dtype)
-
     @property
     def nbytes(self) -> int:
         return self.array.nbytes
@@ -231,7 +227,7 @@ class GraphModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphModel):
             return NotImplemented
-        return dumps_model(self, validate=False) == dumps_model(other, validate=False)
+        return model_digest(self) == model_digest(other)
 
 
 def _check_attr_value(node_name: str, key: str, kind: str, value) -> None:
@@ -286,7 +282,7 @@ def validate_model(model: GraphModel) -> None:
         if not node.name or node.name in seen_node_names:
             raise ValidationError(f"node name {node.name!r} is missing or duplicated")
         seen_node_names.add(node.name)
-        _check_arity(node, len(node.inputs))
+        _check_signature(node, len(node.inputs))
         if not node.outputs:
             raise ValidationError(f"node {node.name!r} declares no outputs")
         allowed = _ATTR_KINDS.get(node.op_type, {})
@@ -295,10 +291,6 @@ def validate_model(model: GraphModel) -> None:
                 raise ValidationError(
                     f"node {node.name!r}: unknown attribute {key!r} for {node.op_type}")
             _check_attr_value(node.name, key, allowed[key], value)
-        for key in _REQUIRED_ATTRS.get(node.op_type, ()):
-            if key not in node.attributes:
-                raise ValidationError(
-                    f"node {node.name!r}: {node.op_type} requires attribute {key!r}")
         for out in node.outputs:
             if out in produced:
                 raise ValidationError(
@@ -364,13 +356,6 @@ def _spec_to_dict(spec: ValueSpec) -> dict:
     return {"name": spec.name, "dtype": spec.dtype, "shape": list(spec.shape)}
 
 
-def _spec_from_dict(obj, role: str) -> ValueSpec:
-    try:
-        return ValueSpec(obj["name"], obj["dtype"], tuple(obj["shape"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed {role} spec: {obj!r}") from exc
-
-
 def _node_to_dict(node: Node) -> dict:
     return {"op_type": node.op_type, "name": node.name,
             "inputs": list(node.inputs), "outputs": list(node.outputs),
@@ -378,141 +363,150 @@ def _node_to_dict(node: Node) -> dict:
                            for k, v in sorted(node.attributes.items())}}
 
 
-def dumps_model(model: GraphModel, extra: dict | None = None, validate: bool = True) -> str:
-    """Serialize to canonical JSON text; identical models give identical bytes."""
-    if validate:
-        validate_model(model)
-    doc = {
-        "name": model.name,
-        "inputs": [_spec_to_dict(s) for s in model.inputs],
-        "outputs": [_spec_to_dict(s) for s in model.outputs],
-        "initializers": [
-            {"name": name, "dtype": t.dtype, "shape": list(t.shape),
-             "data_b64": base64.b64encode(t.to_bytes()).decode("ascii")}
-            for name, t in model.initializers.items()
-        ],
-        "nodes": [_node_to_dict(n) for n in model.nodes],
-    }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+def _entry(name: str, tensor: TensorValue) -> dict:
+    return {"name": name, "dtype": tensor.dtype, "shape": list(tensor.shape)}
 
 
-def save_model(model: GraphModel, path: str, extra: dict | None = None) -> None:
-    text = dumps_model(model, extra=extra)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+def _header(model: GraphModel) -> dict:
+    """What a model's canonical bytes are: the header ``model_digest`` hashes
+    and the container stores, ahead of the payloads in declaration order."""
+    return {"name": model.name,
+            "inputs": [_spec_to_dict(s) for s in model.inputs],
+            "outputs": [_spec_to_dict(s) for s in model.outputs],
+            "initializers": [_entry(name, t) for name, t in model.initializers.items()],
+            "nodes": [_node_to_dict(n) for n in model.nodes]}
 
 
-def loads_model(text: str, validate: bool = True) -> GraphModel:
+def _canonical(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode()
+
+
+def _digest(header: dict, payloads) -> str:
+    digest = hashlib.sha256(_canonical(header))
+    for payload in payloads:
+        digest.update(payload)
+    return digest.hexdigest()
+
+
+_MAGIC = b"GLIFT\0\1\n"
+_ALIGN = 64
+
+
+def _pack(header: dict, tensors, metadata=None) -> bytes:
+    """The one writer: ``header`` plus offsets, digest and ``metadata``, then
+    the payloads of ``tensors``, which ``header["initializers"]`` describes."""
+    payloads = [t.little_endian() for t in tensors]
+    offsets, end = [], 0
+    for payload in payloads:
+        offsets.append(-(-end // _ALIGN) * _ALIGN)
+        end = offsets[-1] + payload.nbytes
+    full = {**header, "offsets": offsets, "digest": _digest(header, payloads)}
+    if metadata is not None:
+        full["metadata"] = metadata
+    text = _canonical(full)
+    text += b" " * (-(len(text) + 16) % _ALIGN)
+    parts, end = [_MAGIC, struct.pack("<Q", len(text)), text], 0
+    for offset, payload in zip(offsets, payloads):
+        parts += [bytes(offset - end), payload]
+        end = offset + payload.nbytes
+    return b"".join(parts)
+
+
+def _read(path: str) -> tuple[dict, list[np.ndarray], str, object]:
+    """The one reader: header, payload views, digest and metadata of a
+    container, or ParseError unless the digest recomputes over the header and
+    payloads and the file ends where its last payload does."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:8] != _MAGIC or len(raw) < 16:
+        raise ParseError(f"{path!r} is not a graphlift container")
+    base = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    if base > len(raw):
+        raise ParseError(f"{path!r} is truncated inside its header")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    return model_from_document(doc, validate=validate)
+        header = json.loads(raw[16:base])
+        digest, offsets = header.pop("digest"), header.pop("offsets")
+        metadata = header.pop("metadata", None)
+        layout = []
+        for entry, offset in zip(header["initializers"], offsets, strict=True):
+            kind = np.dtype({"float32": "<f4", "float64": "<f8"}[entry["dtype"]])
+            shape = tuple(entry["shape"])
+            if not all(type(v) is int and v >= 0 for v in (offset, *shape)):
+                raise ValueError(f"bad offset {offset!r} or shape {shape}")
+            layout.append((base + offset, kind, math.prod(shape), shape))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path!r}: malformed container header: {exc}") from exc
+    end = max((at + kind.itemsize * n for at, kind, n, _ in layout), default=base)
+    if len(raw) != end:
+        raise ParseError(f"{path!r} holds {len(raw)} bytes, its header declares {end}")
+    payloads = [np.frombuffer(raw, kind, n, at).reshape(shape)
+                for at, kind, n, shape in layout]
+    if _digest(header, payloads) != digest:
+        raise ParseError(f"{path!r}: digest mismatch, the file was damaged or edited")
+    return header, payloads, digest, metadata
 
 
-def model_from_document(doc: dict, validate: bool = True) -> GraphModel:
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object")
-    for key in ("name", "inputs", "outputs", "initializers", "nodes"):
-        if key not in doc:
-            raise ParseError(f"model document lacks required key {key!r}")
-    initializers: dict[str, TensorValue] = {}
-    for obj in doc["initializers"]:
-        try:
-            name = obj["name"]
-            raw = base64.b64decode(obj["data_b64"], validate=True)
-            tensor = TensorValue.from_bytes(raw, obj["dtype"], tuple(obj["shape"]))
-        except ParseError:
-            raise
-        except Exception as exc:
-            raise ParseError(f"malformed initializer entry: {exc}") from exc
-        if name in initializers:
-            raise ParseError(f"initializer {name!r} appears twice")
-        initializers[name] = tensor
-    nodes = []
-    for obj in doc["nodes"]:
-        try:
-            attrs = {}
-            for k, v in obj.get("attributes", {}).items():
-                attrs[k] = list(v) if isinstance(v, list) else v
-            nodes.append(Node(obj["op_type"], obj["name"], list(obj["inputs"]),
-                              list(obj["outputs"]), attrs))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed node entry: {obj!r}") from exc
-    model = GraphModel(
-        name=doc["name"],
-        inputs=[_spec_from_dict(o, "input") for o in doc["inputs"]],
-        outputs=[_spec_from_dict(o, "output") for o in doc["outputs"]],
-        initializers=initializers,
-        nodes=nodes,
-    )
-    if validate:
-        validate_model(model)
-    return model
+def dumps_model(model: GraphModel, metadata: dict | None = None) -> bytes:
+    """The container bytes of a validated model; identical models give
+    identical bytes."""
+    validate_model(model)
+    return _pack(_header(model), model.initializers.values(), metadata)
 
 
-def load_model(path: str, validate: bool = True) -> GraphModel:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_model(fh.read(), validate=validate)
+def save_model(model: GraphModel, path: str, metadata: dict | None = None) -> None:
+    data = dumps_model(model, metadata)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
-def load_document(path: str) -> dict:
-    """Raw JSON document of a saved model, including any extra blocks."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
+def _read_model(path: str) -> tuple[GraphModel, str, object]:
+    """A verified, validated model with its digest and metadata."""
+    header, payloads, digest, metadata = _read(path)
+    try:
+        entries = header["initializers"]
+        model = GraphModel(
+            name=header["name"],
+            inputs=[ValueSpec(s["name"], s["dtype"], s["shape"]) for s in header["inputs"]],
+            outputs=[ValueSpec(s["name"], s["dtype"], s["shape"]) for s in header["outputs"]],
+            initializers={e["name"]: TensorValue(p, e["dtype"])
+                          for e, p in zip(entries, payloads)},
+            nodes=[Node(n["op_type"], n["name"], list(n["inputs"]),
+                        list(n["outputs"]), dict(n["attributes"]))
+                   for n in header["nodes"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path!r}: malformed model header: {exc}") from exc
+    if len(model.initializers) != len(entries):
+        raise ParseError(f"{path!r}: an initializer name appears twice")
+    validate_model(model)
+    return model, digest, metadata
+
+
+def load_model(path: str) -> GraphModel:
+    return _read_model(path)[0]
 
 
 def save_tensor(tensor: TensorValue, path: str, name: str = "") -> None:
-    doc = {
-        "name": name,
-        "dtype": tensor.dtype,
-        "shape": list(tensor.shape),
-        "data_b64": base64.b64encode(tensor.to_bytes()).decode("ascii"),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")))
+    data = _pack({"initializers": [_entry(name, tensor)]}, [tensor])
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_tensor(path: str) -> TensorValue:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
-    try:
-        raw = base64.b64decode(doc["data_b64"], validate=True)
-        return TensorValue.from_bytes(raw, doc["dtype"], tuple(doc["shape"]))
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"malformed tensor envelope: {exc}") from exc
+    header, payloads, _, _ = _read(path)
+    if len(header) != 1 or len(payloads) != 1:
+        raise ParseError(f"{path!r} does not hold a single tensor")
+    return TensorValue(payloads[0], header["initializers"][0]["dtype"])
 
 
 def model_digest(model: GraphModel) -> str:
     """Stable content hash of a model, fed to sha256 without serializing it.
 
-    The hash covers a canonical JSON header (name, input and output specs,
+    The hash covers the canonical JSON header (name, input and output specs,
     nodes with sorted attributes, and each initializer's name, dtype and
     shape) followed by every initializer's raw little-endian payload in
     declaration order.  The header fixes each payload's length, so a change
     to any name, spec, node, attribute, dtype, shape or payload byte changes
     the digest.
     """
-    header = {
-        "name": model.name,
-        "inputs": [_spec_to_dict(s) for s in model.inputs],
-        "outputs": [_spec_to_dict(s) for s in model.outputs],
-        "initializers": [{"name": name, "dtype": t.dtype, "shape": list(t.shape)}
-                         for name, t in model.initializers.items()],
-        "nodes": [_node_to_dict(n) for n in model.nodes],
-    }
-    digest = hashlib.sha256(
-        json.dumps(header, separators=(",", ":"), allow_nan=False).encode())
-    for tensor in model.initializers.values():
-        digest.update(tensor.little_endian())
-    return digest.hexdigest()
+    return _digest(_header(model),
+                   [t.little_endian() for t in model.initializers.values()])

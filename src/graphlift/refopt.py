@@ -135,9 +135,10 @@ def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
 def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
               output_index: int, batch: int, eps_act: float, eps_pool: float,
               seed_scale: float, input_name: str, explained: str,
-              attribution: str, multipliers: str | None, forward_nodes,
-              target_rows: int, reference_rows: int, ref_output_mean: float,
-              cache_entries, cache_bytes: int, source_digest: str) -> dict:
+              prediction: str, attribution: str, multipliers: str | None,
+              forward_nodes, target_rows: int, reference_rows: int,
+              ref_output_mean: float, cache_entries, cache_bytes: int,
+              source_digest: str) -> dict:
     meta = {
         "scheme": scheme,
         "output_index": int(output_index),
@@ -147,7 +148,7 @@ def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
         "seed_scale": float(seed_scale),
         "dtype": model.inputs[0].dtype,
         "input_name": input_name,
-        "prediction_output": explained,
+        "prediction_output": prediction,
         "attribution_output": attribution,
         "multipliers_output": multipliers,
         "forward_output": explained,
@@ -159,9 +160,16 @@ def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
         "cache_bytes": int(cache_bytes),
         "source_digest": source_digest,
     }
-    payload = json.dumps(meta, sort_keys=True) + model_digest(artifact)
-    meta["build_digest"] = hashlib.sha256(payload.encode()).hexdigest()
+    meta["build_digest"] = _build_digest(meta, model_digest(artifact))
     return meta
+
+
+def _build_digest(meta: dict, digest: str) -> str:
+    """sha256 binding an artifact's metadata, ``build_digest`` aside, to the
+    digest of its model."""
+    body = {k: v for k, v in meta.items() if k != "build_digest"}
+    return hashlib.sha256(
+        (json.dumps(body, sort_keys=True) + digest).encode()).hexdigest()
 
 
 def _read_initializers(initializers: dict[str, TensorValue], nodes: list[Node],
@@ -233,7 +241,8 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
     meta = _metadata(
         "optimized", model, artifact, output_index=output_index, batch=batch,
         eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
-        input_name=input_name, explained=explained, attribution=phi,
+        input_name=input_name, explained=explained, prediction=explained,
+        attribution=phi,
         multipliers=result.input_grad if expose_multipliers else None,
         forward_nodes=[n.name for n in model.nodes], target_rows=1,
         reference_rows=0,
@@ -334,14 +343,14 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     meta = _metadata(
         "naive", model, artifact, output_index=output_index, batch=batch,
         eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
-        input_name=input_name, explained=explained, attribution=phi,
+        input_name=input_name, explained=explained, prediction=pred,
+        attribution=phi,
         multipliers=result.input_grad if expose_multipliers else None,
         forward_nodes=[builder.nodes[0].name, builder.nodes[1].name,
                        *forward_names],
         target_rows=batch, reference_rows=batch,
         ref_output_mean=ref_out[explained][:, output_index].mean(),
         cache_entries=[], cache_bytes=0, source_digest=source_digest)
-    meta["prediction_output"] = pred
     return artifact, meta
 
 

@@ -409,12 +409,10 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
     kernel, strides, pads, _ = window_attrs(node.attributes)
     out_h, out_w = b.shape(ctx.grad_in)[2], b.shape(ctx.grad_in)[3]
     ones_k = np.ones((1, 1, *kernel))
-    # in-bounds element count of every window (pad excluded)
+    # in-bounds element count of every window (pad excluded); the shape law
+    # refuses a window with none
     counts = run_kernel("Conv", [np.ones((1, 1, height, width)), ones_k],
                         {"kernel_shape": kernel, "strides": strides, "pads": pads})[0]
-    if np.any(counts == 0):
-        raise UnsupportedOp(
-            f"node {node.name!r}: a pooling window lies entirely in padding")
     normed = b.emit("Mul", [ctx.grad_in, b.const(1.0 / counts, "avgshare")],
                     tag="avgnorm")
     # one channel at a time through a ones kernel spreads each pooled cell

@@ -10,7 +10,7 @@ unchecked on whatever its law accepts.
 from __future__ import annotations
 
 from .errors import ShapeError, UnsupportedOp
-from .ir import SUPPORTED_OPS, GraphModel, Node, _check_arity
+from .ir import SUPPORTED_OPS, GraphModel, Node, _check_signature
 
 __all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
            "window_attrs"]
@@ -108,9 +108,14 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
             raise ShapeError(f"{op} bias {in_shapes[2]} does not hold one "
                              f"value per output channel of weight {w}")
     if op != "ConvTranspose":
-        return (x[0], channels) + tuple(
-            _pool_axis(x[2 + i], kernel[i], strides[i], pads[i], pads[2 + i],
-                       dilations[i]) for i in range(2))
+        spatial = tuple(_pool_axis(x[2 + i], kernel[i], strides[i], pads[i],
+                                   pads[2 + i], dilations[i]) for i in range(2))
+        if op == "AveragePool" and any(
+                pads[i] >= kernel[i] or (n - 1) * strides[i] >= x[2 + i] + pads[i]
+                for i, n in enumerate(spatial)):
+            raise ShapeError(f"an AveragePool window with pads {pads} lies "
+                             "entirely in padding")
+        return (x[0], channels) + spatial
     extra = list(attrs.get("output_padding", [0, 0]))
     if min(kernel) < 1 or min(pads) < 0 or dilations != [1, 1] \
             or len(extra) != 2 or -1 in x[2:] \
@@ -127,7 +132,8 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
 def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Output shapes of one node, or ShapeError / UnsupportedOp naming the
     node for operands or attributes its kernel cannot run on, and
-    ValidationError for a wrong number of operands or outputs.
+    ValidationError for a wrong number of operands or outputs or a missing
+    required attribute.
 
     This is the only check of a node's operands and attributes: the
     executor's kernels assume that the law has passed on their shapes.
@@ -142,7 +148,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
     op = node.op_type
     attrs = node.attributes
     if op in SUPPORTED_OPS:
-        _check_arity(node, len(in_shapes))
+        _check_signature(node, len(in_shapes))
 
     if op in ("Add", "Sub", "Mul", "Div", "Greater"):
         return [broadcast_shapes(in_shapes[0], in_shapes[1])]

@@ -1,5 +1,9 @@
 """Shared fixtures: corpus entries and compiled artifacts, built once."""
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def edit_header():
+    """Read a saved container's JSON header and, given ``change``, rewrite
+    the header in place through it, leaving the payload bytes as they are."""
+
+    def edit(path, change=None) -> dict:
+        data = Path(path).read_bytes()
+        size = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16:16 + size])
+        if change is not None:
+            change(header)
+            text = json.dumps(header, separators=(",", ":")).encode()
+            text += b" " * (-(len(text) + 16) % 64)
+            Path(path).write_bytes(data[:8] + struct.pack("<Q", len(text))
+                                   + text + data[16 + size:])
+        return header
+
+    return edit
 
 
 @pytest.fixture(scope="session")

@@ -79,20 +79,21 @@ def test_explain_reports_prediction_and_residual(demo):
 
 def test_save_load_round_trip_is_bit_identical(demo, tmp_path):
     model, refs, sample = demo
-    art = gl.compile_explainer(model, refs)
-    path = tmp_path / "demo.sge"
-    gl.save_artifact(art, str(path))
-    loaded = gl.load_artifact(str(path))
-    assert gl.model_digest(loaded.model) == gl.model_digest(art.model)
-    assert loaded.metadata == art.metadata
-    a = gl.explain(art, sample)
-    b = gl.explain(loaded, sample)
-    assert np.array_equal(a.phi.array, b.phi.array)
-    assert np.array_equal(a.prediction.array, b.prediction.array)
-    # the file survives a second round trip byte for byte
-    path2 = tmp_path / "demo2.sge"
-    gl.save_artifact(loaded, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
+    for scheme in ("optimized", "naive"):
+        art = gl.compile_explainer(model, refs, scheme=scheme)
+        path = tmp_path / f"{scheme}.sge"
+        gl.save_artifact(art, str(path))
+        loaded = gl.load_artifact(str(path))
+        assert gl.model_digest(loaded.model) == gl.model_digest(art.model)
+        assert loaded.metadata == art.metadata
+        a = gl.explain(art, sample)
+        b = gl.explain(loaded, sample)
+        assert np.array_equal(a.phi.array, b.phi.array)
+        assert np.array_equal(a.prediction.array, b.prediction.array)
+        # the file survives a second round trip byte for byte
+        again = tmp_path / f"{scheme}2.sge"
+        gl.save_artifact(loaded, str(again))
+        assert path.read_bytes() == again.read_bytes()
 
 
 def test_artifact_needs_only_the_sample(demo):
@@ -113,17 +114,45 @@ def test_explain_rejects_metadata_missing_a_key(demo, key):
         gl.explain(broken, sample)
 
 
-def test_explain_rejects_out_of_range_output_index(demo, tmp_path):
+def test_explain_rejects_out_of_range_output_index(demo):
     model, refs, sample = demo
     art = gl.compile_explainer(model, refs)
-    path = tmp_path / "demo.sge"
-    gl.save_artifact(art, str(path))
-    doc = json.loads(path.read_text())
-    doc["metadata"]["output_index"] = 99
-    path.write_text(json.dumps(doc))
-    loaded = gl.load_artifact(str(path))
+    edited = gl.ExplainerArtifact(
+        model=art.model, metadata={**art.metadata, "output_index": 99})
     with pytest.raises(ValidationError, match="output index 99"):
-        gl.explain(loaded, sample)
+        gl.explain(edited, sample)
+
+
+def flip_last_byte(path, _):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def set_metadata(key, value):
+    return lambda path, edit: edit(path, lambda h: h["metadata"].update({key: value}))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (flip_last_byte, "digest mismatch"),
+    (lambda p, edit: edit(p, lambda h: h["nodes"][0].update(name="renamed")),
+     "digest mismatch"),
+    (set_metadata("output_index", 1), "build_digest"),
+    (set_metadata("ref_output_mean", 1.0), "build_digest"),
+    (set_metadata("build_digest", "0" * 64), "build_digest"),
+    (lambda p, edit: edit(p, lambda h: h.pop("metadata")), "plain model"),
+    (lambda p, _: p.write_bytes(p.read_bytes()[:-64]), "declares"),
+    (lambda p, _: p.write_text(json.dumps({"name": "demo", "metadata": {}})),
+     "not a graphlift container"),
+])
+def test_load_artifact_refuses_a_tampered_file(demo, tmp_path, edit_header,
+                                               tamper, message):
+    model, refs, _ = demo
+    path = tmp_path / "demo.sge"
+    gl.save_artifact(gl.compile_explainer(model, refs), str(path))
+    tamper(path, edit_header)
+    with pytest.raises(ParseError, match=message):
+        gl.load_artifact(str(path))
 
 
 def test_load_rejects_plain_model(demo, tmp_path):

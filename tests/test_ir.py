@@ -1,7 +1,5 @@
 """Model structure, validation and serialization round trips."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from graphlift import (CycleError, GraphModel, Node, ParseError, TensorValue,
                        ValidationError, ValueSpec, load_model, load_tensor,
                        model_digest, save_model, save_tensor,
                        topological_order, validate_model)
-from graphlift.ir import dumps_model, load_document, model_from_document
+from graphlift.ir import _header, dumps_model
 
 
 def tiny_model():
@@ -178,6 +176,7 @@ def test_topological_order_names_node_with_dangling_input():
 
 def test_dumps_is_deterministic():
     assert dumps_model(tiny_model()) == dumps_model(tiny_model())
+    assert dumps_model(tiny_model()) != dumps_model(tiny_model(), {"k": 1})
 
 
 def test_model_roundtrip_preserves_equality(tmp_path):
@@ -262,42 +261,105 @@ def test_digest_never_serializes_the_model(monkeypatch):
         raise AssertionError("model_digest must not serialize the model")
 
     monkeypatch.setattr(ir, "dumps_model", refuse)
-    monkeypatch.setattr(ir.base64, "b64encode", refuse)
+    monkeypatch.setattr(ir, "_pack", refuse)
     assert ir.model_digest(tiny_model()) == want
     assert len(want) == 64 and int(want, 16) >= 0
 
 
-def test_model_from_document_rejects_garbage():
-    with pytest.raises(ParseError):
-        model_from_document({"nodes": []})
+def test_load_model_rejects_a_header_without_a_graph(tmp_path):
+    path = str(tmp_path / "bare.sgm")
+    save_tensor(TensorValue(np.ones(3)), path, name="w")
+    with pytest.raises(ParseError, match="malformed model header"):
+        load_model(path)
 
 
-def test_load_document_rejects_malformed_json(tmp_path):
+def test_load_rejects_a_malformed_header(tmp_path):
     path = tmp_path / "broken.sgm"
-    path.write_text("{not json", encoding="ascii")
-    with pytest.raises(ParseError):
-        load_document(str(path))
+    path.write_bytes(b"GLIFT\0\1\n" + (9).to_bytes(8, "little") + b"{not json")
+    with pytest.raises(ParseError, match="malformed container header"):
+        load_model(str(path))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_tensor_file_roundtrip(tmp_path, dtype):
+def test_tensor_file_roundtrip(tmp_path, dtype, edit_header):
     arr = np.linspace(-1, 1, 12).astype(dtype).reshape(3, 4)
     path = str(tmp_path / "t.stn")
     save_tensor(TensorValue(arr, dtype), path, name="probe")
     back = load_tensor(path)
     assert back.dtype == dtype
     assert back.array.tobytes() == arr.tobytes()
+    assert edit_header(path)["initializers"] == [
+        {"name": "probe", "dtype": dtype, "shape": [3, 4]}]
 
 
-def test_extra_document_keys_survive_roundtrip(tmp_path):
+def test_load_tensor_refuses_a_model_file(tmp_path):
+    path = str(tmp_path / "m.sgm")
+    save_model(tiny_model(), path)
+    with pytest.raises(ParseError, match="single tensor"):
+        load_tensor(path)
+
+
+def test_metadata_survives_roundtrip(tmp_path, edit_header):
     m = tiny_model()
     path = str(tmp_path / "m.sgm")
-    save_model(m, path, extra={"metadata": {"k": 1}})
-    doc = load_document(path)
-    assert doc["metadata"] == {"k": 1}
-    assert model_from_document(doc) == m
+    save_model(m, path, metadata={"k": 1})
+    assert edit_header(path)["metadata"] == {"k": 1}
+    assert load_model(path) == m
 
 
-def test_serialized_form_is_json():
-    doc = json.loads(dumps_model(tiny_model()))
-    assert {"name", "inputs", "outputs", "initializers", "nodes"} <= set(doc)
+def test_container_header_is_the_digest_header(tmp_path, edit_header):
+    m = with_weight(np.linspace(-1, 1, 6).reshape(3, 2), "float64")
+    m.initializers["b"] = TensorValue(np.ones(2, np.float32))
+    path = tmp_path / "m.sgm"
+    save_model(m, str(path))
+    data = path.read_bytes()
+    assert data[:8] == b"GLIFT\0\1\n"
+    header = edit_header(path)
+    assert header.pop("digest") == model_digest(m)
+    offsets = header.pop("offsets")
+    assert header == _header(m)
+    base = 16 + int.from_bytes(data[8:16], "little")
+    assert base % 64 == 0 and [o % 64 for o in offsets] == [0, 0]
+    for offset, tensor in zip(offsets, m.initializers.values()):
+        assert data[base + offset:base + offset + tensor.nbytes] == tensor.to_bytes()
+    assert len(data) == base + offsets[-1] + 8
+
+
+def test_loaded_payloads_are_read_only_views_of_one_read(tmp_path):
+    path = str(tmp_path / "m.sgm")
+    save_model(tiny_model(), path)
+    arr = load_model(path).initializers["w"].array
+    assert not arr.flags.writeable
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    assert isinstance(arr, bytes)
+
+
+def flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (flip_last_byte, "digest mismatch"),
+    (lambda p: p.write_bytes(p.read_bytes()[:-1]), "declares"),
+    (lambda p: p.write_bytes(p.read_bytes()[:40]), "truncated"),
+    (lambda p: p.write_bytes(p.read_bytes() + bytes(8)), "declares"),
+    (lambda p: p.write_text('{"name": "tiny", "nodes": []}'),
+     "not a graphlift container"),
+])
+def test_load_model_refuses_a_tampered_file(tmp_path, tamper, message):
+    path = tmp_path / "m.sgm"
+    save_model(tiny_model(), str(path))
+    tamper(path)
+    with pytest.raises(ParseError, match=message):
+        load_model(str(path))
+
+
+def test_load_model_refuses_an_edited_node(tmp_path, edit_header):
+    path = tmp_path / "m.sgm"
+    save_model(tiny_model(), str(path))
+    edit_header(path, lambda h: h["nodes"][1].update(op_type="Sigmoid"))
+    with pytest.raises(ParseError, match="digest mismatch"):
+        load_model(str(path))

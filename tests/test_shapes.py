@@ -1,5 +1,7 @@
 """Static shape inference across the operator table."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,39 @@ def test_plan_of_an_unvalidated_model_names_a_node_with_missing_operands():
                         Node("Add", "lonely", ["h"], ["y"])])
     with pytest.raises(ValidationError, match="'lonely'"):
         execute(ExecutionPlan(model), {"x": np.ones((1, 2))})
+
+
+@pytest.mark.parametrize("op, n_inputs, attrs, missing", [
+    ("Concat", 2, {}, "axis"),
+    ("Transpose", 1, {}, "perm"),
+    ("Reshape", 1, {}, "shape"),
+    ("MaxPool", 1, {"strides": [1, 1]}, "kernel_shape"),
+    ("Slice", 1, {"starts": [0]}, "ends"),
+    ("Pad", 1, {"value": 0.0}, "pads"),
+])
+def test_required_attributes_are_checked_by_the_law(op, n_inputs, attrs,
+                                                    missing):
+    x = np.ones((1, 1, 2, 2))
+    with pytest.raises(ValidationError,
+                       match=f"'anon'.*{op} requires attribute '{missing}'"):
+        run_kernel(op, [x] * n_inputs, attrs)
+    model = GraphModel("m", [ValueSpec("x", "float64", (-1, 1, 2, 2))],
+                       [ValueSpec("y", "float64", (-1, 1, 2, 2))], {},
+                       [Node(op, "bare", ["x"] * n_inputs, ["y"], attrs)])
+    with pytest.raises(ValidationError, match=f"'bare'.*'{missing}'"):
+        execute(ExecutionPlan(model), {"x": x})
+
+
+@pytest.mark.parametrize("pads, strides", [([1, 1, 1, 1], [1, 1]),
+                                           ([0, 0, 1, 0], [2, 2]),
+                                           ([0, 0, 0, 2], [1, 1])])
+def test_average_pool_window_in_padding_is_a_shape_error(pads, strides):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match="'anon'.*entirely in padding"):
+            run_kernel("AveragePool", [np.ones((1, 1, 2, 2))],
+                       {"kernel_shape": [1, 1], "pads": pads, "strides": strides})
+    # a window that reaches one real element is still averaged
+    out = run_kernel("AveragePool", [np.ones((1, 1, 2, 2))],
+                     {"kernel_shape": [2, 2], "pads": [1, 1, 1, 1]})[0]
+    assert out.shape == (1, 1, 3, 3) and np.all(out == 1.0)
