@@ -30,10 +30,9 @@ __all__ = ["GraphBuilder", "RuleEnv"]
 class GraphBuilder:
     """Accumulates nodes, initializers and value shapes for a graph under construction."""
 
-    def __init__(self, dtype: str = "float64", prefix: str = "grad", fold: bool = True):
+    def __init__(self, dtype: str = "float64", prefix: str = "grad"):
         self.dtype = dtype
         self.prefix = prefix
-        self.fold = fold
         self.nodes: list[Node] = []
         self.initializers: dict[str, TensorValue] = {}
         self.shapes: dict[str, tuple[int, ...]] = {}
@@ -106,7 +105,7 @@ class GraphBuilder:
                  for k in range(n_outputs)]
         node = Node(op_type, f"n_{tag}", list(inputs), names, dict(attrs or {}))
         out_shapes = infer_node_shapes(node, [self.shape(i) for i in inputs])
-        if self.fold and inputs and all(i in self.known for i in inputs):
+        if inputs and all(i in self.known for i in inputs):
             args = [self.known[i] for i in inputs]
             arrays = eval_node(node, args, bind(node, [a.shape for a in args]))
             for name, arr in zip(names, arrays):

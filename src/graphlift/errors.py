@@ -34,7 +34,9 @@ class NoPathError(GraphliftError):
 
 
 class StuckError(GraphliftError):
-    """The backward traversal stalled before covering every reachable node."""
+    """A gradient rule broke its contract during the backward sweep: it
+    returned a gradient for a non-differentiable input, or left a node the
+    sweep must visit without one."""
 
 
 class MissingCacheEntry(GraphliftError):

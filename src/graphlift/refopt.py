@@ -31,7 +31,7 @@ from .errors import ShapeError, UnsupportedOp, ValidationError
 from .executor import bind, eval_node, execute
 from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
                  model_digest, topological_order, validate_model)
-from .parser import build_backward_graph, mark_differentiable
+from .parser import build_backward_graph
 from .rules import EPS_ACT, EPS_POOL
 from .shapes import infer_graph_shapes, infer_node_shapes
 
@@ -80,9 +80,13 @@ def precompute_reference_cache(model: GraphModel, references) -> ReferenceCache:
     dtype = model.inputs[0].dtype
     refs = _as_array(references, dtype)
     _, trace = execute(model, {model.inputs[0].name: refs}, capture=True)
-    digest = hashlib.sha256(
-        model_digest(model).encode() + refs.tobytes()).hexdigest()
-    return ReferenceCache(values=trace, batch=int(refs.shape[0]), digest=digest)
+    return ReferenceCache(values=trace, batch=int(refs.shape[0]),
+                          digest=_source_digest(model, refs))
+
+
+def _source_digest(model: GraphModel, refs: np.ndarray) -> str:
+    """sha256 binding a model to the reference set an artifact was built for."""
+    return hashlib.sha256(model_digest(model).encode() + refs.tobytes()).hexdigest()
 
 
 def _sample_shapes(model: GraphModel) -> dict[str, tuple[int, ...]]:
@@ -269,7 +273,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     sample = _sample_shapes(model)
     explained, classes = _head_geometry(model, sample, output_index)
     in_rank = len(sample[input_name])
-    diffable = mark_differentiable(model)
+    backward = build_backward_graph(model, explained)
 
     builder = GraphBuilder(dtype=dtype, prefix=_grad_prefix(model))
     builder.register_value(input_name, sample[input_name])
@@ -288,7 +292,8 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     forward_names = []
     for node in model.nodes:
         attrs = dict(node.attributes)
-        if node.op_type == "Reshape" and any(i in diffable for i in node.inputs):
+        if node.op_type == "Reshape" and any(i in backward.differentiable
+                                             for i in node.inputs):
             shape_attr = list(attrs.get("shape", []))
             if shape_attr and shape_attr[0] == 1:
                 shape_attr[0] = -1  # free the batch extent for the 2B stream
@@ -303,7 +308,6 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     env = RuleEnv(builder, batch, joint=True, sample_shapes=sample)
     env.alias[input_name] = stacked
-    backward = build_backward_graph(model, explained)
     loss = builder.const(
         _seed_array(2 * batch, classes, output_index, dtype, seed_scale), "seed")
     result = differentiate(model, backward, loss, env, eps_act, eps_pool)
@@ -338,8 +342,6 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     validate_model(artifact)
 
     ref_out, _ = execute(model, {input_name: refs})
-    source_digest = hashlib.sha256(
-        model_digest(model).encode() + refs.tobytes()).hexdigest()
     meta = _metadata(
         "naive", model, artifact, output_index=output_index, batch=batch,
         eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
@@ -350,7 +352,8 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
                        *forward_names],
         target_rows=batch, reference_rows=batch,
         ref_output_mean=ref_out[explained][:, output_index].mean(),
-        cache_entries=[], cache_bytes=0, source_digest=source_digest)
+        cache_entries=[], cache_bytes=0,
+        source_digest=_source_digest(model, refs))
     return artifact, meta
 
 

@@ -79,6 +79,17 @@ def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
     return span // stride + 1
 
 
+def _window_in_padding(size, kernel, stride, pad_begin, dilation, count) -> bool:
+    """Whether one of the ``count`` windows along an axis has no tap on the
+    input: a pool over it would have nothing to take the max or mean of."""
+    for n in range(count):
+        start = n * stride - pad_begin
+        tap = max(0, -(start // dilation))  # the first tap at or after 0
+        if tap >= kernel or start + tap * dilation >= size:
+            return True
+    return False
+
+
 def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
     """Output shape of Conv, ConvTranspose, MaxPool or AveragePool."""
     x = in_shapes[0]
@@ -110,10 +121,11 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
     if op != "ConvTranspose":
         spatial = tuple(_pool_axis(x[2 + i], kernel[i], strides[i], pads[i],
                                    pads[2 + i], dilations[i]) for i in range(2))
-        if op == "AveragePool" and any(
-                pads[i] >= kernel[i] or (n - 1) * strides[i] >= x[2 + i] + pads[i]
+        if op in ("MaxPool", "AveragePool") and any(
+                _window_in_padding(x[2 + i], kernel[i], strides[i], pads[i],
+                                   dilations[i], n)
                 for i, n in enumerate(spatial)):
-            raise ShapeError(f"an AveragePool window with pads {pads} lies "
+            raise ShapeError(f"{op} pads {pads} leave a window lying "
                              "entirely in padding")
         return (x[0], channels) + spatial
     extra = list(attrs.get("output_padding", [0, 0]))

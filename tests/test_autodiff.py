@@ -1,4 +1,4 @@
-"""Traversal correctness on randomly wired layered graphs."""
+"""Reverse sweep correctness on randomly wired layered graphs."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,13 @@ import pytest
 import graphlift as gl
 from graphlift import (GraphModel, Node, StuckError, TensorValue, ValueSpec,
                        validate_model)
+import graphlift.autodiff as autodiff
 from graphlift.autodiff import differentiate
 from graphlift.builder import GraphBuilder, RuleEnv
 from graphlift.executor import execute
 from graphlift.parser import build_backward_graph
 from graphlift.refopt import precompute_reference_cache
+from graphlift.rules import RuleOutput
 
 WIDTH = 4
 
@@ -118,8 +120,8 @@ def test_duplicate_operand_add_doubles_gradient():
     assert np.array_equal(got, [[0.0, 2.0]])  # seed on class 1, doubled
 
 
-def _manual_differentiate(model, tamper=None):
-    """Drive the traversal directly so bookkeeping can be sabotaged."""
+def _manual_differentiate(model):
+    """Drive the sweep directly, outside compile_explainer."""
     from graphlift.refopt import _const_chain, _sample_shapes
     cache = precompute_reference_cache(model, np.zeros((2, 2)))
     sample = _sample_shapes(model)
@@ -134,8 +136,6 @@ def _manual_differentiate(model, tamper=None):
     env = RuleEnv(builder, 2, joint=False, sample_shapes=sample,
                   ref_values=cache.values)
     backward = build_backward_graph(model, model.outputs[0].name)
-    if tamper:
-        tamper(backward)
     seed = builder.const(np.array([[0.0, 1.0]]), "seed")
     return differentiate(model, backward, seed, env)
 
@@ -151,32 +151,37 @@ def two_step_model():
     return model
 
 
+def _patch_rule(monkeypatch, node_name, change):
+    """Let ``change`` rewrite the gradients one node's rule returns."""
+    real = autodiff.f_grad
+
+    def patched(ctx):
+        out = real(ctx)
+        if ctx.node.name == node_name:
+            out = RuleOutput(out.new_nodes, change(dict(out.grad_out)))
+        return out
+
+    monkeypatch.setattr(autodiff, "f_grad", patched)
+
+
 def test_manual_traversal_visits_each_vertex_once():
     result = _manual_differentiate(two_step_model())
-    assert len(result.visit_order) == len(set(result.visit_order)) == 2
-    assert result.input_grad
+    assert list(result.rule_outputs) == ["act", "mix"]
+    assert set(result.rule_outputs["mix"].grad_out) == {"x"}
+    assert result.input_grad == result.rule_outputs["mix"].grad_out["x"]
 
 
-def test_overcounted_flow_raises_stuck():
-    def tamper(bg):
-        bg.vertices["h"].forward_times = 2  # only one consumer exists
-    with pytest.raises(StuckError):
-        _manual_differentiate(two_step_model(), tamper)
+def test_gradient_for_constant_input_raises_stuck(monkeypatch):
+    def add_weight_grad(grads):
+        grads["w"] = grads["x"]
+        return grads
+
+    _patch_rule(monkeypatch, "mix", add_weight_grad)
+    with pytest.raises(StuckError, match="non-differentiable input 'w'"):
+        _manual_differentiate(two_step_model())
 
 
-def test_undercounted_flow_raises_stuck():
-    model = GraphModel(
-        "wide", [ValueSpec("x", "float64", (-1, 2))],
-        [ValueSpec("y", "float64", (-1, 2))],
-        {"w": TensorValue(np.eye(2), "float64")},
-        [Node("MatMul", "mix", ["x", "w"], ["h"]),
-         Node("Tanh", "a", ["h"], ["p"]),
-         Node("Sigmoid", "b", ["h"], ["q"]),
-         Node("Add", "j", ["p", "q"], ["y"])])
-    validate_model(model)
-
-    def tamper(bg):
-        bg.vertices["h"].forward_times = 1  # two consumers exist
-
-    with pytest.raises(StuckError):
-        _manual_differentiate(model, tamper)
+def test_relevant_node_without_gradient_raises_stuck(monkeypatch):
+    _patch_rule(monkeypatch, "act", lambda grads: {})
+    with pytest.raises(StuckError, match="no gradient reached node 'mix'"):
+        _manual_differentiate(two_step_model())

@@ -234,3 +234,24 @@ def test_average_pool_window_in_padding_is_a_shape_error(pads, strides):
     out = run_kernel("AveragePool", [np.ones((1, 1, 2, 2))],
                      {"kernel_shape": [2, 2], "pads": [1, 1, 1, 1]})[0]
     assert out.shape == (1, 1, 3, 3) and np.all(out == 1.0)
+
+
+@pytest.mark.parametrize("attrs", [
+    {"kernel_shape": [1, 1], "pads": [1, 1, 1, 1]},
+    # dilated taps that straddle the input without landing on it
+    {"kernel_shape": [2, 1], "pads": [2, 0, 2, 0], "dilations": [3, 1]},
+])
+def test_max_pool_window_in_padding_is_a_shape_error(attrs):
+    x = np.ones((1, 1, 2, 2))
+    with pytest.raises(ShapeError, match="'anon'.*entirely in padding"):
+        run_kernel("MaxPool", [x], attrs)
+    model = GraphModel("m", [ValueSpec("x", "float64", (-1, 1, 2, 2))],
+                       [ValueSpec("y", "float64", (-1, 1, 3, 3))], {},
+                       [Node("MaxPool", "pool", ["x"], ["y"], attrs)])
+    with pytest.raises(ShapeError, match="'pool'.*entirely in padding"):
+        execute(ExecutionPlan(model), {"x": x})
+    # a dilated window with one tap on the input still takes its max
+    out = run_kernel("MaxPool", [np.arange(4.0).reshape(1, 1, 2, 2)],
+                     {"kernel_shape": [2, 1], "pads": [1, 0, 1, 0],
+                      "dilations": [2, 1]})[0]
+    assert out[0, 0].tolist() == [[2.0, 3.0], [0.0, 1.0]]
