@@ -1,9 +1,11 @@
 """Incremental graph construction with constant folding.
 
-The gradient rules emit operator nodes through a GraphBuilder.  When every
-input of an emitted op is known at build time the op is evaluated immediately
-and its result becomes an initializer instead of a runtime node.  That is what
-turns reference-side expression chains into baked constants under the
+Both artifact layouts add their forward nodes to a GraphBuilder, and the
+gradient rules emit their operator nodes through it.  The builder folds every
+node whose inputs are all known, forward or backward: the node is evaluated at
+build time and its result becomes a known value, stored as an initializer
+only if a runtime node reads it.  That is what turns constant-only forward
+chains and reference-side expression chains into baked constants under the
 reference-caching scheme, while the same rule code emits live nodes for the
 replicated-batch scheme.
 
@@ -39,8 +41,6 @@ class GraphBuilder:
         # values whose arrays are known at build time (initializers and
         # anything computed only from them); folded booleans live here too
         self.known: dict[str, np.ndarray] = {}
-        # outputs of nodes already in the graph: never materialized as constants
-        self._produced: set[str] = set()
         self._counter = itertools.count()
         self._scalars: dict[float, str] = {}
 
@@ -76,13 +76,6 @@ class GraphBuilder:
             )
         return self._scalars[key]
 
-    def append_raw(self, node: Node, out_shapes: list[tuple[int, ...]]) -> None:
-        """Adopt an externally constructed node with known output shapes."""
-        self.nodes.append(node)
-        self._produced.update(node.outputs)
-        for name, shape in zip(node.outputs, out_shapes):
-            self.shapes[name] = tuple(shape)
-
     def _materialize(self, name: str) -> None:
         # a folded boolean (or any folded value) becoming a runtime operand
         # must exist as a real initializer; booleans are stored as 0/1 floats
@@ -94,35 +87,39 @@ class GraphBuilder:
         self.initializers[name] = TensorValue(np.asarray(arr, dtype=DTYPES[self.dtype]),
                                               self.dtype)
 
+    def add(self, node: Node) -> bool:
+        """Fold a named node into ``known`` or append it; True when folded.
+
+        The node's shape law runs once either way.  A node folds when every
+        input is known (a node with no inputs, such as a Constant, too);
+        otherwise its known inputs become initializers and it is appended.
+        """
+        out_shapes = infer_node_shapes(node, [self.shape(i) for i in node.inputs])
+        self.shapes.update(zip(node.outputs, map(tuple, out_shapes)))
+        if all(i in self.known for i in node.inputs):
+            args = [self.known[i] for i in node.inputs]
+            self.known.update(zip(node.outputs, eval_node(
+                node, args, bind(node, [a.shape for a in args]))))
+            return True
+        for i in node.inputs:
+            if i in self.known:
+                self._materialize(i)
+        self.nodes.append(node)
+        return False
+
     def emit(self, op_type: str, inputs: list[str], attrs: dict | None = None,
              n_outputs: int = 1, tag: str | None = None):
         """Emit one op; returns the output name (or a list when n_outputs > 1).
 
-        The op's shape law runs once, whether the op is folded or appended.
+        A folded op takes fresh names for its outputs only.
         """
         tag = tag or op_type.lower()
         names = [self.fresh(tag if n_outputs == 1 else f"{tag}{k}")
                  for k in range(n_outputs)]
         node = Node(op_type, f"n_{tag}", list(inputs), names, dict(attrs or {}))
-        out_shapes = infer_node_shapes(node, [self.shape(i) for i in inputs])
-        if inputs and all(i in self.known for i in inputs):
-            args = [self.known[i] for i in inputs]
-            arrays = eval_node(node, args, bind(node, [a.shape for a in args]))
-            for name, arr in zip(names, arrays):
-                self.known[name] = arr
-                self.shapes[name] = tuple(arr.shape)
-            return names[0] if n_outputs == 1 else names
-        for i in inputs:
-            if i in self.known and i not in self.initializers \
-                    and i not in self._produced:
-                self._materialize(i)
-        node.name = self.fresh(f"n_{tag}")
-        self.append_raw(node, out_shapes)
+        if not self.add(node):
+            node.name = self.fresh(f"n_{tag}")
         return names[0] if n_outputs == 1 else names
-
-    def mark_produced(self, names) -> None:
-        """Record external node outputs so folding never shadows them."""
-        self._produced.update(names)
 
 
 class RuleEnv:

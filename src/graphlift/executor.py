@@ -495,7 +495,7 @@ class ExecutionPlan:
 
 
 def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
-            capture: bool = False, check_numerics: bool = True):
+            capture: bool = False):
     """Run a model, or a plan built from one, on a feed.
 
     A model is planned on the spot, so it may change between calls; a caller
@@ -503,9 +503,8 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     passes that.  Returns ``(outputs, trace)`` where outputs maps each
     declared graph output to its array and trace maps every value name to its
     array when ``capture`` is set (None otherwise).  Without ``capture``
-    each intermediate is released after its last consumer runs.  With
-    ``check_numerics`` the first node whose output holds a NaN or an
-    infinity raises NumericError.
+    each intermediate is released after its last consumer runs.  The first
+    node whose output holds a NaN or an infinity raises NumericError.
     """
     plan = model_or_plan if isinstance(model_or_plan, ExecutionPlan) \
         else ExecutionPlan(model_or_plan)
@@ -513,13 +512,13 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     for spec, slot in plan.feed:
         values[slot] = _coerce_input(spec, feed)
     params = plan.verify(values)
-    if check_numerics and plan.non_finite is not None:
+    if plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
     for (node, ins, outs, frees, guarded), bound in zip(plan.steps, params):
         results = eval_node(node, [values[s] for s in ins], bound)
         for name, slot, arr in zip(node.outputs, outs, results):
-            if guarded and check_numerics and not _finite(arr):
+            if guarded and not _finite(arr):
                 raise NumericError(
                     f"node {node.name!r} produced non-finite values in {name!r}")
             values[slot] = arr

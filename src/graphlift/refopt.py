@@ -12,6 +12,11 @@ Two ways to attach an attribution head to a forward graph:
   and the whole forward pass runs at that width every call.  It exists as the
   equivalence baseline and for cost comparisons.
 
+Both layouts add the forward nodes, in topological order, to the GraphBuilder
+the gradient rules emit through.  The builder folds every node whose inputs
+are all known, forward or backward, so a constant-only forward chain ships as
+the initializers its runtime consumers read, not as nodes.
+
 count_flops prices either artifact with fixed per-op conventions so the two
 schemes can be compared analytically.
 """
@@ -28,12 +33,12 @@ import numpy as np
 from .autodiff import differentiate
 from .builder import GraphBuilder, RuleEnv
 from .errors import ShapeError, UnsupportedOp, ValidationError
-from .executor import bind, eval_node, execute
+from .executor import execute
 from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
                  model_digest, topological_order, validate_model)
 from .parser import build_backward_graph
 from .rules import EPS_ACT, EPS_POOL
-from .shapes import infer_graph_shapes, infer_node_shapes
+from .shapes import infer_graph_shapes
 
 __all__ = [
     "ReferenceCache",
@@ -89,22 +94,6 @@ def _source_digest(model: GraphModel, refs: np.ndarray) -> str:
     return hashlib.sha256(model_digest(model).encode() + refs.tobytes()).hexdigest()
 
 
-def _sample_shapes(model: GraphModel) -> dict[str, tuple[int, ...]]:
-    spec = model.inputs[0]
-    return infer_graph_shapes(model, {spec.name: (1,) + tuple(spec.shape[1:])})
-
-
-def _const_chain(model: GraphModel) -> dict[str, np.ndarray]:
-    """Values computable from initializers alone (no graph-input dependence)."""
-    known = {name: tv.array for name, tv in model.initializers.items()}
-    for node in topological_order(model):
-        if all(i in known for i in node.inputs):   # a Constant has no inputs
-            args = [known[i] for i in node.inputs]
-            known.update(zip(node.outputs, eval_node(
-                node, args, bind(node, [a.shape for a in args]))))
-    return known
-
-
 def _grad_prefix(model: GraphModel) -> str:
     taken = {n.name for n in model.nodes}
     taken.update(o for n in model.nodes for o in n.outputs)
@@ -115,7 +104,18 @@ def _grad_prefix(model: GraphModel) -> str:
     return prefix
 
 
-def _head_geometry(model: GraphModel, sample, output_index: int):
+def _start(model: GraphModel, output_index: int):
+    """What both layouts begin with: the per-sample shapes, the explained
+    output, its class count, the backward graph and a builder that knows the
+    graph input's shape and every initializer.
+
+    Returns (builder, backward, sample, explained, classes).
+    """
+    validate_model(model)
+    if len(model.inputs) != 1:
+        raise UnsupportedOp("attribution requires exactly one graph input")
+    spec = model.inputs[0]
+    sample = infer_graph_shapes(model, {spec.name: (1,) + tuple(spec.shape[1:])})
     explained = model.outputs[0].name
     out_shape = sample[explained]
     if len(out_shape) != 2:
@@ -126,7 +126,13 @@ def _head_geometry(model: GraphModel, sample, output_index: int):
     if not 0 <= output_index < classes:
         raise ValidationError(
             f"output index {output_index} outside the {classes}-class head")
-    return explained, classes
+    backward = build_backward_graph(model, explained)
+    builder = GraphBuilder(dtype=spec.dtype, prefix=_grad_prefix(model))
+    builder.register_value(spec.name, sample[spec.name])
+    for name, tv in model.initializers.items():
+        builder.register_value(name, tv.shape, tv.array)
+    builder.initializers.update(model.initializers)
+    return builder, backward, sample, explained, classes
 
 
 def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
@@ -176,12 +182,25 @@ def _build_digest(meta: dict, digest: str) -> str:
         (json.dumps(body, sort_keys=True) + digest).encode()).hexdigest()
 
 
-def _read_initializers(initializers: dict[str, TensorValue], nodes: list[Node],
-                       outputs: list[ValueSpec]) -> dict[str, TensorValue]:
-    """The initializers some node reads or some output names, in order; a
-    constant every consumer of which folded away is left out."""
-    read = {i for node in nodes for i in node.inputs} | {s.name for s in outputs}
-    return {name: t for name, t in initializers.items() if name in read}
+def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
+            phi: str, multipliers: str | None) -> GraphModel:
+    """The validated artifact: the builder's nodes, the prediction, phi and
+    (when exposed) the input multipliers as outputs, and the initializers some
+    node reads or some output names; a constant every consumer of which
+    folded away is left out."""
+    names = [prediction, phi] + ([multipliers] if multipliers else [])
+    read = {i for node in builder.nodes for i in node.inputs} | set(names)
+    input_name = model.inputs[0].name
+    artifact = GraphModel(
+        name=f"{model.name}.explainer",
+        inputs=[ValueSpec(input_name, builder.dtype, builder.shape(input_name))],
+        outputs=[ValueSpec(n, builder.dtype, builder.shape(n)) for n in names],
+        initializers={name: t for name, t in builder.initializers.items()
+                      if name in read},
+        nodes=list(builder.nodes),
+    )
+    validate_model(artifact)
+    return artifact
 
 
 def build_optimized(model: GraphModel, cache: ReferenceCache,
@@ -192,29 +211,17 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
 
     Returns (artifact, metadata).
     """
-    validate_model(model)
-    if len(model.inputs) != 1:
-        raise UnsupportedOp("attribution requires exactly one graph input")
+    builder, backward, sample, explained, classes = _start(model, output_index)
     input_name = model.inputs[0].name
-    dtype = model.inputs[0].dtype
-    sample = _sample_shapes(model)
-    explained, classes = _head_geometry(model, sample, output_index)
     batch = cache.batch
-
-    builder = GraphBuilder(dtype=dtype, prefix=_grad_prefix(model))
-    for name, shape in sample.items():
-        builder.register_value(name, shape)
-    for name, tv in model.initializers.items():
-        builder.register_value(name, tv.shape, tv.array)
-    for name, arr in _const_chain(model).items():
-        builder.known.setdefault(name, arr)
-    builder.mark_produced([o for n in model.nodes for o in n.outputs])
+    for node in topological_order(model):
+        builder.add(node)
+    forward_nodes = [n.name for n in builder.nodes]
 
     env = RuleEnv(builder, batch, joint=False, sample_shapes=sample,
                   ref_values=cache.values)
-    backward = build_backward_graph(model, explained)
-    loss = builder.const(
-        _seed_array(batch, classes, output_index, dtype, seed_scale), "seed")
+    loss = builder.const(_seed_array(batch, classes, output_index,
+                                     builder.dtype, seed_scale), "seed")
     result = differentiate(model, backward, loss, env, eps_act, eps_pool)
 
     # phi = mean over references of multiplier * (X - R)
@@ -222,22 +229,8 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
     contrib = builder.emit("Mul", [result.input_grad, d_input], tag="contrib")
     phi = builder.emit("ReduceMean", [contrib], {"axes": [0], "keepdims": 1},
                        tag=_ATTRIBUTION)
-
-    outputs = [ValueSpec(explained, dtype, sample[explained]),
-               ValueSpec(phi, dtype, builder.shape(phi))]
-    if expose_multipliers:
-        outputs.append(ValueSpec(result.input_grad, dtype,
-                                 builder.shape(result.input_grad)))
-    nodes = [*model.nodes, *builder.nodes]
-    artifact = GraphModel(
-        name=f"{model.name}.explainer",
-        inputs=[ValueSpec(input_name, dtype, sample[input_name])],
-        outputs=outputs,
-        initializers=_read_initializers(
-            {**model.initializers, **builder.initializers}, nodes, outputs),
-        nodes=nodes,
-    )
-    validate_model(artifact)
+    multipliers = result.input_grad if expose_multipliers else None
+    artifact = _finish(model, builder, explained, phi, multipliers)
 
     baked = {name: init for name, init in env.baked_refs().items()
              if init in artifact.initializers}
@@ -246,10 +239,8 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
         "optimized", model, artifact, output_index=output_index, batch=batch,
         eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
         input_name=input_name, explained=explained, prediction=explained,
-        attribution=phi,
-        multipliers=result.input_grad if expose_multipliers else None,
-        forward_nodes=[n.name for n in model.nodes], target_rows=1,
-        reference_rows=0,
+        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
+        target_rows=1, reference_rows=0,
         ref_output_mean=cache.values[explained][:, output_index].mean(),
         cache_entries=baked, cache_bytes=cache_bytes,
         source_digest=cache.digest)
@@ -263,24 +254,11 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     Returns (artifact, metadata).
     """
-    validate_model(model)
-    if len(model.inputs) != 1:
-        raise UnsupportedOp("attribution requires exactly one graph input")
+    builder, backward, sample, explained, classes = _start(model, output_index)
     input_name = model.inputs[0].name
-    dtype = model.inputs[0].dtype
-    refs = _as_array(references, dtype)
+    refs = _as_array(references, builder.dtype)
     batch = int(refs.shape[0])
-    sample = _sample_shapes(model)
-    explained, classes = _head_geometry(model, sample, output_index)
     in_rank = len(sample[input_name])
-    backward = build_backward_graph(model, explained)
-
-    builder = GraphBuilder(dtype=dtype, prefix=_grad_prefix(model))
-    builder.register_value(input_name, sample[input_name])
-    for name, tv in model.initializers.items():
-        builder.register_value(name, tv.shape, tv.array)
-    for name, arr in _const_chain(model).items():
-        builder.known.setdefault(name, arr)
 
     tiled = builder.emit("Tile", [input_name],
                          {"repeats": [batch] + [1] * (in_rank - 1)}, tag="stackx")
@@ -289,8 +267,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     # clone the forward graph at 2B rows under its original value names
     rename = {input_name: stacked}
-    forward_names = []
-    for node in model.nodes:
+    for node in topological_order(model):
         attrs = dict(node.attributes)
         if node.op_type == "Reshape" and any(i in backward.differentiable
                                              for i in node.inputs):
@@ -298,18 +275,15 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
             if shape_attr and shape_attr[0] == 1:
                 shape_attr[0] = -1  # free the batch extent for the 2B stream
                 attrs["shape"] = shape_attr
-        clone = Node(node.op_type, node.name,
-                     [rename.get(i, i) for i in node.inputs],
-                     list(node.outputs), attrs)
-        out_shapes = infer_node_shapes(
-            clone, [builder.shape(i) for i in clone.inputs])
-        builder.append_raw(clone, out_shapes)
-        forward_names.append(clone.name)
+        builder.add(Node(node.op_type, node.name,
+                         [rename.get(i, i) for i in node.inputs],
+                         list(node.outputs), attrs))
+    forward_nodes = [n.name for n in builder.nodes]
 
     env = RuleEnv(builder, batch, joint=True, sample_shapes=sample)
     env.alias[input_name] = stacked
-    loss = builder.const(
-        _seed_array(2 * batch, classes, output_index, dtype, seed_scale), "seed")
+    loss = builder.const(_seed_array(2 * batch, classes, output_index,
+                                     builder.dtype, seed_scale), "seed")
     result = differentiate(model, backward, loss, env, eps_act, eps_pool)
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
@@ -325,31 +299,15 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     # the target half carries B identical rows; their mean is the prediction
     pred = builder.emit("ReduceMean", [env.x_of(explained)],
                         {"axes": [0], "keepdims": 1}, tag=_PREDICTION)
-
-    outputs = [ValueSpec(pred, dtype, builder.shape(pred)),
-               ValueSpec(phi, dtype, builder.shape(phi))]
-    if expose_multipliers:
-        outputs.append(ValueSpec(result.input_grad, dtype,
-                                 builder.shape(result.input_grad)))
-    artifact = GraphModel(
-        name=f"{model.name}.explainer",
-        inputs=[ValueSpec(input_name, dtype, sample[input_name])],
-        outputs=outputs,
-        initializers=_read_initializers(
-            {**model.initializers, **builder.initializers}, builder.nodes, outputs),
-        nodes=list(builder.nodes),
-    )
-    validate_model(artifact)
+    multipliers = result.input_grad if expose_multipliers else None
+    artifact = _finish(model, builder, pred, phi, multipliers)
 
     ref_out, _ = execute(model, {input_name: refs})
     meta = _metadata(
         "naive", model, artifact, output_index=output_index, batch=batch,
         eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
         input_name=input_name, explained=explained, prediction=pred,
-        attribution=phi,
-        multipliers=result.input_grad if expose_multipliers else None,
-        forward_nodes=[builder.nodes[0].name, builder.nodes[1].name,
-                       *forward_names],
+        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
         target_rows=batch, reference_rows=batch,
         ref_output_mean=ref_out[explained][:, output_index].mean(),
         cache_entries=[], cache_bytes=0,

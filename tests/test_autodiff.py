@@ -5,13 +5,12 @@ import pytest
 
 import graphlift as gl
 from graphlift import (GraphModel, Node, StuckError, TensorValue, ValueSpec,
-                       validate_model)
+                       topological_order, validate_model)
 import graphlift.autodiff as autodiff
 from graphlift.autodiff import differentiate
-from graphlift.builder import GraphBuilder, RuleEnv
+from graphlift.builder import RuleEnv
 from graphlift.executor import execute
-from graphlift.parser import build_backward_graph
-from graphlift.refopt import precompute_reference_cache
+from graphlift.refopt import _start, precompute_reference_cache
 from graphlift.rules import RuleOutput
 
 WIDTH = 4
@@ -122,20 +121,12 @@ def test_duplicate_operand_add_doubles_gradient():
 
 def _manual_differentiate(model):
     """Drive the sweep directly, outside compile_explainer."""
-    from graphlift.refopt import _const_chain, _sample_shapes
     cache = precompute_reference_cache(model, np.zeros((2, 2)))
-    sample = _sample_shapes(model)
-    builder = GraphBuilder(dtype="float64", prefix="bwd")
-    for name, shape in sample.items():
-        builder.register_value(name, shape)
-    for name, tv in model.initializers.items():
-        builder.register_value(name, tv.shape, tv.array)
-    for name, arr in _const_chain(model).items():
-        builder.known.setdefault(name, arr)
-    builder.mark_produced([o for n in model.nodes for o in n.outputs])
+    builder, backward, sample, _, _ = _start(model, output_index=1)
+    for node in topological_order(model):
+        builder.add(node)
     env = RuleEnv(builder, 2, joint=False, sample_shapes=sample,
                   ref_values=cache.values)
-    backward = build_backward_graph(model, model.outputs[0].name)
     seed = builder.const(np.array([[0.0, 1.0]]), "seed")
     return differentiate(model, backward, seed, env)
 

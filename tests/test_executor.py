@@ -190,13 +190,10 @@ def test_numeric_check_flags_non_finite():
                        {"z": TensorValue(np.zeros((1, 2)))},
                        [Node("Div", "dv", ["x", "z"], ["y"])])
     with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'dv'"):
-        execute(model, {"x": np.ones((1, 2))}, check_numerics=True)
+        execute(model, {"x": np.ones((1, 2))})
     plan = ExecutionPlan(model)
     with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'dv'"):
         execute(plan, {"x": np.ones((1, 2))})
-    with np.errstate(divide="ignore"):
-        outs, _ = execute(plan, {"x": np.ones((1, 2))}, check_numerics=False)
-    assert np.isinf(outs["y"]).all()
 
 
 def test_numeric_check_flags_non_finite_constant():
@@ -209,8 +206,6 @@ def test_numeric_check_flags_non_finite_constant():
     plan = ExecutionPlan(model)
     with pytest.raises(NumericError, match="'big'"):
         execute(plan, {"x": np.ones((1, 2))})
-    outs, _ = execute(plan, {"x": np.ones((1, 2))}, check_numerics=False)
-    assert np.array_equal(outs["y"], [[1.0, np.inf]])
 
 
 @pytest.mark.parametrize("name", ["plain_deep", "dense_concat"])

@@ -206,7 +206,7 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
 
 # (optimized, naive) node count of every corpus artifact
 CORPUS_NODE_COUNTS = {"plain_deep": (98, 136), "residual_add": (36, 50),
-                      "dense_concat": (58, 79), "scaled_add_mul": (44, 56)}
+                      "dense_concat": (58, 79), "scaled_add_mul": (36, 48)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -224,16 +224,46 @@ def test_plain_deep_carries_no_emulation_chains(artifacts):
     assert census["Concat"] <= 2
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("scheme", ["optimized", "naive"])
-def test_no_artifact_carries_an_unread_initializer(artifacts, corpus_f32,
-                                                   dtype, scheme):
+def _every_artifact(artifacts, corpus_f32, dtype, scheme):
+    """The corpus artifacts and every micro net's, in one dtype and scheme."""
     arts = [artifacts(e.name, dtype, scheme) for e in corpus_f32]
     for family in gl.MICRO_FAMILIES:
         net = gl.micro_net(family, dtype=dtype)
         arts.append(gl.compile_explainer(net.model, net.references,
                                          scheme=scheme))
-    for art in arts:
+    return arts
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_artifact_node_reads_only_constants(artifacts, corpus_f32,
+                                               dtype, scheme):
+    # one folder: a node whose inputs are all known at build time is folded,
+    # forward or backward, so none ships to run again on every explain
+    for art in _every_artifact(artifacts, corpus_f32, dtype, scheme):
+        model = art.model
+        for node in model.nodes:
+            assert node.op_type != "Constant", (model.name, node.name)
+            assert not set(node.inputs) <= set(model.initializers), \
+                (model.name, node.name)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_constant_forward_chain_ships_as_one_initializer(artifacts, scheme):
+    art = artifacts("scaled_add_mul", "float32", scheme)
+    names = {n.name for n in art.model.nodes}
+    assert not any(name.startswith("gate_") for name in names)
+    assert not any(name.startswith("gate_")
+                   for name in art.metadata["forward_nodes"])
+    assert art.model.initializers["gate_lo"].shape == (1, 32)
+    assert "gate_hi" not in art.model.initializers
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_artifact_carries_an_unread_initializer(artifacts, corpus_f32,
+                                                   dtype, scheme):
+    for art in _every_artifact(artifacts, corpus_f32, dtype, scheme):
         model = art.model
         read = {i for n in model.nodes for i in n.inputs}
         read.update(spec.name for spec in model.outputs)
@@ -243,3 +273,19 @@ def test_no_artifact_carries_an_unread_initializer(artifacts, corpus_f32,
                  if re.search(r"/\d+_ref_", name)]
         assert art.metadata["cache_bytes"] == sum(baked)
         assert len(art.metadata["cache_entries"]) == len(baked)
+
+
+def test_schemes_agree_on_nodes_declared_out_of_order():
+    w = gl.TensorValue(np.array([[0.6, -0.4], [0.3, 0.9]]), "float64")
+    model = gl.GraphModel(
+        "shuffled", [gl.ValueSpec("x", "float64", (-1, 2))],
+        [gl.ValueSpec("y", "float64", (-1, 2))], {"w": w},
+        [gl.Node("Tanh", "act", ["h"], ["y"]),
+         gl.Node("MatMul", "mix", ["x", "w"], ["h"])])
+    refs = np.array([[0.1, -0.2], [0.5, 0.3], [-0.4, 0.0]])
+    x = np.array([[0.7, -0.5]])
+    phi = {scheme: gl.explain(gl.compile_explainer(model, refs, scheme=scheme),
+                              x).phi.array
+           for scheme in ("optimized", "naive")}
+    assert np.abs(phi["optimized"] - phi["naive"]).max() <= 1e-12
+    assert np.abs(phi["optimized"]).max() > 0
