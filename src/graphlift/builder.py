@@ -1,4 +1,4 @@
-"""Incremental graph construction with constant folding.
+"""Incremental graph construction with value numbering and constant folding.
 
 Both artifact layouts add their forward nodes to a GraphBuilder, and the
 gradient rules emit their operator nodes through it.  The builder folds every
@@ -8,6 +8,11 @@ only if a runtime node reads it.  That is what turns constant-only forward
 chains and reference-side expression chains into baked constants under the
 reference-caching scheme, while the same rule code emits live nodes for the
 replicated-batch scheme.
+
+``emit`` also numbers values (Click, "Global Code Motion / Global Value
+Numbering", PLDI 1995): every op is pure, so an op emitted again with the
+same inputs and attributes returns its earlier outputs, and a repeated pure
+op is built once, however many rules ask for it.
 
 RuleEnv resolves, for any forward value name, where its target-side and
 reference-side activations live: the forward value itself plus a cached
@@ -42,7 +47,8 @@ class GraphBuilder:
         # anything computed only from them); folded booleans live here too
         self.known: dict[str, np.ndarray] = {}
         self._counter = itertools.count()
-        self._scalars: dict[float, str] = {}
+        # (op_type, inputs, canonical attributes) -> outputs of an emitted op
+        self._values: dict[tuple, str | list[str]] = {}
 
     def fresh(self, tag: str) -> str:
         return f"{self.prefix}/{next(self._counter)}_{tag}"
@@ -69,12 +75,8 @@ class GraphBuilder:
         return name
 
     def scalar(self, value: float, tag: str) -> str:
-        key = float(value)
-        if key not in self._scalars:
-            self._scalars[key] = self.const(
-                np.asarray(value, dtype=DTYPES[self.dtype]), tag
-            )
-        return self._scalars[key]
+        return self.emit("Constant", [], {"dtype": self.dtype, "shape": [],
+                                          "value": [float(value)]}, tag=tag)
 
     def _materialize(self, name: str) -> None:
         # a folded boolean (or any folded value) becoming a runtime operand
@@ -111,15 +113,23 @@ class GraphBuilder:
              n_outputs: int = 1, tag: str | None = None):
         """Emit one op; returns the output name (or a list when n_outputs > 1).
 
-        A folded op takes fresh names for its outputs only.
+        An op already emitted with the same inputs and attributes returns its
+        earlier outputs.  A folded op takes fresh names for its outputs only.
         """
+        attrs = dict(attrs or {})
+        # repr of the sorted items is canonical for attribute values and far
+        # cheaper per emit than a JSON encoding
+        key = (op_type, tuple(inputs), repr(sorted(attrs.items())))
+        if key in self._values:
+            return self._values[key]
         tag = tag or op_type.lower()
         names = [self.fresh(tag if n_outputs == 1 else f"{tag}{k}")
                  for k in range(n_outputs)]
-        node = Node(op_type, f"n_{tag}", list(inputs), names, dict(attrs or {}))
+        node = Node(op_type, f"n_{tag}", list(inputs), names, attrs)
         if not self.add(node):
             node.name = self.fresh(f"n_{tag}")
-        return names[0] if n_outputs == 1 else names
+        self._values[key] = names[0] if n_outputs == 1 else names
+        return self._values[key]
 
 
 class RuleEnv:
@@ -128,8 +138,8 @@ class RuleEnv:
     With ``joint=False`` (reference caching) a forward name is the target
     activation itself and the reference side is a baked constant pulled from
     the cache.  With ``joint=True`` the forward names carry 2B stacked rows,
-    halves are obtained through shared Split nodes, and gradient tensors ride
-    the full 2B-row stream.
+    halves are obtained through Split nodes, and gradient tensors ride the
+    full 2B-row stream.
     """
 
     def __init__(self, builder: GraphBuilder, batch: int, joint: bool,
@@ -143,41 +153,27 @@ class RuleEnv:
         # stacked scheme reroutes the 1-row graph input to its 2B-row stack)
         self.alias: dict[str, str] = {}
         self._ref_values = ref_values or {}
-        self._splits: dict[str, tuple[str, str]] = {}
-        self._swaps: dict[str, str] = {}
-        self._deltas: dict[str, str] = {}
-        self._means: dict[str, str] = {}
+        # forward name -> initializer holding its baked reference rows
         self._ref_names: dict[str, str] = {}
-        self._x_grads: dict[str, str] = {}
-        self._zeros: dict[tuple[int, ...], str] = {}
-
-    @property
-    def rows(self) -> int:
-        """Rows carried by gradient tensors on the backward stream."""
-        return 2 * self.batch if self.joint else self.batch
 
     def act(self, name: str) -> str:
         """Stream-width activation of a forward value (broadcasts on the target side)."""
         return self.alias.get(name, name)
 
-    def split_halves(self, name: str) -> tuple[str, str]:
-        name = self.alias.get(name, name)
-        if name not in self._splits:
-            b = self.batch
-            x_name, r_name = self.builder.emit(
-                "Split", [name], {"axis": 0, "split": [b, b]}, n_outputs=2,
-                tag=f"half_{_short(name)}")
-            self._splits[name] = (x_name, r_name)
-        return self._splits[name]
+    def _halves(self, stream: str) -> list[str]:
+        """Target-half and reference-half rows of a 2B-row stream."""
+        b = self.batch
+        return self.builder.emit("Split", [stream], {"axis": 0, "split": [b, b]},
+                                 n_outputs=2, tag=f"half_{_short(stream)}")
 
     def x_of(self, name: str) -> str:
         """Target-side activations of a forward value."""
-        return self.split_halves(name)[0] if self.joint else name
+        return self._halves(self.act(name))[0] if self.joint else name
 
     def r_of(self, name: str) -> str:
         """Reference-side activations of a forward value."""
         if self.joint:
-            return self.split_halves(name)[1]
+            return self._halves(self.act(name))[1]
         if name not in self._ref_names:
             if name not in self._ref_values:
                 raise MissingCacheEntry(
@@ -186,34 +182,27 @@ class RuleEnv:
                 self._ref_values[name], f"ref_{_short(name)}")
         return self._ref_names[name]
 
-    def swap(self, name: str) -> str:
-        """Stream with target and reference halves exchanged (joint mode only)."""
-        name = self.alias.get(name, name)
-        if name not in self._swaps:
-            x_name, r_name = self.split_halves(name)
-            self._swaps[name] = self.builder.emit(
-                "Concat", [r_name, x_name], {"axis": 0}, tag=f"swap_{_short(name)}")
-        return self._swaps[name]
+    def _other(self, name: str) -> str:
+        """The reference side, at stream width, to set against ``act(name)``."""
+        if not self.joint:
+            return self.r_of(name)
+        x_name, r_name = self._halves(self.act(name))
+        return self.builder.emit("Concat", [r_name, x_name], {"axis": 0},
+                                 tag=f"swap_{_short(self.act(name))}")
 
     def delta(self, name: str) -> str:
         """Stream-width (target - reference) difference of a forward value."""
-        key = self.alias.get(name, name)
-        if key not in self._deltas:
-            other = self.swap(key) if self.joint else self.r_of(name)
-            self._deltas[key] = self.builder.emit(
-                "Sub", [key, other], tag=f"delta_{_short(key)}")
-        return self._deltas[key]
+        key = self.act(name)
+        return self.builder.emit("Sub", [key, self._other(name)],
+                                 tag=f"delta_{_short(key)}")
 
     def mean_act(self, name: str) -> str:
         """Stream-width average of target-side and reference-side activations."""
-        key = self.alias.get(name, name)
-        if key not in self._means:
-            other = self.swap(key) if self.joint else self.r_of(name)
-            total = self.builder.emit("Add", [key, other], tag=f"actsum_{_short(key)}")
-            half = self.builder.scalar(0.5, "half")
-            self._means[key] = self.builder.emit(
-                "Mul", [total, half], tag=f"actmean_{_short(key)}")
-        return self._means[key]
+        key = self.act(name)
+        total = self.builder.emit("Add", [key, self._other(name)],
+                                  tag=f"actsum_{_short(key)}")
+        return self.builder.emit("Mul", [total, self.builder.scalar(0.5, "half")],
+                                 tag=f"actmean_{_short(key)}")
 
     def baked_refs(self) -> dict[str, str]:
         """Forward-value name -> initializer name of each baked reference entry."""
@@ -221,25 +210,15 @@ class RuleEnv:
 
     def grad_x_half(self, grad_name: str) -> str:
         """Target-half rows of a stream gradient."""
-        if not self.joint:
-            return grad_name
-        if grad_name not in self._x_grads:
-            b = self.batch
-            x_name, _ = self.builder.emit(
-                "Split", [grad_name], {"axis": 0, "split": [b, b]}, n_outputs=2,
-                tag="gradhalf")
-            self._x_grads[grad_name] = x_name
-        return self._x_grads[grad_name]
+        return self._halves(grad_name)[0] if self.joint else grad_name
 
     def wrap_stream(self, grad_x: str, sample_shape: tuple[int, ...]) -> str:
-        """Lift a target-half gradient back to stream width (joint mode only)."""
+        """Append B zero rows, the reference half, to a target-half tensor."""
         if not self.joint:
             return grad_x
-        shape = (self.batch,) + tuple(sample_shape[1:])
-        if shape not in self._zeros:
-            self._zeros[shape] = self.builder.const(np.zeros(shape), "deadhalf")
-        return self.builder.emit("Concat", [grad_x, self._zeros[shape]],
-                                 {"axis": 0}, tag="jointgrad")
+        rank = len(sample_shape)
+        pads = [0] * rank + [self.batch] + [0] * (rank - 1)
+        return self.builder.emit("Pad", [grad_x], {"pads": pads}, tag="jointgrad")
 
     def sample_shape(self, name: str) -> tuple[int, ...]:
         try:

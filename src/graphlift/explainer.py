@@ -125,7 +125,10 @@ def _as_input(artifact: ExplainerArtifact, sample) -> np.ndarray:
     spec = artifact.model.inputs[0]
     if isinstance(sample, TensorValue):
         sample = sample.array
-    return np.asarray(sample, dtype=DTYPES[spec.dtype])
+    try:
+        return np.asarray(sample, dtype=DTYPES[spec.dtype])
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"sample is not a numeric array: {err}") from None
 
 
 def explain(artifact: ExplainerArtifact, sample) -> Attribution:

@@ -249,8 +249,9 @@ def _check_attr_value(node_name: str, key: str, kind: str, value) -> None:
             f"node {node_name!r}: attribute {key!r} must be of kind {kind}")
 
 
-def validate_model(model: GraphModel) -> None:
-    """Check structural rules; raise ValidationError / CycleError with the culprit."""
+def validate_model(model: GraphModel) -> list[Node]:
+    """Check structural rules; raise ValidationError / CycleError with the
+    culprit.  Returns the nodes in topological order."""
     if not model.name:
         raise ValidationError("model name must be non-empty")
 
@@ -310,7 +311,7 @@ def validate_model(model: GraphModel) -> None:
         if spec.name not in produced:
             raise ValidationError(f"graph output {spec.name!r} is never produced")
 
-    topological_order(model)
+    return topological_order(model)
 
 
 def topological_order(model: GraphModel) -> list[Node]:

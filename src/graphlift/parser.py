@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoPathError
-from .ir import GraphModel, Node, topological_order
+from .ir import GraphModel, Node
 
 __all__ = ["BackwardGraph", "build_backward_graph"]
 
@@ -29,16 +29,14 @@ class BackwardGraph:
     order: tuple[Node, ...]
 
 
-def build_backward_graph(model: GraphModel,
-                         explained_output: str | None = None) -> BackwardGraph:
+def build_backward_graph(model: GraphModel, forward: list[Node],
+                         explained_output: str) -> BackwardGraph:
     """Reverse the model around one explained output.
 
-    Raises NoPathError when no differentiable path connects a graph input to
-    the explained output.
+    ``forward`` is the model's nodes in topological order, as
+    ``validate_model`` returns them.  Raises NoPathError when no
+    differentiable path connects a graph input to the explained output.
     """
-    if explained_output is None:
-        explained_output = model.outputs[0].name
-    forward = topological_order(model)
     inputs = {spec.name for spec in model.inputs}
     diff = set(inputs)
     for node in forward:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ from .builder import GraphBuilder, RuleEnv
 from .errors import ShapeError, UnsupportedOp, ValidationError
 from .executor import execute
 from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
-                 model_digest, topological_order, validate_model)
+                 model_digest, validate_model)
 from .parser import build_backward_graph
 from .rules import EPS_ACT, EPS_POOL
 from .shapes import infer_graph_shapes
@@ -104,14 +105,31 @@ def _grad_prefix(model: GraphModel) -> str:
     return prefix
 
 
-def _start(model: GraphModel, output_index: int):
-    """What both layouts begin with: the per-sample shapes, the explained
-    output, its class count, the backward graph and a builder that knows the
-    graph input's shape and every initializer.
+def _check_arguments(dtype: str, classes: int, output_index, **knobs) -> None:
+    """Name the first argument an artifact could not use: the output index
+    must pick a class, each knob be finite in ``dtype``, each epsilon > 0."""
+    if isinstance(output_index, bool) or not isinstance(output_index, numbers.Integral) \
+            or not 0 <= output_index < classes:
+        raise ValidationError(
+            f"output_index {output_index!r} picks none of the {classes} classes")
+    for name, value in knobs.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        with np.errstate(over="ignore"):
+            cast = DTYPES[dtype](value) if real else np.nan
+        limit = "finite" if name == "seed_scale" else "finite and above 0"
+        if not np.isfinite(cast) or (name != "seed_scale" and cast <= 0):
+            raise ValidationError(f"{name} must be {limit} in {dtype}, got {value!r}")
 
-    Returns (builder, backward, sample, explained, classes).
+
+def _start(model: GraphModel, output_index, eps_act, eps_pool, seed_scale):
+    """What both layouts begin with, once the model and the arguments check
+    out: the forward nodes in topological order, the per-sample shapes, the
+    explained output, its class count, the backward graph and a builder that
+    knows the graph input's shape and every initializer.
+
+    Returns (builder, backward, order, sample, explained, classes).
     """
-    validate_model(model)
+    order = validate_model(model)
     if len(model.inputs) != 1:
         raise UnsupportedOp("attribution requires exactly one graph input")
     spec = model.inputs[0]
@@ -123,16 +141,15 @@ def _start(model: GraphModel, output_index: int):
             f"the explained output must be rank-2 (batch, classes); "
             f"{explained!r} has shape {out_shape}")
     classes = out_shape[1]
-    if not 0 <= output_index < classes:
-        raise ValidationError(
-            f"output index {output_index} outside the {classes}-class head")
-    backward = build_backward_graph(model, explained)
+    _check_arguments(spec.dtype, classes, output_index, eps_act=eps_act,
+                     eps_pool=eps_pool, seed_scale=seed_scale)
+    backward = build_backward_graph(model, order, explained)
     builder = GraphBuilder(dtype=spec.dtype, prefix=_grad_prefix(model))
     builder.register_value(spec.name, sample[spec.name])
     for name, tv in model.initializers.items():
         builder.register_value(name, tv.shape, tv.array)
     builder.initializers.update(model.initializers)
-    return builder, backward, sample, explained, classes
+    return builder, backward, order, sample, explained, classes
 
 
 def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
@@ -211,10 +228,11 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
 
     Returns (artifact, metadata).
     """
-    builder, backward, sample, explained, classes = _start(model, output_index)
+    builder, backward, order, sample, explained, classes = _start(
+        model, output_index, eps_act, eps_pool, seed_scale)
     input_name = model.inputs[0].name
     batch = cache.batch
-    for node in topological_order(model):
+    for node in order:
         builder.add(node)
     forward_nodes = [n.name for n in builder.nodes]
 
@@ -254,7 +272,8 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     Returns (artifact, metadata).
     """
-    builder, backward, sample, explained, classes = _start(model, output_index)
+    builder, backward, order, sample, explained, classes = _start(
+        model, output_index, eps_act, eps_pool, seed_scale)
     input_name = model.inputs[0].name
     refs = _as_array(references, builder.dtype)
     batch = int(refs.shape[0])
@@ -267,7 +286,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     # clone the forward graph at 2B rows under its original value names
     rename = {input_name: stacked}
-    for node in topological_order(model):
+    for node in order:
         attrs = dict(node.attributes)
         if node.op_type == "Reshape" and any(i in backward.differentiable
                                              for i in node.inputs):
@@ -288,9 +307,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
     d_input = builder.emit("Sub", [input_name, ref_const], tag="inputdelta")
-    dead = builder.const(np.zeros((batch,) + tuple(sample[input_name][1:])),
-                         "deadrows")
-    masked = builder.emit("Concat", [d_input, dead], {"axis": 0}, tag="maskeddelta")
+    masked = env.wrap_stream(d_input, sample[input_name])
     contrib = builder.emit("Mul", [result.input_grad, masked], tag="contrib")
     summed = builder.emit("ReduceSum", [contrib], {"axes": [0], "keepdims": 1},
                           tag="contribsum")

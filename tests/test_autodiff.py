@@ -5,13 +5,13 @@ import pytest
 
 import graphlift as gl
 from graphlift import (GraphModel, Node, StuckError, TensorValue, ValueSpec,
-                       topological_order, validate_model)
+                       validate_model)
 import graphlift.autodiff as autodiff
 from graphlift.autodiff import differentiate
 from graphlift.builder import RuleEnv
 from graphlift.executor import execute
 from graphlift.refopt import _start, precompute_reference_cache
-from graphlift.rules import RuleOutput
+from graphlift.rules import EPS_ACT, EPS_POOL, RuleOutput
 
 WIDTH = 4
 
@@ -122,8 +122,9 @@ def test_duplicate_operand_add_doubles_gradient():
 def _manual_differentiate(model):
     """Drive the sweep directly, outside compile_explainer."""
     cache = precompute_reference_cache(model, np.zeros((2, 2)))
-    builder, backward, sample, _, _ = _start(model, output_index=1)
-    for node in topological_order(model):
+    builder, backward, order, sample, _, _ = _start(
+        model, 1, EPS_ACT, EPS_POOL, 1.0)
+    for node in order:
         builder.add(node)
     env = RuleEnv(builder, 2, joint=False, sample_shapes=sample,
                   ref_values=cache.values)

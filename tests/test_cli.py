@@ -187,6 +187,18 @@ def test_flops_rejects_bad_batch_sizes(demo_files, capsys, spec, word):
     assert "--b-range" in err and word in err
 
 
+@pytest.mark.parametrize("flag, value", [("--eps-act", "-1"),
+                                         ("--eps-pool", "inf"),
+                                         ("--seed-scale", "nan"),
+                                         ("--output-index", "99")])
+def test_compile_names_a_bad_argument(demo_files, capsys, flag, value):
+    code, _, err = run(capsys, "compile", "--model", demo_files["model"],
+                       "--refs", demo_files["refs"], flag, value,
+                       "--out", str(demo_files["dir"] / "bad.sgm"))
+    assert code == 2
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_dtype_flag_recasts(demo_files, capsys):
     art = str(demo_files["dir"] / "f32.sgm")
     code, _, _ = run(capsys, "compile", "--model", demo_files["model"],

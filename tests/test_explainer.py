@@ -8,6 +8,7 @@ import pytest
 import graphlift as gl
 from graphlift import (Attribution, GraphModel, Node, ParseError, ShapeError,
                        TensorValue, ValidationError, ValueSpec)
+from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, demo_sample, random_references
 
 
@@ -112,6 +113,51 @@ def test_explain_rejects_metadata_missing_a_key(demo, key):
     broken = gl.ExplainerArtifact(model=art.model, metadata=meta)
     with pytest.raises(ValidationError, match=key):
         gl.explain(broken, sample)
+
+
+BAD_ARGUMENTS = [
+    ("output_index", 1.5), ("output_index", True), ("output_index", "0"),
+    ("eps_act", -1.0), ("eps_act", 0.0), ("eps_act", float("inf")),
+    ("eps_act", float("nan")), ("eps_act", None),
+    ("eps_pool", -1.0), ("eps_pool", float("inf")),
+    ("seed_scale", float("inf")), ("seed_scale", float("nan")),
+    ("seed_scale", False),
+]
+
+
+def _compile_with(model, refs, build, key, value):
+    if build == "compile_explainer":
+        return gl.compile_explainer(model, refs, **{key: value})
+    if build == "build_optimized":
+        cache = gl.precompute_reference_cache(model, refs)
+        return gl.build_optimized(model, cache, **{key: value})
+    return gl.build_naive(model, refs, **{key: value})
+
+
+@pytest.mark.parametrize("build", ["compile_explainer", "build_optimized",
+                                   "build_naive"])
+@pytest.mark.parametrize("key, value", BAD_ARGUMENTS)
+def test_bad_compile_argument_is_named(demo, build, key, value):
+    model, refs, _ = demo
+    with pytest.raises(ValidationError, match=key):
+        _compile_with(model, refs, build, key, value)
+
+
+def test_knob_finite_in_float64_but_not_in_float32_is_refused(demo):
+    model, refs, _ = demo
+    gl.compile_explainer(model, refs, seed_scale=1e39)
+    narrow = cast_model(model, "float32")
+    with pytest.raises(ValidationError, match="seed_scale"):
+        gl.compile_explainer(narrow, refs.astype(np.float32), seed_scale=1e39)
+    with pytest.raises(ValidationError, match="eps_act"):
+        gl.compile_explainer(narrow, refs.astype(np.float32), eps_act=1e-50)
+
+
+def test_explain_rejects_a_non_numeric_sample(demo):
+    model, refs, _ = demo
+    art = gl.compile_explainer(model, refs)
+    with pytest.raises(ValidationError, match="sample"):
+        gl.explain(art, "abc")
 
 
 def test_explain_rejects_out_of_range_output_index(demo):

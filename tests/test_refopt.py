@@ -1,6 +1,8 @@
 """Reference baking, both compile schemes, and the analytic cost model."""
 
+import json
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -205,8 +207,8 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
 
 
 # (optimized, naive) node count of every corpus artifact
-CORPUS_NODE_COUNTS = {"plain_deep": (98, 136), "residual_add": (36, 50),
-                      "dense_concat": (58, 79), "scaled_add_mul": (36, 48)}
+CORPUS_NODE_COUNTS = {"plain_deep": (97, 136), "residual_add": (36, 50),
+                      "dense_concat": (57, 79), "scaled_add_mul": (36, 48)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -273,6 +275,43 @@ def test_no_artifact_carries_an_unread_initializer(artifacts, corpus_f32,
                  if re.search(r"/\d+_ref_", name)]
         assert art.metadata["cache_bytes"] == sum(baked)
         assert len(art.metadata["cache_entries"]) == len(baked)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_artifact_builds_an_op_twice(artifacts, corpus_f32, dtype, scheme):
+    # value numbering: a pure op with the same inputs and attributes is
+    # emitted once, however many rules ask for it
+    for art in _every_artifact(artifacts, corpus_f32, dtype, scheme):
+        seen = {}
+        for node in art.model.nodes:
+            key = (node.op_type, tuple(node.inputs),
+                   json.dumps(node.attributes, sort_keys=True))
+            assert key not in seen, (art.model.name, node.name, seen.get(key))
+            seen[key] = node.name
+
+
+def test_compile_sorts_the_source_model_three_times(monkeypatch):
+    # validate_model's order feeds both the backward graph and the forward
+    # loop; what remains is the shape pass, the reference run and the
+    # artifact's own validation
+    real = gl.ir.topological_order
+    seen = []
+
+    def counting(model):
+        seen.append(model)
+        return real(model)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphlift" and \
+                getattr(module, "topological_order", None) is real:
+            monkeypatch.setattr(module, "topological_order", counting)
+    entry = gl.corpus_entry("plain_deep")
+    for scheme in ("optimized", "naive"):
+        seen.clear()
+        gl.compile_explainer(entry.model, entry.references, scheme=scheme)
+        assert len(seen) == 4, scheme
+        assert sum(model is entry.model for model in seen) == 3, scheme
 
 
 def test_schemes_agree_on_nodes_declared_out_of_order():
