@@ -11,16 +11,16 @@ from .corpus import (LINEAR_FAMILIES, MICRO_FAMILIES, CorpusEntry, MicroNet,
                      build_corpus, corpus_entry, demo_model, demo_sample,
                      micro_net, random_inputs, random_references,
                      zero_references)
-from .errors import (CycleError, GraphliftError, MissingCacheEntry,
-                     NoPathError, NumericError, ParseError, ShapeError,
-                     StuckError, UnsupportedOp, ValidationError)
+from .errors import (GraphliftError, MissingCacheEntry, NoPathError,
+                     NumericError, ParseError, ShapeError, StuckError,
+                     UnsupportedOp, ValidationError)
 from .executor import ExecutionPlan, execute
 from .explainer import (Attribution, ExplainerArtifact, compile_explainer,
                         completeness_check, explain, load_artifact,
                         save_artifact, write_pgm)
 from .ir import (GraphModel, Node, TensorValue, ValueSpec, load_model,
                  load_tensor, model_digest, save_model, save_tensor,
-                 topological_order, validate_model)
+                 validate_model)
 from .oracle import (ClosenessReport, compare_attributions, deeplift_oracle,
                      finite_diff)
 from .refopt import (FlopReport, ReferenceCache, build_naive, build_optimized,
@@ -32,14 +32,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "GraphliftError", "ParseError", "ValidationError", "CycleError",
-    "ShapeError", "UnsupportedOp", "NumericError", "NoPathError",
-    "StuckError", "MissingCacheEntry",
+    "GraphliftError", "ParseError", "ValidationError", "ShapeError",
+    "UnsupportedOp", "NumericError", "NoPathError", "StuckError",
+    "MissingCacheEntry",
     # model structure and serialization
     "GraphModel", "Node", "TensorValue", "ValueSpec", "validate_model",
-    "topological_order", "save_model", "load_model", "save_tensor",
-    "load_tensor", "model_digest", "infer_graph_shapes", "execute",
-    "ExecutionPlan",
+    "save_model", "load_model", "save_tensor", "load_tensor",
+    "model_digest", "infer_graph_shapes", "execute", "ExecutionPlan",
     # compilation and use
     "compile_explainer", "explain", "completeness_check", "Attribution",
     "ExplainerArtifact", "save_artifact", "load_artifact", "write_pgm",

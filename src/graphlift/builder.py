@@ -7,7 +7,10 @@ build time and its result becomes a known value, stored as an initializer
 only if a runtime node reads it.  That is what turns constant-only forward
 chains and reference-side expression chains into baked constants under the
 reference-caching scheme, while the same rule code emits live nodes for the
-replicated-batch scheme.
+replicated-batch scheme.  A folded value that is not finite raises
+NumericError naming its node.  Every value's shape is recorded as it is
+added or emitted, so the builder is the compile's one shape table: rules
+read shapes from it and from nothing else.
 
 ``emit`` also numbers values (Click, "Global Code Motion / Global Value
 Numbering", PLDI 1995): every op is pure, so an op emitted again with the
@@ -26,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .errors import MissingCacheEntry, ShapeError
+from .errors import MissingCacheEntry, NumericError, ShapeError
 from .executor import bind, eval_node
 from .ir import DTYPES, Node, TensorValue
 from .shapes import infer_node_shapes
@@ -95,13 +98,21 @@ class GraphBuilder:
         The node's shape law runs once either way.  A node folds when every
         input is known (a node with no inputs, such as a Constant, too);
         otherwise its known inputs become initializers and it is appended.
+        A folded output that is not finite raises NumericError naming the
+        node, as ``execute`` does for a node it runs.
         """
         out_shapes = infer_node_shapes(node, [self.shape(i) for i in node.inputs])
         self.shapes.update(zip(node.outputs, map(tuple, out_shapes)))
         if all(i in self.known for i in node.inputs):
             args = [self.known[i] for i in node.inputs]
-            self.known.update(zip(node.outputs, eval_node(
-                node, args, bind(node, [a.shape for a in args]))))
+            with np.errstate(all="ignore"):
+                results = eval_node(node, args, bind(node, [a.shape for a in args]))
+            for name, arr in zip(node.outputs, results):
+                if arr.dtype != np.bool_ and not np.isfinite(arr).all():
+                    raise NumericError(
+                        f"{node.op_type} node {node.name!r} folded to non-finite "
+                        f"values in {name!r}")
+                self.known[name] = arr
             return True
         for i in node.inputs:
             if i in self.known:
@@ -143,12 +154,10 @@ class RuleEnv:
     """
 
     def __init__(self, builder: GraphBuilder, batch: int, joint: bool,
-                 sample_shapes: dict[str, tuple[int, ...]],
                  ref_values: dict[str, np.ndarray] | None = None):
         self.builder = builder
         self.batch = batch
         self.joint = joint
-        self.sample_shapes = sample_shapes
         # forward names whose stream-width activations live elsewhere (the
         # stacked scheme reroutes the 1-row graph input to its 2B-row stack)
         self.alias: dict[str, str] = {}
@@ -212,19 +221,13 @@ class RuleEnv:
         """Target-half rows of a stream gradient."""
         return self._halves(grad_name)[0] if self.joint else grad_name
 
-    def wrap_stream(self, grad_x: str, sample_shape: tuple[int, ...]) -> str:
+    def wrap_stream(self, grad_x: str) -> str:
         """Append B zero rows, the reference half, to a target-half tensor."""
         if not self.joint:
             return grad_x
-        rank = len(sample_shape)
+        rank = len(self.builder.shape(grad_x))
         pads = [0] * rank + [self.batch] + [0] * (rank - 1)
         return self.builder.emit("Pad", [grad_x], {"pads": pads}, tag="jointgrad")
-
-    def sample_shape(self, name: str) -> tuple[int, ...]:
-        try:
-            return self.sample_shapes[name]
-        except KeyError:
-            raise ShapeError(f"no per-sample shape for value {name!r}") from None
 
 
 def _short(name: str) -> str:

@@ -144,23 +144,27 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     model, refs = _load_pair(args)
     artifact = load_artifact(args.explainer)
-    k = artifact.metadata["output_index"]
+    artifact.plan  # checks the metadata read here
+    meta = artifact.metadata
+    k, seed_scale = meta["output_index"], meta["seed_scale"]
+    knobs = dict(eps_act=meta["eps_act"], eps_pool=meta["eps_pool"])
     if args.input:
         samples = [load_tensor(args.input).array]
     else:
         samples = random_inputs(model, args.inputs, seed=args.seed)
     if args.against == "naive":
         other = compile_explainer(model, refs, output_index=k, scheme="naive",
-                                  eps_act=args.eps_act,
-                                  eps_pool=args.eps_pool)
+                                  seed_scale=seed_scale, **knobs)
     failures = 0
     for i, sample in enumerate(samples):
         mine = explain(artifact, sample)
         if args.against == "oracle":
-            theirs = deeplift_oracle(model, sample, refs, output_index=k)
+            # the oracle seeds the explained class with 1
+            theirs = seed_scale * deeplift_oracle(
+                model, sample, refs, output_index=k, **knobs).phi.array
         else:
-            theirs = explain(other, sample)
-        report = compare_attributions(mine.phi, theirs.phi,
+            theirs = explain(other, sample).phi
+        report = compare_attributions(mine.phi, theirs,
                                       atol=args.atol, rtol=args.rtol)
         ok = report.passed(args.min_fraction)
         failures += 0 if ok else 1
@@ -339,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--atol", type=float, default=1e-8)
     c.add_argument("--rtol", type=float, default=1e-5)
     c.add_argument("--min-fraction", type=float, default=0.99)
-    c.add_argument("--eps-act", type=float, default=1e-6)
-    c.add_argument("--eps-pool", type=float, default=1e-7)
     c.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("bench", help="time both schemes")

@@ -13,10 +13,6 @@ class ValidationError(GraphliftError):
     """A decoded model violates a structural rule; names the offending node."""
 
 
-class CycleError(GraphliftError):
-    """The node graph is not acyclic."""
-
-
 class ShapeError(GraphliftError):
     """Operand shapes are incompatible with an operator's shape law."""
 

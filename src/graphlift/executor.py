@@ -23,20 +23,20 @@ Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
 ``ConvTranspose`` is one such unit-stride ``Conv`` per stride phase of its
 output, so it never multiplies the zeros of a dilated input.
 
-Execution is planned once per model.  ``ExecutionPlan`` fixes the
-topological order, gives every value an integer slot, materializes the
-``Constant`` outputs once (read-only), records where each intermediate is
-read for the last time and which steps need a finiteness scan; ``execute``
-is then one loop over the plan that dispatches each step through
-``eval_node`` with its bound parameters, scans the outputs of guarded steps
-and drops every intermediate after its last consumer.  A step is left
-unguarded only where no non-finite value can arise: its op maps finite
-inputs to finite outputs and it reads neither the feed nor a non-finite
-initializer, so a NumericError names the same node as a scan after every
-step would.  ``execute`` takes a plan, or a model that it plans on the spot,
-so a model edited between calls is never run from a stale plan.  An
-``ExplainerArtifact`` builds its plan on its first ``explain`` and keeps it,
-so an artifact must not be changed after that.
+Execution is planned once per model.  ``ExecutionPlan`` takes the nodes in
+their declared dependency order, gives every value an integer slot,
+materializes the ``Constant`` outputs once (read-only), records where each
+intermediate is read for the last time and which steps need a finiteness
+scan; ``execute`` is then one loop over the plan that dispatches each step
+through ``eval_node`` with its bound parameters, scans the outputs of
+guarded steps and drops every intermediate after its last consumer.  A step
+is left unguarded only where no non-finite value can arise: its op maps
+finite inputs to finite outputs and it reads neither the feed nor a
+non-finite initializer, so a NumericError names the same node as a scan
+after every step would.  ``execute`` takes a plan, or a model that it plans
+on the spot, so a model edited between calls is never run from a stale
+plan.  An ``ExplainerArtifact`` builds its plan on its first ``explain``
+and keeps it, so an artifact must not be changed after that.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, topological_order
+from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, _unproduced
 from .shapes import infer_node_shapes, window_attrs
 
 __all__ = ["ExecutionPlan", "bind", "execute", "eval_node", "run_kernel"]
@@ -388,13 +388,16 @@ def _finite(arr: np.ndarray) -> bool:
 class ExecutionPlan:
     """A model resolved once for repeated execution.
 
-    The plan holds the topological order with every value name replaced by
-    an integer slot, the ``Constant`` outputs materialized once and made
-    read-only, and per step the slots it reads for the last time, so that an
-    intermediate is dropped as soon as its last consumer has run.  It keeps
-    the model's initializer arrays by reference and reads nothing else from
-    the model after it is built: a model changed afterwards, initializer
-    contents included, needs a new plan.
+    The plan holds the nodes in declaration order, which is dependency order,
+    with every value name replaced by an integer slot; a node that reads a
+    name no earlier node, graph input or initializer produced raises
+    ValidationError naming it.  It also holds the ``Constant`` outputs
+    materialized once and made read-only, and per step the slots it reads
+    for the last time, so that an intermediate is dropped as soon as its
+    last consumer has run.  It keeps the model's initializer arrays by
+    reference and reads nothing else from the model after it is built: a
+    model changed afterwards, initializer contents included, needs a new
+    plan.
 
     Checks run here, not in the kernels.  A ``Constant``'s shape law runs
     when the plan is built.  ``verify`` runs every step's law on the concrete
@@ -434,7 +437,7 @@ class ExecutionPlan:
         unchecked = {slot for _, slot in self.feed}
         unchecked.update(slot for slot, arr in initial.items() if not _finite(arr))
         steps = []
-        for node in topological_order(model):
+        for node in model.nodes:
             if node.op_type == "Constant":
                 infer_node_shapes(node, [])
                 for name, arr in zip(node.outputs, eval_node(node, [], bind(node, []))):
@@ -443,6 +446,9 @@ class ExecutionPlan:
                         self.non_finite = (node.name, name)
                     self._claim(name, arr)
                 continue
+            for name in node.inputs:
+                if name not in self.slots:
+                    raise _unproduced(node, name)
             ins = tuple(self.slots[name] for name in node.inputs)
             outs = tuple(self._claim(name, None) for name in node.outputs)
             guarded = not _closed_over_finite(node) or not unchecked.isdisjoint(ins)

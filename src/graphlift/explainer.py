@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
-from .ir import DTYPES, GraphModel, TensorValue, _read_model, save_model
-from .refopt import (_build_digest, build_naive, build_optimized,
+from .ir import GraphModel, TensorValue, _read_model, save_model
+from .refopt import (_as_array, _build_digest, build_naive, build_optimized,
                      precompute_reference_cache)
 from .rules import EPS_ACT, EPS_POOL
 
@@ -34,10 +34,12 @@ __all__ = [
 _SCHEMES = {"opt": "optimized", "optimized": "optimized", "naive": "naive"}
 
 
-# metadata key -> accepted types, for every key ``explain`` reads
+# metadata key -> accepted types, for every key ``explain`` or
+# ``graphlift verify`` reads
 _EXPLAIN_KEYS = {"input_name": str, "prediction_output": str,
                  "attribution_output": str, "output_index": int,
-                 "seed_scale": (int, float), "ref_output_mean": (int, float)}
+                 "seed_scale": (int, float), "ref_output_mean": (int, float),
+                 "eps_act": (int, float), "eps_pool": (int, float)}
 
 
 def _check_metadata(model: GraphModel, meta) -> None:
@@ -121,25 +123,15 @@ def compile_explainer(model: GraphModel, references, output_index: int = 0,
     return ExplainerArtifact(model=graph, metadata=meta)
 
 
-def _as_input(artifact: ExplainerArtifact, sample) -> np.ndarray:
-    spec = artifact.model.inputs[0]
-    if isinstance(sample, TensorValue):
-        sample = sample.array
-    try:
-        return np.asarray(sample, dtype=DTYPES[spec.dtype])
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"sample is not a numeric array: {err}") from None
-
-
 def explain(artifact: ExplainerArtifact, sample) -> Attribution:
     """Run the artifact on one sample row."""
     plan = artifact.plan
     meta = artifact.metadata
-    arr = _as_input(artifact, sample)
+    dtype = artifact.model.inputs[0].dtype
+    arr = _as_array(sample, dtype, "sample")
     outputs, _ = execute(plan, {meta["input_name"]: arr})
     prediction = outputs[meta["prediction_output"]]
     phi = outputs[meta["attribution_output"]]
-    dtype = artifact.model.inputs[0].dtype
     predicted = float(prediction.reshape(-1, prediction.shape[-1])
                       [0, meta["output_index"]])
     target = meta["seed_scale"] * (predicted - meta["ref_output_mean"])

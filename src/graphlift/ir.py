@@ -2,7 +2,10 @@
 
 A model is a flat list of operator nodes in static single assignment form:
 every value name is produced exactly once, by a graph input, an initializer,
-or a node output.
+or a node output.  As in ONNX, the node list is in dependency order: a node
+reads only graph inputs, initializers and outputs of nodes declared before
+it.  ``validate_model`` checks that in its one pass over the nodes, so every
+walk of a model is a pass over ``model.nodes`` and nothing sorts.
 
 Models and explainer artifacts (``.sgm``) and single tensors (``.stn``) share
 one container, laid out like safetensors: the 8-byte magic ``GLIFT\\0\\1\\n``,
@@ -21,7 +24,6 @@ Files in the earlier JSON format are not containers and do not load.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import struct
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 __all__ = [
     "DTYPES",
@@ -43,7 +45,6 @@ __all__ = [
     "dumps_model",
     "load_tensor",
     "save_tensor",
-    "topological_order",
     "validate_model",
     "model_digest",
 ]
@@ -249,9 +250,17 @@ def _check_attr_value(node_name: str, key: str, kind: str, value) -> None:
             f"node {node_name!r}: attribute {key!r} must be of kind {kind}")
 
 
-def validate_model(model: GraphModel) -> list[Node]:
-    """Check structural rules; raise ValidationError / CycleError with the
-    culprit.  Returns the nodes in topological order."""
+def _unproduced(node: Node, name: str) -> ValidationError:
+    """The error for ``node`` reading ``name`` out of dependency order: an
+    undeclared name, one a later node produces, or one on a cycle."""
+    return ValidationError(
+        f"node {node.name!r} reads {name!r}, which no graph input, initializer "
+        "or earlier node produces")
+
+
+def validate_model(model: GraphModel) -> None:
+    """Check structural rules, dependency order included; raise
+    ValidationError naming the culprit."""
     if not model.name:
         raise ValidationError("model name must be non-empty")
 
@@ -292,6 +301,9 @@ def validate_model(model: GraphModel) -> list[Node]:
                 raise ValidationError(
                     f"node {node.name!r}: unknown attribute {key!r} for {node.op_type}")
             _check_attr_value(node.name, key, allowed[key], value)
+        for inp in node.inputs:
+            if inp not in produced:
+                raise _unproduced(node, inp)
         for out in node.outputs:
             if out in produced:
                 raise ValidationError(
@@ -299,58 +311,11 @@ def validate_model(model: GraphModel) -> list[Node]:
                     f"{produced[out]}")
             produced[out] = f"node {node.name!r}"
 
-    for node in model.nodes:
-        for inp in node.inputs:
-            if inp not in produced:
-                raise ValidationError(
-                    f"node {node.name!r} consumes undeclared name {inp!r}")
-
     for spec in model.outputs:
         if spec.dtype not in DTYPES:
             raise ValidationError(f"output {spec.name!r}: unsupported dtype {spec.dtype!r}")
         if spec.name not in produced:
             raise ValidationError(f"graph output {spec.name!r} is never produced")
-
-    return topological_order(model)
-
-
-def topological_order(model: GraphModel) -> list[Node]:
-    """Nodes in dependency order, ties broken by declaration order.
-
-    Kahn's algorithm with a min-heap of declaration indices: a node becomes
-    ready once every name it reads is available, and the earliest-declared
-    ready node is placed next.  O(N log N + E) for N nodes and E input edges.
-    """
-    nodes = model.nodes
-    available = {spec.name for spec in model.inputs} | set(model.initializers)
-    waiting = [0] * len(nodes)              # distinct input names not yet available
-    readers: dict[str, list[int]] = {}
-    ready: list[int] = []
-    for i, node in enumerate(nodes):
-        missing = set(node.inputs) - available
-        waiting[i] = len(missing)
-        for name in missing:
-            readers.setdefault(name, []).append(i)
-        if not missing:
-            ready.append(i)
-    heapq.heapify(ready)
-    placed: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        placed.append(i)
-        for name in nodes[i].outputs:
-            if name in available:
-                continue
-            available.add(name)
-            for j in readers.pop(name, ()):
-                waiting[j] -= 1
-                if not waiting[j]:
-                    heapq.heappush(ready, j)
-    if len(placed) < len(nodes):
-        stuck = [n.name for i, n in enumerate(nodes) if waiting[i]]
-        raise CycleError("graph is cyclic or disconnected at nodes: "
-                         + ", ".join(map(repr, stuck[:8])))
-    return [nodes[i] for i in placed]
 
 
 def _spec_to_dict(spec: ValueSpec) -> dict:

@@ -1,11 +1,12 @@
 """Independent numeric cross-checks for compiled explainers.
 
 deeplift_oracle re-derives attributions directly from captured forward
-traces: it walks the node list in reverse topological order once per
-reference row, applying each operator's multiplier arithmetic in numpy, and
-never touches the rule emitters or the graph builder.  finite_diff supplies
-central-difference gradients for the linear paths, and compare_attributions
-implements the elementwise closeness metric used to score scheme pairs.
+traces: it walks the node list, which is in dependency order, backwards
+once per reference row, applying each operator's multiplier arithmetic in
+numpy, and never touches the rule emitters or the graph builder.  finite_diff
+supplies central-difference gradients for the linear paths, and
+compare_attributions implements the elementwise closeness metric used to
+score scheme pairs.
 
 This module deliberately duplicates the multiplier formulas.  Keep it free
 of imports from the emission side so a defect there cannot leak in here.
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ShapeError, UnsupportedOp, ValidationError
 from .executor import execute
 from .explainer import Attribution
-from .ir import DTYPES, GraphModel, Node, TensorValue, topological_order
+from .ir import DTYPES, GraphModel, Node, TensorValue
 
 __all__ = [
     "ClosenessReport",
@@ -42,15 +43,9 @@ def _as_batch(value, dtype: str) -> np.ndarray:
 
 def _reachable_from_input(model: GraphModel) -> set[str]:
     seen = {spec.name for spec in model.inputs}
-    changed = True
-    while changed:
-        changed = False
-        for node in model.nodes:
-            if any(i in seen for i in node.inputs):
-                for out in node.outputs:
-                    if out not in seen:
-                        seen.add(out)
-                        changed = True
+    for node in model.nodes:
+        if any(i in seen for i in node.inputs):
+            seen.update(node.outputs)
     return seen
 
 
@@ -98,7 +93,7 @@ def deeplift_oracle(model: GraphModel, sample, references,
 
     diff = _reachable_from_input(model)
     wanted = _upstream_nodes(model, explained, diff)
-    order = [n for n in topological_order(model) if n.name in wanted]
+    order = [n for n in model.nodes if n.name in wanted]
     batch = refs.shape[0]
     per_ref = []
     for row in range(batch):

@@ -1,10 +1,12 @@
 """Scope the backward pass of a model around one explained output.
 
 Reverse-mode differentiation is one sweep over the forward nodes in reverse
-topological order (Griewank & Walther, *Evaluating Derivatives*, 2008).  This
-module picks what that sweep covers: the values that depend on the graph
-input (the differentiable set), and the nodes upstream of the explained
-output along them, ordered so that every consumer comes before its producer.
+dependency order (Griewank & Walther, *Evaluating Derivatives*, 2008).  A
+validated model declares its nodes in dependency order, so that sweep is
+``model.nodes`` read backwards and nothing sorts.  This module picks what
+the sweep covers: the values that depend on the graph input (the
+differentiable set), and the nodes upstream of the explained output along
+them, ordered so that every consumer comes before its producer.
 Constant-only branches and heads that are not being explained fall outside
 that order.
 """
@@ -29,17 +31,15 @@ class BackwardGraph:
     order: tuple[Node, ...]
 
 
-def build_backward_graph(model: GraphModel, forward: list[Node],
-                         explained_output: str) -> BackwardGraph:
-    """Reverse the model around one explained output.
+def build_backward_graph(model: GraphModel, explained_output: str) -> BackwardGraph:
+    """Reverse a validated model around one explained output.
 
-    ``forward`` is the model's nodes in topological order, as
-    ``validate_model`` returns them.  Raises NoPathError when no
-    differentiable path connects a graph input to the explained output.
+    Raises NoPathError when no differentiable path connects a graph input to
+    the explained output.
     """
     inputs = {spec.name for spec in model.inputs}
     diff = set(inputs)
-    for node in forward:
+    for node in model.nodes:
         if any(i in diff for i in node.inputs):
             diff.update(node.outputs)
     if explained_output not in diff:
@@ -54,7 +54,7 @@ def build_backward_graph(model: GraphModel, forward: list[Node],
     # are all wanted or not by the time the walk reaches it
     wanted = {explained_output}
     order = []
-    for node in reversed(forward):
+    for node in reversed(model.nodes):
         if any(o in wanted for o in node.outputs):
             order.append(node)
             wanted.update(i for i in node.inputs if i in diff)

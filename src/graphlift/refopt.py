@@ -12,10 +12,12 @@ Two ways to attach an attribution head to a forward graph:
   and the whole forward pass runs at that width every call.  It exists as the
   equivalence baseline and for cost comparisons.
 
-Both layouts add the forward nodes, in topological order, to the GraphBuilder
-the gradient rules emit through.  The builder folds every node whose inputs
-are all known, forward or backward, so a constant-only forward chain ships as
-the initializers its runtime consumers read, not as nodes.
+Both layouts add the forward nodes, in the model's declared dependency order,
+to the GraphBuilder the gradient rules emit through; nothing sorts.  The
+builder folds every node whose inputs are all known, forward or backward, so
+a constant-only forward chain ships as the initializers its runtime
+consumers read, not as nodes.  It is also the compile's one shape table:
+rules read every shape from it.
 
 count_flops prices either artifact with fixed per-op conventions so the two
 schemes can be compared analytically.
@@ -70,13 +72,22 @@ class ReferenceCache:
     digest: str
 
 
-def _as_array(references, dtype: str) -> np.ndarray:
-    if isinstance(references, TensorValue):
-        references = references.array
-    arr = np.asarray(references, dtype=DTYPES[dtype])
-    if arr.ndim < 1 or arr.shape[0] < 1:
+def _as_array(value, dtype: str, what: str) -> np.ndarray:
+    """An array or TensorValue from outside the package as an array of
+    ``dtype``, or ValidationError naming ``what``."""
+    if isinstance(value, TensorValue):
+        value = value.array
+    try:
+        return np.asarray(value, dtype=DTYPES[dtype])
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{what} is not a numeric array: {err}") from None
+
+
+def _as_references(references, dtype: str) -> np.ndarray:
+    refs = _as_array(references, dtype, "the reference set")
+    if refs.ndim < 1 or refs.shape[0] < 1:
         raise ValidationError("the reference set must carry at least one row")
-    return arr
+    return refs
 
 
 def precompute_reference_cache(model: GraphModel, references) -> ReferenceCache:
@@ -84,7 +95,7 @@ def precompute_reference_cache(model: GraphModel, references) -> ReferenceCache:
     if len(model.inputs) != 1:
         raise UnsupportedOp("attribution requires exactly one graph input")
     dtype = model.inputs[0].dtype
-    refs = _as_array(references, dtype)
+    refs = _as_references(references, dtype)
     _, trace = execute(model, {model.inputs[0].name: refs}, capture=True)
     return ReferenceCache(values=trace, batch=int(refs.shape[0]),
                           digest=_source_digest(model, refs))
@@ -105,9 +116,18 @@ def _grad_prefix(model: GraphModel) -> str:
     return prefix
 
 
-def _check_arguments(dtype: str, classes: int, output_index, **knobs) -> None:
-    """Name the first argument an artifact could not use: the output index
-    must pick a class, each knob be finite in ``dtype``, each epsilon > 0."""
+def _check_arguments(builder: GraphBuilder, explained: str, output_index,
+                     **knobs) -> int:
+    """The explained output's class count, read once the forward nodes are
+    in ``builder``.  Names the first thing an artifact could not use: an
+    output that is not rank-2, an output index that picks no class, a knob
+    not finite in the model's dtype, an epsilon not above 0."""
+    out_shape = builder.shape(explained)
+    if len(out_shape) != 2:
+        raise UnsupportedOp(
+            f"the explained output must be rank-2 (batch, classes); "
+            f"{explained!r} has shape {out_shape}")
+    classes, dtype = out_shape[1], builder.dtype
     if isinstance(output_index, bool) or not isinstance(output_index, numbers.Integral) \
             or not 0 <= output_index < classes:
         raise ValidationError(
@@ -119,37 +139,27 @@ def _check_arguments(dtype: str, classes: int, output_index, **knobs) -> None:
         limit = "finite" if name == "seed_scale" else "finite and above 0"
         if not np.isfinite(cast) or (name != "seed_scale" and cast <= 0):
             raise ValidationError(f"{name} must be {limit} in {dtype}, got {value!r}")
+    return classes
 
 
-def _start(model: GraphModel, output_index, eps_act, eps_pool, seed_scale):
-    """What both layouts begin with, once the model and the arguments check
-    out: the forward nodes in topological order, the per-sample shapes, the
-    explained output, its class count, the backward graph and a builder that
-    knows the graph input's shape and every initializer.
+def _start(model: GraphModel):
+    """What both layouts begin with, once the model checks out: a builder
+    that knows the one-row graph input's shape and every initializer, and
+    the backward graph around the first output.
 
-    Returns (builder, backward, order, sample, explained, classes).
+    Returns (builder, backward).
     """
-    order = validate_model(model)
+    validate_model(model)
     if len(model.inputs) != 1:
         raise UnsupportedOp("attribution requires exactly one graph input")
     spec = model.inputs[0]
-    sample = infer_graph_shapes(model, {spec.name: (1,) + tuple(spec.shape[1:])})
-    explained = model.outputs[0].name
-    out_shape = sample[explained]
-    if len(out_shape) != 2:
-        raise UnsupportedOp(
-            f"the explained output must be rank-2 (batch, classes); "
-            f"{explained!r} has shape {out_shape}")
-    classes = out_shape[1]
-    _check_arguments(spec.dtype, classes, output_index, eps_act=eps_act,
-                     eps_pool=eps_pool, seed_scale=seed_scale)
-    backward = build_backward_graph(model, order, explained)
+    backward = build_backward_graph(model, model.outputs[0].name)
     builder = GraphBuilder(dtype=spec.dtype, prefix=_grad_prefix(model))
-    builder.register_value(spec.name, sample[spec.name])
+    builder.register_value(spec.name, (1,) + tuple(spec.shape[1:]))
     for name, tv in model.initializers.items():
         builder.register_value(name, tv.shape, tv.array)
     builder.initializers.update(model.initializers)
-    return builder, backward, order, sample, explained, classes
+    return builder, backward
 
 
 def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
@@ -228,16 +238,16 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
 
     Returns (artifact, metadata).
     """
-    builder, backward, order, sample, explained, classes = _start(
-        model, output_index, eps_act, eps_pool, seed_scale)
-    input_name = model.inputs[0].name
+    builder, backward = _start(model)
+    input_name, explained = model.inputs[0].name, backward.explained_output
     batch = cache.batch
-    for node in order:
+    for node in model.nodes:
         builder.add(node)
     forward_nodes = [n.name for n in builder.nodes]
+    classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
+                               eps_pool=eps_pool, seed_scale=seed_scale)
 
-    env = RuleEnv(builder, batch, joint=False, sample_shapes=sample,
-                  ref_values=cache.values)
+    env = RuleEnv(builder, batch, joint=False, ref_values=cache.values)
     loss = builder.const(_seed_array(batch, classes, output_index,
                                      builder.dtype, seed_scale), "seed")
     result = differentiate(model, backward, loss, env, eps_act, eps_pool)
@@ -272,12 +282,11 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     Returns (artifact, metadata).
     """
-    builder, backward, order, sample, explained, classes = _start(
-        model, output_index, eps_act, eps_pool, seed_scale)
-    input_name = model.inputs[0].name
-    refs = _as_array(references, builder.dtype)
+    builder, backward = _start(model)
+    input_name, explained = model.inputs[0].name, backward.explained_output
+    refs = _as_references(references, builder.dtype)
     batch = int(refs.shape[0])
-    in_rank = len(sample[input_name])
+    in_rank = len(builder.shape(input_name))
 
     tiled = builder.emit("Tile", [input_name],
                          {"repeats": [batch] + [1] * (in_rank - 1)}, tag="stackx")
@@ -286,7 +295,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     # clone the forward graph at 2B rows under its original value names
     rename = {input_name: stacked}
-    for node in order:
+    for node in model.nodes:
         attrs = dict(node.attributes)
         if node.op_type == "Reshape" and any(i in backward.differentiable
                                              for i in node.inputs):
@@ -298,8 +307,10 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
                          [rename.get(i, i) for i in node.inputs],
                          list(node.outputs), attrs))
     forward_nodes = [n.name for n in builder.nodes]
+    classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
+                               eps_pool=eps_pool, seed_scale=seed_scale)
 
-    env = RuleEnv(builder, batch, joint=True, sample_shapes=sample)
+    env = RuleEnv(builder, batch, joint=True)
     env.alias[input_name] = stacked
     loss = builder.const(_seed_array(2 * batch, classes, output_index,
                                      builder.dtype, seed_scale), "seed")
@@ -307,7 +318,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
     d_input = builder.emit("Sub", [input_name, ref_const], tag="inputdelta")
-    masked = env.wrap_stream(d_input, sample[input_name])
+    masked = env.wrap_stream(d_input)
     contrib = builder.emit("Mul", [result.input_grad, masked], tag="contrib")
     summed = builder.emit("ReduceSum", [contrib], {"axes": [0], "keepdims": 1},
                           tag="contribsum")

@@ -115,15 +115,14 @@ def _guarded_ratio(b: GraphBuilder, num: str, den: str, fallback: str,
     return b.emit("Where", [small, fallback, ratio], tag=f"{tag}_sel")
 
 
-def _reduce_like(env: RuleEnv, grad: str, sample: tuple[int, ...], tag: str) -> str:
-    """Sum a broadcast gradient back down to an operand's per-sample shape."""
-    b = env.builder
+def _reduce_like(b: GraphBuilder, grad: str, shape: tuple[int, ...], tag: str) -> str:
+    """Sum a broadcast gradient back down to an operand's shape, rows aside."""
     gshape = b.shape(grad)
-    if len(gshape) != len(sample):
+    if len(gshape) != len(shape):
         raise UnsupportedOp(
             "differentiable operands must carry the full result rank "
-            f"(gradient {gshape} vs operand {sample})")
-    axes = [i for i in range(1, len(gshape)) if sample[i] == 1 and gshape[i] != 1]
+            f"(gradient {gshape} vs operand {shape})")
+    axes = [i for i in range(1, len(gshape)) if shape[i] == 1 and gshape[i] != 1]
     if not axes:
         return grad
     return b.emit("ReduceSum", [grad], {"axes": axes, "keepdims": 1}, tag=tag)
@@ -187,7 +186,7 @@ def rule_matmul(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_conv(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     data, weight = node.inputs[0], node.inputs[1]
     if ctx.pass_grads.get(weight, False):
         raise UnsupportedOp(
@@ -198,7 +197,7 @@ def rule_conv(ctx: RuleContext) -> dict[str, str]:
     if dilations != [1, 1]:
         raise UnsupportedOp(f"node {node.name!r}: dilated convolution gradients "
                             "are not supported")
-    sample = env.sample_shape(data)
+    sample = b.shape(data)
     # the adjoint of the forward correlation reads the forward filters as is
     grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], kernel, strides,
                            pads, "convgrad")
@@ -206,7 +205,7 @@ def rule_conv(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_addsub(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     grads: dict[str, str] = {}
     for slot, name in enumerate(node.inputs):
         if not ctx.pass_grads.get(name, False):
@@ -214,7 +213,7 @@ def rule_addsub(ctx: RuleContext) -> dict[str, str]:
         g = ctx.grad_in
         if node.op_type == "Sub" and slot == 1:
             g = b.emit("Mul", [g, b.scalar(-1.0, "negone")], tag="subneg")
-        g = _reduce_like(env, g, env.sample_shape(name), "addfit")
+        g = _reduce_like(b, g, b.shape(name), "addfit")
         _merge(b, grads, name, g, "addmerge")
     return grads
 
@@ -230,13 +229,13 @@ def rule_mul(ctx: RuleContext) -> dict[str, str]:
         # which splits the bilinear term evenly and preserves the total
         factor = env.mean_act(other) if ctx.pass_grads.get(other, False) else other
         g = b.emit("Mul", [ctx.grad_in, factor], tag="mulgrad")
-        g = _reduce_like(env, g, env.sample_shape(name), "mulfit")
+        g = _reduce_like(b, g, b.shape(name), "mulfit")
         _merge(b, grads, name, g, "mulmerge")
     return grads
 
 
 def rule_div(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     num, den = node.inputs
     if ctx.pass_grads.get(den, False):
         raise UnsupportedOp(
@@ -246,11 +245,11 @@ def rule_div(ctx: RuleContext) -> dict[str, str]:
         return {}
     inv = b.emit("Div", [b.scalar(1.0, "one"), den], tag="divinv")
     g = b.emit("Mul", [ctx.grad_in, inv], tag="divgrad")
-    return {num: _reduce_like(env, g, env.sample_shape(num), "divfit")}
+    return {num: _reduce_like(b, g, b.shape(num), "divfit")}
 
 
 def rule_batchnorm(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     data = node.inputs[0]
     for name in node.inputs[1:]:
         if ctx.pass_grads.get(name, False) or name not in b.known:
@@ -258,7 +257,7 @@ def rule_batchnorm(ctx: RuleContext) -> dict[str, str]:
                 f"node {node.name!r}: normalization statistics must be constants")
     scale, var = b.known[node.inputs[1]], b.known[node.inputs[4]]
     eps = float(node.attributes.get("epsilon", 1e-5))
-    rank = len(env.sample_shape(data))
+    rank = len(b.shape(data))
     k = (scale / np.sqrt(var + eps)).reshape((1, -1) + (1,) * (rank - 2))
     grad = b.emit("Mul", [ctx.grad_in, b.const(k, "bnback")], tag="bngrad")
     return {data: grad}
@@ -276,18 +275,18 @@ def rule_transpose(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_reshape(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     data = node.inputs[0]
     rows = b.shape(ctx.grad_in)[0]
-    target = [rows] + list(env.sample_shape(data)[1:])
+    target = [rows] + list(b.shape(data)[1:])
     grad = b.emit("Reshape", [ctx.grad_in], {"shape": target}, tag="reshgrad")
     return {data: grad}
 
 
 def rule_reduce(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     data = node.inputs[0]
-    sample = env.sample_shape(data)
+    sample = b.shape(data)
     rank = len(sample)
     axes = sorted(int(a) % rank for a in node.attributes["axes"])
     if 0 in axes:
@@ -306,13 +305,13 @@ def rule_reduce(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_concat(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
-    rank = len(env.sample_shape(node.outputs[0]))
+    node, b = ctx.node, ctx.builder
+    rank = len(b.shape(node.outputs[0]))
     axis = int(node.attributes["axis"]) % rank
     if axis == 0:
         raise UnsupportedOp(
             f"node {node.name!r}: concat along the batch axis is not supported")
-    sizes = [env.sample_shape(i)[axis] for i in node.inputs]
+    sizes = [b.shape(i)[axis] for i in node.inputs]
     parts = b.emit("Split", [ctx.grad_in], {"axis": axis, "split": sizes},
                    n_outputs=len(sizes), tag="catgrad")
     parts = parts if isinstance(parts, list) else [parts]
@@ -352,7 +351,7 @@ def rule_rescale(ctx: RuleContext) -> dict[str, str]:
 def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
     data, out = node.inputs[0], node.outputs[0]
-    sample = env.sample_shape(data)
+    sample = b.shape(data)
     rank = len(sample)
     axis = int(node.attributes.get("axis", -1)) % rank
     if axis != rank - 1:
@@ -386,7 +385,7 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     d_exp = b.emit("Sub", [ux, ur], tag="smdexp")
     mult = _guarded_ratio(b, d_exp, d_in, ux, ctx.eps_act, "smact")
     gx = b.emit("Mul", [gtotal, mult], tag="smgrad")
-    return {data: env.wrap_stream(gx, sample)}
+    return {data: env.wrap_stream(gx)}
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +393,9 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
-    node, b, env = ctx.node, ctx.builder, ctx.env
+    node, b = ctx.node, ctx.builder
     data = node.inputs[0]
-    sample = env.sample_shape(data)
+    sample = b.shape(data)
     if len(sample) != 4:
         raise UnsupportedOp(
             f"node {node.name!r}: pooling gradients need NCHW operands")
@@ -429,7 +428,7 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
 def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
     data = node.inputs[0]
-    sample = env.sample_shape(data)
+    sample = b.shape(data)
     if len(sample) != 4:
         raise UnsupportedOp(
             f"node {node.name!r}: pooling gradients need NCHW operands")
@@ -458,7 +457,7 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
                         tag="mpscattered")
     gap = b.emit("Sub", [xs, rs], tag="mpdx")
     grad = _guarded_ratio(b, routed, gap, b.scalar(0.0, "zero"), ctx.eps_pool, "mp")
-    return {data: env.wrap_stream(grad, sample)}
+    return {data: env.wrap_stream(grad)}
 
 
 def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,

@@ -10,7 +10,7 @@ unchecked on whatever its law accepts.
 from __future__ import annotations
 
 from .errors import ShapeError, UnsupportedOp
-from .ir import SUPPORTED_OPS, GraphModel, Node, _check_signature
+from .ir import SUPPORTED_OPS, GraphModel, Node, _check_signature, _unproduced
 
 __all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
            "window_attrs"]
@@ -356,9 +356,10 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
 def infer_graph_shapes(model: GraphModel,
                        overrides: dict[str, tuple[int, ...]] | None = None,
                        ) -> dict[str, tuple[int, ...]]:
-    """Shape of every named value, honoring per-input shape overrides."""
-    from .ir import topological_order
+    """Shape of every named value, honoring per-input shape overrides.
 
+    One pass over ``model.nodes``; ValidationError names a node that reads a
+    value no earlier node, graph input or initializer produced."""
     shapes: dict[str, tuple[int, ...]] = {}
     for spec in model.inputs:
         shapes[spec.name] = tuple(spec.shape)
@@ -367,7 +368,10 @@ def infer_graph_shapes(model: GraphModel,
             shapes[name] = tuple(shape)
     for name, tensor in model.initializers.items():
         shapes[name] = tensor.shape
-    for node in topological_order(model):
+    for node in model.nodes:
+        for name in node.inputs:
+            if name not in shapes:
+                raise _unproduced(node, name)
         outs = infer_node_shapes(node, [shapes[i] for i in node.inputs])
         for out_name, shape in zip(node.outputs, outs):
             shapes[out_name] = shape

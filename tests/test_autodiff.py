@@ -11,7 +11,7 @@ from graphlift.autodiff import differentiate
 from graphlift.builder import RuleEnv
 from graphlift.executor import execute
 from graphlift.refopt import _start, precompute_reference_cache
-from graphlift.rules import EPS_ACT, EPS_POOL, RuleOutput
+from graphlift.rules import RuleOutput
 
 WIDTH = 4
 
@@ -122,12 +122,10 @@ def test_duplicate_operand_add_doubles_gradient():
 def _manual_differentiate(model):
     """Drive the sweep directly, outside compile_explainer."""
     cache = precompute_reference_cache(model, np.zeros((2, 2)))
-    builder, backward, order, sample, _, _ = _start(
-        model, 1, EPS_ACT, EPS_POOL, 1.0)
-    for node in order:
+    builder, backward = _start(model)
+    for node in model.nodes:
         builder.add(node)
-    env = RuleEnv(builder, 2, joint=False, sample_shapes=sample,
-                  ref_values=cache.values)
+    env = RuleEnv(builder, 2, joint=False, ref_values=cache.values)
     seed = builder.const(np.array([[0.0, 1.0]]), "seed")
     return differentiate(model, backward, seed, env)
 

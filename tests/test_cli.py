@@ -199,6 +199,38 @@ def test_compile_names_a_bad_argument(demo_files, capsys, flag, value):
     assert flag[2:].replace("-", "_") in err
 
 
+@pytest.fixture()
+def plain_deep_files(tmp_path, capsys):
+    code, _, err = run(capsys, "corpus", "--name", "plain_deep",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    return ["--model", str(tmp_path / "plain_deep.sgm"),
+            "--refs", str(tmp_path / "plain_deep_refs.stn")], tmp_path
+
+
+@pytest.mark.parametrize("against", ["oracle", "naive"])
+@pytest.mark.parametrize("flags", [("--seed-scale", "2"), ("--eps-act", "0.5"),
+                                   ("--seed-scale", "2", "--eps-act", "1e-3")])
+def test_verify_reads_the_artifact_settings(plain_deep_files, capsys, flags,
+                                            against):
+    # the seed scale and both epsilons come from the artifact's metadata
+    pair, tmp_path = plain_deep_files
+    art = str(tmp_path / "pd.sge")
+    assert run(capsys, "compile", *pair, *flags, "--out", art)[0] == 0
+    code, out, _ = run(capsys, "verify", *pair, "--explainer", art,
+                       "--against", against, "--inputs", "2")
+    assert code == 0, out
+    assert "2/2 inputs passed" in out
+
+
+@pytest.mark.parametrize("flag", ["--eps-act", "--eps-pool"])
+def test_verify_takes_no_epsilon_flags(demo_files, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", demo_files["model"], "--refs",
+              demo_files["refs"], "--explainer", demo_files["model"], flag, "1"])
+    assert exc.value.code == 2
+
+
 def test_dtype_flag_recasts(demo_files, capsys):
     art = str(demo_files["dir"] / "f32.sgm")
     code, _, _ = run(capsys, "compile", "--model", demo_files["model"],

@@ -160,6 +160,13 @@ def test_explain_rejects_a_non_numeric_sample(demo):
         gl.explain(art, "abc")
 
 
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("refs", ["abc", [[0.0, 1.0], [2.0]]])
+def test_compile_rejects_non_numeric_references(scheme, refs):
+    with pytest.raises(ValidationError, match="the reference set is not a numeric"):
+        gl.compile_explainer(gl.demo_model(), refs, scheme=scheme)
+
+
 def test_explain_rejects_out_of_range_output_index(demo):
     model, refs, sample = demo
     art = gl.compile_explainer(model, refs)

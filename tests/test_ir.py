@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from graphlift import (CycleError, GraphModel, Node, ParseError, TensorValue,
-                       ValidationError, ValueSpec, load_model, load_tensor,
-                       model_digest, save_model, save_tensor,
-                       topological_order, validate_model)
+from graphlift import (GraphModel, Node, ParseError, TensorValue,
+                       ValidationError, ValueSpec, execute, infer_graph_shapes,
+                       load_model, load_tensor, model_digest, save_model,
+                       save_tensor, validate_model)
 from graphlift.ir import _header, dumps_model
 
 
@@ -54,7 +54,7 @@ def test_validate_rejects_duplicate_value_names():
 def test_validate_rejects_dangling_input():
     m = tiny_model()
     m.nodes[0] = Node("MatMul", "mm", ["x", "missing"], ["h"])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=_read_too_early("mm", "missing")):
         validate_model(m)
 
 
@@ -80,29 +80,55 @@ def test_validate_rejects_missing_required_attribute():
         validate_model(m)
 
 
-def test_topological_order_handles_shuffled_nodes():
+def shuffled_model():
+    """tiny_model with its nodes declared consumer first."""
     m = tiny_model()
     m.nodes = m.nodes[::-1]
-    names = [n.name for n in topological_order(m)]
-    assert names == ["mm", "act"]
+    return m, "act", "h"
 
 
-def _reference_order(model):
-    """The quadratic definition: place the earliest-declared ready node."""
-    available = {s.name for s in model.inputs} | set(model.initializers)
-    remaining = list(model.nodes)
-    ordered = []
-    while remaining:
-        node = next(n for n in remaining
-                    if all(i in available for i in n.inputs))
-        remaining.remove(node)
-        ordered.append(node)
-        available.update(node.outputs)
-    return ordered
+def cyclic_model():
+    """Two nodes that read each other's outputs."""
+    m = tiny_model()
+    m.nodes = [Node("Add", "a", ["x", "v"], ["u"]),
+               Node("Relu", "b", ["u"], ["v"]),
+               Node("MatMul", "mm", ["v", "w"], ["y"])]
+    return m, "a", "v"
+
+
+def _read_too_early(node, value):
+    return f"node '{node}' reads '{value}', which no graph input"
+
+
+def test_validate_rejects_shuffled_nodes():
+    m, node, value = shuffled_model()
+    with pytest.raises(ValidationError, match=_read_too_early(node, value)):
+        validate_model(m)
+
+
+def test_validate_rejects_a_cycle():
+    m, node, value = cyclic_model()
+    with pytest.raises(ValidationError, match=_read_too_early(node, value)):
+        validate_model(m)
+    # a node reading its own output is the shortest cycle
+    m = tiny_model()
+    m.nodes[1] = Node("Relu", "act", ["y"], ["y"])
+    with pytest.raises(ValidationError, match=_read_too_early("act", "y")):
+        validate_model(m)
+
+
+def test_validate_rejects_a_name_read_twice_before_it_is_produced():
+    m = tiny_model()
+    m.nodes = [Node("MatMul", "mm", ["x", "w"], ["h"]),
+               Node("Mul", "sq", ["h", "h"], ["y"])]
+    validate_model(m)
+    m.nodes.reverse()
+    with pytest.raises(ValidationError, match=_read_too_early("sq", "h")):
+        validate_model(m)
 
 
 def random_dag(seed, n_nodes=40):
-    """Unary and binary nodes over earlier values, declared in shuffled order."""
+    """Unary and binary nodes over earlier values, in dependency order."""
     rng = np.random.default_rng(seed)
     names = ["x"]
     nodes = []
@@ -112,66 +138,36 @@ def random_dag(seed, n_nodes=40):
         op = "Relu" if len(ins) == 1 else "Add"
         nodes.append(Node(op, f"n{k}", ins, [f"v{k}"]))
         names.append(f"v{k}")
-    order = rng.permutation(n_nodes)
     return GraphModel("dag", [ValueSpec("x", "float64", (-1, 3))],
-                      [ValueSpec(names[-1], "float64", (-1, 3))], {},
-                      [nodes[i] for i in order])
+                      [ValueSpec(names[-1], "float64", (-1, 3))], {}, nodes)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_topological_order_of_shuffled_dag_matches_reference(seed):
+def test_validate_names_the_first_node_read_out_of_order(seed):
     m = random_dag(seed)
-    got = topological_order(m)
-    assert [n.name for n in got] == [n.name for n in _reference_order(m)]
-    seen = {"x"}
-    for node in got:
-        assert set(node.inputs) <= seen
-        seen.update(node.outputs)
+    validate_model(m)
+    m.nodes = [m.nodes[i] for i in np.random.default_rng(seed).permutation(40)]
+    available = {"x"}
+    for node in m.nodes:
+        early = [name for name in node.inputs if name not in available]
+        if early:
+            break
+        available.update(node.outputs)
+    with pytest.raises(ValidationError,
+                       match=_read_too_early(node.name, early[0])):
+        validate_model(m)
 
 
-def test_topological_order_node_reading_one_name_twice():
-    m = tiny_model()
-    m.nodes = [Node("Mul", "sq", ["h", "h"], ["y"]),
-               Node("MatMul", "mm", ["x", "w"], ["h"])]
-    assert [n.name for n in topological_order(m)] == ["mm", "sq"]
-
-
-def test_topological_order_breaks_ties_by_declaration():
-    m = tiny_model()
-    m.nodes = [Node("Tanh", "t", ["x"], ["p"]),
-               Node("Relu", "r", ["x"], ["q"])]
-    assert [n.name for n in topological_order(m)] == ["t", "r"]
-    m.nodes.reverse()
-    assert [n.name for n in topological_order(m)] == ["r", "t"]
-    # "c" becomes ready only after "a", and then goes before the
-    # later-declared "b" that was ready all along
-    m.nodes = [Node("Relu", "c", ["p"], ["u"]),
-               Node("Tanh", "a", ["x"], ["p"]),
-               Node("Relu", "b", ["x"], ["q"])]
-    assert [n.name for n in topological_order(m)] == ["a", "c", "b"]
-
-
-def test_topological_order_keeps_corpus_artifact_order(corpus_f32, artifacts):
-    for entry in corpus_f32:
-        for scheme in ("optimized", "naive"):
-            model = artifacts(entry.name, "float32", scheme).model
-            assert topological_order(model) == model.nodes, (entry.name, scheme)
-
-
-def test_topological_order_detects_cycle():
-    m = tiny_model()
-    m.nodes = [Node("Add", "a", ["x", "v"], ["u"]),
-               Node("Relu", "b", ["u"], ["v"]),
-               Node("MatMul", "mm", ["v", "w"], ["y"])]
-    with pytest.raises(CycleError, match="'a', 'b', 'mm'"):
-        topological_order(m)
-
-
-def test_topological_order_names_node_with_dangling_input():
-    m = tiny_model()
-    m.nodes[0] = Node("MatMul", "mm", ["x", "missing"], ["h"])
-    with pytest.raises(CycleError, match="'mm', 'act'"):
-        topological_order(m)
+@pytest.mark.parametrize("broken", [shuffled_model, cyclic_model])
+@pytest.mark.parametrize("walk", [
+    pytest.param(validate_model, id="validate_model"),
+    pytest.param(lambda m: execute(m, {"x": np.ones((1, 3), np.float32)}),
+                 id="execute"),
+    pytest.param(infer_graph_shapes, id="infer_graph_shapes")])
+def test_every_walk_refuses_a_node_read_out_of_order(walk, broken):
+    m, node, value = broken()
+    with pytest.raises(ValidationError, match=_read_too_early(node, value)):
+        walk(m)
 
 
 def test_dumps_is_deterministic():

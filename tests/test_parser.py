@@ -5,8 +5,7 @@ import pytest
 
 import graphlift as gl
 import graphlift.autodiff as autodiff
-from graphlift import (GraphModel, Node, NoPathError, TensorValue, ValueSpec,
-                       topological_order)
+from graphlift import GraphModel, Node, NoPathError, TensorValue, ValueSpec
 from graphlift.builder import GraphBuilder
 from graphlift.parser import build_backward_graph
 
@@ -53,7 +52,7 @@ def _relevant(model, explained):
 
 
 def _assert_sweep_order(model, explained):
-    bg = build_backward_graph(model, topological_order(model), explained)
+    bg = build_backward_graph(model, explained)
     diff, relevant = _relevant(model, explained)
     names = [n.name for n in bg.order]
     assert bg.differentiable == diff
@@ -93,7 +92,7 @@ def test_order_on_random_layered_graphs(seed):
 
 def test_order_starts_at_explained_output_producer():
     m = diamond_model()
-    bg = build_backward_graph(m, topological_order(m), "y")
+    bg = build_backward_graph(m, "y")
     assert bg.explained_output == "y"
     assert bg.order[0].name == "scale"
 
@@ -120,8 +119,7 @@ def test_explained_output_gets_seed_arrival(monkeypatch):
 
 def test_mark_differentiable_excludes_constant_chains():
     entry = gl.corpus_entry("scaled_add_mul")
-    bg = build_backward_graph(entry.model, topological_order(entry.model),
-                              entry.model.outputs[0].name)
+    bg = build_backward_graph(entry.model, entry.model.outputs[0].name)
     assert "feat" in bg.differentiable and "centered" in bg.differentiable
     # the comparison/selection chain never touches the graph input
     for name in ("gate_raw", "gate_grown", "gate_mask", "gate_pick",
@@ -140,9 +138,9 @@ def test_no_path_when_output_is_constant():
                    [Node("Relu", "r", ["w"], ["y"]),
                     Node("Add", "keep", ["x", "w"], ["z"])])
     with pytest.raises(NoPathError, match="not reachable"):
-        build_backward_graph(m, topological_order(m), "y")
+        build_backward_graph(m, "y")
     with pytest.raises(NoPathError, match="passthrough"):
-        build_backward_graph(m, topological_order(m), "x")
+        build_backward_graph(m, "x")
 
 
 def test_pass_grads_mark_constant_operands(monkeypatch):

@@ -176,7 +176,7 @@ def test_global_maxpool_window_too_wide_for_float32_ranks():
     b.register_value("pool", (1, 1, 1, 1))
     b.register_value("m", (1, 1, 1, 1))
     ctx = RuleContext(node=Node("GlobalMaxPool", "gmp", ["x"], ["pool"]),
-                      grad_in="m", env=RuleEnv(b, 1, False, {}))
+                      grad_in="m", env=RuleEnv(b, 1, False))
     with pytest.raises(UnsupportedOp, match="'gmp'"):
         _route_to_argmax(ctx, "x", "pool", "m", "mpx")
 
