@@ -127,6 +127,15 @@ def test_validate_rejects_a_name_read_twice_before_it_is_produced():
         validate_model(m)
 
 
+def test_topological_order_names_node_with_dangling_input():
+    # the dependency-order check blames the node whose input is never
+    # produced, not the nodes that run before it
+    m = tiny_model()
+    m.nodes[1] = Node("Relu", "act", ["missing"], ["y"])
+    with pytest.raises(ValidationError, match=_read_too_early("act", "missing")):
+        validate_model(m)
+
+
 def random_dag(seed, n_nodes=40):
     """Unary and binary nodes over earlier values, in dependency order."""
     rng = np.random.default_rng(seed)
