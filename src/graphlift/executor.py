@@ -5,8 +5,9 @@ same model on the same feed is bit-deterministic.  Semantics follow the ONNX
 operator definitions for the supported configurations: multidirectional
 broadcasting on binary ops, NCHW layout for convolutions and pools, and
 average pooling that excludes padding from the divisor.  Kernels check
-nothing: the shape laws of ``shapes.infer_node_shapes`` are the only check of
-operands and attributes, and every path into a kernel runs them first.
+nothing, the ``Constant`` kernel included: the shape laws of
+``shapes.infer_node_shapes`` are the only check of operands and attributes
+(a ``Constant``'s dtype too), and every path into a kernel runs them first.
 
 A kernel resolves no geometry itself.  ``bind`` resolves what depends only
 on the node and its input shapes (window geometry with its defaults, the
@@ -245,14 +246,6 @@ def _bind_split(node, shapes):
     return index
 
 
-def _constant(node):
-    attrs = node.attributes
-    want = attrs["dtype"]
-    if want not in DTYPES:
-        raise ValidationError(f"Constant node {node.name!r}: bad dtype {want!r}")
-    return np.asarray(attrs["value"], dtype=DTYPES[want]).reshape(attrs["shape"])
-
-
 def _where(cond, a, b):
     if cond.dtype != np.bool_:
         cond = cond != 0
@@ -270,7 +263,6 @@ _BINDERS = {
     "ReduceSum": _bind_reduce,
     "ReduceMean": _bind_reduce,
     "Split": _bind_split,
-    "Constant": lambda n, s: n,
     "Pad": _bind_pad,
     "Slice": _bind_slice,
 }
@@ -304,7 +296,8 @@ _KERNELS = {
     "Where": lambda x, p: [_where(x[0], x[1], x[2])],
     "Tile": lambda x, p: [np.tile(x[0], p["repeats"])],
     "Split": lambda x, p: [np.ascontiguousarray(x[0][index]) for index in p],
-    "Constant": lambda x, p: [_constant(p)],
+    "Constant": lambda x, p: [
+        np.asarray(p["value"], dtype=DTYPES[p["dtype"]]).reshape(p["shape"])],
     "Abs": lambda x, p: [np.abs(x[0])],
     "Pad": lambda x, p: [np.pad(x[0], p[0], constant_values=p[1])],
     "Slice": lambda x, p: [np.ascontiguousarray(x[0][p])],
@@ -521,16 +514,19 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     if plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
-    for (node, ins, outs, frees, guarded), bound in zip(plan.steps, params):
-        results = eval_node(node, [values[s] for s in ins], bound)
-        for name, slot, arr in zip(node.outputs, outs, results):
-            if guarded and not _finite(arr):
-                raise NumericError(
-                    f"node {node.name!r} produced non-finite values in {name!r}")
-            values[slot] = arr
-        if not capture:
-            for slot in frees:
-                values[slot] = None
+    # the guard reports an overflow as a NumericError naming its node, not a
+    # warning; one error state per call, as one per step costs like a kernel
+    with np.errstate(all="ignore"):
+        for (node, ins, outs, frees, guarded), bound in zip(plan.steps, params):
+            results = eval_node(node, [values[s] for s in ins], bound)
+            for name, slot, arr in zip(node.outputs, outs, results):
+                if guarded and not _finite(arr):
+                    raise NumericError(
+                        f"node {node.name!r} produced non-finite values in {name!r}")
+                values[slot] = arr
+            if not capture:
+                for slot in frees:
+                    values[slot] = None
     outputs = {name: values[slot] for name, slot in plan.outputs}
     trace = {name: values[slot] for name, slot in plan.slots.items()} \
         if capture else None

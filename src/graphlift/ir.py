@@ -248,6 +248,10 @@ def _check_attr_value(node_name: str, key: str, kind: str, value) -> None:
     if not ok:
         raise ValidationError(
             f"node {node_name!r}: attribute {key!r} must be of kind {kind}")
+    if kind in ("float", "floats") and not all(
+            map(math.isfinite, value if kind == "floats" else [value])):
+        raise ValidationError(
+            f"node {node_name!r}: attribute {key!r} holds a non-finite value")
 
 
 def _unproduced(node: Node, name: str) -> ValidationError:
@@ -280,8 +284,6 @@ def validate_model(model: GraphModel) -> None:
     for name, tensor in model.initializers.items():
         if name in produced:
             raise ValidationError(f"initializer {name!r} collides with {produced[name]}")
-        if any(d < 0 for d in tensor.shape):
-            raise ValidationError(f"initializer {name!r} has a symbolic dimension")
         produced[name] = "initializer"
 
     seen_node_names = set()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedOp, ValidationError
+from .errors import NumericError, ShapeError, UnsupportedOp, ValidationError
 from .executor import execute
 from .explainer import Attribution
 from .ir import DTYPES, GraphModel, Node, TensorValue
@@ -35,10 +35,24 @@ _EPS_ACT = 1e-6
 _EPS_POOL = 1e-7
 
 
-def _as_batch(value, dtype: str) -> np.ndarray:
+def _as_batch(value, dtype: str, what: str) -> np.ndarray:
+    """``value`` as an array of rows in ``dtype``, or ValidationError naming
+    the argument ``what`` when it is not numeric or holds no row."""
     if isinstance(value, TensorValue):
         value = value.array
-    return np.asarray(value, dtype=DTYPES[dtype])
+    try:
+        arr = np.asarray(value, dtype=DTYPES[dtype])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    if arr.ndim == 0 or arr.shape[0] == 0:
+        raise ValidationError(f"{what} holds no rows, shape {arr.shape}")
+    return arr
+
+
+def _check_output_index(output_index, classes: int) -> None:
+    if not 0 <= output_index < classes:
+        raise ValidationError(
+            f"output index {output_index} outside the {classes}-class head")
 
 
 def _reachable_from_input(model: GraphModel) -> set[str]:
@@ -76,8 +90,8 @@ def deeplift_oracle(model: GraphModel, sample, references,
     if len(model.inputs) != 1:
         raise UnsupportedOp("attribution requires exactly one graph input")
     spec = model.inputs[0]
-    x = _as_batch(sample, spec.dtype)
-    refs = _as_batch(references, spec.dtype)
+    x = _as_batch(sample, spec.dtype, "sample")
+    refs = _as_batch(references, spec.dtype, "references")
     if x.shape[0] != 1:
         raise ValidationError("the oracle explains exactly one sample row")
     explained = model.outputs[0].name
@@ -87,36 +101,39 @@ def deeplift_oracle(model: GraphModel, sample, references,
     if head.ndim != 2:
         raise UnsupportedOp("the explained output must be rank-2 (batch, classes)")
     classes = head.shape[1]
-    if not 0 <= output_index < classes:
-        raise ValidationError(
-            f"output index {output_index} outside the {classes}-class head")
+    _check_output_index(output_index, classes)
 
     diff = _reachable_from_input(model)
     wanted = _upstream_nodes(model, explained, diff)
     order = [n for n in model.nodes if n.name in wanted]
-    batch = refs.shape[0]
     per_ref = []
-    for row in range(batch):
+    # an overflow shows as a non-finite multiplier, which raises naming its
+    # node, not as a warning
+    with np.errstate(all="ignore"):
+        for row in range(refs.shape[0]):
 
-        def r_val(name: str) -> np.ndarray:
-            arr = r_trace[name]
-            return arr[row:row + 1] if name in diff else arr
+            def r_val(name: str) -> np.ndarray:
+                arr = r_trace[name]
+                return arr[row:row + 1] if name in diff else arr
 
-        grads: dict[str, np.ndarray] = {}
+            grads: dict[str, np.ndarray] = {}
 
-        def push(name: str, grad: np.ndarray) -> None:
-            grads[name] = grads[name] + grad if name in grads else grad
+            def push(name: str, grad: np.ndarray) -> None:
+                grads[name] = grads[name] + grad if name in grads else grad
 
-        seed = np.zeros((1, classes), dtype=head.dtype)
-        seed[0, output_index] = 1.0
-        push(explained, seed)
-        for node in reversed(order):
-            flowed = _node_backward(node, grads[node.outputs[0]],
-                                    x_trace.__getitem__, r_val, diff,
-                                    eps_act, eps_pool)
-            for name, grad in flowed.items():
-                push(name, grad)
-        per_ref.append(grads[spec.name])
+            seed = np.zeros((1, classes), dtype=head.dtype)
+            seed[0, output_index] = 1.0
+            push(explained, seed)
+            for node in reversed(order):
+                flowed = _node_backward(node, grads[node.outputs[0]],
+                                        x_trace.__getitem__, r_val, diff,
+                                        eps_act, eps_pool)
+                for name, grad in flowed.items():
+                    if not np.isfinite(grad).all():
+                        raise NumericError(f"node {node.name!r} gives a non-finite "
+                                           f"multiplier for {name!r}")
+                    push(name, grad)
+            per_ref.append(grads[spec.name])
     multipliers = np.concatenate(per_ref, axis=0)
     phi = (multipliers * (x - refs)).mean(axis=0, keepdims=True)
 
@@ -347,8 +364,10 @@ def finite_diff(model: GraphModel, sample, output_index: int = 0,
                 h: float = 1e-4) -> np.ndarray:
     """Central differences of the explained coordinate, input-shaped."""
     spec = model.inputs[0]
-    x = _as_batch(sample, spec.dtype)
+    x = _as_batch(sample, spec.dtype, "sample")
     explained = model.outputs[0].name
+    out, _ = execute(model, {spec.name: x})
+    _check_output_index(output_index, out[explained].shape[-1])
 
     def head(arr: np.ndarray) -> float:
         out, _ = execute(model, {spec.name: arr})

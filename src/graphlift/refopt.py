@@ -425,14 +425,13 @@ def count_flops(model: GraphModel, batch: int | None = None,
                 forward_nodes=None, cache_bytes: int = 0) -> FlopReport:
     """Price every node with fixed conventions; split forward/backward.
 
-    ``forward_nodes`` names the forward subset (defaults to all nodes); the
-    peak-bytes estimate covers only that subset and excludes constants.
+    ``batch`` is the graph input's leading extent, as in
+    ``infer_graph_shapes``: without it a free batch counts as one row, so a
+    source model is priced per image.  ``forward_nodes`` names the forward
+    subset (defaults to all nodes); the peak-bytes estimate covers only that
+    subset and excludes constants.
     """
-    overrides = {}
-    if batch is not None and model.inputs:
-        spec = model.inputs[0]
-        overrides[spec.name] = (batch,) + tuple(spec.shape[1:])
-    shapes = infer_graph_shapes(model, overrides)
+    shapes = infer_graph_shapes(model, batch)
     itemsize = np.dtype(DTYPES[model.inputs[0].dtype]).itemsize if model.inputs else 8
     forward = set(forward_nodes) if forward_nodes is not None \
         else {n.name for n in model.nodes}

@@ -1,33 +1,34 @@
 """Static shape propagation for the supported operator set.
 
-Shapes are tuples of ints; a -1 marks the free batch dimension of a graph
-input and is carried through untouched where that is well defined.  Ops that
-cannot tolerate a symbolic extent raise ShapeError when they meet one.  The
-laws are the package's only check of operands and attributes: a kernel runs
-unchecked on whatever its law accepts.
+Shapes are tuples of concrete non-negative ints.  The free leading batch (-1)
+of a graph input's ``ValueSpec`` never reaches a law: ``infer_graph_shapes``
+gives it a number first, and every other caller passes the shapes of real
+arrays.  The one -1 a law reads is ``Reshape``'s target entry, ONNX's "infer
+this extent".  The laws are the package's only check of operands and
+attributes: a kernel runs unchecked on whatever its law accepts.
 """
 
 from __future__ import annotations
 
-from .errors import ShapeError, UnsupportedOp
-from .ir import SUPPORTED_OPS, GraphModel, Node, _check_signature, _unproduced
+import math
+import numbers
+
+from .errors import ShapeError, UnsupportedOp, ValidationError
+from .ir import (DTYPES, SUPPORTED_OPS, GraphModel, Node, _check_signature,
+                 _unproduced)
 
 __all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
            "window_attrs"]
 
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Multidirectional broadcast of two shapes; -1 matches anything but 1."""
+    """Multidirectional broadcast of two shapes."""
     out = []
     for da, db in zip(_pad(a, b), _pad(b, a)):
-        if da == db:
+        if da == db or db == 1:
             out.append(da)
         elif da == 1:
             out.append(db)
-        elif db == 1:
-            out.append(da)
-        elif -1 in (da, db):
-            out.append(-1 if da == -1 and db == -1 else max(da, db))
         else:
             raise ShapeError(f"cannot broadcast shapes {a} and {b}")
     return tuple(out)
@@ -35,15 +36,6 @@ def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _pad(a, b):
     return (1,) * (len(b) - len(a)) + tuple(a) if len(a) < len(b) else tuple(a)
-
-
-def _numel(shape):
-    n = 1
-    for d in shape:
-        if d == -1:
-            raise ShapeError(f"shape {shape} is not fully concrete")
-        n *= d
-    return n
 
 
 def _axis(axis: int, rank: int, op: str) -> int:
@@ -64,8 +56,6 @@ def window_attrs(attrs: dict) -> tuple[list, list, list, list]:
 
 
 def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
-    if size == -1:
-        raise ShapeError("pooling over a symbolic dimension")
     if min(kernel, stride, dilation) < 1 or min(pad_begin, pad_end) < 0:
         raise ShapeError(
             f"window {kernel}, stride {stride} and dilation {dilation} must be "
@@ -111,7 +101,7 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
         if attrs.get("group", 1) != 1:
             raise UnsupportedOp(f"{op} with group != 1 is not supported")
         c_in, channels = (w[1], w[0]) if op == "Conv" else (w[0], w[1])
-        if x[1] != c_in and x[1] != -1:
+        if x[1] != c_in:
             raise ShapeError(f"{op} channel mismatch: input {x}, weight {w}")
         if kernel != list(w[2:]):
             raise ShapeError(f"{op} kernel_shape {kernel} does not match weight {w}")
@@ -130,7 +120,7 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
         return (x[0], channels) + spatial
     extra = list(attrs.get("output_padding", [0, 0]))
     if min(kernel) < 1 or min(pads) < 0 or dilations != [1, 1] \
-            or len(extra) != 2 or -1 in x[2:] \
+            or len(extra) != 2 \
             or not all(0 <= e < s for e, s in zip(extra, strides)):
         raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
                          f"input {x} and weight {w}")
@@ -154,6 +144,8 @@ def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tupl
         return _node_shapes(node, in_shapes)
     except (ShapeError, UnsupportedOp) as exc:
         raise type(exc)(f"node {node.name!r}: {exc}") from exc
+    except TypeError as exc:  # an attribute of the wrong kind
+        raise ValidationError(f"node {node.name!r}: {exc}") from exc
 
 
 def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -177,7 +169,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         a, b = in_shapes
         if len(a) < 2 or len(b) < 2:
             raise ShapeError(f"MatMul operands must be at least 2-D, got {a} and {b}")
-        if a[-1] != b[-2] and -1 not in (a[-1], b[-2]):
+        if a[-1] != b[-2]:
             raise ShapeError(f"MatMul inner dimensions differ: {a} vs {b}")
         batch = broadcast_shapes(a[:-2], b[:-2]) if (a[:-2] or b[:-2]) else ()
         return [batch + (a[-2], b[-1])]
@@ -190,7 +182,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             a = (a[1], a[0])
         if attrs.get("transB", 0):
             b = (b[1], b[0])
-        if a[1] != b[0] and -1 not in (a[1], b[0]):
+        if a[1] != b[0]:
             raise ShapeError(f"Gemm inner dimensions differ: {a} vs {b}")
         out = (a[0], b[1])
         if len(in_shapes) == 3 and broadcast_shapes(out, in_shapes[2]) != out:
@@ -208,10 +200,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             raise ShapeError(f"Pad needs 2 entries per axis of {x}, got pads {pads}")
         if min(pads, default=0) < 0:
             raise UnsupportedOp("Pad with negative pads is not supported")
-        out = tuple(d + lo + hi for d, lo, hi in zip(x, pads, pads[len(x):]))
-        if any(d == -1 and o != -1 for d, o in zip(x, out)):
-            raise ShapeError("Pad along a symbolic axis")
-        return [out]
+        return [tuple(d + lo + hi for d, lo, hi in zip(x, pads, pads[len(x):]))]
 
     if op == "Slice":
         x, starts, ends = list(in_shapes[0]), attrs["starts"], attrs["ends"]
@@ -224,8 +213,6 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if len({_axis(a, len(x), op) for a in axes}) != len(axes):
             raise ShapeError(f"Slice axes {axes} repeat an axis")
         for start, end, axis, step in zip(starts, ends, axes, steps):
-            if x[axis] == -1:
-                raise ShapeError("Slice along a symbolic axis")
             x[axis] = len(range(*slice(start, end, step).indices(x[axis])))
         return [tuple(x)]
 
@@ -253,10 +240,8 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             if len(s) != len(base):
                 raise ShapeError(f"Concat rank mismatch: {in_shapes}")
             for i, (d0, d) in enumerate(zip(base, s)):
-                if i != axis and d0 != d and -1 not in (d0, d):
+                if i != axis and d0 != d:
                     raise ShapeError(f"Concat non-axis extent mismatch: {in_shapes}")
-            if s[axis] == -1:
-                raise ShapeError("Concat along a symbolic axis")
             total += s[axis]
         base[axis] = total
         return [tuple(base)]
@@ -274,22 +259,14 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if target.count(-1) > 1 or min(target, default=0) < -1:
             raise ShapeError(f"Reshape target {target} allows one inferred "
                              "extent and no other negative one")
-        if -1 in x:
-            # a free batch extent survives only as the leading -1 of both sides
-            if x[0] != -1 or -1 in x[1:] or not target or target[0] != -1:
-                raise ShapeError(f"cannot reshape symbolic {x} to {target}")
-            if _numel(x[1:]) != _numel(target[1:]):
-                raise ShapeError(
-                    f"cannot reshape {x} to {target}: row sizes differ")
-            return [tuple(target)]
+        total = math.prod(x)
         if -1 in target:
-            known = _numel([d for d in target if d != -1])
-            total = _numel(x)
+            known = math.prod(d for d in target if d != -1)
             if known == 0 or total % known:
                 raise ShapeError(f"cannot reshape {x} to {target}")
             target[target.index(-1)] = total // known
-        elif _numel(x) != _numel(target):
-            raise ShapeError(f"cannot reshape {x} ({_numel(x)} elements) to {target}")
+        elif total != math.prod(target):
+            raise ShapeError(f"cannot reshape {x} ({total} elements) to {target}")
         return [tuple(target)]
 
     if op == "Flatten":
@@ -298,9 +275,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if not -len(x) <= axis <= len(x):
             raise ShapeError(f"Flatten axis {axis} out of range for rank {len(x)}")
         axis = axis + len(x) if axis < 0 else axis
-        head = -1 if -1 in x[:axis] else _numel(x[:axis])
-        tail = -1 if -1 in x[axis:] else _numel(x[axis:])
-        return [(head, tail)]
+        return [(math.prod(x[:axis]), math.prod(x[axis:]))]
 
     if op in ("ReduceSum", "ReduceMean"):
         x = in_shapes[0]
@@ -324,13 +299,11 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if len(reps) != len(x) or min(reps, default=0) < 0:
             raise ShapeError(f"Tile repeats {reps} must be non-negative, one "
                              f"per axis of {x}")
-        return [tuple(d * r if d != -1 else -1 for d, r in zip(x, reps))]
+        return [tuple(d * r for d, r in zip(x, reps))]
 
     if op == "Split":
         x = in_shapes[0]
         axis = _axis(attrs.get("axis", 0), len(x), op)
-        if x[axis] == -1:
-            raise ShapeError("Split along a symbolic axis")
         parts = attrs.get("split")
         n_out = len(node.outputs)
         if parts is None:
@@ -344,8 +317,11 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         return [x[:axis] + (p,) + x[axis + 1:] for p in parts]
 
     if op == "Constant":
+        if attrs["dtype"] not in DTYPES:
+            raise ValidationError(f"node {node.name!r}: Constant dtype "
+                                  f"{attrs['dtype']!r} is not one of {sorted(DTYPES)}")
         shape = tuple(attrs["shape"])
-        if min(shape, default=0) < 0 or _numel(shape) != len(attrs["value"]):
+        if min(shape, default=0) < 0 or math.prod(shape) != len(attrs["value"]):
             raise ShapeError(f"Constant of shape {shape} holds "
                              f"{len(attrs['value'])} values")
         return [shape]
@@ -353,19 +329,23 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
     raise UnsupportedOp(f"no shape law for op {op!r}")
 
 
-def infer_graph_shapes(model: GraphModel,
-                       overrides: dict[str, tuple[int, ...]] | None = None,
+def infer_graph_shapes(model: GraphModel, batch: int | None = None,
                        ) -> dict[str, tuple[int, ...]]:
-    """Shape of every named value, honoring per-input shape overrides.
+    """Shape of every named value, with each graph input's leading extent
+    set to ``batch``, or, without one, to the spec's own extent, a free
+    batch counting as 1.
 
     One pass over ``model.nodes``; ValidationError names a node that reads a
-    value no earlier node, graph input or initializer produced."""
+    value no earlier node, graph input or initializer produced, and refuses
+    a ``batch`` that is not a positive integer."""
+    if batch is not None and (isinstance(batch, bool) or not isinstance(
+            batch, numbers.Integral) or batch < 1):
+        raise ValidationError(f"batch must be a positive integer, got {batch!r}")
     shapes: dict[str, tuple[int, ...]] = {}
     for spec in model.inputs:
-        shapes[spec.name] = tuple(spec.shape)
-    if overrides:
-        for name, shape in overrides.items():
-            shapes[name] = tuple(shape)
+        # max: a free batch (-1) counts as one row
+        lead = spec.shape[:1] if batch is None else (int(batch),)
+        shapes[spec.name] = tuple(max(d, 1) for d in lead) + spec.shape[1:]
     for name, tensor in model.initializers.items():
         shapes[name] = tensor.shape
     for node in model.nodes:

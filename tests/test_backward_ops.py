@@ -260,16 +260,16 @@ def test_missing_or_mistyped_attributes_fail_validation(op, attrs):
         validate_model(model)
 
 
-def test_symbolic_batch_survives_and_symbolic_axes_are_refused():
-    x = (-1, 3, 4, 4)
+def test_batch_extent_passes_through_pad_slice_and_conv_transpose():
+    x = (7, 3, 4, 4)
     pad = node_for("Pad", [X4], {"pads": [0, 0, 1, 1, 0, 0, 1, 1]})
-    assert infer_node_shapes(pad, [x]) == [(-1, 3, 6, 6)]
+    assert infer_node_shapes(pad, [x]) == [(7, 3, 6, 6)]
     sl = node_for("Slice", [X4], {"starts": [1], "ends": [3], "axes": [2]})
-    assert infer_node_shapes(sl, [x]) == [(-1, 3, 2, 4)]
+    assert infer_node_shapes(sl, [x]) == [(7, 3, 2, 4)]
     ct = node_for("ConvTranspose", [X4, W4], CT)
-    assert infer_node_shapes(ct, [x, W4.shape]) == [(-1, 2, 6, 6)]
-    with pytest.raises(ShapeError):
-        infer_node_shapes(node_for("Pad", [X4], {"pads": [1] + [0] * 7}), [x])
-    with pytest.raises(ShapeError):
-        infer_node_shapes(node_for("Slice", [X4], {"starts": [0], "ends": [1]}),
-                          [x])
+    assert infer_node_shapes(ct, [x, W4.shape]) == [(7, 2, 6, 6)]
+    # the batch axis is padded and sliced like any other
+    pad = node_for("Pad", [X4], {"pads": [1] + [0] * 7})
+    assert infer_node_shapes(pad, [x]) == [(8, 3, 4, 4)]
+    sl = node_for("Slice", [X4], {"starts": [0], "ends": [1]})
+    assert infer_node_shapes(sl, [x]) == [(1, 3, 4, 4)]

@@ -1,5 +1,7 @@
 """Kernel semantics of the reference interpreter."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -444,6 +446,19 @@ def test_pad_with_an_infinite_fill_is_named():
                                              "value": float("inf")})]))
     with pytest.raises(NumericError, match="'frame'"):
         execute(plan, {"x": np.ones((1, 2))})
+
+
+def test_a_kernel_overflow_is_named_not_warned():
+    # the naive softmax rule takes exp of the reference logits, which
+    # overflows float32 at references of 100; the optimized scheme refuses
+    # the same folded value at compile time
+    net = gl.micro_net("softmax", dtype="float32")
+    art = gl.compile_explainer(net.model, np.full_like(net.references, 100.0),
+                               scheme="naive")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="smexpref"):
+            gl.explain(art, net.sample)
 
 
 def test_plan_rebinds_a_strided_conv_transpose_when_the_batch_changes():

@@ -73,6 +73,23 @@ def test_validate_rejects_bad_attribute_kind():
         validate_model(m)
 
 
+@pytest.mark.parametrize("node", [
+    Node("Constant", "k", [], ["hk"], {"dtype": "float32", "shape": [2],
+                                       "value": [1.0, float("inf")]}),
+    Node("Pad", "k", ["h"], ["hk"], {"pads": [0, 1, 0, 1], "value": float("inf")}),
+    Node("Gemm", "k", ["h", "h"], ["hk"], {"transB": 1, "alpha": float("nan")}),
+])
+def test_a_non_finite_float_attribute_is_refused(node, tmp_path):
+    m = tiny_model()
+    m.nodes.insert(1, node)
+    with pytest.raises(ValidationError, match="'k'.*attribute '(value|alpha)'"):
+        validate_model(m)
+    with pytest.raises(ValidationError, match="'k'"):
+        save_model(m, str(tmp_path / "m.sgm"))
+    with pytest.raises(ValidationError, match="'k'"):
+        dumps_model(m)
+
+
 def test_validate_rejects_missing_required_attribute():
     m = tiny_model()
     m.nodes.insert(1, Node("Reshape", "r", ["h"], ["hr"], {}))

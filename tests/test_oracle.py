@@ -1,5 +1,7 @@
 """The slow-path oracle and the attribution comparison harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,29 @@ def test_oracle_rejects_bad_output_index():
     refs = random_references(model, 3)
     with pytest.raises(ValidationError):
         deeplift_oracle(model, demo_sample(), refs, output_index=5)
+
+
+@pytest.mark.parametrize("references, match", [
+    ("abc", "references is not a numeric array"),
+    (np.zeros((0, 32)), "references holds no rows"),
+])
+def test_oracle_refuses_references_it_cannot_use(references, match):
+    with pytest.raises(ValidationError, match=match):
+        deeplift_oracle(demo_model(), demo_sample(), references)
+
+
+def test_finite_diff_rejects_bad_output_index():
+    with pytest.raises(ValidationError, match="output index 5"):
+        finite_diff(demo_model(), demo_sample(), output_index=5)
+
+
+def test_oracle_names_the_node_of_an_overflowing_multiplier():
+    net = gl.micro_net("softmax", dtype="float32")
+    refs = np.full_like(net.references, 100.0)  # exp(100) overflows float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gl.NumericError, match="'act_op'"):
+            deeplift_oracle(net.model, net.sample, refs)
 
 
 def test_oracle_rejects_multi_input_graph():

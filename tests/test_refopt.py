@@ -156,6 +156,23 @@ def test_count_flops_scales_with_batch(demo):
     assert big == 8 * small
 
 
+@pytest.mark.parametrize("name", ["demo", "plain_deep", "residual_add",
+                                  "dense_concat", "scaled_add_mul"])
+def test_count_flops_prices_a_source_model_per_image(name):
+    # a free batch counts as one row, so no extent is ever negative
+    model = demo_model() if name == "demo" else gl.corpus_entry(name).model
+    total = count_flops(model).total
+    assert total > 0
+    assert total == count_flops(model, batch=1).total
+
+
+@pytest.mark.parametrize("batch", [0, -3, 2.0, True])
+def test_count_flops_refuses_a_batch_that_is_not_a_positive_integer(demo, batch):
+    model, _ = demo
+    with pytest.raises(gl.ValidationError, match="batch"):
+        count_flops(model, batch=batch)
+
+
 def test_cache_bytes_passthrough(demo):
     model, _ = demo
     report = count_flops(model, batch=1, cache_bytes=999)
