@@ -3,17 +3,17 @@
 The package turns a feed-forward classifier into a single deployable graph
 that computes the model's prediction together with reference-based input
 attributions.  Two compilation schemes are provided: a replicate-and-stack
-baseline and an optimized form that bakes every reference-only computation
-into constants at compile time.
+baseline and an optimized form whose graph builder folds every
+reference-only computation into constants at compile time, with the same
+kernels the executor runs.
 """
 
 from .corpus import (LINEAR_FAMILIES, MICRO_FAMILIES, CorpusEntry, MicroNet,
                      build_corpus, corpus_entry, demo_model, demo_sample,
                      micro_net, random_inputs, random_references,
                      zero_references)
-from .errors import (GraphliftError, MissingCacheEntry, NoPathError,
-                     NumericError, ParseError, ShapeError, StuckError,
-                     UnsupportedOp, ValidationError)
+from .errors import (GraphliftError, NoPathError, NumericError, ParseError,
+                     ShapeError, StuckError, UnsupportedOp, ValidationError)
 from .executor import ExecutionPlan, execute
 from .explainer import (Attribution, ExplainerArtifact, compile_explainer,
                         completeness_check, explain, load_artifact,
@@ -23,8 +23,8 @@ from .ir import (GraphModel, Node, TensorValue, ValueSpec, load_model,
                  validate_model)
 from .oracle import (ClosenessReport, compare_attributions, deeplift_oracle,
                      finite_diff)
-from .refopt import (FlopReport, ReferenceCache, build_naive, build_optimized,
-                     count_flops, op_census, precompute_reference_cache)
+from .refopt import (FlopReport, build_naive, build_optimized, count_flops,
+                     op_census)
 from .shapes import infer_graph_shapes
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     # errors
     "GraphliftError", "ParseError", "ValidationError", "ShapeError",
     "UnsupportedOp", "NumericError", "NoPathError", "StuckError",
-    "MissingCacheEntry",
     # model structure and serialization
     "GraphModel", "Node", "TensorValue", "ValueSpec", "validate_model",
     "save_model", "load_model", "save_tensor", "load_tensor",
@@ -42,8 +41,8 @@ __all__ = [
     # compilation and use
     "compile_explainer", "explain", "completeness_check", "Attribution",
     "ExplainerArtifact", "save_artifact", "load_artifact", "write_pgm",
-    "ReferenceCache", "precompute_reference_cache", "build_optimized",
-    "build_naive", "FlopReport", "count_flops", "op_census",
+    "build_optimized", "build_naive", "FlopReport", "count_flops",
+    "op_census",
     # verification
     "deeplift_oracle", "finite_diff", "compare_attributions",
     "ClosenessReport",

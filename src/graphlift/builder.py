@@ -5,12 +5,12 @@ gradient rules emit their operator nodes through it.  The builder folds every
 node whose inputs are all known, forward or backward: the node is evaluated at
 build time and its result becomes a known value, stored as an initializer
 only if a runtime node reads it.  That is what turns constant-only forward
-chains and reference-side expression chains into baked constants under the
-reference-caching scheme, while the same rule code emits live nodes for the
-replicated-batch scheme.  A folded value that is not finite raises
-NumericError naming its node.  Every value's shape is recorded as it is
-added or emitted, so the builder is the compile's one shape table: rules
-read shapes from it and from nothing else.
+chains, the reference-side copy of the forward graph and reference-side
+expression chains into baked constants under the optimized scheme, while the
+same rule code emits live nodes for the replicated-batch scheme.  A folded
+value that is not finite raises NumericError naming its node.  Every value's
+shape is recorded as it is added or emitted, so the builder is the compile's
+one shape table: rules read shapes from it and from nothing else.
 
 ``emit`` also numbers values (Click, "Global Code Motion / Global Value
 Numbering", PLDI 1995): every op is pure, so an op emitted again with the
@@ -18,9 +18,9 @@ same inputs and attributes returns its earlier outputs, and a repeated pure
 op is built once, however many rules ask for it.
 
 RuleEnv resolves, for any forward value name, where its target-side and
-reference-side activations live: the forward value itself plus a cached
-constant when references were precomputed, or the two halves of the stacked
-2B-row stream when they were not.
+reference-side activations live: the forward value itself plus its folded
+reference-side copy under the optimized scheme, or the two halves of the
+stacked 2B-row stream under the replicated-batch scheme.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .errors import MissingCacheEntry, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .executor import bind, eval_node
 from .ir import DTYPES, Node, TensorValue
 from .shapes import infer_node_shapes
@@ -146,24 +146,23 @@ class GraphBuilder:
 class RuleEnv:
     """Target-side / reference-side name resolution for one compilation scheme.
 
-    With ``joint=False`` (reference caching) a forward name is the target
-    activation itself and the reference side is a baked constant pulled from
-    the cache.  With ``joint=True`` the forward names carry 2B stacked rows,
-    halves are obtained through Split nodes, and gradient tensors ride the
-    full 2B-row stream.
+    With ``joint=False`` (optimized) a forward name is the target activation
+    itself and the reference side its folded copy in ``refs``, or the name
+    itself when it does not depend on the graph input.  With ``joint=True``
+    the forward names carry 2B stacked rows, halves are obtained through
+    Split nodes, and gradient tensors ride the full 2B-row stream.
     """
 
     def __init__(self, builder: GraphBuilder, batch: int, joint: bool,
-                 ref_values: dict[str, np.ndarray] | None = None):
+                 refs: dict[str, str] | None = None):
         self.builder = builder
         self.batch = batch
         self.joint = joint
         # forward names whose stream-width activations live elsewhere (the
         # stacked scheme reroutes the 1-row graph input to its 2B-row stack)
         self.alias: dict[str, str] = {}
-        self._ref_values = ref_values or {}
-        # forward name -> initializer holding its baked reference rows
-        self._ref_names: dict[str, str] = {}
+        # forward name -> its reference-side copy
+        self.refs = refs or {}
 
     def act(self, name: str) -> str:
         """Stream-width activation of a forward value (broadcasts on the target side)."""
@@ -183,13 +182,7 @@ class RuleEnv:
         """Reference-side activations of a forward value."""
         if self.joint:
             return self._halves(self.act(name))[1]
-        if name not in self._ref_names:
-            if name not in self._ref_values:
-                raise MissingCacheEntry(
-                    f"reference cache holds no entry for value {name!r}")
-            self._ref_names[name] = self.builder.const(
-                self._ref_values[name], f"ref_{_short(name)}")
-        return self._ref_names[name]
+        return self.refs.get(name, name)
 
     def _other(self, name: str) -> str:
         """The reference side, at stream width, to set against ``act(name)``."""
@@ -212,10 +205,6 @@ class RuleEnv:
                                   tag=f"actsum_{_short(key)}")
         return self.builder.emit("Mul", [total, self.builder.scalar(0.5, "half")],
                                  tag=f"actmean_{_short(key)}")
-
-    def baked_refs(self) -> dict[str, str]:
-        """Forward-value name -> initializer name of each baked reference entry."""
-        return dict(self._ref_names)
 
     def grad_x_half(self, grad_name: str) -> str:
         """Target-half rows of a stream gradient."""

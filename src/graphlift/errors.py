@@ -33,7 +33,3 @@ class StuckError(GraphliftError):
     """A gradient rule broke its contract during the backward sweep: it
     returned a gradient for a non-differentiable input, or left a node the
     sweep must visit without one."""
-
-
-class MissingCacheEntry(GraphliftError):
-    """A rule asked the reference cache for a value it does not hold."""

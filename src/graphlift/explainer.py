@@ -2,9 +2,10 @@
 
 The artifact is one graph with a single runtime input (the sample to explain)
 and two outputs: the model's prediction row and an input-shaped attribution.
-Everything else — reference rows or their cached activations, gradient seeds,
-backward wiring — lives inside as constants, so a saved artifact can be
-shipped and executed anywhere the executor runs, with no other state.
+Everything else — reference rows or the reference activations folded at
+compile time, gradient seeds, backward wiring — lives inside as constants, so
+a saved artifact can be shipped and executed anywhere the executor runs, with
+no other state.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 from .errors import ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
 from .ir import GraphModel, TensorValue, _read_model, save_model
-from .refopt import (_as_array, _build_digest, build_naive, build_optimized,
-                     precompute_reference_cache)
+from .refopt import _as_array, _build_digest, build_naive, build_optimized
 from .rules import EPS_ACT, EPS_POOL
 
 __all__ = [
@@ -113,13 +113,10 @@ def compile_explainer(model: GraphModel, references, output_index: int = 0,
     except KeyError:
         raise ValidationError(f"unknown scheme {scheme!r}; use opt or naive") \
             from None
-    knobs = dict(eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
-                 expose_multipliers=expose_multipliers)
-    if canonical == "optimized":
-        cache = precompute_reference_cache(model, references)
-        graph, meta = build_optimized(model, cache, output_index, **knobs)
-    else:
-        graph, meta = build_naive(model, references, output_index, **knobs)
+    build = build_optimized if canonical == "optimized" else build_naive
+    graph, meta = build(model, references, output_index, eps_act=eps_act,
+                        eps_pool=eps_pool, seed_scale=seed_scale,
+                        expose_multipliers=expose_multipliers)
     return ExplainerArtifact(model=graph, metadata=meta)
 
 

@@ -380,6 +380,12 @@ def _pack(header: dict, tensors, metadata=None) -> bytes:
     return b"".join(parts)
 
 
+def _finite_number(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _read(path: str) -> tuple[dict, list[np.ndarray], str, object]:
     """The one reader: header, payload views, digest and metadata of a
     container, or ParseError unless the digest recomputes over the header and
@@ -392,7 +398,8 @@ def _read(path: str) -> tuple[dict, list[np.ndarray], str, object]:
     if base > len(raw):
         raise ParseError(f"{path!r} is truncated inside its header")
     try:
-        header = json.loads(raw[16:base])
+        header = json.loads(raw[16:base], parse_constant=_finite_number,
+                            parse_float=_finite_number)
         digest, offsets = header.pop("digest"), header.pop("offsets")
         metadata = header.pop("metadata", None)
         layout = []
@@ -476,5 +483,9 @@ def model_digest(model: GraphModel) -> str:
     to any name, spec, node, attribute, dtype, shape or payload byte changes
     the digest.
     """
-    return _digest(_header(model),
-                   [t.little_endian() for t in model.initializers.values()])
+    try:
+        return _digest(_header(model),
+                       [t.little_endian() for t in model.initializers.values()])
+    except ValueError:  # a non-finite float, which only an attribute can hold
+        validate_model(model)
+        raise

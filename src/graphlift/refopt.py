@@ -1,11 +1,11 @@
-"""Reference caching, scheme assembly, and cost accounting.
+"""Scheme assembly and cost accounting.
 
 Two ways to attach an attribution head to a forward graph:
 
-* build_optimized precomputes every reference-side activation once at compile
+* build_optimized evaluates every reference-side activation once at compile
   time and bakes the values the rules actually consult into the artifact as
   constants.  The runtime graph then runs the target forward pass on a single
-  row and broadcasts it against the cached B-row tensors.
+  row and broadcasts it against the baked B-row tensors.
 
 * build_naive reproduces the replicate-and-stack layout: the target row is
   tiled B times, concatenated with the reference rows into a 2B-row batch,
@@ -18,6 +18,11 @@ builder folds every node whose inputs are all known, forward or backward, so
 a constant-only forward chain ships as the initializers its runtime
 consumers read, not as nodes.  It is also the compile's one shape table:
 rules read every shape from it.
+
+The same folder evaluates the reference side, once per compile: each
+forward node that depends on the graph input is added again over the B
+reference rows and folds.  The optimized rules read those copies, and a copy
+ships only when a runtime node reads it.
 
 count_flops prices either artifact with fixed per-op conventions so the two
 schemes can be compared analytically.
@@ -34,9 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import differentiate
-from .builder import GraphBuilder, RuleEnv
+from .builder import GraphBuilder, RuleEnv, _short
 from .errors import ShapeError, UnsupportedOp, ValidationError
-from .executor import execute
 from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
                  model_digest, validate_model)
 from .parser import build_backward_graph
@@ -44,10 +48,8 @@ from .rules import EPS_ACT, EPS_POOL
 from .shapes import infer_graph_shapes
 
 __all__ = [
-    "ReferenceCache",
     "FlopReport",
     "ACTIVATION_FLOP_COST",
-    "precompute_reference_cache",
     "build_optimized",
     "build_naive",
     "op_census",
@@ -63,15 +65,6 @@ _ATTRIBUTION = "attribution"
 _MULTIPLIERS = "multipliers"
 
 
-@dataclass
-class ReferenceCache:
-    """Every forward value over the reference batch, captured once."""
-
-    values: dict[str, np.ndarray]
-    batch: int
-    digest: str
-
-
 def _as_array(value, dtype: str, what: str) -> np.ndarray:
     """An array or TensorValue from outside the package as an array of
     ``dtype``, or ValidationError naming ``what``."""
@@ -83,27 +76,25 @@ def _as_array(value, dtype: str, what: str) -> np.ndarray:
         raise ValidationError(f"{what} is not a numeric array: {err}") from None
 
 
-def _as_references(references, dtype: str) -> np.ndarray:
-    refs = _as_array(references, dtype, "the reference set")
+def _as_references(references, spec: ValueSpec) -> np.ndarray:
+    """The reference set as rows the graph input ``spec`` takes, or an
+    error naming it."""
+    refs = _as_array(references, spec.dtype, "the reference set")
     if refs.ndim < 1 or refs.shape[0] < 1:
         raise ValidationError("the reference set must carry at least one row")
+    if len(refs.shape) != len(spec.shape) or any(
+            want not in (-1, got) for got, want in zip(refs.shape, spec.shape)):
+        raise ShapeError(
+            f"the reference set has shape {refs.shape}, which input "
+            f"{spec.name!r} of shape {spec.shape} does not take")
     return refs
-
-
-def precompute_reference_cache(model: GraphModel, references) -> ReferenceCache:
-    """Run the forward graph once over all B references, keeping every value."""
-    if len(model.inputs) != 1:
-        raise UnsupportedOp("attribution requires exactly one graph input")
-    dtype = model.inputs[0].dtype
-    refs = _as_references(references, dtype)
-    _, trace = execute(model, {model.inputs[0].name: refs}, capture=True)
-    return ReferenceCache(values=trace, batch=int(refs.shape[0]),
-                          digest=_source_digest(model, refs))
 
 
 def _source_digest(model: GraphModel, refs: np.ndarray) -> str:
     """sha256 binding a model to the reference set an artifact was built for."""
-    return hashlib.sha256(model_digest(model).encode() + refs.tobytes()).hexdigest()
+    digest = hashlib.sha256(model_digest(model).encode())
+    digest.update(np.ascontiguousarray(refs))  # the row-major bytes, uncopied
+    return digest.hexdigest()
 
 
 def _grad_prefix(model: GraphModel) -> str:
@@ -142,24 +133,43 @@ def _check_arguments(builder: GraphBuilder, explained: str, output_index,
     return classes
 
 
-def _start(model: GraphModel):
-    """What both layouts begin with, once the model checks out: a builder
-    that knows the one-row graph input's shape and every initializer, and
-    the backward graph around the first output.
+def _start(model: GraphModel, references):
+    """What both layouts begin with, once the model and the reference set
+    check out: the reference rows, a builder that knows the one-row graph
+    input's shape and every initializer, and the backward graph around the
+    first output.
 
-    Returns (builder, backward).
+    Returns (refs, builder, backward).
     """
     validate_model(model)
     if len(model.inputs) != 1:
         raise UnsupportedOp("attribution requires exactly one graph input")
     spec = model.inputs[0]
+    refs = _as_references(references, spec)
     backward = build_backward_graph(model, model.outputs[0].name)
     builder = GraphBuilder(dtype=spec.dtype, prefix=_grad_prefix(model))
     builder.register_value(spec.name, (1,) + tuple(spec.shape[1:]))
     for name, tv in model.initializers.items():
         builder.register_value(name, tv.shape, tv.array)
     builder.initializers.update(model.initializers)
-    return builder, backward
+    return refs, builder, backward
+
+
+def _fold_references(builder: GraphBuilder, model: GraphModel,
+                     rows: str) -> dict[str, str]:
+    """Forward value name -> its copy over the known reference rows
+    ``rows``, for the graph input and each value computed from it.  Every
+    node reading such a value is added again, with fresh output names, and
+    folds through the kernels and at the B-row shapes ``execute`` uses."""
+    copies = {model.inputs[0].name: rows}
+    for node in model.nodes:
+        if any(i in copies for i in node.inputs):
+            outputs = [builder.fresh(f"ref_{_short(o)}") for o in node.outputs]
+            builder.add(Node(node.op_type, node.name,
+                             [copies.get(i, i) for i in node.inputs], outputs,
+                             node.attributes))
+            copies.update(zip(node.outputs, outputs))
+    return copies
 
 
 def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
@@ -170,21 +180,21 @@ def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
 
 
 def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
-              output_index: int, batch: int, eps_act: float, eps_pool: float,
-              seed_scale: float, input_name: str, explained: str,
-              prediction: str, attribution: str, multipliers: str | None,
-              forward_nodes, target_rows: int, reference_rows: int,
-              ref_output_mean: float, cache_entries, cache_bytes: int,
-              source_digest: str) -> dict:
+              output_index: int, refs: np.ndarray, ref_output: np.ndarray,
+              eps_act: float, eps_pool: float, seed_scale: float,
+              explained: str, prediction: str, attribution: str,
+              multipliers: str | None, forward_nodes, target_rows: int,
+              reference_rows: int, cache_entries, cache_bytes: int) -> dict:
+    """The artifact's metadata; ``ref_output`` is ``explained`` over ``refs``."""
     meta = {
         "scheme": scheme,
         "output_index": int(output_index),
-        "batch": int(batch),
+        "batch": int(refs.shape[0]),
         "eps_act": float(eps_act),
         "eps_pool": float(eps_pool),
         "seed_scale": float(seed_scale),
         "dtype": model.inputs[0].dtype,
-        "input_name": input_name,
+        "input_name": model.inputs[0].name,
         "prediction_output": prediction,
         "attribution_output": attribution,
         "multipliers_output": multipliers,
@@ -192,10 +202,10 @@ def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
         "forward_nodes": list(forward_nodes),
         "forward_rows": {"target": int(target_rows),
                          "reference": int(reference_rows)},
-        "ref_output_mean": float(ref_output_mean),
+        "ref_output_mean": float(ref_output[:, output_index].mean()),
         "cache_entries": sorted(cache_entries),
         "cache_bytes": int(cache_bytes),
-        "source_digest": source_digest,
+        "source_digest": _source_digest(model, refs),
     }
     meta["build_digest"] = _build_digest(meta, model_digest(artifact))
     return meta
@@ -230,24 +240,26 @@ def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
     return artifact
 
 
-def build_optimized(model: GraphModel, cache: ReferenceCache,
-                    output_index: int = 0, *, eps_act: float = EPS_ACT,
-                    eps_pool: float = EPS_POOL, seed_scale: float = 1.0,
-                    expose_multipliers: bool = False):
+def build_optimized(model: GraphModel, references, output_index: int = 0, *,
+                    eps_act: float = EPS_ACT, eps_pool: float = EPS_POOL,
+                    seed_scale: float = 1.0, expose_multipliers: bool = False):
     """Attach the attribution head with all reference activations baked in.
 
     Returns (artifact, metadata).
     """
-    builder, backward = _start(model)
+    refs, builder, backward = _start(model, references)
     input_name, explained = model.inputs[0].name, backward.explained_output
-    batch = cache.batch
+    batch = int(refs.shape[0])
     for node in model.nodes:
         builder.add(node)
     forward_nodes = [n.name for n in builder.nodes]
     classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
                                eps_pool=eps_pool, seed_scale=seed_scale)
+    rows = builder.fresh(f"ref_{_short(input_name)}")
+    builder.register_value(rows, refs.shape, refs)
+    copies = _fold_references(builder, model, rows)
 
-    env = RuleEnv(builder, batch, joint=False, ref_values=cache.values)
+    env = RuleEnv(builder, batch, joint=False, refs=copies)
     loss = builder.const(_seed_array(batch, classes, output_index,
                                      builder.dtype, seed_scale), "seed")
     result = differentiate(model, backward, loss, env, eps_act, eps_pool)
@@ -260,18 +272,15 @@ def build_optimized(model: GraphModel, cache: ReferenceCache,
     multipliers = result.input_grad if expose_multipliers else None
     artifact = _finish(model, builder, explained, phi, multipliers)
 
-    baked = {name: init for name, init in env.baked_refs().items()
-             if init in artifact.initializers}
-    cache_bytes = sum(artifact.initializers[init].nbytes for init in baked.values())
+    baked = [name for name, copy in copies.items() if copy in artifact.initializers]
     meta = _metadata(
-        "optimized", model, artifact, output_index=output_index, batch=batch,
-        eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
-        input_name=input_name, explained=explained, prediction=explained,
-        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
-        target_rows=1, reference_rows=0,
-        ref_output_mean=cache.values[explained][:, output_index].mean(),
-        cache_entries=baked, cache_bytes=cache_bytes,
-        source_digest=cache.digest)
+        "optimized", model, artifact, output_index=output_index, refs=refs,
+        ref_output=builder.known[copies[explained]], eps_act=eps_act,
+        eps_pool=eps_pool, seed_scale=seed_scale, explained=explained,
+        prediction=explained, attribution=phi, multipliers=multipliers,
+        forward_nodes=forward_nodes, target_rows=1, reference_rows=0,
+        cache_entries=baked, cache_bytes=sum(
+            artifact.initializers[copies[name]].nbytes for name in baked))
     return artifact, meta
 
 
@@ -282,9 +291,8 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     Returns (artifact, metadata).
     """
-    builder, backward = _start(model)
+    refs, builder, backward = _start(model, references)
     input_name, explained = model.inputs[0].name, backward.explained_output
-    refs = _as_references(references, builder.dtype)
     batch = int(refs.shape[0])
     in_rank = len(builder.shape(input_name))
 
@@ -309,6 +317,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     forward_nodes = [n.name for n in builder.nodes]
     classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
                                eps_pool=eps_pool, seed_scale=seed_scale)
+    copies = _fold_references(builder, model, ref_const)
 
     env = RuleEnv(builder, batch, joint=True)
     env.alias[input_name] = stacked
@@ -330,16 +339,13 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     multipliers = result.input_grad if expose_multipliers else None
     artifact = _finish(model, builder, pred, phi, multipliers)
 
-    ref_out, _ = execute(model, {input_name: refs})
     meta = _metadata(
-        "naive", model, artifact, output_index=output_index, batch=batch,
-        eps_act=eps_act, eps_pool=eps_pool, seed_scale=seed_scale,
-        input_name=input_name, explained=explained, prediction=pred,
-        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
-        target_rows=batch, reference_rows=batch,
-        ref_output_mean=ref_out[explained][:, output_index].mean(),
-        cache_entries=[], cache_bytes=0,
-        source_digest=_source_digest(model, refs))
+        "naive", model, artifact, output_index=output_index, refs=refs,
+        ref_output=builder.known[copies[explained]], eps_act=eps_act,
+        eps_pool=eps_pool, seed_scale=seed_scale, explained=explained,
+        prediction=pred, attribution=phi, multipliers=multipliers,
+        forward_nodes=forward_nodes, target_rows=batch, reference_rows=batch,
+        cache_entries=[], cache_bytes=0)
     return artifact, meta
 
 

@@ -10,7 +10,7 @@ import graphlift.autodiff as autodiff
 from graphlift.autodiff import differentiate
 from graphlift.builder import RuleEnv
 from graphlift.executor import execute
-from graphlift.refopt import _start, precompute_reference_cache
+from graphlift.refopt import _fold_references, _start
 from graphlift.rules import RuleOutput
 
 WIDTH = 4
@@ -121,11 +121,12 @@ def test_duplicate_operand_add_doubles_gradient():
 
 def _manual_differentiate(model):
     """Drive the sweep directly, outside compile_explainer."""
-    cache = precompute_reference_cache(model, np.zeros((2, 2)))
-    builder, backward = _start(model)
+    refs, builder, backward = _start(model, np.zeros((2, 2)))
     for node in model.nodes:
         builder.add(node)
-    env = RuleEnv(builder, 2, joint=False, ref_values=cache.values)
+    rows = builder.const(refs, "refrows")
+    env = RuleEnv(builder, 2, joint=False,
+                  refs=_fold_references(builder, model, rows))
     seed = builder.const(np.array([[0.0, 1.0]]), "seed")
     return differentiate(model, backward, seed, env)
 

@@ -125,22 +125,13 @@ BAD_ARGUMENTS = [
 ]
 
 
-def _compile_with(model, refs, build, key, value):
-    if build == "compile_explainer":
-        return gl.compile_explainer(model, refs, **{key: value})
-    if build == "build_optimized":
-        cache = gl.precompute_reference_cache(model, refs)
-        return gl.build_optimized(model, cache, **{key: value})
-    return gl.build_naive(model, refs, **{key: value})
-
-
 @pytest.mark.parametrize("build", ["compile_explainer", "build_optimized",
                                    "build_naive"])
 @pytest.mark.parametrize("key, value", BAD_ARGUMENTS)
 def test_bad_compile_argument_is_named(demo, build, key, value):
     model, refs, _ = demo
     with pytest.raises(ValidationError, match=key):
-        _compile_with(model, refs, build, key, value)
+        getattr(gl, build)(model, refs, **{key: value})
 
 
 def test_knob_finite_in_float64_but_not_in_float32_is_refused(demo):

@@ -73,12 +73,15 @@ def test_validate_rejects_bad_attribute_kind():
         validate_model(m)
 
 
-@pytest.mark.parametrize("node", [
+NON_FINITE_ATTRIBUTE_NODES = [
     Node("Constant", "k", [], ["hk"], {"dtype": "float32", "shape": [2],
                                        "value": [1.0, float("inf")]}),
     Node("Pad", "k", ["h"], ["hk"], {"pads": [0, 1, 0, 1], "value": float("inf")}),
     Node("Gemm", "k", ["h", "h"], ["hk"], {"transB": 1, "alpha": float("nan")}),
-])
+]
+
+
+@pytest.mark.parametrize("node", NON_FINITE_ATTRIBUTE_NODES)
 def test_a_non_finite_float_attribute_is_refused(node, tmp_path):
     m = tiny_model()
     m.nodes.insert(1, node)
@@ -88,6 +91,18 @@ def test_a_non_finite_float_attribute_is_refused(node, tmp_path):
         save_model(m, str(tmp_path / "m.sgm"))
     with pytest.raises(ValidationError, match="'k'"):
         dumps_model(m)
+
+
+@pytest.mark.parametrize("node", NON_FINITE_ATTRIBUTE_NODES)
+def test_digest_and_equality_name_a_non_finite_float_attribute(node):
+    # the digest header is JSON, which has no non-finite numbers
+    m = tiny_model()
+    m.nodes.insert(1, node)
+    match = "node 'k': attribute '(value|alpha)' holds a non-finite value"
+    with pytest.raises(ValidationError, match=match):
+        model_digest(m)
+    with pytest.raises(ValidationError, match=match):
+        m == tiny_model()
 
 
 def test_validate_rejects_missing_required_attribute():
@@ -384,4 +399,51 @@ def test_load_model_refuses_an_edited_node(tmp_path, edit_header):
     save_model(tiny_model(), str(path))
     edit_header(path, lambda h: h["nodes"][1].update(op_type="Sigmoid"))
     with pytest.raises(ParseError, match="digest mismatch"):
+        load_model(str(path))
+
+
+def constant_model():
+    return GraphModel(
+        name="const", inputs=[ValueSpec("x", "float64", (-1, 2))],
+        outputs=[ValueSpec("y", "float64", (-1, 2))], initializers={},
+        nodes=[Node("Constant", "c", [], ["c"], {"dtype": "float64", "shape": [2],
+                                                 "value": [0.5, 1e300]}),
+               Node("Add", "add", ["x", "c"], ["y"])])
+
+
+def _out_of_range(path, mantissa):
+    # JSON writes no number too large for a float; swap one in, same length
+    data = path.read_bytes()
+    old = mantissa + b"e+300"
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, mantissa + b"e+400"))
+
+
+def _set_node_value(value):
+    return lambda path, edit: edit(
+        path, lambda h: h["nodes"][0]["attributes"].update(value=[0.5, value]))
+
+
+def _set_metadata_float(value):
+    return lambda path, edit: edit(
+        path, lambda h: h["metadata"].update(mean=value))
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_node_value(float("nan")),
+    _set_node_value(float("inf")),
+    _set_node_value(float("-inf")),
+    lambda path, _: _out_of_range(path, b"1"),
+    _set_metadata_float(float("nan")),
+    _set_metadata_float(float("inf")),
+    lambda path, edit: (_set_metadata_float(2e300)(path, edit),
+                        _out_of_range(path, b"2")),
+], ids=["node-nan", "node-inf", "node-neg-inf", "node-1e400", "meta-nan",
+        "meta-inf", "meta-1e400"])
+def test_a_header_number_out_of_json_range_is_a_parse_error(tmp_path, edit_header,
+                                                            tamper):
+    path = tmp_path / "c.sgm"
+    save_model(constant_model(), str(path), metadata={"mean": 0.25})
+    tamper(path, edit_header)
+    with pytest.raises(ParseError, match="malformed container header"):
         load_model(str(path))

@@ -12,8 +12,7 @@ import graphlift as gl
 from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, random_references
 from graphlift.executor import execute
-from graphlift.refopt import (build_naive, build_optimized, count_flops,
-                              op_census, precompute_reference_cache)
+from graphlift.refopt import build_naive, build_optimized, count_flops, op_census
 
 B = 5
 
@@ -25,46 +24,44 @@ def demo():
     return model, refs
 
 
-def test_cache_holds_every_forward_value(demo):
+@pytest.mark.parametrize("build", [build_optimized, build_naive])
+def test_source_digest_tracks_reference_content(demo, build):
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    _, trace = execute(model, {model.inputs[0].name: refs}, capture=True)
-    for name, arr in trace.items():
-        assert name in cache.values
-        assert np.array_equal(cache.values[name], arr)
-    assert cache.batch == B
-
-
-def test_cache_digest_tracks_reference_content(demo):
-    model, refs = demo
-    a = precompute_reference_cache(model, refs)
-    b = precompute_reference_cache(model, refs.copy())
-    c = precompute_reference_cache(model, refs + 1e-9)
-    assert a.digest == b.digest
-    assert a.digest != c.digest
+    a = build(model, refs)[1]["source_digest"]
+    assert a == build(model, refs.copy())[1]["source_digest"]
+    assert a != build(model, refs + 1e-9)[1]["source_digest"]
 
 
 def test_optimized_bakes_references_as_initializers(demo):
+    # the folder's reference side against the executor's, value by value
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    art, meta = build_optimized(model, cache)
+    _, trace = execute(model, {model.inputs[0].name: refs}, capture=True)
+    art, meta = build_optimized(model, refs)
     entries = meta["cache_entries"]
-    assert entries, "at least the input reference must be consumed"
+    assert model.inputs[0].name in entries, "the input reference is consumed"
     declared = 0
     for name in entries:
-        captured = cache.values[name]
+        captured = trace[name]
         baked = [tv for iname, tv in art.initializers.items()
                  if "ref_" in iname and tv.array.shape == captured.shape
                  and np.array_equal(tv.array, captured)]
-        assert baked, f"no initializer carries the cached activations of {name}"
+        assert baked, f"no initializer carries the reference activations of {name}"
         declared += baked[0].array.nbytes
     assert meta["cache_bytes"] == declared
 
 
+@pytest.mark.parametrize("build", [build_optimized, build_naive])
+@pytest.mark.parametrize("rows", [(B, 3), (B, 2, 2), (B,)],
+                         ids=["row-width", "rank-3", "rank-1"])
+def test_reference_rows_of_the_wrong_shape_are_named(demo, build, rows):
+    model, _ = demo
+    with pytest.raises(gl.ShapeError, match="the reference set has shape"):
+        build(model, np.zeros(rows))
+
+
 def test_metadata_contract(demo):
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    art, meta = build_optimized(model, cache)
+    art, meta = build_optimized(model, refs)
     for key in ("scheme", "output_index", "batch", "eps_act", "eps_pool",
                 "seed_scale", "dtype", "input_name", "prediction_output",
                 "attribution_output", "forward_output", "forward_nodes",
@@ -73,7 +70,6 @@ def test_metadata_contract(demo):
         assert key in meta
     assert meta["scheme"] == "optimized"
     assert meta["batch"] == B
-    assert meta["source_digest"] == cache.digest
     node_names = {n.name for n in art.nodes}
     assert set(meta["forward_nodes"]) <= node_names
     # single target row, references folded away at compile time
@@ -91,8 +87,7 @@ def test_naive_metadata_runs_both_streams(demo):
 
 def test_census_demo_shape(demo):
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    opt_model, _ = build_optimized(model, cache)
+    opt_model, _ = build_optimized(model, refs)
     naive_model, _ = build_naive(model, refs)
     opt, naive = op_census(opt_model), op_census(naive_model)
     assert opt["Tile"] == 0
@@ -105,8 +100,7 @@ def test_census_demo_shape(demo):
 
 def test_flop_breakdown_sums(demo):
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    art, meta = build_optimized(model, cache)
+    art, meta = build_optimized(model, refs)
     report = count_flops(art, batch=1, forward_nodes=meta["forward_nodes"],
                          cache_bytes=meta["cache_bytes"])
     assert report.total == sum(f for _, _, f in report.by_node)
@@ -122,8 +116,7 @@ def test_flop_gap_grows_with_reference_batch(demo):
     gaps = []
     for b in (1, 2, 5, 16):
         refs = random_references(model, b, seed=3)
-        cache = precompute_reference_cache(model, refs)
-        opt, om = build_optimized(model, cache)
+        opt, om = build_optimized(model, refs)
         nai, nm = build_naive(model, refs)
         fo = count_flops(opt, batch=1, forward_nodes=om["forward_nodes"]).total
         fn = count_flops(nai, batch=1, forward_nodes=nm["forward_nodes"]).total
@@ -135,8 +128,7 @@ def test_flop_gap_grows_with_reference_batch(demo):
 def test_demo_peak_memory_inequality(demo):
     """Optimized forward working set stays under naive/(2B) plus the cache."""
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    opt, om = build_optimized(model, cache)
+    opt, om = build_optimized(model, refs)
     nai, nm = build_naive(model, refs)
     ro = count_flops(opt, batch=1, forward_nodes=om["forward_nodes"],
                      cache_bytes=om["cache_bytes"])
@@ -182,9 +174,8 @@ def test_cache_bytes_passthrough(demo):
 
 def test_build_digest_is_reproducible(demo):
     model, refs = demo
-    cache = precompute_reference_cache(model, refs)
-    art_a, meta_a = build_optimized(model, cache)
-    art_b, meta_b = build_optimized(model, cache)
+    art_a, meta_a = build_optimized(model, refs)
+    art_b, meta_b = build_optimized(model, refs)
     assert meta_a["build_digest"] == meta_b["build_digest"]
     assert gl.model_digest(art_a) == gl.model_digest(art_b)
 
