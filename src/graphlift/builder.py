@@ -30,9 +30,9 @@ import itertools
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .executor import bind, eval_node
+from .executor import eval_node
 from .ir import DTYPES, Node, TensorValue
-from .shapes import infer_node_shapes
+from .shapes import resolve_node
 
 __all__ = ["GraphBuilder", "RuleEnv"]
 
@@ -95,18 +95,19 @@ class GraphBuilder:
     def add(self, node: Node) -> bool:
         """Fold a named node into ``known`` or append it; True when folded.
 
-        The node's shape law runs once either way.  A node folds when every
+        The node is resolved once either way, and a folded node's kernel
+        runs on the parameters its law returned.  A node folds when every
         input is known (a node with no inputs, such as a Constant, too);
         otherwise its known inputs become initializers and it is appended.
         A folded output that is not finite raises NumericError naming the
         node, as ``execute`` does for a node it runs.
         """
-        out_shapes = infer_node_shapes(node, [self.shape(i) for i in node.inputs])
+        out_shapes, params = resolve_node(node, [self.shape(i) for i in node.inputs])
         self.shapes.update(zip(node.outputs, map(tuple, out_shapes)))
         if all(i in self.known for i in node.inputs):
             args = [self.known[i] for i in node.inputs]
             with np.errstate(all="ignore"):
-                results = eval_node(node, args, bind(node, [a.shape for a in args]))
+                results = eval_node(node, args, params)
             for name, arr in zip(node.outputs, results):
                 if arr.dtype != np.bool_ and not np.isfinite(arr).all():
                     raise NumericError(

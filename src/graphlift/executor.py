@@ -4,20 +4,16 @@ Every kernel is a pure function of numpy arrays, so repeated execution of the
 same model on the same feed is bit-deterministic.  Semantics follow the ONNX
 operator definitions for the supported configurations: multidirectional
 broadcasting on binary ops, NCHW layout for convolutions and pools, and
-average pooling that excludes padding from the divisor.  Kernels check
-nothing, the ``Constant`` kernel included: the shape laws of
-``shapes.infer_node_shapes`` are the only check of operands and attributes
-(a ``Constant``'s dtype too), and every path into a kernel runs them first.
+average pooling that excludes padding from the divisor.
 
-A kernel resolves no geometry itself.  ``bind`` resolves what depends only
-on the node and its input shapes (window geometry with its defaults, the
-``ConvTranspose`` phase table, the ``AveragePool`` divisor plane, slice and
-split indices) into the parameters ``eval_node`` hands the kernel; an op with
-nothing to resolve gets its attribute dict.
-``ExecutionPlan`` runs the law and ``bind`` over all its steps once per feed
-shape; ``run_kernel`` and ``GraphBuilder.emit`` run both on the spot for
-their one node.  Each op has one kernel, whoever calls it, and no strided
-window view is built on geometry the shape law refuses.
+Kernels check and resolve nothing, the ``Constant`` kernel included.
+``shapes.resolve_node`` is each node's one resolution: it checks the node
+(a ``Constant``'s dtype too) and returns the parameters its kernel runs on
+at those input shapes, such as window geometry or the ``AveragePool``
+divisor plane.  ``ExecutionPlan`` resolves all its steps once per feed
+shape; ``run_kernel`` and ``GraphBuilder.add`` resolve their one node on
+the spot.  Each op has one kernel, whoever calls it, and no strided window
+view is built on geometry the law refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
 (C·kh·kw, Ho·Wo) matrix (im2col) and multiplies the filters into it;
@@ -29,7 +25,7 @@ their declared dependency order, gives every value an integer slot,
 materializes the ``Constant`` outputs once (read-only), records where each
 intermediate is read for the last time and which steps need a finiteness
 scan; ``execute`` is then one loop over the plan that dispatches each step
-through ``eval_node`` with its bound parameters, scans the outputs of
+through ``eval_node`` with its resolved parameters, scans the outputs of
 guarded steps and drops every intermediate after its last consumer.  A step
 is left unguarded only where no non-finite value can arise: its op maps
 finite inputs to finite outputs and it reads neither the feed nor a
@@ -48,9 +44,9 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
 from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, _unproduced
-from .shapes import infer_node_shapes, window_attrs
+from .shapes import resolve_node
 
-__all__ = ["ExecutionPlan", "bind", "execute", "eval_node", "run_kernel"]
+__all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
 
 
 def _sigmoid(x):
@@ -100,49 +96,8 @@ def _conv(x, w, bias, strides, pads, dilations):
     return out
 
 
-def _bind_conv_transpose(node, shapes):
-    """Output shape and stride-phase table of a unit-dilation ConvTranspose,
-    the adjoint of a Conv with the same weights and geometry.
-
-    Output row j = q·s + r is row p = j + pad of the uncropped output, which
-    input row i reaches through tap t = p - i·s, so only the taps
-    t ≡ r + pad (mod s) feed phase r.  Each output phase (rh, rw) is one
-    unit-stride Conv of x with its taps, flipped and channel-swapped, over x
-    framed (or cropped, where the frame is negative) to exactly the rows the
-    phase reads.  Per phase that some tap reaches, the table holds the
-    phase's output rows, its flipped taps, the crop of x and the frame; a
-    phase that no tap reaches stays zero.  At stride 1 the one phase is the
-    whole output and the shape is None.
-    """
-    x, w = shapes[0], shapes[1]
-    kernel, strides, pads, _ = window_attrs(node.attributes)
-    extra = node.attributes.get("output_padding", [0, 0])
-    size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
-            in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra)]
-    phases = []
-    for phase in np.ndindex(*strides):
-        taps, crop, frame = [], [], [0, 0, 0, 0]
-        for a, (r, d, k, s, lo, n) in enumerate(zip(phase, x[2:], kernel, strides,
-                                                     pads[:2], size)):
-            first = (r + lo) % s
-            m = len(range(first, k, s))                   # taps of this phase
-            before = m - 1 - (r + lo) // s                # frame; < 0 crops
-            after = len(range(r, n, s)) - d + (r + lo) // s
-            taps.append(slice(first + (m - 1) * s, first - 1 if first else None, -s))
-            crop.append(slice(max(-before, 0), d - max(-after, 0)))
-            frame[a], frame[a + 2] = max(before, 0), max(after, 0)
-            if m == 0 or r >= n:
-                break                                     # stays zero
-        else:
-            phases.append(((Ellipsis, slice(phase[0], None, strides[0]),
-                            slice(phase[1], None, strides[1])),
-                           (Ellipsis, *taps), (Ellipsis, *crop), frame))
-    shape = None if strides == [1, 1] else (x[0], w[1], *size)
-    return shape, phases
-
-
 def _conv_transpose(x, w, bias, geometry):
-    """ConvTranspose over the phase table ``_bind_conv_transpose`` resolved
+    """ConvTranspose over the output shape and phase table its law resolved
     for these shapes: one unit-stride Conv per phase."""
     shape, phases = geometry
     out = None if shape is None else np.zeros(shape, dtype=x.dtype)
@@ -158,35 +113,10 @@ def _conv_transpose(x, w, bias, geometry):
     return out
 
 
-def _bind_pad(node, shapes):
-    pads = node.attributes["pads"]
-    return list(zip(pads, pads[len(shapes[0]):])), node.attributes.get("value", 0.0)
-
-
-def _bind_slice(node, shapes):
-    attrs = node.attributes
-    starts = attrs["starts"]
-    index = [slice(None)] * len(shapes[0])
-    for start, end, axis, step in zip(starts, attrs["ends"],
-                                      attrs.get("axes", range(len(starts))),
-                                      attrs.get("steps", [1] * len(starts))):
-        index[axis] = slice(start, end, step)
-    return tuple(index)
-
-
 def _max_pool(x, geometry):
     kernel, strides, pads, dilations = geometry
     framed = _framed(x, pads, np.finfo(x.dtype).min)
     return _window_views(framed, kernel, strides, dilations).max(axis=(2, 3))
-
-
-def _bind_avg_pool(node, shapes):
-    """Window geometry and the divisor plane: the in-bounds cell count of
-    every window, so padding is excluded from the mean."""
-    kernel, strides, pads, dilations = window_attrs(node.attributes)
-    ones = _framed(np.ones((1, 1) + tuple(shapes[0][2:])), pads)
-    count = _window_views(ones, kernel, strides, dilations).sum(axis=(2, 3))
-    return kernel, strides, pads, dilations, count
 
 
 def _avg_pool(x, geometry):
@@ -196,15 +126,7 @@ def _avg_pool(x, geometry):
     return np.divide(total, count, out=total, dtype=total.dtype)
 
 
-def _bind_reduce(node, shapes):
-    rank = len(shapes[0])
-    axes = node.attributes.get("axes")
-    axes = tuple(range(rank)) if axes is None else tuple(a % rank for a in axes)
-    return axes, bool(node.attributes.get("keepdims", 1))
-
-
-def _softmax(x, attrs):
-    axis = attrs.get("axis", -1)
+def _softmax(x, axis):
     # a shift below -finfo.max rounds to -inf, whose exp is the exact weight 0
     with np.errstate(over="ignore"):
         shifted = x - x.max(axis=axis, keepdims=True)
@@ -212,38 +134,17 @@ def _softmax(x, attrs):
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
-def _gemm(inputs, attrs):
+def _gemm(inputs, trans_a, trans_b, alpha, beta):
     a, b = inputs[0], inputs[1]
-    if attrs.get("transA", 0):
-        a = a.T
-    if attrs.get("transB", 0):
-        b = b.T
-    out = attrs.get("alpha", 1.0) * (a @ b)
-    if len(inputs) == 3:
-        out = out + attrs.get("beta", 1.0) * inputs[2]
-    return out
+    out = alpha * ((a.T if trans_a else a) @ (b.T if trans_b else b))
+    return out + beta * inputs[2] if len(inputs) == 3 else out
 
 
-def _batch_norm(inputs, attrs):
+def _batch_norm(inputs, eps):
     x, scale, bias, mean, var = inputs
-    eps = attrs.get("epsilon", 1e-5)
     shape = (1, -1) + (1,) * (x.ndim - 2)
     k = scale.reshape(shape) / np.sqrt(var.reshape(shape) + eps)
     return x * k + (bias.reshape(shape) - mean.reshape(shape) * k)
-
-
-def _bind_split(node, shapes):
-    """One index per output: its part of the split axis."""
-    x = shapes[0]
-    axis = node.attributes.get("axis", 0) % len(x)
-    parts = node.attributes.get("split")
-    if parts is None:
-        parts = [x[axis] // len(node.outputs)] * len(node.outputs)
-    index, start = [], 0
-    for size in parts:
-        index.append((slice(None),) * axis + (slice(start, start + size),))
-        start += size
-    return index
 
 
 def _where(cond, a, b):
@@ -252,31 +153,16 @@ def _where(cond, a, b):
     return np.where(cond, a, b)
 
 
-# op_type -> binder(node, input shapes) returning the parameters of its
-# kernel at those shapes; an op without a binder takes its attribute dict
-_BINDERS = {
-    "Conv": lambda n, s: window_attrs(n.attributes)[1:],
-    "ConvTranspose": _bind_conv_transpose,
-    "MaxPool": lambda n, s: window_attrs(n.attributes),
-    "AveragePool": _bind_avg_pool,
-    "Flatten": lambda n, s: (math.prod(s[0][:n.attributes.get("axis", 1)]), -1),
-    "ReduceSum": _bind_reduce,
-    "ReduceMean": _bind_reduce,
-    "Split": _bind_split,
-    "Pad": _bind_pad,
-    "Slice": _bind_slice,
-}
-
 # op_type -> kernel(inputs, parameters) returning one array per output
 _KERNELS = {
     "MatMul": lambda x, p: [np.matmul(x[0], x[1])],
-    "Gemm": lambda x, p: [_gemm(x, p)],
+    "Gemm": lambda x, p: [_gemm(x, *p)],
     "Conv": lambda x, p: [_conv(x[0], x[1], x[2] if len(x) == 3 else None, *p)],
     "Add": lambda x, p: [x[0] + x[1]],
     "Sub": lambda x, p: [x[0] - x[1]],
     "Mul": lambda x, p: [x[0] * x[1]],
     "Div": lambda x, p: [x[0] / x[1]],
-    "Concat": lambda x, p: [np.concatenate(x, axis=p["axis"])],
+    "Concat": lambda x, p: [np.concatenate(x, axis=p)],
     "Relu": lambda x, p: [np.maximum(x[0], 0)],
     "Sigmoid": lambda x, p: [_sigmoid(x[0])],
     "Tanh": lambda x, p: [np.tanh(x[0])],
@@ -320,22 +206,12 @@ def _closed_over_finite(node: Node) -> bool:
         node.op_type != "Pad" or math.isfinite(node.attributes.get("value", 0.0)))
 
 
-def bind(node: Node, in_shapes: list[tuple[int, ...]]):
-    """The parameters ``eval_node`` takes for ``node`` on inputs of these
-    concrete shapes: window geometry with its defaults filled in, the phase
-    table of a ``ConvTranspose``, the divisor plane of an ``AveragePool``, the
-    index of a ``Slice`` or ``Split``.  The node's shape law must already
-    have passed on the same shapes."""
-    binder = _BINDERS.get(node.op_type)
-    return node.attributes if binder is None else binder(node, in_shapes)
-
-
 def eval_node(node: Node, inputs: list[np.ndarray], params) -> list[np.ndarray]:
     """Apply one operator to concrete arrays; returns one array per output.
 
-    ``params`` is what ``bind`` returned for the node at the inputs' shapes.
-    Every kernel takes its dtype from its operands or, for ``Constant``, its
-    attributes.
+    ``params`` is what ``resolve_node`` returned for the node at the inputs'
+    shapes.  Every kernel takes its dtype from its operands or, for
+    ``Constant``, its attributes.
     """
     try:
         return _KERNELS[node.op_type](inputs, params)
@@ -346,12 +222,11 @@ def eval_node(node: Node, inputs: list[np.ndarray], params) -> list[np.ndarray]:
 def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None,
                n_outputs: int = 1) -> list[np.ndarray]:
     """One op on concrete arrays without a pre-built Node: its shape law,
-    then its kernel."""
+    then its kernel on the parameters the law resolved."""
     node = Node(op_type, "anon", [f"i{k}" for k in range(len(inputs))],
                 [f"o{k}" for k in range(n_outputs)], dict(attrs or {}))
-    shapes = [x.shape for x in inputs]
-    infer_node_shapes(node, shapes)
-    return eval_node(node, inputs, bind(node, shapes))
+    _, params = resolve_node(node, [x.shape for x in inputs])
+    return eval_node(node, inputs, params)
 
 
 def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
@@ -392,17 +267,18 @@ class ExecutionPlan:
     model changed afterwards, initializer contents included, needs a new
     plan.
 
-    Checks run here, not in the kernels.  A ``Constant``'s shape law runs
-    when the plan is built.  ``verify`` runs every step's law on the concrete
-    shapes of a feed and binds the step to them: ``bind`` resolves its kernel
-    parameters (window geometry, the ``ConvTranspose`` phase table, the
-    ``AveragePool`` divisor plane).  Both happen the first time the plan sees
-    those feed shapes and again only when they change, so a plan over a
-    free-batch model checks and binds again when the batch changes.  The
-    feed shapes and the parameters bound to them are replaced as one value,
-    so a feed never runs on parameters bound to another's shapes.  A law
-    that refuses raises ShapeError, UnsupportedOp or ValidationError naming
-    the node, before any kernel of that feed runs.
+    Checks run here, not in the kernels.  A ``Constant`` is resolved when
+    the plan is built.  ``verify`` resolves every step on the concrete shapes
+    of a feed: ``resolve_node`` runs the step's law and returns the
+    parameters its kernel takes at those shapes (window geometry, the
+    ``ConvTranspose`` phase table, the ``AveragePool`` divisor plane).  That
+    happens the first time the plan sees those feed shapes and again only
+    when they change, so a plan over a free-batch model resolves again when
+    the batch changes.  The feed shapes and the parameters resolved for them
+    are replaced as one value, so a feed never runs on parameters resolved
+    for another's shapes.  A law that refuses raises ShapeError,
+    UnsupportedOp or ValidationError naming the node, before any kernel of
+    that feed runs.
 
     Each step records whether its outputs are scanned for non-finite values.
     A step is unguarded only when its op maps finite inputs to finite outputs
@@ -421,9 +297,9 @@ class ExecutionPlan:
         self.template: list[np.ndarray | None] = []
         # (node name, value name) of the first non-finite Constant output
         self.non_finite: tuple[str, str] | None = None
-        # (feed shapes that every step's shape law last passed on, each
-        # step's kernel parameters bound to them), replaced as one value
-        self.bound: tuple[tuple | None, list] = (None, [])
+        # (feed shapes every step was last resolved on, each step's kernel
+        # parameters at those shapes), replaced as one value
+        self.resolved: tuple[tuple | None, list] = (None, [])
         self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
         initial = {self._claim(name, tensor.array): tensor.array
                    for name, tensor in model.initializers.items()}
@@ -432,8 +308,8 @@ class ExecutionPlan:
         steps = []
         for node in model.nodes:
             if node.op_type == "Constant":
-                infer_node_shapes(node, [])
-                for name, arr in zip(node.outputs, eval_node(node, [], bind(node, []))):
+                _, params = resolve_node(node, [])
+                for name, arr in zip(node.outputs, eval_node(node, [], params)):
                     arr.flags.writeable = False
                     if self.non_finite is None and not _finite(arr):
                         self.non_finite = (node.name, name)
@@ -467,22 +343,22 @@ class ExecutionPlan:
                       for (node, ins, outs, guarded), free in zip(steps, frees)]
 
     def verify(self, values: list) -> list:
-        """Run every step's shape law on the shapes of ``values``, a slot
-        list with the feed filled in, and bind the step's kernel parameters
-        to them, unless the feed shapes are the ones last verified.  Returns
-        the parameters of every step, in step order."""
+        """Resolve every step on the shapes of ``values``, a slot list with
+        the feed filled in, unless the feed shapes are the ones last
+        resolved.  Returns the kernel parameters of every step, in step
+        order."""
         fed = tuple(values[slot].shape for _, slot in self.feed)
-        verified, params = self.bound
+        verified, params = self.resolved
         if fed == verified:
             return params
         shapes = [None if v is None else v.shape for v in values]
         params = []
         for node, ins, outs, _, _ in self.steps:
-            in_shapes = [shapes[s] for s in ins]
-            for slot, shape in zip(outs, infer_node_shapes(node, in_shapes)):
+            out_shapes, step_params = resolve_node(node, [shapes[s] for s in ins])
+            for slot, shape in zip(outs, out_shapes):
                 shapes[slot] = shape
-            params.append(bind(node, in_shapes))
-        self.bound = (fed, params)
+            params.append(step_params)
+        self.resolved = (fed, params)
         return params
 
     def _claim(self, name: str, value) -> int:
@@ -517,8 +393,8 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     # the guard reports an overflow as a NumericError naming its node, not a
     # warning; one error state per call, as one per step costs like a kernel
     with np.errstate(all="ignore"):
-        for (node, ins, outs, frees, guarded), bound in zip(plan.steps, params):
-            results = eval_node(node, [values[s] for s in ins], bound)
+        for (node, ins, outs, frees, guarded), step_params in zip(plan.steps, params):
+            results = eval_node(node, [values[s] for s in ins], step_params)
             for name, slot, arr in zip(node.outputs, outs, results):
                 if guarded and not _finite(arr):
                     raise NumericError(

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,8 +249,10 @@ def _check_attr_value(node_name: str, key: str, kind: str, value) -> None:
     if not ok:
         raise ValidationError(
             f"node {node_name!r}: attribute {key!r} must be of kind {kind}")
+    # NaN, an infinity and an int too large for a float all fail the bound
     if kind in ("float", "floats") and not all(
-            map(math.isfinite, value if kind == "floats" else [value])):
+            abs(v) <= sys.float_info.max
+            for v in (value if kind == "floats" else [value])):
         raise ValidationError(
             f"node {node_name!r}: attribute {key!r} holds a non-finite value")
 

@@ -137,7 +137,8 @@ def _start(model: GraphModel, references):
     """What both layouts begin with, once the model and the reference set
     check out: the reference rows, a builder that knows the one-row graph
     input's shape and every initializer, and the backward graph around the
-    first output.
+    first output.  A ``Reshape`` of an input-dependent value must keep its
+    leading extent free (-1), as both layouts also run it over B or 2B rows.
 
     Returns (refs, builder, backward).
     """
@@ -147,6 +148,12 @@ def _start(model: GraphModel, references):
     spec = model.inputs[0]
     refs = _as_references(references, spec)
     backward = build_backward_graph(model, model.outputs[0].name)
+    for node in model.nodes:
+        if node.op_type == "Reshape" and list(node.attributes["shape"])[:1] != [-1] \
+                and not backward.differentiable.isdisjoint(node.inputs):
+            raise UnsupportedOp(
+                f"node {node.name!r}: a Reshape of an input-dependent value must "
+                f"keep its leading extent free (-1), got {node.attributes['shape']}")
     builder = GraphBuilder(dtype=spec.dtype, prefix=_grad_prefix(model))
     builder.register_value(spec.name, (1,) + tuple(spec.shape[1:]))
     for name, tv in model.initializers.items():
@@ -304,16 +311,9 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     # clone the forward graph at 2B rows under its original value names
     rename = {input_name: stacked}
     for node in model.nodes:
-        attrs = dict(node.attributes)
-        if node.op_type == "Reshape" and any(i in backward.differentiable
-                                             for i in node.inputs):
-            shape_attr = list(attrs.get("shape", []))
-            if shape_attr and shape_attr[0] == 1:
-                shape_attr[0] = -1  # free the batch extent for the 2B stream
-                attrs["shape"] = shape_attr
         builder.add(Node(node.op_type, node.name,
                          [rename.get(i, i) for i in node.inputs],
-                         list(node.outputs), attrs))
+                         list(node.outputs), dict(node.attributes)))
     forward_nodes = [n.name for n in builder.nodes]
     classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
                                eps_pool=eps_pool, seed_scale=seed_scale)

@@ -28,9 +28,8 @@ import numpy as np
 
 from .builder import GraphBuilder, RuleEnv
 from .errors import UnsupportedOp
-from .executor import run_kernel
 from .ir import Node
-from .shapes import window_attrs
+from .shapes import resolve_node
 
 __all__ = [
     "EPS_ACT",
@@ -60,6 +59,12 @@ class RuleContext:
     @property
     def builder(self) -> GraphBuilder:
         return self.env.builder
+
+    @property
+    def params(self):
+        """The forward node's kernel parameters, as its law resolves them."""
+        shapes = [self.builder.shape(self.env.act(i)) for i in self.node.inputs]
+        return resolve_node(self.node, shapes)[1]
 
     # activations of the first input / first output, resolved lazily so rules
     # that never look at a reference side do not emit splits for it
@@ -165,12 +170,10 @@ def rule_matmul(ctx: RuleContext) -> dict[str, str]:
     if len(b.shape(weight)) != 2:
         raise UnsupportedOp(
             f"node {node.name!r}: only rank-2 weight operands are supported")
-    attrs = node.attributes
     if node.op_type == "Gemm":
-        if int(attrs.get("transA", 0)):
+        trans_a, trans_b, alpha, _ = ctx.params
+        if trans_a:
             raise UnsupportedOp(f"node {node.name!r}: transA is not supported")
-        trans_b = int(attrs.get("transB", 0))
-        alpha = float(attrs.get("alpha", 1.0))
         if len(node.inputs) == 3 and ctx.pass_grads.get(node.inputs[2], False):
             raise UnsupportedOp(
                 f"node {node.name!r}: the bias operand must be constant")
@@ -193,14 +196,14 @@ def rule_conv(ctx: RuleContext) -> dict[str, str]:
             f"node {node.name!r}: convolution filters must be constant")
     if len(node.inputs) == 3 and ctx.pass_grads.get(node.inputs[2], False):
         raise UnsupportedOp(f"node {node.name!r}: convolution bias must be constant")
-    kernel, strides, pads, dilations = window_attrs(node.attributes)
+    strides, pads, dilations = ctx.params
     if dilations != [1, 1]:
         raise UnsupportedOp(f"node {node.name!r}: dilated convolution gradients "
                             "are not supported")
     sample = b.shape(data)
     # the adjoint of the forward correlation reads the forward filters as is
-    grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], kernel, strides,
-                           pads, "convgrad")
+    grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], b.shape(weight)[2:],
+                           strides, pads, "convgrad")
     return {data: grad}
 
 
@@ -256,7 +259,7 @@ def rule_batchnorm(ctx: RuleContext) -> dict[str, str]:
             raise UnsupportedOp(
                 f"node {node.name!r}: normalization statistics must be constants")
     scale, var = b.known[node.inputs[1]], b.known[node.inputs[4]]
-    eps = float(node.attributes.get("epsilon", 1e-5))
+    eps = ctx.params
     rank = len(b.shape(data))
     k = (scale / np.sqrt(var + eps)).reshape((1, -1) + (1,) * (rank - 2))
     grad = b.emit("Mul", [ctx.grad_in, b.const(k, "bnback")], tag="bngrad")
@@ -287,15 +290,15 @@ def rule_reduce(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data = node.inputs[0]
     sample = b.shape(data)
-    rank = len(sample)
-    axes = sorted(int(a) % rank for a in node.attributes["axes"])
+    axes, keep = ctx.params
     if 0 in axes:
         raise UnsupportedOp(
             f"node {node.name!r}: reducing over the batch axis is not supported")
     g = ctx.grad_in
-    if not int(node.attributes.get("keepdims", 1)):
+    if not keep:
         rows = b.shape(g)[0]
-        restored = [rows] + [1 if i in axes else sample[i] for i in range(1, rank)]
+        restored = [rows] + [1 if i in axes else sample[i]
+                             for i in range(1, len(sample))]
         g = b.emit("Reshape", [g], {"shape": restored}, tag="redrestore")
     spread = np.ones((1,) + tuple(sample[1:]))
     if node.op_type == "ReduceMean":
@@ -306,8 +309,7 @@ def rule_reduce(ctx: RuleContext) -> dict[str, str]:
 
 def rule_concat(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
-    rank = len(b.shape(node.outputs[0]))
-    axis = int(node.attributes["axis"]) % rank
+    axis = ctx.params
     if axis == 0:
         raise UnsupportedOp(
             f"node {node.name!r}: concat along the batch axis is not supported")
@@ -353,7 +355,7 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     data, out = node.inputs[0], node.outputs[0]
     sample = b.shape(data)
     rank = len(sample)
-    axis = int(node.attributes.get("axis", -1)) % rank
+    axis = ctx.params
     if axis != rank - 1:
         raise UnsupportedOp(
             f"node {node.name!r}: softmax gradients support the last axis only")
@@ -395,23 +397,17 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
 def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data = node.inputs[0]
-    sample = b.shape(data)
-    if len(sample) != 4:
-        raise UnsupportedOp(
-            f"node {node.name!r}: pooling gradients need NCHW operands")
+    sample = b.shape(data)  # NCHW: the pool's shape law refuses any other
     channels, height, width = sample[1], sample[2], sample[3]
     rows = b.shape(ctx.grad_in)[0]
     if node.op_type == "GlobalAveragePool":
         k = np.full((1, 1, height, width), 1.0 / (height * width))
         return {data: b.emit("Mul", [ctx.grad_in, b.const(k, "gapback")],
                              tag="gapgrad")}
-    kernel, strides, pads, _ = window_attrs(node.attributes)
+    # the geometry and divisor plane the forward kernel averaged with
+    kernel, strides, pads, _, counts = ctx.params
     out_h, out_w = b.shape(ctx.grad_in)[2], b.shape(ctx.grad_in)[3]
     ones_k = np.ones((1, 1, *kernel))
-    # in-bounds element count of every window (pad excluded); the shape law
-    # refuses a window with none
-    counts = run_kernel("Conv", [np.ones((1, 1, height, width)), ones_k],
-                        {"kernel_shape": kernel, "strides": strides, "pads": pads})[0]
     normed = b.emit("Mul", [ctx.grad_in, b.const(1.0 / counts, "avgshare")],
                     tag="avgnorm")
     # one channel at a time through a ones kernel spreads each pooled cell
@@ -429,9 +425,6 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
     data = node.inputs[0]
     sample = b.shape(data)
-    if len(sample) != 4:
-        raise UnsupportedOp(
-            f"node {node.name!r}: pooling gradients need NCHW operands")
     xs, rs = ctx.x_act, ctx.r_act
     yx, yr = ctx.y_x, ctx.y_r
     g = env.grad_x_half(ctx.grad_in)
@@ -447,7 +440,7 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     if node.op_type == "MaxPool":
         # a one-hot filter per window offset scatters the stacked routes back
         # onto the positions they came from, summing where windows overlap
-        kernel, strides, pads, _ = window_attrs(node.attributes)
+        kernel, strides, pads, _ = ctx.params
         onehot = b.const(np.eye(kernel[0] * kernel[1]).reshape(
             -1, 1, kernel[0], kernel[1]), "mponehot")
         spread = _transpose_conv(b, routed, onehot, sample[2:], kernel, strides,
@@ -491,7 +484,7 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
                        tag=f"{tag}_first")
         return b.emit("Mul", [first, m], tag=f"{tag}_route")
 
-    kernel, strides, pads, _ = window_attrs(node.attributes)
+    kernel, strides, pads, _ = ctx.params
     out_h, out_w = b.shape(pooled)[2:]
     if any(pads):
         # pad with a huge negative so padding never ties with a real maximum

@@ -1,11 +1,13 @@
-"""Static shape propagation for the supported operator set.
+"""Shape laws for the supported operator set: one resolution per node.
 
-Shapes are tuples of concrete non-negative ints.  The free leading batch (-1)
-of a graph input's ``ValueSpec`` never reaches a law: ``infer_graph_shapes``
-gives it a number first, and every other caller passes the shapes of real
-arrays.  The one -1 a law reads is ``Reshape``'s target entry, ONNX's "infer
-this extent".  The laws are the package's only check of operands and
-attributes: a kernel runs unchecked on whatever its law accepts.
+``resolve_node`` reads a node's attributes and defaults once, at the
+concrete shapes of its inputs, and returns its output shapes together with
+the parameters its kernel runs on.  The laws are the package's only check
+of operands and attributes: a kernel runs unchecked on whatever its law
+accepts.  Shapes are tuples of concrete non-negative ints: the free leading
+batch (-1) of a graph input's ``ValueSpec`` never reaches a law, as
+``infer_graph_shapes`` gives it a number first.  The one -1 a law reads is
+``Reshape``'s target entry, ONNX's "infer this extent".
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 from .errors import ShapeError, UnsupportedOp, ValidationError
 from .ir import (DTYPES, SUPPORTED_OPS, GraphModel, Node, _check_signature,
                  _unproduced)
 
 __all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
-           "window_attrs"]
+           "resolve_node"]
 
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -46,15 +50,6 @@ def _axis(axis: int, rank: int, op: str) -> int:
     return axis % rank
 
 
-def window_attrs(attrs: dict) -> tuple[list, list, list, list]:
-    """Kernel, strides, pads and dilations of a 2-D window op, with the ONNX
-    defaults filled in: unit strides and dilations, no padding.  Pads are
-    [top, left, bottom, right]."""
-    return (list(attrs["kernel_shape"]), list(attrs.get("strides", [1, 1])),
-            list(attrs.get("pads", [0, 0, 0, 0])),
-            list(attrs.get("dilations", [1, 1])))
-
-
 def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
     if min(kernel, stride, dilation) < 1 or min(pad_begin, pad_end) < 0:
         raise ShapeError(
@@ -69,21 +64,62 @@ def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
     return span // stride + 1
 
 
-def _window_in_padding(size, kernel, stride, pad_begin, dilation, count) -> bool:
-    """Whether one of the ``count`` windows along an axis has no tap on the
-    input: a pool over it would have nothing to take the max or mean of."""
-    for n in range(count):
-        start = n * stride - pad_begin
-        tap = max(0, -(start // dilation))  # the first tap at or after 0
-        if tap >= kernel or start + tap * dilation >= size:
-            return True
-    return False
+def _window_taps(size, kernel, stride, pad_begin, dilation, count) -> list[int]:
+    """How many taps of each of the ``count`` windows along one axis land on
+    the input: window n starts at n·stride - pad_begin, and its tap t reads
+    position start + t·dilation."""
+    taps = []
+    for start in range(-pad_begin, count * stride - pad_begin, stride):
+        first = max(0, -(start // dilation))            # first tap at or after 0
+        last = min(kernel - 1, (size - 1 - start) // dilation)  # last before size
+        taps.append(max(0, last - first + 1))
+    return taps
 
 
-def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
-    """Output shape of Conv, ConvTranspose, MaxPool or AveragePool."""
+def _phases(x, kernel, strides, pads, size) -> list:
+    """Stride-phase table of a unit-dilation ConvTranspose of input shape
+    ``x`` into spatial extents ``size``, the adjoint of a Conv with the same
+    weights and geometry.
+
+    Output row j = q·s + r is row p = j + pad of the uncropped output, which
+    input row i reaches through tap t = p - i·s, so only the taps
+    t ≡ r + pad (mod s) feed phase r.  Each output phase (rh, rw) is one
+    unit-stride Conv of x with its taps, flipped and channel-swapped, over x
+    framed (or cropped, where the frame is negative) to exactly the rows the
+    phase reads.  Per phase that some tap reaches, the table holds the
+    phase's output rows, its flipped taps, the crop of x and the frame; a
+    phase that no tap reaches stays zero.
+    """
+    phases = []
+    for phase in np.ndindex(*strides):
+        taps, crop, frame = [], [], [0, 0, 0, 0]
+        for a, (r, d, k, s, lo, n) in enumerate(zip(phase, x[2:], kernel, strides,
+                                                     pads[:2], size)):
+            first = (r + lo) % s
+            m = len(range(first, k, s))                   # taps of this phase
+            before = m - 1 - (r + lo) // s                # frame; < 0 crops
+            after = len(range(r, n, s)) - d + (r + lo) // s
+            taps.append(slice(first + (m - 1) * s, first - 1 if first else None, -s))
+            crop.append(slice(max(-before, 0), d - max(-after, 0)))
+            frame[a], frame[a + 2] = max(before, 0), max(after, 0)
+            if m == 0 or r >= n:
+                break                                     # stays zero
+        else:
+            phases.append(((Ellipsis, slice(phase[0], None, strides[0]),
+                            slice(phase[1], None, strides[1])),
+                           (Ellipsis, *taps), (Ellipsis, *crop), frame))
+    return phases
+
+
+def _window_op(op: str, in_shapes, attrs):
+    """Output shape and kernel parameters of Conv, ConvTranspose, MaxPool or
+    AveragePool."""
     x = in_shapes[0]
-    kernel, strides, pads, dilations = window_attrs(attrs)
+    # the ONNX defaults: unit strides and dilations, no padding
+    kernel = list(attrs["kernel_shape"])
+    strides = list(attrs.get("strides", [1, 1]))
+    pads = list(attrs.get("pads", [0, 0, 0, 0]))      # [top, left, bottom, right]
+    dilations = list(attrs.get("dilations", [1, 1]))
     if len(x) != 4:
         raise ShapeError(f"{op} supports 4-D NCHW tensors only")
     if len(kernel) != 2 or len(strides) != 2 or len(pads) != 4 \
@@ -111,59 +147,75 @@ def _window_op(op: str, in_shapes, attrs) -> tuple[int, ...]:
     if op != "ConvTranspose":
         spatial = tuple(_pool_axis(x[2 + i], kernel[i], strides[i], pads[i],
                                    pads[2 + i], dilations[i]) for i in range(2))
-        if op in ("MaxPool", "AveragePool") and any(
-                _window_in_padding(x[2 + i], kernel[i], strides[i], pads[i],
-                                   dilations[i], n)
-                for i, n in enumerate(spatial)):
+        out = (x[0], channels) + spatial
+        if op == "Conv":
+            return out, (strides, pads, dilations)
+        taps = [_window_taps(x[2 + i], kernel[i], strides[i], pads[i], dilations[i], n)
+                for i, n in enumerate(spatial)]
+        if 0 in taps[0] or 0 in taps[1]:
             raise ShapeError(f"{op} pads {pads} leave a window lying "
                              "entirely in padding")
-        return (x[0], channels) + spatial
+        if op == "MaxPool":
+            return out, (kernel, strides, pads, dilations)
+        # the divisor plane: every window's in-bounds cell count, so padding
+        # is excluded from the mean
+        count = np.outer(*taps).astype(np.float64).reshape(1, 1, *out[2:])
+        return out, (kernel, strides, pads, dilations, count)
     extra = list(attrs.get("output_padding", [0, 0]))
     if min(kernel) < 1 or min(pads) < 0 or dilations != [1, 1] \
             or len(extra) != 2 \
             or not all(0 <= e < s for e, s in zip(extra, strides)):
         raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
                          f"input {x} and weight {w}")
-    spatial = tuple(s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
-                    in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra))
-    if min(spatial) < 1:
+    size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
+            in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra)]
+    if min(size) < 1:
         raise ShapeError(f"ConvTranspose pads {pads} crop away the output")
-    return (x[0], channels) + spatial
+    out = (x[0], channels, *size)
+    # at stride 1 the one phase is the whole output, so no output is allocated
+    return out, (None if strides == [1, 1] else out,
+                 _phases(x, kernel, strides, pads, size))
 
 
-def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Output shapes of one node, or ShapeError / UnsupportedOp naming the
-    node for operands or attributes its kernel cannot run on, and
-    ValidationError for a wrong number of operands or outputs or a missing
-    required attribute.
+def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
+    """``(output shapes, kernel parameters)`` of one node on inputs of these
+    concrete shapes, or ShapeError / UnsupportedOp naming the node for
+    operands or attributes its kernel cannot run on, and ValidationError for
+    a wrong number of operands or outputs or a missing required attribute.
 
-    This is the only check of a node's operands and attributes: the
-    executor's kernels assume that the law has passed on their shapes.
+    The parameters are window geometry, the ``ConvTranspose`` output shape
+    and phase table, the ``AveragePool`` divisor plane, and the indices,
+    axes, widths, extents and scalars of other ops with their defaults
+    filled in, or the attribute dict of an op with nothing to resolve.
     """
     try:
-        return _node_shapes(node, in_shapes)
+        return _resolve(node, in_shapes)
     except (ShapeError, UnsupportedOp) as exc:
         raise type(exc)(f"node {node.name!r}: {exc}") from exc
     except TypeError as exc:  # an attribute of the wrong kind
         raise ValidationError(f"node {node.name!r}: {exc}") from exc
 
 
-def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Output shapes of one node: ``resolve_node`` without the parameters."""
+    return resolve_node(node, in_shapes)[0]
+
+
+def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
     op = node.op_type
     attrs = node.attributes
     if op in SUPPORTED_OPS:
         _check_signature(node, len(in_shapes))
 
     if op in ("Add", "Sub", "Mul", "Div", "Greater"):
-        return [broadcast_shapes(in_shapes[0], in_shapes[1])]
+        return [broadcast_shapes(in_shapes[0], in_shapes[1])], attrs
     if op == "Where":
         return [broadcast_shapes(broadcast_shapes(in_shapes[0], in_shapes[1]),
-                                 in_shapes[2])]
+                                 in_shapes[2])], attrs
     if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Abs"):
-        return [in_shapes[0]]
+        return [in_shapes[0]], attrs
     if op == "Softmax":
-        _axis(attrs.get("axis", -1), len(in_shapes[0]), op)
-        return [in_shapes[0]]
+        return [in_shapes[0]], _axis(attrs.get("axis", -1), len(in_shapes[0]), op)
 
     if op == "MatMul":
         a, b = in_shapes
@@ -172,25 +224,28 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if a[-1] != b[-2]:
             raise ShapeError(f"MatMul inner dimensions differ: {a} vs {b}")
         batch = broadcast_shapes(a[:-2], b[:-2]) if (a[:-2] or b[:-2]) else ()
-        return [batch + (a[-2], b[-1])]
+        return [batch + (a[-2], b[-1])], attrs
 
     if op == "Gemm":
         a, b = in_shapes[0], in_shapes[1]
         if len(a) != 2 or len(b) != 2:
             raise ShapeError("Gemm operands must be 2-D")
-        if attrs.get("transA", 0):
+        params = (attrs.get("transA", 0), attrs.get("transB", 0),
+                  attrs.get("alpha", 1.0), attrs.get("beta", 1.0))
+        if params[0]:
             a = (a[1], a[0])
-        if attrs.get("transB", 0):
+        if params[1]:
             b = (b[1], b[0])
         if a[1] != b[0]:
             raise ShapeError(f"Gemm inner dimensions differ: {a} vs {b}")
         out = (a[0], b[1])
         if len(in_shapes) == 3 and broadcast_shapes(out, in_shapes[2]) != out:
             raise ShapeError(f"Gemm bias {in_shapes[2]} does not broadcast to {out}")
-        return [out]
+        return [out], params
 
     if op in ("Conv", "ConvTranspose", "MaxPool", "AveragePool"):
-        return [_window_op(op, in_shapes, attrs)]
+        out, params = _window_op(op, in_shapes, attrs)
+        return [out], params
 
     if op == "Pad":
         x, pads = in_shapes[0], list(attrs["pads"])
@@ -200,7 +255,9 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             raise ShapeError(f"Pad needs 2 entries per axis of {x}, got pads {pads}")
         if min(pads, default=0) < 0:
             raise UnsupportedOp("Pad with negative pads is not supported")
-        return [tuple(d + lo + hi for d, lo, hi in zip(x, pads, pads[len(x):]))]
+        widths = list(zip(pads, pads[len(x):]))
+        return ([tuple(d + lo + hi for d, (lo, hi) in zip(x, widths))],
+                (widths, attrs.get("value", 0.0)))
 
     if op == "Slice":
         x, starts, ends = list(in_shapes[0]), attrs["starts"], attrs["ends"]
@@ -210,17 +267,20 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             raise ShapeError("Slice starts, ends, axes and steps differ in length")
         if 0 in steps:
             raise ShapeError("Slice steps may not be 0")
-        if len({_axis(a, len(x), op) for a in axes}) != len(axes):
-            raise ShapeError(f"Slice axes {axes} repeat an axis")
+        axes = [_axis(a, len(x), op) for a in axes]
+        if len(set(axes)) != len(axes):
+            raise ShapeError(f"Slice axes {attrs['axes']} repeat an axis")
+        index = [slice(None)] * len(x)
         for start, end, axis, step in zip(starts, ends, axes, steps):
-            x[axis] = len(range(*slice(start, end, step).indices(x[axis])))
-        return [tuple(x)]
+            index[axis] = slice(start, end, step)
+            x[axis] = len(range(*index[axis].indices(x[axis])))
+        return [tuple(x)], tuple(index)
 
     if op in ("GlobalAveragePool", "GlobalMaxPool"):
         x = in_shapes[0]
         if len(x) != 4 or 0 in x[2:]:
             raise ShapeError(f"{op} supports non-empty 4-D NCHW tensors only")
-        return [(x[0], x[1], 1, 1)]
+        return [(x[0], x[1], 1, 1)], attrs
 
     if op == "BatchNormalization":
         x = in_shapes[0]
@@ -230,7 +290,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             raise ShapeError(f"BatchNormalization of {x} takes scale, bias, "
                              f"mean and variance of shape ({x[1]},), got "
                              f"{in_shapes[1:]}")
-        return [x]
+        return [x], attrs.get("epsilon", 1e-5)
 
     if op == "Concat":
         base = list(in_shapes[0])
@@ -244,14 +304,14 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
                     raise ShapeError(f"Concat non-axis extent mismatch: {in_shapes}")
             total += s[axis]
         base[axis] = total
-        return [tuple(base)]
+        return [tuple(base)], axis
 
     if op == "Transpose":
         perm = attrs["perm"]
         x = in_shapes[0]
         if sorted(perm) != list(range(len(x))):
             raise ShapeError(f"Transpose perm {perm} is not a permutation of rank {len(x)}")
-        return [tuple(x[p] for p in perm)]
+        return [tuple(x[p] for p in perm)], attrs
 
     if op == "Reshape":
         target = list(attrs["shape"])
@@ -267,7 +327,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
             target[target.index(-1)] = total // known
         elif total != math.prod(target):
             raise ShapeError(f"cannot reshape {x} ({total} elements) to {target}")
-        return [tuple(target)]
+        return [tuple(target)], attrs
 
     if op == "Flatten":
         x = in_shapes[0]
@@ -275,7 +335,8 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if not -len(x) <= axis <= len(x):
             raise ShapeError(f"Flatten axis {axis} out of range for rank {len(x)}")
         axis = axis + len(x) if axis < 0 else axis
-        return [(math.prod(x[:axis]), math.prod(x[axis:]))]
+        out = (math.prod(x[:axis]), math.prod(x[axis:]))
+        return [out], out
 
     if op in ("ReduceSum", "ReduceMean"):
         x = in_shapes[0]
@@ -283,7 +344,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         axes = range(len(x)) if axes is None else [_axis(a, len(x), op) for a in axes]
         if len(set(axes)) != len(axes):
             raise ShapeError(f"{op} axes {attrs['axes']} repeat an axis")
-        keep = attrs.get("keepdims", 1)
+        keep = bool(attrs.get("keepdims", 1))
         out = []
         for i, d in enumerate(x):
             if i in axes:
@@ -291,7 +352,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
                     out.append(1)
             else:
                 out.append(d)
-        return [tuple(out)]
+        return [tuple(out)], (tuple(axes), keep)
 
     if op == "Tile":
         reps = attrs["repeats"]
@@ -299,7 +360,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if len(reps) != len(x) or min(reps, default=0) < 0:
             raise ShapeError(f"Tile repeats {reps} must be non-negative, one "
                              f"per axis of {x}")
-        return [tuple(d * r for d, r in zip(x, reps))]
+        return [tuple(d * r for d, r in zip(x, reps))], attrs
 
     if op == "Split":
         x = in_shapes[0]
@@ -314,7 +375,12 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if len(parts) != n_out or sum(parts) != x[axis] \
                 or min(parts, default=0) < 0:
             raise ShapeError(f"Split sizes {parts} do not cover extent {x[axis]}")
-        return [x[:axis] + (p,) + x[axis + 1:] for p in parts]
+        # one index per output: its part of the split axis
+        index, start = [], 0
+        for size in parts:
+            index.append((slice(None),) * axis + (slice(start, start + size),))
+            start += size
+        return [x[:axis] + (p,) + x[axis + 1:] for p in parts], index
 
     if op == "Constant":
         if attrs["dtype"] not in DTYPES:
@@ -324,7 +390,7 @@ def _node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int
         if min(shape, default=0) < 0 or math.prod(shape) != len(attrs["value"]):
             raise ShapeError(f"Constant of shape {shape} holds "
                              f"{len(attrs['value'])} values")
-        return [shape]
+        return [shape], attrs
 
     raise UnsupportedOp(f"no shape law for op {op!r}")
 

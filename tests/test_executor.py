@@ -302,15 +302,15 @@ def test_explain_is_repeatable_and_survives_save_load(artifacts, tmp_path):
 
 
 def count_laws(monkeypatch):
-    """Names of the nodes whose shape law the executor runs from now on."""
+    """Names of the nodes the executor resolves from now on."""
     calls = []
-    law = executor.infer_node_shapes
+    law = executor.resolve_node
 
     def counted(node, in_shapes):
         calls.append(node.name)
         return law(node, in_shapes)
 
-    monkeypatch.setattr(executor, "infer_node_shapes", counted)
+    monkeypatch.setattr(executor, "resolve_node", counted)
     return calls
 
 
@@ -479,18 +479,23 @@ def test_plan_rebinds_a_strided_conv_transpose_when_the_batch_changes():
 
 def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
                                                            monkeypatch):
+    """The second explain hands every kernel the very parameters the first
+    explain's resolution returned, none resolved again."""
     built = artifacts("plain_deep", "float32")
     art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
-    binds = []
-    bind = executor.bind
+    handed = []
+    kernel = executor.eval_node
 
-    def counted(node, in_shapes):
-        binds.append(node.name)
-        return bind(node, in_shapes)
+    def counted(node, inputs, params):
+        handed.append((node.name, params))
+        return kernel(node, inputs, params)
 
-    monkeypatch.setattr(executor, "bind", counted)
+    monkeypatch.setattr(executor, "eval_node", counted)
     xs = gl.random_inputs(art.model, 2, seed=4)
     gl.explain(art, xs[0])
-    assert sorted(binds) == sorted(node.name for node in art.model.nodes)
+    first = list(handed)
+    assert len(first) == sum(n.op_type != "Constant" for n in art.model.nodes)
+    handed.clear()
     gl.explain(art, xs[1])
-    assert len(binds) == len(art.model.nodes)
+    assert [name for name, _ in handed] == [name for name, _ in first]
+    assert all(a is b for (_, a), (_, b) in zip(handed, first))

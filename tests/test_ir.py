@@ -93,6 +93,21 @@ def test_a_non_finite_float_attribute_is_refused(node, tmp_path):
         dumps_model(m)
 
 
+@pytest.mark.parametrize("node", [
+    Node("Gemm", "k", ["h", "h"], ["hk"], {"transB": 1, "alpha": 10 ** 400}),
+    Node("Constant", "k", [], ["hk"], {"dtype": "float32", "shape": [2],
+                                       "value": [1.0, -10 ** 400]}),
+])
+def test_an_int_too_large_for_a_float_attribute_is_refused(node, tmp_path):
+    m = tiny_model()
+    m.nodes.insert(1, node)
+    match = "node 'k': attribute '(value|alpha)' holds a non-finite value"
+    with pytest.raises(ValidationError, match=match):
+        validate_model(m)
+    with pytest.raises(ValidationError, match=match):
+        save_model(m, str(tmp_path / "m.sgm"))
+
+
 @pytest.mark.parametrize("node", NON_FINITE_ATTRIBUTE_NODES)
 def test_digest_and_equality_name_a_non_finite_float_attribute(node):
     # the digest header is JSON, which has no non-finite numbers

@@ -328,3 +328,26 @@ def test_a_folded_non_finite_value_names_its_node():
         warnings.simplefilter("error")
         with pytest.raises(gl.NumericError, match=r"Exp node '\w+' folded"):
             gl.compile_explainer(model, refs)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_a_reshape_that_fixes_the_row_count_is_refused(scheme, batch):
+    # the reference side runs the Reshape over B rows and the naive layout
+    # over 2B, so a target that pins one row fits neither; both schemes
+    # refuse it at every B, B=1 included
+    rng = np.random.default_rng(0)
+    model = gl.GraphModel(
+        "pinned", [gl.ValueSpec("x", "float64", (-1, 2, 4))],
+        [gl.ValueSpec("y", "float64", (-1, 3))],
+        {"w": gl.TensorValue(rng.normal(size=(8, 3)))},
+        [gl.Node("Relu", "act", ["x"], ["h"]),
+         gl.Node("Reshape", "flat", ["h"], ["f"], {"shape": [1, 8]}),
+         gl.Node("MatMul", "head", ["f", "w"], ["y"])])
+    refs = rng.normal(size=(batch, 2, 4))
+    with pytest.raises(gl.UnsupportedOp, match="'flat'.*leading extent"):
+        gl.compile_explainer(model, refs, scheme=scheme)
+    # the same net with the row count left free compiles under both schemes
+    model.nodes[1].attributes["shape"] = [-1, 8]
+    art = gl.compile_explainer(model, refs, scheme=scheme)
+    assert gl.explain(art, rng.normal(size=(1, 2, 4))).phi.array.shape == (1, 2, 4)

@@ -304,6 +304,18 @@ def test_reduction_over_batch_axis_rejected():
            {}, "y", (-1, 2))
 
 
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_reduction_without_axes_is_over_the_batch_axis_too(scheme):
+    # no axes means every axis, so the rule refuses the batch axis by name
+    # from the axes the node's law resolves
+    model = build("redall", (-1, 2),
+                  [Node("Relu", "act", ["x"], ["h"]),
+                   Node("ReduceSum", "r", ["h"], ["y"], {"keepdims": 1})],
+                  {}, "y", (-1, 1))
+    with pytest.raises(UnsupportedOp, match="'r'.*batch axis"):
+        gl.compile_explainer(model, np.zeros((2, 2)), scheme=scheme)
+
+
 def test_concat_on_batch_axis_rejected():
     reject("cat", (-1, 2),
            [Node("Concat", "c", ["x", "x"], ["wide"], {"axis": 0}),

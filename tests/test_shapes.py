@@ -1,5 +1,6 @@
 """Static shape inference across the operator table."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from graphlift import (ExecutionPlan, GraphModel, Node, ShapeError, TensorValue,
                        ValidationError, ValueSpec, execute)
-from graphlift.executor import bind, eval_node, run_kernel
+from graphlift.executor import eval_node, run_kernel
 from graphlift.ir import SUPPORTED_OPS
-from graphlift.shapes import broadcast_shapes, infer_graph_shapes, infer_node_shapes
+from graphlift.shapes import (_window_taps, broadcast_shapes, infer_graph_shapes,
+                              infer_node_shapes, resolve_node)
 
 
 def infer(op, in_shapes, attrs=None, n_outputs=1):
@@ -195,8 +197,8 @@ def test_law_predicts_the_kernel_output_shape(op, in_shapes, attrs, n_outputs):
     node = Node(op, "probe", [f"i{k}" for k in range(len(arrays))],
                 [f"o{k}" for k in range(n_outputs)], attrs)
     shapes = [a.shape for a in arrays]
-    got = [out.shape for out in eval_node(node, arrays, bind(node, shapes))]
-    assert infer_node_shapes(node, shapes) == got
+    law, params = resolve_node(node, shapes)
+    assert law == [out.shape for out in eval_node(node, arrays, params)]
 
 
 @pytest.mark.parametrize("op, n_inputs", [("Add", 1), ("Where", 2), ("Relu", 0),
@@ -276,3 +278,54 @@ def test_max_pool_window_in_padding_is_a_shape_error(attrs):
                      {"kernel_shape": [2, 1], "pads": [1, 0, 1, 0],
                       "dilations": [2, 1]})[0]
     assert out[0, 0].tolist() == [[2.0, 3.0], [0.0, 1.0]]
+
+
+def _axis_geometries():
+    """(size, kernel, stride, pad_begin, pad_end, dilation) of every small
+    one-axis window that fits its padded extent."""
+    for size, kernel, stride, lo, hi, dilation in itertools.product(
+            range(1, 6), range(1, 4), range(1, 4), range(4), range(4), range(1, 4)):
+        if size + lo + hi >= (kernel - 1) * dilation + 1:
+            yield size, kernel, stride, lo, hi, dilation
+
+
+def _old_window_in_padding(size, kernel, stride, pad_begin, dilation, count):
+    """The all-padding test the laws used before the tap count replaced it."""
+    for n in range(count):
+        start = n * stride - pad_begin
+        tap = max(0, -(start // dilation))
+        if tap >= kernel or start + tap * dilation >= size:
+            return True
+    return False
+
+
+def test_window_taps_match_a_tap_by_tap_count():
+    for size, kernel, stride, lo, hi, dilation in _axis_geometries():
+        windows = range(0, size + lo + hi - (kernel - 1) * dilation, stride)
+        got = _window_taps(size, kernel, stride, lo, dilation, len(windows))
+        want = [sum(0 <= start - lo + t * dilation < size for t in range(kernel))
+                for start in windows]
+        assert got == want, (size, kernel, stride, lo, hi, dilation)
+        assert (0 in got) == _old_window_in_padding(size, kernel, stride, lo,
+                                                    dilation, len(got))
+
+
+def test_average_pool_divisor_plane_is_a_padded_ones_sum():
+    # AveragePool takes unit dilations only; a spread of the rest per axis
+    axes = [g[:5] for g in _axis_geometries() if g[5] == 1]
+    for (h, kh, sh, top, bottom), (w, kw, sw, left, right) in \
+            itertools.product(axes[::11], axes[3::13]):
+        attrs = {"kernel_shape": [kh, kw], "strides": [sh, sw],
+                 "pads": [top, left, bottom, right]}
+        node = Node("AveragePool", "pool", ["x"], ["y"], attrs)
+        ones = np.pad(np.ones((h, w)), [(top, bottom), (left, right)])
+        sums = np.lib.stride_tricks.sliding_window_view(ones, (kh, kw))[::sh, ::sw]
+        want = sums.sum(axis=(2, 3))
+        if not want.all():
+            with pytest.raises(ShapeError, match="'pool'.*entirely in padding"):
+                resolve_node(node, [(1, 1, h, w)])
+            continue
+        (shape,), params = resolve_node(node, [(1, 1, h, w)])
+        assert shape == (1, 1, *want.shape)
+        assert params[-1].dtype == np.float64
+        assert np.array_equal(params[-1], want[None, None])
