@@ -200,6 +200,7 @@ def cmd_bench(args) -> int:
                                    max_ms=float(np.max(warm))))
         if args.json:
             census = op_census(artifact.model)
+            _, _, scans = artifact.plan.resolved
             records.append({
                 "model": model.name, "scheme": scheme,
                 "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
@@ -211,6 +212,7 @@ def cmd_bench(args) -> int:
                                                    artifact.metadata)),
                 "nodes": len(artifact.model.nodes),
                 "split_concat_nodes": census["Split"] + census["Concat"],
+                "scans": sum(map(len, scans)),
             })
     print(f"model {model.name}  batch {refs.shape[0]}  "
           f"(first run excluded from stats)")

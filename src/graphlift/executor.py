@@ -23,17 +23,29 @@ output, so it never multiplies the zeros of a dilated input.
 Execution is planned once per model.  ``ExecutionPlan`` takes the nodes in
 their declared dependency order, gives every value an integer slot,
 materializes the ``Constant`` outputs once (read-only), records where each
-intermediate is read for the last time and which steps need a finiteness
-scan; ``execute`` is then one loop over the plan that dispatches each step
-through ``eval_node`` with its resolved parameters, scans the outputs of
-guarded steps and drops every intermediate after its last consumer.  A step
-is left unguarded only where no non-finite value can arise: its op maps
-finite inputs to finite outputs and it reads neither the feed nor a
-non-finite initializer, so a NumericError names the same node as a scan
-after every step would.  ``execute`` takes a plan, or a model that it plans
-on the spot, so a model edited between calls is never run from a stale
-plan.  An ``ExplainerArtifact`` builds its plan on its first ``explain``
-and keeps it, so an artifact must not be changed after that.
+intermediate is read for the last time and which values are scanned for
+non-finite elements; ``execute`` is then one loop over the plan that
+dispatches each step through ``eval_node`` with its resolved parameters,
+scans the values the plan marks and drops every intermediate after its last
+consumer.  ``execute`` takes a plan, or a model that it plans on the spot,
+so a model edited between calls is never run from a stale plan.  An
+``ExplainerArtifact`` builds its plan on its first ``explain`` and keeps
+it, so an artifact must not be changed after that.
+
+The guard scans a value only where a non-finite element could stop.  An
+operand slot is *preserving* when every non-finite element in it gives a
+non-finite output element (every operand of ``Add``, ``Sub``, ``Mul`` and
+``Concat``, the numerator of ``Div``, the operand of ``Reshape``,
+``Flatten``, ``Transpose``, ``Tile``, ``Abs`` and the reduces); every other
+slot is a *breaker*, which may hide one (a ``Where`` branch, a ``Div``
+denominator, ``Relu`` of -inf, a GEMM, a pool, a ``Slice``).  A value that
+may hold a non-finite element is scanned when a breaker reads it, when it
+is a graph output or when nothing reads it; a value that only preserving
+slots read hands its non-finite elements on, and the scan of a value
+downstream finds them.  When a scan fails, ``execute`` replays the request
+with the per-step guard, a scan after every step that could make a
+non-finite value, so the NumericError names the node a scan after every
+step would name.
 """
 
 from __future__ import annotations
@@ -206,6 +218,29 @@ def _closed_over_finite(node: Node) -> bool:
         node.op_type != "Pad" or math.isfinite(node.attributes.get("value", 0.0)))
 
 
+# op -> its preserving operand slots, None for every slot.  A slot is
+# preserving when every non-finite element in it gives a non-finite output
+# element: NaN stays NaN; an infinity plus, minus, times or over anything is
+# infinite or NaN (inf - inf, inf * 0 and inf / inf are NaN); a sum or mean
+# with an infinite term is infinite or NaN; a reshape, transpose, tile,
+# concatenation or absolute value keeps every element.  Every other slot is
+# a breaker, which may hide one: a Where branch may go unselected, a Div
+# denominator of inf gives 0, Relu, Exp, Sigmoid, Tanh, Softmax and the
+# pools map -inf to finite values, Slice drops elements, and BLAS may skip
+# a zero operand of a GEMM.  An op not argued here (Split, Pad, Greater,
+# BatchNormalization) counts as a breaker.
+_PRESERVING = {
+    "Add": None, "Sub": None, "Mul": None, "Concat": None, "Div": (0,),
+    "Reshape": (0,), "Flatten": (0,), "Transpose": (0,), "Tile": (0,),
+    "Abs": (0,), "ReduceSum": (0,), "ReduceMean": (0,)}
+
+
+def _preserves(op_type: str, slot: int) -> bool:
+    """Whether operand ``slot`` of ``op_type`` is a preserving one."""
+    slots = _PRESERVING.get(op_type, ())
+    return slots is None or slot in slots
+
+
 def eval_node(node: Node, inputs: list[np.ndarray], params) -> list[np.ndarray]:
     """Apply one operator to concrete arrays; returns one array per output.
 
@@ -274,22 +309,35 @@ class ExecutionPlan:
     ``ConvTranspose`` phase table, the ``AveragePool`` divisor plane).  That
     happens the first time the plan sees those feed shapes and again only
     when they change, so a plan over a free-batch model resolves again when
-    the batch changes.  The feed shapes and the parameters resolved for them
-    are replaced as one value, so a feed never runs on parameters resolved
-    for another's shapes.  A law that refuses raises ShapeError,
-    UnsupportedOp or ValidationError naming the node, before any kernel of
-    that feed runs.
+    the batch changes.  The feed shapes and what was resolved for them are
+    replaced as one value, so a feed never runs on parameters resolved for
+    another's shapes.  A law that refuses raises ShapeError, UnsupportedOp
+    or ValidationError naming the node, before any kernel of that feed runs.
 
-    Each step records whether its outputs are scanned for non-finite values.
-    A step is unguarded only when its op maps finite inputs to finite outputs
-    (``_FINITE_CLOSED``) and each of its inputs is the output of an earlier
-    step, a ``Constant``, or an initializer found finite when the plan was
-    built; a step that reads the feed or a non-finite initializer is guarded.
-    That is exact: by induction over the order, every input of an unguarded
-    step is finite once the guarded steps before it passed (a non-finite
-    ``Constant`` stops ``execute`` before the first step), so its outputs are
-    finite, and the first node a NumericError names is the one a scan after
-    every step would name.
+    Each step records its *guard*, the outputs a scan after every step
+    would have to check: all of them when its op can turn finite operands
+    into a non-finite value (it is outside ``_FINITE_CLOSED``) or it reads
+    the feed or an initializer that was not finite when the plan was built,
+    none otherwise.  By induction over the order (a non-finite ``Constant``
+    stops ``execute`` before the first step), the first guarded output that
+    holds a non-finite value is the first such value of the request.
+
+    The plan scans fewer values than that, decided per output slot.  A value
+    is *tainted* when it may hold a non-finite element that no scan has
+    seen: the feed, a non-finite initializer, and the outputs of a step
+    outside ``_FINITE_CLOSED`` or of a step that reads a tainted value.  A
+    tainted output is scanned when a breaker slot reads it (see
+    ``_PRESERVING``), when it is a graph output or when nothing reads it;
+    once scanned it is no longer tainted.  A tainted value that is not
+    scanned is read by preserving slots only, so each of its non-finite
+    elements reaches a non-finite element of a reader's output, tainted in
+    turn, and so on until a scanned value holds one.  Hence a request some
+    guard would stop fails some scan, and a failed scan means some guarded
+    output holds a non-finite value: ``execute`` then replays the request
+    under the guards to name the node.  Neither the guards nor the scans
+    check the feed or an initializer itself, only what steps make of them.
+    An empty output keeps none of its preserving operands' elements, so a
+    feed whose shapes give one runs under the guards throughout.
     """
 
     def __init__(self, model: GraphModel):
@@ -298,8 +346,9 @@ class ExecutionPlan:
         # (node name, value name) of the first non-finite Constant output
         self.non_finite: tuple[str, str] | None = None
         # (feed shapes every step was last resolved on, each step's kernel
-        # parameters at those shapes), replaced as one value
-        self.resolved: tuple[tuple | None, list] = (None, [])
+        # parameters and the positions of its outputs to scan at those
+        # shapes), replaced as one value
+        self.resolved: tuple[tuple | None, list, list] = (None, [], [])
         self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
         initial = {self._claim(name, tensor.array): tensor.array
                    for name, tensor in model.initializers.items()}
@@ -320,46 +369,74 @@ class ExecutionPlan:
                     raise _unproduced(node, name)
             ins = tuple(self.slots[name] for name in node.inputs)
             outs = tuple(self._claim(name, None) for name in node.outputs)
-            guarded = not _closed_over_finite(node) or not unchecked.isdisjoint(ins)
-            steps.append((node, ins, outs, guarded))
+            steps.append((node, ins, outs))
         self.outputs: list[tuple[str, int]] = []
         for spec in model.outputs:
             if spec.name not in self.slots:
                 raise ShapeError(f"graph output {spec.name!r} was never computed")
             self.outputs.append((spec.name, self.slots[spec.name]))
+        kept = {slot for _, slot in self.outputs}
+
+        # where a non-finite element would stop or leave the plan: a
+        # breaker's operands, the graph outputs and the values nothing reads
+        read, stops = set(), set(kept)
+        for node, ins, _ in steps:
+            read.update(ins)
+            stops.update(slot for k, slot in enumerate(ins)
+                         if not _preserves(node.op_type, k))
+        stops.update(slot for _, _, outs in steps for slot in outs
+                     if slot not in read)
+        tainted = set(unchecked)
+        guards, self.scans = [], []
+        for node, ins, outs in steps:
+            makes = not _closed_over_finite(node)
+            every = tuple(range(len(outs)))
+            guards.append(every if makes or not unchecked.isdisjoint(ins) else ())
+            if makes or not tainted.isdisjoint(ins):
+                tainted.update(slot for slot in outs if slot not in stops)
+                self.scans.append(tuple(k for k in every if outs[k] in stops))
+            else:
+                self.scans.append(())
 
         last_read: dict[int, int] = {}
-        for k, (_, ins, outs, _) in enumerate(steps):
+        for k, (_, ins, outs) in enumerate(steps):
             for slot in ins:
                 last_read[slot] = k
             for slot in outs:
                 last_read.setdefault(slot, k)   # never read: free at once
-        kept = {slot for _, slot in self.outputs}
         frees: list[list[int]] = [[] for _ in steps]
         for slot, k in last_read.items():
             if slot not in kept:
                 frees[k].append(slot)
-        self.steps = [(node, ins, outs, tuple(free), guarded)
-                      for (node, ins, outs, guarded), free in zip(steps, frees)]
+        self.steps = [(node, ins, outs, tuple(free), guard) for
+                      (node, ins, outs), free, guard in zip(steps, frees, guards)]
 
-    def verify(self, values: list) -> list:
+    def verify(self, values: list) -> tuple[list, list]:
         """Resolve every step on the shapes of ``values``, a slot list with
         the feed filled in, unless the feed shapes are the ones last
-        resolved.  Returns the kernel parameters of every step, in step
-        order."""
+        resolved.  Returns, in step order, every step's kernel parameters
+        and the positions of its outputs to scan: ``scans``, or every
+        step's guard when some output is empty at these shapes."""
         fed = tuple(values[slot].shape for _, slot in self.feed)
-        verified, params = self.resolved
+        verified, params, scans = self.resolved
         if fed == verified:
-            return params
+            return params, scans
         shapes = [None if v is None else v.shape for v in values]
-        params = []
+        params, empty = [], False
         for node, ins, outs, _, _ in self.steps:
             out_shapes, step_params = resolve_node(node, [shapes[s] for s in ins])
             for slot, shape in zip(outs, out_shapes):
                 shapes[slot] = shape
+                empty = empty or 0 in shape
             params.append(step_params)
-        self.resolved = (fed, params)
-        return params
+        scans = self.guards if empty else self.scans
+        self.resolved = (fed, params, scans)
+        return params, scans
+
+    @property
+    def guards(self) -> list[tuple[int, ...]]:
+        """Every step's guard, in step order."""
+        return [guard for _, _, _, _, guard in self.steps]
 
     def _claim(self, name: str, value) -> int:
         if name in self.slots:
@@ -367,6 +444,25 @@ class ExecutionPlan:
         self.slots[name] = len(self.template)
         self.template.append(value)
         return self.slots[name]
+
+
+def _run(plan: ExecutionPlan, values: list, params: list, scans,
+         capture: bool):
+    """Run every step of ``plan`` into ``values``, scanning the outputs
+    ``scans`` names per step.  Returns (node, output position) of the first
+    scan that finds a non-finite value, or None."""
+    for (node, ins, outs, frees, _), step_params, scan in zip(
+            plan.steps, params, scans):
+        results = eval_node(node, [values[s] for s in ins], step_params)
+        for k in scan:
+            if not _finite(results[k]):
+                return node, k
+        for slot, arr in zip(outs, results):
+            values[slot] = arr
+        if not capture:
+            for slot in frees:
+                values[slot] = None
+    return None
 
 
 def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
@@ -383,26 +479,28 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     """
     plan = model_or_plan if isinstance(model_or_plan, ExecutionPlan) \
         else ExecutionPlan(model_or_plan)
+    fed = [(slot, _coerce_input(spec, feed)) for spec, slot in plan.feed]
     values = list(plan.template)
-    for spec, slot in plan.feed:
-        values[slot] = _coerce_input(spec, feed)
-    params = plan.verify(values)
+    for slot, arr in fed:
+        values[slot] = arr
+    params, scans = plan.verify(values)
     if plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
     # the guard reports an overflow as a NumericError naming its node, not a
     # warning; one error state per call, as one per step costs like a kernel
     with np.errstate(all="ignore"):
-        for (node, ins, outs, frees, guarded), step_params in zip(plan.steps, params):
-            results = eval_node(node, [values[s] for s in ins], step_params)
-            for name, slot, arr in zip(node.outputs, outs, results):
-                if guarded and not _finite(arr):
-                    raise NumericError(
-                        f"node {node.name!r} produced non-finite values in {name!r}")
+        failed = _run(plan, values, params, scans, capture)
+        if failed is not None:
+            # kernels are deterministic, so the replay under the guards
+            # stops at the first node that made a non-finite value
+            values = list(plan.template)
+            for slot, arr in fed:
                 values[slot] = arr
-            if not capture:
-                for slot in frees:
-                    values[slot] = None
+            failed = _run(plan, values, params, plan.guards, False) or failed
+            node, k = failed
+            raise NumericError(f"node {node.name!r} produced non-finite "
+                               f"values in {node.outputs[k]!r}")
     outputs = {name: values[slot] for name, slot in plan.outputs}
     trace = {name: values[slot] for name, slot in plan.slots.items()} \
         if capture else None

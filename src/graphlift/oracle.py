@@ -238,9 +238,10 @@ def _node_backward(node: Node, g: np.ndarray, xv, rv, diff: set[str],
 
     if op in ("ReduceSum", "ReduceMean"):
         x = xv(ins[0])
-        axes = sorted(int(a) % x.ndim for a in attrs["axes"])
+        # without axes, ONNX reduces over every axis
+        axes = sorted(int(a) % x.ndim for a in attrs.get("axes", range(x.ndim)))
         if 0 in axes:
-            raise UnsupportedOp("reduction over the batch axis")
+            raise UnsupportedOp(f"node {node.name!r}: reduction over the batch axis")
         if not int(attrs.get("keepdims", 1)):
             g = np.expand_dims(g, tuple(axes))
         spread = np.ones(x.shape, dtype=g.dtype)

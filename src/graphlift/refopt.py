@@ -252,6 +252,12 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
                     seed_scale: float = 1.0, expose_multipliers: bool = False):
     """Attach the attribution head with all reference activations baked in.
 
+    The backward pass is seeded with one row, not B identical ones: a
+    gradient keeps one row until a rule mixes in the B reference rows, so
+    everything folded before that point ships at one row's width.  On a
+    net with no nonlinearity no rule does, and the exposed multipliers are
+    one row that holds for every reference.
+
     Returns (artifact, metadata).
     """
     refs, builder, backward = _start(model, references)
@@ -267,7 +273,7 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     copies = _fold_references(builder, model, rows)
 
     env = RuleEnv(builder, batch, joint=False, refs=copies)
-    loss = builder.const(_seed_array(batch, classes, output_index,
+    loss = builder.const(_seed_array(1, classes, output_index,
                                      builder.dtype, seed_scale), "seed")
     result = differentiate(model, backward, loss, env, eps_act, eps_pool)
 

@@ -1,5 +1,7 @@
 """Kernel semantics of the reference interpreter."""
 
+import functools
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +11,8 @@ import graphlift as gl
 from graphlift import (ExecutionPlan, GraphModel, Node, NumericError,
                        ShapeError, TensorValue, ValueSpec)
 from graphlift import executor
-from graphlift.executor import execute, run_kernel
+from graphlift.executor import eval_node, execute, run_kernel
+from graphlift.shapes import resolve_node
 
 
 def kernel(op, arrays, attrs=None, n_outputs=1):
@@ -408,6 +411,54 @@ def test_guard_skips_exactly_the_finite_closed_ops():
         assert not executor._closed_over_finite(node("Pad", value=value))
 
 
+# (op, input shapes, attributes) for every op with a preserving operand slot;
+# the broadcast ones read a small operand against a large one both ways
+PRESERVING_CASES = [
+    ("Add", [(2, 3, 4), (1, 3, 1)], {}),
+    ("Sub", [(1, 3, 1), (2, 3, 4)], {}),
+    ("Mul", [(2, 3, 4), (2, 1, 4)], {}),
+    ("Div", [(2, 1, 4), (2, 3, 4)], {}),
+    ("Concat", [(2, 3, 4), (2, 1, 4), (2, 2, 4)], {"axis": 1}),
+    ("Reshape", [(2, 3, 4)], {"shape": [2, -1]}),
+    ("Flatten", [(2, 3, 4)], {"axis": 2}),
+    ("Transpose", [(2, 3, 4)], {"perm": [2, 0, 1]}),
+    ("Tile", [(2, 3, 4)], {"repeats": [1, 2, 3]}),
+    ("Abs", [(2, 3, 4)], {}),
+    ("ReduceSum", [(2, 3, 4)], {"axes": [1, 2], "keepdims": 0}),
+    ("ReduceMean", [(2, 3, 4)], {"axes": [2]}),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, shapes, attrs", PRESERVING_CASES)
+def test_preserving_slots_pass_every_non_finite_element_on(op, shapes, attrs,
+                                                           dtype):
+    node = Node(op, "n", [f"i{k}" for k in range(len(shapes))], ["o"], attrs)
+    _, params = resolve_node(node, shapes)
+    slots = executor._PRESERVING[op]
+    for slot in range(len(shapes)) if slots is None else slots:
+        for seed in range(2):
+            arrays = [extremes(dtype, shape, seed + k)
+                      for k, shape in enumerate(shapes)]
+            for position in range(arrays[slot].size):
+                for poison in (np.nan, np.inf, -np.inf):
+                    operands = list(arrays)
+                    operands[slot] = arrays[slot].copy()
+                    operands[slot].flat[position] = poison
+                    with np.errstate(all="ignore"):
+                        out = eval_node(node, operands, params)[0]
+                    assert not np.isfinite(out).all(), (slot, position, poison)
+
+
+def test_preserving_table_is_the_tested_one_over_supported_ops():
+    assert set(executor._PRESERVING) <= gl.ir.SUPPORTED_OPS
+    assert {case[0] for case in PRESERVING_CASES} == set(executor._PRESERVING)
+    # a Where branch and a Div denominator may hide a non-finite element
+    assert not executor._preserves("Where", 1)
+    assert not executor._preserves("Div", 1)
+    assert executor._preserves("Concat", 5)
+
+
 def chain_model(nodes, initializers=None, shape=(-1, 2)):
     """x -> nodes -> y, float64."""
     return GraphModel("g", [ValueSpec("x", "float64", shape)],
@@ -499,3 +550,158 @@ def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
     gl.explain(art, xs[1])
     assert [name for name, _ in handed] == [name for name, _ in first]
     assert all(a is b for (_, a), (_, b) in zip(handed, first))
+
+
+def test_an_empty_output_runs_the_request_under_the_guards():
+    # the overflowing Exp is read only by a Tile, whose repeats of 0 make
+    # its output empty: the inf reaches no scanned value, so this feed
+    # shape is scanned step by step
+    plan = ExecutionPlan(chain_model(
+        [Node("Exp", "grow", ["x"], ["h"]),
+         Node("Tile", "none", ["h"], ["y"], {"repeats": [0, 1]})]))
+    assert plan.scans == [(), (0,)]
+    with pytest.raises(NumericError, match="'grow'"):
+        execute(plan, {"x": np.full((1, 2), 1000.0)})
+    assert execute(plan, {"x": np.ones((1, 2))})[0]["y"].shape == (0, 2)
+
+
+def test_a_failed_scan_the_replay_does_not_repeat_names_the_scanned_value(
+        monkeypatch):
+    plan = ExecutionPlan(chain_model([Node("Exp", "grow", ["x"], ["h"]),
+                                      Node("Add", "sum", ["h", "h"], ["y"])]))
+    assert plan.scans == [(), (0,)]
+    calls = []
+    kernel = executor.eval_node
+
+    def first_call_overflows(node, inputs, params):
+        calls.append(node.name)
+        results = kernel(node, inputs, params)
+        return [np.full_like(results[0], np.inf)] if len(calls) == 1 else results
+
+    monkeypatch.setattr(executor, "eval_node", first_call_overflows)
+    with pytest.raises(NumericError, match="node 'sum' produced non-finite "
+                                           "values in 'y'"):
+        execute(plan, {"x": np.ones((1, 2))})
+    assert calls == ["grow", "sum", "grow", "sum"]
+
+
+def guarded_by_every_step_scan(model):
+    """The nodes whose outputs a scan after every step that could make a
+    non-finite value checks, worked out without a plan: those whose op can
+    make one from finite operands, or that read the feed or a non-finite
+    initializer."""
+    unchecked = {spec.name for spec in model.inputs} | {
+        name for name, tensor in model.initializers.items()
+        if not np.isfinite(tensor.array).all()}
+    return {node.name for node in model.nodes
+            if not executor._closed_over_finite(node)
+            or not unchecked.isdisjoint(node.inputs)}
+
+
+def first_guarded_non_finite(model, feed):
+    """(node, value) of the first output that a scan after every step that
+    could make a non-finite value finds non-finite, or None."""
+    guarded = guarded_by_every_step_scan(model)
+    values = {name: tensor.array for name, tensor in model.initializers.items()}
+    values.update(feed)
+    with np.errstate(all="ignore"):
+        for node in model.nodes:
+            ins = [values[name] for name in node.inputs]
+            results = eval_node(node, ins,
+                                resolve_node(node, [a.shape for a in ins])[1])
+            values.update(zip(node.outputs, results))
+            if node.name not in guarded:
+                continue
+            for name, arr in zip(node.outputs, results):
+                if arr.dtype != np.bool_ and not np.isfinite(arr).all():
+                    return node.name, name
+    return None
+
+
+POISONS = (np.nan, np.inf, -np.inf)
+CORPUS_NETS = ("plain_deep", "residual_add", "dense_concat", "scaled_add_mul")
+POISONED_NETS = CORPUS_NETS + gl.MICRO_FAMILIES + ("batchnorm",)
+
+
+@functools.cache
+def micro_artifact(family, dtype, scheme):
+    """(artifact model, sample) of one micro net."""
+    net = gl.micro_net(family, dtype=dtype)
+    art = gl.compile_explainer(net.model, net.references, scheme=scheme)
+    return art.model, net.sample
+
+
+def poisoning_case(name, dtype, scheme, artifacts, corpus_f32, corpus_f64):
+    """(model, plan, feed) of one corpus or micro net's artifact."""
+    if name in CORPUS_NETS:
+        corpus = corpus_f32 if dtype == "float32" else corpus_f64
+        model = artifacts(name, dtype, scheme).model
+        sample = next(e.sample for e in corpus if e.name == name)
+    else:
+        model, sample = micro_artifact(name, dtype, scheme)
+    return model, ExecutionPlan(model), {model.inputs[0].name: sample}
+
+
+def named(node, value):
+    return re.escape(f"node {node!r} produced non-finite values in {value!r}")
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", POISONED_NETS)
+def test_a_poisoned_step_output_is_named_at_its_node(
+        name, dtype, scheme, artifacts, corpus_f32, corpus_f64, monkeypatch):
+    """Each float output of every step a scan after every step checks,
+    poisoned with NaN or an infinity in one element, raises naming that
+    step: the scans find it, and the replay stops there.  (A ``Greater``
+    that reads the feed is checked too, but its bool output cannot hold a
+    non-finite value.)"""
+    model, plan, feed = poisoning_case(name, dtype, scheme, artifacts,
+                                       corpus_f32, corpus_f64)
+    _, clean = execute(plan, feed, capture=True)
+    names = guarded_by_every_step_scan(model)
+    guarded = [node for node in model.nodes
+               if node.op_type != "Constant" and node.name in names]
+    assert guarded == [node for node, _, _, _, guard in plan.steps if guard]
+    target = {}
+    kernel = executor.eval_node
+
+    def poisoned(node, inputs, params):
+        results = kernel(node, inputs, params)
+        if node.name in target:
+            k, poison, position = target[node.name]
+            results[k] = results[k].copy()
+            results[k].flat[position % results[k].size] = poison
+        return results
+
+    monkeypatch.setattr(executor, "eval_node", poisoned)
+    for index, node in enumerate(guarded):
+        for k, value in enumerate(node.outputs):
+            if clean[value].dtype == np.bool_:
+                continue
+            target.clear()
+            target[node.name] = (k, POISONS[index % 3], 7 * index + k)
+            with pytest.raises(NumericError, match=named(node.name, value)):
+                execute(plan, feed)
+    target.clear()
+    execute(plan, feed)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", POISONED_NETS)
+def test_a_poisoned_feed_is_named_where_a_scan_after_every_step_names_it(
+        name, dtype, scheme, artifacts, corpus_f32, corpus_f64):
+    model, plan, feed = poisoning_case(name, dtype, scheme, artifacts,
+                                       corpus_f32, corpus_f64)
+    (input_name, clean), = feed.items()
+    for position in (0, clean.size // 2, clean.size - 1):
+        for poison in POISONS:
+            x = clean.copy()
+            x.flat[position] = poison
+            want = first_guarded_non_finite(model, {input_name: x})
+            if want is None:
+                execute(plan, {input_name: x})
+            else:
+                with pytest.raises(NumericError, match=named(*want)):
+                    execute(plan, {input_name: x})

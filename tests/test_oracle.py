@@ -85,6 +85,21 @@ def test_oracle_names_the_node_of_an_overflowing_multiplier():
             deeplift_oracle(net.model, net.sample, refs)
 
 
+def test_oracle_names_a_reduce_without_axes_over_the_batch():
+    # without axes a reduce runs over every axis, the batch axis included;
+    # the oracle refuses it as compiling does, naming the node
+    model = GraphModel(
+        "r", [ValueSpec("x", "float64", (-1, 3))],
+        [ValueSpec("y", "float64", (1, 1))], {},
+        [Node("Relu", "act", ["x"], ["h"]),
+         Node("ReduceSum", "red", ["h"], ["y"], {"keepdims": 1})])
+    refs = np.zeros((2, 3))
+    with pytest.raises(UnsupportedOp, match="'red'"):
+        gl.compile_explainer(model, refs)
+    with pytest.raises(UnsupportedOp, match="'red'"):
+        deeplift_oracle(model, np.ones((1, 3)), refs)
+
+
 def test_oracle_rejects_multi_input_graph():
     model = GraphModel(
         "two_in",

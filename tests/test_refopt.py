@@ -351,3 +351,34 @@ def test_a_reshape_that_fixes_the_row_count_is_refused(scheme, batch):
     model.nodes[1].attributes["shape"] = [-1, 8]
     art = gl.compile_explainer(model, refs, scheme=scheme)
     assert gl.explain(art, rng.normal(size=(1, 2, 4))).phi.array.shape == (1, 2, 4)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_optimized_ships_no_initializer_of_identical_reference_rows(
+        corpus_f32, dtype):
+    """The optimized backward pass is seeded with one row, so nothing folded
+    from the seed ships as B copies of one row."""
+    for entry in corpus_f32:
+        model = cast_model(entry.model, dtype)
+        refs = random_references(model, B, seed=7)
+        model, _ = build_optimized(model, refs)
+        for name, tensor in model.initializers.items():
+            rows = tensor.array
+            assert not (rows.ndim and rows.shape[0] == B
+                        and (rows == rows[:1]).all()), (entry.name, name)
+
+
+def test_a_linear_net_exposes_one_row_of_multipliers():
+    """No rule of a linear net mixes in the reference rows, so its
+    multipliers keep the seed's one row, which holds for every reference;
+    a nonlinear net's multipliers have one row per reference."""
+    for family, rows in (("matmul_gemm", 1), ("relu", B)):
+        net = gl.micro_net(family, batch=B)
+        art = gl.compile_explainer(net.model, net.references,
+                                   expose_multipliers=True)
+        outs, _ = execute(art.model, {art.model.inputs[0].name: net.sample})
+        got = outs[art.metadata["multipliers_output"]]
+        _, want = gl.deeplift_oracle(net.model, net.sample, net.references,
+                                     return_multipliers=True)
+        assert got.shape == (rows,) + want.shape[1:]
+        assert np.abs(got - want).max() <= 1e-12
