@@ -16,8 +16,7 @@ from .errors import (GraphliftError, NoPathError, NumericError, ParseError,
                      ShapeError, StuckError, UnsupportedOp, ValidationError)
 from .executor import ExecutionPlan, execute
 from .explainer import (Attribution, ExplainerArtifact, compile_explainer,
-                        completeness_check, explain, load_artifact,
-                        save_artifact, write_pgm)
+                        explain, load_artifact, save_artifact, write_pgm)
 from .ir import (GraphModel, Node, TensorValue, ValueSpec, load_model,
                  load_tensor, model_digest, save_model, save_tensor,
                  validate_model)
@@ -39,7 +38,7 @@ __all__ = [
     "save_model", "load_model", "save_tensor", "load_tensor",
     "model_digest", "infer_graph_shapes", "execute", "ExecutionPlan",
     # compilation and use
-    "compile_explainer", "explain", "completeness_check", "Attribution",
+    "compile_explainer", "explain", "Attribution",
     "ExplainerArtifact", "save_artifact", "load_artifact", "write_pgm",
     "build_optimized", "build_naive", "FlopReport", "count_flops",
     "op_census",

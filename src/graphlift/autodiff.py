@@ -1,33 +1,23 @@
-"""Reverse sweep that emits the backward node list.
+"""Reverse sweep that emits the backward nodes through the graph builder.
 
 ``differentiate`` visits the nodes of ``BackwardGraph.order`` once each,
 every consumer before its producer, so all of a node's gradient flows have
 arrived when it is reached.  The arrived flows are summed, the node's rule is
 invoked, and each per-input gradient the rule returns joins that input's
 flows.  Chains hand on one flow, fan-outs sum several, and multi-input ops
-give each input its own share.
+give each input its own share.  The sweep returns the name of the input's
+summed gradient; what it emitted is in the builder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .builder import GraphBuilder, RuleEnv
 from .errors import NoPathError, StuckError, UnsupportedOp
-from .ir import GraphModel, Node
+from .ir import GraphModel
 from .parser import BackwardGraph
-from .rules import EPS_ACT, EPS_POOL, RuleContext, RuleOutput, f_grad
+from .rules import EPS_ACT, EPS_POOL, RuleContext, f_grad
 
-__all__ = ["BackwardNodeList", "differentiate"]
-
-
-@dataclass
-class BackwardNodeList:
-    """Everything the sweep emitted, in emission order."""
-
-    nodes: list[Node]
-    input_grad: str
-    rule_outputs: dict[str, RuleOutput] = field(default_factory=dict)
+__all__ = ["differentiate"]
 
 
 def _sum_flows(builder: GraphBuilder, flows: list[str], tag: str) -> str:
@@ -40,16 +30,15 @@ def _sum_flows(builder: GraphBuilder, flows: list[str], tag: str) -> str:
 
 def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
                   env: RuleEnv, eps_act: float = EPS_ACT,
-                  eps_pool: float = EPS_POOL) -> BackwardNodeList:
-    """Emit the gradient graph for the explained output, seeded by loss_name."""
+                  eps_pool: float = EPS_POOL) -> str:
+    """Emit the gradient graph for the explained output, seeded by loss_name,
+    into ``env.builder``; returns the name of the input gradient."""
     if len(model.inputs) != 1:
         raise UnsupportedOp("attribution requires exactly one graph input")
     input_name = model.inputs[0].name
     builder = env.builder
-    begin = len(builder.nodes)
     diff = backward.differentiable
     flows: dict[str, list[str]] = {backward.explained_output: [loss_name]}
-    rule_outputs: dict[str, RuleOutput] = {}
     for node in backward.order:
         if len(node.outputs) > 1:
             raise UnsupportedOp(
@@ -62,7 +51,7 @@ def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
         ctx = RuleContext(node=node, grad_in=grad_in, env=env,
                           pass_grads={i: i in diff for i in node.inputs},
                           eps_act=eps_act, eps_pool=eps_pool)
-        out = rule_outputs[node.name] = f_grad(ctx)
+        out = f_grad(ctx)
         for name in dict.fromkeys(node.inputs):
             if name in out.grad_out:
                 if name not in diff:
@@ -73,6 +62,4 @@ def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
     if input_name not in flows:
         raise NoPathError(
             f"no gradient reached the model input {input_name!r}")
-    input_grad = _sum_flows(builder, flows[input_name], "input")
-    return BackwardNodeList(nodes=list(builder.nodes[begin:]),
-                            input_grad=input_grad, rule_outputs=rule_outputs)
+    return _sum_flows(builder, flows[input_name], "input")

@@ -8,9 +8,10 @@ only if a runtime node reads it.  That is what turns constant-only forward
 chains, the reference-side copy of the forward graph and reference-side
 expression chains into baked constants under the optimized scheme, while the
 same rule code emits live nodes for the replicated-batch scheme.  A folded
-value that is not finite raises NumericError naming its node.  Every value's
-shape is recorded as it is added or emitted, so the builder is the compile's
-one shape table: rules read shapes from it and from nothing else.
+value that is not finite raises NumericError naming its node.  Each node is
+resolved once, when it is added: its output shapes and, under its first
+output, its kernel parameters are kept, so rules read shapes and parameters
+from the builder and from nothing else.
 
 ``emit`` also numbers values (Click, "Global Code Motion / Global Value
 Numbering", PLDI 1995): every op is pure, so an op emitted again with the
@@ -46,6 +47,9 @@ class GraphBuilder:
         self.nodes: list[Node] = []
         self.initializers: dict[str, TensorValue] = {}
         self.shapes: dict[str, tuple[int, ...]] = {}
+        # first output of every added node -> the kernel parameters its law
+        # returned
+        self.params: dict[str, object] = {}
         # values whose arrays are known at build time (initializers and
         # anything computed only from them); folded booleans live here too
         self.known: dict[str, np.ndarray] = {}
@@ -95,15 +99,17 @@ class GraphBuilder:
     def add(self, node: Node) -> bool:
         """Fold a named node into ``known`` or append it; True when folded.
 
-        The node is resolved once either way, and a folded node's kernel
-        runs on the parameters its law returned.  A node folds when every
-        input is known (a node with no inputs, such as a Constant, too);
-        otherwise its known inputs become initializers and it is appended.
+        The node is resolved once either way, its shapes and parameters
+        are kept, and a folded node's kernel runs on those parameters.  A
+        node folds when every input is known (a node with no inputs, such
+        as a Constant, too); otherwise its known inputs become initializers
+        and it is appended.
         A folded output that is not finite raises NumericError naming the
         node, as ``execute`` does for a node it runs.
         """
         out_shapes, params = resolve_node(node, [self.shape(i) for i in node.inputs])
         self.shapes.update(zip(node.outputs, map(tuple, out_shapes)))
+        self.params[node.outputs[0]] = params
         if all(i in self.known for i in node.inputs):
             args = [self.known[i] for i in node.inputs]
             with np.errstate(all="ignore"):

@@ -9,11 +9,13 @@ average pooling that excludes padding from the divisor.
 Kernels check and resolve nothing, the ``Constant`` kernel included.
 ``shapes.resolve_node`` is each node's one resolution: it checks the node
 (a ``Constant``'s dtype too) and returns the parameters its kernel runs on
-at those input shapes, such as window geometry or the ``AveragePool``
-divisor plane.  ``ExecutionPlan`` resolves all its steps once per feed
-shape; ``run_kernel`` and ``GraphBuilder.add`` resolve their one node on
-the spot.  Each op has one kernel, whoever calls it, and no strided window
-view is built on geometry the law refuses.
+at those input shapes, such as window geometry, the ``AveragePool``
+divisor plane or the ``Transpose`` permutation.  ``ExecutionPlan`` resolves
+all its steps once per feed shape and ``run_kernel`` its one node on the
+spot.  At compile time ``GraphBuilder.add`` resolves each node once and
+keeps its parameters, which the gradient rules read, so a compile makes no
+other law call.  Each op has one kernel, whoever calls it, and no strided
+window view is built on geometry the law refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
 (C·kh·kw, Ho·Wo) matrix (im2col) and multiplies the filters into it;
@@ -39,13 +41,13 @@ non-finite output element (every operand of ``Add``, ``Sub``, ``Mul`` and
 ``Flatten``, ``Transpose``, ``Tile``, ``Abs`` and the reduces); every other
 slot is a *breaker*, which may hide one (a ``Where`` branch, a ``Div``
 denominator, ``Relu`` of -inf, a GEMM, a pool, a ``Slice``).  A value that
-may hold a non-finite element is scanned when a breaker reads it, when it
-is a graph output or when nothing reads it; a value that only preserving
-slots read hands its non-finite elements on, and the scan of a value
-downstream finds them.  When a scan fails, ``execute`` replays the request
-with the per-step guard, a scan after every step that could make a
-non-finite value, so the NumericError names the node a scan after every
-step would name.
+may hold a non-finite element (a ``Greater``'s bool output never does) is
+scanned when a breaker reads it, when it is a graph output or when nothing
+reads it; a value that only preserving slots read hands its non-finite
+elements on, and the scan of a value downstream finds them.  When a scan
+fails, ``execute`` replays the request with the per-step guard, a scan
+after every step that could make a non-finite value, so the NumericError
+names the node a scan after every step would name.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ _KERNELS = {
     "GlobalAveragePool": lambda x, p: [x[0].mean(axis=(2, 3), keepdims=True)],
     "GlobalMaxPool": lambda x, p: [x[0].max(axis=(2, 3), keepdims=True)],
     "BatchNormalization": lambda x, p: [_batch_norm(x, p)],
-    "Transpose": lambda x, p: [np.ascontiguousarray(x[0].transpose(p["perm"]))],
+    "Transpose": lambda x, p: [np.ascontiguousarray(x[0].transpose(p))],
     "Reshape": lambda x, p: [x[0].reshape(p["shape"])],
     "Flatten": lambda x, p: [x[0].reshape(p)],
     "ReduceSum": lambda x, p: [np.sum(x[0], axis=p[0], keepdims=p[1])],
@@ -318,17 +320,18 @@ class ExecutionPlan:
     would have to check: all of them when its op can turn finite operands
     into a non-finite value (it is outside ``_FINITE_CLOSED``) or it reads
     the feed or an initializer that was not finite when the plan was built,
-    none otherwise.  By induction over the order (a non-finite ``Constant``
+    none otherwise, and none of a ``Greater``, as a bool cannot be
+    non-finite.  By induction over the order (a non-finite ``Constant``
     stops ``execute`` before the first step), the first guarded output that
     holds a non-finite value is the first such value of the request.
 
     The plan scans fewer values than that, decided per output slot.  A value
     is *tainted* when it may hold a non-finite element that no scan has
     seen: the feed, a non-finite initializer, and the outputs of a step
-    outside ``_FINITE_CLOSED`` or of a step that reads a tainted value.  A
-    tainted output is scanned when a breaker slot reads it (see
-    ``_PRESERVING``), when it is a graph output or when nothing reads it;
-    once scanned it is no longer tainted.  A tainted value that is not
+    outside ``_FINITE_CLOSED`` or of a step that reads a tainted value, a
+    ``Greater``'s aside.  A tainted output is scanned when a breaker slot
+    reads it (see ``_PRESERVING``), when it is a graph output or when
+    nothing reads it; once scanned it is no longer tainted.  A tainted value that is not
     scanned is read by preserving slots only, so each of its non-finite
     elements reaches a non-finite element of a reader's output, tainted in
     turn, and so on until a scanned value holds one.  Hence a request some
@@ -390,10 +393,11 @@ class ExecutionPlan:
         guards, self.scans = [], []
         for node, ins, outs in steps:
             makes = not _closed_over_finite(node)
-            every = tuple(range(len(outs)))
+            # Greater's bool output cannot hold a non-finite value
+            every = () if node.op_type == "Greater" else tuple(range(len(outs)))
             guards.append(every if makes or not unchecked.isdisjoint(ins) else ())
             if makes or not tainted.isdisjoint(ins):
-                tainted.update(slot for slot in outs if slot not in stops)
+                tainted.update(outs[k] for k in every if outs[k] not in stops)
                 self.scans.append(tuple(k for k in every if outs[k] in stops))
             else:
                 self.scans.append(())

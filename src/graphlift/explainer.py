@@ -25,7 +25,6 @@ __all__ = [
     "Attribution",
     "compile_explainer",
     "explain",
-    "completeness_check",
     "save_artifact",
     "load_artifact",
     "write_pgm",
@@ -135,22 +134,6 @@ def explain(artifact: ExplainerArtifact, sample) -> Attribution:
     residual = abs(float(phi.sum()) - target)
     return Attribution(phi=TensorValue(phi, dtype), residual=residual,
                        prediction=TensorValue(prediction, dtype))
-
-
-def completeness_check(attribution: Attribution, y_x, y_refs,
-                       output_index: int = 0, seed_scale: float = 1.0) -> float:
-    """|sum(phi) - seed_scale * (y_x[k] - mean_b y_refs[b, k])|."""
-    phi = attribution.phi.array if isinstance(attribution.phi, TensorValue) \
-        else np.asarray(attribution.phi)
-    yx = np.asarray(y_x.array if isinstance(y_x, TensorValue) else y_x,
-                    dtype=np.float64)
-    yr = np.asarray(y_refs.array if isinstance(y_refs, TensorValue) else y_refs,
-                    dtype=np.float64)
-    yx_k = float(yx.reshape(-1, yx.shape[-1])[0, output_index]) \
-        if yx.ndim >= 2 else float(yx)
-    yr_k = float(yr.reshape(-1, yr.shape[-1])[:, output_index].mean()) \
-        if yr.ndim >= 2 else float(yr)
-    return abs(float(phi.sum()) - seed_scale * (yx_k - yr_k))
 
 
 def save_artifact(artifact: ExplainerArtifact, path: str) -> None:

@@ -275,14 +275,14 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     env = RuleEnv(builder, batch, joint=False, refs=copies)
     loss = builder.const(_seed_array(1, classes, output_index,
                                      builder.dtype, seed_scale), "seed")
-    result = differentiate(model, backward, loss, env, eps_act, eps_pool)
+    input_grad = differentiate(model, backward, loss, env, eps_act, eps_pool)
 
     # phi = mean over references of multiplier * (X - R)
     d_input = env.delta(input_name)
-    contrib = builder.emit("Mul", [result.input_grad, d_input], tag="contrib")
+    contrib = builder.emit("Mul", [input_grad, d_input], tag="contrib")
     phi = builder.emit("ReduceMean", [contrib], {"axes": [0], "keepdims": 1},
                        tag=_ATTRIBUTION)
-    multipliers = result.input_grad if expose_multipliers else None
+    multipliers = input_grad if expose_multipliers else None
     artifact = _finish(model, builder, explained, phi, multipliers)
 
     baked = [name for name, copy in copies.items() if copy in artifact.initializers]
@@ -329,12 +329,12 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     env.alias[input_name] = stacked
     loss = builder.const(_seed_array(2 * batch, classes, output_index,
                                      builder.dtype, seed_scale), "seed")
-    result = differentiate(model, backward, loss, env, eps_act, eps_pool)
+    input_grad = differentiate(model, backward, loss, env, eps_act, eps_pool)
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
     d_input = builder.emit("Sub", [input_name, ref_const], tag="inputdelta")
     masked = env.wrap_stream(d_input)
-    contrib = builder.emit("Mul", [result.input_grad, masked], tag="contrib")
+    contrib = builder.emit("Mul", [input_grad, masked], tag="contrib")
     summed = builder.emit("ReduceSum", [contrib], {"axes": [0], "keepdims": 1},
                           tag="contribsum")
     phi = builder.emit("Mul", [summed, builder.scalar(1.0 / batch, "invb")],
@@ -342,7 +342,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     # the target half carries B identical rows; their mean is the prediction
     pred = builder.emit("ReduceMean", [env.x_of(explained)],
                         {"axes": [0], "keepdims": 1}, tag=_PREDICTION)
-    multipliers = result.input_grad if expose_multipliers else None
+    multipliers = input_grad if expose_multipliers else None
     artifact = _finish(model, builder, pred, phi, multipliers)
 
     meta = _metadata(

@@ -17,7 +17,10 @@ maximum in row-major order, and scatters the routes of every offset with one
 
 Rules are scheme-agnostic: they resolve target/reference activations through
 a RuleEnv, so the same code produces baked reference constants under the
-caching scheme and live 2B-row streams under the stacked scheme.
+caching scheme and live 2B-row streams under the stacked scheme.  Rules call
+no shape law: every shape, and the kernel parameters the forward node's law
+returned when the builder added it (``RuleContext.params``), are read from
+the GraphBuilder.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from .builder import GraphBuilder, RuleEnv
 from .errors import UnsupportedOp
 from .ir import Node
-from .shapes import resolve_node
 
 __all__ = [
     "EPS_ACT",
@@ -62,9 +64,9 @@ class RuleContext:
 
     @property
     def params(self):
-        """The forward node's kernel parameters, as its law resolves them."""
-        shapes = [self.builder.shape(self.env.act(i)) for i in self.node.inputs]
-        return resolve_node(self.node, shapes)[1]
+        """The forward node's kernel parameters, as the builder resolved them
+        when the node was added."""
+        return self.builder.params[self.node.outputs[0]]
 
     # activations of the first input / first output, resolved lazily so rules
     # that never look at a reference side do not emit splits for it
@@ -268,7 +270,7 @@ def rule_batchnorm(ctx: RuleContext) -> dict[str, str]:
 
 def rule_transpose(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
-    perm = [int(v) for v in node.attributes["perm"]]
+    perm = ctx.params
     if perm[0] != 0:
         raise UnsupportedOp(
             f"node {node.name!r}: transposing the batch axis is not supported")

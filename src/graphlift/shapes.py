@@ -21,8 +21,7 @@ from .errors import ShapeError, UnsupportedOp, ValidationError
 from .ir import (DTYPES, SUPPORTED_OPS, GraphModel, Node, _check_signature,
                  _unproduced)
 
-__all__ = ["broadcast_shapes", "infer_node_shapes", "infer_graph_shapes",
-           "resolve_node"]
+__all__ = ["broadcast_shapes", "infer_graph_shapes", "resolve_node"]
 
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -185,8 +184,9 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
 
     The parameters are window geometry, the ``ConvTranspose`` output shape
     and phase table, the ``AveragePool`` divisor plane, and the indices,
-    axes, widths, extents and scalars of other ops with their defaults
-    filled in, or the attribute dict of an op with nothing to resolve.
+    axes, permutation, widths, extents and scalars of other ops with their
+    defaults filled in, or the attribute dict of an op with nothing to
+    resolve.
     """
     try:
         return _resolve(node, in_shapes)
@@ -194,11 +194,6 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
         raise type(exc)(f"node {node.name!r}: {exc}") from exc
     except TypeError as exc:  # an attribute of the wrong kind
         raise ValidationError(f"node {node.name!r}: {exc}") from exc
-
-
-def infer_node_shapes(node: Node, in_shapes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Output shapes of one node: ``resolve_node`` without the parameters."""
-    return resolve_node(node, in_shapes)[0]
 
 
 def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
@@ -311,7 +306,7 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
         x = in_shapes[0]
         if sorted(perm) != list(range(len(x))):
             raise ShapeError(f"Transpose perm {perm} is not a permutation of rank {len(x)}")
-        return [tuple(x[p] for p in perm)], attrs
+        return [tuple(x[p] for p in perm)], perm
 
     if op == "Reshape":
         target = list(attrs["shape"])
@@ -418,7 +413,7 @@ def infer_graph_shapes(model: GraphModel, batch: int | None = None,
         for name in node.inputs:
             if name not in shapes:
                 raise _unproduced(node, name)
-        outs = infer_node_shapes(node, [shapes[i] for i in node.inputs])
+        outs = resolve_node(node, [shapes[i] for i in node.inputs])[0]
         for out_name, shape in zip(node.outputs, outs):
             shapes[out_name] = shape
     return shapes

@@ -155,11 +155,21 @@ def _patch_rule(monkeypatch, node_name, change):
     monkeypatch.setattr(autodiff, "f_grad", patched)
 
 
-def test_manual_traversal_visits_each_vertex_once():
-    result = _manual_differentiate(two_step_model())
-    assert list(result.rule_outputs) == ["act", "mix"]
-    assert set(result.rule_outputs["mix"].grad_out) == {"x"}
-    assert result.input_grad == result.rule_outputs["mix"].grad_out["x"]
+def test_manual_traversal_visits_each_vertex_once(monkeypatch):
+    visits = []
+    real = autodiff.f_grad
+
+    def recorded(ctx):
+        out = real(ctx)
+        visits.append((ctx.node.name, out))
+        return out
+
+    monkeypatch.setattr(autodiff, "f_grad", recorded)
+    input_grad = _manual_differentiate(two_step_model())
+    assert [name for name, _ in visits] == ["act", "mix"]
+    rule_outputs = dict(visits)
+    assert set(rule_outputs["mix"].grad_out) == {"x"}
+    assert input_grad == rule_outputs["mix"].grad_out["x"]
 
 
 def test_gradient_for_constant_input_raises_stuck(monkeypatch):

@@ -15,7 +15,7 @@ import graphlift as gl
 from graphlift import (GraphModel, Node, ShapeError, UnsupportedOp,
                        ValidationError, ValueSpec, corpus, validate_model)
 from graphlift.executor import run_kernel
-from graphlift.shapes import infer_node_shapes
+from graphlift.shapes import resolve_node
 
 TYPED = (ValidationError, ShapeError, UnsupportedOp)
 
@@ -27,7 +27,7 @@ def node_for(op, inputs, attrs):
 def run_checked(op, inputs, attrs):
     """Kernel output, asserting that the shape law predicts its shape."""
     out = run_kernel(op, inputs, attrs)[0]
-    law = infer_node_shapes(node_for(op, inputs, attrs), [x.shape for x in inputs])
+    law = resolve_node(node_for(op, inputs, attrs), [x.shape for x in inputs])[0]
     assert law == [out.shape]
     return out
 
@@ -232,7 +232,7 @@ def test_malformed_attributes_raise_typed_errors(op, inputs, attrs):
     with pytest.raises(TYPED):
         run_kernel(op, inputs, attrs)
     with pytest.raises(TYPED):
-        infer_node_shapes(node_for(op, inputs, attrs), [x.shape for x in inputs])
+        resolve_node(node_for(op, inputs, attrs), [x.shape for x in inputs])[0]
 
 
 def test_compile_refuses_a_zero_conv_stride():
@@ -263,13 +263,13 @@ def test_missing_or_mistyped_attributes_fail_validation(op, attrs):
 def test_batch_extent_passes_through_pad_slice_and_conv_transpose():
     x = (7, 3, 4, 4)
     pad = node_for("Pad", [X4], {"pads": [0, 0, 1, 1, 0, 0, 1, 1]})
-    assert infer_node_shapes(pad, [x]) == [(7, 3, 6, 6)]
+    assert resolve_node(pad, [x])[0] == [(7, 3, 6, 6)]
     sl = node_for("Slice", [X4], {"starts": [1], "ends": [3], "axes": [2]})
-    assert infer_node_shapes(sl, [x]) == [(7, 3, 2, 4)]
+    assert resolve_node(sl, [x])[0] == [(7, 3, 2, 4)]
     ct = node_for("ConvTranspose", [X4, W4], CT)
-    assert infer_node_shapes(ct, [x, W4.shape]) == [(7, 2, 6, 6)]
+    assert resolve_node(ct, [x, W4.shape])[0] == [(7, 2, 6, 6)]
     # the batch axis is padded and sliced like any other
     pad = node_for("Pad", [X4], {"pads": [1] + [0] * 7})
-    assert infer_node_shapes(pad, [x]) == [(8, 3, 4, 4)]
+    assert resolve_node(pad, [x])[0] == [(8, 3, 4, 4)]
     sl = node_for("Slice", [X4], {"starts": [0], "ends": [1]})
-    assert infer_node_shapes(sl, [x]) == [(1, 3, 4, 4)]
+    assert resolve_node(sl, [x])[0] == [(1, 3, 4, 4)]

@@ -490,6 +490,19 @@ def test_where_selecting_a_non_finite_initializer_is_named():
     assert np.array_equal(outs["y"], np.full((1, 2), 3.0))
 
 
+def test_a_greater_reading_the_feed_is_neither_guarded_nor_scanned():
+    # its bool output cannot hold a non-finite value; the Where that reads
+    # the feed as a branch is guarded and scanned, and names an infinite feed
+    plan = ExecutionPlan(chain_model(
+        [Node("Greater", "g", ["x", "zero"], ["m"]),
+         Node("Where", "pick", ["m", "x", "zero"], ["y"])],
+        {"zero": np.zeros((1, 2))}))
+    assert plan.guards == [(), (0,)]
+    assert plan.scans == [(), (0,)]
+    with pytest.raises(NumericError, match="'pick'"):
+        execute(plan, {"x": np.array([[np.inf, 1.0]])})
+
+
 def test_pad_with_an_infinite_fill_is_named():
     plan = ExecutionPlan(chain_model(
         [Node("Relu", "r", ["x"], ["h"]),
@@ -589,13 +602,13 @@ def guarded_by_every_step_scan(model):
     """The nodes whose outputs a scan after every step that could make a
     non-finite value checks, worked out without a plan: those whose op can
     make one from finite operands, or that read the feed or a non-finite
-    initializer."""
+    initializer, except a ``Greater``, whose bool output cannot hold one."""
     unchecked = {spec.name for spec in model.inputs} | {
         name for name, tensor in model.initializers.items()
         if not np.isfinite(tensor.array).all()}
-    return {node.name for node in model.nodes
-            if not executor._closed_over_finite(node)
-            or not unchecked.isdisjoint(node.inputs)}
+    return {node.name for node in model.nodes if node.op_type != "Greater"
+            and (not executor._closed_over_finite(node)
+                 or not unchecked.isdisjoint(node.inputs))}
 
 
 def first_guarded_non_finite(model, feed):
@@ -651,11 +664,9 @@ def named(node, value):
 @pytest.mark.parametrize("name", POISONED_NETS)
 def test_a_poisoned_step_output_is_named_at_its_node(
         name, dtype, scheme, artifacts, corpus_f32, corpus_f64, monkeypatch):
-    """Each float output of every step a scan after every step checks,
-    poisoned with NaN or an infinity in one element, raises naming that
-    step: the scans find it, and the replay stops there.  (A ``Greater``
-    that reads the feed is checked too, but its bool output cannot hold a
-    non-finite value.)"""
+    """Each output of every step a scan after every step checks, poisoned
+    with NaN or an infinity in one element, raises naming that step: the
+    scans find it, and the replay stops there."""
     model, plan, feed = poisoning_case(name, dtype, scheme, artifacts,
                                        corpus_f32, corpus_f64)
     _, clean = execute(plan, feed, capture=True)
@@ -677,8 +688,6 @@ def test_a_poisoned_step_output_is_named_at_its_node(
     monkeypatch.setattr(executor, "eval_node", poisoned)
     for index, node in enumerate(guarded):
         for k, value in enumerate(node.outputs):
-            if clean[value].dtype == np.bool_:
-                continue
             target.clear()
             target[node.name] = (k, POISONS[index % 3], 7 * index + k)
             with pytest.raises(NumericError, match=named(node.name, value)):

@@ -5,7 +5,8 @@ import pytest
 
 import graphlift as gl
 from graphlift import (GraphModel, Node, ShapeError, TensorValue,
-                       UnsupportedOp, ValueSpec, validate_model)
+                       UnsupportedOp, ValueSpec, builder, executor, rules,
+                       shapes, validate_model)
 from graphlift.executor import execute
 
 F64 = "float64"
@@ -410,3 +411,35 @@ def test_overlapping_maxpool_sums_the_routes_of_every_window_won():
     assert np.isclose(got[0, 0, 1, 1], want_11, rtol=0, atol=1e-14)
     assert np.isclose(got[0, 0, 1, 3], w[0, 0, 2] + w[0, 1, 2], rtol=0,
                       atol=1e-14)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_a_compile_calls_the_law_once_per_added_node(scheme, corpus_f32,
+                                                     monkeypatch):
+    """Rules read the parameters the builder kept: each GraphBuilder.add
+    calls the shape law once, on its node, and nothing else in a compile
+    calls it."""
+    assert not hasattr(rules, "resolve_node")
+    law = shapes.resolve_node
+    added, resolved = [], []
+
+    def counted(node, in_shapes):
+        resolved.append(node)
+        return law(node, in_shapes)
+
+    for module in (shapes, builder, executor):
+        monkeypatch.setattr(module, "resolve_node", counted)
+    add = builder.GraphBuilder.add
+
+    def recorded(self, node):
+        added.append(node)
+        return add(self, node)
+
+    monkeypatch.setattr(builder.GraphBuilder, "add", recorded)
+    for entry in corpus_f32:
+        added.clear()
+        resolved.clear()
+        gl.compile_explainer(entry.model, entry.references, scheme=scheme)
+        assert added
+        assert len(resolved) == len(added)
+        assert all(a is b for a, b in zip(resolved, added))

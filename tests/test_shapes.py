@@ -11,13 +11,13 @@ from graphlift import (ExecutionPlan, GraphModel, Node, ShapeError, TensorValue,
 from graphlift.executor import eval_node, run_kernel
 from graphlift.ir import SUPPORTED_OPS
 from graphlift.shapes import (_window_taps, broadcast_shapes, infer_graph_shapes,
-                              infer_node_shapes, resolve_node)
+                              resolve_node)
 
 
 def infer(op, in_shapes, attrs=None, n_outputs=1):
     node = Node(op, "probe", [f"i{k}" for k in range(len(in_shapes))],
                 [f"o{k}" for k in range(n_outputs)], attrs or {})
-    return infer_node_shapes(node, list(in_shapes))
+    return resolve_node(node, list(in_shapes))[0]
 
 
 def test_broadcast_basics():
