@@ -18,9 +18,13 @@ other law call.  Each op has one kernel, whoever calls it, and no strided
 window view is built on geometry the law refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
-(C·kh·kw, Ho·Wo) matrix (im2col) and multiplies the filters into it;
-``ConvTranspose`` is one such unit-stride ``Conv`` per stride phase of its
-output, so it never multiplies the zeros of a dilated input.
+(C·kh·kw, N) matrix (im2col) and multiplies the filters into it, one chunk
+of images at a time, so the window matrices of a chunk fit a fixed budget
+(``_CHUNK_BYTES``, within one core's L2) however large the batch.  At unit
+stride each row of that matrix is one contiguous run of the framed image,
+read flat; a strided ``Conv`` copies its window view.  ``ConvTranspose`` is
+one unit-stride ``Conv`` per stride phase of its output, so it never
+multiplies the zeros of a dilated input.
 
 Execution is planned once per model.  ``ExecutionPlan`` takes the nodes in
 their declared dependency order, gives every value an integer slot,
@@ -98,15 +102,59 @@ def _window_views(x, kernel, strides, dilations):
         strides=(sb, sc, s2 * dh, s3 * dw, s2 * sh, s3 * sw), writeable=False)
 
 
+# bytes of one chunk's window matrix, small enough to stay in one core's L2
+_CHUNK_BYTES = 512 * 1024
+
+
 def _conv(x, w, bias, strides, pads, dilations):
-    """im2col and one GEMM: the (C·kh·kw, Ho·Wo) window matrix of every
-    image, left-multiplied by the (O, C·kh·kw) filters, is already NCHW."""
-    view = _window_views(_framed(x, pads), w.shape[2:], strides, dilations)
-    b, c, kh, kw, ho, wo = view.shape
-    cols = view.reshape(b, c * kh * kw, ho * wo)
-    out = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(b, -1, ho, wo)
+    """im2col and one GEMM per chunk of images: each image's (C·kh·kw, N)
+    window matrix, left-multiplied by the (O, C·kh·kw) filters, is its NCHW
+    output.  A chunk holds as many images as fit ``_CHUNK_BYTES`` (at least
+    one), so the copy lands in cache and the workspace does not grow with
+    the batch; each image's GEMM is the same whatever the chunk, so a row's
+    output does not depend on the rows beside it.
+
+    At unit stride the framed image is read flat: tap (i, j) of output
+    (r, q) is flat element r·Wp + q + i·dh·Wp + j·dw, so each (channel, tap)
+    row of the window matrix is one contiguous run of N = (Ho-1)·Wp + Wo
+    elements.  The GEMM then computes Wp columns per output row, of which
+    the first Wo are kept.  A strided Conv copies its (C, kh, kw, Ho, Wo)
+    window view instead, N = Ho·Wo, since a flat read would compute about
+    sh times the columns it keeps.
+    """
+    o, c, kh, kw = w.shape
+    x = np.ascontiguousarray(_framed(x, pads))
+    b, _, hp, wp = x.shape
+    (sh, sw), (dh, dw), size = strides, dilations, x.itemsize
+    ho, wo = (hp - (kh - 1) * dh - 1) // sh + 1, (wp - (kw - 1) * dw - 1) // sw + 1
+    # the columns of one (channel, tap) row of an image's window matrix
+    if sh == sw == 1:
+        n = (ho - 1) * wp + wo
+        columns, column_strides = (n,), (size,)
+    else:
+        n = ho * wo
+        columns, column_strides = (ho, wo), (sh * wp * size, sw * size)
+    view = np.ndarray((b, c, kh, kw) + columns, x.dtype, x, 0,
+                      (c * hp * wp * size, hp * wp * size, dh * wp * size,
+                       dw * size) + column_strides)
+    chunk = max(1, _CHUNK_BYTES // max(1, c * kh * kw * n * size))
+    out = np.empty((b, o, ho, wo), np.result_type(x, w))
+    filters = w.reshape(o, -1)
+    for start in range(0, b, chunk):
+        k = min(chunk, b - start)
+        # with no column to drop, the GEMM writes straight into the output
+        direct = out[start:start + k].reshape(k, o, n) if n == ho * wo else None
+        # the window matrix is a copy, except for 1x1 taps at unit stride,
+        # where it is x itself
+        gemm = np.matmul(filters, view[start:start + k].reshape(k, c * kh * kw, n),
+                         out=direct)
+        if direct is None:
+            out[start:start + k] = np.ndarray(
+                (k, o, ho, wo), out.dtype, gemm, 0,
+                (o * n * out.itemsize, n * out.itemsize, wp * out.itemsize,
+                 out.itemsize))
     if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
+        out += bias.reshape(1, -1, 1, 1)
     return out
 
 

@@ -16,6 +16,7 @@ from graphlift import (GraphModel, Node, ShapeError, UnsupportedOp,
                        ValidationError, ValueSpec, corpus, validate_model)
 from graphlift.executor import run_kernel
 from graphlift.shapes import resolve_node
+from test_executor import assert_rows_run_alone, chunk_batches, chunk_step
 
 TYPED = (ValidationError, ShapeError, UnsupportedOp)
 
@@ -60,15 +61,17 @@ def ref_slice(x, starts, ends, axes, steps):
 
 
 def ref_conv_transpose(x, w, strides, pads, extra):
+    """Every input cell scattered through every tap, in float64, by plain
+    loops over cells and taps (all images and channels at once)."""
     n, cin, h, wd = x.shape
     _, cout, kh, kw = w.shape
+    x, w = x.astype(np.float64), w.astype(np.float64)
     full = np.zeros((n, cout, strides[0] * (h - 1) + kh + extra[0],
                      strides[1] * (wd - 1) + kw + extra[1]))
-    for b, ci, i, j, co, di, dj in itertools.product(
-            range(n), range(cin), range(h), range(wd), range(cout),
-            range(kh), range(kw)):
-        full[b, co, i * strides[0] + di, j * strides[1] + dj] += \
-            x[b, ci, i, j] * w[ci, co, di, dj]
+    for i, j, di, dj in itertools.product(range(h), range(wd), range(kh),
+                                          range(kw)):
+        full[:, :, i * strides[0] + di, j * strides[1] + dj] += \
+            x[:, :, i, j] @ w[:, :, di, dj]
     return full[:, :, pads[0]:full.shape[2] - pads[2],
                 pads[1]:full.shape[3] - pads[3]]
 
@@ -113,6 +116,15 @@ def test_slice_axes_and_steps_default_to_leading_unit_steps():
     assert np.array_equal(got, x[1:3, 1:3])
 
 
+def phase_step(x, w, attrs):
+    """The fewest images per chunk of any phase's unit-stride Conv in the
+    ConvTranspose of ``x`` by ``w``."""
+    _, (_, phases) = resolve_node(node_for("ConvTranspose", [x, w], attrs),
+                                  [x.shape, w.shape])
+    return min(chunk_step(x[crop].shape, w[taps].shape[2:], [1, 1], frame,
+                          [1, 1], x.itemsize) for _, taps, crop, frame in phases)
+
+
 # (strides, pads, output_padding), with symmetric and asymmetric pads
 CONV_T_CASES = [([1, 1], [0, 0, 0, 0], [0, 0]),
                 ([1, 1], [1, 1, 1, 1], [0, 0]),
@@ -120,6 +132,7 @@ CONV_T_CASES = [([1, 1], [0, 0, 0, 0], [0, 0]),
                 ([2, 2], [0, 0, 0, 0], [1, 0]),
                 ([2, 2], [1, 1, 1, 1], [1, 1]),
                 ([2, 1], [0, 1, 2, 0], [0, 0]),
+                ([1, 2], [1, 0, 0, 2], [0, 1]),
                 ([2, 2], [2, 1, 0, 2], [1, 1]),
                 # stride past the 2-wide kernel: some phases get no tap
                 ([3, 3], [0, 0, 0, 0], [2, 2]),
@@ -132,17 +145,27 @@ def test_conv_transpose_matches_loop_reference(strides, pads, extra):
              "output_padding": extra}
     for dtype, atol in ((np.float64, 1e-13), (np.float32, 1e-5)):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 2, 3, 4)).astype(dtype)
-        w = rng.normal(size=(2, 3, 3, 2)).astype(dtype)
-        got = run_checked("ConvTranspose", [x, w], attrs)
-        assert got.dtype == dtype and got.flags.c_contiguous
-        assert np.allclose(got, ref_conv_transpose(x, w, strides, pads, extra),
-                           rtol=0, atol=atol)
+        w = rng.normal(size=(8, 3, 3, 2)).astype(dtype)
         bias = rng.normal(size=(3,)).astype(dtype)
-        with_bias = run_checked("ConvTranspose", [x, w, bias], attrs)
-        assert with_bias.dtype == dtype
-        assert np.allclose(with_bias, got + bias.reshape(1, 3, 1, 1), rtol=0,
-                           atol=atol)
+        # batches either side of the chunk boundaries of the phase with the
+        # largest window matrix
+        step = phase_step(np.empty((1, 8, 9, 11), dtype), w, attrs)
+        for batch in chunk_batches(step):
+            x = rng.normal(size=(batch, 8, 9, 11)).astype(dtype)
+            got = run_checked("ConvTranspose", [x, w], attrs)
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert np.allclose(got, ref_conv_transpose(x, w, strides, pads, extra),
+                               rtol=0, atol=atol)
+            with_bias = run_checked("ConvTranspose", [x, w, bias], attrs)
+            assert with_bias.dtype == dtype and with_bias.flags.c_contiguous
+            assert np.allclose(with_bias, got + bias.reshape(1, 3, 1, 1), rtol=0,
+                               atol=atol)
+        # the same images, every other column of a wider array
+        wide = np.zeros(x.shape[:3] + (22,), dtype)
+        wide[..., ::2] = x
+        assert run_checked("ConvTranspose", [wide[..., ::2], w, bias],
+                           attrs).tobytes() == with_bias.tobytes()
+        assert_rows_run_alone("ConvTranspose", x, [w, bias], attrs, with_bias)
 
 
 @pytest.mark.parametrize("height, width", [(7, 6), (8, 7)])

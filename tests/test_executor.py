@@ -2,6 +2,7 @@
 
 import functools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,23 +50,105 @@ def ref_window(x, kernel, strides, pads, dilations, fill):
     return out
 
 
-def test_conv_matches_direct_loop():
-    # (strides, pads, dilations), the second with asymmetric pads
-    for strides, pads, dilations in (([2, 2], [1, 1, 1, 1], [1, 1]),
-                                     ([2, 2], [2, 0, 1, 1], [2, 1])):
-        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
-            x = RNG.normal(size=(2, 3, 7, 6)).astype(dtype)
-            w = RNG.normal(size=(4, 3, 3, 3)).astype(dtype)
-            b = RNG.normal(size=(4,)).astype(dtype)
-            got = kernel("Conv", [x, w, b], {"kernel_shape": [3, 3],
-                                             "strides": strides, "pads": pads,
-                                             "dilations": dilations})
-            windows = ref_window(x, [3, 3], strides, pads, dilations, 0.0)
-            want = (windows[:, None] * w[None, :, :, None, None]).sum(
-                axis=(2, 5, 6)) + b.reshape(1, -1, 1, 1)
-            assert got.dtype == dtype and got.flags.c_contiguous
-            assert got.shape == want.shape
-            assert np.allclose(got, want, rtol=0, atol=atol)
+def chunk_step(x_shape, kernel, strides, pads, dilations, itemsize):
+    """Images per chunk of ``executor._conv`` on inputs of ``x_shape``: as
+    many (C·kh·kw, N) window matrices as fit its budget, where N is
+    (Ho-1)·Wp + Wo at unit stride and Ho·Wo otherwise."""
+    hp, wp = x_shape[2] + pads[0] + pads[2], x_shape[3] + pads[1] + pads[3]
+    ho, wo = [(e - (k - 1) * d - 1) // s + 1
+              for e, k, s, d in zip((hp, wp), kernel, strides, dilations)]
+    n = (ho - 1) * wp + wo if list(strides) == [1, 1] else ho * wo
+    return max(1, executor._CHUNK_BYTES
+               // (x_shape[1] * kernel[0] * kernel[1] * n * itemsize))
+
+
+def chunk_batches(step):
+    """Batch sizes on either side of the first two chunk boundaries."""
+    return sorted({1, max(step - 1, 1), step, step + 1, 2 * step + 1})
+
+
+def assert_rows_run_alone(op, x, rest, attrs, got):
+    """Every row of ``got`` is bit-identical to its image run alone, so
+    where the chunks split a batch never changes a result."""
+    for i in range(len(x)):
+        alone = kernel(op, [x[i:i + 1]] + rest, attrs)
+        assert alone.tobytes() == got[i:i + 1].tobytes(), i
+
+
+# (strides, pads, dilations, contiguous input): unit stride reads the framed
+# image flat, other strides copy the window view; pads are asymmetric
+CONV_CASES = [([2, 2], [1, 1, 1, 1], [1, 1], True),
+              ([2, 2], [2, 0, 1, 1], [2, 1], True),
+              ([1, 1], [1, 0, 2, 1], [2, 2], True),
+              # unpadded, so the kernel gets the non-contiguous input unframed
+              ([1, 1], [0, 0, 0, 0], [1, 1], False),
+              ([1, 2], [1, 1, 0, 2], [1, 1], True),
+              ([2, 1], [0, 2, 1, 0], [1, 2], False)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("strides, pads, dilations, contiguous", CONV_CASES)
+def test_conv_matches_direct_loop(strides, pads, dilations, contiguous, dtype):
+    atol = 1e-12 if dtype == np.float64 else 1e-5
+    attrs = {"kernel_shape": [3, 3], "strides": strides, "pads": pads,
+             "dilations": dilations}
+    w = RNG.normal(size=(4, 3, 3, 3)).astype(dtype)
+    b = RNG.normal(size=(4,)).astype(dtype)
+    step = chunk_step((1, 3, 20, 19), [3, 3], strides, pads, dilations,
+                      np.dtype(dtype).itemsize)
+    for batch in chunk_batches(step):
+        x = RNG.normal(size=(batch, 20, 3, 19)).astype(dtype).transpose(0, 2, 1, 3)
+        if contiguous:
+            x = np.ascontiguousarray(x)
+        got = kernel("Conv", [x, w, b], attrs)
+        windows = ref_window(x, [3, 3], strides, pads, dilations, 0.0)
+        want = np.einsum("bchwuv,ocuv->bohw", windows.astype(np.float64),
+                         w.astype(np.float64)) + b.reshape(1, -1, 1, 1)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=atol)
+    assert_rows_run_alone("Conv", x, [w, b], attrs, got)
+
+
+EMPTY_BATCH_CASES = [
+    ("Conv", (4, 3, 3, 3), {"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]}),
+    ("Conv", (4, 3, 3, 3), {"kernel_shape": [3, 3], "strides": [2, 2]}),
+    ("ConvTranspose", (3, 4, 3, 3), {"kernel_shape": [3, 3],
+                                     "pads": [1, 1, 1, 1]}),
+    ("ConvTranspose", (3, 4, 3, 3), {"kernel_shape": [3, 3], "strides": [2, 2],
+                                     "pads": [1, 1, 1, 1],
+                                     "output_padding": [1, 1]})]
+
+
+@pytest.mark.parametrize("op, w_shape, attrs", EMPTY_BATCH_CASES)
+def test_conv_of_an_empty_batch_has_the_laws_empty_shape(op, w_shape, attrs):
+    x, w, b = np.ones((0, 3, 5, 5)), RNG.normal(size=w_shape), np.ones(4)
+    node = Node(op, "n", ["x", "w", "b"], ["y"], attrs)
+    (shape,), _ = resolve_node(node, [x.shape, w.shape, b.shape])
+    assert shape[0] == 0
+    got = kernel(op, [x, w, b], attrs)
+    assert got.shape == shape and got.dtype == x.dtype
+    # a free-batch model fed zero rows
+    plan = ExecutionPlan(GraphModel(
+        "e", [ValueSpec("x", "float64", (-1, 3, 5, 5))],
+        [ValueSpec("y", "float64", (-1,) + shape[1:])],
+        {"w": TensorValue(w), "b": TensorValue(b)}, [node]))
+    assert execute(plan, {"x": x})[0]["y"].shape == shape
+
+
+def test_conv_transpose_workspace_is_bounded_by_the_chunk_budget():
+    # the whole batch's window matrix would be 9 times the input
+    x = RNG.normal(size=(64, 8, 16, 16))
+    w = RNG.normal(size=(8, 8, 3, 3))
+    attrs = {"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]}
+    tracemalloc.start()
+    try:
+        out = kernel("ConvTranspose", [x, w], attrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    framed = x.nbytes // (16 * 16) * (18 * 18)
+    assert peak < framed + out.nbytes + 2 * executor._CHUNK_BYTES, peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
