@@ -90,6 +90,7 @@ def _framed(x, pads, fill=0.0):
 
 def _window_views(x, kernel, strides, dilations):
     """(B, C, kh, kw, Ho, Wo) strided view over an already framed NCHW array."""
+    x = np.ascontiguousarray(x)  # np.ndarray takes a contiguous buffer only
     b, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = strides
@@ -97,9 +98,8 @@ def _window_views(x, kernel, strides, dilations):
     ho = (h - (kh - 1) * dh - 1) // sh + 1
     wo = (w - (kw - 1) * dw - 1) // sw + 1
     sb, sc, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, shape=(b, c, kh, kw, ho, wo),
-        strides=(sb, sc, s2 * dh, s3 * dw, s2 * sh, s3 * sw), writeable=False)
+    return np.ndarray((b, c, kh, kw, ho, wo), x.dtype, x, 0,
+                      (sb, sc, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
 
 
 # bytes of one chunk's window matrix, small enough to stay in one core's L2

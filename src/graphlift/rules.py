@@ -10,10 +10,12 @@ window position of each side and rescales by the input difference.
 
 The rules emit standard ops only.  Convolution and average-pooling gradients
 are one ``ConvTranspose`` each, reading the forward filters (or a ones
-kernel) directly.  Max-pool routing pads with a huge negative (``Pad``),
-takes one strided ``Slice`` per window offset, keeps each window's first
-maximum in row-major order, and scatters the routes of every offset with one
-``ConvTranspose`` over a one-hot filter.  ``|v|`` is ``Abs``.
+kernel) directly.  Max-pool routing takes the same nodes whatever the
+window: it pads with a huge negative (``Pad``), gathers every window with one
+``Conv`` over a one-hot filter, keeps each window's first maximum in
+row-major order by ranking its cells under a ``MaxPool``, and scatters the
+routes back with one ``ConvTranspose`` over the same filter.  ``|v|`` is
+``Abs``.
 
 Rules are scheme-agnostic: they resolve target/reference activations through
 a RuleEnv, so the same code produces baked reference constants under the
@@ -443,10 +445,8 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
         # a one-hot filter per window offset scatters the stacked routes back
         # onto the positions they came from, summing where windows overlap
         kernel, strides, pads, _ = ctx.params
-        onehot = b.const(np.eye(kernel[0] * kernel[1]).reshape(
-            -1, 1, kernel[0], kernel[1]), "mponehot")
-        spread = _transpose_conv(b, routed, onehot, sample[2:], kernel, strides,
-                                 pads, "mpscatter")
+        spread = _transpose_conv(b, routed, _onehot(b, kernel), sample[2:], kernel,
+                                 strides, pads, "mpscatter")
         routed = b.emit("Reshape", [spread],
                         {"shape": [b.shape(routed)[0] // sample[1], *sample[1:]]},
                         tag="mpscattered")
@@ -459,68 +459,68 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
                      tag: str) -> str:
     """Route each pooled gradient cell to its window's first maximum.
 
-    A GlobalMaxPool's routes land on the input positions directly.  A
-    MaxPool's stay stacked per window offset, as (rows * C, K, out_h, out_w)
-    lanes for K offsets, for ``rule_maxpool`` to scatter.
+    A GlobalMaxPool's window is the plane, and its routes land on the input
+    positions directly.  A MaxPool gathers its K window offsets in row-major
+    order with one Conv over the one-hot filter it scatters with (each cell
+    is 1·v plus exact zeros, a bit-exact copy); its routes stay stacked, as
+    (rows * C, K, out_h, out_w) lanes, for ``rule_maxpool`` to scatter.
+    Either way the pool's own op, over one window, keeps the top rank.
     """
     node, b = ctx.node, ctx.builder
-    zero = b.scalar(0.0, "zero")
-    one = b.scalar(1.0, "one")
+    zero, one = b.scalar(0.0, "zero"), b.scalar(1.0, "one")
     shape = b.shape(act)
+    cells, window, top = act, shape[2:], {}
+    if node.op_type == "MaxPool":
+        kernel, strides, pads, _ = ctx.params
+        if any(pads):
+            # pad with a huge negative so padding never ties with a real maximum
+            act = b.emit("Pad", [act], {"pads": [0, 0, *pads[:2], 0, 0, *pads[2:]],
+                                         "value": float(np.finfo(np.float32).min) / 4},
+                         tag=f"{tag}_lowpad")
+        out_h, out_w = b.shape(pooled)[2:]
+        planes, window = shape[0] * shape[1], (kernel[0] * kernel[1], 1)
+        flat = b.emit("Reshape", [act], {"shape": [planes, 1, *b.shape(act)[2:]]},
+                      tag=f"{tag}_planes")
+        gathered = b.emit("Conv", [flat, _onehot(b, kernel)],
+                          {"kernel_shape": list(kernel), "strides": list(strides)},
+                          tag=f"{tag}_gather")
+        cells = b.emit("Reshape", [gathered],
+                       {"shape": [planes, 1, window[0], out_h * out_w]},
+                       tag=f"{tag}_cells")
+        pooled = b.emit("Reshape", [pooled], {"shape": [planes, 1, 1, out_h * out_w]},
+                        tag=f"{tag}_peaks")
+        top = {"kernel_shape": list(window)}
+    count = window[0] * window[1]
+    if b.dtype == "float32" and count > 2 ** 24:
+        raise UnsupportedOp(f"node {node.name!r}: float32 cannot rank {count} "
+                            "window positions exactly")
+    # rank falls in row-major order, so the top-ranked maximum is the first one
+    rank = b.const(np.arange(count, 0, -1).reshape(1, 1, *window), f"{tag}_rank")
+    score = b.emit("Where", [b.emit("Greater", [pooled, cells], tag=f"{tag}_below"),
+                             zero, rank], tag=f"{tag}_score")
+    best = b.emit(node.op_type, [score], top, tag=f"{tag}_top")
+    first = b.emit("Where", [b.emit("Greater", [best, score], tag=f"{tag}_later"),
+                             zero, one], tag=f"{tag}_first")
     if node.op_type == "GlobalMaxPool":
-        height, width = shape[2], shape[3]
-        if b.dtype == "float32" and height * width > 2 ** 24:
-            raise UnsupportedOp(
-                f"node {node.name!r}: float32 cannot rank {height * width} "
-                "window positions exactly")
-        # rank falls in row-major order, so the top-ranked maximum is the
-        # first one
-        rank = b.const(np.arange(height * width, 0, -1).reshape(
-            1, 1, height, width), f"{tag}_rank")
-        score = b.emit("Where", [b.emit("Greater", [pooled, act],
-                                        tag=f"{tag}_below"), zero, rank],
-                       tag=f"{tag}_score")
-        top = b.emit("GlobalMaxPool", [score], tag=f"{tag}_top")
-        first = b.emit("Where", [b.emit("Greater", [top, score],
-                                        tag=f"{tag}_later"), zero, one],
-                       tag=f"{tag}_first")
         return b.emit("Mul", [first, m], tag=f"{tag}_route")
-
-    kernel, strides, pads, _ = ctx.params
-    out_h, out_w = b.shape(pooled)[2:]
-    if any(pads):
-        # pad with a huge negative so padding never ties with a real maximum
-        act = b.emit("Pad", [act], {"pads": [0, 0, pads[0], pads[1],
-                                              0, 0, pads[2], pads[3]],
-                                     "value": float(np.finfo(np.float32).min) / 4},
-                     tag=f"{tag}_lowpad")
-    # walk window offsets in row-major order so ties resolve to the first
-    # position, matching an argmax over the flattened window; `avail` is 1
-    # until a window has found its maximum
-    firsts, avail = [], one
-    for di in range(kernel[0]):
-        for dj in range(kernel[1]):
-            cell = b.emit("Slice", [act],
-                          {"starts": [di, dj],
-                           "ends": [di + (out_h - 1) * strides[0] + 1,
-                                    dj + (out_w - 1) * strides[1] + 1],
-                           "axes": [2, 3], "steps": list(strides)},
-                          tag=f"{tag}_o{di}{dj}")
-            firsts.append(b.emit("Where", [b.emit("Greater", [pooled, cell],
-                                                  tag=f"{tag}_below{di}{dj}"),
-                                           zero, avail], tag=f"{tag}_first{di}{dj}"))
-            if len(firsts) < kernel[0] * kernel[1]:
-                avail = b.emit("Sub", [avail, firsts[-1]], tag=f"{tag}_avail{di}{dj}")
-    first_rows, rows, channels = b.shape(pooled)[0], b.shape(m)[0], shape[1]
-    stacked = b.emit("Reshape", [b.emit("Concat", firsts, {"axis": 2},
-                                        tag=f"{tag}_firsts")],
-                     {"shape": [first_rows, channels, len(firsts), out_h, out_w]},
+    rows, channels = b.shape(m)[0], shape[1]
+    stacked = b.emit("Reshape", [first],
+                     {"shape": [shape[0], channels, count, out_h, out_w]},
                      tag=f"{tag}_stacked")
     lanes = b.emit("Reshape", [m], {"shape": [rows, channels, 1, out_h, out_w]},
                    tag=f"{tag}_lanes")
     return b.emit("Reshape", [b.emit("Mul", [stacked, lanes], tag=f"{tag}_takes")],
-                  {"shape": [rows * channels, len(firsts), out_h, out_w]},
+                  {"shape": [rows * channels, count, out_h, out_w]},
                   tag=f"{tag}_route")
+
+
+def _onehot(b: GraphBuilder, kernel) -> str:
+    """The (K, 1, kh, kw) filter one-hot at window offset k, which a pool's
+    gathers and scatter share."""
+    taps = kernel[0] * kernel[1]
+    return b.emit("Constant", [], {"dtype": b.dtype, "shape": [taps, 1, *kernel],
+                                   "value": np.eye(taps).ravel().tolist()},
+                  tag="mponehot")
 
 
 RULES = {

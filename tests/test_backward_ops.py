@@ -1,4 +1,5 @@
-"""The backward-plumbing ops Abs, Pad, Slice and ConvTranspose.
+"""The backward-plumbing ops Abs, Pad and ConvTranspose, and Slice, which no
+rule emits but saved models may hold.
 
 Each kernel is checked against a plain nested-loop reference, each shape law
 against the kernel's output, ConvTranspose against Conv as its adjoint, and

@@ -180,6 +180,14 @@ def test_pool_kernels():
                        x.max(axis=(2, 3), keepdims=True))
     assert np.allclose(kernel("GlobalAveragePool", [x]),
                        x.mean(axis=(2, 3), keepdims=True))
+    # unpadded, so the pools get the non-contiguous input unframed
+    x = RNG.normal(size=(2, 6, 3, 5)).transpose(0, 2, 1, 3)
+    assert not x.flags.c_contiguous
+    attrs = {"kernel_shape": [3, 2], "strides": [2, 1]}
+    windows = ref_window(x, [3, 2], [2, 1], [0, 0, 0, 0], [1, 1], 0.0)
+    assert np.array_equal(kernel("MaxPool", [x], attrs), windows.max(axis=(4, 5)))
+    assert np.allclose(kernel("AveragePool", [x], attrs),
+                       windows.mean(axis=(4, 5)), rtol=0, atol=1e-12)
 
 
 def test_average_pool_ignores_padding_in_divisor():

@@ -215,7 +215,7 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
 
 
 # (optimized, naive) node count of every corpus artifact
-CORPUS_NODE_COUNTS = {"plain_deep": (97, 136), "residual_add": (36, 50),
+CORPUS_NODE_COUNTS = {"plain_deep": (90, 122), "residual_add": (36, 50),
                       "dense_concat": (57, 79), "scaled_add_mul": (36, 48)}
 
 

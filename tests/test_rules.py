@@ -360,17 +360,26 @@ def test_backward_plumbing_ops_have_no_multiplier_rule(op, attrs, extra,
                                  scheme=scheme)
 
 
-def overlapping_pool_net(dtype):
-    # 3x3 windows at stride 2 over a padded 5x5 plane overlap on rows and
-    # columns 1 and 3, so one input position can win several windows
+def overlapping_pool_net(dtype, kernel=(3, 3), strides=(2, 2), pads=(1, 1, 1, 1)):
+    # by default 3x3 windows at stride 2 over a padded 5x5 plane overlap on
+    # rows and columns 1 and 3, so one input position can win several windows
     nodes = [Node("MaxPool", "p", ["x"], ["pool"],
-                  {"kernel_shape": [3, 3], "strides": [2, 2],
-                   "pads": [1, 1, 1, 1]}),
+                  {"kernel_shape": list(kernel), "strides": list(strides),
+                   "pads": list(pads)}),
              Node("Flatten", "f", ["pool"], ["flat"], {"axis": 1}),
              Node("MatMul", "h", ["flat", "w"], ["y"])]
-    w = np.random.default_rng(11).normal(size=(18, 3))
+    out_h, out_w = [(5 + pads[a] + pads[a + 2] - kernel[a]) // strides[a] + 1
+                    for a in range(2)]
+    w = np.random.default_rng(11).normal(size=(2 * out_h * out_w, 3))
     return build("overlap", (-1, 2, 5, 5), nodes, {"w": TensorValue(w, dtype)},
                  "y", (-1, 3), dtype=dtype)
+
+
+# (kernel, strides, pads) of the overlapping pools: the square default, and
+# 3x2 windows at strides (2, 1) with asymmetric pads, whose windows overlap
+# on row 1 and on every inner column
+OVERLAP_GEOMETRIES = [((3, 3), (2, 2), (1, 1, 1, 1)),
+                      ((3, 2), (2, 1), (1, 0, 0, 1))]
 
 
 # channel 0: the maximum 5 ties at (1,1) and (1,3); (1,1) comes first in
@@ -387,16 +396,27 @@ OVERLAP_REFS = np.stack([np.full((2, 5, 5), -3.0),
 @pytest.mark.parametrize("scheme", ["optimized", "naive"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_overlapping_padded_maxpool_tie_parity_with_oracle(dtype, scheme):
-    model = overlapping_pool_net(dtype)
     tol = 1e-12 if dtype == "float64" else 1e-5
-    for k in range(3):
-        got = graph_multipliers(model, OVERLAP_X, OVERLAP_REFS,
-                                output_index=k, scheme=scheme)
-        _, want = gl.deeplift_oracle(model, OVERLAP_X.astype(dtype),
-                                     OVERLAP_REFS.astype(dtype),
-                                     output_index=k, return_multipliers=True)
-        assert got.shape == want.shape == (3, 2, 5, 5)
-        assert np.allclose(got, want, rtol=0, atol=tol), (k, got - want)
+    for geometry in OVERLAP_GEOMETRIES:
+        model = overlapping_pool_net(dtype, *geometry)
+        for k in range(3):
+            got = graph_multipliers(model, OVERLAP_X, OVERLAP_REFS,
+                                    output_index=k, scheme=scheme)
+            _, want = gl.deeplift_oracle(model, OVERLAP_X.astype(dtype),
+                                         OVERLAP_REFS.astype(dtype),
+                                         output_index=k, return_multipliers=True)
+            assert got.shape == want.shape == (3, 2, 5, 5)
+            assert np.allclose(got, want, rtol=0, atol=tol), (geometry, k, got - want)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_maxpool_routing_size_does_not_depend_on_the_window(scheme):
+    # the windows are gathered by one Conv and ranked by one MaxPool, so a
+    # wider window adds no node
+    counts = {len(gl.compile_explainer(overlapping_pool_net(F64, kernel),
+                                       OVERLAP_REFS, scheme=scheme).model.nodes)
+              for kernel in ((2, 2), (3, 3), (3, 2))}
+    assert len(counts) == 1, counts
 
 
 def test_overlapping_maxpool_sums_the_routes_of_every_window_won():
