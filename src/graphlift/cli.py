@@ -142,6 +142,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.inputs < 1 or not 0 < args.min_fraction <= 1:
+        raise ValidationError(f"--inputs must be at least 1 and --min-fraction in "
+                              f"(0, 1], got {args.inputs} and {args.min_fraction}")
     model, refs = _load_pair(args)
     artifact = load_artifact(args.explainer)
     artifact.plan  # checks the metadata read here

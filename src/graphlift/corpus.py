@@ -246,17 +246,23 @@ _MOTIFS = {
 }
 
 
+def _at_least_one(count: int, what: str) -> int:
+    if count < 1:
+        raise ValidationError(f"{what} must be at least 1, got {count}")
+    return count
+
+
 def zero_references(model: GraphModel, batch: int = 5) -> np.ndarray:
     spec = model.inputs[0]
-    shape = (batch,) + tuple(spec.shape[1:])
-    return np.zeros(shape, dtype=DTYPES[spec.dtype])
+    return np.zeros((_at_least_one(batch, "the reference batch"), *spec.shape[1:]),
+                    dtype=DTYPES[spec.dtype])
 
 
 def random_references(model: GraphModel, batch: int = 5, seed: int = 101,
                       scale: float = 0.5) -> np.ndarray:
     spec = model.inputs[0]
     rng = np.random.default_rng(seed)
-    shape = (batch,) + tuple(spec.shape[1:])
+    shape = (_at_least_one(batch, "the reference batch"),) + tuple(spec.shape[1:])
     return rng.normal(0.0, scale, size=shape).astype(DTYPES[spec.dtype])
 
 
@@ -267,7 +273,7 @@ def random_inputs(model: GraphModel, count: int, seed: int = 202,
     rng = np.random.default_rng(seed)
     shape = (1,) + tuple(spec.shape[1:])
     return [rng.normal(0.0, scale, size=shape).astype(DTYPES[spec.dtype])
-            for _ in range(count)]
+            for _ in range(_at_least_one(count, "the input count"))]
 
 
 def corpus_entry(name: str, seed: int = 0, batch: int = 5) -> CorpusEntry:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
 from .ir import GraphModel, TensorValue, _read_model, save_model
-from .refopt import _as_array, _build_digest, build_naive, build_optimized
+from .refopt import _as_array, build_naive, build_optimized
 from .rules import EPS_ACT, EPS_POOL
 
 __all__ = [
@@ -141,13 +141,14 @@ def save_artifact(artifact: ExplainerArtifact, path: str) -> None:
 
 
 def load_artifact(path: str) -> ExplainerArtifact:
-    """A saved artifact, or ParseError unless its container digest and its
-    ``build_digest`` both recompute."""
-    model, digest, meta = _read_model(path)
+    """A saved artifact, or ParseError unless its container digest, which
+    covers the metadata, recomputes and the metadata is an object.  Artifacts
+    saved before the digest covered their metadata must be recompiled."""
+    model, meta = _read_model(path)
     if meta is None:
         raise ParseError(f"{path!r} holds a plain model, not an explainer")
-    if not isinstance(meta, dict) or meta.get("build_digest") != _build_digest(meta, digest):
-        raise ParseError(f"{path!r}: build_digest does not match the metadata")
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path!r}: artifact metadata is not a JSON object")
     return ExplainerArtifact(model=model, metadata=meta)
 
 

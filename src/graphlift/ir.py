@@ -12,13 +12,16 @@ one container, laid out like safetensors: the 8-byte magic ``GLIFT\\0\\1\\n``,
 a little-endian u64 header length, a canonical JSON header padded with
 spaces to a 64-byte boundary, then each payload once, raw, row-major and
 little-endian, at a 64-byte aligned offset from the end of the header.  The
-header is the one ``model_digest`` hashes (name, specs, nodes, and each
+header holds what ``model_digest`` hashes (name, specs, nodes, and each
 initializer's name, dtype and shape; a tensor file has only the
-initializer list), followed by the payload ``offsets``, the ``digest`` and,
-for an artifact, its ``metadata``.  A load reads the file once, takes every
+initializer list), an artifact's ``metadata``, the payload ``offsets`` and
+the ``digest``.  The digest covers the header, metadata included, and
+every payload, so a plain model's digest is its ``model_digest`` and one
+hash proves a whole artifact.  A load reads the file once, takes every
 payload as a read-only ``np.frombuffer`` view and recomputes the digest, so
-a flipped byte, an edited header or a truncated file raises ParseError.
-Files in the earlier JSON format are not containers and do not load.
+a flipped byte, an edited node or metadata value or a truncated file raises
+ParseError.  Artifacts saved before the digest covered their metadata, and
+files in the earlier JSON format, do not load: recompile them.
 """
 
 from __future__ import annotations
@@ -364,17 +367,17 @@ _ALIGN = 64
 
 
 def _pack(header: dict, tensors, metadata=None) -> bytes:
-    """The one writer: ``header`` plus offsets, digest and ``metadata``, then
-    the payloads of ``tensors``, which ``header["initializers"]`` describes."""
+    """The one writer: ``header`` and ``metadata``, offsets and the digest of
+    both and the payloads of ``tensors``, which ``header["initializers"]``
+    describes."""
     payloads = [t.little_endian() for t in tensors]
     offsets, end = [], 0
     for payload in payloads:
         offsets.append(-(-end // _ALIGN) * _ALIGN)
         end = offsets[-1] + payload.nbytes
-    full = {**header, "offsets": offsets, "digest": _digest(header, payloads)}
-    if metadata is not None:
-        full["metadata"] = metadata
-    text = _canonical(full)
+    header = header if metadata is None else {**header, "metadata": metadata}
+    text = _canonical({**header, "offsets": offsets,
+                       "digest": _digest(header, payloads)})
     text += b" " * (-(len(text) + 16) % _ALIGN)
     parts, end = [_MAGIC, struct.pack("<Q", len(text)), text], 0
     for offset, payload in zip(offsets, payloads):
@@ -389,9 +392,9 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _read(path: str) -> tuple[dict, list[np.ndarray], str, object]:
-    """The one reader: header, payload views, digest and metadata of a
-    container, or ParseError unless the digest recomputes over the header and
+def _read(path: str) -> tuple[dict, list[np.ndarray], object]:
+    """The one reader: header, payload views and metadata of a container, or
+    ParseError unless the digest recomputes over the header (metadata too) and
     payloads and the file ends where its last payload does."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -404,7 +407,6 @@ def _read(path: str) -> tuple[dict, list[np.ndarray], str, object]:
         header = json.loads(raw[16:base], parse_constant=_finite_number,
                             parse_float=_finite_number)
         digest, offsets = header.pop("digest"), header.pop("offsets")
-        metadata = header.pop("metadata", None)
         layout = []
         for entry, offset in zip(header["initializers"], offsets, strict=True):
             kind = np.dtype({"float32": "<f4", "float64": "<f8"}[entry["dtype"]])
@@ -421,7 +423,7 @@ def _read(path: str) -> tuple[dict, list[np.ndarray], str, object]:
                 for at, kind, n, shape in layout]
     if _digest(header, payloads) != digest:
         raise ParseError(f"{path!r}: digest mismatch, the file was damaged or edited")
-    return header, payloads, digest, metadata
+    return header, payloads, header.pop("metadata", None)
 
 
 def dumps_model(model: GraphModel, metadata: dict | None = None) -> bytes:
@@ -437,9 +439,9 @@ def save_model(model: GraphModel, path: str, metadata: dict | None = None) -> No
         fh.write(data)
 
 
-def _read_model(path: str) -> tuple[GraphModel, str, object]:
-    """A verified, validated model with its digest and metadata."""
-    header, payloads, digest, metadata = _read(path)
+def _read_model(path: str) -> tuple[GraphModel, object]:
+    """A verified, validated model with its metadata."""
+    header, payloads, metadata = _read(path)
     try:
         entries = header["initializers"]
         model = GraphModel(
@@ -456,7 +458,7 @@ def _read_model(path: str) -> tuple[GraphModel, str, object]:
     if len(model.initializers) != len(entries):
         raise ParseError(f"{path!r}: an initializer name appears twice")
     validate_model(model)
-    return model, digest, metadata
+    return model, metadata
 
 
 def load_model(path: str) -> GraphModel:
@@ -470,7 +472,7 @@ def save_tensor(tensor: TensorValue, path: str, name: str = "") -> None:
 
 
 def load_tensor(path: str) -> TensorValue:
-    header, payloads, _, _ = _read(path)
+    header, payloads, _ = _read(path)
     if len(header) != 1 or len(payloads) != 1:
         raise ParseError(f"{path!r} does not hold a single tensor")
     return TensorValue(payloads[0], header["initializers"][0]["dtype"])

@@ -412,8 +412,9 @@ def compare_attributions(a, b, atol: float = 1e-8,
                        dtype=np.float64)
     arr_b = np.asarray(b.array if isinstance(b, TensorValue) else b,
                        dtype=np.float64)
-    if arr_a.shape != arr_b.shape:
-        raise ShapeError(f"shape mismatch: {arr_a.shape} vs {arr_b.shape}")
+    if arr_a.shape != arr_b.shape or not arr_a.size:
+        raise ShapeError(f"cannot compare shapes {arr_a.shape} and {arr_b.shape}: "
+                         "they must match and hold an element")
     gap = np.abs(arr_a - arr_b)
     allowance = atol + rtol * np.abs(arr_b)
     ok = gap < allowance
@@ -422,7 +423,7 @@ def compare_attributions(a, b, atol: float = 1e-8,
     total = arr_a.size
     failed = int(total - ok.sum())
     return ClosenessReport(
-        fraction=float(ok.mean()) if total else 1.0,
+        fraction=float(ok.mean()),
         atol=atol, rtol=rtol, total=int(total), failed=failed,
         worst_index=tuple(int(i) for i in worst),
         value_a=float(arr_a[worst]), value_b=float(arr_b[worst]))

@@ -31,7 +31,6 @@ schemes can be compared analytically.
 from __future__ import annotations
 
 import hashlib
-import json
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
@@ -186,14 +185,14 @@ def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
     return seed
 
 
-def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
-              output_index: int, refs: np.ndarray, ref_output: np.ndarray,
-              eps_act: float, eps_pool: float, seed_scale: float,
-              explained: str, prediction: str, attribution: str,
-              multipliers: str | None, forward_nodes, target_rows: int,
-              reference_rows: int, cache_entries, cache_bytes: int) -> dict:
+def _metadata(scheme: str, model: GraphModel, *, output_index: int,
+              refs: np.ndarray, ref_output: np.ndarray, eps_act: float,
+              eps_pool: float, seed_scale: float, explained: str,
+              prediction: str, attribution: str, multipliers: str | None,
+              forward_nodes, target_rows: int, reference_rows: int,
+              cache_entries, cache_bytes: int) -> dict:
     """The artifact's metadata; ``ref_output`` is ``explained`` over ``refs``."""
-    meta = {
+    return {
         "scheme": scheme,
         "output_index": int(output_index),
         "batch": int(refs.shape[0]),
@@ -214,16 +213,6 @@ def _metadata(scheme: str, model: GraphModel, artifact: GraphModel, *,
         "cache_bytes": int(cache_bytes),
         "source_digest": _source_digest(model, refs),
     }
-    meta["build_digest"] = _build_digest(meta, model_digest(artifact))
-    return meta
-
-
-def _build_digest(meta: dict, digest: str) -> str:
-    """sha256 binding an artifact's metadata, ``build_digest`` aside, to the
-    digest of its model."""
-    body = {k: v for k, v in meta.items() if k != "build_digest"}
-    return hashlib.sha256(
-        (json.dumps(body, sort_keys=True) + digest).encode()).hexdigest()
 
 
 def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
@@ -287,7 +276,7 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
 
     baked = [name for name, copy in copies.items() if copy in artifact.initializers]
     meta = _metadata(
-        "optimized", model, artifact, output_index=output_index, refs=refs,
+        "optimized", model, output_index=output_index, refs=refs,
         ref_output=builder.known[copies[explained]], eps_act=eps_act,
         eps_pool=eps_pool, seed_scale=seed_scale, explained=explained,
         prediction=explained, attribution=phi, multipliers=multipliers,
@@ -346,7 +335,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     artifact = _finish(model, builder, pred, phi, multipliers)
 
     meta = _metadata(
-        "naive", model, artifact, output_index=output_index, refs=refs,
+        "naive", model, output_index=output_index, refs=refs,
         ref_output=builder.known[copies[explained]], eps_act=eps_act,
         eps_pool=eps_pool, seed_scale=seed_scale, explained=explained,
         prediction=pred, attribution=phi, multipliers=multipliers,

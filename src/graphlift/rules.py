@@ -250,8 +250,7 @@ def rule_div(ctx: RuleContext) -> dict[str, str]:
             "path is not supported")
     if not ctx.pass_grads.get(num, False):
         return {}
-    inv = b.emit("Div", [b.scalar(1.0, "one"), den], tag="divinv")
-    g = b.emit("Mul", [ctx.grad_in, inv], tag="divgrad")
+    g = b.emit("Div", [ctx.grad_in, den], tag="divgrad")
     return {num: _reduce_like(b, g, b.shape(num), "divfit")}
 
 
@@ -364,7 +363,6 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
         raise UnsupportedOp(
             f"node {node.name!r}: softmax gradients support the last axis only")
     axes = [rank - 1]
-    half = b.scalar(0.5, "half")
     xs, rs = ctx.x_act, ctx.r_act
     yx, yr = ctx.y_x, ctx.y_r
     g = env.grad_x_half(ctx.grad_in)
@@ -374,18 +372,16 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     ur = b.emit("Exp", [rs], tag="smexpref")
     sx = b.emit("ReduceSum", [ux], {"axes": axes, "keepdims": 1}, tag="smsum")
     sr = b.emit("ReduceSum", [ur], {"axes": axes, "keepdims": 1}, tag="smsumref")
-    sbar = b.emit("Mul", [b.emit("Add", [sx, sr], tag="smsboth"), half],
-                  tag="smsmid")
-    ybar = b.emit("Mul", [b.emit("Add", [yx, yr], tag="smyboth"), half],
-                  tag="smymid")
-    # dividing by the running sum: credit the numerator with 1/s-mid and the
-    # sum with -y-mid/s-mid, then fold the sum's share back onto every class
-    gu = b.emit("Div", [g, sbar], tag="smdirect")
-    ms = b.emit("Div", [b.emit("Mul", [ybar, b.scalar(-1.0, "negone")],
-                               tag="smyneg"), sbar], tag="smsumshare")
-    gs = b.emit("ReduceSum", [b.emit("Mul", [g, ms], tag="smviasum")],
+    # dividing by the running sum credits the numerator with 1/s-mid and the
+    # sum with -y-mid/s-mid, whose share folds back onto every class:
+    # (2g - sum(g * (yx + yr))) / (sx + sr)
+    ysum = b.emit("Add", [yx, yr], tag="smyboth")
+    gs = b.emit("ReduceSum", [b.emit("Mul", [g, ysum], tag="smviasum")],
                 {"axes": axes, "keepdims": 1}, tag="smsumgrad")
-    gtotal = b.emit("Add", [gu, gs], tag="smexpgrad")
+    shares = b.emit("Sub", [b.emit("Add", [g, g], tag="smtwice"), gs],
+                    tag="smshares")
+    gtotal = b.emit("Div", [shares, b.emit("Add", [sx, sr], tag="smsboth")],
+                    tag="smexpgrad")
     # exp itself rescales like any other elementwise nonlinearity
     d_in = b.emit("Sub", [xs, rs], tag="smdx")
     d_exp = b.emit("Sub", [ux, ur], tag="smdexp")
@@ -433,11 +429,11 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     yx, yr = ctx.y_x, ctx.y_r
     g = env.grad_x_half(ctx.grad_in)
     # each pooled cell scores the larger of its two winners, and each side
-    # receives its distance from the other side's winner
-    upper = b.emit("Where", [b.emit("Greater", [yx, yr], tag="mpgt"), yx, yr],
-                   tag="mpupper")
-    m_x = b.emit("Mul", [b.emit("Sub", [upper, yr], tag="mpxgap"), g], tag="mpmx")
-    m_r = b.emit("Mul", [b.emit("Sub", [yx, upper], tag="mprgap"), g], tag="mpmr")
+    # receives its distance from the other side's winner: the target side
+    # the gap where it is positive, the reference side the rest
+    dy = b.emit("Sub", [yx, yr], tag="mpdy")
+    m_x = b.emit("Mul", [b.emit("Relu", [dy], tag="mpxgap"), g], tag="mpmx")
+    m_r = b.emit("Sub", [b.emit("Mul", [dy, g], tag="mpshare"), m_x], tag="mpmr")
     routed = b.emit("Add", [_route_to_argmax(ctx, xs, yx, m_x, "mpx"),
                             _route_to_argmax(ctx, rs, yr, m_r, "mpr")],
                     tag="mproutes")

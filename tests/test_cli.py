@@ -181,6 +181,28 @@ def test_bench_rejects_zero_images(demo_files, capsys):
     assert "--images" in err
 
 
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_corpus_rejects_a_batch_below_one(tmp_path, capsys, batch):
+    code, _, err = run(capsys, "corpus", "--name", "plain_deep", "--batch",
+                       batch, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "at least 1" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--inputs", "0"), ("--inputs", "-3"), ("--min-fraction", "0"),
+    ("--min-fraction", "-1"), ("--min-fraction", "1.5"),
+    ("--min-fraction", "nan")])
+def test_verify_refuses_to_pass_on_nothing(demo_files, capsys, flag, value):
+    art = str(demo_files["dir"] / "demo.sge")
+    pair = ["--model", demo_files["model"], "--refs", demo_files["refs"]]
+    assert run(capsys, "compile", *pair, "--out", art)[0] == 0
+    code, out, err = run(capsys, "verify", *pair, "--explainer", art, flag, value)
+    assert code == 2
+    assert flag in err and "passed" not in out
+
+
 @pytest.mark.parametrize("spec, word", [("2,-1", "positive"),
                                          ("2,0", "positive"),
                                          ("2,two", "integer")])

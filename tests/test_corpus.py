@@ -71,6 +71,22 @@ def test_unknown_motif_and_family_rejected():
         corpus.micro_net("nonexistent")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: corpus.random_references(corpus.demo_model(), -1),
+    lambda: corpus.random_references(corpus.demo_model(), 0),
+    lambda: corpus.zero_references(corpus.demo_model(), 0),
+    lambda: corpus.random_inputs(corpus.demo_model(), -2),
+    lambda: corpus.random_inputs(corpus.demo_model(), 0),
+    lambda: corpus.micro_net("conv", batch=-1),
+    lambda: corpus.corpus_entry("plain_deep", batch=0),
+    lambda: corpus.build_corpus(batch=-1),
+], ids=["random-refs-neg", "random-refs-zero", "zero-refs-zero", "inputs-neg",
+        "inputs-zero", "micro-neg", "entry-zero", "corpus-neg"])
+def test_a_batch_or_count_below_one_is_refused(make):
+    with pytest.raises(gl.ValidationError, match="must be at least 1"):
+        make()
+
+
 def test_micro_families_cover_all_grad_rules():
     assert len(corpus.MICRO_FAMILIES) == 12
     assert set(corpus.LINEAR_FAMILIES) <= set(corpus.MICRO_FAMILIES) | {

@@ -7,7 +7,7 @@ import pytest
 
 import graphlift as gl
 from graphlift import (Attribution, GraphModel, Node, ParseError, ShapeError,
-                       TensorValue, ValidationError, ValueSpec)
+                       TensorValue, ValidationError, ValueSpec, ir)
 from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, demo_sample, random_references
 
@@ -181,10 +181,10 @@ def set_metadata(key, value):
     (flip_last_byte, "digest mismatch"),
     (lambda p, edit: edit(p, lambda h: h["nodes"][0].update(name="renamed")),
      "digest mismatch"),
-    (set_metadata("output_index", 1), "build_digest"),
-    (set_metadata("ref_output_mean", 1.0), "build_digest"),
-    (set_metadata("build_digest", "0" * 64), "build_digest"),
-    (lambda p, edit: edit(p, lambda h: h.pop("metadata")), "plain model"),
+    (set_metadata("output_index", 1), "digest mismatch"),
+    (set_metadata("ref_output_mean", 1.0), "digest mismatch"),
+    (set_metadata("source_digest", "0" * 64), "digest mismatch"),
+    (lambda p, edit: edit(p, lambda h: h.pop("metadata")), "digest mismatch"),
     (lambda p, _: p.write_bytes(p.read_bytes()[:-64]), "declares"),
     (lambda p, _: p.write_text(json.dumps({"name": "demo", "metadata": {}})),
      "not a graphlift container"),
@@ -203,8 +203,33 @@ def test_load_rejects_plain_model(demo, tmp_path):
     model, _, _ = demo
     path = tmp_path / "plain.sgm"
     gl.save_model(model, str(path))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="plain model"):
         gl.load_artifact(str(path))
+    # metadata the digest proves but that is not an object is refused too
+    gl.save_model(model, str(path), metadata=[1, 2])
+    with pytest.raises(ParseError, match="not a JSON object"):
+        gl.load_artifact(str(path))
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_compile_and_save_hash_each_artifact_payload_once(demo, tmp_path,
+                                                          monkeypatch, scheme):
+    model, refs, _ = demo
+    hashed, digest = [], ir._digest
+
+    def counting(header, payloads):
+        payloads = list(payloads)
+        hashed.append(sum(p.nbytes for p in payloads))
+        return digest(header, payloads)
+
+    monkeypatch.setattr(ir, "_digest", counting)
+    art = gl.compile_explainer(model, refs, scheme=scheme)
+    gl.save_artifact(art, str(tmp_path / "demo.sge"))
+    # the source model once, for its provenance, and the artifact once, when
+    # saved: one digest proves the file
+    assert hashed == [sum(t.nbytes for t in model.initializers.values()),
+                      sum(t.nbytes for t in art.model.initializers.values())]
+    assert hashed[1] > 0
 
 
 def test_corrupted_cache_breaks_completeness(demo):

@@ -359,6 +359,15 @@ def test_metadata_survives_roundtrip(tmp_path, edit_header):
     assert load_model(path) == m
 
 
+def test_the_digest_covers_the_metadata(tmp_path, edit_header):
+    path = tmp_path / "m.sgm"
+    save_model(tiny_model(), str(path), metadata={"k": 1})
+    assert edit_header(path)["digest"] != model_digest(tiny_model())
+    edit_header(path, lambda h: h["metadata"].update(k=2))
+    with pytest.raises(ParseError, match="digest mismatch"):
+        load_model(str(path))
+
+
 def test_container_header_is_the_digest_header(tmp_path, edit_header):
     m = with_weight(np.linspace(-1, 1, 6).reshape(3, 2), "float64")
     m.initializers["b"] = TensorValue(np.ones(2, np.float32))

@@ -158,6 +158,8 @@ def test_compare_attributions_relative_band():
 def test_compare_attributions_shape_mismatch():
     with pytest.raises(gl.ShapeError):
         compare_attributions(np.ones((2, 2)), np.ones((4,)))
+    with pytest.raises(gl.ShapeError, match="hold an element"):
+        compare_attributions(np.ones((1, 0)), np.ones((1, 0)))
 
 
 def test_return_multipliers_shape():
