@@ -31,6 +31,7 @@ from .ir import (DTYPES, GraphModel, TensorValue, ValueSpec, dumps_model,
                  load_model, load_tensor, save_model, save_tensor)
 from .oracle import compare_attributions, deeplift_oracle
 from .refopt import count_flops, op_census
+from .rules import EPS_ACT, EPS_POOL
 
 _DTYPE_FLAGS = {"f32": "float32", "f64": "float64"}
 
@@ -322,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--output-index", type=int, default=0)
     c.add_argument("--scheme", choices=["opt", "optimized", "naive"],
                    default="optimized")
-    c.add_argument("--eps-act", type=float, default=1e-6)
-    c.add_argument("--eps-pool", type=float, default=1e-7)
+    c.add_argument("--eps-act", type=float, default=EPS_ACT)
+    c.add_argument("--eps-pool", type=float, default=EPS_POOL)
     c.add_argument("--seed-scale", type=float, default=1.0)
     c.add_argument("--expose-multipliers", action="store_true")
     c.add_argument("--out", required=True, help="artifact file (.sgm)")

@@ -44,14 +44,14 @@ non-finite output element (every operand of ``Add``, ``Sub``, ``Mul`` and
 ``Concat``, the numerator of ``Div``, the operand of ``Reshape``,
 ``Flatten``, ``Transpose``, ``Tile``, ``Abs`` and the reduces); every other
 slot is a *breaker*, which may hide one (a ``Where`` branch, a ``Div``
-denominator, ``Relu`` of -inf, a GEMM, a pool, a ``Slice``).  A value that
-may hold a non-finite element (a ``Greater``'s bool output never does) is
-scanned when a breaker reads it, when it is a graph output or when nothing
-reads it; a value that only preserving slots read hands its non-finite
-elements on, and the scan of a value downstream finds them.  When a scan
-fails, ``execute`` replays the request with the per-step guard, a scan
-after every step that could make a non-finite value, so the NumericError
-names the node a scan after every step would name.
+denominator, ``Relu`` of -inf, a GEMM, a pool).  A value that may hold a
+non-finite element (a ``Greater``'s bool output never does) is scanned when
+a breaker reads it, when it is a graph output or when nothing reads it; a
+value that only preserving slots read hands its non-finite elements on, and
+the scan of a value downstream finds them.  When a scan fails, ``execute``
+replays the request with the per-step guard, a scan after every step that
+could make a non-finite value, so the NumericError names the node a scan
+after every step would name.
 """
 
 from __future__ import annotations
@@ -248,7 +248,6 @@ _KERNELS = {
         np.asarray(p["value"], dtype=DTYPES[p["dtype"]]).reshape(p["shape"])],
     "Abs": lambda x, p: [np.abs(x[0])],
     "Pad": lambda x, p: [np.pad(x[0], p[0], constant_values=p[1])],
-    "Slice": lambda x, p: [np.ascontiguousarray(x[0][p])],
     "ConvTranspose": lambda x, p: [_conv_transpose(
         x[0], x[1], x[2] if len(x) == 3 else None, p)],
 }
@@ -257,9 +256,9 @@ _KERNELS = {
 # select, copy, compare, take maxima or are bounded (Sigmoid, Tanh,
 # Softmax).  Pad is one only while its fill value is finite.
 _FINITE_CLOSED = frozenset({
-    "Where", "Greater", "Reshape", "Flatten", "Transpose", "Slice", "Concat",
-    "Split", "Abs", "Relu", "MaxPool", "GlobalMaxPool", "Tile", "Sigmoid",
-    "Tanh", "Softmax", "Pad"})
+    "Where", "Greater", "Reshape", "Flatten", "Transpose", "Concat", "Split",
+    "Abs", "Relu", "MaxPool", "GlobalMaxPool", "Tile", "Sigmoid", "Tanh",
+    "Softmax", "Pad"})
 
 
 def _closed_over_finite(node: Node) -> bool:
@@ -276,9 +275,9 @@ def _closed_over_finite(node: Node) -> bool:
 # concatenation or absolute value keeps every element.  Every other slot is
 # a breaker, which may hide one: a Where branch may go unselected, a Div
 # denominator of inf gives 0, Relu, Exp, Sigmoid, Tanh, Softmax and the
-# pools map -inf to finite values, Slice drops elements, and BLAS may skip
-# a zero operand of a GEMM.  An op not argued here (Split, Pad, Greater,
-# BatchNormalization) counts as a breaker.
+# pools map -inf to finite values, and BLAS may skip a zero operand of a
+# GEMM.  An op not argued here (Split, Pad, Greater, BatchNormalization)
+# counts as a breaker.
 _PRESERVING = {
     "Add": None, "Sub": None, "Mul": None, "Concat": None, "Div": (0,),
     "Reshape": (0,), "Flatten": (0,), "Transpose": (0,), "Tile": (0,),

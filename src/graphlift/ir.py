@@ -55,50 +55,57 @@ __all__ = [
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
-# op_type -> (min inputs, max inputs or None for variadic, outputs or None for variadic)
-_ARITY = {
-    "MatMul": (2, 2, 1),
-    "Gemm": (2, 3, 1),
-    "Conv": (2, 3, 1),
-    "Add": (2, 2, 1),
-    "Sub": (2, 2, 1),
-    "Mul": (2, 2, 1),
-    "Div": (2, 2, 1),
-    "Concat": (1, None, 1),
-    "Relu": (1, 1, 1),
-    "Sigmoid": (1, 1, 1),
-    "Tanh": (1, 1, 1),
-    "Softmax": (1, 1, 1),
-    "Exp": (1, 1, 1),
-    "MaxPool": (1, 1, 1),
-    "AveragePool": (1, 1, 1),
-    "GlobalAveragePool": (1, 1, 1),
-    "GlobalMaxPool": (1, 1, 1),
-    "BatchNormalization": (5, 5, 1),
-    "Transpose": (1, 1, 1),
-    "Reshape": (1, 1, 1),
-    "Flatten": (1, 1, 1),
-    "ReduceSum": (1, 1, 1),
-    "ReduceMean": (1, 1, 1),
-    "Greater": (2, 2, 1),
-    "Where": (3, 3, 1),
-    "Tile": (1, 1, 1),
-    "Split": (1, 1, None),
-    "Constant": (0, 0, 1),
-    "Abs": (1, 1, 1),
-    "Pad": (1, 1, 1),
-    "Slice": (1, 1, 1),
-    "ConvTranspose": (2, 3, 1),
+# op_type -> (fewest inputs, most inputs or None for any number, outputs or
+# None for any number, {attribute: kind}), ONNX's one schema per op.  A kind
+# ending in "!" marks an attribute the op requires.
+_OPS = {
+    "MatMul": (2, 2, 1, {}),
+    "Gemm": (2, 3, 1, {"alpha": "float", "beta": "float", "transA": "int",
+                       "transB": "int"}),
+    "Conv": (2, 3, 1, {"kernel_shape": "ints!", "strides": "ints", "pads": "ints",
+                       "dilations": "ints", "group": "int"}),
+    "Add": (2, 2, 1, {}),
+    "Sub": (2, 2, 1, {}),
+    "Mul": (2, 2, 1, {}),
+    "Div": (2, 2, 1, {}),
+    "Concat": (1, None, 1, {"axis": "int!"}),
+    "Relu": (1, 1, 1, {}),
+    "Sigmoid": (1, 1, 1, {}),
+    "Tanh": (1, 1, 1, {}),
+    "Softmax": (1, 1, 1, {"axis": "int"}),
+    "Exp": (1, 1, 1, {}),
+    "MaxPool": (1, 1, 1, {"kernel_shape": "ints!", "strides": "ints",
+                          "pads": "ints"}),
+    "AveragePool": (1, 1, 1, {"kernel_shape": "ints!", "strides": "ints",
+                              "pads": "ints", "count_include_pad": "int"}),
+    "GlobalAveragePool": (1, 1, 1, {}),
+    "GlobalMaxPool": (1, 1, 1, {}),
+    "BatchNormalization": (5, 5, 1, {"epsilon": "float"}),
+    "Transpose": (1, 1, 1, {"perm": "ints!"}),
+    "Reshape": (1, 1, 1, {"shape": "ints!"}),
+    "Flatten": (1, 1, 1, {"axis": "int"}),
+    "ReduceSum": (1, 1, 1, {"axes": "ints", "keepdims": "int"}),
+    "ReduceMean": (1, 1, 1, {"axes": "ints", "keepdims": "int"}),
+    "Greater": (2, 2, 1, {}),
+    "Where": (3, 3, 1, {}),
+    "Tile": (1, 1, 1, {"repeats": "ints!"}),
+    "Split": (1, 1, None, {"axis": "int", "split": "ints"}),
+    "Constant": (0, 0, 1, {"dtype": "string!", "shape": "ints!", "value": "floats!"}),
+    "Abs": (1, 1, 1, {}),
+    "Pad": (1, 1, 1, {"mode": "string", "pads": "ints!", "value": "float"}),
+    "ConvTranspose": (2, 3, 1, {"kernel_shape": "ints!", "strides": "ints",
+                                "pads": "ints", "output_padding": "ints",
+                                "group": "int"}),
 }
 
-SUPPORTED_OPS = frozenset(_ARITY)
+SUPPORTED_OPS = frozenset(_OPS)
 
 
 def _check_signature(node: Node, n_inputs: int) -> None:
     """ValidationError naming ``node`` unless its supported op takes
     ``n_inputs`` operands, produces as many outputs as it declares and has
     every attribute the op requires."""
-    lo, hi, n_out = _ARITY[node.op_type]
+    lo, hi, n_out, kinds = _OPS[node.op_type]
     if n_inputs < lo or (hi is not None and n_inputs > hi):
         raise ValidationError(
             f"node {node.name!r}: {node.op_type} takes between {lo} and "
@@ -107,50 +114,10 @@ def _check_signature(node: Node, n_inputs: int) -> None:
         raise ValidationError(
             f"node {node.name!r}: {node.op_type} produces {n_out} outputs, "
             f"got {len(node.outputs)}")
-    for key in _REQUIRED_ATTRS.get(node.op_type, ()):
-        if key not in node.attributes:
+    for key, kind in kinds.items():
+        if kind.endswith("!") and key not in node.attributes:
             raise ValidationError(
                 f"node {node.name!r}: {node.op_type} requires attribute {key!r}")
-
-
-# op_type -> {attribute name: kind}, with the subset that is mandatory.
-_ATTR_KINDS = {
-    "Gemm": {"alpha": "float", "beta": "float", "transA": "int", "transB": "int"},
-    "Conv": {"kernel_shape": "ints", "strides": "ints", "pads": "ints",
-             "dilations": "ints", "group": "int"},
-    "Concat": {"axis": "int"},
-    "Softmax": {"axis": "int"},
-    "MaxPool": {"kernel_shape": "ints", "strides": "ints", "pads": "ints"},
-    "AveragePool": {"kernel_shape": "ints", "strides": "ints", "pads": "ints",
-                    "count_include_pad": "int"},
-    "BatchNormalization": {"epsilon": "float"},
-    "Transpose": {"perm": "ints"},
-    "Reshape": {"shape": "ints"},
-    "Flatten": {"axis": "int"},
-    "ReduceSum": {"axes": "ints", "keepdims": "int"},
-    "ReduceMean": {"axes": "ints", "keepdims": "int"},
-    "Tile": {"repeats": "ints"},
-    "Split": {"axis": "int", "split": "ints"},
-    "Constant": {"dtype": "string", "shape": "ints", "value": "floats"},
-    "Pad": {"mode": "string", "pads": "ints", "value": "float"},
-    "Slice": {"starts": "ints", "ends": "ints", "axes": "ints", "steps": "ints"},
-    "ConvTranspose": {"kernel_shape": "ints", "strides": "ints", "pads": "ints",
-                      "output_padding": "ints", "group": "int"},
-}
-
-_REQUIRED_ATTRS = {
-    "Conv": {"kernel_shape"},
-    "Concat": {"axis"},
-    "MaxPool": {"kernel_shape"},
-    "AveragePool": {"kernel_shape"},
-    "Transpose": {"perm"},
-    "Reshape": {"shape"},
-    "Tile": {"repeats"},
-    "Constant": {"dtype", "shape", "value"},
-    "Pad": {"pads"},
-    "Slice": {"starts", "ends"},
-    "ConvTranspose": {"kernel_shape"},
-}
 
 
 class TensorValue:
@@ -303,12 +270,12 @@ def validate_model(model: GraphModel) -> None:
         _check_signature(node, len(node.inputs))
         if not node.outputs:
             raise ValidationError(f"node {node.name!r} declares no outputs")
-        allowed = _ATTR_KINDS.get(node.op_type, {})
+        kinds = _OPS[node.op_type][3]
         for key, value in node.attributes.items():
-            if key not in allowed:
+            if key not in kinds:
                 raise ValidationError(
                     f"node {node.name!r}: unknown attribute {key!r} for {node.op_type}")
-            _check_attr_value(node.name, key, allowed[key], value)
+            _check_attr_value(node.name, key, kinds[key].rstrip("!"), value)
         for inp in node.inputs:
             if inp not in produced:
                 raise _unproduced(node, inp)

@@ -384,7 +384,7 @@ def finite_diff(model: GraphModel, sample, output_index: int = 0,
 
 @dataclass
 class ClosenessReport:
-    """Elementwise |a-b| < atol + rtol*|b| scoring."""
+    """Elementwise |a-b| <= atol + rtol*|b| scoring."""
 
     fraction: float
     atol: float
@@ -407,7 +407,12 @@ class ClosenessReport:
 
 def compare_attributions(a, b, atol: float = 1e-8,
                          rtol: float = 1e-5) -> ClosenessReport:
-    """Score a against b with the asymmetric elementwise closeness test."""
+    """Score a against b with the asymmetric elementwise closeness test; an
+    element is close when its gap is at most the allowance, so bit-identical
+    arrays pass at zero tolerance."""
+    if not (atol >= 0 and rtol >= 0):
+        raise ValidationError(f"atol and rtol must be non-negative, got {atol} "
+                              f"and {rtol}")
     arr_a = np.asarray(a.array if isinstance(a, TensorValue) else a,
                        dtype=np.float64)
     arr_b = np.asarray(b.array if isinstance(b, TensorValue) else b,
@@ -417,7 +422,7 @@ def compare_attributions(a, b, atol: float = 1e-8,
                          "they must match and hold an element")
     gap = np.abs(arr_a - arr_b)
     allowance = atol + rtol * np.abs(arr_b)
-    ok = gap < allowance
+    ok = gap <= allowance
     excess = gap - allowance
     worst = np.unravel_index(int(np.argmax(excess)), arr_a.shape)
     total = arr_a.size

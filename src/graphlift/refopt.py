@@ -187,11 +187,12 @@ def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
 
 def _metadata(scheme: str, model: GraphModel, *, output_index: int,
               refs: np.ndarray, ref_output: np.ndarray, eps_act: float,
-              eps_pool: float, seed_scale: float, explained: str,
-              prediction: str, attribution: str, multipliers: str | None,
-              forward_nodes, target_rows: int, reference_rows: int,
-              cache_entries, cache_bytes: int) -> dict:
-    """The artifact's metadata; ``ref_output`` is ``explained`` over ``refs``."""
+              eps_pool: float, seed_scale: float, prediction: str,
+              attribution: str, multipliers: str | None, forward_nodes,
+              target_rows: int, reference_rows: int, cache_entries,
+              cache_bytes: int) -> dict:
+    """The artifact's metadata; ``ref_output`` is the explained output over
+    ``refs``."""
     return {
         "scheme": scheme,
         "output_index": int(output_index),
@@ -204,7 +205,6 @@ def _metadata(scheme: str, model: GraphModel, *, output_index: int,
         "prediction_output": prediction,
         "attribution_output": attribution,
         "multipliers_output": multipliers,
-        "forward_output": explained,
         "forward_nodes": list(forward_nodes),
         "forward_rows": {"target": int(target_rows),
                          "reference": int(reference_rows)},
@@ -278,10 +278,9 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     meta = _metadata(
         "optimized", model, output_index=output_index, refs=refs,
         ref_output=builder.known[copies[explained]], eps_act=eps_act,
-        eps_pool=eps_pool, seed_scale=seed_scale, explained=explained,
-        prediction=explained, attribution=phi, multipliers=multipliers,
-        forward_nodes=forward_nodes, target_rows=1, reference_rows=0,
-        cache_entries=baked, cache_bytes=sum(
+        eps_pool=eps_pool, seed_scale=seed_scale, prediction=explained,
+        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
+        target_rows=1, reference_rows=0, cache_entries=baked, cache_bytes=sum(
             artifact.initializers[copies[name]].nbytes for name in baked))
     return artifact, meta
 
@@ -337,10 +336,10 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     meta = _metadata(
         "naive", model, output_index=output_index, refs=refs,
         ref_output=builder.known[copies[explained]], eps_act=eps_act,
-        eps_pool=eps_pool, seed_scale=seed_scale, explained=explained,
-        prediction=pred, attribution=phi, multipliers=multipliers,
-        forward_nodes=forward_nodes, target_rows=batch, reference_rows=batch,
-        cache_entries=[], cache_bytes=0)
+        eps_pool=eps_pool, seed_scale=seed_scale, prediction=pred,
+        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
+        target_rows=batch, reference_rows=batch, cache_entries=[],
+        cache_bytes=0)
     return artifact, meta
 
 
@@ -374,18 +373,6 @@ class FlopReport:
             "by_node": [list(row) for row in self.by_node],
         }
 
-    def format_table(self, limit: int = 0) -> str:
-        rows = self.by_node if not limit else self.by_node[:limit]
-        width = max([len(name) for name, _, _ in rows] + [4])
-        lines = [f"{'node':<{width}}  {'op':<20}  flops"]
-        for name, op, flops in rows:
-            lines.append(f"{name:<{width}}  {op:<20}  {flops}")
-        lines.append(f"{'total':<{width}}  {'':<20}  {self.total}")
-        lines.append(f"forward {self.forward_flops} / backward "
-                     f"{self.backward_flops}; forward peak bytes "
-                     f"{self.forward_peak_bytes}; cache bytes {self.cache_bytes}")
-        return "\n".join(lines)
-
 
 def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     op = node.op_type
@@ -418,7 +405,7 @@ def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     if op == "BatchNormalization":
         return 2 * out_elems
     # movement only: Transpose, Reshape, Flatten, Tile, Concat, Split, Pad,
-    # Slice, Constant
+    # Constant
     return 0
 
 

@@ -97,12 +97,26 @@ class RuleOutput:
     grad_out: dict[str, str]
 
 
+# ops whose gradient flows through operand 0 only: their weights, filters,
+# biases, denominator and statistics must not depend on the input
+_OPERAND_0_ONLY = frozenset({"MatMul", "Gemm", "Conv", "Div", "BatchNormalization"})
+
+
 def f_grad(ctx: RuleContext) -> RuleOutput:
-    """Dispatch one node to its rule and collect what it emitted."""
-    rule = RULES.get(ctx.node.op_type)
+    """Dispatch one node to its rule and collect what it emitted; UnsupportedOp
+    when an op in ``_OPERAND_0_ONLY`` has a later operand that depends on the
+    input."""
+    node = ctx.node
+    rule = RULES.get(node.op_type)
     if rule is None:
         raise UnsupportedOp(
-            f"no gradient rule for op {ctx.node.op_type!r} (node {ctx.node.name!r})")
+            f"no gradient rule for op {node.op_type!r} (node {node.name!r})")
+    if node.op_type in _OPERAND_0_ONLY:
+        for name in node.inputs[1:]:
+            if ctx.pass_grads.get(name, False):
+                raise UnsupportedOp(
+                    f"node {node.name!r}: {node.op_type} operand {name!r} depends "
+                    "on the input; only operand 0 may")
     before = len(ctx.builder.nodes)
     grads = rule(ctx)
     return RuleOutput(new_nodes=list(ctx.builder.nodes[before:]), grad_out=grads)
@@ -165,12 +179,6 @@ def _merge(b: GraphBuilder, grads: dict[str, str], name: str, grad: str,
 def rule_matmul(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data, weight = node.inputs[0], node.inputs[1]
-    if ctx.pass_grads.get(weight, False):
-        raise UnsupportedOp(
-            f"node {node.name!r}: the second matmul operand must be constant")
-    if weight not in b.known:
-        raise UnsupportedOp(
-            f"node {node.name!r}: matmul weights must be known at build time")
     if len(b.shape(weight)) != 2:
         raise UnsupportedOp(
             f"node {node.name!r}: only rank-2 weight operands are supported")
@@ -178,9 +186,6 @@ def rule_matmul(ctx: RuleContext) -> dict[str, str]:
         trans_a, trans_b, alpha, _ = ctx.params
         if trans_a:
             raise UnsupportedOp(f"node {node.name!r}: transA is not supported")
-        if len(node.inputs) == 3 and ctx.pass_grads.get(node.inputs[2], False):
-            raise UnsupportedOp(
-                f"node {node.name!r}: the bias operand must be constant")
     else:
         trans_b, alpha = 0, 1.0
     # dY @ W^T, with W^T folding straight into an initializer
@@ -195,11 +200,6 @@ def rule_matmul(ctx: RuleContext) -> dict[str, str]:
 def rule_conv(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data, weight = node.inputs[0], node.inputs[1]
-    if ctx.pass_grads.get(weight, False):
-        raise UnsupportedOp(
-            f"node {node.name!r}: convolution filters must be constant")
-    if len(node.inputs) == 3 and ctx.pass_grads.get(node.inputs[2], False):
-        raise UnsupportedOp(f"node {node.name!r}: convolution bias must be constant")
     strides, pads, dilations = ctx.params
     if dilations != [1, 1]:
         raise UnsupportedOp(f"node {node.name!r}: dilated convolution gradients "
@@ -244,12 +244,6 @@ def rule_mul(ctx: RuleContext) -> dict[str, str]:
 def rule_div(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     num, den = node.inputs
-    if ctx.pass_grads.get(den, False):
-        raise UnsupportedOp(
-            f"node {node.name!r}: division by a value on the differentiable "
-            "path is not supported")
-    if not ctx.pass_grads.get(num, False):
-        return {}
     g = b.emit("Div", [ctx.grad_in, den], tag="divgrad")
     return {num: _reduce_like(b, g, b.shape(num), "divfit")}
 
@@ -257,10 +251,6 @@ def rule_div(ctx: RuleContext) -> dict[str, str]:
 def rule_batchnorm(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data = node.inputs[0]
-    for name in node.inputs[1:]:
-        if ctx.pass_grads.get(name, False) or name not in b.known:
-            raise UnsupportedOp(
-                f"node {node.name!r}: normalization statistics must be constants")
     scale, var = b.known[node.inputs[1]], b.known[node.inputs[4]]
     eps = ctx.params
     rank = len(b.shape(data))

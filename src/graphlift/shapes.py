@@ -254,23 +254,6 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
         return ([tuple(d + lo + hi for d, (lo, hi) in zip(x, widths))],
                 (widths, attrs.get("value", 0.0)))
 
-    if op == "Slice":
-        x, starts, ends = list(in_shapes[0]), attrs["starts"], attrs["ends"]
-        axes = attrs.get("axes", list(range(len(starts))))
-        steps = attrs.get("steps", [1] * len(starts))
-        if not len(starts) == len(ends) == len(axes) == len(steps):
-            raise ShapeError("Slice starts, ends, axes and steps differ in length")
-        if 0 in steps:
-            raise ShapeError("Slice steps may not be 0")
-        axes = [_axis(a, len(x), op) for a in axes]
-        if len(set(axes)) != len(axes):
-            raise ShapeError(f"Slice axes {attrs['axes']} repeat an axis")
-        index = [slice(None)] * len(x)
-        for start, end, axis, step in zip(starts, ends, axes, steps):
-            index[axis] = slice(start, end, step)
-            x[axis] = len(range(*index[axis].indices(x[axis])))
-        return [tuple(x)], tuple(index)
-
     if op in ("GlobalAveragePool", "GlobalMaxPool"):
         x = in_shapes[0]
         if len(x) != 4 or 0 in x[2:]:

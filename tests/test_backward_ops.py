@@ -1,5 +1,4 @@
-"""The backward-plumbing ops Abs, Pad and ConvTranspose, and Slice, which no
-rule emits but saved models may hold.
+"""The backward-plumbing ops Abs, Pad and ConvTranspose.
 
 Each kernel is checked against a plain nested-loop reference, each shape law
 against the kernel's output, ConvTranspose against Conv as its adjoint, and
@@ -43,24 +42,6 @@ def ref_pad(x, pads, value):
     return out
 
 
-def ref_slice(x, starts, ends, axes, steps):
-    # ONNX clamping, written out: negative indices count from the end, then
-    # starts clamp to [0, d] ([0, d-1] stepping down), ends to [0, d] ([-1, d-1])
-    picks = [list(range(d)) for d in x.shape]
-    for start, end, axis, step in zip(starts, ends, axes, steps):
-        d = x.shape[axis]
-        start, end = (start + d if start < 0 else start), (end + d if end < 0 else end)
-        if step > 0:
-            start, end = min(max(start, 0), d), min(max(end, 0), d)
-        else:
-            start, end = min(max(start, 0), d - 1), min(max(end, -1), d - 1)
-        picks[axis] = list(range(start, end, step))
-    out = np.empty([len(p) for p in picks], dtype=x.dtype)
-    for idx in itertools.product(*[range(len(p)) for p in picks]):
-        out[idx] = x[tuple(p[i] for p, i in zip(picks, idx))]
-    return out
-
-
 def ref_conv_transpose(x, w, strides, pads, extra):
     """Every input cell scattered through every tap, in float64, by plain
     loops over cells and taps (all images and channels at once)."""
@@ -94,27 +75,6 @@ def test_pad_matches_loop_reference(pads, dtype):
     assert np.array_equal(got, ref_pad(x, pads, -1.5))
     assert np.array_equal(run_kernel("Pad", [x], {"pads": pads})[0],
                           ref_pad(x, pads, 0.0))
-
-
-@pytest.mark.parametrize("starts, ends, axes, steps", [
-    ([1, 0], [3, 5], [1, 2], [1, 2]),
-    ([0, 1], [5, 6], [2, 1], [2, 3]),
-    ([-2], [100], [2], [1]),
-    ([4, -1], [-100, 0], [2, 1], [-2, -1]),
-    ([2], [2], [1], [1]),
-])
-def test_slice_matches_loop_reference(starts, ends, axes, steps):
-    x = np.arange(2 * 6 * 5, dtype=np.float64).reshape(2, 6, 5)
-    attrs = {"starts": starts, "ends": ends, "axes": axes, "steps": steps}
-    got = run_checked("Slice", [x], attrs)
-    assert np.array_equal(got, ref_slice(x, starts, ends, axes, steps))
-    assert got.flags.c_contiguous
-
-
-def test_slice_axes_and_steps_default_to_leading_unit_steps():
-    x = np.arange(12.0).reshape(3, 4)
-    got = run_checked("Slice", [x], {"starts": [1, 1], "ends": [3, 3]})
-    assert np.array_equal(got, x[1:3, 1:3])
 
 
 def phase_step(x, w, attrs):
@@ -208,12 +168,6 @@ K2 = {"kernel_shape": [2, 2]}
     ("Pad", [X4], {"pads": [1, 1]}),
     ("Pad", [X4], {"pads": [0, 0, -1, 0, 0, 0, 0, 0]}),
     ("Pad", [X4], {"pads": [0] * 8, "mode": "reflect"}),
-    ("Slice", [X4], {"starts": [0, 0], "ends": [1]}),
-    ("Slice", [X4], {"starts": [0], "ends": [1], "axes": [1, 2]}),
-    ("Slice", [X4], {"starts": [0], "ends": [1], "steps": [1, 1]}),
-    ("Slice", [X4], {"starts": [0], "ends": [4], "axes": [2], "steps": [0]}),
-    ("Slice", [X4], {"starts": [0], "ends": [1], "axes": [4]}),
-    ("Slice", [X4], {"starts": [0, 0], "ends": [1, 1], "axes": [3, -1]}),
     ("ConvTranspose", [X4, W4], {**CT, "group": 3}),
     ("ConvTranspose", [X4, np.zeros((2, 3, 3, 3))], CT),
     ("ConvTranspose", [X4, W4], {**CT, "pads": [1, 1]}),
@@ -270,8 +224,6 @@ def test_compile_refuses_a_zero_conv_stride():
 @pytest.mark.parametrize("op, attrs", [
     ("Pad", {}),
     ("Pad", {"pads": [0.5, 0, 0, 0]}),
-    ("Slice", {"starts": [0]}),
-    ("Slice", {"starts": [0], "ends": [1], "steps": 1}),
     ("ConvTranspose", {"strides": [1, 1]}),
     ("ConvTranspose", {"kernel_shape": [1, 1], "dilations": [1, 1]}),
 ])
@@ -284,16 +236,12 @@ def test_missing_or_mistyped_attributes_fail_validation(op, attrs):
         validate_model(model)
 
 
-def test_batch_extent_passes_through_pad_slice_and_conv_transpose():
+def test_batch_extent_passes_through_pad_and_conv_transpose():
     x = (7, 3, 4, 4)
     pad = node_for("Pad", [X4], {"pads": [0, 0, 1, 1, 0, 0, 1, 1]})
     assert resolve_node(pad, [x])[0] == [(7, 3, 6, 6)]
-    sl = node_for("Slice", [X4], {"starts": [1], "ends": [3], "axes": [2]})
-    assert resolve_node(sl, [x])[0] == [(7, 3, 2, 4)]
     ct = node_for("ConvTranspose", [X4, W4], CT)
     assert resolve_node(ct, [x, W4.shape])[0] == [(7, 2, 6, 6)]
-    # the batch axis is padded and sliced like any other
+    # the batch axis is padded like any other
     pad = node_for("Pad", [X4], {"pads": [1] + [0] * 7})
     assert resolve_node(pad, [x])[0] == [(8, 3, 4, 4)]
-    sl = node_for("Slice", [X4], {"starts": [0], "ends": [1]})
-    assert resolve_node(sl, [x])[0] == [(1, 3, 4, 4)]

@@ -203,6 +203,16 @@ def test_verify_refuses_to_pass_on_nothing(demo_files, capsys, flag, value):
     assert flag in err and "passed" not in out
 
 
+@pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+def test_verify_refuses_a_negative_tolerance(demo_files, capsys, flag):
+    art = str(demo_files["dir"] / "demo.sge")
+    pair = ["--model", demo_files["model"], "--refs", demo_files["refs"]]
+    assert run(capsys, "compile", *pair, "--out", art)[0] == 0
+    code, out, err = run(capsys, "verify", *pair, "--explainer", art, flag, "-1")
+    assert code == 2
+    assert "non-negative" in err and "passed" not in out
+
+
 @pytest.mark.parametrize("spec, word", [("2,-1", "positive"),
                                          ("2,0", "positive"),
                                          ("2,two", "integer")])

@@ -15,16 +15,14 @@ def test_every_supported_op_appears_somewhere(artifacts, corpus_f32):
     forward = [e.model for e in corpus_f32]
     # the backward plumbing ops appear only in compiled artifacts: padding
     # only where a padded max-pool is differentiated (the micro net's)
-    assert corpus.missing_ops(forward) == PLUMBING_OPS | {"Slice"}
+    assert corpus.missing_ops(forward) == PLUMBING_OPS
     compiled = [artifacts(e.name, "float32", scheme).model
                 for e in corpus_f32 for scheme in ("optimized", "naive")]
     for family in corpus.MICRO_FAMILIES:
         net = corpus.micro_net(family)
         compiled.append(gl.compile_explainer(net.model, net.references).model)
     models = forward + compiled
-    # no rule emits Slice; it stays supported for saved models that hold one,
-    # and tests/test_backward_ops.py covers its law and kernel
-    assert corpus.missing_ops(models) == {"Slice"}
+    assert corpus.missing_ops(models) == set()
     matrix = corpus.coverage_matrix(models)
     assert set(matrix) == set(SUPPORTED_OPS)
 

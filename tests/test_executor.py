@@ -457,8 +457,6 @@ FINITE_CLOSED_CASES = [
     ("Reshape", [(2, 3, 4, 4)], {"shape": [2, -1]}, 1),
     ("Flatten", [(2, 3, 4, 4)], {"axis": 2}, 1),
     ("Transpose", [(2, 3, 4, 4)], {"perm": [0, 2, 3, 1]}, 1),
-    ("Slice", [(2, 3, 4, 4)], {"starts": [3, 0], "ends": [0, 4], "axes": [2, 3],
-                               "steps": [-1, 2]}, 1),
     ("Concat", [(2, 3, 4, 4), (2, 1, 4, 4)], {"axis": 1}, 1),
     ("Split", [(2, 3, 4, 4)], {"axis": 1, "split": [1, 2]}, 2),
     ("Abs", [(2, 3, 4, 4)], {}, 1),

@@ -151,8 +151,24 @@ def test_compare_attributions_relative_band():
     base = np.array([1000.0])
     # inside rtol * |b|
     assert compare_attributions(base, base * (1 + 9e-6)).fraction == 1.0
-    # outside: strict inequality on the allowance
+    # outside the allowance
     assert compare_attributions(base, base * (1 + 2e-5)).fraction == 0.0
+
+
+def test_compare_attributions_passes_identical_arrays_at_zero_tolerance():
+    a = np.array([[0.0, -1.5, 3e-300], [1e300, 2.0, -7.25]])
+    report = compare_attributions(a, a.copy(), atol=0, rtol=0)
+    assert report.fraction == 1.0 and report.failed == 0
+    # the allowance itself is inside the band
+    assert compare_attributions([1.5], [1.0], atol=0.5, rtol=0).fraction == 1.0
+    assert compare_attributions([2.0], [1.0], atol=0, rtol=0.5).fraction == 0.0
+
+
+@pytest.mark.parametrize("atol, rtol", [(-1e-8, 1e-5), (1e-8, -1e-5),
+                                        (float("nan"), 0.0)])
+def test_compare_attributions_refuses_a_negative_tolerance(atol, rtol):
+    with pytest.raises(gl.ValidationError, match="non-negative"):
+        compare_attributions(np.ones(3), np.ones(3), atol=atol, rtol=rtol)
 
 
 def test_compare_attributions_shape_mismatch():

@@ -63,12 +63,11 @@ def test_reference_rows_of_the_wrong_shape_are_named(demo, build, rows):
 def test_metadata_contract(demo):
     model, refs = demo
     art, meta = build_optimized(model, refs)
-    for key in ("scheme", "output_index", "batch", "eps_act", "eps_pool",
-                "seed_scale", "dtype", "input_name", "prediction_output",
-                "attribution_output", "forward_output", "forward_nodes",
-                "forward_rows", "ref_output_mean", "cache_entries",
-                "cache_bytes", "source_digest"):
-        assert key in meta
+    assert set(meta) == {
+        "scheme", "output_index", "batch", "eps_act", "eps_pool", "seed_scale",
+        "dtype", "input_name", "prediction_output", "attribution_output",
+        "multipliers_output", "forward_nodes", "forward_rows",
+        "ref_output_mean", "cache_entries", "cache_bytes", "source_digest"}
     assert meta["scheme"] == "optimized"
     assert meta["batch"] == B
     node_names = {n.name for n in art.nodes}
@@ -108,8 +107,6 @@ def test_flop_breakdown_sums(demo):
     assert report.total == sum(report.by_op.values())
     assert report.total == report.forward_flops + report.backward_flops
     assert report.forward_flops > 0 and report.backward_flops > 0
-    table = report.format_table()
-    assert "forward" in table and str(report.total) in table
 
 
 def test_flop_gap_grows_with_reference_batch(demo):

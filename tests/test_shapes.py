@@ -181,8 +181,6 @@ VALID = [
     ("Split", [(4, 2)], {"axis": 1}, 2),
     ("Constant", [], {"dtype": "float32", "shape": [2, 3], "value": [0.5] * 6}, 1),
     ("Pad", [(2, 3)], {"pads": [1, 0, 0, 2], "value": 1.0}, 1),
-    ("Slice", [(4, 5)], {"starts": [3, 0], "ends": [0, 5], "axes": [0, 1],
-                         "steps": [-1, 2]}, 1),
 ]
 
 
@@ -228,7 +226,6 @@ def test_plan_of_an_unvalidated_model_names_a_node_with_missing_operands():
     ("Transpose", 1, {}, "perm"),
     ("Reshape", 1, {}, "shape"),
     ("MaxPool", 1, {"strides": [1, 1]}, "kernel_shape"),
-    ("Slice", 1, {"starts": [0]}, "ends"),
     ("Pad", 1, {"value": 0.0}, "pads"),
 ])
 def test_required_attributes_are_checked_by_the_law(op, n_inputs, attrs,
