@@ -146,6 +146,9 @@ def cmd_verify(args) -> int:
     if args.inputs < 1 or not 0 < args.min_fraction <= 1:
         raise ValidationError(f"--inputs must be at least 1 and --min-fraction in "
                               f"(0, 1], got {args.inputs} and {args.min_fraction}")
+    if not (args.atol >= 0 and args.rtol >= 0):
+        raise ValidationError(f"--atol and --rtol must be non-negative, got "
+                              f"{args.atol} and {args.rtol}")
     model, refs = _load_pair(args)
     artifact = load_artifact(args.explainer)
     artifact.plan  # checks the metadata read here

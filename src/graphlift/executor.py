@@ -22,9 +22,15 @@ Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
 of images at a time, so the window matrices of a chunk fit a fixed budget
 (``_CHUNK_BYTES``, within one core's L2) however large the batch.  At unit
 stride each row of that matrix is one contiguous run of the framed image,
-read flat; a strided ``Conv`` copies its window view.  ``ConvTranspose`` is
-one unit-stride ``Conv`` per stride phase of its output, so it never
-multiplies the zeros of a dilated input.
+read flat; a strided ``Conv`` copies its window view.  A padded ``Conv``
+frames each chunk of images on its own, never the whole batch.
+``ConvTranspose`` is one unit-stride ``Conv`` per stride phase of its
+output, so it never multiplies the zeros of a dilated input.
+
+``MaxPool`` keeps a running maximum over the taps and ``Sigmoid`` computes
+both signs from exp(-|x|), each with the per-element operations of the
+plain reduction or two-branch form, so their outputs are the same bits,
+a NaN's sign bit aside.
 
 Execution is planned once per model.  ``ExecutionPlan`` takes the nodes in
 their declared dependency order, gives every value an integer slot,
@@ -68,12 +74,14 @@ __all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, e = exp(-|x|):
+    e never overflows, and each element takes the same operations as in
+    the two-branch form, without a masked gather or scatter."""
+    e = np.empty_like(x)
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    out = np.add(e, 1, out=np.empty_like(e))
+    np.copyto(e, 1, where=x >= 0)
+    return np.divide(e, out, out=out)
 
 
 def _framed(x, pads, fill=0.0):
@@ -112,7 +120,8 @@ def _conv(x, w, bias, strides, pads, dilations):
     output.  A chunk holds as many images as fit ``_CHUNK_BYTES`` (at least
     one), so the copy lands in cache and the workspace does not grow with
     the batch; each image's GEMM is the same whatever the chunk, so a row's
-    output does not depend on the rows beside it.
+    output does not depend on the rows beside it.  A padded Conv frames one
+    chunk at a time, never the whole batch.
 
     At unit stride the framed image is read flat: tap (i, j) of output
     (r, q) is flat element r·Wp + q + i·dh·Wp + j·dw, so each (channel, tap)
@@ -123,8 +132,8 @@ def _conv(x, w, bias, strides, pads, dilations):
     sh times the columns it keeps.
     """
     o, c, kh, kw = w.shape
-    x = np.ascontiguousarray(_framed(x, pads))
-    b, _, hp, wp = x.shape
+    b, _, h, wd = x.shape
+    hp, wp = h + pads[0] + pads[2], wd + pads[1] + pads[3]
     (sh, sw), (dh, dw), size = strides, dilations, x.itemsize
     ho, wo = (hp - (kh - 1) * dh - 1) // sh + 1, (wp - (kw - 1) * dw - 1) // sw + 1
     # the columns of one (channel, tap) row of an image's window matrix
@@ -134,20 +143,27 @@ def _conv(x, w, bias, strides, pads, dilations):
     else:
         n = ho * wo
         columns, column_strides = (ho, wo), (sh * wp * size, sw * size)
-    view = np.ndarray((b, c, kh, kw) + columns, x.dtype, x, 0,
-                      (c * hp * wp * size, hp * wp * size, dh * wp * size,
-                       dw * size) + column_strides)
+    view_strides = (c * hp * wp * size, hp * wp * size, dh * wp * size,
+                    dw * size) + column_strides
     chunk = max(1, _CHUNK_BYTES // max(1, c * kh * kw * n * size))
     out = np.empty((b, o, ho, wo), np.result_type(x, w))
     filters = w.reshape(o, -1)
+    # a padded chunk is copied into the interior of one zero frame, which
+    # every chunk reuses and whose border is never written
+    frame = np.zeros((min(chunk, b), c, hp, wp), x.dtype) if any(pads) else None
     for start in range(0, b, chunk):
         k = min(chunk, b - start)
+        images = x[start:start + k]
+        if frame is not None:
+            frame[:k, :, pads[0]:pads[0] + h, pads[1]:pads[1] + wd] = images
+            images = frame[:k]
+        windows = np.ndarray((k, c, kh, kw) + columns, x.dtype,
+                             np.ascontiguousarray(images), 0, view_strides)
         # with no column to drop, the GEMM writes straight into the output
         direct = out[start:start + k].reshape(k, o, n) if n == ho * wo else None
         # the window matrix is a copy, except for 1x1 taps at unit stride,
-        # where it is x itself
-        gemm = np.matmul(filters, view[start:start + k].reshape(k, c * kh * kw, n),
-                         out=direct)
+        # where it is the framed images themselves
+        gemm = np.matmul(filters, windows.reshape(k, c * kh * kw, n), out=direct)
         if direct is None:
             out[start:start + k] = np.ndarray(
                 (k, o, ho, wo), out.dtype, gemm, 0,
@@ -176,9 +192,16 @@ def _conv_transpose(x, w, bias, geometry):
 
 
 def _max_pool(x, geometry):
+    """The running maximum over the taps, from tap (0, 0) on, in place."""
     kernel, strides, pads, dilations = geometry
     framed = _framed(x, pads, np.finfo(x.dtype).min)
-    return _window_views(framed, kernel, strides, dilations).max(axis=(2, 3))
+    view = _window_views(framed, kernel, strides, dilations)
+    out = view[:, :, 0, 0].copy()
+    for i in range(kernel[0]):
+        for j in range(kernel[1]):
+            if i or j:
+                np.maximum(out, view[:, :, i, j], out=out)
+    return out
 
 
 def _avg_pool(x, geometry):

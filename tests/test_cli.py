@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphlift as gl
+from graphlift import cli
 from graphlift.cli import main
 
 
@@ -211,6 +212,22 @@ def test_verify_refuses_a_negative_tolerance(demo_files, capsys, flag):
     code, out, err = run(capsys, "verify", *pair, "--explainer", art, flag, "-1")
     assert code == 2
     assert "non-negative" in err and "passed" not in out
+
+
+@pytest.mark.parametrize("flag, value", [("--atol", "-1"), ("--rtol", "-0.5"),
+                                         ("--atol", "nan"), ("--rtol", "nan")])
+def test_verify_refuses_a_bad_tolerance_before_any_work(demo_files, capsys,
+                                                        monkeypatch, flag, value):
+    def called(*args, **kwargs):
+        raise AssertionError("verify did work before checking its flags")
+
+    monkeypatch.setattr(cli, "load_artifact", called)
+    monkeypatch.setattr(cli, "compile_explainer", called)
+    pair = ["--model", demo_files["model"], "--refs", demo_files["refs"]]
+    code, out, err = run(capsys, "verify", *pair, "--explainer", "unread.sge",
+                         "--against", "naive", flag, value)
+    assert code == 2
+    assert flag in err and "non-negative" in err and "passed" not in out
 
 
 @pytest.mark.parametrize("spec, word", [("2,-1", "positive"),

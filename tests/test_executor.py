@@ -136,19 +136,34 @@ def test_conv_of_an_empty_batch_has_the_laws_empty_shape(op, w_shape, attrs):
     assert execute(plan, {"x": x})[0]["y"].shape == shape
 
 
-def test_conv_transpose_workspace_is_bounded_by_the_chunk_budget():
-    # the whole batch's window matrix would be 9 times the input
-    x = RNG.normal(size=(64, 8, 16, 16))
-    w = RNG.normal(size=(8, 8, 3, 3))
-    attrs = {"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]}
+def workspace_peak(op, x, w, attrs):
+    """The output and the peak of ``tracemalloc`` over one kernel call."""
     tracemalloc.start()
     try:
-        out = kernel("ConvTranspose", [x, w], attrs)
+        out = kernel(op, [x, w], attrs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    framed = x.nbytes // (16 * 16) * (18 * 18)
-    assert peak < framed + out.nbytes + 2 * executor._CHUNK_BYTES, peak
+    return out, peak
+
+
+def test_conv_transpose_workspace_is_bounded_by_the_chunk_budget():
+    # the whole batch's window matrix would be 9 times the input, and a
+    # framed copy of the whole batch 1.27 times
+    x = RNG.normal(size=(64, 8, 16, 16))
+    w = RNG.normal(size=(8, 8, 3, 3))
+    out, peak = workspace_peak("ConvTranspose", x, w,
+                               {"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]})
+    assert peak < out.nbytes + 2 * executor._CHUNK_BYTES, peak
+
+
+def test_padded_strided_conv_workspace_is_bounded_by_the_chunk_budget():
+    x = RNG.normal(size=(64, 8, 16, 16))
+    w = RNG.normal(size=(8, 8, 3, 3))
+    out, peak = workspace_peak("Conv", x, w, {"kernel_shape": [3, 3],
+                                              "strides": [2, 2],
+                                              "pads": [1, 2, 2, 1]})
+    assert peak < out.nbytes + 2 * executor._CHUNK_BYTES, peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -190,6 +205,48 @@ def test_pool_kernels():
                        windows.mean(axis=(4, 5)), rtol=0, atol=1e-12)
 
 
+def max_pool_by_view_max(x, kernel, strides, pads, dilations):
+    """The former MaxPool kernel: one reduction over the 6-D window view."""
+    framed = executor._framed(x, pads, np.finfo(x.dtype).min)
+    return executor._window_views(framed, kernel, strides,
+                                  dilations).max(axis=(2, 3))
+
+
+def pool_geometries():
+    """Window geometries the law accepts on a 7x8 image: strides,
+    asymmetric pads and dilations."""
+    geometries = []
+    for kernel in ([1, 1], [2, 2], [3, 2], [1, 3], [3, 3]):
+        for strides in ([1, 1], [2, 2], [2, 1], [1, 3]):
+            for pads in ([0, 0, 0, 0], [1, 1, 1, 1], [2, 0, 1, 1], [0, 1, 2, 0]):
+                for dilations in ([1, 1], [2, 1], [1, 2], [2, 2]):
+                    node = Node("MaxPool", "p", ["x"], ["y"], {
+                        "kernel_shape": kernel, "strides": strides,
+                        "pads": pads, "dilations": dilations})
+                    try:
+                        resolve_node(node, [(2, 3, 7, 8)])
+                    except ShapeError:
+                        continue
+                    geometries.append((kernel, strides, pads, dilations))
+    return geometries
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_tap_loop_is_the_view_max_bit_for_bit(dtype):
+    # signed zeros tie, infinities and NaN must propagate as before
+    values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan], dtype)
+    rng = np.random.default_rng(11)
+    geometries = pool_geometries()
+    assert len(geometries) > 150
+    for kernel_, strides, pads, dilations in geometries:
+        x = rng.choice(values, size=(2, 3, 7, 8))
+        got = kernel("MaxPool", [x], {"kernel_shape": kernel_, "strides": strides,
+                                      "pads": pads, "dilations": dilations})
+        want = max_pool_by_view_max(x, kernel_, strides, pads, dilations)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (kernel_, strides, pads, dilations)
+
+
 def test_average_pool_ignores_padding_in_divisor():
     x = np.ones((1, 1, 2, 2))
     got = kernel("AveragePool", [x], {"kernel_shape": [2, 2],
@@ -209,6 +266,41 @@ def test_activation_kernels():
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     assert np.allclose(kernel("Softmax", [x], {"axis": -1}),
                        e / e.sum(axis=-1, keepdims=True))
+
+
+def sigmoid_by_masks(x):
+    """The former Sigmoid kernel: each sign's branch through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_the_masked_form_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    # exp overflows just above log(max) and underflows to 0 far below it
+    limit = np.log(info.max)
+    edges = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 1000.0,
+                      -1000.0, limit, -limit, np.nextafter(limit, np.inf),
+                      -np.nextafter(limit, np.inf), info.tiny, -info.tiny,
+                      info.smallest_subnormal, -info.smallest_subnormal], dtype)
+    rng = np.random.default_rng(12)
+    cases = [edges, rng.normal(0.0, 8.0, size=(3, 4, 5, 6)).astype(dtype),
+             rng.normal(size=(4, 6)).astype(dtype).T, np.asarray(dtype(-2.5))]
+    for x in cases:
+        want = sigmoid_by_masks(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kernel("Sigmoid", [x])
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == dtype and got.shape == x.shape
+        # a NaN's sign bit is not kept: no NaN gets past the guard
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_batchnorm_kernel():
@@ -241,6 +333,14 @@ def test_movement_and_selection_kernels():
     mask = kernel("Greater", [x, y])
     assert mask.dtype == bool and np.array_equal(mask, x > y)
     assert np.allclose(kernel("Where", [mask, x, y]), np.where(x > y, x, y))
+
+
+def test_where_reads_a_non_bool_condition_as_non_zero():
+    cond = np.array([[0.0], [np.nan]])   # NaN is non-zero, so True
+    a, b = np.ones((1, 3)), RNG.normal(size=(2, 3))
+    got = kernel("Where", [cond, a, b])
+    assert got.tobytes() == np.where(cond != 0, a, b).tobytes()
+    assert (got[1] == 1).all() and (got[0] == b[0]).all()
 
 
 def test_reduce_and_constant_kernels():
