@@ -110,7 +110,6 @@ def cmd_compile(args) -> int:
     artifact = compile_explainer(
         model, refs, output_index=args.output_index, scheme=args.scheme,
         eps_act=args.eps_act, eps_pool=args.eps_pool,
-        seed_scale=args.seed_scale,
         expose_multipliers=args.expose_multipliers)
     save_artifact(artifact, args.out)
     meta = artifact.metadata
@@ -153,7 +152,7 @@ def cmd_verify(args) -> int:
     artifact = load_artifact(args.explainer)
     artifact.plan  # checks the metadata read here
     meta = artifact.metadata
-    k, seed_scale = meta["output_index"], meta["seed_scale"]
+    k = meta["output_index"]
     knobs = dict(eps_act=meta["eps_act"], eps_pool=meta["eps_pool"])
     if args.input:
         samples = [load_tensor(args.input).array]
@@ -161,14 +160,13 @@ def cmd_verify(args) -> int:
         samples = random_inputs(model, args.inputs, seed=args.seed)
     if args.against == "naive":
         other = compile_explainer(model, refs, output_index=k, scheme="naive",
-                                  seed_scale=seed_scale, **knobs)
+                                  **knobs)
     failures = 0
     for i, sample in enumerate(samples):
         mine = explain(artifact, sample)
         if args.against == "oracle":
-            # the oracle seeds the explained class with 1
-            theirs = seed_scale * deeplift_oracle(
-                model, sample, refs, output_index=k, **knobs).phi.array
+            theirs = deeplift_oracle(model, sample, refs, output_index=k,
+                                     **knobs).phi.array
         else:
             theirs = explain(other, sample).phi
         report = compare_attributions(mine.phi, theirs,
@@ -185,8 +183,7 @@ def cmd_bench(args) -> int:
     if args.images < 1:
         raise ValidationError(f"--images must be at least 1, got {args.images}")
     model, refs = _load_pair(args)
-    schemes = ["optimized", "naive"] if args.schemes == "both" \
-        else [{"opt": "optimized"}.get(args.schemes, args.schemes)]
+    schemes = ["optimized", "naive"] if args.schemes == "both" else [args.schemes]
     samples = random_inputs(model, args.images, seed=args.seed)
     reports = []
     records = []
@@ -195,6 +192,7 @@ def cmd_bench(args) -> int:
         artifact = compile_explainer(model, refs, scheme=scheme,
                                      output_index=args.output_index)
         compile_ms = (time.perf_counter() - start) * 1e3
+        scheme = artifact.metadata["scheme"]
         timings = []
         for sample in samples:
             start = time.perf_counter()
@@ -328,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="optimized")
     c.add_argument("--eps-act", type=float, default=EPS_ACT)
     c.add_argument("--eps-pool", type=float, default=EPS_POOL)
-    c.add_argument("--seed-scale", type=float, default=1.0)
     c.add_argument("--expose-multipliers", action="store_true")
     c.add_argument("--out", required=True, help="artifact file (.sgm)")
     c.set_defaults(func=cmd_compile)

@@ -44,7 +44,7 @@ so a model edited between calls is never run from a stale plan.  An
 ``ExplainerArtifact`` builds its plan on its first ``explain`` and keeps
 it, so an artifact must not be changed after that.
 
-The guard scans a value only where a non-finite element could stop.  An
+The plan scans a value only where a non-finite element could stop.  An
 operand slot is *preserving* when every non-finite element in it gives a
 non-finite output element (every operand of ``Add``, ``Sub``, ``Mul`` and
 ``Concat``, the numerator of ``Div``, the operand of ``Reshape``,
@@ -55,9 +55,8 @@ non-finite element (a ``Greater``'s bool output never does) is scanned when
 a breaker reads it, when it is a graph output or when nothing reads it; a
 value that only preserving slots read hands its non-finite elements on, and
 the scan of a value downstream finds them.  When a scan fails, ``execute``
-replays the request with the per-step guard, a scan after every step that
-could make a non-finite value, so the NumericError names the node a scan
-after every step would name.
+replays the request scanning every output of every step, so the
+NumericError names the first node that made a non-finite value.
 """
 
 from __future__ import annotations
@@ -386,14 +385,13 @@ class ExecutionPlan:
     another's shapes.  A law that refuses raises ShapeError, UnsupportedOp
     or ValidationError naming the node, before any kernel of that feed runs.
 
-    Each step records its *guard*, the outputs a scan after every step
-    would have to check: all of them when its op can turn finite operands
-    into a non-finite value (it is outside ``_FINITE_CLOSED``) or it reads
-    the feed or an initializer that was not finite when the plan was built,
-    none otherwise, and none of a ``Greater``, as a bool cannot be
-    non-finite.  By induction over the order (a non-finite ``Constant``
-    stops ``execute`` before the first step), the first guarded output that
-    holds a non-finite value is the first such value of the request.
+    A scan after every step names the first node whose output holds a
+    non-finite value.  By induction over the order (a non-finite
+    ``Constant`` stops ``execute`` before the first step), that node's op
+    can turn finite operands into a non-finite value (it is outside
+    ``_FINITE_CLOSED``) or it reads the feed or an initializer that was not
+    finite when the plan was built: any other step reads finite values only
+    and gives finite outputs.
 
     The plan scans fewer values than that, decided per output slot.  A value
     is *tainted* when it may hold a non-finite element that no scan has
@@ -404,13 +402,12 @@ class ExecutionPlan:
     nothing reads it; once scanned it is no longer tainted.  A tainted value that is not
     scanned is read by preserving slots only, so each of its non-finite
     elements reaches a non-finite element of a reader's output, tainted in
-    turn, and so on until a scanned value holds one.  Hence a request some
-    guard would stop fails some scan, and a failed scan means some guarded
-    output holds a non-finite value: ``execute`` then replays the request
-    under the guards to name the node.  Neither the guards nor the scans
-    check the feed or an initializer itself, only what steps make of them.
-    An empty output keeps none of its preserving operands' elements, so a
-    feed whose shapes give one runs under the guards throughout.
+    turn, and so on until a scanned value holds one.  Hence a request with
+    a non-finite value fails some scan, and ``execute`` then replays it
+    scanning every output to name the node.  No scan checks the feed or an
+    initializer itself, only what steps make of them.  An empty output
+    keeps none of its preserving operands' elements, so a feed whose shapes
+    give one has every output scanned throughout.
     """
 
     def __init__(self, model: GraphModel):
@@ -425,8 +422,8 @@ class ExecutionPlan:
         self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
         initial = {self._claim(name, tensor.array): tensor.array
                    for name, tensor in model.initializers.items()}
-        unchecked = {slot for _, slot in self.feed}
-        unchecked.update(slot for slot, arr in initial.items() if not _finite(arr))
+        tainted = {slot for _, slot in self.feed}
+        tainted.update(slot for slot, arr in initial.items() if not _finite(arr))
         steps = []
         for node in model.nodes:
             if node.op_type == "Constant":
@@ -459,14 +456,11 @@ class ExecutionPlan:
                          if not _preserves(node.op_type, k))
         stops.update(slot for _, _, outs in steps for slot in outs
                      if slot not in read)
-        tainted = set(unchecked)
-        guards, self.scans = [], []
+        self.scans = []
         for node, ins, outs in steps:
-            makes = not _closed_over_finite(node)
             # Greater's bool output cannot hold a non-finite value
             every = () if node.op_type == "Greater" else tuple(range(len(outs)))
-            guards.append(every if makes or not unchecked.isdisjoint(ins) else ())
-            if makes or not tainted.isdisjoint(ins):
+            if not _closed_over_finite(node) or not tainted.isdisjoint(ins):
                 tainted.update(outs[k] for k in every if outs[k] not in stops)
                 self.scans.append(tuple(k for k in every if outs[k] in stops))
             else:
@@ -482,35 +476,34 @@ class ExecutionPlan:
         for slot, k in last_read.items():
             if slot not in kept:
                 frees[k].append(slot)
-        self.steps = [(node, ins, outs, tuple(free), guard) for
-                      (node, ins, outs), free, guard in zip(steps, frees, guards)]
+        self.steps = [(node, ins, outs, tuple(free)) for
+                      (node, ins, outs), free in zip(steps, frees)]
 
     def verify(self, values: list) -> tuple[list, list]:
         """Resolve every step on the shapes of ``values``, a slot list with
         the feed filled in, unless the feed shapes are the ones last
         resolved.  Returns, in step order, every step's kernel parameters
         and the positions of its outputs to scan: ``scans``, or every
-        step's guard when some output is empty at these shapes."""
+        output when some output is empty at these shapes."""
         fed = tuple(values[slot].shape for _, slot in self.feed)
         verified, params, scans = self.resolved
         if fed == verified:
             return params, scans
         shapes = [None if v is None else v.shape for v in values]
         params, empty = [], False
-        for node, ins, outs, _, _ in self.steps:
+        for node, ins, outs, _ in self.steps:
             out_shapes, step_params = resolve_node(node, [shapes[s] for s in ins])
             for slot, shape in zip(outs, out_shapes):
                 shapes[slot] = shape
                 empty = empty or 0 in shape
             params.append(step_params)
-        scans = self.guards if empty else self.scans
+        scans = self.every_output() if empty else self.scans
         self.resolved = (fed, params, scans)
         return params, scans
 
-    @property
-    def guards(self) -> list[tuple[int, ...]]:
-        """Every step's guard, in step order."""
-        return [guard for _, _, _, _, guard in self.steps]
+    def every_output(self) -> list[range]:
+        """Every output position of every step, in step order."""
+        return [range(len(outs)) for _, _, outs, _ in self.steps]
 
     def _claim(self, name: str, value) -> int:
         if name in self.slots:
@@ -525,7 +518,7 @@ def _run(plan: ExecutionPlan, values: list, params: list, scans,
     """Run every step of ``plan`` into ``values``, scanning the outputs
     ``scans`` names per step.  Returns (node, output position) of the first
     scan that finds a non-finite value, or None."""
-    for (node, ins, outs, frees, _), step_params, scan in zip(
+    for (node, ins, outs, frees), step_params, scan in zip(
             plan.steps, params, scans):
         results = eval_node(node, [values[s] for s in ins], step_params)
         for k in scan:
@@ -561,17 +554,17 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     if plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
-    # the guard reports an overflow as a NumericError naming its node, not a
+    # the scans report an overflow as a NumericError naming its node, not a
     # warning; one error state per call, as one per step costs like a kernel
     with np.errstate(all="ignore"):
         failed = _run(plan, values, params, scans, capture)
         if failed is not None:
-            # kernels are deterministic, so the replay under the guards
+            # kernels are deterministic, so the replay scanning every output
             # stops at the first node that made a non-finite value
             values = list(plan.template)
             for slot, arr in fed:
                 values[slot] = arr
-            failed = _run(plan, values, params, plan.guards, False) or failed
+            failed = _run(plan, values, params, plan.every_output(), False) or failed
             node, k = failed
             raise NumericError(f"node {node.name!r} produced non-finite "
                                f"values in {node.outputs[k]!r}")

@@ -1,11 +1,18 @@
 """Compile a forward graph into a self-contained explainer and run it.
 
 The artifact is one graph with a single runtime input (the sample to explain)
-and two outputs: the model's prediction row and an input-shaped attribution.
+and, in this order, two outputs: the model's prediction row and an
+input-shaped attribution, then the input multipliers when they are exposed.
 Everything else — reference rows or the reference activations folded at
 compile time, gradient seeds, backward wiring — lives inside as constants, so
 a saved artifact can be shipped and executed anywhere the executor runs, with
 no other state.
+
+The graph is the one statement of that interface: ``explain`` feeds its
+input and reads its outputs by position.  The metadata holds what the graph
+cannot say, such as the explained class, the mean reference output the
+completeness residual is taken against and the epsilons ``graphlift verify``
+rebuilds with.
 """
 
 from __future__ import annotations
@@ -35,14 +42,12 @@ _SCHEMES = {"opt": "optimized", "optimized": "optimized", "naive": "naive"}
 
 # metadata key -> accepted types, for every key ``explain`` or
 # ``graphlift verify`` reads
-_EXPLAIN_KEYS = {"input_name": str, "prediction_output": str,
-                 "attribution_output": str, "output_index": int,
-                 "seed_scale": (int, float), "ref_output_mean": (int, float),
+_EXPLAIN_KEYS = {"output_index": int, "ref_output_mean": (int, float),
                  "eps_act": (int, float), "eps_pool": (int, float)}
 
 
 def _check_metadata(model: GraphModel, meta) -> None:
-    """Reject metadata that ``explain`` could not act on."""
+    """Reject an artifact that ``explain`` could not act on."""
     if not isinstance(meta, dict):
         raise ValidationError("artifact metadata must be a JSON object")
     for key, kinds in _EXPLAIN_KEYS.items():
@@ -51,16 +56,11 @@ def _check_metadata(model: GraphModel, meta) -> None:
         if isinstance(meta[key], bool) or not isinstance(meta[key], kinds):
             raise ValidationError(
                 f"artifact metadata {key!r} has the wrong type: {meta[key]!r}")
-    if [spec.name for spec in model.inputs] != [meta["input_name"]]:
+    if len(model.inputs) != 1 or len(model.outputs) < 2:
         raise ValidationError(
-            f"metadata input {meta['input_name']!r} is not the artifact's "
-            "only input")
-    outputs = {spec.name: spec for spec in model.outputs}
-    for key in ("prediction_output", "attribution_output"):
-        if meta[key] not in outputs:
-            raise ValidationError(
-                f"metadata {key} {meta[key]!r} is not an artifact output")
-    shape = outputs[meta["prediction_output"]].shape
+            f"an artifact takes one input and gives at least two outputs, not "
+            f"{len(model.inputs)} and {len(model.outputs)}")
+    shape = model.outputs[0].shape
     classes = shape[-1] if shape else 0
     if not 0 <= meta["output_index"] < classes:
         raise ValidationError(
@@ -82,10 +82,6 @@ class ExplainerArtifact:
                                         compare=False)
 
     @property
-    def scheme(self) -> str:
-        return self.metadata["scheme"]
-
-    @property
     def plan(self) -> ExecutionPlan:
         if self._plan is None:
             _check_metadata(self.model, self.metadata)
@@ -104,7 +100,7 @@ class Attribution:
 
 def compile_explainer(model: GraphModel, references, output_index: int = 0,
                       scheme: str = "optimized", *, eps_act: float = EPS_ACT,
-                      eps_pool: float = EPS_POOL, seed_scale: float = 1.0,
+                      eps_pool: float = EPS_POOL,
                       expose_multipliers: bool = False) -> ExplainerArtifact:
     """Build the explainer for one output coordinate under one scheme."""
     try:
@@ -114,8 +110,7 @@ def compile_explainer(model: GraphModel, references, output_index: int = 0,
             from None
     build = build_optimized if canonical == "optimized" else build_naive
     graph, meta = build(model, references, output_index, eps_act=eps_act,
-                        eps_pool=eps_pool, seed_scale=seed_scale,
-                        expose_multipliers=expose_multipliers)
+                        eps_pool=eps_pool, expose_multipliers=expose_multipliers)
     return ExplainerArtifact(model=graph, metadata=meta)
 
 
@@ -123,17 +118,15 @@ def explain(artifact: ExplainerArtifact, sample) -> Attribution:
     """Run the artifact on one sample row."""
     plan = artifact.plan
     meta = artifact.metadata
-    dtype = artifact.model.inputs[0].dtype
-    arr = _as_array(sample, dtype, "sample")
-    outputs, _ = execute(plan, {meta["input_name"]: arr})
-    prediction = outputs[meta["prediction_output"]]
-    phi = outputs[meta["attribution_output"]]
+    spec = artifact.model.inputs[0]
+    arr = _as_array(sample, spec.dtype, "sample")
+    outputs, _ = execute(plan, {spec.name: arr})
+    prediction, phi = (outputs[out.name] for out in artifact.model.outputs[:2])
     predicted = float(prediction.reshape(-1, prediction.shape[-1])
                       [0, meta["output_index"]])
-    target = meta["seed_scale"] * (predicted - meta["ref_output_mean"])
-    residual = abs(float(phi.sum()) - target)
-    return Attribution(phi=TensorValue(phi, dtype), residual=residual,
-                       prediction=TensorValue(prediction, dtype))
+    residual = abs(float(phi.sum()) - (predicted - meta["ref_output_mean"]))
+    return Attribution(phi=TensorValue(phi, spec.dtype), residual=residual,
+                       prediction=TensorValue(prediction, spec.dtype))
 
 
 def save_artifact(artifact: ExplainerArtifact, path: str) -> None:

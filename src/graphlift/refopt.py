@@ -110,8 +110,8 @@ def _check_arguments(builder: GraphBuilder, explained: str, output_index,
                      **knobs) -> int:
     """The explained output's class count, read once the forward nodes are
     in ``builder``.  Names the first thing an artifact could not use: an
-    output that is not rank-2, an output index that picks no class, a knob
-    not finite in the model's dtype, an epsilon not above 0."""
+    output that is not rank-2, an output index that picks no class, an
+    epsilon not finite and above 0 in the model's dtype."""
     out_shape = builder.shape(explained)
     if len(out_shape) != 2:
         raise UnsupportedOp(
@@ -126,9 +126,9 @@ def _check_arguments(builder: GraphBuilder, explained: str, output_index,
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         with np.errstate(over="ignore"):
             cast = DTYPES[dtype](value) if real else np.nan
-        limit = "finite" if name == "seed_scale" else "finite and above 0"
-        if not np.isfinite(cast) or (name != "seed_scale" and cast <= 0):
-            raise ValidationError(f"{name} must be {limit} in {dtype}, got {value!r}")
+        if not np.isfinite(cast) or cast <= 0:
+            raise ValidationError(
+                f"{name} must be finite and above 0 in {dtype}, got {value!r}")
     return classes
 
 
@@ -178,36 +178,26 @@ def _fold_references(builder: GraphBuilder, model: GraphModel,
     return copies
 
 
-def _seed_array(batch: int, classes: int, output_index: int, dtype: str,
-                seed_scale: float) -> np.ndarray:
+def _seed_array(batch: int, classes: int, output_index: int,
+                dtype: str) -> np.ndarray:
     seed = np.zeros((batch, classes), dtype=DTYPES[dtype])
-    seed[:, output_index] = seed_scale
+    seed[:, output_index] = 1
     return seed
 
 
 def _metadata(scheme: str, model: GraphModel, *, output_index: int,
               refs: np.ndarray, ref_output: np.ndarray, eps_act: float,
-              eps_pool: float, seed_scale: float, prediction: str,
-              attribution: str, multipliers: str | None, forward_nodes,
-              target_rows: int, reference_rows: int, cache_entries,
+              eps_pool: float, forward_nodes, cache_entries,
               cache_bytes: int) -> dict:
-    """The artifact's metadata; ``ref_output`` is the explained output over
-    ``refs``."""
+    """The artifact's metadata: what its graph cannot say.  ``ref_output``
+    is the explained output over ``refs``."""
     return {
         "scheme": scheme,
         "output_index": int(output_index),
         "batch": int(refs.shape[0]),
         "eps_act": float(eps_act),
         "eps_pool": float(eps_pool),
-        "seed_scale": float(seed_scale),
-        "dtype": model.inputs[0].dtype,
-        "input_name": model.inputs[0].name,
-        "prediction_output": prediction,
-        "attribution_output": attribution,
-        "multipliers_output": multipliers,
         "forward_nodes": list(forward_nodes),
-        "forward_rows": {"target": int(target_rows),
-                         "reference": int(reference_rows)},
         "ref_output_mean": float(ref_output[:, output_index].mean()),
         "cache_entries": sorted(cache_entries),
         "cache_bytes": int(cache_bytes),
@@ -218,9 +208,10 @@ def _metadata(scheme: str, model: GraphModel, *, output_index: int,
 def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
             phi: str, multipliers: str | None) -> GraphModel:
     """The validated artifact: the builder's nodes, the prediction, phi and
-    (when exposed) the input multipliers as outputs, and the initializers some
-    node reads or some output names; a constant every consumer of which
-    folded away is left out."""
+    (when exposed) the input multipliers as its outputs in that order, which
+    is how ``explain`` finds them, and the initializers some node reads or
+    some output names; a constant every consumer of which folded away is
+    left out."""
     names = [prediction, phi] + ([multipliers] if multipliers else [])
     read = {i for node in builder.nodes for i in node.inputs} | set(names)
     input_name = model.inputs[0].name
@@ -238,7 +229,7 @@ def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
 
 def build_optimized(model: GraphModel, references, output_index: int = 0, *,
                     eps_act: float = EPS_ACT, eps_pool: float = EPS_POOL,
-                    seed_scale: float = 1.0, expose_multipliers: bool = False):
+                    expose_multipliers: bool = False):
     """Attach the attribution head with all reference activations baked in.
 
     The backward pass is seeded with one row, not B identical ones: a
@@ -256,14 +247,14 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
         builder.add(node)
     forward_nodes = [n.name for n in builder.nodes]
     classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
-                               eps_pool=eps_pool, seed_scale=seed_scale)
+                               eps_pool=eps_pool)
     rows = builder.fresh(f"ref_{_short(input_name)}")
     builder.register_value(rows, refs.shape, refs)
     copies = _fold_references(builder, model, rows)
 
     env = RuleEnv(builder, batch, joint=False, refs=copies)
-    loss = builder.const(_seed_array(1, classes, output_index,
-                                     builder.dtype, seed_scale), "seed")
+    loss = builder.const(_seed_array(1, classes, output_index, builder.dtype),
+                         "seed")
     input_grad = differentiate(model, backward, loss, env, eps_act, eps_pool)
 
     # phi = mean over references of multiplier * (X - R)
@@ -271,23 +262,22 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     contrib = builder.emit("Mul", [input_grad, d_input], tag="contrib")
     phi = builder.emit("ReduceMean", [contrib], {"axes": [0], "keepdims": 1},
                        tag=_ATTRIBUTION)
-    multipliers = input_grad if expose_multipliers else None
-    artifact = _finish(model, builder, explained, phi, multipliers)
+    artifact = _finish(model, builder, explained, phi,
+                       input_grad if expose_multipliers else None)
 
     baked = [name for name, copy in copies.items() if copy in artifact.initializers]
     meta = _metadata(
         "optimized", model, output_index=output_index, refs=refs,
         ref_output=builder.known[copies[explained]], eps_act=eps_act,
-        eps_pool=eps_pool, seed_scale=seed_scale, prediction=explained,
-        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
-        target_rows=1, reference_rows=0, cache_entries=baked, cache_bytes=sum(
+        eps_pool=eps_pool, forward_nodes=forward_nodes, cache_entries=baked,
+        cache_bytes=sum(
             artifact.initializers[copies[name]].nbytes for name in baked))
     return artifact, meta
 
 
 def build_naive(model: GraphModel, references, output_index: int = 0, *,
                 eps_act: float = EPS_ACT, eps_pool: float = EPS_POOL,
-                seed_scale: float = 1.0, expose_multipliers: bool = False):
+                expose_multipliers: bool = False):
     """Attach the attribution head in the replicate-and-stack layout.
 
     Returns (artifact, metadata).
@@ -310,13 +300,13 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
                          list(node.outputs), dict(node.attributes)))
     forward_nodes = [n.name for n in builder.nodes]
     classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
-                               eps_pool=eps_pool, seed_scale=seed_scale)
+                               eps_pool=eps_pool)
     copies = _fold_references(builder, model, ref_const)
 
     env = RuleEnv(builder, batch, joint=True)
     env.alias[input_name] = stacked
     loss = builder.const(_seed_array(2 * batch, classes, output_index,
-                                     builder.dtype, seed_scale), "seed")
+                                     builder.dtype), "seed")
     input_grad = differentiate(model, backward, loss, env, eps_act, eps_pool)
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
@@ -330,15 +320,13 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     # the target half carries B identical rows; their mean is the prediction
     pred = builder.emit("ReduceMean", [env.x_of(explained)],
                         {"axes": [0], "keepdims": 1}, tag=_PREDICTION)
-    multipliers = input_grad if expose_multipliers else None
-    artifact = _finish(model, builder, pred, phi, multipliers)
+    artifact = _finish(model, builder, pred, phi,
+                       input_grad if expose_multipliers else None)
 
     meta = _metadata(
         "naive", model, output_index=output_index, refs=refs,
         ref_output=builder.known[copies[explained]], eps_act=eps_act,
-        eps_pool=eps_pool, seed_scale=seed_scale, prediction=pred,
-        attribution=phi, multipliers=multipliers, forward_nodes=forward_nodes,
-        target_rows=batch, reference_rows=batch, cache_entries=[],
+        eps_pool=eps_pool, forward_nodes=forward_nodes, cache_entries=[],
         cache_bytes=0)
     return artifact, meta
 

@@ -55,6 +55,20 @@ def edit_header():
 
 
 @pytest.fixture(scope="session")
+def forward_rows():
+    """The leading extents that the source model's nodes run at in an
+    artifact's forward pass, read from the artifact graph."""
+
+    def rows(model, graph, metadata) -> set[int]:
+        shapes = gl.infer_graph_shapes(graph)
+        forward = set(metadata["forward_nodes"]) & {n.name for n in model.nodes}
+        return {shapes[out][0] for node in graph.nodes if node.name in forward
+                for out in node.outputs}
+
+    return rows
+
+
+@pytest.fixture(scope="session")
 def corpus_f32():
     return gl.build_corpus(seed=0, batch=BATCH)
 

@@ -104,7 +104,7 @@ def test_criterion_04_hand_derived_unit_examples(criterion_log):
     def multipliers(model, x, refs):
         art = gl.compile_explainer(model, refs, expose_multipliers=True)
         outs, _ = execute(art.model, {"x": np.asarray(x, np.float64)})
-        return outs[art.metadata["multipliers_output"]]
+        return outs[art.model.outputs[2].name]
 
     checks = []
 
@@ -157,9 +157,8 @@ def test_criterion_05_linear_rules_match_central_differences(criterion_log):
         net = corpus.micro_net(family)
         art = gl.compile_explainer(net.model, net.references,
                                    expose_multipliers=True)
-        outs, _ = execute(art.model,
-                          {art.metadata["input_name"]: net.sample})
-        mult = outs[art.metadata["multipliers_output"]]
+        outs, _ = execute(art.model, {art.model.inputs[0].name: net.sample})
+        mult = outs[art.model.outputs[2].name]
         grad = finite_diff(net.model, net.sample, h=1e-4)
         for row in mult:
             rel = float(np.abs(row - grad[0]).max()
@@ -170,15 +169,15 @@ def test_criterion_05_linear_rules_match_central_differences(criterion_log):
     assert worst <= 1e-6, f"worst relative gap {worst:.3e}"
 
 
-def test_criterion_06_structural_savings_on_demo(demo_pair, criterion_log):
+def test_criterion_06_structural_savings_on_demo(demo_pair, forward_rows,
+                                                 criterion_log):
     model, refs = demo_pair
     opt = gl.compile_explainer(model, refs)
     naive = gl.compile_explainer(model, refs, scheme="naive")
 
-    opt_rows = opt.metadata["forward_rows"]
-    naive_rows = naive.metadata["forward_rows"]
-    row_claim = (naive_rows["target"] + naive_rows["reference"] == 2 * B
-                 and opt_rows["target"] + opt_rows["reference"] == 1)
+    opt_rows, naive_rows = (forward_rows(model, art.model, art.metadata)
+                            for art in (opt, naive))
+    row_claim = opt_rows == {1} and naive_rows == {2 * B}
 
     opt_census = op_census(opt.model)
     naive_census = op_census(naive.model)
@@ -265,9 +264,9 @@ def test_criterion_09_single_file_deployment(
                                    after.prediction.array)
         # the artifact asks for nothing beyond the sample itself
         ok = ok and len(loaded.model.inputs) == 1
-        outs, _ = execute(loaded.model,
-                          {loaded.metadata["input_name"]: sample})
-        ok = ok and loaded.metadata["attribution_output"] in outs
+        outs, _ = execute(loaded.model, {loaded.model.inputs[0].name: sample})
+        ok = ok and np.array_equal(outs[loaded.model.outputs[1].name],
+                                   after.phi.array)
     criterion_log(9, "saved artifact replays bit-identically", ok)
     assert ok
 

@@ -86,7 +86,7 @@ def _graph_multipliers(model, x, refs):
     art = gl.compile_explainer(model, refs, output_index=1,
                                expose_multipliers=True)
     outs, _ = execute(art.model, {"x": x})
-    return outs[art.metadata["multipliers_output"]]
+    return outs[art.model.outputs[2].name]
 
 
 def test_heavy_fanout_sums_all_arrivals():

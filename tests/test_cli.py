@@ -175,6 +175,22 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     assert records[1]["split_concat_nodes"] > records[0]["split_concat_nodes"]
 
 
+@pytest.mark.parametrize("name, scheme", [("opt", "optimized"),
+                                          ("optimized", "optimized"),
+                                          ("naive", "naive")])
+def test_bench_of_one_scheme_records_its_canonical_name(demo_files, capsys,
+                                                        tmp_path, name, scheme):
+    report = str(tmp_path / "bench.json")
+    code, out, _ = run(capsys, "bench", "--model", demo_files["model"],
+                       "--refs", demo_files["refs"], "--images", "2",
+                       "--schemes", name, "--json", report)
+    assert code == 0
+    assert "ratio" not in out and scheme in out
+    records = json.loads(open(report).read())["records"]
+    assert [r["scheme"] for r in records] == [scheme]
+    assert 0 < records[0]["scans"] <= records[0]["nodes"]
+
+
 def test_bench_rejects_zero_images(demo_files, capsys):
     code, _, err = run(capsys, "bench", "--model", demo_files["model"],
                        "--refs", demo_files["refs"], "--images", "0")
@@ -242,7 +258,6 @@ def test_flops_rejects_bad_batch_sizes(demo_files, capsys, spec, word):
 
 @pytest.mark.parametrize("flag, value", [("--eps-act", "-1"),
                                          ("--eps-pool", "inf"),
-                                         ("--seed-scale", "nan"),
                                          ("--output-index", "99")])
 def test_compile_names_a_bad_argument(demo_files, capsys, flag, value):
     code, _, err = run(capsys, "compile", "--model", demo_files["model"],
@@ -262,11 +277,11 @@ def plain_deep_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("against", ["oracle", "naive"])
-@pytest.mark.parametrize("flags", [("--seed-scale", "2"), ("--eps-act", "0.5"),
-                                   ("--seed-scale", "2", "--eps-act", "1e-3")])
+@pytest.mark.parametrize("flags", [("--eps-act", "0.5"), ("--eps-pool", "0.5"),
+                                   ("--eps-act", "1e-3", "--eps-pool", "1e-3")])
 def test_verify_reads_the_artifact_settings(plain_deep_files, capsys, flags,
                                             against):
-    # the seed scale and both epsilons come from the artifact's metadata
+    # both epsilons come from the artifact's metadata
     pair, tmp_path = plain_deep_files
     art = str(tmp_path / "pd.sge")
     assert run(capsys, "compile", *pair, *flags, "--out", art)[0] == 0
@@ -274,6 +289,16 @@ def test_verify_reads_the_artifact_settings(plain_deep_files, capsys, flags,
                        "--against", against, "--inputs", "2")
     assert code == 0, out
     assert "2/2 inputs passed" in out
+
+
+def test_compile_takes_no_seed_scale(demo_files):
+    # phi is linear in the seed, so a caller who wants a scale multiplies phi
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--model", demo_files["model"], "--refs",
+              demo_files["refs"], "--seed-scale", "2",
+              "--out", str(demo_files["dir"] / "scaled.sge")])
+    assert exc.value.code == 2
+    assert not (demo_files["dir"] / "scaled.sge").exists()
 
 
 @pytest.mark.parametrize("flag", ["--eps-act", "--eps-pool"])
@@ -292,7 +317,7 @@ def test_dtype_flag_recasts(demo_files, capsys):
     assert code == 0
     loaded = gl.load_artifact(art)
     assert loaded.model.inputs[0].dtype == "float32"
-    assert loaded.metadata["dtype"] == "float32"
+    assert {spec.dtype for spec in loaded.model.outputs} == {"float32"}
 
 
 def test_missing_file_is_a_clean_error(capsys, tmp_path):

@@ -428,15 +428,15 @@ def test_plan_matches_per_call_planning_bit_for_bit(artifacts, name):
 def test_plan_frees_each_intermediate_after_its_last_reader(artifacts):
     plan = ExecutionPlan(artifacts("residual_add", "float64").model)
     outputs = {slot for _, slot in plan.outputs}
-    produced = {s for _, _, outs, _, _ in plan.steps for s in outs}
+    produced = {s for _, _, outs, _ in plan.steps for s in outs}
     freed_at = {}
-    for k, (_, _, _, frees, _) in enumerate(plan.steps):
+    for k, (_, _, _, frees) in enumerate(plan.steps):
         for slot in frees:
             assert slot not in freed_at, "freed twice"
             freed_at[slot] = k
     assert produced - outputs <= set(freed_at)
     assert not outputs & set(freed_at)
-    for k, (_, ins, _, _, _) in enumerate(plan.steps):
+    for k, (_, ins, _, _) in enumerate(plan.steps):
         assert all(freed_at.get(s, k) >= k for s in ins), "read after free"
 
 
@@ -466,7 +466,7 @@ def test_constants_are_materialized_once_and_read_only():
     second, _ = execute(plan, {"x": np.ones((1, 2))})
     assert first["k"] is second["k"]
     assert not first["k"].flags.writeable
-    assert [node.name for node, _, _, _, _ in plan.steps] == ["m"]
+    assert [node.name for node, _, _, _ in plan.steps] == ["m"]
 
 
 def test_execute_replans_a_mutated_model():
@@ -681,12 +681,11 @@ def test_where_selecting_a_non_finite_initializer_is_named():
 
 def test_a_greater_reading_the_feed_is_neither_guarded_nor_scanned():
     # its bool output cannot hold a non-finite value; the Where that reads
-    # the feed as a branch is guarded and scanned, and names an infinite feed
+    # the feed as a branch is scanned, and names an infinite feed
     plan = ExecutionPlan(chain_model(
         [Node("Greater", "g", ["x", "zero"], ["m"]),
          Node("Where", "pick", ["m", "x", "zero"], ["y"])],
         {"zero": np.zeros((1, 2))}))
-    assert plan.guards == [(), (0,)]
     assert plan.scans == [(), (0,)]
     with pytest.raises(NumericError, match="'pick'"):
         execute(plan, {"x": np.array([[np.inf, 1.0]])})
@@ -757,13 +756,14 @@ def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
 def test_an_empty_output_runs_the_request_under_the_guards():
     # the overflowing Exp is read only by a Tile, whose repeats of 0 make
     # its output empty: the inf reaches no scanned value, so this feed
-    # shape is scanned step by step
+    # shape has every output of every step scanned
     plan = ExecutionPlan(chain_model(
         [Node("Exp", "grow", ["x"], ["h"]),
          Node("Tile", "none", ["h"], ["y"], {"repeats": [0, 1]})]))
     assert plan.scans == [(), (0,)]
     with pytest.raises(NumericError, match="'grow'"):
         execute(plan, {"x": np.full((1, 2), 1000.0)})
+    assert [tuple(scan) for scan in plan.resolved[2]] == [(0,), (0,)]
     assert execute(plan, {"x": np.ones((1, 2))})[0]["y"].shape == (0, 2)
 
 
@@ -862,7 +862,6 @@ def test_a_poisoned_step_output_is_named_at_its_node(
     names = guarded_by_every_step_scan(model)
     guarded = [node for node in model.nodes
                if node.op_type != "Constant" and node.name in names]
-    assert guarded == [node for node, _, _, _, guard in plan.steps if guard]
     target = {}
     kernel = executor.eval_node
 

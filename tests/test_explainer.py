@@ -55,15 +55,6 @@ def test_linear_closed_form(scheme):
     assert result.residual <= 1e-12
 
 
-def test_seed_scale_is_homogeneous(demo):
-    model, refs, sample = demo
-    one = gl.explain(gl.compile_explainer(model, refs, seed_scale=1.0), sample)
-    two = gl.explain(gl.compile_explainer(model, refs, seed_scale=2.0), sample)
-    assert np.allclose(two.phi.array, 2.0 * one.phi.array,
-                       rtol=0, atol=1e-14)
-    assert two.residual <= 1e-10
-
-
 def test_explain_reports_prediction_and_residual(demo):
     model, refs, sample = demo
     art = gl.compile_explainer(model, refs)
@@ -97,15 +88,35 @@ def test_save_load_round_trip_is_bit_identical(demo, tmp_path):
         assert path.read_bytes() == again.read_bytes()
 
 
-def test_artifact_needs_only_the_sample(demo):
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_artifact_needs_only_the_sample(demo, scheme):
+    # the graph states the interface: its one input is the sample, and its
+    # outputs are the prediction and phi, in that order
+    model, refs, sample = demo
+    art = gl.compile_explainer(model, refs, scheme=scheme)
+    result = gl.explain(art, sample)
+    outputs, _ = gl.execute(art.model, {art.model.inputs[0].name: sample})
+    prediction, phi = (outputs[spec.name] for spec in art.model.outputs)
+    assert np.array_equal(prediction, result.prediction.array)
+    assert np.array_equal(phi, result.phi.array)
+
+
+@pytest.mark.parametrize("inputs, outputs", [(1, 1), (1, 0), (0, 2), (2, 2)],
+                         ids=["prediction-only", "no-output", "no-input",
+                              "two-inputs"])
+def test_explain_rejects_a_graph_of_another_interface(demo, inputs, outputs):
     model, refs, sample = demo
     art = gl.compile_explainer(model, refs)
-    feeds = {art.metadata["input_name"]: sample}
-    outputs, _ = gl.execute(art.model, feeds)
-    assert art.metadata["attribution_output"] in outputs
+    cut = GraphModel(art.model.name, (art.model.inputs * 2)[:inputs],
+                     art.model.outputs[:outputs], art.model.initializers,
+                     art.model.nodes)
+    broken = gl.ExplainerArtifact(model=cut, metadata=art.metadata)
+    with pytest.raises(ValidationError, match=f"not {inputs} and {outputs}"):
+        gl.explain(broken, sample)
 
 
-@pytest.mark.parametrize("key", ["seed_scale", "input_name"])
+@pytest.mark.parametrize("key", ["output_index", "ref_output_mean", "eps_act",
+                                 "eps_pool"])
 def test_explain_rejects_metadata_missing_a_key(demo, key):
     model, refs, sample = demo
     art = gl.compile_explainer(model, refs)
@@ -119,9 +130,7 @@ BAD_ARGUMENTS = [
     ("output_index", 1.5), ("output_index", True), ("output_index", "0"),
     ("eps_act", -1.0), ("eps_act", 0.0), ("eps_act", float("inf")),
     ("eps_act", float("nan")), ("eps_act", None),
-    ("eps_pool", -1.0), ("eps_pool", float("inf")),
-    ("seed_scale", float("inf")), ("seed_scale", float("nan")),
-    ("seed_scale", False),
+    ("eps_pool", -1.0), ("eps_pool", float("inf")), ("eps_pool", True),
 ]
 
 
@@ -136,10 +145,10 @@ def test_bad_compile_argument_is_named(demo, build, key, value):
 
 def test_knob_finite_in_float64_but_not_in_float32_is_refused(demo):
     model, refs, _ = demo
-    gl.compile_explainer(model, refs, seed_scale=1e39)
+    gl.compile_explainer(model, refs, eps_pool=1e39)
     narrow = cast_model(model, "float32")
-    with pytest.raises(ValidationError, match="seed_scale"):
-        gl.compile_explainer(narrow, refs.astype(np.float32), seed_scale=1e39)
+    with pytest.raises(ValidationError, match="eps_pool"):
+        gl.compile_explainer(narrow, refs.astype(np.float32), eps_pool=1e39)
     with pytest.raises(ValidationError, match="eps_act"):
         gl.compile_explainer(narrow, refs.astype(np.float32), eps_act=1e-50)
 

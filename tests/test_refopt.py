@@ -60,27 +60,36 @@ def test_reference_rows_of_the_wrong_shape_are_named(demo, build, rows):
         build(model, np.zeros(rows))
 
 
-def test_metadata_contract(demo):
+METADATA_KEYS = {"scheme", "output_index", "batch", "eps_act", "eps_pool",
+                 "forward_nodes", "ref_output_mean", "cache_entries",
+                 "cache_bytes", "source_digest"}
+
+
+@pytest.mark.parametrize("expose", [False, True])
+def test_metadata_contract(demo, forward_rows, expose):
     model, refs = demo
-    art, meta = build_optimized(model, refs)
-    assert set(meta) == {
-        "scheme", "output_index", "batch", "eps_act", "eps_pool", "seed_scale",
-        "dtype", "input_name", "prediction_output", "attribution_output",
-        "multipliers_output", "forward_nodes", "forward_rows",
-        "ref_output_mean", "cache_entries", "cache_bytes", "source_digest"}
+    art, meta = build_optimized(model, refs, expose_multipliers=expose)
+    assert set(meta) == METADATA_KEYS
     assert meta["scheme"] == "optimized"
     assert meta["batch"] == B
     node_names = {n.name for n in art.nodes}
     assert set(meta["forward_nodes"]) <= node_names
+    # the graph states the interface: one input, then the prediction, phi
+    # and the exposed multipliers as outputs in that order
+    assert [s.name for s in art.inputs] == [model.inputs[0].name]
+    assert art.outputs[0].name == model.outputs[0].name
+    assert [s.shape for s in art.outputs] == \
+        [(1, 1), (1, 32)] + ([(B, 32)] if expose else [])
     # single target row, references folded away at compile time
-    assert meta["forward_rows"] == {"target": 1, "reference": 0}
+    assert forward_rows(model, art, meta) == {1}
 
 
-def test_naive_metadata_runs_both_streams(demo):
+def test_naive_metadata_runs_both_streams(demo, forward_rows):
     model, refs = demo
-    _, meta = build_naive(model, refs)
+    art, meta = build_naive(model, refs)
+    assert set(meta) == METADATA_KEYS
     assert meta["scheme"] == "naive"
-    assert meta["forward_rows"] == {"target": B, "reference": B}
+    assert forward_rows(model, art, meta) == {2 * B}
     assert meta["cache_entries"] == []
     assert meta["cache_bytes"] == 0
 
@@ -373,7 +382,7 @@ def test_a_linear_net_exposes_one_row_of_multipliers():
         art = gl.compile_explainer(net.model, net.references,
                                    expose_multipliers=True)
         outs, _ = execute(art.model, {art.model.inputs[0].name: net.sample})
-        got = outs[art.metadata["multipliers_output"]]
+        got = outs[art.model.outputs[2].name]
         _, want = gl.deeplift_oracle(net.model, net.sample, net.references,
                                      return_multipliers=True)
         assert got.shape == (rows,) + want.shape[1:]

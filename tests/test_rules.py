@@ -26,9 +26,9 @@ def graph_multipliers(model, x, refs, output_index=0, scheme="optimized"):
                                output_index=output_index, scheme=scheme,
                                expose_multipliers=True)
     outs, _ = execute(art.model,
-                      {art.metadata["input_name"]: np.asarray(x, dtype)})
+                      {art.model.inputs[0].name: np.asarray(x, dtype)})
     # the stacked scheme's stream also carries the reference half's rows
-    return outs[art.metadata["multipliers_output"]][:len(refs)]
+    return outs[art.model.outputs[2].name][:len(refs)]
 
 
 def selector(rows, col):
@@ -352,6 +352,70 @@ def test_matmul_over_rank_3_data_matches_the_oracle(scheme):
     want = gl.deeplift_oracle(model, sample, refs).phi.array
     assert got.shape == want.shape == (1, 4, 6)
     assert np.abs(got - want).max() <= 1e-10
+
+
+def match_oracle_under_both_schemes(model, refs, sample):
+    """Both schemes' phi within 1e-10 of the oracle's and of each other;
+    returns the two artifacts."""
+    want = gl.deeplift_oracle(model, sample, refs).phi.array
+    arts, phis = [], []
+    for scheme in ("optimized", "naive"):
+        arts.append(gl.compile_explainer(model, refs, scheme=scheme))
+        phis.append(gl.explain(arts[-1], sample).phi.array)
+        assert phis[-1].shape == want.shape
+        assert np.abs(phis[-1] - want).max() <= 1e-10
+    assert np.abs(phis[0] - phis[1]).max() <= 1e-10
+    return arts
+
+
+@pytest.mark.parametrize("op", ["ReduceSum", "ReduceMean"])
+@pytest.mark.parametrize("axes", [[1], [2]])
+def test_reduction_that_drops_its_axes_matches_the_oracle(op, axes):
+    rng = np.random.default_rng(11)
+    kept = 4 if axes == [1] else 3
+    nodes = [Node("Tanh", "act", ["x"], ["h"]),
+             Node(op, "red", ["h"], ["r"], {"axes": axes, "keepdims": 0}),
+             Node("MatMul", "out", ["r", "head"], ["y"])]
+    model = build("reddrop", (-1, 3, 4), nodes,
+                  {"head": TensorValue(rng.normal(size=(kept, 2)), F64)},
+                  "y", (-1, 2))
+    match_oracle_under_both_schemes(model, rng.normal(size=(4, 3, 4)),
+                                    rng.normal(size=(1, 3, 4)))
+
+
+def test_gemm_with_untransposed_weight_and_a_scale_matches_the_oracle():
+    rng = np.random.default_rng(12)
+    inits = {"w": TensorValue(rng.normal(size=(4, 3)), F64),
+             "c": TensorValue(rng.normal(size=(3,)), F64),
+             "head": TensorValue(rng.normal(size=(3, 2)), F64)}
+    nodes = [Node("Gemm", "fc", ["x", "w", "c"], ["h"],
+                  {"transB": 0, "alpha": 0.75, "beta": 1.0}),
+             Node("Relu", "act", ["h"], ["a"]),
+             Node("MatMul", "out", ["a", "head"], ["y"])]
+    model = build("gemm", (-1, 4), nodes, inits, "y", (-1, 2))
+    match_oracle_under_both_schemes(model, rng.normal(size=(4, 4)),
+                                    rng.normal(size=(1, 4)))
+
+
+def test_a_folded_mask_a_runtime_mul_reads_ships_as_a_float_initializer():
+    # the constant-only Greater folds to a bool mask; the Mul that reads it
+    # runs on the sample, so the mask ships as a 0/1 initializer in the
+    # artifact's dtype
+    rng = np.random.default_rng(13)
+    inits = {"gate": TensorValue(np.array([[0.5, -0.5, 2.0, -1.0]]), F64),
+             "zero": TensorValue(np.zeros((1, 4)), F64),
+             "head": TensorValue(rng.normal(size=(4, 2)), F64)}
+    nodes = [Node("Greater", "open", ["gate", "zero"], ["mask"]),
+             Node("Tanh", "act", ["x"], ["h"]),
+             Node("Mul", "gated", ["h", "mask"], ["g"]),
+             Node("MatMul", "out", ["g", "head"], ["y"])]
+    model = build("mask", (-1, 4), nodes, inits, "y", (-1, 2))
+    for art in match_oracle_under_both_schemes(
+            model, rng.normal(size=(4, 4)), rng.normal(size=(1, 4))):
+        gated = next(n for n in art.model.nodes if n.name == "gated")
+        mask = art.model.initializers[gated.inputs[1]]
+        assert mask.dtype == F64 and mask.array.dtype == np.float64
+        assert mask.array.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
 
 def test_softmax_on_non_last_axis_rejected():
