@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .executor import eval_node
-from .ir import DTYPES, Node, TensorValue
+from .ir import DTYPES, Node, TensorValue, all_finite
 from .shapes import resolve_node
 
 __all__ = ["GraphBuilder", "RuleEnv"]
@@ -115,7 +115,7 @@ class GraphBuilder:
             with np.errstate(all="ignore"):
                 results = eval_node(node, args, params)
             for name, arr in zip(node.outputs, results):
-                if arr.dtype != np.bool_ and not np.isfinite(arr).all():
+                if not all_finite(arr):
                     raise NumericError(
                         f"{node.op_type} node {node.name!r} folded to non-finite "
                         f"values in {name!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -302,8 +303,20 @@ def _add_pair_flags(sub, with_dtype: bool = True) -> None:
                          help="re-type the model and references")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a negative number written with an
+    exponent (``--rtol -1e-9``) is read as a value, as ``-1`` and ``-0.5``
+    are, and not taken for an option; its subcommand parsers are of this
+    class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphlift",
         description="compile inference graphs into self-contained "
                     "attribution explainers")

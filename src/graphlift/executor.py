@@ -10,9 +10,9 @@ Kernels check and resolve nothing, the ``Constant`` kernel included.
 ``shapes.resolve_node`` is each node's one resolution: it checks the node
 (a ``Constant``'s dtype too) and returns the parameters its kernel runs on
 at those input shapes, such as window geometry, the ``AveragePool``
-divisor plane or the ``Transpose`` permutation.  ``ExecutionPlan`` resolves
-all its steps once per feed shape and ``run_kernel`` its one node on the
-spot.  At compile time ``GraphBuilder.add`` resolves each node once and
+divisor plane, a mean's element count or the ``Transpose`` permutation.
+``ExecutionPlan`` resolves all its steps once per feed shape and
+``run_kernel`` its one node on the spot.  At compile time ``GraphBuilder.add`` resolves each node once and
 keeps its parameters, which the gradient rules read, so a compile makes no
 other law call.  Each op has one kernel, whoever calls it, and no strided
 window view is built on geometry the law refuses.
@@ -54,9 +54,18 @@ denominator, ``Relu`` of -inf, a GEMM, a pool).  A value that may hold a
 non-finite element (a ``Greater``'s bool output never does) is scanned when
 a breaker reads it, when it is a graph output or when nothing reads it; a
 value that only preserving slots read hands its non-finite elements on, and
-the scan of a value downstream finds them.  When a scan fails, ``execute``
-replays the request scanning every output of every step, so the
-NumericError names the first node that made a non-finite value.
+the scan of a value downstream finds them.  A scan is ``ir.all_finite``, the
+check ``TensorValue`` and the builder's fold make too: one reduction (the
+sum of the squares, which is finite exactly when every element is, unless
+the squares overflow), with the exact per-element test as its fallback.
+When a scan fails, ``execute`` replays the request scanning every output of
+every step, so the NumericError names the first node that made a non-finite
+value.
+
+The reductions call their ufunc, ``np.add.reduce`` or ``np.maximum.reduce``,
+with no numpy wrapper around it, and a mean divides its sum in place by the
+``np.intp`` element count its law resolved, as ``np.mean`` does, so each
+gives ``np.sum``'s, ``np.mean``'s or ``ndarray.max``'s bits.
 """
 
 from __future__ import annotations
@@ -66,7 +75,8 @@ import math
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, _unproduced
+from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec, _unproduced,
+                 all_finite)
 from .shapes import resolve_node
 
 __all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
@@ -205,23 +215,39 @@ def _max_pool(x, geometry):
 
 def _avg_pool(x, geometry):
     kernel, strides, pads, dilations, count = geometry
-    total = _window_views(_framed(x, pads), kernel, strides, dilations).sum(axis=(2, 3))
+    total = np.add.reduce(
+        _window_views(_framed(x, pads), kernel, strides, dilations), (2, 3))
     # the count plane is float64; dividing in x's dtype keeps float32 float32
     return np.divide(total, count, out=total, dtype=total.dtype)
+
+
+def _mean(x, axes, keepdims, count):
+    """``np.mean`` without its wrappers: the sum over ``axes``, divided in
+    place by the ``np.intp`` element count as numpy's own mean does (in
+    float64, rounded back to float32 for a float32 sum), so the bits are
+    the same."""
+    total = np.add.reduce(x, axes, None, None, keepdims)
+    if isinstance(total, np.ndarray):
+        return np.true_divide(total, count, out=total, casting="unsafe")
+    return total.dtype.type(total / count)   # every axis reduced to a scalar
 
 
 def _softmax(x, axis):
     # a shift below -finfo.max rounds to -inf, whose exp is the exact weight 0
     with np.errstate(over="ignore"):
-        shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+        ex = np.subtract(x, np.maximum.reduce(x, axis, None, None, True))
+    np.exp(ex, out=ex)
+    return np.divide(ex, np.add.reduce(ex, axis, None, None, True), out=ex)
 
 
 def _gemm(inputs, trans_a, trans_b, alpha, beta):
     a, b = inputs[0], inputs[1]
-    out = alpha * ((a.T if trans_a else a) @ (b.T if trans_b else b))
-    return out + beta * inputs[2] if len(inputs) == 3 else out
+    out = (a.T if trans_a else a) @ (b.T if trans_b else b)
+    if alpha != 1.0:
+        out = alpha * out
+    if len(inputs) == 3:
+        out = out + (inputs[2] if beta == 1.0 else beta * inputs[2])
+    return out
 
 
 def _batch_norm(inputs, eps):
@@ -254,14 +280,15 @@ _KERNELS = {
     "Softmax": lambda x, p: [_softmax(x[0], p)],
     "MaxPool": lambda x, p: [_max_pool(x[0], p)],
     "AveragePool": lambda x, p: [_avg_pool(x[0], p)],
-    "GlobalAveragePool": lambda x, p: [x[0].mean(axis=(2, 3), keepdims=True)],
-    "GlobalMaxPool": lambda x, p: [x[0].max(axis=(2, 3), keepdims=True)],
+    "GlobalAveragePool": lambda x, p: [_mean(x[0], (2, 3), True, p)],
+    "GlobalMaxPool": lambda x, p: [
+        np.maximum.reduce(x[0], (2, 3), None, None, True)],
     "BatchNormalization": lambda x, p: [_batch_norm(x, p)],
     "Transpose": lambda x, p: [np.ascontiguousarray(x[0].transpose(p))],
     "Reshape": lambda x, p: [x[0].reshape(p["shape"])],
     "Flatten": lambda x, p: [x[0].reshape(p)],
-    "ReduceSum": lambda x, p: [np.sum(x[0], axis=p[0], keepdims=p[1])],
-    "ReduceMean": lambda x, p: [np.mean(x[0], axis=p[0], keepdims=p[1])],
+    "ReduceSum": lambda x, p: [np.add.reduce(x[0], p[0], None, None, p[1])],
+    "ReduceMean": lambda x, p: [_mean(x[0], *p)],
     "Greater": lambda x, p: [x[0] > x[1]],
     "Where": lambda x, p: [_where(x[0], x[1], x[2])],
     "Tile": lambda x, p: [np.tile(x[0], p["repeats"])],
@@ -355,29 +382,26 @@ def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
     return arr
 
 
-def _finite(arr: np.ndarray) -> bool:
-    return arr.dtype == np.bool_ or bool(np.isfinite(arr).all())
-
-
 class ExecutionPlan:
     """A model resolved once for repeated execution.
 
     The plan holds the nodes in declaration order, which is dependency order,
     with every value name replaced by an integer slot; a node that reads a
     name no earlier node, graph input or initializer produced raises
-    ValidationError naming it.  It also holds the ``Constant`` outputs
-    materialized once and made read-only, and per step the slots it reads
-    for the last time, so that an intermediate is dropped as soon as its
-    last consumer has run.  It keeps the model's initializer arrays by
-    reference and reads nothing else from the model after it is built: a
-    model changed afterwards, initializer contents included, needs a new
-    plan.
+    ValidationError naming it, as does a graph output declared twice.  It
+    also holds the ``Constant`` outputs materialized once and made
+    read-only, and per step the slots it reads for the last time, so that
+    an intermediate is dropped as soon as its last consumer has run.  It
+    keeps the model's initializer arrays by reference and reads nothing else
+    from the model after it is built: a model changed afterwards,
+    initializer contents included, needs a new plan.
 
     Checks run here, not in the kernels.  A ``Constant`` is resolved when
     the plan is built.  ``verify`` resolves every step on the concrete shapes
     of a feed: ``resolve_node`` runs the step's law and returns the
     parameters its kernel takes at those shapes (window geometry, the
-    ``ConvTranspose`` phase table, the ``AveragePool`` divisor plane).  That
+    ``ConvTranspose`` phase table, the ``AveragePool`` divisor plane, a
+    mean's element count).  That
     happens the first time the plan sees those feed shapes and again only
     when they change, so a plan over a free-batch model resolves again when
     the batch changes.  The feed shapes and what was resolved for them are
@@ -423,14 +447,14 @@ class ExecutionPlan:
         initial = {self._claim(name, tensor.array): tensor.array
                    for name, tensor in model.initializers.items()}
         tainted = {slot for _, slot in self.feed}
-        tainted.update(slot for slot, arr in initial.items() if not _finite(arr))
+        tainted.update(slot for slot, arr in initial.items() if not all_finite(arr))
         steps = []
         for node in model.nodes:
             if node.op_type == "Constant":
                 _, params = resolve_node(node, [])
                 for name, arr in zip(node.outputs, eval_node(node, [], params)):
                     arr.flags.writeable = False
-                    if self.non_finite is None and not _finite(arr):
+                    if self.non_finite is None and not all_finite(arr):
                         self.non_finite = (node.name, name)
                     self._claim(name, arr)
                 continue
@@ -444,6 +468,8 @@ class ExecutionPlan:
         for spec in model.outputs:
             if spec.name not in self.slots:
                 raise ShapeError(f"graph output {spec.name!r} was never computed")
+            if (spec.name, self.slots[spec.name]) in self.outputs:
+                raise ValidationError(f"duplicate graph output {spec.name!r}")
             self.outputs.append((spec.name, self.slots[spec.name]))
         kept = {slot for _, slot in self.outputs}
 
@@ -522,7 +548,7 @@ def _run(plan: ExecutionPlan, values: list, params: list, scans,
             plan.steps, params, scans):
         results = eval_node(node, [values[s] for s in ins], step_params)
         for k in scan:
-            if not _finite(results[k]):
+            if not all_finite(results[k]):
                 return node, k
         for slot, arr in zip(outs, results):
             values[slot] = arr

@@ -120,6 +120,22 @@ def _check_signature(node: Node, n_inputs: int) -> None:
                 f"node {node.name!r}: {node.op_type} requires attribute {key!r}")
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of a float or bool array is finite; a bool
+    array always is.
+
+    One BLAS pass decides almost every call: the sum of the squares is NaN
+    or +inf when some element is NaN or infinite (NaN propagates, an
+    infinity squares to +inf and no term is negative, so nothing cancels)
+    and finite otherwise, unless the squares overflow.  Only a non-finite
+    sum falls back to the exact per-element test, so a finite array whose
+    squares overflow still passes.  ``np.vdot`` raises no floating-point
+    warning, so no caller needs an error state for this check.
+    """
+    return (arr.dtype == np.bool_ or math.isfinite(np.vdot(arr, arr))
+            or bool(np.isfinite(arr).all()))
+
+
 class TensorValue:
     """A dense tensor with an explicit dtype, shape and row-major payload."""
 
@@ -131,10 +147,10 @@ class TensorValue:
         if dtype not in DTYPES:
             raise ValidationError(f"unsupported tensor dtype {dtype!r}")
         arr = np.ascontiguousarray(array, dtype=DTYPES[dtype])
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise ValidationError("tensor payload contains non-finite values")
         self.dtype = dtype
-        self.shape = tuple(int(d) for d in arr.shape)
+        self.shape = arr.shape
         self.array = arr
 
     def little_endian(self) -> np.ndarray:
@@ -286,11 +302,15 @@ def validate_model(model: GraphModel) -> None:
                     f"{produced[out]}")
             produced[out] = f"node {node.name!r}"
 
+    declared = set()
     for spec in model.outputs:
         if spec.dtype not in DTYPES:
             raise ValidationError(f"output {spec.name!r}: unsupported dtype {spec.dtype!r}")
         if spec.name not in produced:
             raise ValidationError(f"graph output {spec.name!r} is never produced")
+        if spec.name in declared:
+            raise ValidationError(f"duplicate graph output {spec.name!r}")
+        declared.add(spec.name)
 
 
 def _spec_to_dict(spec: ValueSpec) -> dict:

@@ -283,7 +283,7 @@ def rule_reduce(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data = node.inputs[0]
     sample = b.shape(data)
-    axes, keep = ctx.params
+    axes, keep, count = ctx.params
     if 0 in axes:
         raise UnsupportedOp(
             f"node {node.name!r}: reducing over the batch axis is not supported")
@@ -295,7 +295,7 @@ def rule_reduce(ctx: RuleContext) -> dict[str, str]:
         g = b.emit("Reshape", [g], {"shape": restored}, tag="redrestore")
     spread = np.ones((1,) + tuple(sample[1:]))
     if node.op_type == "ReduceMean":
-        spread /= float(np.prod([sample[i] for i in axes]))
+        spread /= float(count)
     grad = b.emit("Mul", [g, b.const(spread, "redspread")], tag="redgrad")
     return {data: grad}
 

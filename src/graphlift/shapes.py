@@ -258,7 +258,8 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
         x = in_shapes[0]
         if len(x) != 4 or 0 in x[2:]:
             raise ShapeError(f"{op} supports non-empty 4-D NCHW tensors only")
-        return [(x[0], x[1], 1, 1)], attrs
+        # the window's element count, which a GlobalAveragePool divides by
+        return [(x[0], x[1], 1, 1)], np.intp(x[2] * x[3])
 
     if op == "BatchNormalization":
         x = in_shapes[0]
@@ -330,7 +331,9 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
                     out.append(1)
             else:
                 out.append(d)
-        return [tuple(out)], (tuple(axes), keep)
+        # the element count a ReduceMean divides by, as numpy's mean types it
+        return [tuple(out)], (tuple(axes), keep,
+                              np.intp(math.prod(x[a] for a in axes)))
 
     if op == "Tile":
         reps = attrs["repeats"]

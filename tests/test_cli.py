@@ -220,18 +220,24 @@ def test_verify_refuses_to_pass_on_nothing(demo_files, capsys, flag, value):
     assert flag in err and "passed" not in out
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-9", "-1e-3"])
 @pytest.mark.parametrize("flag", ["--atol", "--rtol"])
-def test_verify_refuses_a_negative_tolerance(demo_files, capsys, flag):
+def test_verify_refuses_a_negative_tolerance(demo_files, capsys, flag, value):
+    # a value written with an exponent reaches the check too, and is not
+    # taken for an option
     art = str(demo_files["dir"] / "demo.sge")
     pair = ["--model", demo_files["model"], "--refs", demo_files["refs"]]
     assert run(capsys, "compile", *pair, "--out", art)[0] == 0
-    code, out, err = run(capsys, "verify", *pair, "--explainer", art, flag, "-1")
+    code, out, err = run(capsys, "verify", *pair, "--explainer", art, flag, value)
     assert code == 2
     assert "non-negative" in err and "passed" not in out
 
 
 @pytest.mark.parametrize("flag, value", [("--atol", "-1"), ("--rtol", "-0.5"),
-                                         ("--atol", "nan"), ("--rtol", "nan")])
+                                         ("--atol", "nan"), ("--rtol", "nan"),
+                                         ("--rtol", "-1e-9"),
+                                         ("--atol", "-1e-3"),
+                                         ("--atol", "-2.5E+1")])
 def test_verify_refuses_a_bad_tolerance_before_any_work(demo_files, capsys,
                                                         monkeypatch, flag, value):
     def called(*args, **kwargs):

@@ -355,6 +355,71 @@ def test_reduce_and_constant_kernels():
     assert np.array_equal(c, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def reduction_inputs(dtype):
+    """A (4, 3, 6, 5) input of ``dtype``, contiguous and as a strided view."""
+    x = RNG.normal(size=(4, 3, 6, 5)).astype(dtype)
+    strided = RNG.normal(size=(8, 3, 12, 5)).astype(dtype)[::2, :, ::-2]
+    assert not strided.flags.c_contiguous
+    return {"contiguous": x, "strided": strided}
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("keepdims", [0, 1])
+@pytest.mark.parametrize("axes", [(0,), (1,), (2, 3), (1, 2, 3), (0, 1, 2, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reduce_kernels_give_numpys_bits(dtype, axes, keepdims, layout):
+    """The reduces call their ufunc directly and a mean divides in place by
+    its element count; the bits are numpy's own, the 0-d result of reducing
+    every axis included."""
+    x = reduction_inputs(dtype)[layout]
+    attrs = {"axes": list(axes), "keepdims": keepdims}
+    keep = bool(keepdims)
+    assert same_bits(kernel("ReduceSum", [x], attrs),
+                     np.sum(x, axis=axes, keepdims=keep))
+    assert same_bits(kernel("ReduceMean", [x], attrs),
+                     np.mean(x, axis=axes, keepdims=keep))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_and_softmax_reductions_give_numpys_bits(dtype, layout):
+    x = reduction_inputs(dtype)[layout]
+    assert same_bits(kernel("GlobalAveragePool", [x]),
+                     x.mean(axis=(2, 3), keepdims=True))
+    assert same_bits(kernel("GlobalMaxPool", [x]),
+                     x.max(axis=(2, 3), keepdims=True))
+    for axis in (1, -1):
+        ex = np.exp(x - x.max(axis=axis, keepdims=True))
+        assert same_bits(kernel("Softmax", [x], {"axis": axis}),
+                         ex / ex.sum(axis=axis, keepdims=True))
+    attrs = {"kernel_shape": [2, 2], "strides": [2, 1], "pads": [0, 1, 1, 0]}
+    _, (kernel_shape, strides, pads, dilations, count) = resolve_node(
+        Node("AveragePool", "p", ["x"], ["y"], attrs), [x.shape])
+    total = executor._window_views(executor._framed(x, pads), kernel_shape,
+                                   strides, dilations).sum(axis=(2, 3))
+    assert same_bits(kernel("AveragePool", [x], attrs),
+                     np.divide(total, count, dtype=x.dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gemm_of_unit_scales_skips_nothing_but_the_multiplies(dtype):
+    a = RNG.normal(size=(3, 4)).astype(dtype)
+    w = RNG.normal(size=(5, 4)).astype(dtype)
+    c = RNG.normal(size=(5,)).astype(dtype)
+    got = kernel("Gemm", [a, w, c], {"transB": 1})
+    assert same_bits(got, 1.0 * (a @ w.T) + 1.0 * c)
+    got = kernel("Gemm", [a, w, c], {"transB": 1, "alpha": 0.5, "beta": 1.0})
+    assert same_bits(got, 0.5 * (a @ w.T) + c)
+    got = kernel("Gemm", [a, w.T.copy()], {"alpha": 1.0, "beta": 3.0})
+    assert same_bits(got, a @ w.T)
+
+
 def small_model():
     w = TensorValue(RNG.normal(size=(3, 2)).astype(np.float32))
     return GraphModel("m", [ValueSpec("x", "float32", (-1, 3))],
@@ -822,15 +887,57 @@ def first_guarded_non_finite(model, feed):
 
 POISONS = (np.nan, np.inf, -np.inf)
 CORPUS_NETS = ("plain_deep", "residual_add", "dense_concat", "scaled_add_mul")
-POISONED_NETS = CORPUS_NETS + gl.MICRO_FAMILIES + ("batchnorm",)
+POISONED_NETS = CORPUS_NETS + gl.MICRO_FAMILIES + ("batchnorm", "big_valued")
+
+
+@functools.cache
+def big_valued_case(dtype):
+    """(model, references, sample): 64 features through MatMul(0.5 I) and
+    Relu, fed values near max / 32 of ``dtype``.  Every value stays finite,
+    while the sum of a prediction row (64 values of at least max / 64), and
+    with it the sum of squares of every value, overflows."""
+    scale = float(np.finfo(dtype).max) / 32
+    w = TensorValue(np.eye(64, dtype=dtype) * 0.5)
+    model = GraphModel("big", [ValueSpec("x", dtype, (-1, 64))],
+                       [ValueSpec("y", dtype, (-1, 64))], {"w": w},
+                       [Node("MatMul", "mm", ["x", "w"], ["h"]),
+                        Node("Relu", "act", ["h"], ["y"])])
+    rng = np.random.default_rng(17)
+    refs = (rng.uniform(-1.0, 1.0, size=(16, 64)) * scale).astype(dtype)
+    sample = (rng.uniform(1.0, 2.0, size=(1, 64)) * scale).astype(dtype)
+    return model, refs, sample
 
 
 @functools.cache
 def micro_artifact(family, dtype, scheme):
-    """(artifact model, sample) of one micro net."""
+    """(artifact model, sample) of one micro net, or of ``big_valued_case``."""
+    if family == "big_valued":
+        model, refs, sample = big_valued_case(dtype)
+        art = gl.compile_explainer(model, refs, scheme=scheme)
+        return art.model, sample
     net = gl.micro_net(family, dtype=dtype)
     art = gl.compile_explainer(net.model, net.references, scheme=scheme)
     return art.model, net.sample
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_values_whose_sums_overflow_explain_without_error(dtype, scheme):
+    model, refs, sample = big_valued_case(dtype)
+    art = gl.compile_explainer(model, refs, scheme=scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gl.explain(art, sample)
+    prediction = res.prediction.array
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.add.reduce(prediction, axis=None))
+    # y0 = relu(x0 / 2) is linear on each side of 0, so the Rescale
+    # multiplier gives feature 0 the mean output change and the others 0
+    x, r = sample.astype(np.float64), refs.astype(np.float64)
+    want = np.zeros((1, 64))
+    want[0, 0] = np.mean(np.maximum(x[0, 0] / 2, 0) - np.maximum(r[:, 0] / 2, 0))
+    rtol = 1e-5 if dtype == "float32" else 1e-12
+    assert np.allclose(res.phi.array, want, rtol=rtol, atol=0)
 
 
 def poisoning_case(name, dtype, scheme, artifacts, corpus_f32, corpus_f64):

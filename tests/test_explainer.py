@@ -115,6 +115,33 @@ def test_explain_rejects_a_graph_of_another_interface(demo, inputs, outputs):
         gl.explain(broken, sample)
 
 
+def test_a_graph_listing_the_prediction_twice_is_refused(demo, tmp_path):
+    # execute returns one entry per output name, so such an artifact would
+    # hand back its (1, 1) prediction as phi; saving, loading and explaining
+    # each refuse it, naming the output
+    model, refs, sample = demo
+    art = gl.compile_explainer(model, refs)
+    prediction = art.model.outputs[0]
+    twice = GraphModel(art.model.name, art.model.inputs,
+                       [prediction, prediction], art.model.initializers,
+                       art.model.nodes)
+    match = f"duplicate graph output {prediction.name!r}"
+    with pytest.raises(ValidationError, match=match):
+        gl.validate_model(twice)
+    broken = gl.ExplainerArtifact(model=twice, metadata=art.metadata)
+    path = str(tmp_path / "twice.sge")
+    with pytest.raises(ValidationError, match=match):
+        gl.save_artifact(broken, path)
+    # the container bytes a writer that skips validation would lay out
+    with open(path, "wb") as fh:
+        fh.write(ir._pack(ir._header(twice), twice.initializers.values(),
+                          art.metadata))
+    with pytest.raises(ValidationError, match=match):
+        gl.load_artifact(path)
+    with pytest.raises(ValidationError, match=match):
+        gl.explain(broken, sample)
+
+
 @pytest.mark.parametrize("key", ["output_index", "ref_output_mean", "eps_act",
                                  "eps_pool"])
 def test_explain_rejects_metadata_missing_a_key(demo, key):

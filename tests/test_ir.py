@@ -1,5 +1,7 @@
 """Model structure, validation and serialization round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from graphlift import (GraphModel, Node, ParseError, TensorValue,
                        ValidationError, ValueSpec, execute, infer_graph_shapes,
                        load_model, load_tensor, model_digest, save_model,
                        save_tensor, validate_model)
-from graphlift.ir import _header, dumps_model
+from graphlift.ir import _header, all_finite, dumps_model
 
 
 def tiny_model():
@@ -33,6 +35,76 @@ def test_tensor_value_rejects_unsupported_dtype():
         TensorValue(np.ones(3, dtype=np.int32))
 
 
+def _strided(dtype, poison=None, at=(0, 0)):
+    """A strided (4, 3) view of an (8, 9) array, with ``poison`` written at
+    ``at`` of the base: (0, 0) lies inside the view and (1, 1) outside."""
+    base = np.arange(72, dtype=dtype).reshape(8, 9)
+    if poison is not None:
+        base[at] = poison
+    return base[::2, ::3]
+
+
+def _finiteness_cases():
+    """(array, whether every element is finite), per case and dtype."""
+    cases = []
+    for dtype in (np.float32, np.float64):
+        def case(label, arr, finite):
+            cases.append(pytest.param(arr, finite,
+                                      id=f"{label}-{np.dtype(dtype).name}"))
+        big = np.finfo(dtype).max
+        case("nan", np.array([1.0, np.nan, 2.0], dtype), False)
+        case("+inf", np.array([1.0, np.inf, 2.0], dtype), False)
+        case("-inf", np.array([1.0, -np.inf, 2.0], dtype), False)
+        case("+inf with -inf", np.array([np.inf, 1.0, -np.inf], dtype), False)
+        case("empty", np.zeros((0, 3), dtype), True)
+        case("0-d", np.array(2.5, dtype), True)
+        case("0-d nan", np.array(np.nan, dtype), False)
+        case("0-d -inf", np.array(-np.inf, dtype), False)
+        case("strided", _strided(dtype), True)
+        case("strided nan inside the view", _strided(dtype, np.nan), False)
+        case("strided nan outside the view", _strided(dtype, np.nan, (1, 1)),
+             True)
+        case("strided -inf inside the view", _strided(dtype, -np.inf), False)
+        # finite, though the sum and the sum of squares overflow
+        case("both extremes", np.array([big, -big, big, big], dtype), True)
+    cases.append(pytest.param(np.full((4, 64), 1e37, np.float32), True,
+                              id="sum overflows-float32"))
+    return cases
+
+
+FINITENESS_CASES = _finiteness_cases()
+
+
+@pytest.mark.parametrize("arr, finite", FINITENESS_CASES)
+def test_all_finite_gives_the_exact_verdict_without_a_warning(arr, finite):
+    assert bool(np.isfinite(arr).all()) is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(arr) is finite
+
+
+def test_all_finite_passes_every_bool_array():
+    assert all_finite(np.array([True, False]))
+    assert all_finite(np.zeros((2, 0), bool))
+    assert all_finite(np.ones((4, 6), bool)[::2, ::3])
+
+
+@pytest.mark.parametrize("arr, finite", FINITENESS_CASES)
+def test_tensor_value_refuses_exactly_the_non_finite_payloads(arr, finite):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if finite:
+            tensor = TensorValue(arr)
+            # a 0-d payload is kept as one element, as np.ascontiguousarray
+            # gives it
+            assert tensor.shape == tensor.array.shape == (arr.shape or (1,))
+            assert tensor.array.flags.c_contiguous
+            assert np.array_equal(tensor.array.reshape(arr.shape), arr)
+        else:
+            with pytest.raises(ValidationError, match="non-finite"):
+                TensorValue(arr)
+
+
 def test_validate_accepts_tiny_model():
     validate_model(tiny_model())
 
@@ -48,6 +120,16 @@ def test_validate_rejects_duplicate_value_names():
     m = tiny_model()
     m.nodes[1] = Node("Relu", "act", ["h"], ["h"])
     with pytest.raises(ValidationError):
+        validate_model(m)
+
+
+@pytest.mark.parametrize("side", ["inputs", "outputs"])
+def test_validate_rejects_a_repeated_graph_input_or_output(side):
+    m = tiny_model()
+    setattr(m, side, getattr(m, side) * 2)
+    name = getattr(m, side)[0].name
+    with pytest.raises(ValidationError,
+                       match=f"duplicate graph {side[:-1]} {name!r}"):
         validate_model(m)
 
 
