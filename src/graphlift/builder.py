@@ -7,8 +7,10 @@ build time and its result becomes a known value, stored as an initializer
 only if a runtime node reads it.  That is what turns constant-only forward
 chains, the reference-side copy of the forward graph and reference-side
 expression chains into baked constants under the optimized scheme, while the
-same rule code emits live nodes for the replicated-batch scheme.  A folded
-value that is not finite raises NumericError naming its node.  Each node is
+same rule code emits live nodes for the replicated-batch scheme.  The
+builder keeps each folded one-input node, so ``refopt`` can ship a constant
+as the node that rebuilds it from another one.  A folded value that is not
+finite raises NumericError naming its node.  Each node is
 resolved once, when it is added: its output shapes and, under its first
 output, its kernel parameters are kept, so rules read shapes and parameters
 from the builder and from nothing else.
@@ -53,6 +55,8 @@ class GraphBuilder:
         # values whose arrays are known at build time (initializers and
         # anything computed only from them); folded booleans live here too
         self.known: dict[str, np.ndarray] = {}
+        # each output of a folded one-input node -> that node, in fold order
+        self.folds: dict[str, Node] = {}
         self._counter = itertools.count()
         # (op_type, inputs, canonical attributes) -> outputs of an emitted op
         self._values: dict[tuple, str | list[str]] = {}
@@ -120,6 +124,8 @@ class GraphBuilder:
                         f"{node.op_type} node {node.name!r} folded to non-finite "
                         f"values in {name!r}")
                 self.known[name] = arr
+                if len(node.inputs) == 1:
+                    self.folds[name] = node
             return True
         for i in node.inputs:
             if i in self.known:

@@ -217,6 +217,7 @@ def cmd_bench(args) -> int:
                 "artifact_bytes": len(dumps_model(artifact.model,
                                                    artifact.metadata)),
                 "nodes": len(artifact.model.nodes),
+                "steps": len(artifact.plan.steps),
                 "split_concat_nodes": census["Split"] + census["Concat"],
                 "scans": sum(map(len, scans)),
             })

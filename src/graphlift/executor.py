@@ -11,10 +11,11 @@ Kernels check and resolve nothing, the ``Constant`` kernel included.
 (a ``Constant``'s dtype too) and returns the parameters its kernel runs on
 at those input shapes, such as window geometry, the ``AveragePool``
 divisor plane, a mean's element count or the ``Transpose`` permutation.
-``ExecutionPlan`` resolves all its steps once per feed shape and
-``run_kernel`` its one node on the spot.  At compile time ``GraphBuilder.add`` resolves each node once and
-keeps its parameters, which the gradient rules read, so a compile makes no
-other law call.  Each op has one kernel, whoever calls it, and no strided
+``ExecutionPlan`` resolves each constant step once and all its other
+steps once per feed shape, and ``run_kernel`` its one node on the spot.
+At compile time ``GraphBuilder.add`` resolves each node once and keeps its
+parameters, which the gradient rules read, so a compile makes no other law
+call.  Each op has one kernel, whoever calls it, and no strided
 window view is built on geometry the law refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
@@ -33,16 +34,21 @@ plain reduction or two-branch form, so their outputs are the same bits,
 a NaN's sign bit aside.
 
 Execution is planned once per model.  ``ExecutionPlan`` takes the nodes in
-their declared dependency order, gives every value an integer slot,
-materializes the ``Constant`` outputs once (read-only), records where each
-intermediate is read for the last time and which values are scanned for
-non-finite elements; ``execute`` is then one loop over the plan that
-dispatches each step through ``eval_node`` with its resolved parameters,
-scans the values the plan marks and drops every intermediate after its last
-consumer.  ``execute`` takes a plan, or a model that it plans on the spot,
-so a model edited between calls is never run from a stale plan.  An
-``ExplainerArtifact`` builds its plan on its first ``explain`` and keeps
-it, so an artifact must not be changed after that.
+their declared dependency order and gives every value an integer slot.  A
+*constant step*, one whose inputs are all initializers or outputs of earlier
+constant steps, runs once, when the plan is built, and its outputs are kept
+read-only; a ``Constant`` is the no-input case.  An optimized artifact ships
+each reference activation it can rebuild from one of its payloads this way
+(see ``refopt``), so it costs nothing per explain.  Every other node is a
+step: the plan records where each intermediate is read for the last time
+and which values are scanned for non-finite elements; ``execute`` is then
+one loop over the steps that dispatches each through ``eval_node`` with its
+resolved parameters, scans the values the plan marks and drops every
+intermediate after its last consumer.  ``execute`` takes a plan, or a
+model that it plans on the spot, so a model edited between calls is never
+run from a stale plan.  An ``ExplainerArtifact`` builds its plan on its
+first ``explain`` and keeps it, so an artifact must not be changed after
+that.
 
 The plan scans a value only where a non-finite element could stop.  An
 operand slot is *preserving* when every non-finite element in it gives a
@@ -234,8 +240,7 @@ def _mean(x, axes, keepdims, count):
 
 def _softmax(x, axis):
     # a shift below -finfo.max rounds to -inf, whose exp is the exact weight 0
-    with np.errstate(over="ignore"):
-        ex = np.subtract(x, np.maximum.reduce(x, axis, None, None, True))
+    ex = np.subtract(x, np.maximum.reduce(x, axis, None, None, True))
     np.exp(ex, out=ex)
     return np.divide(ex, np.add.reduce(ex, axis, None, None, True), out=ex)
 
@@ -355,11 +360,13 @@ def eval_node(node: Node, inputs: list[np.ndarray], params) -> list[np.ndarray]:
 def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None,
                n_outputs: int = 1) -> list[np.ndarray]:
     """One op on concrete arrays without a pre-built Node: its shape law,
-    then its kernel on the parameters the law resolved."""
+    then its kernel on the parameters the law resolved, under the error
+    state ``execute`` and the builder's fold run every kernel in."""
     node = Node(op_type, "anon", [f"i{k}" for k in range(len(inputs))],
                 [f"o{k}" for k in range(n_outputs)], dict(attrs or {}))
     _, params = resolve_node(node, [x.shape for x in inputs])
-    return eval_node(node, inputs, params)
+    with np.errstate(all="ignore"):
+        return eval_node(node, inputs, params)
 
 
 def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
@@ -388,20 +395,23 @@ class ExecutionPlan:
     The plan holds the nodes in declaration order, which is dependency order,
     with every value name replaced by an integer slot; a node that reads a
     name no earlier node, graph input or initializer produced raises
-    ValidationError naming it, as does a graph output declared twice.  It
-    also holds the ``Constant`` outputs materialized once and made
-    read-only, and per step the slots it reads for the last time, so that
-    an intermediate is dropped as soon as its last consumer has run.  It
-    keeps the model's initializer arrays by reference and reads nothing else
-    from the model after it is built: a model changed afterwards,
-    initializer contents included, needs a new plan.
+    ValidationError naming it, as does a graph output declared twice.  A
+    node whose inputs are all constants (initializers or outputs of earlier
+    such nodes; a ``Constant`` has none) is resolved and run once, here,
+    under the error state ``execute`` uses; its outputs join the constants,
+    read-only, and the first one that is not finite is recorded and raised
+    as NumericError naming it on every ``execute``.  Every other node is a
+    step, and the plan holds per step the slots it reads for the last time,
+    so that an intermediate is dropped as soon as its last consumer has
+    run.  It keeps the model's initializer arrays by reference and reads
+    nothing else from the model after it is built: a model changed
+    afterwards, initializer contents included, needs a new plan.
 
-    Checks run here, not in the kernels.  A ``Constant`` is resolved when
-    the plan is built.  ``verify`` resolves every step on the concrete shapes
-    of a feed: ``resolve_node`` runs the step's law and returns the
-    parameters its kernel takes at those shapes (window geometry, the
-    ``ConvTranspose`` phase table, the ``AveragePool`` divisor plane, a
-    mean's element count).  That
+    Checks run here, not in the kernels.  ``verify`` resolves every step
+    on the concrete shapes of a feed: ``resolve_node`` runs the step's law
+    and returns the parameters its kernel takes at those shapes (window
+    geometry, the ``ConvTranspose`` phase table, the ``AveragePool``
+    divisor plane, a mean's element count).  That
     happens the first time the plan sees those feed shapes and again only
     when they change, so a plan over a free-batch model resolves again when
     the batch changes.  The feed shapes and what was resolved for them are
@@ -410,8 +420,8 @@ class ExecutionPlan:
     or ValidationError naming the node, before any kernel of that feed runs.
 
     A scan after every step names the first node whose output holds a
-    non-finite value.  By induction over the order (a non-finite
-    ``Constant`` stops ``execute`` before the first step), that node's op
+    non-finite value.  By induction over the order (a non-finite constant
+    stops ``execute`` before the first step), that node's op
     can turn finite operands into a non-finite value (it is outside
     ``_FINITE_CLOSED``) or it reads the feed or an initializer that was not
     finite when the plan was built: any other step reads finite values only
@@ -437,7 +447,7 @@ class ExecutionPlan:
     def __init__(self, model: GraphModel):
         self.slots: dict[str, int] = {}
         self.template: list[np.ndarray | None] = []
-        # (node name, value name) of the first non-finite Constant output
+        # (node name, value name) of the first non-finite constant output
         self.non_finite: tuple[str, str] | None = None
         # (feed shapes every step was last resolved on, each step's kernel
         # parameters and the positions of its outputs to scan at those
@@ -450,17 +460,13 @@ class ExecutionPlan:
         tainted.update(slot for slot, arr in initial.items() if not all_finite(arr))
         steps = []
         for node in model.nodes:
-            if node.op_type == "Constant":
-                _, params = resolve_node(node, [])
-                for name, arr in zip(node.outputs, eval_node(node, [], params)):
-                    arr.flags.writeable = False
-                    if self.non_finite is None and not all_finite(arr):
-                        self.non_finite = (node.name, name)
-                    self._claim(name, arr)
-                continue
             for name in node.inputs:
                 if name not in self.slots:
                     raise _unproduced(node, name)
+            args = [self.template[self.slots[name]] for name in node.inputs]
+            if all(arg is not None for arg in args):
+                self._constant_step(node, args)
+                continue
             ins = tuple(self.slots[name] for name in node.inputs)
             outs = tuple(self._claim(name, None) for name in node.outputs)
             steps.append((node, ins, outs))
@@ -530,6 +536,19 @@ class ExecutionPlan:
     def every_output(self) -> list[range]:
         """Every output position of every step, in step order."""
         return [range(len(outs)) for _, _, outs, _ in self.steps]
+
+    def _constant_step(self, node: Node, args: list[np.ndarray]) -> None:
+        """Run a step whose inputs are all constants, once: its outputs
+        become read-only constants of the plan, and the first non-finite
+        one is recorded."""
+        _, params = resolve_node(node, [arg.shape for arg in args])
+        with np.errstate(all="ignore"):
+            results = eval_node(node, args, params)
+        for name, arr in zip(node.outputs, results):
+            arr.flags.writeable = False
+            if self.non_finite is None and not all_finite(arr):
+                self.non_finite = (node.name, name)
+            self._claim(name, arr)
 
     def _claim(self, name: str, value) -> int:
         if name in self.slots:

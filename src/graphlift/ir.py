@@ -146,7 +146,8 @@ class TensorValue:
             dtype = str(array.dtype)
         if dtype not in DTYPES:
             raise ValidationError(f"unsupported tensor dtype {dtype!r}")
-        arr = np.ascontiguousarray(array, dtype=DTYPES[dtype])
+        # np.ascontiguousarray would give a 0-d payload one dimension
+        arr = np.asarray(array, dtype=DTYPES[dtype], order="C")
         if not all_finite(arr):
             raise ValidationError("tensor payload contains non-finite values")
         self.dtype = dtype

@@ -24,8 +24,20 @@ forward node that depends on the graph input is added again over the B
 reference rows and folds.  The optimized rules read those copies, and a copy
 ships only when a runtime node reads it.
 
+A constant that ships does so in one of two forms.  One the builder folded
+from a one-input node (an activation, a pool, a softmax, a reduction, a
+transpose) whose input ships unchanged, as a payload already in the
+artifact's dtype or as another such node, ships as that node, ahead of its
+readers: the execution plan runs it once, when it is built, to the bits the
+fold made, so it costs no payload bytes and nothing per explain.  Every
+other constant ships as a payload: the output of a Conv, GEMM,
+BatchNormalization or an Add or Mul of two payloads, whose derivation at
+load would amount to the reference forward pass, and a folded boolean,
+stored as 0/1 floats.
+
 count_flops prices either artifact with fixed per-op conventions so the two
-schemes can be compared analytically.
+schemes can be compared analytically; it prices the steps an explain runs,
+not the nodes the plan runs once.
 """
 
 from __future__ import annotations
@@ -76,8 +88,9 @@ def _as_array(value, dtype: str, what: str) -> np.ndarray:
 
 
 def _as_references(references, spec: ValueSpec) -> np.ndarray:
-    """The reference set as rows the graph input ``spec`` takes, or an
-    error naming it."""
+    """The reference set as row-major rows the graph input ``spec`` takes,
+    or an error naming it.  Row-major, so a reduction folded over the rows
+    gives the bits the plan's node gives over their payload."""
     refs = _as_array(references, spec.dtype, "the reference set")
     if refs.ndim < 1 or refs.shape[0] < 1:
         raise ValidationError("the reference set must carry at least one row")
@@ -86,7 +99,7 @@ def _as_references(references, spec: ValueSpec) -> np.ndarray:
         raise ShapeError(
             f"the reference set has shape {refs.shape}, which input "
             f"{spec.name!r} of shape {spec.shape} does not take")
-    return refs
+    return np.ascontiguousarray(refs)
 
 
 def _source_digest(model: GraphModel, refs: np.ndarray) -> str:
@@ -205,23 +218,43 @@ def _metadata(scheme: str, model: GraphModel, *, output_index: int,
     }
 
 
+def _derive(builder: GraphBuilder, ships: set[str]) -> list[Node]:
+    """The folded one-input nodes that ship in place of the payloads
+    ``ships`` names, in fold order (dependency order): each whose output
+    ships and whose input ships unchanged, as a payload already in the
+    artifact's dtype or as another such node.  A folded boolean ships as
+    0/1 floats, not unchanged, so a node reading one stays a payload; a
+    one-input op keeps its operand's dtype, so the node's outputs are in
+    the artifact's dtype too."""
+    dtype = DTYPES[builder.dtype]
+    return [node for name, node in builder.folds.items()
+            if name == node.outputs[0] and node.inputs[0] in ships
+            and any(o in ships for o in node.outputs)
+            and builder.known[node.inputs[0]].dtype == dtype]
+
+
 def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
             phi: str, multipliers: str | None) -> GraphModel:
     """The validated artifact: the builder's nodes, the prediction, phi and
     (when exposed) the input multipliers as its outputs in that order, which
-    is how ``explain`` finds them, and the initializers some node reads or
+    is how ``explain`` finds them, and the constants some node reads or
     some output names; a constant every consumer of which folded away is
-    left out."""
+    left out.  A constant ``_derive`` picks ships as its node, ahead of
+    every node that reads it, and every other one as a payload."""
     names = [prediction, phi] + ([multipliers] if multipliers else [])
     read = {i for node in builder.nodes for i in node.inputs} | set(names)
+    derived = _derive(builder, read & builder.initializers.keys())
+    made = {o for node in derived for o in node.outputs}
     input_name = model.inputs[0].name
     artifact = GraphModel(
         name=f"{model.name}.explainer",
         inputs=[ValueSpec(input_name, builder.dtype, builder.shape(input_name))],
         outputs=[ValueSpec(n, builder.dtype, builder.shape(n)) for n in names],
         initializers={name: t for name, t in builder.initializers.items()
-                      if name in read},
-        nodes=list(builder.nodes),
+                      if name in read and name not in made},
+        nodes=[Node(node.op_type, builder.fresh(node.name), list(node.inputs),
+                    list(node.outputs), dict(node.attributes))
+               for node in derived] + builder.nodes,
     )
     validate_model(artifact)
     return artifact
@@ -399,8 +432,11 @@ def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
 
 def count_flops(model: GraphModel, batch: int | None = None,
                 forward_nodes=None, cache_bytes: int = 0) -> FlopReport:
-    """Price every node with fixed conventions; split forward/backward.
+    """Price every step an explain runs with fixed conventions; split
+    forward/backward.
 
+    A node whose every input is an initializer or the output of such a
+    node runs once, when the execution plan is built, so it is left out.
     ``batch`` is the graph input's leading extent, as in
     ``infer_graph_shapes``: without it a free batch counts as one row, so a
     source model is priced per image.  ``forward_nodes`` names the forward
@@ -411,17 +447,21 @@ def count_flops(model: GraphModel, batch: int | None = None,
     itemsize = np.dtype(DTYPES[model.inputs[0].dtype]).itemsize if model.inputs else 8
     forward = set(forward_nodes) if forward_nodes is not None \
         else {n.name for n in model.nodes}
+    constants = set(model.initializers)
     by_node = []
     by_op: dict[str, int] = {}
     fwd = bwd = 0
     peak = 0
     for node in model.nodes:
+        if constants.issuperset(node.inputs):
+            constants.update(node.outputs)
+            continue
         flops = _node_flops(node, shapes)
         by_node.append((node.name, node.op_type, flops))
         by_op[node.op_type] = by_op.get(node.op_type, 0) + flops
         if node.name in forward:
             fwd += flops
-            live = [i for i in node.inputs if i not in model.initializers]
+            live = [i for i in node.inputs if i not in constants]
             touched = sum(int(np.prod(shapes[v])) for v in live) \
                 + sum(int(np.prod(shapes[o])) for o in node.outputs)
             peak = max(peak, touched * itemsize)

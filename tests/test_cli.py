@@ -153,14 +153,14 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     for record in records:
         assert set(record) == {"model", "scheme", "dtype", "batch", "images",
                                "p50_ms", "p95_ms", "cold_ms", "compile_ms",
-                               "artifact_bytes", "nodes", "split_concat_nodes",
-                               "scans"}
+                               "artifact_bytes", "nodes", "steps",
+                               "split_concat_nodes", "scans"}
         assert record["model"] == "demo"
         assert record["dtype"] == "float64"
         assert record["batch"] == 5 and record["images"] == 3
         assert 0 < record["p50_ms"] <= record["p95_ms"]
         assert record["cold_ms"] > 0 and record["compile_ms"] > 0
-        assert 0 < record["scans"] <= record["nodes"]
+        assert 0 < record["scans"] <= record["steps"] <= record["nodes"]
     art = str(tmp_path / "opt.sgm")
     assert run(capsys, "compile", "--model", demo_files["model"],
                "--refs", demo_files["refs"], "--out", art)[0] == 0
@@ -170,6 +170,7 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     assert records[0]["split_concat_nodes"] == census["Split"] + census["Concat"]
     plan = gl.ExecutionPlan(gl.load_artifact(art).model)
     assert records[0]["scans"] == sum(map(len, plan.scans))
+    assert records[0]["steps"] == len(plan.steps)
     # the stacked scheme splits its 2B-row stream, the cached one does not
     assert records[1]["nodes"] > records[0]["nodes"]
     assert records[1]["split_concat_nodes"] > records[0]["split_concat_nodes"]
@@ -188,7 +189,7 @@ def test_bench_of_one_scheme_records_its_canonical_name(demo_files, capsys,
     assert "ratio" not in out and scheme in out
     records = json.loads(open(report).read())["records"]
     assert [r["scheme"] for r in records] == [scheme]
-    assert 0 < records[0]["scans"] <= records[0]["nodes"]
+    assert 0 < records[0]["scans"] <= records[0]["steps"] <= records[0]["nodes"]
 
 
 def test_bench_rejects_zero_images(demo_files, capsys):

@@ -268,6 +268,19 @@ def test_activation_kernels():
                        e / e.sum(axis=-1, keepdims=True))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_run_kernel_runs_a_kernel_under_the_execute_error_state(dtype):
+    # the Softmax shift -max - max overflows to -inf, whose weight is an
+    # exact 0; run_kernel, not the kernel, silences the warning
+    big = np.finfo(dtype).max
+    x = np.array([[big, -big]], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernel("Softmax", [x], {"axis": -1})
+    assert got.tobytes() == np.array([[1.0, 0.0]], dtype).tobytes()
+    assert np.geterr()["over"] == "warn"
+
+
 def sigmoid_by_masks(x):
     """The former Sigmoid kernel: each sign's branch through a boolean mask."""
     out = np.empty_like(x)
@@ -532,6 +545,72 @@ def test_constants_are_materialized_once_and_read_only():
     assert first["k"] is second["k"]
     assert not first["k"].flags.writeable
     assert [node.name for node, _, _, _ in plan.steps] == ["m"]
+
+
+def test_a_step_over_constants_runs_once_when_the_plan_is_built(monkeypatch):
+    # a Constant is the no-input case: every step whose inputs are all
+    # initializers or earlier constant outputs runs once, not per explain
+    w = TensorValue(RNG.normal(size=(2, 3)))
+    model = GraphModel("c", [ValueSpec("x", "float64", (-1, 3))],
+                       [ValueSpec("y", "float64", (-1, 2))], {"w": w},
+                       [Node("Transpose", "t", ["w"], ["wt"], {"perm": [1, 0]}),
+                        Node("Tanh", "squash", ["wt"], ["ws"]),
+                        Node("Constant", "c", [], ["k"],
+                             {"dtype": "float64", "shape": [], "value": [2.0]}),
+                        Node("MatMul", "mm", ["x", "ws"], ["h"]),
+                        Node("Mul", "scale", ["h", "k"], ["y"])])
+    calls = []
+    kernel = executor.eval_node
+
+    def counted(node, inputs, params):
+        calls.append(node.name)
+        return kernel(node, inputs, params)
+
+    monkeypatch.setattr(executor, "eval_node", counted)
+    plan = ExecutionPlan(model)
+    assert calls == ["t", "squash", "c"]
+    assert [node.name for node, *_ in plan.steps] == ["mm", "scale"]
+    x = RNG.normal(size=(1, 3))
+    for _ in range(5):
+        outs, _ = execute(plan, {"x": x})
+    assert calls == ["t", "squash", "c"] + ["mm", "scale"] * 5
+    assert np.array_equal(outs["y"], (x @ np.tanh(w.array.T)) * 2.0)
+    assert not plan.template[plan.slots["ws"]].flags.writeable
+
+
+def test_an_artifact_runs_its_constant_nodes_once(artifacts, monkeypatch):
+    built = artifacts("plain_deep", "float32")
+    art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
+    calls = {}
+    kernel = executor.eval_node
+
+    def counted(node, inputs, params):
+        calls[node.name] = calls.get(node.name, 0) + 1
+        return kernel(node, inputs, params)
+
+    monkeypatch.setattr(executor, "eval_node", counted)
+    for x in gl.random_inputs(art.model, 4, seed=2):
+        gl.explain(art, x)
+    steps = {node.name for node, *_ in art.plan.steps}
+    assert len(steps) < len(art.model.nodes)
+    assert calls == {node.name: 4 if node.name in steps else 1
+                     for node in art.model.nodes}
+
+
+def test_a_non_finite_constant_step_is_named_on_every_explain():
+    # exp(100) overflows float32 once, when the plan is built, without a
+    # warning; every explain then names the step, as for a Constant
+    model = GraphModel("c", [ValueSpec("x", "float32", (-1, 2))],
+                       [ValueSpec("y", "float32", (-1, 2))],
+                       {"w": TensorValue(np.array([[100.0, 1.0]], np.float32))},
+                       [Node("Exp", "grow", ["w"], ["e"]),
+                        Node("Add", "shift", ["x", "e"], ["y"])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = ExecutionPlan(model)
+        for _ in range(2):
+            with pytest.raises(NumericError, match=named("grow", "e")):
+                execute(plan, {"x": np.ones((1, 2), np.float32)})
 
 
 def test_execute_replans_a_mutated_model():
@@ -800,6 +879,7 @@ def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
     explain's resolution returned, none resolved again."""
     built = artifacts("plain_deep", "float32")
     art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
+    art.plan   # its constant steps run here, once
     handed = []
     kernel = executor.eval_node
 
@@ -811,7 +891,7 @@ def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
     xs = gl.random_inputs(art.model, 2, seed=4)
     gl.explain(art, xs[0])
     first = list(handed)
-    assert len(first) == sum(n.op_type != "Constant" for n in art.model.nodes)
+    assert len(first) == len(art.plan.steps)
     handed.clear()
     gl.explain(art, xs[1])
     assert [name for name, _ in handed] == [name for name, _ in first]
@@ -966,9 +1046,9 @@ def test_a_poisoned_step_output_is_named_at_its_node(
     model, plan, feed = poisoning_case(name, dtype, scheme, artifacts,
                                        corpus_f32, corpus_f64)
     _, clean = execute(plan, feed, capture=True)
-    names = guarded_by_every_step_scan(model)
-    guarded = [node for node in model.nodes
-               if node.op_type != "Constant" and node.name in names]
+    names = guarded_by_every_step_scan(model) & {
+        node.name for node, *_ in plan.steps}
+    guarded = [node for node in model.nodes if node.name in names]
     target = {}
     kernel = executor.eval_node
 

@@ -95,11 +95,10 @@ def test_tensor_value_refuses_exactly_the_non_finite_payloads(arr, finite):
         warnings.simplefilter("error")
         if finite:
             tensor = TensorValue(arr)
-            # a 0-d payload is kept as one element, as np.ascontiguousarray
-            # gives it
-            assert tensor.shape == tensor.array.shape == (arr.shape or (1,))
+            # a 0-d payload stays 0-d
+            assert tensor.shape == tensor.array.shape == arr.shape
             assert tensor.array.flags.c_contiguous
-            assert np.array_equal(tensor.array.reshape(arr.shape), arr)
+            assert np.array_equal(tensor.array, arr)
         else:
             with pytest.raises(ValidationError, match="non-finite"):
                 TensorValue(arr)
@@ -424,6 +423,17 @@ def test_tensor_file_roundtrip(tmp_path, dtype, edit_header):
     assert back.array.tobytes() == arr.tobytes()
     assert edit_header(path)["initializers"] == [
         {"name": "probe", "dtype": dtype, "shape": [3, 4]}]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_scalar_tensor_round_trips_as_a_scalar(tmp_path, dtype, edit_header):
+    path = str(tmp_path / "s.stn")
+    save_tensor(TensorValue(np.array(2.5, dtype)), path, name="scale")
+    back = load_tensor(path)
+    assert back.shape == back.array.shape == ()
+    assert back.dtype == dtype and back.array.tobytes() == \
+        np.array(2.5, dtype).tobytes()
+    assert edit_header(path)["initializers"][0]["shape"] == []
 
 
 def test_load_tensor_refuses_a_model_file(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphlift as gl
+from graphlift import refopt
 from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, random_references
 from graphlift.executor import execute
@@ -145,7 +146,7 @@ def test_demo_peak_memory_inequality(demo):
     # frozen demo figures guard against silent cost-model drift
     assert ro.forward_peak_bytes == 264
     assert rn.forward_peak_bytes == 3840
-    assert ro.cache_bytes == 1360
+    assert ro.cache_bytes == 1320
 
 
 def test_count_flops_scales_with_batch(demo):
@@ -220,8 +221,8 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
 
 
 # (optimized, naive) node count of every corpus artifact
-CORPUS_NODE_COUNTS = {"plain_deep": (85, 117), "residual_add": (36, 50),
-                      "dense_concat": (56, 78), "scaled_add_mul": (36, 48)}
+CORPUS_NODE_COUNTS = {"plain_deep": (91, 117), "residual_add": (38, 50),
+                      "dense_concat": (59, 78), "scaled_add_mul": (38, 49)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -251,16 +252,20 @@ def _every_artifact(artifacts, corpus_f32, dtype, scheme):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("scheme", ["optimized", "naive"])
-def test_no_artifact_node_reads_only_constants(artifacts, corpus_f32,
-                                               dtype, scheme):
+def test_only_one_input_constants_ship_as_nodes(artifacts, corpus_f32,
+                                                dtype, scheme):
     # one folder: a node whose inputs are all known at build time is folded,
-    # forward or backward, so none ships to run again on every explain
+    # forward or backward; a constant folded from one shipped payload ships
+    # as its node, which the plan runs once, and no other node reads only
+    # constants
     for art in _every_artifact(artifacts, corpus_f32, dtype, scheme):
         model = art.model
+        constants = set(model.initializers)
         for node in model.nodes:
             assert node.op_type != "Constant", (model.name, node.name)
-            assert not set(node.inputs) <= set(model.initializers), \
-                (model.name, node.name)
+            if constants.issuperset(node.inputs):
+                assert len(node.inputs) == 1, (model.name, node.name)
+                constants.update(node.outputs)
 
 
 @pytest.mark.parametrize("scheme", ["optimized", "naive"])
@@ -387,3 +392,134 @@ def test_a_linear_net_exposes_one_row_of_multipliers():
                                      return_multipliers=True)
         assert got.shape == (rows,) + want.shape[1:]
         assert np.abs(got - want).max() <= 1e-12
+
+
+# -- reference constants that ship as the nodes the plan runs once ----------
+
+
+def _with_builder(model, refs, scheme, monkeypatch):
+    """(artifact, metadata, builder) of one compile."""
+    kept = []
+    finish = refopt._finish
+
+    def keep(model, builder, *rest):
+        kept.append(builder)
+        return finish(model, builder, *rest)
+
+    monkeypatch.setattr(refopt, "_finish", keep)
+    build = build_optimized if scheme == "optimized" else build_naive
+    artifact, meta = build(model, refs)
+    return artifact, meta, kept[0]
+
+
+def _sources(corpus_f32, dtype):
+    """(name, model, references) of every corpus and micro net in ``dtype``."""
+    nets = [(e.name, cast_model(e.model, dtype), e.references.astype(dtype))
+            for e in corpus_f32]
+    for family in gl.MICRO_FAMILIES:
+        net = gl.micro_net(family, dtype=dtype)
+        nets.append((family, net.model, net.references))
+    return nets
+
+
+def _constant_nodes(plan, model):
+    steps = {node.name for node, *_ in plan.steps}
+    return [node for node in model.nodes if node.name not in steps]
+
+
+def _as_payloads(model, plan):
+    """``model`` laid out with every constant node's outputs as payloads,
+    the way artifacts were saved before constants shipped as nodes."""
+    constants = _constant_nodes(plan, model)
+    made = {o: gl.TensorValue(np.array(plan.template[plan.slots[o]]))
+            for node in constants for o in node.outputs}
+    read = {i for node in model.nodes if node not in constants
+            for i in node.inputs} | {spec.name for spec in model.outputs}
+    initializers = {name: t for name, t in model.initializers.items()
+                    if name in read}
+    initializers.update((o, t) for o, t in made.items() if o in read)
+    return gl.GraphModel(model.name, model.inputs, model.outputs, initializers,
+                         [n for n in model.nodes if n not in constants])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_a_constant_node_rebuilds_the_folded_array_bit_for_bit(
+        corpus_f32, dtype, scheme, monkeypatch, tmp_path):
+    derived = 0
+    for name, model, refs in _sources(corpus_f32, dtype):
+        artifact, meta, builder = _with_builder(model, refs, scheme,
+                                                monkeypatch)
+        path = str(tmp_path / f"{name}.sgm")
+        gl.save_artifact(gl.ExplainerArtifact(artifact, meta), path)
+        for graph in (artifact, gl.load_artifact(path).model):
+            plan = gl.ExecutionPlan(graph)
+            for node in _constant_nodes(plan, graph):
+                assert len(node.inputs) == 1, (name, node.name)
+                for out in node.outputs:
+                    got, want = plan.template[plan.slots[out]], builder.known[out]
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (name, out)
+                    assert not got.flags.writeable
+                    derived += 1
+    assert derived
+
+
+# per-explain steps and scanned values of every optimized corpus artifact
+CORPUS_STEPS = {"plain_deep": (85, 23), "residual_add": (36, 14),
+                "dense_concat": (56, 16), "scaled_add_mul": (36, 9)}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_corpus_steps_and_scans(artifacts, dtype):
+    for name, (steps, scans) in CORPUS_STEPS.items():
+        plan = gl.ExecutionPlan(artifacts(name, dtype).model)
+        assert (len(plan.steps), sum(map(len, plan.scans))) == (steps, scans), \
+            name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_an_artifact_laid_out_with_payloads_explains_to_the_same_bytes(
+        artifacts, corpus_f32, dtype, scheme, tmp_path):
+    for entry in corpus_f32:
+        art = artifacts(entry.name, dtype, scheme)
+        old = gl.ExplainerArtifact(_as_payloads(art.model, art.plan),
+                                   art.metadata)
+        assert len(old.model.nodes) == len(art.plan.steps)
+        # count_flops prices the steps an explain runs, the same in both
+        forward = art.metadata["forward_nodes"]
+        assert count_flops(art.model, forward_nodes=forward).as_dict() == \
+            count_flops(old.model, forward_nodes=forward).as_dict()
+        paths = [str(tmp_path / f"{entry.name}-{k}.sgm") for k in ("new", "old")]
+        for artifact, path in zip((art, old), paths):
+            gl.save_artifact(artifact, path)
+        new, old = (gl.load_artifact(path) for path in paths)
+        for x in gl.random_inputs(art.model, 3, seed=11):
+            a, b = gl.explain(new, x), gl.explain(old, x)
+            assert a.phi.array.tobytes() == b.phi.array.tobytes()
+            assert a.prediction.array.tobytes() == b.prediction.array.tobytes()
+
+
+def test_column_major_references_fold_to_the_bits_their_payload_gives(
+        monkeypatch):
+    # a pooled reference row summed in column-major order differs in its
+    # last bits from the same rows summed row-major, as the payload is
+    rng = np.random.default_rng(4)
+    model = gl.GraphModel(
+        "pooled", [gl.ValueSpec("x", "float32", (-1, 3, 8, 8))],
+        [gl.ValueSpec("y", "float32", (-1, 2))],
+        {"w": gl.TensorValue(rng.normal(size=(3, 2)).astype(np.float32))},
+        [gl.Node("GlobalAveragePool", "gap", ["x"], ["g"]),
+         gl.Node("Relu", "act", ["g"], ["a"]),
+         gl.Node("Flatten", "flat", ["a"], ["f"]),
+         gl.Node("MatMul", "head", ["f", "w"], ["y"])])
+    refs = np.asfortranarray(rng.normal(size=(16, 3, 8, 8)).astype(np.float32))
+    artifact, _, builder = _with_builder(model, refs, "optimized", monkeypatch)
+    plan = gl.ExecutionPlan(artifact)
+    constants = _constant_nodes(plan, artifact)
+    assert [node.op_type for node in constants] == ["GlobalAveragePool", "Relu"]
+    for node in constants:
+        out = node.outputs[0]
+        assert plan.template[plan.slots[out]].tobytes() == \
+            builder.known[out].tobytes()
