@@ -15,7 +15,7 @@ from .builder import GraphBuilder, RuleEnv
 from .errors import NoPathError, StuckError, UnsupportedOp
 from .ir import GraphModel
 from .parser import BackwardGraph
-from .rules import EPS_ACT, EPS_POOL, RuleContext, f_grad
+from .rules import RuleContext, f_grad
 
 __all__ = ["differentiate"]
 
@@ -29,8 +29,7 @@ def _sum_flows(builder: GraphBuilder, flows: list[str], tag: str) -> str:
 
 
 def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
-                  env: RuleEnv, eps_act: float = EPS_ACT,
-                  eps_pool: float = EPS_POOL) -> str:
+                  env: RuleEnv) -> str:
     """Emit the gradient graph for the explained output, seeded by loss_name,
     into ``env.builder``; returns the name of the input gradient."""
     if len(model.inputs) != 1:
@@ -49,8 +48,7 @@ def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
             raise StuckError(f"no gradient reached node {node.name!r}")
         grad_in = _sum_flows(builder, arrived, node.name)
         ctx = RuleContext(node=node, grad_in=grad_in, env=env,
-                          pass_grads={i: i in diff for i in node.inputs},
-                          eps_act=eps_act, eps_pool=eps_pool)
+                          pass_grads={i: i in diff for i in node.inputs})
         out = f_grad(ctx)
         for name in dict.fromkeys(node.inputs):
             if name in out.grad_out:

@@ -32,7 +32,6 @@ from .ir import (DTYPES, GraphModel, TensorValue, ValueSpec, dumps_model,
                  load_model, load_tensor, save_model, save_tensor)
 from .oracle import compare_attributions, deeplift_oracle
 from .refopt import count_flops, op_census
-from .rules import EPS_ACT, EPS_POOL
 
 _DTYPE_FLAGS = {"f32": "float32", "f64": "float64"}
 
@@ -110,7 +109,6 @@ def cmd_compile(args) -> int:
     model, refs = _load_pair(args)
     artifact = compile_explainer(
         model, refs, output_index=args.output_index, scheme=args.scheme,
-        eps_act=args.eps_act, eps_pool=args.eps_pool,
         expose_multipliers=args.expose_multipliers)
     save_artifact(artifact, args.out)
     meta = artifact.metadata
@@ -152,22 +150,19 @@ def cmd_verify(args) -> int:
     model, refs = _load_pair(args)
     artifact = load_artifact(args.explainer)
     artifact.plan  # checks the metadata read here
-    meta = artifact.metadata
-    k = meta["output_index"]
-    knobs = dict(eps_act=meta["eps_act"], eps_pool=meta["eps_pool"])
+    k = artifact.metadata["output_index"]
     if args.input:
         samples = [load_tensor(args.input).array]
     else:
         samples = random_inputs(model, args.inputs, seed=args.seed)
     if args.against == "naive":
-        other = compile_explainer(model, refs, output_index=k, scheme="naive",
-                                  **knobs)
+        other = compile_explainer(model, refs, output_index=k, scheme="naive")
     failures = 0
     for i, sample in enumerate(samples):
         mine = explain(artifact, sample)
         if args.against == "oracle":
-            theirs = deeplift_oracle(model, sample, refs, output_index=k,
-                                     **knobs).phi.array
+            theirs = deeplift_oracle(model, sample, refs,
+                                     output_index=k).phi.array
         else:
             theirs = explain(other, sample).phi
         report = compare_attributions(mine.phi, theirs,
@@ -338,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--output-index", type=int, default=0)
     c.add_argument("--scheme", choices=["opt", "optimized", "naive"],
                    default="optimized")
-    c.add_argument("--eps-act", type=float, default=EPS_ACT)
-    c.add_argument("--eps-pool", type=float, default=EPS_POOL)
     c.add_argument("--expose-multipliers", action="store_true")
     c.add_argument("--out", required=True, help="artifact file (.sgm)")
     c.set_defaults(func=cmd_compile)

@@ -10,9 +10,12 @@ no other state.
 
 The graph is the one statement of that interface: ``explain`` feeds its
 input and reads its outputs by position.  The metadata holds what the graph
-cannot say, such as the explained class, the mean reference output the
-completeness residual is taken against and the epsilons ``graphlift verify``
-rebuilds with.
+cannot say, such as the explained class and the mean reference output the
+completeness residual is taken against.  The rules' epsilons are constants
+(``rules.EPS_ACT``, ``rules.EPS_POOL``), so the metadata does not record
+them; an artifact whose metadata still records them, as older versions
+wrote it, explains as it was compiled, and ``graphlift verify`` checks it
+against the constants.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
 from .ir import GraphModel, TensorValue, _read_model, save_model
 from .refopt import _as_array, build_naive, build_optimized
-from .rules import EPS_ACT, EPS_POOL
 
 __all__ = [
     "ExplainerArtifact",
@@ -42,8 +44,7 @@ _SCHEMES = {"opt": "optimized", "optimized": "optimized", "naive": "naive"}
 
 # metadata key -> accepted types, for every key ``explain`` or
 # ``graphlift verify`` reads
-_EXPLAIN_KEYS = {"output_index": int, "ref_output_mean": (int, float),
-                 "eps_act": (int, float), "eps_pool": (int, float)}
+_EXPLAIN_KEYS = {"output_index": int, "ref_output_mean": (int, float)}
 
 
 def _check_metadata(model: GraphModel, meta) -> None:
@@ -99,18 +100,14 @@ class Attribution:
 
 
 def compile_explainer(model: GraphModel, references, output_index: int = 0,
-                      scheme: str = "optimized", *, eps_act: float = EPS_ACT,
-                      eps_pool: float = EPS_POOL,
+                      scheme: str = "optimized", *,
                       expose_multipliers: bool = False) -> ExplainerArtifact:
     """Build the explainer for one output coordinate under one scheme."""
-    try:
-        canonical = _SCHEMES[scheme]
-    except KeyError:
-        raise ValidationError(f"unknown scheme {scheme!r}; use opt or naive") \
-            from None
-    build = build_optimized if canonical == "optimized" else build_naive
-    graph, meta = build(model, references, output_index, eps_act=eps_act,
-                        eps_pool=eps_pool, expose_multipliers=expose_multipliers)
+    if not isinstance(scheme, str) or scheme not in _SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}; use opt or naive")
+    build = build_optimized if _SCHEMES[scheme] == "optimized" else build_naive
+    graph, meta = build(model, references, output_index,
+                        expose_multipliers=expose_multipliers)
     return ExplainerArtifact(model=graph, metadata=meta)
 
 
@@ -159,6 +156,8 @@ def write_pgm(phi, path: str) -> None:
     if arr.ndim != 2:
         raise ShapeError(
             f"attribution with per-sample rank {arr.ndim} has no 2-D layout")
+    if arr.size == 0:
+        raise ShapeError(f"attribution of shape {arr.shape} holds no pixels")
     lo, hi = float(arr.min()), float(arr.max())
     scaled = np.full(arr.shape, 128, dtype=np.int64) if hi == lo else \
         np.rint((arr - lo) / (hi - lo) * 255).astype(np.int64)

@@ -8,12 +8,15 @@ supplies central-difference gradients for the linear paths, and
 compare_attributions implements the elementwise closeness metric used to
 score scheme pairs.
 
-This module deliberately duplicates the multiplier formulas.  Keep it free
-of imports from the emission side so a defect there cannot leak in here.
+This module deliberately duplicates the multiplier formulas and the rules'
+two epsilons, which are constants here as there: no caller sets them.  Keep
+it free of imports from the emission side so a defect there cannot leak in
+here.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,8 @@ __all__ = [
     "compare_attributions",
 ]
 
-# thresholds restated locally: the oracle must not lean on the rule emitters
+# the rules' epsilons restated locally, so the oracle does not lean on the
+# rule emitters; a test pins the two statements equal
 _EPS_ACT = 1e-6
 _EPS_POOL = 1e-7
 
@@ -50,9 +54,10 @@ def _as_batch(value, dtype: str, what: str) -> np.ndarray:
 
 
 def _check_output_index(output_index, classes: int) -> None:
-    if not 0 <= output_index < classes:
+    if isinstance(output_index, bool) or not isinstance(output_index, numbers.Integral) \
+            or not 0 <= output_index < classes:
         raise ValidationError(
-            f"output index {output_index} outside the {classes}-class head")
+            f"output index {output_index!r} picks none of the {classes} classes")
 
 
 def _reachable_from_input(model: GraphModel) -> set[str]:
@@ -79,9 +84,7 @@ def _upstream_nodes(model: GraphModel, explained: str, diff: set[str]) -> set[st
 
 
 def deeplift_oracle(model: GraphModel, sample, references,
-                    output_index: int = 0, *, eps_act: float = _EPS_ACT,
-                    eps_pool: float = _EPS_POOL,
-                    return_multipliers: bool = False):
+                    output_index: int = 0, *, return_multipliers: bool = False):
     """Reference implementation of the multiplier backward pass.
 
     Returns an Attribution, or (Attribution, multipliers[B x input]) when
@@ -126,8 +129,7 @@ def deeplift_oracle(model: GraphModel, sample, references,
             push(explained, seed)
             for node in reversed(order):
                 flowed = _node_backward(node, grads[node.outputs[0]],
-                                        x_trace.__getitem__, r_val, diff,
-                                        eps_act, eps_pool)
+                                        x_trace.__getitem__, r_val, diff)
                 for name, grad in flowed.items():
                     if not np.isfinite(grad).all():
                         raise NumericError(f"node {node.name!r} gives a non-finite "
@@ -158,13 +160,13 @@ def _fit(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=axes, keepdims=True) if axes else grad
 
 
-def _secant(dy, dx, local, eps):
-    near = np.abs(dx) < eps
+def _secant(dy, dx, local):
+    near = np.abs(dx) < _EPS_ACT
     return np.where(near, local, dy / np.where(near, 1.0, dx))
 
 
-def _node_backward(node: Node, g: np.ndarray, xv, rv, diff: set[str],
-                   eps_act: float, eps_pool: float) -> dict[str, np.ndarray]:
+def _node_backward(node: Node, g: np.ndarray, xv, rv,
+                   diff: set[str]) -> dict[str, np.ndarray]:
     op = node.op_type
     attrs = node.attributes
     ins = node.inputs
@@ -273,7 +275,7 @@ def _node_backward(node: Node, g: np.ndarray, xv, rv, diff: set[str],
             local = 1.0 - y * y
         else:
             local = (x > 0).astype(g.dtype)
-        return {ins[0]: g * _secant(y - yr, x - r, local, eps_act)}
+        return {ins[0]: g * _secant(y - yr, x - r, local)}
 
     if op == "Softmax":
         x, r = xv(ins[0]), rv(ins[0])
@@ -287,10 +289,10 @@ def _node_backward(node: Node, g: np.ndarray, xv, rv, diff: set[str],
         sbar = (sx + sr) * 0.5
         ybar = (y + yr) * 0.5
         gu = g / sbar + (g * ((ybar * -1.0) / sbar)).sum(axis=-1, keepdims=True)
-        return {ins[0]: gu * _secant(ux - ur, x - r, ux, eps_act)}
+        return {ins[0]: gu * _secant(ux - ur, x - r, ux)}
 
     if op in ("MaxPool", "GlobalMaxPool"):
-        return {ins[0]: _maxpool_backward(node, g, xv, rv, eps_pool)}
+        return {ins[0]: _maxpool_backward(node, g, xv, rv)}
 
     if op in ("AveragePool", "GlobalAveragePool"):
         return {ins[0]: _avgpool_backward(node, g, xv)}
@@ -305,7 +307,7 @@ def _pool_args(attrs):
     return kernel, strides, pads
 
 
-def _maxpool_backward(node: Node, g, xv, rv, eps_pool: float) -> np.ndarray:
+def _maxpool_backward(node: Node, g, xv, rv) -> np.ndarray:
     x, r = xv(node.inputs[0]), rv(node.inputs[0])
     yx, yr = xv(node.outputs[0]), rv(node.outputs[0])
     upper = np.maximum(yx, yr)
@@ -335,7 +337,7 @@ def _maxpool_backward(node: Node, g, xv, rv, eps_pool: float) -> np.ndarray:
                         share[0, c, i, j]
     routed = routed[:, :, pads[0]:pads[0] + height, pads[1]:pads[1] + width]
     dx = x - r
-    near = np.abs(dx) < eps_pool
+    near = np.abs(dx) < _EPS_POOL
     return np.where(near, 0.0, routed / np.where(near, 1.0, dx))
 
 

@@ -55,7 +55,6 @@ from .errors import ShapeError, UnsupportedOp, ValidationError
 from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
                  model_digest, validate_model)
 from .parser import build_backward_graph
-from .rules import EPS_ACT, EPS_POOL
 from .shapes import infer_graph_shapes
 
 __all__ = [
@@ -119,29 +118,20 @@ def _grad_prefix(model: GraphModel) -> str:
     return prefix
 
 
-def _check_arguments(builder: GraphBuilder, explained: str, output_index,
-                     **knobs) -> int:
+def _check_arguments(builder: GraphBuilder, explained: str, output_index) -> int:
     """The explained output's class count, read once the forward nodes are
     in ``builder``.  Names the first thing an artifact could not use: an
-    output that is not rank-2, an output index that picks no class, an
-    epsilon not finite and above 0 in the model's dtype."""
+    output that is not rank-2 or an output index that picks no class."""
     out_shape = builder.shape(explained)
     if len(out_shape) != 2:
         raise UnsupportedOp(
             f"the explained output must be rank-2 (batch, classes); "
             f"{explained!r} has shape {out_shape}")
-    classes, dtype = out_shape[1], builder.dtype
+    classes = out_shape[1]
     if isinstance(output_index, bool) or not isinstance(output_index, numbers.Integral) \
             or not 0 <= output_index < classes:
         raise ValidationError(
             f"output_index {output_index!r} picks none of the {classes} classes")
-    for name, value in knobs.items():
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        with np.errstate(over="ignore"):
-            cast = DTYPES[dtype](value) if real else np.nan
-        if not np.isfinite(cast) or cast <= 0:
-            raise ValidationError(
-                f"{name} must be finite and above 0 in {dtype}, got {value!r}")
     return classes
 
 
@@ -199,17 +189,14 @@ def _seed_array(batch: int, classes: int, output_index: int,
 
 
 def _metadata(scheme: str, model: GraphModel, *, output_index: int,
-              refs: np.ndarray, ref_output: np.ndarray, eps_act: float,
-              eps_pool: float, forward_nodes, cache_entries,
-              cache_bytes: int) -> dict:
+              refs: np.ndarray, ref_output: np.ndarray, forward_nodes,
+              cache_entries, cache_bytes: int) -> dict:
     """The artifact's metadata: what its graph cannot say.  ``ref_output``
     is the explained output over ``refs``."""
     return {
         "scheme": scheme,
         "output_index": int(output_index),
         "batch": int(refs.shape[0]),
-        "eps_act": float(eps_act),
-        "eps_pool": float(eps_pool),
         "forward_nodes": list(forward_nodes),
         "ref_output_mean": float(ref_output[:, output_index].mean()),
         "cache_entries": sorted(cache_entries),
@@ -261,7 +248,6 @@ def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
 
 
 def build_optimized(model: GraphModel, references, output_index: int = 0, *,
-                    eps_act: float = EPS_ACT, eps_pool: float = EPS_POOL,
                     expose_multipliers: bool = False):
     """Attach the attribution head with all reference activations baked in.
 
@@ -279,8 +265,7 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     for node in model.nodes:
         builder.add(node)
     forward_nodes = [n.name for n in builder.nodes]
-    classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
-                               eps_pool=eps_pool)
+    classes = _check_arguments(builder, explained, output_index)
     rows = builder.fresh(f"ref_{_short(input_name)}")
     builder.register_value(rows, refs.shape, refs)
     copies = _fold_references(builder, model, rows)
@@ -288,7 +273,7 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     env = RuleEnv(builder, batch, joint=False, refs=copies)
     loss = builder.const(_seed_array(1, classes, output_index, builder.dtype),
                          "seed")
-    input_grad = differentiate(model, backward, loss, env, eps_act, eps_pool)
+    input_grad = differentiate(model, backward, loss, env)
 
     # phi = mean over references of multiplier * (X - R)
     d_input = env.delta(input_name)
@@ -301,15 +286,14 @@ def build_optimized(model: GraphModel, references, output_index: int = 0, *,
     baked = [name for name, copy in copies.items() if copy in artifact.initializers]
     meta = _metadata(
         "optimized", model, output_index=output_index, refs=refs,
-        ref_output=builder.known[copies[explained]], eps_act=eps_act,
-        eps_pool=eps_pool, forward_nodes=forward_nodes, cache_entries=baked,
+        ref_output=builder.known[copies[explained]],
+        forward_nodes=forward_nodes, cache_entries=baked,
         cache_bytes=sum(
             artifact.initializers[copies[name]].nbytes for name in baked))
     return artifact, meta
 
 
 def build_naive(model: GraphModel, references, output_index: int = 0, *,
-                eps_act: float = EPS_ACT, eps_pool: float = EPS_POOL,
                 expose_multipliers: bool = False):
     """Attach the attribution head in the replicate-and-stack layout.
 
@@ -332,15 +316,14 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
                          [rename.get(i, i) for i in node.inputs],
                          list(node.outputs), dict(node.attributes)))
     forward_nodes = [n.name for n in builder.nodes]
-    classes = _check_arguments(builder, explained, output_index, eps_act=eps_act,
-                               eps_pool=eps_pool)
+    classes = _check_arguments(builder, explained, output_index)
     copies = _fold_references(builder, model, ref_const)
 
     env = RuleEnv(builder, batch, joint=True)
     env.alias[input_name] = stacked
     loss = builder.const(_seed_array(2 * batch, classes, output_index,
                                      builder.dtype), "seed")
-    input_grad = differentiate(model, backward, loss, env, eps_act, eps_pool)
+    input_grad = differentiate(model, backward, loss, env)
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
     d_input = builder.emit("Sub", [input_name, ref_const], tag="inputdelta")
@@ -358,9 +341,8 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     meta = _metadata(
         "naive", model, output_index=output_index, refs=refs,
-        ref_output=builder.known[copies[explained]], eps_act=eps_act,
-        eps_pool=eps_pool, forward_nodes=forward_nodes, cache_entries=[],
-        cache_bytes=0)
+        ref_output=builder.known[copies[explained]],
+        forward_nodes=forward_nodes, cache_entries=[], cache_bytes=0)
     return artifact, meta
 
 

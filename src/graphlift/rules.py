@@ -5,8 +5,11 @@ operator nodes that push an equivalent stream to the node's differentiable
 inputs.  Linear ops reuse their ordinary adjoint.  Nonlinear ops replace the
 local derivative with the secant between the target activation and a
 reference activation, falling back to the instantaneous derivative when the
-two are closer than an epsilon.  Max pooling routes through the winning
-window position of each side and rescales by the input difference.
+two are closer than ``EPS_ACT``.  Max pooling routes through the winning
+window position of each side and rescales by the input difference, or
+passes nothing where that difference is below ``EPS_POOL``.  The two
+epsilons are constants of the rules: no caller sets them, and an artifact
+does not record them.
 
 The rules emit standard ops only.  Convolution and average-pooling gradients
 are one ``ConvTranspose`` each, reading the forward filters (or a ones
@@ -45,6 +48,7 @@ __all__ = [
 ]
 
 # below these gaps the secant ratio is abandoned for the local derivative
+# (activations) or for no share at all (max pooling)
 EPS_ACT = 1e-6
 EPS_POOL = 1e-7
 
@@ -57,8 +61,6 @@ class RuleContext:
     grad_in: str
     env: RuleEnv
     pass_grads: dict[str, bool] = field(default_factory=dict)
-    eps_act: float = EPS_ACT
-    eps_pool: float = EPS_POOL
 
     @property
     def builder(self) -> GraphBuilder:
@@ -339,7 +341,7 @@ def rule_rescale(ctx: RuleContext) -> dict[str, str]:
     else:  # Relu; an exactly-zero input counts as inactive
         local = b.emit("Where", [b.emit("Greater", [act_in, zero], tag="reluon"),
                                  one, zero], tag="relulocal")
-    mult = _guarded_ratio(b, d_out, d_in, local, ctx.eps_act, "act")
+    mult = _guarded_ratio(b, d_out, d_in, local, EPS_ACT, "act")
     return {data: b.emit("Mul", [ctx.grad_in, mult], tag="actgrad")}
 
 
@@ -375,7 +377,7 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     # exp itself rescales like any other elementwise nonlinearity
     d_in = b.emit("Sub", [xs, rs], tag="smdx")
     d_exp = b.emit("Sub", [ux, ur], tag="smdexp")
-    mult = _guarded_ratio(b, d_exp, d_in, ux, ctx.eps_act, "smact")
+    mult = _guarded_ratio(b, d_exp, d_in, ux, EPS_ACT, "smact")
     gx = b.emit("Mul", [gtotal, mult], tag="smgrad")
     return {data: env.wrap_stream(gx)}
 
@@ -437,7 +439,7 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
                         {"shape": [b.shape(routed)[0] // sample[1], *sample[1:]]},
                         tag="mpscattered")
     gap = b.emit("Sub", [xs, rs], tag="mpdx")
-    grad = _guarded_ratio(b, routed, gap, b.scalar(0.0, "zero"), ctx.eps_pool, "mp")
+    grad = _guarded_ratio(b, routed, gap, b.scalar(0.0, "zero"), EPS_POOL, "mp")
     return {data: env.wrap_stream(grad)}
 
 

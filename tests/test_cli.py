@@ -263,9 +263,7 @@ def test_flops_rejects_bad_batch_sizes(demo_files, capsys, spec, word):
     assert "--b-range" in err and word in err
 
 
-@pytest.mark.parametrize("flag, value", [("--eps-act", "-1"),
-                                         ("--eps-pool", "inf"),
-                                         ("--output-index", "99")])
+@pytest.mark.parametrize("flag, value", [("--output-index", "99")])
 def test_compile_names_a_bad_argument(demo_files, capsys, flag, value):
     code, _, err = run(capsys, "compile", "--model", demo_files["model"],
                        "--refs", demo_files["refs"], flag, value,
@@ -284,15 +282,27 @@ def plain_deep_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("against", ["oracle", "naive"])
-@pytest.mark.parametrize("flags", [("--eps-act", "0.5"), ("--eps-pool", "0.5"),
-                                   ("--eps-act", "1e-3", "--eps-pool", "1e-3")])
-def test_verify_reads_the_artifact_settings(plain_deep_files, capsys, flags,
-                                            against):
-    # both epsilons come from the artifact's metadata
+@pytest.mark.parametrize("recorded", [(1e-6, 1e-7), (0.5, 0.5), (1e-3, 1e-3)])
+def test_an_artifact_recording_the_epsilons_still_loads(plain_deep_files,
+                                                        capsys, recorded,
+                                                        against):
+    # artifacts once recorded the rules' epsilons in their metadata; such an
+    # artifact loads, explains to the same bytes, and verifies against the
+    # constants, which are the only epsilons there are, whatever it recorded
     pair, tmp_path = plain_deep_files
-    art = str(tmp_path / "pd.sge")
-    assert run(capsys, "compile", *pair, *flags, "--out", art)[0] == 0
-    code, out, _ = run(capsys, "verify", *pair, "--explainer", art,
+    fresh, legacy = str(tmp_path / "pd.sge"), str(tmp_path / "pd_eps.sge")
+    assert run(capsys, "compile", *pair, "--out", fresh)[0] == 0
+    art = gl.load_artifact(fresh)
+    gl.save_model(art.model, legacy,
+                  metadata={**art.metadata, "eps_act": recorded[0],
+                            "eps_pool": recorded[1]})
+    old = gl.load_artifact(legacy)
+    assert (old.metadata["eps_act"], old.metadata["eps_pool"]) == recorded
+    sample = gl.load_tensor(str(tmp_path / "plain_deep_sample.stn")).array
+    mine, theirs = gl.explain(old, sample), gl.explain(art, sample)
+    assert mine.phi.array.tobytes() == theirs.phi.array.tobytes()
+    assert mine.prediction.array.tobytes() == theirs.prediction.array.tobytes()
+    code, out, _ = run(capsys, "verify", *pair, "--explainer", legacy,
                        "--against", against, "--inputs", "2")
     assert code == 0, out
     assert "2/2 inputs passed" in out
@@ -306,6 +316,17 @@ def test_compile_takes_no_seed_scale(demo_files):
               "--out", str(demo_files["dir"] / "scaled.sge")])
     assert exc.value.code == 2
     assert not (demo_files["dir"] / "scaled.sge").exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps-act", "--eps-pool"])
+def test_compile_takes_no_epsilon_flags(demo_files, flag):
+    # the rules' epsilons are constants, not settings
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--model", demo_files["model"], "--refs",
+              demo_files["refs"], flag, "1e-3",
+              "--out", str(demo_files["dir"] / "eps.sge")])
+    assert exc.value.code == 2
+    assert not (demo_files["dir"] / "eps.sge").exists()
 
 
 @pytest.mark.parametrize("flag", ["--eps-act", "--eps-pool"])

@@ -76,6 +76,24 @@ def test_finite_diff_rejects_bad_output_index():
         finite_diff(demo_model(), demo_sample(), output_index=5)
 
 
+@pytest.mark.parametrize("output_index", [1.5, True, "0", None])
+def test_an_output_index_that_is_no_integer_is_named(output_index):
+    # a three-class head, where 1.5 and True both fall inside the range
+    net = gl.micro_net("matmul_gemm")
+    with pytest.raises(ValidationError, match="output index"):
+        deeplift_oracle(net.model, net.sample, net.references,
+                        output_index=output_index)
+    with pytest.raises(ValidationError, match="output index"):
+        finite_diff(net.model, net.sample, output_index=output_index)
+
+
+def test_the_oracle_restates_the_rules_epsilons():
+    # two statements of one pair of constants, kept apart so a defect on the
+    # emission side cannot leak into the oracle; nothing sets either
+    from graphlift import oracle, rules
+    assert (oracle._EPS_ACT, oracle._EPS_POOL) == (rules.EPS_ACT, rules.EPS_POOL)
+
+
 def test_oracle_names_the_node_of_an_overflowing_multiplier():
     net = gl.micro_net("softmax", dtype="float32")
     refs = np.full_like(net.references, 100.0)  # exp(100) overflows float32

@@ -61,9 +61,9 @@ def test_reference_rows_of_the_wrong_shape_are_named(demo, build, rows):
         build(model, np.zeros(rows))
 
 
-METADATA_KEYS = {"scheme", "output_index", "batch", "eps_act", "eps_pool",
-                 "forward_nodes", "ref_output_mean", "cache_entries",
-                 "cache_bytes", "source_digest"}
+METADATA_KEYS = {"scheme", "output_index", "batch", "forward_nodes",
+                 "ref_output_mean", "cache_entries", "cache_bytes",
+                 "source_digest"}
 
 
 @pytest.mark.parametrize("expose", [False, True])

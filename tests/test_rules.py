@@ -62,6 +62,52 @@ def test_sigmoid_secant_vs_fallback_eps_boundary():
     assert m[0, 0] == y * (1.0 - y)
 
 
+def _sig(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+# op -> (threshold, centre of the pair, f, the fallback at x, f's input shape)
+GUARDS = {
+    "Relu": (rules.EPS_ACT, 0.0, lambda v: np.maximum(v, 0.0),
+             lambda x: (x > 0).astype(float)),
+    "Sigmoid": (rules.EPS_ACT, 1.0, _sig, lambda x: _sig(x) * (1.0 - _sig(x))),
+    "Tanh": (rules.EPS_ACT, 1.0, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+    # a 1x1 plane's only cell wins on both sides: the ratio is 1, the
+    # fallback passes nothing
+    "GlobalMaxPool": (rules.EPS_POOL, 0.0, lambda v: v, lambda x: 0.0 * x),
+}
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("share", [0.8, 1.2])
+@pytest.mark.parametrize("op", sorted(GUARDS))
+def test_each_guard_switches_at_its_constant(op, share, scheme):
+    # x and the reference sit share * threshold apart around the centre;
+    # below the rules' constant the fallback holds, above it the secant
+    eps, centre, f, fallback = GUARDS[op]
+    if op == "GlobalMaxPool":
+        nodes = [Node("GlobalMaxPool", "p", ["x"], ["pool"]),
+                 Node("Reshape", "r", ["pool"], ["y"], {"shape": [-1, 1]})]
+        model = build("guard", (-1, 1, 1, 1), nodes, {}, "y", (-1, 1))
+        shape = (1, 1, 1, 1)
+    else:
+        model = build("guard", (-1, 1), [Node(op, "n", ["x"], ["y"])],
+                      {}, "y", (-1, 1))
+        shape = (1, 1)
+    h = share * eps / 2
+    x, r = np.full(shape, centre + h), np.full(shape, centre - h)
+    got = graph_multipliers(model, x, r, scheme=scheme).ravel()[0]
+    dx = float((x - r).ravel()[0])
+    secant = float((f(x) - f(r)).ravel()[0]) / dx
+    want = float(fallback(x).ravel()[0]) if abs(dx) < eps else secant
+    assert (abs(dx) < eps) == (share < 1)
+    # the fallback and the secant lie further apart than the tolerance
+    assert abs(float(fallback(x).ravel()[0]) - secant) > 1e-8
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    _, oracle = gl.deeplift_oracle(model, x, r, return_multipliers=True)
+    assert oracle.ravel()[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 def test_relu_secant_and_dead_zero():
     model = build("relu", (-1, 2), [Node("Relu", "r", ["x"], ["y"])],
                   {}, "y", (-1, 2))
