@@ -13,6 +13,7 @@ softmax heads stay far away from overflow in float32.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +248,8 @@ _MOTIFS = {
 
 
 def _at_least_one(count: int, what: str) -> int:
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {count!r}")
     if count < 1:
         raise ValidationError(f"{what} must be at least 1, got {count}")
     return count

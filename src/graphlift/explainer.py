@@ -11,11 +11,11 @@ no other state.
 The graph is the one statement of that interface: ``explain`` feeds its
 input and reads its outputs by position.  The metadata holds what the graph
 cannot say, such as the explained class and the mean reference output the
-completeness residual is taken against.  The rules' epsilons are constants
-(``rules.EPS_ACT``, ``rules.EPS_POOL``), so the metadata does not record
-them; an artifact whose metadata still records them, as older versions
-wrote it, explains as it was compiled, and ``graphlift verify`` checks it
-against the constants.
+completeness residual is taken against.  The rules' one epsilon is a
+constant (``rules.EPS_ACT``), so the metadata does not record it; an
+artifact whose metadata still records epsilons, as older versions wrote it,
+explains as it was compiled, and ``graphlift verify`` checks it against the
+rules as they are.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, ValidationError
+from .errors import NumericError, ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
 from .ir import GraphModel, TensorValue, _read_model, save_model
 from .refopt import _as_array, build_naive, build_optimized
@@ -146,10 +146,14 @@ def write_pgm(phi, path: str) -> None:
     """Dump an attribution as a plain-text grayscale image.
 
     Channel axes are collapsed by summation; the value range is min-max
-    scaled to 0..255.
+    scaled to 0..255.  A non-numeric ``phi`` is a ValidationError and a
+    non-finite one a NumericError, raised before the file is opened.
     """
-    arr = np.asarray(phi.array if isinstance(phi, TensorValue) else phi,
-                     dtype=np.float64)
+    try:
+        arr = np.asarray(phi.array if isinstance(phi, TensorValue) else phi,
+                         dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"phi is not a numeric array: {exc}") from exc
     arr = np.squeeze(arr, axis=0) if arr.ndim and arr.shape[0] == 1 else arr
     while arr.ndim > 2:
         arr = arr.sum(axis=0)
@@ -158,6 +162,9 @@ def write_pgm(phi, path: str) -> None:
             f"attribution with per-sample rank {arr.ndim} has no 2-D layout")
     if arr.size == 0:
         raise ShapeError(f"attribution of shape {arr.shape} holds no pixels")
+    if not np.isfinite(arr).all():
+        raise NumericError("attribution holds a non-finite value; no image "
+                           "can scale it")
     lo, hi = float(arr.min()), float(arr.max())
     scaled = np.full(arr.shape, 128, dtype=np.int64) if hi == lo else \
         np.rint((arr - lo) / (hi - lo) * 255).astype(np.int64)

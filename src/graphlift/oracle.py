@@ -9,9 +9,10 @@ compare_attributions implements the elementwise closeness metric used to
 score scheme pairs.
 
 This module deliberately duplicates the multiplier formulas and the rules'
-two epsilons, which are constants here as there: no caller sets them.  Keep
-it free of imports from the emission side so a defect there cannot leak in
-here.
+activation epsilon, which is a constant here as there: no caller sets it.
+Max pooling needs none: its secant is taken where x − r is nonzero and is 0
+where it is zero, as the definition says.  Keep the module free of imports
+from the emission side so a defect there cannot leak in here.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ __all__ = [
     "compare_attributions",
 ]
 
-# the rules' epsilons restated locally, so the oracle does not lean on the
-# rule emitters; a test pins the two statements equal
+# the rules' activation epsilon restated locally, so the oracle does not
+# lean on the rule emitters; a test pins the two statements equal
 _EPS_ACT = 1e-6
-_EPS_POOL = 1e-7
 
 
 def _as_batch(value, dtype: str, what: str) -> np.ndarray:
@@ -51,6 +51,10 @@ def _as_batch(value, dtype: str, what: str) -> np.ndarray:
     if arr.ndim == 0 or arr.shape[0] == 0:
         raise ValidationError(f"{what} holds no rows, shape {arr.shape}")
     return arr
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_output_index(output_index, classes: int) -> None:
@@ -337,8 +341,8 @@ def _maxpool_backward(node: Node, g, xv, rv) -> np.ndarray:
                         share[0, c, i, j]
     routed = routed[:, :, pads[0]:pads[0] + height, pads[1]:pads[1] + width]
     dx = x - r
-    near = np.abs(dx) < _EPS_POOL
-    return np.where(near, 0.0, routed / np.where(near, 1.0, dx))
+    moved = dx != 0
+    return np.where(moved, routed / np.where(moved, dx, 1.0), 0.0)
 
 
 def _avgpool_backward(node: Node, g, xv) -> np.ndarray:
@@ -365,7 +369,10 @@ def _avgpool_backward(node: Node, g, xv) -> np.ndarray:
 
 def finite_diff(model: GraphModel, sample, output_index: int = 0,
                 h: float = 1e-4) -> np.ndarray:
-    """Central differences of the explained coordinate, input-shaped."""
+    """Central differences of the explained coordinate, input-shaped; the
+    step ``h`` must be a finite number above 0."""
+    if not _is_real(h) or not 0 < h < np.inf:
+        raise ValidationError(f"step h must be a finite number above 0, got {h!r}")
     spec = model.inputs[0]
     x = _as_batch(sample, spec.dtype, "sample")
     explained = model.outputs[0].name
@@ -412,9 +419,10 @@ def compare_attributions(a, b, atol: float = 1e-8,
     """Score a against b with the asymmetric elementwise closeness test; an
     element is close when its gap is at most the allowance, so bit-identical
     arrays pass at zero tolerance."""
-    if not (atol >= 0 and rtol >= 0):
-        raise ValidationError(f"atol and rtol must be non-negative, got {atol} "
-                              f"and {rtol}")
+    for name, tol in (("atol", atol), ("rtol", rtol)):
+        if not _is_real(tol) or not tol >= 0:
+            raise ValidationError(f"{name} must be a non-negative number, got "
+                                  f"{tol!r}")
     arr_a = np.asarray(a.array if isinstance(a, TensorValue) else a,
                        dtype=np.float64)
     arr_b = np.asarray(b.array if isinstance(b, TensorValue) else b,

@@ -5,11 +5,11 @@ operator nodes that push an equivalent stream to the node's differentiable
 inputs.  Linear ops reuse their ordinary adjoint.  Nonlinear ops replace the
 local derivative with the secant between the target activation and a
 reference activation, falling back to the instantaneous derivative when the
-two are closer than ``EPS_ACT``.  Max pooling routes through the winning
-window position of each side and rescales by the input difference, or
-passes nothing where that difference is below ``EPS_POOL``.  The two
-epsilons are constants of the rules: no caller sets them, and an artifact
-does not record them.
+two are closer than ``EPS_ACT``.  That epsilon is a constant of the rules: no
+caller sets it, and an artifact does not record it.  Max pooling routes
+through the winning window position of each side and rescales by the input
+difference, which needs no epsilon: it divides only where that difference
+is nonzero, and a route never lands where it is zero (``rule_maxpool``).
 
 The rules emit standard ops only.  Convolution and average-pooling gradients
 are one ``ConvTranspose`` each, reading the forward filters (or a ones
@@ -40,17 +40,15 @@ from .ir import Node
 
 __all__ = [
     "EPS_ACT",
-    "EPS_POOL",
     "RuleContext",
     "RuleOutput",
     "f_grad",
     "RULES",
 ]
 
-# below these gaps the secant ratio is abandoned for the local derivative
-# (activations) or for no share at all (max pooling)
+# below this gap an activation's secant ratio is abandoned for the local
+# derivative
 EPS_ACT = 1e-6
-EPS_POOL = 1e-7
 
 
 @dataclass
@@ -129,10 +127,10 @@ def f_grad(ctx: RuleContext) -> RuleOutput:
 
 
 def _guarded_ratio(b: GraphBuilder, num: str, den: str, fallback: str,
-                   eps: float, tag: str) -> str:
-    """num/den where |den| >= eps, otherwise fallback; never divides by ~0."""
+                   tag: str) -> str:
+    """num/den where |den| >= EPS_ACT, otherwise fallback; never divides by ~0."""
     one = b.scalar(1.0, "one")
-    small = b.emit("Greater", [b.scalar(eps, f"eps_{tag}"),
+    small = b.emit("Greater", [b.scalar(EPS_ACT, f"eps_{tag}"),
                                b.emit("Abs", [den], tag=f"{tag}_abs")],
                   tag=f"{tag}_small")
     safe = b.emit("Where", [small, one, den], tag=f"{tag}_safe")
@@ -341,7 +339,7 @@ def rule_rescale(ctx: RuleContext) -> dict[str, str]:
     else:  # Relu; an exactly-zero input counts as inactive
         local = b.emit("Where", [b.emit("Greater", [act_in, zero], tag="reluon"),
                                  one, zero], tag="relulocal")
-    mult = _guarded_ratio(b, d_out, d_in, local, EPS_ACT, "act")
+    mult = _guarded_ratio(b, d_out, d_in, local, "act")
     return {data: b.emit("Mul", [ctx.grad_in, mult], tag="actgrad")}
 
 
@@ -377,7 +375,7 @@ def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     # exp itself rescales like any other elementwise nonlinearity
     d_in = b.emit("Sub", [xs, rs], tag="smdx")
     d_exp = b.emit("Sub", [ux, ur], tag="smdexp")
-    mult = _guarded_ratio(b, d_exp, d_in, ux, EPS_ACT, "smact")
+    mult = _guarded_ratio(b, d_exp, d_in, ux, "smact")
     gx = b.emit("Mul", [gtotal, mult], tag="smgrad")
     return {data: env.wrap_stream(gx)}
 
@@ -414,6 +412,19 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
+    """Route each pooled share to its side's first maximum and divide the
+    landed routes by the input gap Δ = x − r, where Δ is nonzero.
+
+    Dividing by Δ only where it is nonzero is exact, with no epsilon and no
+    overflow.  Window w's share lands only on its first maximum c, and it is
+    nonzero only when Δ at c has the share's sign and at least its size.  The
+    target side routes relu(yx − yr)·g to c with Δc = yx − r_c ≥ yx − yr,
+    since r_c ≤ yr; the reference side routes min(yx − yr, 0)·g to c with
+    Δc = x_c − yr ≤ yx − yr, since x_c ≤ yx.  Rounding a subtraction is
+    monotone, so these inequalities survive it: at every nonzero Δ,
+    |routed / Δ| ≤ Σ_w |g_w|·(1 + u)², and wherever Δ = 0 every share that
+    lands is exactly ±0, which a divisor of 1 leaves as it is.
+    """
     node, b, env = ctx.node, ctx.builder, ctx.env
     data = node.inputs[0]
     sample = b.shape(data)
@@ -439,7 +450,10 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
                         {"shape": [b.shape(routed)[0] // sample[1], *sample[1:]]},
                         tag="mpscattered")
     gap = b.emit("Sub", [xs, rs], tag="mpdx")
-    grad = _guarded_ratio(b, routed, gap, b.scalar(0.0, "zero"), EPS_POOL, "mp")
+    moved = b.emit("Greater", [b.emit("Abs", [gap], tag="mp_abs"),
+                               b.scalar(0.0, "zero")], tag="mp_moved")
+    safe = b.emit("Where", [moved, gap, b.scalar(1.0, "one")], tag="mp_safe")
+    grad = b.emit("Div", [routed, safe], tag="mp_ratio")
     return {data: env.wrap_stream(grad)}
 
 

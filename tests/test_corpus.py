@@ -85,6 +85,17 @@ def test_a_batch_or_count_below_one_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: corpus.random_references(corpus.demo_model(), 1.5),
+    lambda: corpus.random_inputs(corpus.demo_model(), 2.5),
+    lambda: corpus.zero_references(corpus.demo_model(), "3"),
+    lambda: corpus.zero_references(corpus.demo_model(), True),
+], ids=["random-refs-float", "inputs-float", "zero-refs-str", "zero-refs-bool"])
+def test_a_batch_or_count_that_is_no_integer_is_refused(make):
+    with pytest.raises(gl.ValidationError, match="must be an integer"):
+        make()
+
+
 def test_micro_families_cover_all_grad_rules():
     assert len(corpus.MICRO_FAMILIES) == 12
     assert set(corpus.LINEAR_FAMILIES) <= set(corpus.MICRO_FAMILIES) | {

@@ -319,6 +319,23 @@ def test_write_pgm_rejects_an_empty_image(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pgm_refuses_a_non_finite_attribution(tmp_path, bad):
+    path = tmp_path / "bad.pgm"
+    phi = np.array([[0.0, 1.0], [2.0, 3.0]])
+    phi[0, 1] = bad
+    with pytest.raises(gl.NumericError, match="non-finite"):
+        gl.write_pgm(phi, str(path))
+    assert not path.exists()
+
+
+def test_write_pgm_names_a_non_numeric_attribution(tmp_path):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(gl.ValidationError, match="phi"):
+        gl.write_pgm("abc", str(path))
+    assert not path.exists()
+
+
 def test_attribution_dataclass_fields(demo):
     model, refs, sample = demo
     result = gl.explain(gl.compile_explainer(model, refs), sample)

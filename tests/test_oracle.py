@@ -88,10 +88,10 @@ def test_an_output_index_that_is_no_integer_is_named(output_index):
 
 
 def test_the_oracle_restates_the_rules_epsilons():
-    # two statements of one pair of constants, kept apart so a defect on the
-    # emission side cannot leak into the oracle; nothing sets either
+    # two statements of one constant, kept apart so a defect on the emission
+    # side cannot leak into the oracle; nothing sets either
     from graphlift import oracle, rules
-    assert (oracle._EPS_ACT, oracle._EPS_POOL) == (rules.EPS_ACT, rules.EPS_POOL)
+    assert oracle._EPS_ACT == rules.EPS_ACT
 
 
 def test_oracle_names_the_node_of_an_overflowing_multiplier():
@@ -187,6 +187,20 @@ def test_compare_attributions_passes_identical_arrays_at_zero_tolerance():
 def test_compare_attributions_refuses_a_negative_tolerance(atol, rtol):
     with pytest.raises(gl.ValidationError, match="non-negative"):
         compare_attributions(np.ones(3), np.ones(3), atol=atol, rtol=rtol)
+
+
+@pytest.mark.parametrize("name", ["atol", "rtol"])
+@pytest.mark.parametrize("tol", ["x", None, True])
+def test_compare_attributions_names_a_tolerance_that_is_no_number(name, tol):
+    with pytest.raises(gl.ValidationError, match=name):
+        compare_attributions(np.ones(3), np.ones(3), **{name: tol})
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf"), "x", True])
+def test_finite_diff_refuses_a_step_that_is_not_a_finite_positive_number(h):
+    net = gl.micro_net("matmul_gemm")
+    with pytest.raises(gl.ValidationError, match="step h"):
+        finite_diff(net.model, net.sample, h=h)
 
 
 def test_compare_attributions_shape_mismatch():

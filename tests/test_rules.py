@@ -72,9 +72,6 @@ GUARDS = {
              lambda x: (x > 0).astype(float)),
     "Sigmoid": (rules.EPS_ACT, 1.0, _sig, lambda x: _sig(x) * (1.0 - _sig(x))),
     "Tanh": (rules.EPS_ACT, 1.0, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-    # a 1x1 plane's only cell wins on both sides: the ratio is 1, the
-    # fallback passes nothing
-    "GlobalMaxPool": (rules.EPS_POOL, 0.0, lambda v: v, lambda x: 0.0 * x),
 }
 
 
@@ -85,17 +82,10 @@ def test_each_guard_switches_at_its_constant(op, share, scheme):
     # x and the reference sit share * threshold apart around the centre;
     # below the rules' constant the fallback holds, above it the secant
     eps, centre, f, fallback = GUARDS[op]
-    if op == "GlobalMaxPool":
-        nodes = [Node("GlobalMaxPool", "p", ["x"], ["pool"]),
-                 Node("Reshape", "r", ["pool"], ["y"], {"shape": [-1, 1]})]
-        model = build("guard", (-1, 1, 1, 1), nodes, {}, "y", (-1, 1))
-        shape = (1, 1, 1, 1)
-    else:
-        model = build("guard", (-1, 1), [Node(op, "n", ["x"], ["y"])],
-                      {}, "y", (-1, 1))
-        shape = (1, 1)
+    model = build("guard", (-1, 1), [Node(op, "n", ["x"], ["y"])],
+                  {}, "y", (-1, 1))
     h = share * eps / 2
-    x, r = np.full(shape, centre + h), np.full(shape, centre - h)
+    x, r = np.full((1, 1), centre + h), np.full((1, 1), centre - h)
     got = graph_multipliers(model, x, r, scheme=scheme).ravel()[0]
     dx = float((x - r).ravel()[0])
     secant = float((f(x) - f(r)).ravel()[0]) / dx
@@ -106,6 +96,83 @@ def test_each_guard_switches_at_its_constant(op, share, scheme):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
     _, oracle = gl.deeplift_oracle(model, x, r, return_multipliers=True)
     assert oracle.ravel()[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def pool_head_net(op, dtype):
+    """One 2x2 plane max-pooled to a single cell, which is the output."""
+    attrs = {"kernel_shape": [2, 2], "strides": [2, 2]} if op == "MaxPool" else {}
+    nodes = [Node(op, "p", ["x"], ["pool"], attrs),
+             Node("Reshape", "r", ["pool"], ["y"], {"shape": [-1, 1]})]
+    return build("band", (-1, 1, 2, 2), nodes, {}, "y", (-1, 1), dtype=dtype)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("op", ["MaxPool", "GlobalMaxPool"])
+def test_maxpool_takes_the_secant_at_every_nonzero_gap(op, dtype, scheme):
+    # the first cell wins on both sides, a tiny gap apart around 0; the other
+    # cells do not move.  However small the gap, the secant at the winner is
+    # 1, and 0 elsewhere
+    model = pool_head_net(op, dtype)
+    gaps = [0.8e-7, 1e-30] if dtype == "float64" else [0.8e-7]
+    for gap in gaps:
+        x = np.array([[[[gap / 2, -1.0], [-2.0, -3.0]]]], dtype)
+        r = np.array([[[[-gap / 2, -1.0], [-2.0, -3.0]]]], dtype)
+        want = np.zeros((1, 1, 2, 2))
+        want[0, 0, 0, 0] = 1.0
+        assert float(x[0, 0, 0, 0] - r[0, 0, 0, 0]) == pytest.approx(gap)
+        got = graph_multipliers(model, x, r, scheme=scheme)
+        assert np.array_equal(got, want), (gap, got)
+        _, oracle = gl.deeplift_oracle(model, x, r, return_multipliers=True)
+        assert np.array_equal(oracle, want), (gap, oracle)
+
+
+# the references' gap from the sample, from 1e-7 down to float32's smallest
+# normal numbers
+TINY_GAPS = [1e-7, 1e-10, 1e-15, 1e-20, 1e-30, 1e-38]
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("family", ["maxpool", "global_maxpool"])
+def test_maxpool_multipliers_stay_finite_at_tiny_gaps(family, dtype, scheme):
+    # references within gap of the sample, both around the micro net's
+    # sample and around a copy scaled down to the gap itself, so that the
+    # gaps stay nonzero in float32 too; the routed share never exceeds the
+    # gap it is divided by, so nothing overflows and the oracle agrees
+    net = gl.micro_net(family, dtype=dtype)
+    tol = {"rtol": 0.0, "atol": 1e-12} if dtype == "float64" else \
+        {"rtol": 1e-5, "atol": 1e-8}
+    rng = np.random.default_rng(29)
+    moved = 0
+    for gap in TINY_GAPS:
+        for scale in (1.0, gap):
+            x = (net.sample * scale).astype(dtype)
+            refs = x + gap * rng.uniform(-1.0, 1.0, size=(4, *x.shape[1:]))
+            refs = refs.astype(dtype)
+            moved += int(np.count_nonzero(x - refs))
+            for k in range(2):
+                got = graph_multipliers(net.model, x, refs, output_index=k,
+                                        scheme=scheme)
+                _, want = gl.deeplift_oracle(net.model, x, refs, output_index=k,
+                                             return_multipliers=True)
+                assert np.isfinite(got).all(), (gap, scale, k)
+                assert np.allclose(got, want, **tol), (gap, scale, k)
+    assert moved
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("family", ["maxpool", "global_maxpool"])
+def test_maxpool_multipliers_vanish_where_every_reference_is_the_sample(
+        family, dtype, scheme):
+    net = gl.micro_net(family, dtype=dtype)
+    x = net.sample.astype(dtype)
+    refs = np.repeat(x, 3, axis=0)
+    for k in range(2):
+        got = graph_multipliers(net.model, x, refs, output_index=k,
+                                scheme=scheme)
+        assert got.shape == refs.shape and np.all(got == 0.0), k
 
 
 def test_relu_secant_and_dead_zero():
