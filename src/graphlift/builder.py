@@ -3,22 +3,24 @@
 Both artifact layouts add their forward nodes to a GraphBuilder, and the
 gradient rules emit their operator nodes through it.  The builder folds every
 node whose inputs are all known, forward or backward: the node is evaluated at
-build time and its result becomes a known value, stored as an initializer
-only if a runtime node reads it.  That is what turns constant-only forward
-chains, the reference-side copy of the forward graph and reference-side
-expression chains into baked constants under the optimized scheme, while the
-same rule code emits live nodes for the replicated-batch scheme.  The
-builder keeps each folded one-input node, so ``refopt`` can ship a constant
-as the node that rebuilds it from another one.  A folded value that is not
-finite raises NumericError naming its node.  Each node is
-resolved once, when it is added: its output shapes and, under its first
-output, its kernel parameters are kept, so rules read shapes and parameters
-from the builder and from nothing else.
+build time and its result becomes a known value.  That is what turns
+constant-only forward chains, the reference-side copy of the forward graph
+and reference-side expression chains into baked constants under the
+optimized scheme, while the same rule code emits live nodes for the
+replicated-batch scheme.  A compile-time constant is a known value and
+nothing more: the builder stores no initializers, and ``refopt`` alone
+decides which known values ship and how.  The builder keeps each folded
+one-input node, so ``refopt`` can ship a constant as the node that rebuilds
+it from another one.  A folded value that is not finite raises NumericError
+naming its node.  Each node is resolved once, when it is added: its output
+shapes and, under its first output, its kernel parameters are kept, so rules
+read shapes and parameters from the builder and from nothing else.
 
 ``emit`` also numbers values (Click, "Global Code Motion / Global Value
 Numbering", PLDI 1995): every op is pure, so an op emitted again with the
 same inputs and attributes returns its earlier outputs, and a repeated pure
-op is built once, however many rules ask for it.
+op is built once, however many rules ask for it.  ``const`` numbers constants
+the same way, by shape and bytes, so equal constants share one name.
 
 RuleEnv resolves, for any forward value name, where its target-side and
 reference-side activations live: the forward value itself plus its folded
@@ -34,31 +36,32 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .executor import eval_node
-from .ir import DTYPES, Node, TensorValue, all_finite
+from .ir import DTYPES, Node, all_finite
 from .shapes import resolve_node
 
 __all__ = ["GraphBuilder", "RuleEnv"]
 
 
 class GraphBuilder:
-    """Accumulates nodes, initializers and value shapes for a graph under construction."""
+    """Accumulates nodes, known values and value shapes for a graph under construction."""
 
     def __init__(self, dtype: str = "float64", prefix: str = "grad"):
         self.dtype = dtype
         self.prefix = prefix
         self.nodes: list[Node] = []
-        self.initializers: dict[str, TensorValue] = {}
         self.shapes: dict[str, tuple[int, ...]] = {}
         # first output of every added node -> the kernel parameters its law
         # returned
         self.params: dict[str, object] = {}
-        # values whose arrays are known at build time (initializers and
-        # anything computed only from them); folded booleans live here too
+        # values whose arrays are known at build time (model weights,
+        # constants and anything computed only from them); folded booleans
+        # live here too
         self.known: dict[str, np.ndarray] = {}
         # each output of a folded one-input node -> that node, in fold order
         self.folds: dict[str, Node] = {}
         self._counter = itertools.count()
-        # (op_type, inputs, canonical attributes) -> outputs of an emitted op
+        # (op_type, inputs, canonical attributes) -> outputs of an emitted op,
+        # and (shape, bytes) -> the name of a constant
         self._values: dict[tuple, str | list[str]] = {}
 
     def fresh(self, tag: str) -> str:
@@ -77,28 +80,14 @@ class GraphBuilder:
             raise ShapeError(f"no shape recorded for value {name!r}") from None
 
     def const(self, array, tag: str) -> str:
-        """Register a new initializer and return its name."""
+        """The name of a known value holding ``array`` in the builder's
+        dtype; an equal constant, by shape and bytes, keeps its first name."""
         arr = np.asarray(array, dtype=DTYPES[self.dtype])
-        name = self.fresh(tag)
-        self.initializers[name] = TensorValue(arr, self.dtype)
-        self.shapes[name] = arr.shape
-        self.known[name] = arr
-        return name
-
-    def scalar(self, value: float, tag: str) -> str:
-        return self.emit("Constant", [], {"dtype": self.dtype, "shape": [],
-                                          "value": [float(value)]}, tag=tag)
-
-    def _materialize(self, name: str) -> None:
-        # a folded boolean (or any folded value) becoming a runtime operand
-        # must exist as a real initializer; booleans are stored as 0/1 floats
-        if name in self.initializers:
-            return
-        arr = self.known[name]
-        if arr.dtype == np.bool_:
-            arr = arr.astype(DTYPES[self.dtype])
-        self.initializers[name] = TensorValue(np.asarray(arr, dtype=DTYPES[self.dtype]),
-                                              self.dtype)
+        key = (arr.shape, arr.tobytes())
+        if key not in self._values:
+            self._values[key] = name = self.fresh(tag)
+            self.register_value(name, arr.shape, arr)
+        return self._values[key]
 
     def add(self, node: Node) -> bool:
         """Fold a named node into ``known`` or append it; True when folded.
@@ -106,8 +95,8 @@ class GraphBuilder:
         The node is resolved once either way, its shapes and parameters
         are kept, and a folded node's kernel runs on those parameters.  A
         node folds when every input is known (a node with no inputs, such
-        as a Constant, too); otherwise its known inputs become initializers
-        and it is appended.
+        as a Constant, too); otherwise it is appended, and its known inputs
+        stay known values for ``refopt`` to ship.
         A folded output that is not finite raises NumericError naming the
         node, as ``execute`` does for a node it runs.
         """
@@ -127,9 +116,6 @@ class GraphBuilder:
                 if len(node.inputs) == 1:
                     self.folds[name] = node
             return True
-        for i in node.inputs:
-            if i in self.known:
-                self._materialize(i)
         self.nodes.append(node)
         return False
 
@@ -216,7 +202,7 @@ class RuleEnv:
         key = self.act(name)
         total = self.builder.emit("Add", [key, self._other(name)],
                                   tag=f"actsum_{_short(key)}")
-        return self.builder.emit("Mul", [total, self.builder.scalar(0.5, "half")],
+        return self.builder.emit("Mul", [total, self.builder.const(0.5, "half")],
                                  tag=f"actmean_{_short(key)}")
 
     def grad_x_half(self, grad_name: str) -> str:

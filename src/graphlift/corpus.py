@@ -121,7 +121,7 @@ def demo_model() -> GraphModel:
 
 
 def demo_sample(seed: int = 11) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     return rng.normal(0.0, 1.0, size=(1, 32))
 
 
@@ -255,6 +255,13 @@ def _at_least_one(count: int, what: str) -> int:
     return count
 
 
+def _seed(seed: int) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def zero_references(model: GraphModel, batch: int = 5) -> np.ndarray:
     spec = model.inputs[0]
     return np.zeros((_at_least_one(batch, "the reference batch"), *spec.shape[1:]),
@@ -264,7 +271,7 @@ def zero_references(model: GraphModel, batch: int = 5) -> np.ndarray:
 def random_references(model: GraphModel, batch: int = 5, seed: int = 101,
                       scale: float = 0.5) -> np.ndarray:
     spec = model.inputs[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     shape = (_at_least_one(batch, "the reference batch"),) + tuple(spec.shape[1:])
     return rng.normal(0.0, scale, size=shape).astype(DTYPES[spec.dtype])
 
@@ -273,7 +280,7 @@ def random_inputs(model: GraphModel, count: int, seed: int = 202,
                   scale: float = 0.8) -> list[np.ndarray]:
     """Independent single-row inputs for sweep-style checks."""
     spec = model.inputs[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     shape = (1,) + tuple(spec.shape[1:])
     return [rng.normal(0.0, scale, size=shape).astype(DTYPES[spec.dtype])
             for _ in range(_at_least_one(count, "the input count"))]
@@ -284,7 +291,7 @@ def corpus_entry(name: str, seed: int = 0, batch: int = 5) -> CorpusEntry:
         raise ValidationError(
             f"unknown corpus model {name!r}; choose from {sorted(_MOTIFS)}")
     build, description = _MOTIFS[name]
-    model = build(seed)
+    model = build(_seed(seed))
     sample = random_inputs(model, 1, seed=seed + 909)[0]
     return CorpusEntry(name=name, description=description, model=model,
                        sample=sample, references=zero_references(model, batch))
@@ -457,7 +464,7 @@ def micro_net(family: str, seed: int = 0, batch: int = 5,
         raise ValidationError(
             f"unknown micro family {family!r}; choose from "
             f"{sorted(_MICRO_BUILDERS)}")
-    rng = np.random.default_rng([seed, sorted(_MICRO_BUILDERS).index(family)])
+    rng = np.random.default_rng([_seed(seed), sorted(_MICRO_BUILDERS).index(family)])
     b = _Assembler(f"micro_{family}", _MICRO_SHAPES[family], dtype=dtype)
     head, classes = _MICRO_BUILDERS[family](rng, b)
     model = b.model(head, (-1, classes))

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import NumericError, ParseError, ShapeError, ValidationError
 from .executor import ExecutionPlan, execute
-from .ir import GraphModel, TensorValue, _read_model, save_model
-from .refopt import _as_array, build_naive, build_optimized
+from .ir import GraphModel, TensorValue, _as_array, _read_model, save_model
+from .refopt import build_naive, build_optimized
 
 __all__ = [
     "ExplainerArtifact",
@@ -146,14 +146,11 @@ def write_pgm(phi, path: str) -> None:
     """Dump an attribution as a plain-text grayscale image.
 
     Channel axes are collapsed by summation; the value range is min-max
-    scaled to 0..255.  A non-numeric ``phi`` is a ValidationError and a
-    non-finite one a NumericError, raised before the file is opened.
+    scaled to 0..255, halved first when it overflows float64.  A non-numeric
+    ``phi`` is a ValidationError and a non-finite one a NumericError, raised
+    before the file is opened.
     """
-    try:
-        arr = np.asarray(phi.array if isinstance(phi, TensorValue) else phi,
-                         dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"phi is not a numeric array: {exc}") from exc
+    arr = _as_array(phi, "float64", "phi")
     arr = np.squeeze(arr, axis=0) if arr.ndim and arr.shape[0] == 1 else arr
     while arr.ndim > 2:
         arr = arr.sum(axis=0)
@@ -166,6 +163,9 @@ def write_pgm(phi, path: str) -> None:
         raise NumericError("attribution holds a non-finite value; no image "
                            "can scale it")
     lo, hi = float(arr.min()), float(arr.max())
+    if hi - lo == np.inf:
+        # a range past the float64 maximum: halving first keeps every gap finite
+        arr, lo, hi = arr / 2, lo / 2, hi / 2
     scaled = np.full(arr.shape, 128, dtype=np.int64) if hi == lo else \
         np.rint((arr - lo) / (hi - lo) * 255).astype(np.int64)
     height, width = scaled.shape

@@ -143,7 +143,7 @@ class TensorValue:
 
     def __init__(self, array: np.ndarray, dtype: str | None = None):
         if dtype is None:
-            dtype = str(array.dtype)
+            dtype = str(np.asarray(array).dtype)
         if dtype not in DTYPES:
             raise ValidationError(f"unsupported tensor dtype {dtype!r}")
         # np.ascontiguousarray would give a 0-d payload one dimension
@@ -176,6 +176,17 @@ class TensorValue:
         return f"TensorValue(dtype={self.dtype}, shape={self.shape})"
 
 
+def _as_array(value, dtype: str, what: str) -> np.ndarray:
+    """An array or TensorValue from outside the package as an array of
+    ``dtype``, or ValidationError naming ``what``."""
+    if isinstance(value, TensorValue):
+        value = value.array
+    try:
+        return np.asarray(value, dtype=DTYPES[dtype])
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{what} is not a numeric array: {err}") from None
+
+
 @dataclass(frozen=True)
 class ValueSpec:
     """Declared name, dtype and shape of a graph input or output.
@@ -189,7 +200,12 @@ class ValueSpec:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
+        try:
+            shape = tuple(int(d) for d in self.shape)
+        except (TypeError, ValueError):
+            raise ValidationError(f"value {self.name!r}: shape {self.shape!r} is "
+                                  "not a sequence of integers") from None
+        object.__setattr__(self, "shape", shape)
 
 
 @dataclass
@@ -454,6 +470,9 @@ def load_model(path: str) -> GraphModel:
 
 
 def save_tensor(tensor: TensorValue, path: str, name: str = "") -> None:
+    if not isinstance(tensor, TensorValue):
+        raise ValidationError(f"tensor must be a TensorValue, not "
+                              f"{type(tensor).__name__}")
     data = _pack({"initializers": [_entry(name, tensor)]}, [tensor])
     with open(path, "wb") as fh:
         fh.write(data)

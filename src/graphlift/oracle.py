@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericError, ShapeError, UnsupportedOp, ValidationError
 from .executor import execute
 from .explainer import Attribution
-from .ir import DTYPES, GraphModel, Node, TensorValue
+from .ir import GraphModel, Node, TensorValue, _as_array
 
 __all__ = [
     "ClosenessReport",
@@ -42,12 +42,7 @@ _EPS_ACT = 1e-6
 def _as_batch(value, dtype: str, what: str) -> np.ndarray:
     """``value`` as an array of rows in ``dtype``, or ValidationError naming
     the argument ``what`` when it is not numeric or holds no row."""
-    if isinstance(value, TensorValue):
-        value = value.array
-    try:
-        arr = np.asarray(value, dtype=DTYPES[dtype])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    arr = _as_array(value, dtype, what)
     if arr.ndim == 0 or arr.shape[0] == 0:
         raise ValidationError(f"{what} holds no rows, shape {arr.shape}")
     return arr
@@ -423,10 +418,7 @@ def compare_attributions(a, b, atol: float = 1e-8,
         if not _is_real(tol) or not tol >= 0:
             raise ValidationError(f"{name} must be a non-negative number, got "
                                   f"{tol!r}")
-    arr_a = np.asarray(a.array if isinstance(a, TensorValue) else a,
-                       dtype=np.float64)
-    arr_b = np.asarray(b.array if isinstance(b, TensorValue) else b,
-                       dtype=np.float64)
+    arr_a, arr_b = _as_array(a, "float64", "a"), _as_array(b, "float64", "b")
     if arr_a.shape != arr_b.shape or not arr_a.size:
         raise ShapeError(f"cannot compare shapes {arr_a.shape} and {arr_b.shape}: "
                          "they must match and hold an element")

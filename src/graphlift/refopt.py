@@ -12,27 +12,28 @@ Two ways to attach an attribution head to a forward graph:
   and the whole forward pass runs at that width every call.  It exists as the
   equivalence baseline and for cost comparisons.
 
-Both layouts add the forward nodes, in the model's declared dependency order,
-to the GraphBuilder the gradient rules emit through; nothing sorts.  The
-builder folds every node whose inputs are all known, forward or backward, so
-a constant-only forward chain ships as the initializers its runtime
-consumers read, not as nodes.  It is also the compile's one shape table:
-rules read every shape from it.
+Both layouts add the forward nodes, in the model's declared dependency
+order, to the GraphBuilder the gradient rules emit through; nothing sorts.
+The builder folds every node whose inputs are all known, forward or
+backward, so a constant-only forward chain ships as the constants its
+runtime consumers read, not as nodes.  It is also the compile's one shape
+table: rules read every shape from it.
 
 The same folder evaluates the reference side, once per compile: each
 forward node that depends on the graph input is added again over the B
 reference rows and folds.  The optimized rules read those copies, and a copy
 ships only when a runtime node reads it.
 
-A constant that ships does so in one of two forms.  One the builder folded
-from a one-input node (an activation, a pool, a softmax, a reduction, a
-transpose) whose input ships unchanged, as a payload already in the
-artifact's dtype or as another such node, ships as that node, ahead of its
-readers: the execution plan runs it once, when it is built, to the bits the
-fold made, so it costs no payload bytes and nothing per explain.  Every
-other constant ships as a payload: the output of a Conv, GEMM,
-BatchNormalization or an Add or Mul of two payloads, whose derivation at
-load would amount to the reference forward pass, and a folded boolean,
+Every compile-time constant is a known value in the builder, and ``_finish``
+alone decides how one that a runtime node or output reads ships, in one of
+two forms.  One the builder folded from a one-input node (an activation, a
+pool, a softmax, a reduction, a transpose) whose input ships unchanged, as a
+payload already in the artifact's dtype or as another such node, ships as
+that node, ahead of its readers: the execution plan runs it once, when it is
+built, to the bits the fold made, so it costs no payload bytes and nothing
+per explain.  Every other constant ships as a payload: the output of a Conv,
+GEMM, BatchNormalization or an Add or Mul of two payloads, whose derivation
+at load would amount to the reference forward pass, and a folded boolean,
 stored as 0/1 floats.
 
 count_flops prices either artifact with fixed per-op conventions so the two
@@ -52,7 +53,7 @@ import numpy as np
 from .autodiff import differentiate
 from .builder import GraphBuilder, RuleEnv, _short
 from .errors import ShapeError, UnsupportedOp, ValidationError
-from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec,
+from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec, _as_array,
                  model_digest, validate_model)
 from .parser import build_backward_graph
 from .shapes import infer_graph_shapes
@@ -73,17 +74,6 @@ ACTIVATION_FLOP_COST = 4
 _PREDICTION = "prediction"
 _ATTRIBUTION = "attribution"
 _MULTIPLIERS = "multipliers"
-
-
-def _as_array(value, dtype: str, what: str) -> np.ndarray:
-    """An array or TensorValue from outside the package as an array of
-    ``dtype``, or ValidationError naming ``what``."""
-    if isinstance(value, TensorValue):
-        value = value.array
-    try:
-        return np.asarray(value, dtype=DTYPES[dtype])
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"{what} is not a numeric array: {err}") from None
 
 
 def _as_references(references, spec: ValueSpec) -> np.ndarray:
@@ -141,6 +131,8 @@ def _start(model: GraphModel, references):
     input's shape and every initializer, and the backward graph around the
     first output.  A ``Reshape`` of an input-dependent value must keep its
     leading extent free (-1), as both layouts also run it over B or 2B rows.
+    Each layout names the rows afresh: they are unique, so ``const``'s
+    numbering by content would buy nothing.
 
     Returns (refs, builder, backward).
     """
@@ -160,7 +152,6 @@ def _start(model: GraphModel, references):
     builder.register_value(spec.name, (1,) + tuple(spec.shape[1:]))
     for name, tv in model.initializers.items():
         builder.register_value(name, tv.shape, tv.array)
-    builder.initializers.update(model.initializers)
     return refs, builder, backward
 
 
@@ -224,21 +215,25 @@ def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
             phi: str, multipliers: str | None) -> GraphModel:
     """The validated artifact: the builder's nodes, the prediction, phi and
     (when exposed) the input multipliers as its outputs in that order, which
-    is how ``explain`` finds them, and the constants some node reads or
-    some output names; a constant every consumer of which folded away is
-    left out.  A constant ``_derive`` picks ships as its node, ahead of
-    every node that reads it, and every other one as a payload."""
+    is how ``explain`` finds them, and the known values some node reads or
+    some output names; a known value every consumer of which folded away is
+    left out.  One ``_derive`` picks ships as its node, ahead of every node
+    that reads it, and every other one as a payload, in ``known`` order: a
+    model initializer as the model's own tensor, anything else in the
+    artifact's dtype, so a folded boolean as 0/1 floats."""
     names = [prediction, phi] + ([multipliers] if multipliers else [])
     read = {i for node in builder.nodes for i in node.inputs} | set(names)
-    derived = _derive(builder, read & builder.initializers.keys())
+    derived = _derive(builder, read & builder.known.keys())
     made = {o for node in derived for o in node.outputs}
+    ships = [name for name in builder.known if name in read and name not in made]
     input_name = model.inputs[0].name
     artifact = GraphModel(
         name=f"{model.name}.explainer",
         inputs=[ValueSpec(input_name, builder.dtype, builder.shape(input_name))],
         outputs=[ValueSpec(n, builder.dtype, builder.shape(n)) for n in names],
-        initializers={name: t for name, t in builder.initializers.items()
-                      if name in read and name not in made},
+        initializers={name: model.initializers[name] if name in model.initializers
+                      else TensorValue(builder.known[name], builder.dtype)
+                      for name in ships},
         nodes=[Node(node.op_type, builder.fresh(node.name), list(node.inputs),
                     list(node.outputs), dict(node.attributes))
                for node in derived] + builder.nodes,
@@ -306,8 +301,9 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
 
     tiled = builder.emit("Tile", [input_name],
                          {"repeats": [batch] + [1] * (in_rank - 1)}, tag="stackx")
-    ref_const = builder.const(refs, "refrows")
-    stacked = builder.emit("Concat", [tiled, ref_const], {"axis": 0}, tag="stack")
+    rows = builder.fresh("refrows")
+    builder.register_value(rows, refs.shape, refs)
+    stacked = builder.emit("Concat", [tiled, rows], {"axis": 0}, tag="stack")
 
     # clone the forward graph at 2B rows under its original value names
     rename = {input_name: stacked}
@@ -317,7 +313,7 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
                          list(node.outputs), dict(node.attributes)))
     forward_nodes = [n.name for n in builder.nodes]
     classes = _check_arguments(builder, explained, output_index)
-    copies = _fold_references(builder, model, ref_const)
+    copies = _fold_references(builder, model, rows)
 
     env = RuleEnv(builder, batch, joint=True)
     env.alias[input_name] = stacked
@@ -326,12 +322,12 @@ def build_naive(model: GraphModel, references, output_index: int = 0, *,
     input_grad = differentiate(model, backward, loss, env)
 
     # phi: mask out the reference-half rows, sum the stream, divide by B
-    d_input = builder.emit("Sub", [input_name, ref_const], tag="inputdelta")
+    d_input = builder.emit("Sub", [input_name, rows], tag="inputdelta")
     masked = env.wrap_stream(d_input)
     contrib = builder.emit("Mul", [input_grad, masked], tag="contrib")
     summed = builder.emit("ReduceSum", [contrib], {"axes": [0], "keepdims": 1},
                           tag="contribsum")
-    phi = builder.emit("Mul", [summed, builder.scalar(1.0 / batch, "invb")],
+    phi = builder.emit("Mul", [summed, builder.const(1.0 / batch, "invb")],
                        tag=_ATTRIBUTION)
     # the target half carries B identical rows; their mean is the prediction
     pred = builder.emit("ReduceMean", [env.x_of(explained)],

@@ -129,8 +129,8 @@ def f_grad(ctx: RuleContext) -> RuleOutput:
 def _guarded_ratio(b: GraphBuilder, num: str, den: str, fallback: str,
                    tag: str) -> str:
     """num/den where |den| >= EPS_ACT, otherwise fallback; never divides by ~0."""
-    one = b.scalar(1.0, "one")
-    small = b.emit("Greater", [b.scalar(EPS_ACT, f"eps_{tag}"),
+    one = b.const(1.0, "one")
+    small = b.emit("Greater", [b.const(EPS_ACT, f"eps_{tag}"),
                                b.emit("Abs", [den], tag=f"{tag}_abs")],
                   tag=f"{tag}_small")
     safe = b.emit("Where", [small, one, den], tag=f"{tag}_safe")
@@ -192,7 +192,7 @@ def rule_matmul(ctx: RuleContext) -> dict[str, str]:
     wt = weight if trans_b else b.emit("Transpose", [weight], {"perm": [1, 0]},
                                        tag="wback")
     if alpha != 1.0:
-        wt = b.emit("Mul", [wt, b.scalar(alpha, "alpha")], tag="walpha")
+        wt = b.emit("Mul", [wt, b.const(alpha, "alpha")], tag="walpha")
     grad = b.emit("MatMul", [ctx.grad_in, wt], tag="matgrad")
     return {data: grad}
 
@@ -219,7 +219,7 @@ def rule_addsub(ctx: RuleContext) -> dict[str, str]:
             continue
         g = ctx.grad_in
         if node.op_type == "Sub" and slot == 1:
-            g = b.emit("Mul", [g, b.scalar(-1.0, "negone")], tag="subneg")
+            g = b.emit("Mul", [g, b.const(-1.0, "negone")], tag="subneg")
         g = _reduce_like(b, g, b.shape(name), "addfit")
         _merge(b, grads, name, g, "addmerge")
     return grads
@@ -325,8 +325,8 @@ def rule_concat(ctx: RuleContext) -> dict[str, str]:
 def rule_rescale(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
     data, out = node.inputs[0], node.outputs[0]
-    one = b.scalar(1.0, "one")
-    zero = b.scalar(0.0, "zero")
+    one = b.const(1.0, "one")
+    zero = b.const(0.0, "zero")
     d_in = env.delta(data)
     d_out = env.delta(out)
     act_in, act_out = env.act(data), env.act(out)
@@ -451,8 +451,8 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
                         tag="mpscattered")
     gap = b.emit("Sub", [xs, rs], tag="mpdx")
     moved = b.emit("Greater", [b.emit("Abs", [gap], tag="mp_abs"),
-                               b.scalar(0.0, "zero")], tag="mp_moved")
-    safe = b.emit("Where", [moved, gap, b.scalar(1.0, "one")], tag="mp_safe")
+                               b.const(0.0, "zero")], tag="mp_moved")
+    safe = b.emit("Where", [moved, gap, b.const(1.0, "one")], tag="mp_safe")
     grad = b.emit("Div", [routed, safe], tag="mp_ratio")
     return {data: env.wrap_stream(grad)}
 
@@ -469,7 +469,7 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
     Either way the pool's own op, over one window, keeps the top rank.
     """
     node, b = ctx.node, ctx.builder
-    zero, one = b.scalar(0.0, "zero"), b.scalar(1.0, "one")
+    zero, one = b.const(0.0, "zero"), b.const(1.0, "one")
     shape = b.shape(act)
     cells, window, top = act, shape[2:], {}
     if node.op_type == "MaxPool":
@@ -520,9 +520,7 @@ def _onehot(b: GraphBuilder, kernel) -> str:
     """The (K, 1, kh, kw) filter one-hot at window offset k, which a pool's
     gathers and scatter share."""
     taps = kernel[0] * kernel[1]
-    return b.emit("Constant", [], {"dtype": b.dtype, "shape": [taps, 1, *kernel],
-                                   "value": np.eye(taps).ravel().tolist()},
-                  tag="mponehot")
+    return b.const(np.eye(taps).reshape(taps, 1, *kernel), "mponehot")
 
 
 RULES = {

@@ -96,6 +96,26 @@ def test_a_batch_or_count_that_is_no_integer_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, True])
+@pytest.mark.parametrize("make", [
+    lambda seed: corpus.random_references(corpus.demo_model(), 2, seed=seed),
+    lambda seed: corpus.random_inputs(corpus.demo_model(), 2, seed=seed),
+    lambda seed: corpus.corpus_entry("plain_deep", seed=seed),
+    lambda seed: corpus.build_corpus(seed=seed),
+    lambda seed: corpus.micro_net("relu", seed=seed),
+    lambda seed: corpus.demo_sample(seed),
+], ids=["random-refs", "inputs", "entry", "corpus", "micro", "demo-sample"])
+def test_a_seed_that_is_no_non_negative_integer_is_refused(make, seed):
+    with pytest.raises(gl.ValidationError, match="seed must be a non-negative"):
+        make(seed)
+
+
+def test_a_numpy_integer_seed_is_a_seed():
+    model = corpus.demo_model()
+    assert np.array_equal(corpus.random_inputs(model, 1, seed=np.int64(3))[0],
+                          corpus.random_inputs(model, 1, seed=3)[0])
+
+
 def test_micro_families_cover_all_grad_rules():
     assert len(corpus.MICRO_FAMILIES) == 12
     assert set(corpus.LINEAR_FAMILIES) <= set(corpus.MICRO_FAMILIES) | {

@@ -1,6 +1,7 @@
 """End-to-end artifact behaviour: compile, explain, persist, render."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,20 @@ def test_write_pgm_names_a_non_numeric_attribution(tmp_path):
     with pytest.raises(gl.ValidationError, match="phi"):
         gl.write_pgm("abc", str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("phi, rows", [
+    # a range past the float64 maximum is halved before the subtraction
+    ([[-1e308, 1e308], [0.0, 1.0]], [["0", "255"], ["128", "128"]]),
+    # a range of subnormals keeps every bit: halving would lose the middle
+    ([[0.0, 5e-324], [1e-323, 0.0]], [["0", "128"], ["255", "0"]]),
+], ids=["overflowing-range", "subnormal-range"])
+def test_write_pgm_scales_a_finite_range_of_any_width(tmp_path, phi, rows):
+    path = tmp_path / "wide.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gl.write_pgm(np.array(phi), str(path))
+    assert [line.split() for line in path.read_text().splitlines()[3:]] == rows
 
 
 def test_attribution_dataclass_fields(demo):

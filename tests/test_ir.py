@@ -35,6 +35,31 @@ def test_tensor_value_rejects_unsupported_dtype():
         TensorValue(np.ones(3, dtype=np.int32))
 
 
+@pytest.mark.parametrize("value, shape", [([1.0, 2.0], (2,)), (3.0, ())])
+def test_tensor_value_reads_a_list_or_a_float_as_float64(value, shape):
+    t = TensorValue(value)
+    assert (t.dtype, t.shape, t.array.dtype) == ("float64", shape, np.float64)
+
+
+@pytest.mark.parametrize("value", ["abc", None])
+def test_tensor_value_refuses_a_string_or_none(value):
+    with pytest.raises(ValidationError, match="unsupported tensor dtype"):
+        TensorValue(value)
+
+
+@pytest.mark.parametrize("shape", [("a",), None, (2, [3])])
+def test_value_spec_names_a_shape_that_is_no_integers(shape):
+    with pytest.raises(ValidationError, match="shape"):
+        ValueSpec("x", "float32", shape)
+
+
+def test_save_tensor_names_an_argument_that_is_no_tensor(tmp_path):
+    path = tmp_path / "t.stn"
+    with pytest.raises(ValidationError, match="tensor must be a TensorValue"):
+        save_tensor(np.zeros(3), str(path))
+    assert not path.exists()
+
+
 def _strided(dtype, poison=None, at=(0, 0)):
     """A strided (4, 3) view of an (8, 9) array, with ``poison`` written at
     ``at`` of the base: (0, 0) lies inside the view and (1, 1) outside."""

@@ -196,6 +196,14 @@ def test_compare_attributions_names_a_tolerance_that_is_no_number(name, tol):
         compare_attributions(np.ones(3), np.ones(3), **{name: tol})
 
 
+@pytest.mark.parametrize("a, b, name", [("a", np.ones(3), "a"),
+                                        (np.ones(3), "b", "b"),
+                                        ({"x": 1.0}, np.ones(1), "a")])
+def test_compare_attributions_names_an_array_that_is_no_number(a, b, name):
+    with pytest.raises(gl.ValidationError, match=f"^{name} is not a numeric"):
+        compare_attributions(a, b)
+
+
 @pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf"), "x", True])
 def test_finite_diff_refuses_a_step_that_is_not_a_finite_positive_number(h):
     net = gl.micro_net("matmul_gemm")

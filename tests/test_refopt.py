@@ -10,6 +10,7 @@ import pytest
 
 import graphlift as gl
 from graphlift import refopt
+from graphlift.builder import GraphBuilder
 from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, random_references
 from graphlift.executor import execute
@@ -307,6 +308,60 @@ def test_no_artifact_builds_an_op_twice(artifacts, corpus_f32, dtype, scheme):
                    json.dumps(node.attributes, sort_keys=True))
             assert key not in seen, (art.model.name, node.name, seen.get(key))
             seen[key] = node.name
+
+
+def test_const_names_an_equal_constant_once():
+    # const numbers constants by shape and bytes, as emit numbers ops
+    b = GraphBuilder(dtype="float64")
+    first = b.const(np.arange(6.0).reshape(2, 3), "a")
+    assert b.const(np.arange(6.0).reshape(2, 3), "b") == first
+    assert b.const(1.0, "one") == b.const(np.float64(1.0), "unit")
+    assert b.const(np.zeros((2, 3)), "z") != b.const(np.zeros((3, 2)), "z")
+    assert b.const(0.0, "zero") != b.const(-0.0, "negzero")
+    assert b.const(np.float32(0.5), "half") == b.const(0.5, "half")
+    assert b.known[first].dtype == np.float64
+
+
+def _compile_everything(dtype, scheme):
+    """Every corpus net and the demo net over random references, and every
+    micro net over its own, compiled."""
+    models = [cast_model(e.model, dtype) for e in gl.build_corpus()]
+    models.append(cast_model(demo_model(), dtype))
+    nets = [(m, random_references(m, 5, seed=5)) for m in models]
+    nets += [(net.model, net.references) for net in
+             (gl.micro_net(family, dtype=dtype) for family in gl.MICRO_FAMILIES)]
+    return [gl.compile_explainer(model, refs, scheme=scheme)
+            for model, refs in nets]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_rule_emits_a_constant_node(monkeypatch, dtype, scheme):
+    # a rule's constant is a known value made by const, never a Constant op
+    emitted = []
+    real = GraphBuilder.emit
+
+    def spy(self, op_type, *args, **kwargs):
+        emitted.append(op_type)
+        return real(self, op_type, *args, **kwargs)
+
+    monkeypatch.setattr(GraphBuilder, "emit", spy)
+    _compile_everything(dtype, scheme)
+    assert emitted and "Constant" not in emitted
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_artifact_ships_a_payload_twice(dtype, scheme):
+    # equal rule constants share one name, so one payload; two folded
+    # reference copies can still coincide over degenerate references, such
+    # as zero rows, which this does not cover
+    for art in _compile_everything(dtype, scheme):
+        seen = {}
+        for name, tensor in art.model.initializers.items():
+            key = (tensor.shape, tensor.to_bytes())
+            assert key not in seen, (art.model.name, name, seen.get(key))
+            seen[key] = name
 
 
 def test_schemes_agree_on_nodes_declared_out_of_order():
