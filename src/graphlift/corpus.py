@@ -13,6 +13,7 @@ softmax heads stay far away from overflow in float32.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -78,8 +79,7 @@ class _Assembler:
         self.nodes: list[Node] = []
 
     def weight(self, name: str, array: np.ndarray) -> str:
-        self.initializers[name] = TensorValue(
-            np.asarray(array, dtype=DTYPES[self.dtype]), self.dtype)
+        self.initializers[name] = TensorValue(array, self.dtype)
         return name
 
     def node(self, op: str, name: str, inputs: list[str],
@@ -262,6 +262,16 @@ def _seed(seed: int) -> int:
     return seed
 
 
+def _scale(scale: float) -> float:
+    try:
+        if not isinstance(scale, bool) and isinstance(scale, numbers.Real) \
+                and math.isfinite(scale) and scale >= 0:
+            return scale
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValidationError(f"scale must be a finite real at least 0, got {scale!r}")
+
+
 def zero_references(model: GraphModel, batch: int = 5) -> np.ndarray:
     spec = model.inputs[0]
     return np.zeros((_at_least_one(batch, "the reference batch"), *spec.shape[1:]),
@@ -273,7 +283,7 @@ def random_references(model: GraphModel, batch: int = 5, seed: int = 101,
     spec = model.inputs[0]
     rng = np.random.default_rng(_seed(seed))
     shape = (_at_least_one(batch, "the reference batch"),) + tuple(spec.shape[1:])
-    return rng.normal(0.0, scale, size=shape).astype(DTYPES[spec.dtype])
+    return rng.normal(0.0, _scale(scale), size=shape).astype(DTYPES[spec.dtype])
 
 
 def random_inputs(model: GraphModel, count: int, seed: int = 202,
@@ -282,6 +292,7 @@ def random_inputs(model: GraphModel, count: int, seed: int = 202,
     spec = model.inputs[0]
     rng = np.random.default_rng(_seed(seed))
     shape = (1,) + tuple(spec.shape[1:])
+    scale = _scale(scale)
     return [rng.normal(0.0, scale, size=shape).astype(DTYPES[spec.dtype])
             for _ in range(_at_least_one(count, "the input count"))]
 

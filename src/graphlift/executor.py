@@ -7,10 +7,12 @@ broadcasting on binary ops, NCHW layout for convolutions and pools, and
 average pooling that excludes padding from the divisor.
 
 Kernels check and resolve nothing, the ``Constant`` kernel included.
-``shapes.resolve_node`` is each node's one resolution: it checks the node
-(a ``Constant``'s dtype too) and returns the parameters its kernel runs on
-at those input shapes, such as window geometry, the ``AveragePool``
-divisor plane, a mean's element count or the ``Transpose`` permutation.
+``shapes.resolve_node`` is each node's one resolution: it runs
+``ir._check_signature``, the one node check (``validate_model`` adds only
+graph-level ones), and the node's law, and returns the parameters its
+kernel runs on at those input shapes, such as window geometry, the
+``AveragePool`` divisor plane, a mean's element count or the
+``Transpose`` permutation.
 ``ExecutionPlan`` resolves each constant step once and all its other
 steps once per feed shape, and ``run_kernel`` its one node on the spot.
 At compile time ``GraphBuilder.add`` resolves each node once and keeps its
@@ -77,11 +79,12 @@ gives ``np.sum``'s, ``np.mean``'s or ``ndarray.max``'s bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-from .ir import (DTYPES, GraphModel, Node, TensorValue, ValueSpec, _unproduced,
+from .ir import (DTYPES, GraphModel, Node, ValueSpec, _as_array, _unproduced,
                  all_finite)
 from .shapes import resolve_node
 
@@ -111,18 +114,14 @@ def _framed(x, pads, fill=0.0):
     return out
 
 
-def _window_views(x, kernel, strides, dilations):
+def _window_views(x, kernel, strides):
     """(B, C, kh, kw, Ho, Wo) strided view over an already framed NCHW array."""
     x = np.ascontiguousarray(x)  # np.ndarray takes a contiguous buffer only
-    b, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = strides
-    dh, dw = dilations
-    ho = (h - (kh - 1) * dh - 1) // sh + 1
-    wo = (w - (kw - 1) * dw - 1) // sw + 1
+    (b, c, h, w), (kh, kw), (sh, sw) = x.shape, kernel, strides
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
     sb, sc, s2, s3 = x.strides
     return np.ndarray((b, c, kh, kw, ho, wo), x.dtype, x, 0,
-                      (sb, sc, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
+                      (sb, sc, s2, s3, s2 * sh, s3 * sw))
 
 
 # bytes of one chunk's window matrix, small enough to stay in one core's L2
@@ -208,9 +207,9 @@ def _conv_transpose(x, w, bias, geometry):
 
 def _max_pool(x, geometry):
     """The running maximum over the taps, from tap (0, 0) on, in place."""
-    kernel, strides, pads, dilations = geometry
+    kernel, strides, pads = geometry
     framed = _framed(x, pads, np.finfo(x.dtype).min)
-    view = _window_views(framed, kernel, strides, dilations)
+    view = _window_views(framed, kernel, strides)
     out = view[:, :, 0, 0].copy()
     for i in range(kernel[0]):
         for j in range(kernel[1]):
@@ -220,9 +219,8 @@ def _max_pool(x, geometry):
 
 
 def _avg_pool(x, geometry):
-    kernel, strides, pads, dilations, count = geometry
-    total = np.add.reduce(
-        _window_views(_framed(x, pads), kernel, strides, dilations), (2, 3))
+    kernel, strides, pads, count = geometry
+    total = np.add.reduce(_window_views(_framed(x, pads), kernel, strides), (2, 3))
     # the count plane is float64; dividing in x's dtype keeps float32 float32
     return np.divide(total, count, out=total, dtype=total.dtype)
 
@@ -369,12 +367,11 @@ def run_kernel(op_type: str, inputs: list[np.ndarray], attrs: dict | None = None
         return eval_node(node, inputs, params)
 
 
-def _coerce_input(spec: ValueSpec, feed: dict) -> np.ndarray:
+def _coerce_input(spec: ValueSpec, feed: Mapping) -> np.ndarray:
     name = spec.name
     if name not in feed:
         raise ShapeError(f"feed is missing graph input {name!r}")
-    value = feed[name]
-    arr = value.array if isinstance(value, TensorValue) else np.asarray(value)
+    arr = _as_array(feed[name], None, f"input {name!r}")
     if arr.dtype != DTYPES[spec.dtype]:
         raise ShapeError(
             f"input {name!r} has dtype {arr.dtype}, model wants {spec.dtype}")
@@ -577,7 +574,7 @@ def _run(plan: ExecutionPlan, values: list, params: list, scans,
     return None
 
 
-def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
+def execute(model_or_plan: GraphModel | ExecutionPlan, feed: Mapping,
             capture: bool = False):
     """Run a model, or a plan built from one, on a feed.
 
@@ -587,10 +584,15 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: dict,
     declared graph output to its array and trace maps every value name to its
     array when ``capture`` is set (None otherwise).  Without ``capture``
     each intermediate is released after its last consumer runs.  The first
-    node whose output holds a NaN or an infinity raises NumericError.
+    node whose output holds a NaN or an infinity raises NumericError.  A
+    feed that is no mapping or has no numeric array for an input raises
+    ValidationError, a wrong dtype, rank or extent ShapeError.
     """
     plan = model_or_plan if isinstance(model_or_plan, ExecutionPlan) \
         else ExecutionPlan(model_or_plan)
+    if not isinstance(feed, Mapping):
+        raise ValidationError("the feed must map graph input names to arrays, "
+                              f"not be a {type(feed).__name__}")
     fed = [(slot, _coerce_input(spec, feed)) for spec, slot in plan.feed]
     values = list(plan.template)
     for slot, arr in fed:

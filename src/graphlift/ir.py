@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -100,22 +101,51 @@ _OPS = {
 
 SUPPORTED_OPS = frozenset(_OPS)
 
+# op -> ({attribute: (kind, the types of its value or of each value of its
+# list, whether a list)}, required attributes), read from _OPS once
+_KIND_TYPES = {"int": int, "float": (int, float), "string": str}
+_SCHEMAS = {op: ({key: (kind.rstrip("!"), _KIND_TYPES[kind.rstrip("!s")],
+                        kind.rstrip("!").endswith("s")) for key, kind in kinds.items()},
+                 [key for key, kind in kinds.items() if kind.endswith("!")])
+            for op, (*_, kinds) in _OPS.items()}
+
 
 def _check_signature(node: Node, n_inputs: int) -> None:
-    """ValidationError naming ``node`` unless its supported op takes
-    ``n_inputs`` operands, produces as many outputs as it declares and has
-    every attribute the op requires."""
-    lo, hi, n_out, kinds = _OPS[node.op_type]
+    """The one per-node check, which every shape law resolution runs:
+    ValidationError naming ``node`` unless its op is one of ``_OPS``, it
+    takes ``n_inputs`` operands, produces as many outputs as its op declares
+    (at least one), and every attribute is one its op declares, of that
+    kind and finite, with every required one present."""
+    if node.op_type not in _OPS:
+        raise ValidationError(
+            f"node {node.name!r}: unsupported op_type {node.op_type!r}")
+    lo, hi, n_out, _ = _OPS[node.op_type]
     if n_inputs < lo or (hi is not None and n_inputs > hi):
         raise ValidationError(
             f"node {node.name!r}: {node.op_type} takes between {lo} and "
             f"{hi if hi is not None else 'any'} inputs, got {n_inputs}")
-    if n_out is not None and len(node.outputs) != n_out:
+    if not node.outputs or n_out not in (None, len(node.outputs)):
         raise ValidationError(
-            f"node {node.name!r}: {node.op_type} produces {n_out} outputs, "
-            f"got {len(node.outputs)}")
-    for key, kind in kinds.items():
-        if kind.endswith("!") and key not in node.attributes:
+            f"node {node.name!r}: {node.op_type} produces {n_out or 'one or more'}"
+            f" outputs, got {len(node.outputs)}")
+    schema, required = _SCHEMAS[node.op_type]
+    for key, value in node.attributes.items():
+        if key not in schema:
+            raise ValidationError(
+                f"node {node.name!r}: unknown attribute {key!r} for {node.op_type}")
+        kind, types, many = schema[key]
+        items = value if many else (value,)
+        if many is not isinstance(value, (list, tuple)) or not all(
+                isinstance(v, types) and not isinstance(v, bool) for v in items):
+            raise ValidationError(
+                f"node {node.name!r}: attribute {key!r} must be of kind {kind}")
+        # NaN, an infinity and an int too large for a float all fail the bound
+        if kind.startswith("float") and not all(
+                abs(v) <= sys.float_info.max for v in items):
+            raise ValidationError(
+                f"node {node.name!r}: attribute {key!r} holds a non-finite value")
+    for key in required:
+        if key not in node.attributes:
             raise ValidationError(
                 f"node {node.name!r}: {node.op_type} requires attribute {key!r}")
 
@@ -143,11 +173,11 @@ class TensorValue:
 
     def __init__(self, array: np.ndarray, dtype: str | None = None):
         if dtype is None:
-            dtype = str(np.asarray(array).dtype)
+            dtype = str(_as_array(array, None, "tensor payload").dtype)
         if dtype not in DTYPES:
             raise ValidationError(f"unsupported tensor dtype {dtype!r}")
         # np.ascontiguousarray would give a 0-d payload one dimension
-        arr = np.asarray(array, dtype=DTYPES[dtype], order="C")
+        arr = np.asarray(_as_array(array, dtype, "tensor payload"), order="C")
         if not all_finite(arr):
             raise ValidationError("tensor payload contains non-finite values")
         self.dtype = dtype
@@ -176,13 +206,16 @@ class TensorValue:
         return f"TensorValue(dtype={self.dtype}, shape={self.shape})"
 
 
-def _as_array(value, dtype: str, what: str) -> np.ndarray:
+def _as_array(value, dtype: str | None, what: str) -> np.ndarray:
     """An array or TensorValue from outside the package as an array of
-    ``dtype``, or ValidationError naming ``what``."""
+    ``dtype`` (numpy's choice when None), or ValidationError naming ``what``
+    for no array (a ragged list) or, with a ``dtype``, no number (None)."""
     if isinstance(value, TensorValue):
         value = value.array
     try:
-        return np.asarray(value, dtype=DTYPES[dtype])
+        if value is None and dtype is not None:  # np.asarray would read NaN
+            raise TypeError("None")
+        return np.asarray(value, None if dtype is None else DTYPES[dtype])
     except (TypeError, ValueError) as err:
         raise ValidationError(f"{what} is not a numeric array: {err}") from None
 
@@ -191,8 +224,8 @@ def _as_array(value, dtype: str, what: str) -> np.ndarray:
 class ValueSpec:
     """Declared name, dtype and shape of a graph input or output.
 
-    A leading -1 stands for a free batch dimension; all other extents are
-    concrete positive integers.
+    The dtype is one of ``DTYPES``.  A leading -1 stands for a free batch
+    dimension; every other extent is a concrete positive integer.
     """
 
     name: str
@@ -200,12 +233,17 @@ class ValueSpec:
     shape: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.dtype, str) or self.dtype not in DTYPES:
+            raise ValidationError(f"value {self.name!r}: unsupported dtype {self.dtype!r}")
         try:
-            shape = tuple(int(d) for d in self.shape)
-        except (TypeError, ValueError):
+            shape = tuple(self.shape)
+            if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                       for d in shape):
+                raise TypeError
+        except TypeError:
             raise ValidationError(f"value {self.name!r}: shape {self.shape!r} is "
                                   "not a sequence of integers") from None
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", tuple(map(int, shape)))
 
 
 @dataclass
@@ -235,31 +273,6 @@ class GraphModel:
         return model_digest(self) == model_digest(other)
 
 
-def _check_attr_value(node_name: str, key: str, kind: str, value) -> None:
-    ok = False
-    if kind == "int":
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind == "float":
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind == "string":
-        ok = isinstance(value, str)
-    elif kind == "ints":
-        ok = (isinstance(value, (list, tuple))
-              and all(isinstance(v, int) and not isinstance(v, bool) for v in value))
-    elif kind == "floats":
-        ok = (isinstance(value, (list, tuple))
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
-    if not ok:
-        raise ValidationError(
-            f"node {node_name!r}: attribute {key!r} must be of kind {kind}")
-    # NaN, an infinity and an int too large for a float all fail the bound
-    if kind in ("float", "floats") and not all(
-            abs(v) <= sys.float_info.max
-            for v in (value if kind == "floats" else [value])):
-        raise ValidationError(
-            f"node {node_name!r}: attribute {key!r} holds a non-finite value")
-
-
 def _unproduced(node: Node, name: str) -> ValidationError:
     """The error for ``node`` reading ``name`` out of dependency order: an
     undeclared name, one a later node produces, or one on a cycle."""
@@ -269,21 +282,17 @@ def _unproduced(node: Node, name: str) -> ValidationError:
 
 
 def validate_model(model: GraphModel) -> None:
-    """Check structural rules, dependency order included; raise
-    ValidationError naming the culprit."""
+    """Check every node with ``_check_signature``, then what only the whole
+    graph shows: node names, dependency order, single assignment, the specs
+    and the outputs; raise ValidationError naming the culprit."""
     if not model.name:
         raise ValidationError("model name must be non-empty")
 
     produced: dict[str, str] = {}
     for spec in model.inputs:
-        if spec.dtype not in DTYPES:
-            raise ValidationError(f"input {spec.name!r}: unsupported dtype {spec.dtype!r}")
-        for i, d in enumerate(spec.shape):
-            if d == -1 and i == 0:
-                continue
-            if d <= 0:
-                raise ValidationError(
-                    f"input {spec.name!r}: only the leading batch may be symbolic")
+        if any(d <= 0 and (i or d != -1) for i, d in enumerate(spec.shape)):
+            raise ValidationError(
+                f"input {spec.name!r}: only the leading batch may be symbolic")
         if spec.name in produced:
             raise ValidationError(f"duplicate graph input {spec.name!r}")
         produced[spec.name] = "graph input"
@@ -294,21 +303,10 @@ def validate_model(model: GraphModel) -> None:
 
     seen_node_names = set()
     for node in model.nodes:
-        if node.op_type not in SUPPORTED_OPS:
-            raise ValidationError(
-                f"node {node.name!r}: unsupported op_type {node.op_type!r}")
         if not node.name or node.name in seen_node_names:
             raise ValidationError(f"node name {node.name!r} is missing or duplicated")
         seen_node_names.add(node.name)
         _check_signature(node, len(node.inputs))
-        if not node.outputs:
-            raise ValidationError(f"node {node.name!r} declares no outputs")
-        kinds = _OPS[node.op_type][3]
-        for key, value in node.attributes.items():
-            if key not in kinds:
-                raise ValidationError(
-                    f"node {node.name!r}: unknown attribute {key!r} for {node.op_type}")
-            _check_attr_value(node.name, key, kinds[key].rstrip("!"), value)
         for inp in node.inputs:
             if inp not in produced:
                 raise _unproduced(node, inp)
@@ -321,8 +319,6 @@ def validate_model(model: GraphModel) -> None:
 
     declared = set()
     for spec in model.outputs:
-        if spec.dtype not in DTYPES:
-            raise ValidationError(f"output {spec.name!r}: unsupported dtype {spec.dtype!r}")
         if spec.name not in produced:
             raise ValidationError(f"graph output {spec.name!r} is never produced")
         if spec.name in declared:

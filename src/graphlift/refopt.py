@@ -73,7 +73,6 @@ ACTIVATION_FLOP_COST = 4
 
 _PREDICTION = "prediction"
 _ATTRIBUTION = "attribution"
-_MULTIPLIERS = "multipliers"
 
 
 def _as_references(references, spec: ValueSpec) -> np.ndarray:

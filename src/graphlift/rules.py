@@ -395,7 +395,7 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
         return {data: b.emit("Mul", [ctx.grad_in, b.const(k, "gapback")],
                              tag="gapgrad")}
     # the geometry and divisor plane the forward kernel averaged with
-    kernel, strides, pads, _, counts = ctx.params
+    kernel, strides, pads, counts = ctx.params
     out_h, out_w = b.shape(ctx.grad_in)[2], b.shape(ctx.grad_in)[3]
     ones_k = np.ones((1, 1, *kernel))
     normed = b.emit("Mul", [ctx.grad_in, b.const(1.0 / counts, "avgshare")],
@@ -443,7 +443,7 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
     if node.op_type == "MaxPool":
         # a one-hot filter per window offset scatters the stacked routes back
         # onto the positions they came from, summing where windows overlap
-        kernel, strides, pads, _ = ctx.params
+        kernel, strides, pads = ctx.params
         spread = _transpose_conv(b, routed, _onehot(b, kernel), sample[2:], kernel,
                                  strides, pads, "mpscatter")
         routed = b.emit("Reshape", [spread],
@@ -473,7 +473,7 @@ def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,
     shape = b.shape(act)
     cells, window, top = act, shape[2:], {}
     if node.op_type == "MaxPool":
-        kernel, strides, pads, _ = ctx.params
+        kernel, strides, pads = ctx.params
         if any(pads):
             # pad with a huge negative so padding never ties with a real maximum
             act = b.emit("Pad", [act], {"pads": [0, 0, *pads[:2], 0, 0, *pads[2:]],

@@ -1,13 +1,16 @@
 """Shape laws for the supported operator set: one resolution per node.
 
-``resolve_node`` reads a node's attributes and defaults once, at the
-concrete shapes of its inputs, and returns its output shapes together with
-the parameters its kernel runs on.  The laws are the package's only check
-of operands and attributes: a kernel runs unchecked on whatever its law
-accepts.  Shapes are tuples of concrete non-negative ints: the free leading
-batch (-1) of a graph input's ``ValueSpec`` never reaches a law, as
-``infer_graph_shapes`` gives it a number first.  The one -1 a law reads is
-``Reshape``'s target entry, ONNX's "infer this extent".
+``resolve_node`` runs ``ir._check_signature``, the one node check (op,
+operand and output counts, every attribute's name, kind and finiteness),
+which ``validate_model`` runs too and adds only graph-level checks to.  It
+then reads a node's attributes and defaults once, at the concrete shapes
+of its inputs, checks them against those shapes and returns its output
+shapes together with the parameters its kernel runs on: a kernel runs
+unchecked on whatever its law accepts.  Shapes are tuples of concrete
+non-negative ints: the free leading batch (-1) of a graph input's
+``ValueSpec`` never reaches a law, as ``infer_graph_shapes`` gives it a
+number first.  The one -1 a law reads is ``Reshape``'s target entry,
+ONNX's "infer this extent".
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numbers
 import numpy as np
 
 from .errors import ShapeError, UnsupportedOp, ValidationError
-from .ir import (DTYPES, SUPPORTED_OPS, GraphModel, Node, _check_signature,
-                 _unproduced)
+from .ir import DTYPES, GraphModel, Node, _check_signature, _unproduced
 
 __all__ = ["broadcast_shapes", "infer_graph_shapes", "resolve_node"]
 
@@ -63,16 +65,12 @@ def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
     return span // stride + 1
 
 
-def _window_taps(size, kernel, stride, pad_begin, dilation, count) -> list[int]:
+def _window_taps(size, kernel, stride, pad_begin, count) -> list[int]:
     """How many taps of each of the ``count`` windows along one axis land on
-    the input: window n starts at n·stride - pad_begin, and its tap t reads
-    position start + t·dilation."""
-    taps = []
-    for start in range(-pad_begin, count * stride - pad_begin, stride):
-        first = max(0, -(start // dilation))            # first tap at or after 0
-        last = min(kernel - 1, (size - 1 - start) // dilation)  # last before size
-        taps.append(max(0, last - first + 1))
-    return taps
+    the input: window n reads the ``kernel`` positions from n·stride -
+    pad_begin on."""
+    return [max(0, min(kernel, size - start) - max(0, -start))
+            for start in range(-pad_begin, count * stride - pad_begin, stride)]
 
 
 def _phases(x, kernel, strides, pads, size) -> list:
@@ -114,7 +112,7 @@ def _window_op(op: str, in_shapes, attrs):
     """Output shape and kernel parameters of Conv, ConvTranspose, MaxPool or
     AveragePool."""
     x = in_shapes[0]
-    # the ONNX defaults: unit strides and dilations, no padding
+    # the ONNX defaults: unit strides and dilations (Conv's alone), no padding
     kernel = list(attrs["kernel_shape"])
     strides = list(attrs.get("strides", [1, 1]))
     pads = list(attrs.get("pads", [0, 0, 0, 0]))      # [top, left, bottom, right]
@@ -124,10 +122,8 @@ def _window_op(op: str, in_shapes, attrs):
     if len(kernel) != 2 or len(strides) != 2 or len(pads) != 4 \
             or len(dilations) != 2:
         raise ShapeError(f"{op} window attributes do not match 2 spatial axes")
-    if op == "AveragePool" and (attrs.get("count_include_pad", 0) != 0
-                                or dilations != [1, 1]):
-        raise UnsupportedOp("AveragePool supports count_include_pad=0 and "
-                            "unit dilations only")
+    if attrs.get("count_include_pad", 0) != 0:
+        raise UnsupportedOp("AveragePool supports count_include_pad=0 only")
     channels = x[1]
     if op in ("Conv", "ConvTranspose"):
         w = in_shapes[1]
@@ -149,20 +145,19 @@ def _window_op(op: str, in_shapes, attrs):
         out = (x[0], channels) + spatial
         if op == "Conv":
             return out, (strides, pads, dilations)
-        taps = [_window_taps(x[2 + i], kernel[i], strides[i], pads[i], dilations[i], n)
+        taps = [_window_taps(x[2 + i], kernel[i], strides[i], pads[i], n)
                 for i, n in enumerate(spatial)]
         if 0 in taps[0] or 0 in taps[1]:
             raise ShapeError(f"{op} pads {pads} leave a window lying "
                              "entirely in padding")
         if op == "MaxPool":
-            return out, (kernel, strides, pads, dilations)
+            return out, (kernel, strides, pads)
         # the divisor plane: every window's in-bounds cell count, so padding
         # is excluded from the mean
         count = np.outer(*taps).astype(np.float64).reshape(1, 1, *out[2:])
-        return out, (kernel, strides, pads, dilations, count)
+        return out, (kernel, strides, pads, count)
     extra = list(attrs.get("output_padding", [0, 0]))
-    if min(kernel) < 1 or min(pads) < 0 or dilations != [1, 1] \
-            or len(extra) != 2 \
+    if min(kernel) < 1 or min(pads) < 0 or len(extra) != 2 \
             or not all(0 <= e < s for e, s in zip(extra, strides)):
         raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
                          f"input {x} and weight {w}")
@@ -180,7 +175,7 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
     """``(output shapes, kernel parameters)`` of one node on inputs of these
     concrete shapes, or ShapeError / UnsupportedOp naming the node for
     operands or attributes its kernel cannot run on, and ValidationError for
-    a wrong number of operands or outputs or a missing required attribute.
+    a node ``_check_signature`` refuses.
 
     The parameters are window geometry, the ``ConvTranspose`` output shape
     and phase table, the ``AveragePool`` divisor plane, and the indices,
@@ -188,19 +183,16 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
     defaults filled in, or the attribute dict of an op with nothing to
     resolve.
     """
+    _check_signature(node, len(in_shapes))
     try:
         return _resolve(node, in_shapes)
     except (ShapeError, UnsupportedOp) as exc:
         raise type(exc)(f"node {node.name!r}: {exc}") from exc
-    except TypeError as exc:  # an attribute of the wrong kind
-        raise ValidationError(f"node {node.name!r}: {exc}") from exc
 
 
 def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
     op = node.op_type
     attrs = node.attributes
-    if op in SUPPORTED_OPS:
-        _check_signature(node, len(in_shapes))
 
     if op in ("Add", "Sub", "Mul", "Div", "Greater"):
         return [broadcast_shapes(in_shapes[0], in_shapes[1])], attrs
@@ -372,8 +364,6 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
             raise ShapeError(f"Constant of shape {shape} holds "
                              f"{len(attrs['value'])} values")
         return [shape], attrs
-
-    raise UnsupportedOp(f"no shape law for op {op!r}")
 
 
 def infer_graph_shapes(model: GraphModel, batch: int | None = None,

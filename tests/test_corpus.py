@@ -110,6 +110,29 @@ def test_a_seed_that_is_no_non_negative_integer_is_refused(make, seed):
         make(seed)
 
 
+@pytest.mark.parametrize("scale", [-1, "a", float("nan"), float("inf"), True,
+                                   pytest.param(10**400, id="int-past-float")])
+@pytest.mark.parametrize("make", [
+    lambda scale: corpus.random_references(corpus.demo_model(), 2, scale=scale),
+    lambda scale: corpus.random_inputs(corpus.demo_model(), 2, scale=scale),
+], ids=["random-refs", "inputs"])
+def test_a_scale_that_is_no_finite_non_negative_real_is_refused(make, scale):
+    with pytest.raises(gl.ValidationError, match="scale must be a finite real"):
+        make(scale)
+
+
+def test_a_zero_or_numpy_scale_is_a_scale():
+    model = corpus.demo_model()
+    assert not corpus.random_references(model, 2, scale=0).any()
+    assert np.array_equal(corpus.random_inputs(model, 1, scale=np.float32(0.5))[0],
+                          corpus.random_inputs(model, 1, scale=0.5)[0])
+
+
+def test_a_micro_net_of_an_unsupported_dtype_is_refused():
+    with pytest.raises(gl.ValidationError, match="unsupported dtype 'float16'"):
+        corpus.micro_net("relu", dtype="float16")
+
+
 def test_a_numpy_integer_seed_is_a_seed():
     model = corpus.demo_model()
     assert np.array_equal(corpus.random_inputs(model, 1, seed=np.int64(3))[0],

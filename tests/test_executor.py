@@ -10,7 +10,7 @@ import pytest
 
 import graphlift as gl
 from graphlift import (ExecutionPlan, GraphModel, Node, NumericError,
-                       ShapeError, TensorValue, ValueSpec)
+                       ShapeError, TensorValue, ValidationError, ValueSpec)
 from graphlift import executor
 from graphlift.executor import eval_node, execute, run_kernel
 from graphlift.shapes import resolve_node
@@ -170,10 +170,9 @@ def test_padded_strided_conv_workspace_is_bounded_by_the_chunk_budget():
 def test_padded_max_pool_never_picks_the_frame(dtype):
     # every value is negative, so a frame of zeros would win at the borders
     x = -1.0 - RNG.random(size=(2, 3, 6, 5)).astype(dtype)
-    attrs = {"kernel_shape": [3, 2], "strides": [2, 1], "pads": [1, 2, 1, 0],
-             "dilations": [1, 2]}
+    attrs = {"kernel_shape": [3, 2], "strides": [2, 1], "pads": [1, 1, 1, 0]}
     got = kernel("MaxPool", [x], attrs)
-    want = ref_window(x, [3, 2], [2, 1], [1, 2, 1, 0], [1, 2],
+    want = ref_window(x, [3, 2], [2, 1], [1, 1, 1, 0], [1, 1],
                       -np.inf).max(axis=(4, 5))
     assert got.dtype == dtype
     assert np.array_equal(got, want)
@@ -205,29 +204,26 @@ def test_pool_kernels():
                        windows.mean(axis=(4, 5)), rtol=0, atol=1e-12)
 
 
-def max_pool_by_view_max(x, kernel, strides, pads, dilations):
+def max_pool_by_view_max(x, kernel, strides, pads):
     """The former MaxPool kernel: one reduction over the 6-D window view."""
     framed = executor._framed(x, pads, np.finfo(x.dtype).min)
-    return executor._window_views(framed, kernel, strides,
-                                  dilations).max(axis=(2, 3))
+    return executor._window_views(framed, kernel, strides).max(axis=(2, 3))
 
 
 def pool_geometries():
-    """Window geometries the law accepts on a 7x8 image: strides,
-    asymmetric pads and dilations."""
+    """Window geometries the law accepts on a 7x8 image: strides and
+    asymmetric pads."""
     geometries = []
     for kernel in ([1, 1], [2, 2], [3, 2], [1, 3], [3, 3]):
         for strides in ([1, 1], [2, 2], [2, 1], [1, 3]):
             for pads in ([0, 0, 0, 0], [1, 1, 1, 1], [2, 0, 1, 1], [0, 1, 2, 0]):
-                for dilations in ([1, 1], [2, 1], [1, 2], [2, 2]):
-                    node = Node("MaxPool", "p", ["x"], ["y"], {
-                        "kernel_shape": kernel, "strides": strides,
-                        "pads": pads, "dilations": dilations})
-                    try:
-                        resolve_node(node, [(2, 3, 7, 8)])
-                    except ShapeError:
-                        continue
-                    geometries.append((kernel, strides, pads, dilations))
+                node = Node("MaxPool", "p", ["x"], ["y"], {
+                    "kernel_shape": kernel, "strides": strides, "pads": pads})
+                try:
+                    resolve_node(node, [(2, 3, 7, 8)])
+                except ShapeError:
+                    continue
+                geometries.append((kernel, strides, pads))
     return geometries
 
 
@@ -237,14 +233,14 @@ def test_max_pool_tap_loop_is_the_view_max_bit_for_bit(dtype):
     values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan], dtype)
     rng = np.random.default_rng(11)
     geometries = pool_geometries()
-    assert len(geometries) > 150
-    for kernel_, strides, pads, dilations in geometries:
+    assert len(geometries) >= 50
+    for kernel_, strides, pads in geometries:
         x = rng.choice(values, size=(2, 3, 7, 8))
         got = kernel("MaxPool", [x], {"kernel_shape": kernel_, "strides": strides,
-                                      "pads": pads, "dilations": dilations})
-        want = max_pool_by_view_max(x, kernel_, strides, pads, dilations)
+                                      "pads": pads})
+        want = max_pool_by_view_max(x, kernel_, strides, pads)
         assert got.dtype == dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (kernel_, strides, pads, dilations)
+        assert got.tobytes() == want.tobytes(), (kernel_, strides, pads)
 
 
 def test_average_pool_ignores_padding_in_divisor():
@@ -412,10 +408,10 @@ def test_pool_and_softmax_reductions_give_numpys_bits(dtype, layout):
         assert same_bits(kernel("Softmax", [x], {"axis": axis}),
                          ex / ex.sum(axis=axis, keepdims=True))
     attrs = {"kernel_shape": [2, 2], "strides": [2, 1], "pads": [0, 1, 1, 0]}
-    _, (kernel_shape, strides, pads, dilations, count) = resolve_node(
+    _, (kernel_shape, strides, pads, count) = resolve_node(
         Node("AveragePool", "p", ["x"], ["y"], attrs), [x.shape])
     total = executor._window_views(executor._framed(x, pads), kernel_shape,
-                                   strides, dilations).sum(axis=(2, 3))
+                                   strides).sum(axis=(2, 3))
     assert same_bits(kernel("AveragePool", [x], attrs),
                      np.divide(total, count, dtype=x.dtype))
 
@@ -458,6 +454,39 @@ def test_execute_rejects_missing_and_misshaped_feeds():
         execute(model, {"x": np.zeros((2, 5), dtype=np.float32)})
 
 
+@pytest.mark.parametrize("feed, error, match", [
+    (None, ValidationError, "feed must map"),
+    ([np.ones((1, 2))], ValidationError, "feed must map"),
+    ({"x": [[1.0], [2.0, 3.0]]}, ValidationError, "input 'x' is not a numeric"),
+    ({"x": [["a", "b"]]}, ShapeError, "input 'x' has dtype"),
+])
+def test_execute_refuses_a_feed_of_no_arrays_with_a_typed_error(feed, error, match):
+    with pytest.raises(error, match=match):
+        execute(chain_model([Node("Relu", "r", ["x"], ["y"])]), feed)
+
+
+def test_an_unvalidated_misspelled_or_undeclared_attribute_is_refused():
+    x = np.arange(25.0).reshape(1, 1, 5, 5)
+    conv = GraphModel("c", [ValueSpec("x", "float64", (-1, 1, 5, 5))],
+                      [ValueSpec("y", "float64", (-1, 1, 2, 2))],
+                      {"w": TensorValue(np.ones((1, 1, 3, 3)))},
+                      [Node("Conv", "typo", ["x", "w"], ["y"],
+                            {"kernel_shape": [3, 3], "stride": [2, 2]})])
+    with pytest.raises(ValidationError, match="'typo'.*'stride'"):
+        execute(conv, {"x": x})
+    pool = GraphModel("p", [ValueSpec("x", "float64", (-1, 1, 5, 5))],
+                      [ValueSpec("y", "float64", (-1, 1, 3, 3))], {},
+                      [Node("MaxPool", "dilated", ["x"], ["y"],
+                            {"kernel_shape": [2, 2], "dilations": [2, 2]})])
+    with pytest.raises(ValidationError, match="'dilated'.*'dilations'"):
+        execute(pool, {"x": x})
+
+
+def test_split_into_no_outputs_is_refused():
+    with pytest.raises(ValidationError, match="'anon'.*one or more outputs, got 0"):
+        run_kernel("Split", [np.ones((4, 2))], {"axis": 0}, n_outputs=0)
+
+
 def test_numeric_check_flags_non_finite():
     model = GraphModel("d", [ValueSpec("x", "float64", (-1, 2))],
                        [ValueSpec("y", "float64", (-1, 2))],
@@ -471,11 +500,14 @@ def test_numeric_check_flags_non_finite():
 
 
 def test_numeric_check_flags_non_finite_constant():
+    # a Constant's value must be finite, so the plan's one-time constant
+    # step is what overflows
     model = GraphModel("c", [ValueSpec("x", "float64", (-1, 2))],
                        [ValueSpec("y", "float64", (-1, 2))], {},
-                       [Node("Constant", "big", [], ["k"],
+                       [Node("Constant", "k0", [], ["k0"],
                              {"dtype": "float64", "shape": [1, 2],
-                              "value": [1.0, float("inf")]}),
+                              "value": [1.0, 1000.0]}),
+                        Node("Exp", "big", ["k0"], ["k"]),
                         Node("Mul", "scale", ["x", "k"], ["y"])])
     plan = ExecutionPlan(model)
     with pytest.raises(NumericError, match="'big'"):
@@ -840,7 +872,7 @@ def test_pad_with_an_infinite_fill_is_named():
         [Node("Relu", "r", ["x"], ["h"]),
          Node("Pad", "frame", ["h"], ["y"], {"pads": [0, 1, 0, 1],
                                              "value": float("inf")})]))
-    with pytest.raises(NumericError, match="'frame'"):
+    with pytest.raises(ValidationError, match="'frame'.*non-finite"):
         execute(plan, {"x": np.ones((1, 2))})
 
 

@@ -1,5 +1,6 @@
 """Model structure, validation and serialization round trips."""
 
+import re
 import warnings
 
 import numpy as np
@@ -51,6 +52,34 @@ def test_tensor_value_refuses_a_string_or_none(value):
 def test_value_spec_names_a_shape_that_is_no_integers(shape):
     with pytest.raises(ValidationError, match="shape"):
         ValueSpec("x", "float32", shape)
+
+
+@pytest.mark.parametrize("shape", [(2.5, 3), (2, True), ("4",), (2.0,)])
+def test_value_spec_names_a_shape_with_an_extent_that_is_no_integer(shape):
+    with pytest.raises(ValidationError, match=re.escape(f"'x': shape {shape!r}")):
+        ValueSpec("x", "float32", shape)
+
+
+def test_value_spec_takes_numpy_integer_extents():
+    spec = ValueSpec("x", "float32", (np.int64(-1), np.int32(3)))
+    assert spec.shape == (-1, 3) and all(type(d) is int for d in spec.shape)
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int64", None])
+def test_value_spec_refuses_an_unsupported_dtype(dtype):
+    with pytest.raises(ValidationError, match="'x': unsupported dtype"):
+        ValueSpec("x", dtype, (-1, 3))
+
+
+@pytest.mark.parametrize("value", ["abc", [[1.0], [2.0, 3.0]], None])
+def test_tensor_value_of_a_float_dtype_refuses_what_is_no_numeric_array(value):
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        TensorValue(value, "float64")
+
+
+def test_tensor_value_refuses_a_ragged_list():
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        TensorValue([[1.0], [2.0, 3.0]])
 
 
 def test_save_tensor_names_an_argument_that_is_no_tensor(tmp_path):

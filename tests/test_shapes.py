@@ -9,7 +9,8 @@ import pytest
 from graphlift import (ExecutionPlan, GraphModel, Node, ShapeError, TensorValue,
                        ValidationError, ValueSpec, execute)
 from graphlift.executor import eval_node, run_kernel
-from graphlift.ir import SUPPORTED_OPS
+from graphlift.builder import GraphBuilder
+from graphlift.ir import _OPS, SUPPORTED_OPS, validate_model
 from graphlift.shapes import (_window_taps, broadcast_shapes, infer_graph_shapes,
                               resolve_node)
 
@@ -116,7 +117,7 @@ def test_constant_dtype_is_checked_by_the_law():
 
 
 def test_an_attribute_of_the_wrong_kind_is_a_validation_error():
-    # an unvalidated model: the law's TypeError comes out typed, naming the node
+    # an unvalidated model: the node check every law runs names the node
     model = GraphModel("c", [ValueSpec("x", "float64", (-1, 2))],
                        [ValueSpec("y", "float64", (-1, 4))], {},
                        [Node("Concat", "join", ["x", "x"], ["y"], {"axis": "1"})])
@@ -163,7 +164,7 @@ VALID = [
      {"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 0, 1],
       "output_padding": [1, 0]}, 1),
     ("MaxPool", [(1, 2, 7, 7)], {"kernel_shape": [3, 3], "strides": [2, 2],
-                                 "pads": [1, 1, 1, 1], "dilations": [2, 1]}, 1),
+                                 "pads": [1, 1, 1, 1]}, 1),
     ("AveragePool", [(1, 2, 6, 5)], {"kernel_shape": [2, 3], "strides": [2, 1],
                                      "pads": [1, 0, 0, 1]}, 1),
     ("GlobalAveragePool", [(2, 3, 4, 5)], {}, 1),
@@ -197,6 +198,49 @@ def test_law_predicts_the_kernel_output_shape(op, in_shapes, attrs, n_outputs):
     shapes = [a.shape for a in arrays]
     law, params = resolve_node(node, shapes)
     assert law == [out.shape for out in eval_node(node, arrays, params)]
+
+
+# a value of each attribute kind that is of no other kind it could be read as
+WRONG_KIND = {"int": 1.5, "float": "1", "string": 3, "ints": [1.5], "floats": ["1"]}
+
+
+def _malformed():
+    """(op, attribute, value) per op: an undeclared attribute, and per op
+    with attributes one declared attribute of the wrong kind."""
+    for op in sorted(SUPPORTED_OPS):
+        yield op, "dilation", [1, 1]
+        kinds = _OPS[op][3]
+        if kinds:
+            key = sorted(kinds)[0]
+            yield op, key, WRONG_KIND[kinds[key].rstrip("!")]
+
+
+@pytest.mark.parametrize("op, key, value", list(_malformed()))
+def test_every_entry_point_runs_the_whole_node_check(op, key, value):
+    _, in_shapes, attrs, n_outputs = next(c for c in VALID if c[0] == op)
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=shape) for shape in in_shapes]
+    names = [f"i{k}" for k in range(len(arrays))]
+    outs = [f"o{k}" for k in range(n_outputs)]
+    # the well-formed node resolves through its op's law
+    good = Node(op, "probe", names, outs, attrs)
+    out_shapes = resolve_node(good, list(in_shapes))[0]
+    assert len(out_shapes) == n_outputs
+    node = Node(op, "probe", names, outs, {**attrs, key: value})
+    model = GraphModel(
+        "m", [ValueSpec(n, "float64", s) for n, s in zip(names, in_shapes)],
+        [ValueSpec(n, "float64", s) for n, s in zip(outs, out_shapes)], {}, [node])
+    builder = GraphBuilder()
+    for name, shape in zip(names, in_shapes):
+        builder.register_value(name, shape)
+    match = f"'(probe|anon)'.*'{key}'"
+    for run in (lambda: validate_model(model),
+                lambda: execute(model, dict(zip(names, arrays))),
+                lambda: run_kernel(op, arrays, {**attrs, key: value}, n_outputs),
+                lambda: infer_graph_shapes(model),
+                lambda: builder.add(node)):
+        with pytest.raises(ValidationError, match=match):
+            run()
 
 
 @pytest.mark.parametrize("op, n_inputs", [("Add", 1), ("Where", 2), ("Relu", 0),
@@ -258,8 +302,7 @@ def test_average_pool_window_in_padding_is_a_shape_error(pads, strides):
 
 @pytest.mark.parametrize("attrs", [
     {"kernel_shape": [1, 1], "pads": [1, 1, 1, 1]},
-    # dilated taps that straddle the input without landing on it
-    {"kernel_shape": [2, 1], "pads": [2, 0, 2, 0], "dilations": [3, 1]},
+    {"kernel_shape": [2, 1], "pads": [2, 0, 2, 0]},
 ])
 def test_max_pool_window_in_padding_is_a_shape_error(attrs):
     x = np.ones((1, 1, 2, 2))
@@ -270,11 +313,6 @@ def test_max_pool_window_in_padding_is_a_shape_error(attrs):
                        [Node("MaxPool", "pool", ["x"], ["y"], attrs)])
     with pytest.raises(ShapeError, match="'pool'.*entirely in padding"):
         execute(ExecutionPlan(model), {"x": x})
-    # a dilated window with one tap on the input still takes its max
-    out = run_kernel("MaxPool", [np.arange(4.0).reshape(1, 1, 2, 2)],
-                     {"kernel_shape": [2, 1], "pads": [1, 0, 1, 0],
-                      "dilations": [2, 1]})[0]
-    assert out[0, 0].tolist() == [[2.0, 3.0], [0.0, 1.0]]
 
 
 def _axis_geometries():
@@ -297,9 +335,12 @@ def _old_window_in_padding(size, kernel, stride, pad_begin, dilation, count):
 
 
 def test_window_taps_match_a_tap_by_tap_count():
+    # the pools take unit dilations only
     for size, kernel, stride, lo, hi, dilation in _axis_geometries():
+        if dilation != 1:
+            continue
         windows = range(0, size + lo + hi - (kernel - 1) * dilation, stride)
-        got = _window_taps(size, kernel, stride, lo, dilation, len(windows))
+        got = _window_taps(size, kernel, stride, lo, len(windows))
         want = [sum(0 <= start - lo + t * dilation < size for t in range(kernel))
                 for start in windows]
         assert got == want, (size, kernel, stride, lo, hi, dilation)
