@@ -32,8 +32,6 @@ def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
                   env: RuleEnv) -> str:
     """Emit the gradient graph for the explained output, seeded by loss_name,
     into ``env.builder``; returns the name of the input gradient."""
-    if len(model.inputs) != 1:
-        raise UnsupportedOp("attribution requires exactly one graph input")
     input_name = model.inputs[0].name
     builder = env.builder
     diff = backward.differentiable

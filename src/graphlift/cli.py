@@ -19,7 +19,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +33,6 @@ from .oracle import compare_attributions, deeplift_oracle
 from .refopt import count_flops, op_census
 
 _DTYPE_FLAGS = {"f32": "float32", "f64": "float64"}
-
-
-@dataclass
-class BenchReport:
-    scheme: str
-    images: int
-    mean_ms: float
-    min_ms: float
-    max_ms: float
-
-    def format(self) -> str:
-        return (f"{self.scheme:<10} {self.images:>4} images  "
-                f"mean {self.mean_ms:8.3f} ms  min {self.min_ms:8.3f}  "
-                f"max {self.max_ms:8.3f}")
 
 
 def cast_model(model: GraphModel, dtype: str) -> GraphModel:
@@ -181,48 +166,47 @@ def cmd_bench(args) -> int:
     model, refs = _load_pair(args)
     schemes = ["optimized", "naive"] if args.schemes == "both" else [args.schemes]
     samples = random_inputs(model, args.images, seed=args.seed)
-    reports = []
-    records = []
+    artifacts, compile_ms = [], []
     for scheme in schemes:
         start = time.perf_counter()
-        artifact = compile_explainer(model, refs, scheme=scheme,
-                                     output_index=args.output_index)
-        compile_ms = (time.perf_counter() - start) * 1e3
-        scheme = artifact.metadata["scheme"]
-        timings = []
-        for sample in samples:
+        artifacts.append(compile_explainer(model, refs, scheme=scheme,
+                                           output_index=args.output_index))
+        compile_ms.append((time.perf_counter() - start) * 1e3)
+    # the schemes take turns on each input, so a drift of the host's speed
+    # hits every scheme alike instead of landing in the ratio
+    timings = [[] for _ in artifacts]
+    for sample in samples:
+        for artifact, laps in zip(artifacts, timings):
             start = time.perf_counter()
             explain(artifact, sample)
-            timings.append((time.perf_counter() - start) * 1e3)
-        warm = timings[1:] if len(timings) > 1 else timings
-        reports.append(BenchReport(scheme=scheme, images=len(warm),
-                                   mean_ms=float(np.mean(warm)),
-                                   min_ms=float(np.min(warm)),
-                                   max_ms=float(np.max(warm))))
-        if args.json:
-            census = op_census(artifact.model)
-            _, _, scans = artifact.plan.resolved
-            records.append({
-                "model": model.name, "scheme": scheme,
-                "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
-                "images": len(warm),
-                "p50_ms": float(np.percentile(warm, 50)),
-                "p95_ms": float(np.percentile(warm, 95)),
-                "cold_ms": timings[0], "compile_ms": compile_ms,
-                "artifact_bytes": len(dumps_model(artifact.model,
-                                                   artifact.metadata)),
-                "nodes": len(artifact.model.nodes),
-                "steps": len(artifact.plan.steps),
-                "split_concat_nodes": census["Split"] + census["Concat"],
-                "scans": sum(map(len, scans)),
-            })
+            laps.append((time.perf_counter() - start) * 1e3)
+    records = []
+    for artifact, laps, ms in zip(artifacts, timings, compile_ms):
+        warm = laps[1:] if len(laps) > 1 else laps
+        census = op_census(artifact.model)
+        _, _, scans = artifact.plan.resolved
+        records.append({
+            "model": model.name, "scheme": artifact.metadata["scheme"],
+            "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
+            "images": len(warm),
+            "p50_ms": float(np.percentile(warm, 50)),
+            "p95_ms": float(np.percentile(warm, 95)),
+            "cold_ms": laps[0], "compile_ms": ms,
+            "artifact_bytes": len(dumps_model(artifact.model, artifact.metadata)),
+            "nodes": len(artifact.model.nodes),
+            "steps": len(artifact.plan.steps),
+            "split_concat_nodes": census["Split"] + census["Concat"],
+            "scans": sum(map(len, scans)),
+        })
     print(f"model {model.name}  batch {refs.shape[0]}  "
-          f"(first run excluded from stats)")
-    for report in reports:
-        print(report.format())
-    if len(reports) == 2:
-        ratio = reports[1].mean_ms / reports[0].mean_ms
-        print(f"naive/optimized mean ratio: {ratio:.2f}x")
+          f"(first run excluded from p50 and p95)")
+    for r in records:
+        print(f"{r['scheme']:<10} {r['images']:>4} images  "
+              f"p50 {r['p50_ms']:8.3f} ms  p95 {r['p95_ms']:8.3f}  "
+              f"cold {r['cold_ms']:8.3f}")
+    if len(records) == 2:
+        ratio = records[1]["p50_ms"] / records[0]["p50_ms"]
+        print(f"naive/optimized p50 ratio: {ratio:.2f}x")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"records": records}, fh, indent=2, sort_keys=True)

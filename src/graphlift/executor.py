@@ -84,8 +84,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-from .ir import (DTYPES, GraphModel, Node, ValueSpec, _as_array, _unproduced,
-                 all_finite)
+from .ir import (DTYPES, GraphModel, Node, ValueSpec, _as_array, _check_signature,
+                 _unproduced, all_finite)
 from .shapes import resolve_node
 
 __all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
@@ -128,7 +128,7 @@ def _window_views(x, kernel, strides):
 _CHUNK_BYTES = 512 * 1024
 
 
-def _conv(x, w, bias, strides, pads, dilations):
+def _conv(x, w, bias, strides, pads):
     """im2col and one GEMM per chunk of images: each image's (C·kh·kw, N)
     window matrix, left-multiplied by the (O, C·kh·kw) filters, is its NCHW
     output.  A chunk holds as many images as fit ``_CHUNK_BYTES`` (at least
@@ -138,7 +138,7 @@ def _conv(x, w, bias, strides, pads, dilations):
     chunk at a time, never the whole batch.
 
     At unit stride the framed image is read flat: tap (i, j) of output
-    (r, q) is flat element r·Wp + q + i·dh·Wp + j·dw, so each (channel, tap)
+    (r, q) is flat element (r + i)·Wp + q + j, so each (channel, tap)
     row of the window matrix is one contiguous run of N = (Ho-1)·Wp + Wo
     elements.  The GEMM then computes Wp columns per output row, of which
     the first Wo are kept.  A strided Conv copies its (C, kh, kw, Ho, Wo)
@@ -148,8 +148,8 @@ def _conv(x, w, bias, strides, pads, dilations):
     o, c, kh, kw = w.shape
     b, _, h, wd = x.shape
     hp, wp = h + pads[0] + pads[2], wd + pads[1] + pads[3]
-    (sh, sw), (dh, dw), size = strides, dilations, x.itemsize
-    ho, wo = (hp - (kh - 1) * dh - 1) // sh + 1, (wp - (kw - 1) * dw - 1) // sw + 1
+    (sh, sw), size = strides, x.itemsize
+    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
     # the columns of one (channel, tap) row of an image's window matrix
     if sh == sw == 1:
         n = (ho - 1) * wp + wo
@@ -157,8 +157,8 @@ def _conv(x, w, bias, strides, pads, dilations):
     else:
         n = ho * wo
         columns, column_strides = (ho, wo), (sh * wp * size, sw * size)
-    view_strides = (c * hp * wp * size, hp * wp * size, dh * wp * size,
-                    dw * size) + column_strides
+    view_strides = (c * hp * wp * size, hp * wp * size, wp * size,
+                    size) + column_strides
     chunk = max(1, _CHUNK_BYTES // max(1, c * kh * kw * n * size))
     out = np.empty((b, o, ho, wo), np.result_type(x, w))
     filters = w.reshape(o, -1)
@@ -194,8 +194,7 @@ def _conv_transpose(x, w, bias, geometry):
     shape, phases = geometry
     out = None if shape is None else np.zeros(shape, dtype=x.dtype)
     for rows, taps, crop, frame in phases:
-        part = _conv(x[crop], w[taps].transpose(1, 0, 2, 3), None, [1, 1],
-                     frame, [1, 1])
+        part = _conv(x[crop], w[taps].transpose(1, 0, 2, 3), None, [1, 1], frame)
         if out is None:
             out = part
         else:
@@ -236,16 +235,17 @@ def _mean(x, axes, keepdims, count):
     return total.dtype.type(total / count)   # every axis reduced to a scalar
 
 
-def _softmax(x, axis):
+def _softmax(x):
+    """Softmax over the last axis, the one axis its law takes."""
     # a shift below -finfo.max rounds to -inf, whose exp is the exact weight 0
-    ex = np.subtract(x, np.maximum.reduce(x, axis, None, None, True))
+    ex = np.subtract(x, np.maximum.reduce(x, -1, None, None, True))
     np.exp(ex, out=ex)
-    return np.divide(ex, np.add.reduce(ex, axis, None, None, True), out=ex)
+    return np.divide(ex, np.add.reduce(ex, -1, None, None, True), out=ex)
 
 
-def _gemm(inputs, trans_a, trans_b, alpha, beta):
+def _gemm(inputs, trans_b, alpha, beta):
     a, b = inputs[0], inputs[1]
-    out = (a.T if trans_a else a) @ (b.T if trans_b else b)
+    out = a @ (b.T if trans_b else b)
     if alpha != 1.0:
         out = alpha * out
     if len(inputs) == 3:
@@ -280,7 +280,7 @@ _KERNELS = {
     "Sigmoid": lambda x, p: [_sigmoid(x[0])],
     "Tanh": lambda x, p: [np.tanh(x[0])],
     "Exp": lambda x, p: [np.exp(x[0])],
-    "Softmax": lambda x, p: [_softmax(x[0], p)],
+    "Softmax": lambda x, p: [_softmax(x[0])],
     "MaxPool": lambda x, p: [_max_pool(x[0], p)],
     "AveragePool": lambda x, p: [_avg_pool(x[0], p)],
     "GlobalAveragePool": lambda x, p: [_mean(x[0], (2, 3), True, p)],
@@ -390,9 +390,10 @@ class ExecutionPlan:
     """A model resolved once for repeated execution.
 
     The plan holds the nodes in declaration order, which is dependency order,
-    with every value name replaced by an integer slot; a node that reads a
-    name no earlier node, graph input or initializer produced raises
-    ValidationError naming it, as does a graph output declared twice.  A
+    with every value name replaced by an integer slot; a node that
+    ``ir._check_signature`` refuses, or that reads a name no earlier node,
+    graph input or initializer produced, raises ValidationError naming it,
+    as does a graph output declared twice.  A
     node whose inputs are all constants (initializers or outputs of earlier
     such nodes; a ``Constant`` has none) is resolved and run once, here,
     under the error state ``execute`` uses; its outputs join the constants,
@@ -457,6 +458,8 @@ class ExecutionPlan:
         tainted.update(slot for slot, arr in initial.items() if not all_finite(arr))
         steps = []
         for node in model.nodes:
+            # before the scan schedule below reads an attribute
+            _check_signature(node, len(node.inputs))
             for name in node.inputs:
                 if name not in self.slots:
                     raise _unproduced(node, name)

@@ -173,8 +173,6 @@ def _node_backward(node: Node, g: np.ndarray, xv, rv,
     if op in ("MatMul", "Gemm"):
         w = xv(ins[1])
         if op == "Gemm":
-            if int(attrs.get("transA", 0)):
-                raise UnsupportedOp("transA is not supported")
             if not int(attrs.get("transB", 0)):
                 w = w.T
             w = float(attrs.get("alpha", 1.0)) * w
@@ -279,9 +277,6 @@ def _node_backward(node: Node, g: np.ndarray, xv, rv,
     if op == "Softmax":
         x, r = xv(ins[0]), rv(ins[0])
         y, yr = xv(node.outputs[0]), rv(node.outputs[0])
-        axis = int(attrs.get("axis", -1)) % x.ndim
-        if axis != x.ndim - 1:
-            raise UnsupportedOp("softmax gradients support the last axis only")
         ux, ur = np.exp(x), np.exp(r)
         sx = ux.sum(axis=-1, keepdims=True)
         sr = ur.sum(axis=-1, keepdims=True)

@@ -179,15 +179,7 @@ def _merge(b: GraphBuilder, grads: dict[str, str], name: str, grad: str,
 def rule_matmul(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data, weight = node.inputs[0], node.inputs[1]
-    if len(b.shape(weight)) != 2:
-        raise UnsupportedOp(
-            f"node {node.name!r}: only rank-2 weight operands are supported")
-    if node.op_type == "Gemm":
-        trans_a, trans_b, alpha, _ = ctx.params
-        if trans_a:
-            raise UnsupportedOp(f"node {node.name!r}: transA is not supported")
-    else:
-        trans_b, alpha = 0, 1.0
+    trans_b, alpha = ctx.params[:2] if node.op_type == "Gemm" else (0, 1.0)
     # dY @ W^T, with W^T folding straight into an initializer
     wt = weight if trans_b else b.emit("Transpose", [weight], {"perm": [1, 0]},
                                        tag="wback")
@@ -200,10 +192,7 @@ def rule_matmul(ctx: RuleContext) -> dict[str, str]:
 def rule_conv(ctx: RuleContext) -> dict[str, str]:
     node, b = ctx.node, ctx.builder
     data, weight = node.inputs[0], node.inputs[1]
-    strides, pads, dilations = ctx.params
-    if dilations != [1, 1]:
-        raise UnsupportedOp(f"node {node.name!r}: dilated convolution gradients "
-                            "are not supported")
+    strides, pads = ctx.params
     sample = b.shape(data)
     # the adjoint of the forward correlation reads the forward filters as is
     grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], b.shape(weight)[2:],
@@ -346,13 +335,7 @@ def rule_rescale(ctx: RuleContext) -> dict[str, str]:
 def rule_softmax(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
     data, out = node.inputs[0], node.outputs[0]
-    sample = b.shape(data)
-    rank = len(sample)
-    axis = ctx.params
-    if axis != rank - 1:
-        raise UnsupportedOp(
-            f"node {node.name!r}: softmax gradients support the last axis only")
-    axes = [rank - 1]
+    axes = [len(b.shape(data)) - 1]
     xs, rs = ctx.x_act, ctx.r_act
     yx, yr = ctx.y_x, ctx.y_r
     g = env.grad_x_half(ctx.grad_in)

@@ -6,7 +6,13 @@ which ``validate_model`` runs too and adds only graph-level checks to.  It
 then reads a node's attributes and defaults once, at the concrete shapes
 of its inputs, checks them against those shapes and returns its output
 shapes together with the parameters its kernel runs on: a kernel runs
-unchecked on whatever its law accepts.  Shapes are tuples of concrete
+unchecked on whatever its law accepts.  A law is the one statement of what
+its op supports, and it refuses with UnsupportedOp what no kernel runs or
+no rule explains: a grouped or dilated convolution, ``Gemm`` with
+``transA``, a ``Softmax`` over an axis other than the last, a ``MatMul``
+whose second operand is not rank 2, padding counted into an average.  So
+compile, ``execute``, the oracle's traces, ``run_kernel`` and
+``infer_graph_shapes`` refuse alike.  Shapes are tuples of concrete
 non-negative ints: the free leading batch (-1) of a graph input's
 ``ValueSpec`` never reaches a law, as ``infer_graph_shapes`` gives it a
 number first.  The one -1 a law reads is ``Reshape``'s target entry,
@@ -51,17 +57,15 @@ def _axis(axis: int, rank: int, op: str) -> int:
     return axis % rank
 
 
-def _pool_axis(size, kernel, stride, pad_begin, pad_end, dilation):
-    if min(kernel, stride, dilation) < 1 or min(pad_begin, pad_end) < 0:
+def _pool_axis(size, kernel, stride, pad_begin, pad_end):
+    if min(kernel, stride) < 1 or min(pad_begin, pad_end) < 0:
         raise ShapeError(
-            f"window {kernel}, stride {stride} and dilation {dilation} must be "
-            f"at least 1, pads ({pad_begin}, {pad_end}) at least 0")
-    eff = (kernel - 1) * dilation + 1
-    span = size + pad_begin + pad_end - eff
+            f"window {kernel} and stride {stride} must be at least 1, pads "
+            f"({pad_begin}, {pad_end}) at least 0")
+    span = size + pad_begin + pad_end - kernel
     if span < 0:
         raise ShapeError(
-            f"window {kernel} (dilation {dilation}) exceeds padded extent "
-            f"{size + pad_begin + pad_end}")
+            f"window {kernel} exceeds padded extent {size + pad_begin + pad_end}")
     return span // stride + 1
 
 
@@ -74,9 +78,9 @@ def _window_taps(size, kernel, stride, pad_begin, count) -> list[int]:
 
 
 def _phases(x, kernel, strides, pads, size) -> list:
-    """Stride-phase table of a unit-dilation ConvTranspose of input shape
-    ``x`` into spatial extents ``size``, the adjoint of a Conv with the same
-    weights and geometry.
+    """Stride-phase table of a ConvTranspose of input shape ``x`` into
+    spatial extents ``size``, the adjoint of a Conv with the same weights
+    and geometry.
 
     Output row j = q·s + r is row p = j + pad of the uncropped output, which
     input row i reaches through tap t = p - i·s, so only the taps
@@ -112,18 +116,18 @@ def _window_op(op: str, in_shapes, attrs):
     """Output shape and kernel parameters of Conv, ConvTranspose, MaxPool or
     AveragePool."""
     x = in_shapes[0]
-    # the ONNX defaults: unit strides and dilations (Conv's alone), no padding
+    # the ONNX defaults: unit strides, no padding
     kernel = list(attrs["kernel_shape"])
     strides = list(attrs.get("strides", [1, 1]))
     pads = list(attrs.get("pads", [0, 0, 0, 0]))      # [top, left, bottom, right]
-    dilations = list(attrs.get("dilations", [1, 1]))
     if len(x) != 4:
         raise ShapeError(f"{op} supports 4-D NCHW tensors only")
-    if len(kernel) != 2 or len(strides) != 2 or len(pads) != 4 \
-            or len(dilations) != 2:
+    if len(kernel) != 2 or len(strides) != 2 or len(pads) != 4:
         raise ShapeError(f"{op} window attributes do not match 2 spatial axes")
     if attrs.get("count_include_pad", 0) != 0:
         raise UnsupportedOp("AveragePool supports count_include_pad=0 only")
+    if list(attrs.get("dilations", [1, 1])) != [1, 1]:
+        raise UnsupportedOp("Conv supports dilations [1, 1] only")
     channels = x[1]
     if op in ("Conv", "ConvTranspose"):
         w = in_shapes[1]
@@ -141,10 +145,10 @@ def _window_op(op: str, in_shapes, attrs):
                              f"value per output channel of weight {w}")
     if op != "ConvTranspose":
         spatial = tuple(_pool_axis(x[2 + i], kernel[i], strides[i], pads[i],
-                                   pads[2 + i], dilations[i]) for i in range(2))
+                                   pads[2 + i]) for i in range(2))
         out = (x[0], channels) + spatial
         if op == "Conv":
-            return out, (strides, pads, dilations)
+            return out, (strides, pads)
         taps = [_window_taps(x[2 + i], kernel[i], strides[i], pads[i], n)
                 for i, n in enumerate(spatial)]
         if 0 in taps[0] or 0 in taps[1]:
@@ -202,26 +206,30 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
     if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Abs"):
         return [in_shapes[0]], attrs
     if op == "Softmax":
-        return [in_shapes[0]], _axis(attrs.get("axis", -1), len(in_shapes[0]), op)
+        rank = len(in_shapes[0])
+        if _axis(attrs.get("axis", -1), rank, op) != rank - 1:
+            raise UnsupportedOp("Softmax supports the last axis only")
+        return [in_shapes[0]], attrs
 
     if op == "MatMul":
         a, b = in_shapes
         if len(a) < 2 or len(b) < 2:
             raise ShapeError(f"MatMul operands must be at least 2-D, got {a} and {b}")
-        if a[-1] != b[-2]:
+        if len(b) != 2:
+            raise UnsupportedOp(f"MatMul supports a rank-2 second operand only, got {b}")
+        if a[-1] != b[0]:
             raise ShapeError(f"MatMul inner dimensions differ: {a} vs {b}")
-        batch = broadcast_shapes(a[:-2], b[:-2]) if (a[:-2] or b[:-2]) else ()
-        return [batch + (a[-2], b[-1])], attrs
+        return [a[:-1] + b[1:]], attrs
 
     if op == "Gemm":
         a, b = in_shapes[0], in_shapes[1]
         if len(a) != 2 or len(b) != 2:
             raise ShapeError("Gemm operands must be 2-D")
-        params = (attrs.get("transA", 0), attrs.get("transB", 0),
-                  attrs.get("alpha", 1.0), attrs.get("beta", 1.0))
+        if attrs.get("transA", 0):
+            raise UnsupportedOp("Gemm supports transA=0 only")
+        params = (attrs.get("transB", 0), attrs.get("alpha", 1.0),
+                  attrs.get("beta", 1.0))
         if params[0]:
-            a = (a[1], a[0])
-        if params[1]:
             b = (b[1], b[0])
         if a[1] != b[0]:
             raise ShapeError(f"Gemm inner dimensions differ: {a} vs {b}")

@@ -83,7 +83,7 @@ def phase_step(x, w, attrs):
     _, (_, phases) = resolve_node(node_for("ConvTranspose", [x, w], attrs),
                                   [x.shape, w.shape])
     return min(chunk_step(x[crop].shape, w[taps].shape[2:], [1, 1], frame,
-                          [1, 1], x.itemsize) for _, taps, crop, frame in phases)
+                          x.itemsize) for _, taps, crop, frame in phases)
 
 
 # (strides, pads, output_padding), with symmetric and asymmetric pads

@@ -150,6 +150,10 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     assert "ratio" in out and report in out
     records = json.loads(open(report).read())["records"]
     assert [r["scheme"] for r in records] == ["optimized", "naive"]
+    # the text is printed from the same records
+    for r in records:
+        assert f"p50 {r['p50_ms']:8.3f} ms  p95 {r['p95_ms']:8.3f}" in out
+    assert f"p50 ratio: {records[1]['p50_ms'] / records[0]['p50_ms']:.2f}x" in out
     for record in records:
         assert set(record) == {"model", "scheme", "dtype", "batch", "images",
                                "p50_ms", "p95_ms", "cold_ms", "compile_ms",
@@ -190,6 +194,20 @@ def test_bench_of_one_scheme_records_its_canonical_name(demo_files, capsys,
     records = json.loads(open(report).read())["records"]
     assert [r["scheme"] for r in records] == [scheme]
     assert 0 < records[0]["scans"] <= records[0]["steps"] <= records[0]["nodes"]
+
+
+def test_bench_takes_turns_between_the_schemes(demo_files, capsys, monkeypatch):
+    order = []
+
+    def explain(artifact, sample):
+        order.append(artifact.metadata["scheme"])
+        return gl.explain(artifact, sample)
+
+    monkeypatch.setattr(cli, "explain", explain)
+    code, _, _ = run(capsys, "bench", "--model", demo_files["model"],
+                     "--refs", demo_files["refs"], "--images", "3")
+    assert code == 0
+    assert order == ["optimized", "naive"] * 3
 
 
 def test_bench_rejects_zero_images(demo_files, capsys):

@@ -34,29 +34,27 @@ def test_matmul_gemm_against_numpy():
     assert np.allclose(got, 0.5 * (a @ w) + 2.0 * c)
 
 
-def ref_window(x, kernel, strides, pads, dilations, fill):
+def ref_window(x, kernel, strides, pads, fill):
     """(B, C, Ho, Wo, kh, kw) windows of x framed by ``fill``, by plain loops."""
     padded = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[2]), (pads[1], pads[3])),
                     constant_values=fill)
-    spans = [(kernel[a] - 1) * dilations[a] + 1 for a in range(2)]
-    ho, wo = [(padded.shape[2 + a] - spans[a]) // strides[a] + 1 for a in range(2)]
+    ho, wo = [(padded.shape[2 + a] - kernel[a]) // strides[a] + 1 for a in range(2)]
     out = np.empty(x.shape[:2] + (ho, wo) + tuple(kernel), dtype=x.dtype)
     for i in range(ho):
         for j in range(wo):
             for u in range(kernel[0]):
                 for v in range(kernel[1]):
-                    out[:, :, i, j, u, v] = padded[:, :, i * strides[0] + u * dilations[0],
-                                                   j * strides[1] + v * dilations[1]]
+                    out[:, :, i, j, u, v] = padded[:, :, i * strides[0] + u,
+                                                   j * strides[1] + v]
     return out
 
 
-def chunk_step(x_shape, kernel, strides, pads, dilations, itemsize):
+def chunk_step(x_shape, kernel, strides, pads, itemsize):
     """Images per chunk of ``executor._conv`` on inputs of ``x_shape``: as
     many (C·kh·kw, N) window matrices as fit its budget, where N is
     (Ho-1)·Wp + Wo at unit stride and Ho·Wo otherwise."""
     hp, wp = x_shape[2] + pads[0] + pads[2], x_shape[3] + pads[1] + pads[3]
-    ho, wo = [(e - (k - 1) * d - 1) // s + 1
-              for e, k, s, d in zip((hp, wp), kernel, strides, dilations)]
+    ho, wo = [(e - k) // s + 1 for e, k, s in zip((hp, wp), kernel, strides)]
     n = (ho - 1) * wp + wo if list(strides) == [1, 1] else ho * wo
     return max(1, executor._CHUNK_BYTES
                // (x_shape[1] * kernel[0] * kernel[1] * n * itemsize))
@@ -75,33 +73,33 @@ def assert_rows_run_alone(op, x, rest, attrs, got):
         assert alone.tobytes() == got[i:i + 1].tobytes(), i
 
 
-# (strides, pads, dilations, contiguous input): unit stride reads the framed
+# (strides, pads, kernel, contiguous input): unit stride reads the framed
 # image flat, other strides copy the window view; pads are asymmetric
-CONV_CASES = [([2, 2], [1, 1, 1, 1], [1, 1], True),
-              ([2, 2], [2, 0, 1, 1], [2, 1], True),
-              ([1, 1], [1, 0, 2, 1], [2, 2], True),
+CONV_CASES = [([2, 2], [1, 1, 1, 1], [3, 3], True),
+              ([2, 2], [2, 0, 1, 1], [3, 2], True),
+              # 1x1 taps at unit stride: the window matrix is the frame itself
+              ([1, 1], [1, 0, 2, 1], [1, 1], True),
               # unpadded, so the kernel gets the non-contiguous input unframed
-              ([1, 1], [0, 0, 0, 0], [1, 1], False),
-              ([1, 2], [1, 1, 0, 2], [1, 1], True),
-              ([2, 1], [0, 2, 1, 0], [1, 2], False)]
+              ([1, 1], [0, 0, 0, 0], [3, 3], False),
+              ([1, 2], [1, 1, 0, 2], [3, 3], True),
+              ([2, 1], [0, 2, 1, 0], [2, 3], False)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("strides, pads, dilations, contiguous", CONV_CASES)
-def test_conv_matches_direct_loop(strides, pads, dilations, contiguous, dtype):
+@pytest.mark.parametrize("strides, pads, kernel_shape, contiguous", CONV_CASES)
+def test_conv_matches_direct_loop(strides, pads, kernel_shape, contiguous, dtype):
     atol = 1e-12 if dtype == np.float64 else 1e-5
-    attrs = {"kernel_shape": [3, 3], "strides": strides, "pads": pads,
-             "dilations": dilations}
-    w = RNG.normal(size=(4, 3, 3, 3)).astype(dtype)
+    attrs = {"kernel_shape": kernel_shape, "strides": strides, "pads": pads}
+    w = RNG.normal(size=(4, 3, *kernel_shape)).astype(dtype)
     b = RNG.normal(size=(4,)).astype(dtype)
-    step = chunk_step((1, 3, 20, 19), [3, 3], strides, pads, dilations,
+    step = chunk_step((1, 3, 20, 19), kernel_shape, strides, pads,
                       np.dtype(dtype).itemsize)
     for batch in chunk_batches(step):
         x = RNG.normal(size=(batch, 20, 3, 19)).astype(dtype).transpose(0, 2, 1, 3)
         if contiguous:
             x = np.ascontiguousarray(x)
         got = kernel("Conv", [x, w, b], attrs)
-        windows = ref_window(x, [3, 3], strides, pads, dilations, 0.0)
+        windows = ref_window(x, kernel_shape, strides, pads, 0.0)
         want = np.einsum("bchwuv,ocuv->bohw", windows.astype(np.float64),
                          w.astype(np.float64)) + b.reshape(1, -1, 1, 1)
         assert got.dtype == dtype and got.flags.c_contiguous
@@ -172,8 +170,7 @@ def test_padded_max_pool_never_picks_the_frame(dtype):
     x = -1.0 - RNG.random(size=(2, 3, 6, 5)).astype(dtype)
     attrs = {"kernel_shape": [3, 2], "strides": [2, 1], "pads": [1, 1, 1, 0]}
     got = kernel("MaxPool", [x], attrs)
-    want = ref_window(x, [3, 2], [2, 1], [1, 1, 1, 0], [1, 1],
-                      -np.inf).max(axis=(4, 5))
+    want = ref_window(x, [3, 2], [2, 1], [1, 1, 1, 0], -np.inf).max(axis=(4, 5))
     assert got.dtype == dtype
     assert np.array_equal(got, want)
     assert (got < 0).all()
@@ -198,7 +195,7 @@ def test_pool_kernels():
     x = RNG.normal(size=(2, 6, 3, 5)).transpose(0, 2, 1, 3)
     assert not x.flags.c_contiguous
     attrs = {"kernel_shape": [3, 2], "strides": [2, 1]}
-    windows = ref_window(x, [3, 2], [2, 1], [0, 0, 0, 0], [1, 1], 0.0)
+    windows = ref_window(x, [3, 2], [2, 1], [0, 0, 0, 0], 0.0)
     assert np.array_equal(kernel("MaxPool", [x], attrs), windows.max(axis=(4, 5)))
     assert np.allclose(kernel("AveragePool", [x], attrs),
                        windows.mean(axis=(4, 5)), rtol=0, atol=1e-12)
@@ -403,10 +400,10 @@ def test_pool_and_softmax_reductions_give_numpys_bits(dtype, layout):
                      x.mean(axis=(2, 3), keepdims=True))
     assert same_bits(kernel("GlobalMaxPool", [x]),
                      x.max(axis=(2, 3), keepdims=True))
-    for axis in (1, -1):
-        ex = np.exp(x - x.max(axis=axis, keepdims=True))
+    ex = np.exp(x - x.max(axis=-1, keepdims=True))
+    for axis in (3, -1):
         assert same_bits(kernel("Softmax", [x], {"axis": axis}),
-                         ex / ex.sum(axis=axis, keepdims=True))
+                         ex / ex.sum(axis=-1, keepdims=True))
     attrs = {"kernel_shape": [2, 2], "strides": [2, 1], "pads": [0, 1, 1, 0]}
     _, (kernel_shape, strides, pads, count) = resolve_node(
         Node("AveragePool", "p", ["x"], ["y"], attrs), [x.shape])
@@ -582,7 +579,8 @@ def test_constants_are_materialized_once_and_read_only():
 def test_a_step_over_constants_runs_once_when_the_plan_is_built(monkeypatch):
     # a Constant is the no-input case: every step whose inputs are all
     # initializers or earlier constant outputs runs once, not per explain
-    w = TensorValue(RNG.normal(size=(2, 3)))
+    rng = np.random.default_rng(0)
+    w = TensorValue(rng.normal(size=(2, 3)))
     model = GraphModel("c", [ValueSpec("x", "float64", (-1, 3))],
                        [ValueSpec("y", "float64", (-1, 2))], {"w": w},
                        [Node("Transpose", "t", ["w"], ["wt"], {"perm": [1, 0]}),
@@ -602,11 +600,14 @@ def test_a_step_over_constants_runs_once_when_the_plan_is_built(monkeypatch):
     plan = ExecutionPlan(model)
     assert calls == ["t", "squash", "c"]
     assert [node.name for node, *_ in plan.steps] == ["mm", "scale"]
-    x = RNG.normal(size=(1, 3))
+    x = rng.normal(size=(1, 3))
     for _ in range(5):
         outs, _ = execute(plan, {"x": x})
     assert calls == ["t", "squash", "c"] + ["mm", "scale"] * 5
-    assert np.array_equal(outs["y"], (x @ np.tanh(w.array.T)) * 2.0)
+    # the Transpose kernel makes its output contiguous, so the MatMul reads
+    # the same layout, and the same bits, as this one
+    ws = np.tanh(np.ascontiguousarray(w.array.T))
+    assert np.array_equal(outs["y"], (x @ ws) * 2.0)
     assert not plan.template[plan.slots["ws"]].flags.writeable
 
 
@@ -743,7 +744,7 @@ FINITE_CLOSED_CASES = [
     ("Tile", [(2, 3, 4, 4)], {"repeats": [1, 2, 1, 3]}, 1),
     ("Sigmoid", [(2, 3, 4, 4)], {}, 1),
     ("Tanh", [(2, 3, 4, 4)], {}, 1),
-    ("Softmax", [(2, 3, 4, 4)], {"axis": 1}, 1),
+    ("Softmax", [(2, 3, 4, 4)], {"axis": -1}, 1),
     ("Pad", [(2, 3, 4, 4)], {"pads": [0, 0, 1, 2, 0, 1, 0, 1],
                              "value": -3.4e38}, 1),
 ]
@@ -868,12 +869,22 @@ def test_a_greater_reading_the_feed_is_neither_guarded_nor_scanned():
 
 
 def test_pad_with_an_infinite_fill_is_named():
-    plan = ExecutionPlan(chain_model(
+    model = chain_model(
         [Node("Relu", "r", ["x"], ["h"]),
          Node("Pad", "frame", ["h"], ["y"], {"pads": [0, 1, 0, 1],
-                                             "value": float("inf")})]))
+                                             "value": float("inf")})])
+    # the plan checks each node as it takes it
     with pytest.raises(ValidationError, match="'frame'.*non-finite"):
-        execute(plan, {"x": np.ones((1, 2))})
+        ExecutionPlan(model)
+
+
+@pytest.mark.parametrize("value", ["x", 10**400], ids=["str", "huge_int"])
+def test_pad_fill_is_checked_before_the_plan_reads_it(value):
+    model = chain_model(
+        [Node("Relu", "r", ["x"], ["h"]),
+         Node("Pad", "frame", ["h"], ["y"], {"pads": [0, 1, 0, 1], "value": value})])
+    with pytest.raises(ValidationError, match="'frame'.*'value'"):
+        execute(model, {"x": np.ones((1, 2))})
 
 
 def test_a_kernel_overflow_is_named_not_warned():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import graphlift as gl
-from graphlift import (GraphModel, Node, ShapeError, TensorValue,
-                       UnsupportedOp, ValueSpec, builder, executor, rules,
-                       shapes, validate_model)
+from graphlift import (GraphModel, Node, TensorValue, UnsupportedOp, ValueSpec,
+                       builder, executor, rules, shapes, validate_model)
 from graphlift.executor import execute
 
 F64 = "float64"
@@ -391,12 +390,12 @@ def test_division_by_differentiable_value_rejected():
 
 
 def test_gemm_transposed_data_rejected():
-    # transposing the batch axis can never be compiled; depending on the
-    # surrounding shapes either the rule or the shape checker refuses first
+    # transposing the batch axis can never be compiled; the Gemm law
+    # refuses transA whatever the surrounding shapes
     w = TensorValue(np.zeros((2, 2)), F64)
     reject("ta", (-1, 2),
            [Node("Gemm", "g", ["x", "w"], ["y"], {"transA": 1})],
-           {"w": w}, "y", (-1, 2), errors=(UnsupportedOp, ShapeError))
+           {"w": w}, "y", (-1, 2))
 
 
 def test_matmul_differentiable_weight_rejected():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from graphlift import (ExecutionPlan, GraphModel, Node, ShapeError, TensorValue,
-                       ValidationError, ValueSpec, execute)
+                       UnsupportedOp, ValidationError, ValueSpec,
+                       compile_explainer, deeplift_oracle, execute, explain)
 from graphlift.executor import eval_node, run_kernel
 from graphlift.builder import GraphBuilder
 from graphlift.ir import _OPS, SUPPORTED_OPS, validate_model
@@ -141,7 +142,7 @@ def test_split_refuses_negative_parts():
 
 
 CONV = {"kernel_shape": [3, 2], "strides": [2, 1], "pads": [1, 0, 1, 1],
-        "dilations": [1, 2]}
+        "dilations": [1, 1]}
 
 # (op, input shapes, attributes, outputs): valid operands of every op
 VALID = [
@@ -156,9 +157,9 @@ VALID = [
     ("Tanh", [(2, 3)], {}, 1),
     ("Exp", [(2, 3)], {}, 1),
     ("Abs", [(2, 3)], {}, 1),
-    ("Softmax", [(2, 3, 4)], {"axis": -2}, 1),
+    ("Softmax", [(2, 3, 4)], {"axis": 2}, 1),
     ("MatMul", [(2, 2, 3), (3, 4)], {}, 1),
-    ("Gemm", [(3, 2), (4, 3), (1, 4)], {"transA": 1, "transB": 1}, 1),
+    ("Gemm", [(2, 3), (4, 3), (1, 4)], {"transA": 0, "transB": 1}, 1),
     ("Conv", [(2, 3, 7, 6), (4, 3, 3, 2), (4,)], CONV, 1),
     ("ConvTranspose", [(2, 3, 4, 5), (3, 2, 3, 3), (2,)],
      {"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 0, 1],
@@ -367,3 +368,109 @@ def test_average_pool_divisor_plane_is_a_padded_ones_sum():
         assert shape == (1, 1, *want.shape)
         assert params[-1].dtype == np.float64
         assert np.array_equal(params[-1], want[None, None])
+
+
+# (id, op, input shape, refused attributes and weight shape, the same node
+# with its defaults written out and a rank-2 weight): each configuration
+# runs no kernel and has no multiplier rule, so its law refuses it
+CONFIGURATIONS = [
+    ("dilated_conv", "Conv", (1, 1, 5, 5),
+     ({"kernel_shape": [2, 2], "dilations": [2, 2]}, (2, 1, 2, 2)),
+     ({"kernel_shape": [2, 2], "dilations": [1, 1]}, (2, 1, 2, 2))),
+    ("gemm_trans_a", "Gemm", (1, 3), ({"transA": 1}, (3, 2)),
+     ({"transA": 0}, (3, 2))),
+    ("softmax_axis_0", "Softmax", (1, 3), ({"axis": 0}, None), ({"axis": 1}, None)),
+    ("batched_matmul", "MatMul", (1, 3), ({}, (2, 3, 2)), ({}, (3, 2))),
+]
+
+ENTRY_POINTS = {
+    "execute": lambda model, arrays, refs: execute(model, {"x": arrays[0]}),
+    "infer_graph_shapes": lambda model, arrays, refs: infer_graph_shapes(model),
+    "compile_optimized": lambda model, arrays, refs: explain(
+        compile_explainer(model, refs, scheme="optimized"), arrays[0]),
+    "compile_naive": lambda model, arrays, refs: explain(
+        compile_explainer(model, refs, scheme="naive"), arrays[0]),
+    "deeplift_oracle": lambda model, arrays, refs: deeplift_oracle(
+        model, arrays[0], refs),
+    "run_kernel": lambda model, arrays, refs: run_kernel(
+        model.nodes[0].op_type, arrays, model.nodes[0].attributes),
+}
+
+
+def _configured_net(op, x_shape, attrs, w_shape):
+    """x -> the configured node (-> GlobalAveragePool -> Flatten after a
+    Conv, so the head is rank 2), with the node's arrays."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=x_shape)
+    arrays = [x] if w_shape is None else [x, rng.normal(size=w_shape)]
+    inits = {} if w_shape is None else {"w": TensorValue(arrays[1])}
+    out = "h" if op == "Conv" else "y"
+    nodes = [Node(op, "configured", ["x", *inits], [out], attrs)]
+    if op == "Conv":
+        nodes += [Node("GlobalAveragePool", "gap", ["h"], ["g"]),
+                  Node("Flatten", "flat", ["g"], ["y"], {"axis": 1})]
+    model = GraphModel("configured", [ValueSpec("x", "float64", (-1, *x_shape[1:]))],
+                       [ValueSpec("y", "float64", (-1, 2))], inits, nodes)
+    return model, arrays
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("op, x_shape, refused, default",
+                         [c[1:] for c in CONFIGURATIONS],
+                         ids=[c[0] for c in CONFIGURATIONS])
+def test_every_entry_point_refuses_what_no_rule_explains(op, x_shape, refused,
+                                                         default, entry):
+    run = ENTRY_POINTS[entry]
+    refs = np.random.default_rng(4).normal(size=(3, *x_shape[1:]))
+    # the defaults written out still run
+    run(*_configured_net(op, x_shape, *default), refs)
+    with pytest.raises(UnsupportedOp, match="'(configured|anon)'"):
+        run(*_configured_net(op, x_shape, *refused), refs)
+
+
+X = ValueSpec("x", "float64", (-1, 3))
+
+
+def _weight(*shape):
+    return TensorValue(np.ones(shape))
+
+
+# (id, graph input, nodes, initializers, error, message): operands or
+# attributes a law refuses, and one a rule refuses, each named by the compile
+REFUSALS = [
+    ("conv_3d_weight", ValueSpec("x", "float64", (-1, 1, 4, 4)),
+     [Node("Conv", "bad", ["x", "w"], ["y"], {"kernel_shape": [2, 2]})],
+     {"w": _weight(1, 2, 2)}, ShapeError, "4-D weights"),
+    ("conv_transpose_3d_weight", ValueSpec("x", "float64", (-1, 1, 4, 4)),
+     [Node("ConvTranspose", "bad", ["x", "w"], ["y"], {"kernel_shape": [2, 2]})],
+     {"w": _weight(1, 2, 2)}, ShapeError, "4-D weights"),
+    ("matmul_rank_1", X, [Node("MatMul", "bad", ["x", "w"], ["y"])],
+     {"w": _weight(3)}, ShapeError, "at least 2-D"),
+    ("gemm_3d_weight", X, [Node("Gemm", "bad", ["x", "w"], ["y"])],
+     {"w": _weight(3, 2, 1)}, ShapeError, "must be 2-D"),
+    ("gemm_bias", X, [Node("Gemm", "bad", ["x", "w", "c"], ["y"])],
+     {"w": _weight(3, 2), "c": _weight(1, 1, 2)}, ShapeError, "bias"),
+    ("concat_ranks", X, [Node("Concat", "bad", ["x", "c"], ["y"], {"axis": 1})],
+     {"c": _weight(3)}, ShapeError, "rank mismatch"),
+    ("transpose_perm", X,
+     [Node("Transpose", "bad", ["x"], ["y"], {"perm": [0, 0]})], {}, ShapeError,
+     "not a permutation"),
+    ("reshape_infer", X,
+     [Node("Reshape", "bad", ["x"], ["y"], {"shape": [-1, 2]})], {}, ShapeError,
+     "cannot reshape"),
+    ("split_divide", X,
+     [Node("Split", "bad", ["x"], ["y", "z"], {"axis": 1})], {}, ShapeError,
+     "not divisible"),
+    ("transpose_batch", X,
+     [Node("Transpose", "bad", ["x"], ["y"], {"perm": [1, 0]})], {}, UnsupportedOp,
+     "transposing the batch axis"),
+]
+
+
+@pytest.mark.parametrize("spec, nodes, inits, error, message",
+                         [c[1:] for c in REFUSALS], ids=[c[0] for c in REFUSALS])
+def test_compile_names_the_node_it_refuses(spec, nodes, inits, error, message):
+    model = GraphModel("m", [spec], [ValueSpec("y", "float64", (-1, 2))], inits,
+                       nodes)
+    with pytest.raises(error, match=f"'bad'.*{message}"):
+        compile_explainer(model, np.zeros((2, *spec.shape[1:])))
