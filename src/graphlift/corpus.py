@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ir import (DTYPES, GraphModel, Node, SUPPORTED_OPS, TensorValue,
-                 ValueSpec, validate_model)
+from .ir import DTYPES, GraphModel, Node, TensorValue, ValueSpec, validate_model
 from .shapes import infer_graph_shapes
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "zero_references",
     "random_references",
     "random_inputs",
-    "coverage_matrix",
-    "missing_ops",
 ]
 
 IMAGE_SHAPE = (3, 16, 16)
@@ -310,21 +307,6 @@ def corpus_entry(name: str, seed: int = 0, batch: int = 5) -> CorpusEntry:
 
 def build_corpus(seed: int = 0, batch: int = 5) -> list[CorpusEntry]:
     return [corpus_entry(name, seed, batch) for name in _MOTIFS]
-
-
-def coverage_matrix(models: list[GraphModel]) -> dict[str, list[str]]:
-    """op type -> which of the given models use it."""
-    matrix: dict[str, list[str]] = {op: [] for op in sorted(SUPPORTED_OPS)}
-    for model in models:
-        for node in model.nodes:
-            row = matrix[node.op_type]
-            if model.name not in row:
-                row.append(model.name)
-    return matrix
-
-
-def missing_ops(models: list[GraphModel]) -> set[str]:
-    return {op for op, users in coverage_matrix(models).items() if not users}
 
 
 # one micro network per multiplier rule family, heads kept rank-2

@@ -11,11 +11,11 @@ no other state.
 The graph is the one statement of that interface: ``explain`` feeds its
 input and reads its outputs by position.  The metadata holds what the graph
 cannot say, such as the explained class and the mean reference output the
-completeness residual is taken against.  The rules' one epsilon is a
-constant (``rules.EPS_ACT``), so the metadata does not record it; an
-artifact whose metadata still records epsilons, as older versions wrote it,
-explains as it was compiled, and ``graphlift verify`` checks it against the
-rules as they are.
+completeness residual is taken against.  The rules' one epsilon, for the
+smooth activations, is a constant (``rules.EPS_ACT``), so the metadata
+does not record it; an artifact whose metadata still records epsilons, as
+older versions wrote it, explains as it was compiled, and ``graphlift
+verify`` checks it against the rules as they are.
 """
 
 from __future__ import annotations

@@ -9,10 +9,14 @@ compare_attributions implements the elementwise closeness metric used to
 score scheme pairs.
 
 This module deliberately duplicates the multiplier formulas and the rules'
-activation epsilon, which is a constant here as there: no caller sets it.
-Max pooling needs none: its secant is taken where x − r is nonzero and is 0
-where it is zero, as the definition says.  Keep the module free of imports
-from the emission side so a defect there cannot leak in here.
+epsilon for the smooth activations, which is a constant here as there: no
+caller sets it.  Relu and max pooling need none: their secants are taken
+wherever x − r is nonzero, as the definition says, and where it is zero
+Relu takes its local slope and max pooling 0.  The oracle takes each
+node's multiplier on its own and hands on no contribution, so it also
+checks the rules' telescoped Relu-under-max-pool chains.  Keep the module
+free of imports from the emission side so a defect there cannot leak in
+here.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ __all__ = [
     "compare_attributions",
 ]
 
-# the rules' activation epsilon restated locally, so the oracle does not
-# lean on the rule emitters; a test pins the two statements equal
+# the rules' smooth-activation epsilon restated locally, so the oracle does
+# not lean on the rule emitters; a test pins the two statements equal
 _EPS_ACT = 1e-6
 
 
@@ -164,6 +168,13 @@ def _secant(dy, dx, local):
     return np.where(near, local, dy / np.where(near, 1.0, dx))
 
 
+def _relu_secant(dy, dx, local):
+    """Relu's secant at every nonzero gap, however small, and its local
+    slope where the gap is exactly zero."""
+    moved = dx != 0
+    return np.where(moved, dy / np.where(moved, dx, 1.0), local)
+
+
 def _node_backward(node: Node, g: np.ndarray, xv, rv,
                    diff: set[str]) -> dict[str, np.ndarray]:
     op = node.op_type
@@ -266,12 +277,10 @@ def _node_backward(node: Node, g: np.ndarray, xv, rv,
     if op in ("Sigmoid", "Tanh", "Relu"):
         x, r = xv(ins[0]), rv(ins[0])
         y, yr = xv(node.outputs[0]), rv(node.outputs[0])
-        if op == "Sigmoid":
-            local = y * (1.0 - y)
-        elif op == "Tanh":
-            local = 1.0 - y * y
-        else:
-            local = (x > 0).astype(g.dtype)
+        if op == "Relu":
+            return {ins[0]: g * _relu_secant(y - yr, x - r,
+                                             (x > 0).astype(g.dtype))}
+        local = y * (1.0 - y) if op == "Sigmoid" else 1.0 - y * y
         return {ins[0]: g * _secant(y - yr, x - r, local)}
 
     if op == "Softmax":

@@ -28,10 +28,11 @@ Every compile-time constant is a known value in the builder, and ``_finish``
 alone decides how one that a runtime node or output reads ships, in one of
 two forms.  One the builder folded from a one-input node (an activation, a
 pool, a softmax, a reduction, a transpose) whose input ships unchanged, as a
-payload already in the artifact's dtype or as another such node, ships as
-that node, ahead of its readers: the execution plan runs it once, when it is
-built, to the bits the fold made, so it costs no payload bytes and nothing
-per explain.  Every other constant ships as a payload: the output of a Conv,
+payload already in the artifact's dtype, or comes from another such node,
+ships as that node, ahead of its readers; so does each node of such a
+chain whose value no runtime node reads.  The execution plan runs these
+nodes once, when it is built, to the bits the fold made, so they cost no
+payload bytes and nothing per explain.  Every other constant ships as a payload: the output of a Conv,
 GEMM, BatchNormalization or an Add or Mul of two payloads, whose derivation
 at load would amount to the reference forward pass, and a folded boolean,
 stored as 0/1 floats.
@@ -197,17 +198,29 @@ def _metadata(scheme: str, model: GraphModel, *, output_index: int,
 
 def _derive(builder: GraphBuilder, ships: set[str]) -> list[Node]:
     """The folded one-input nodes that ship in place of the payloads
-    ``ships`` names, in fold order (dependency order): each whose output
-    ships and whose input ships unchanged, as a payload already in the
-    artifact's dtype or as another such node.  A folded boolean ships as
-    0/1 floats, not unchanged, so a node reading one stays a payload; a
-    one-input op keeps its operand's dtype, so the node's outputs are in
-    the artifact's dtype too."""
+    ``ships`` names, in fold order (dependency order).  A node can ship
+    when its input ships unchanged, as a payload already in the artifact's
+    dtype, or is made by another node that can; it does ship when its
+    output ships or feeds a node that does.  So a chain of them derives
+    from the payload at its foot, even where no runtime node reads the
+    values in between.  A folded boolean ships as 0/1 floats, not
+    unchanged, so a node reading one stays a payload; a one-input op keeps
+    its operand's dtype, so the node's outputs are in the artifact's dtype
+    too."""
     dtype = DTYPES[builder.dtype]
-    return [node for name, node in builder.folds.items()
-            if name == node.outputs[0] and node.inputs[0] in ships
-            and any(o in ships for o in node.outputs)
-            and builder.known[node.inputs[0]].dtype == dtype]
+    able, made = [], set()
+    for name, node in builder.folds.items():
+        source = node.inputs[0]
+        if name == node.outputs[0] and (source in ships or source in made) \
+                and builder.known[source].dtype == dtype:
+            able.append(node)
+            made.update(node.outputs)
+    wanted, derived = set(ships), []
+    for node in reversed(able):
+        if not wanted.isdisjoint(node.outputs):
+            wanted.add(node.inputs[0])
+            derived.append(node)
+    return derived[::-1]
 
 
 def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,

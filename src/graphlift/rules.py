@@ -4,12 +4,22 @@ Each rule receives the gradient stream arriving at one forward node and emits
 operator nodes that push an equivalent stream to the node's differentiable
 inputs.  Linear ops reuse their ordinary adjoint.  Nonlinear ops replace the
 local derivative with the secant between the target activation and a
-reference activation, falling back to the instantaneous derivative when the
-two are closer than ``EPS_ACT``.  That epsilon is a constant of the rules: no
-caller sets it, and an artifact does not record it.  Max pooling routes
-through the winning window position of each side and rescales by the input
-difference, which needs no epsilon: it divides only where that difference
-is nonzero, and a route never lands where it is zero (``rule_maxpool``).
+reference activation.  Relu takes it wherever the two differ at all, and its
+local derivative only where they are equal.  Sigmoid, Tanh and Softmax fall
+back to the local derivative when the two are closer than ``EPS_ACT``.  That
+epsilon is a constant of the rules: no caller sets it, and an artifact does
+not record it.
+
+A flow comes in one of two kinds.  Most rules hand on a *multiplier*, on the
+whole stream.  The max-pool rules (``CONTRIBUTES``) hand on a
+*contribution*: multiplier × Δ per reference row, on the target half only,
+with Δ = x − r at the pool's input.  A Relu (``PASSES_CONTRIBUTIONS``) whose
+every arriving flow is a contribution passes their sum on to its input
+unchanged, since a Rescale chain telescopes: (C / Δact) · (Δact / Δz) is
+C / Δz.  Anywhere else ``to_multiplier`` divides a contribution by the Δ of
+the value it reached, once, and the node's rule runs on the multiplier.
+That division needs no epsilon: it divides only where Δ is nonzero, and a
+route never lands where it is zero (``rule_maxpool``).
 
 The rules emit standard ops only.  Convolution and average-pooling gradients
 are one ``ConvTranspose`` each, reading the forward filters (or a ones
@@ -40,14 +50,17 @@ from .ir import Node
 
 __all__ = [
     "EPS_ACT",
+    "CONTRIBUTES",
+    "PASSES_CONTRIBUTIONS",
     "RuleContext",
     "RuleOutput",
     "f_grad",
+    "to_multiplier",
     "RULES",
 ]
 
-# below this gap an activation's secant ratio is abandoned for the local
-# derivative
+# below this gap a smooth activation's secant ratio is abandoned for the
+# local derivative
 EPS_ACT = 1e-6
 
 
@@ -101,6 +114,11 @@ class RuleOutput:
 # biases, denominator and statistics must not depend on the input
 _OPERAND_0_ONLY = frozenset({"MatMul", "Gemm", "Conv", "Div", "BatchNormalization"})
 
+# ops whose rule hands its input a contribution, not a multiplier, and the
+# op that passes on the contributions it receives when no multiplier arrives
+CONTRIBUTES = frozenset({"MaxPool", "GlobalMaxPool"})
+PASSES_CONTRIBUTIONS = frozenset({"Relu"})
+
 
 def f_grad(ctx: RuleContext) -> RuleOutput:
     """Dispatch one node to its rule and collect what it emitted; UnsupportedOp
@@ -136,6 +154,27 @@ def _guarded_ratio(b: GraphBuilder, num: str, den: str, fallback: str,
     safe = b.emit("Where", [small, one, den], tag=f"{tag}_safe")
     ratio = b.emit("Div", [num, safe], tag=f"{tag}_ratio")
     return b.emit("Where", [small, fallback, ratio], tag=f"{tag}_sel")
+
+
+def _exact_ratio(b: GraphBuilder, num: str, den: str, tag: str) -> tuple[str, str]:
+    """(num/den where den is nonzero and num elsewhere, the mask of where
+    den is nonzero): the division needs no epsilon where num is known to be
+    no larger than den."""
+    moved = b.emit("Greater", [b.emit("Abs", [den], tag=f"{tag}_abs"),
+                               b.const(0.0, "zero")], tag=f"{tag}_moved")
+    safe = b.emit("Where", [moved, den, b.const(1.0, "one")], tag=f"{tag}_safe")
+    return b.emit("Div", [num, safe], tag=f"{tag}_ratio"), moved
+
+
+def to_multiplier(env: RuleEnv, name: str, contribution: str) -> str:
+    """The multiplier stream of forward value ``name`` from a contribution
+    that reached it: the contribution divided by Δ = x − r where Δ is
+    nonzero, on the target half, then widened to the stream.  Where Δ is
+    zero every contribution that lands is exactly ±0 (``rule_maxpool``), so
+    the multiplier is too."""
+    b = env.builder
+    gap = b.emit("Sub", [env.x_of(name), env.r_of(name)], tag="mpdx")
+    return env.wrap_stream(_exact_ratio(b, contribution, gap, "mp")[0])
 
 
 def _reduce_like(b: GraphBuilder, grad: str, shape: tuple[int, ...], tag: str) -> str:
@@ -319,16 +358,22 @@ def rule_rescale(ctx: RuleContext) -> dict[str, str]:
     d_in = env.delta(data)
     d_out = env.delta(out)
     act_in, act_out = env.act(data), env.act(out)
-    if node.op_type == "Sigmoid":
-        local = b.emit("Mul", [act_out, b.emit("Sub", [one, act_out], tag="sigcmp")],
-                       tag="siglocal")
-    elif node.op_type == "Tanh":
-        local = b.emit("Sub", [one, b.emit("Mul", [act_out, act_out], tag="tanhsq")],
-                       tag="tanhlocal")
-    else:  # Relu; an exactly-zero input counts as inactive
+    if node.op_type == "Relu":
+        # relu is 1-Lipschitz and rounding is monotone, so its secant lies in
+        # [0, 1] at every nonzero gap, however small; only an equal pair takes
+        # the local derivative, where an exactly-zero input counts as inactive
         local = b.emit("Where", [b.emit("Greater", [act_in, zero], tag="reluon"),
                                  one, zero], tag="relulocal")
-    mult = _guarded_ratio(b, d_out, d_in, local, "act")
+        ratio, moved = _exact_ratio(b, d_out, d_in, "relu")
+        mult = b.emit("Where", [moved, ratio, local], tag="relu_sel")
+    else:
+        if node.op_type == "Sigmoid":
+            local = b.emit("Mul", [act_out, b.emit("Sub", [one, act_out],
+                                                   tag="sigcmp")], tag="siglocal")
+        else:  # Tanh
+            local = b.emit("Sub", [one, b.emit("Mul", [act_out, act_out],
+                                               tag="tanhsq")], tag="tanhlocal")
+        mult = _guarded_ratio(b, d_out, d_in, local, "act")
     return {data: b.emit("Mul", [ctx.grad_in, mult], tag="actgrad")}
 
 
@@ -395,18 +440,24 @@ def rule_avgpool(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
-    """Route each pooled share to its side's first maximum and divide the
-    landed routes by the input gap Δ = x − r, where Δ is nonzero.
+    """Route each pooled share to its side's first maximum and hand the
+    landed routes on as a contribution, which ``to_multiplier`` divides by
+    the Δ = x − r of the value it reaches, where that Δ is nonzero.
 
-    Dividing by Δ only where it is nonzero is exact, with no epsilon and no
-    overflow.  Window w's share lands only on its first maximum c, and it is
-    nonzero only when Δ at c has the share's sign and at least its size.  The
-    target side routes relu(yx − yr)·g to c with Δc = yx − r_c ≥ yx − yr,
-    since r_c ≤ yr; the reference side routes min(yx − yr, 0)·g to c with
+    That division is exact, with no epsilon and no overflow.  Window w's
+    share lands only on its first maximum c, and it is nonzero only when Δ
+    at c has the share's sign and at least its size.  The target side
+    routes relu(yx − yr)·g to c with Δc = yx − r_c ≥ yx − yr, since
+    r_c ≤ yr; the reference side routes min(yx − yr, 0)·g to c with
     Δc = x_c − yr ≤ yx − yr, since x_c ≤ yx.  Rounding a subtraction is
     monotone, so these inequalities survive it: at every nonzero Δ,
     |routed / Δ| ≤ Σ_w |g_w|·(1 + u)², and wherever Δ = 0 every share that
-    lands is exactly ±0, which a divisor of 1 leaves as it is.
+    lands is exactly ±0, which a divisor of 1 leaves as it is.  When the
+    contribution passes through Relus first, it is divided by the Δz of the
+    lowest one's input instead.  Each relu is 1-Lipschitz, and rounding is
+    monotone, so |Δact| ≤ |Δz| after rounding too, and the bound holds.
+    Where Δact = 0, whatever Δz, the shares that land are ±0, and so is
+    their quotient.
     """
     node, b, env = ctx.node, ctx.builder, ctx.env
     data = node.inputs[0]
@@ -432,12 +483,7 @@ def rule_maxpool(ctx: RuleContext) -> dict[str, str]:
         routed = b.emit("Reshape", [spread],
                         {"shape": [b.shape(routed)[0] // sample[1], *sample[1:]]},
                         tag="mpscattered")
-    gap = b.emit("Sub", [xs, rs], tag="mpdx")
-    moved = b.emit("Greater", [b.emit("Abs", [gap], tag="mp_abs"),
-                               b.const(0.0, "zero")], tag="mp_moved")
-    safe = b.emit("Where", [moved, gap, b.const(1.0, "one")], tag="mp_safe")
-    grad = b.emit("Div", [routed, safe], tag="mp_ratio")
-    return {data: env.wrap_stream(grad)}
+    return {data: routed}
 
 
 def _route_to_argmax(ctx: RuleContext, act: str, pooled: str, m: str,

@@ -222,8 +222,8 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
 
 
 # (optimized, naive) node count of every corpus artifact
-CORPUS_NODE_COUNTS = {"plain_deep": (90, 116), "residual_add": (38, 50),
-                      "dense_concat": (58, 77), "scaled_add_mul": (38, 49)}
+CORPUS_NODE_COUNTS = {"plain_deep": (81, 104), "residual_add": (38, 50),
+                      "dense_concat": (49, 65), "scaled_add_mul": (38, 49)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -233,6 +233,17 @@ def test_corpus_node_counts(artifacts, corpus_f32, dtype):
         got = tuple(len(artifacts(name, dtype, scheme).model.nodes)
                     for scheme in ("optimized", "naive"))
         assert got == counts, name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_relu_under_a_max_pool_emits_a_node(artifacts, dtype, scheme):
+    # the pool's contributions pass through the Relu, and are divided once,
+    # at the convolution's output
+    for name in ("plain_deep", "dense_concat"):
+        model = artifacts(name, dtype, scheme).model
+        assert not [n.name for n in model.nodes if "_n_relu" in n.name], name
+        assert len([n for n in model.nodes if "_n_mp_ratio" in n.name]) == 1, name
 
 
 def test_plain_deep_carries_no_emulation_chains(artifacts):
@@ -520,9 +531,22 @@ def test_a_constant_node_rebuilds_the_folded_array_bit_for_bit(
     assert derived
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_fold_chain_ships_from_the_payload_at_its_foot(artifacts, dtype):
+    # plain_deep reads the reference pool1 copy at run time, but nothing
+    # reads the act1 copy it pools: both ship as the nodes that rebuild
+    # them from the conv1 copy, which ships as a payload
+    art = artifacts("plain_deep", dtype)
+    constants = _constant_nodes(art.plan, art.model)[:2]
+    assert [node.op_type for node in constants] == ["Relu", "MaxPool"]
+    assert constants[0].inputs[0] in art.model.initializers
+    assert constants[1].inputs == constants[0].outputs
+    assert not set(constants[0].outputs) & set(art.model.initializers)
+
+
 # per-explain steps and scanned values of every optimized corpus artifact
-CORPUS_STEPS = {"plain_deep": (84, 22), "residual_add": (36, 14),
-                "dense_concat": (55, 15), "scaled_add_mul": (36, 9)}
+CORPUS_STEPS = {"plain_deep": (75, 20), "residual_add": (36, 14),
+                "dense_concat": (46, 13), "scaled_add_mul": (36, 9)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -65,10 +65,9 @@ def _sig(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
-# op -> (threshold, centre of the pair, f, the fallback at x, f's input shape)
+# op -> (threshold, centre of the pair, f, the fallback at x); Relu has no
+# threshold: it takes the secant at every nonzero gap
 GUARDS = {
-    "Relu": (rules.EPS_ACT, 0.0, lambda v: np.maximum(v, 0.0),
-             lambda x: (x > 0).astype(float)),
     "Sigmoid": (rules.EPS_ACT, 1.0, _sig, lambda x: _sig(x) * (1.0 - _sig(x))),
     "Tanh": (rules.EPS_ACT, 1.0, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
 }
@@ -95,6 +94,33 @@ def test_each_guard_switches_at_its_constant(op, share, scheme):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
     _, oracle = gl.deeplift_oracle(model, x, r, return_multipliers=True)
     assert oracle.ravel()[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# the gaps a Relu pair sits apart: float64's 1e-300 and float32's subnormal
+# 2**-140, both far below EPS_ACT
+RELU_GAPS = {"float64": 1e-300, "float32": 2.0 ** -140}
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_relu_takes_the_secant_at_every_nonzero_gap(dtype, scheme):
+    # one column per pair: straddling the kink, both active, both inactive,
+    # then three equal pairs, where the local slope holds: at 0 (inactive),
+    # above it and below it
+    g = RELU_GAPS[dtype]
+    x = np.array([[g / 2, 2 * g, -g, 0.0, g, -g]], dtype)
+    r = np.array([[-g / 2, g, -2 * g, 0.0, g, -g]], dtype)
+    want = [0.5, 1.0, 0.0, 0.0, 1.0, 0.0]
+    assert np.all(x[0, :3] - r[0, :3] == np.array([g, g, g], dtype))
+    model = build("relu", (-1, 6), [Node("Relu", "r", ["x"], ["y"])],
+                  {}, "y", (-1, 6), dtype=dtype)
+    for k in range(6):
+        got = graph_multipliers(model, x, r, output_index=k, scheme=scheme)
+        _, oracle = gl.deeplift_oracle(model, x, r, output_index=k,
+                                       return_multipliers=True)
+        for m in (got, oracle):
+            assert m[0, k] == want[k], (k, m)
+            assert np.count_nonzero(m) == (want[k] != 0.0), (k, m)
 
 
 def pool_head_net(op, dtype):
@@ -668,6 +694,105 @@ def test_overlapping_maxpool_sums_the_routes_of_every_window_won():
     assert np.isclose(got[0, 0, 1, 1], want_11, rtol=0, atol=1e-14)
     assert np.isclose(got[0, 0, 1, 3], w[0, 0, 2] + w[0, 1, 2], rtol=0,
                       atol=1e-14)
+
+
+def pool(op, name, data, out, kernel=(2, 2), strides=(2, 2), pads=(0, 0, 0, 0)):
+    attrs = {} if op == "GlobalMaxPool" else {
+        "kernel_shape": list(kernel), "strides": list(strides), "pads": list(pads)}
+    return Node(op, name, [data], [out], attrs)
+
+
+CONV = Node("Conv", "conv", ["x", "k"], ["z"],
+            {"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]})
+RELU = Node("Relu", "relu", ["z"], ["a"])
+FLAT = Node("Flatten", "flat", ["p"], ["f"], {"axis": 1})
+
+# case -> (the nodes up to the flattened features "f", their width); the
+# input is (-1, 2, 6, 6), the convolution has 3 output channels, and a
+# MatMul maps "f" to 3 classes
+CONTRIBUTION_CASES = {
+    "conv-relu-maxpool-2x2": ([CONV, RELU, pool("MaxPool", "mp", "a", "p"), FLAT],
+                              27),
+    "conv-relu-maxpool-3x3-pad": ([CONV, RELU, pool("MaxPool", "mp", "a", "p", (3, 3),
+                                                    (2, 2), (1, 1, 1, 1)), FLAT], 27),
+    "conv-relu-globalmaxpool": ([CONV, RELU, pool("GlobalMaxPool", "mp", "a", "p"),
+                                 FLAT], 3),
+    "conv-relu-relu-maxpool": ([CONV, RELU, Node("Relu", "relu2", ["a"], ["a2"]),
+                                pool("MaxPool", "mp", "a2", "p"), FLAT], 27),
+    # the Relu's output also feeds an average pool: its flows are mixed
+    "relu-feeds-two": ([CONV, RELU, pool("MaxPool", "mp", "a", "pm"),
+                        Node("Flatten", "flatm", ["pm"], ["fm"], {"axis": 1}),
+                        Node("GlobalAveragePool", "gap", ["a"], ["pa"]),
+                        Node("Flatten", "flata", ["pa"], ["fa"], {"axis": 1}),
+                        Node("Concat", "join", ["fm", "fa"], ["f"], {"axis": 1})],
+                       30),
+    "maxpool-on-input": ([pool("MaxPool", "mp", "x", "p", (3, 3), (2, 2),
+                               (1, 1, 1, 1)), FLAT], 18),
+    # an elementwise scale keeps each reference pixel that equals the
+    # sample's equal, bit for bit, at the Relu's input
+    "scale-relu-maxpool": ([Node("Mul", "scale", ["x", "s"], ["z"]), RELU,
+                            pool("MaxPool", "mp", "a", "p"), FLAT], 18),
+}
+
+
+def contribution_net(case):
+    nodes, width = CONTRIBUTION_CASES[case]
+    rng = np.random.default_rng(sorted(CONTRIBUTION_CASES).index(case))
+    inits = {"k": TensorValue(rng.normal(0.0, 0.4, size=(3, 2, 3, 3)), F64),
+             "s": TensorValue(np.array([1.5, -0.7]).reshape(1, 2, 1, 1), F64),
+             "w": TensorValue(rng.normal(size=(width, 3)), F64)}
+    used = {i for node in nodes for i in node.inputs}
+    inits = {name: t for name, t in inits.items() if name in used or name == "w"}
+    head = Node("MatMul", "head", ["f", "w"], ["y"])
+    model = build(case, (-1, 2, 6, 6), [*nodes, head], inits, "y", (-1, 3))
+    x = rng.normal(size=(1, 2, 6, 6))
+    refs = rng.normal(size=(4, 2, 6, 6))
+    # one reference equals the sample on a block, and one everywhere
+    refs[1, :, 1:5, 0:4] = x[0, :, 1:5, 0:4]
+    refs[2] = x[0]
+    return model, x, refs
+
+
+def relu_rule_nodes(model):
+    return [node.name for node in model.nodes if "_n_relu" in node.name]
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("case", sorted(CONTRIBUTION_CASES))
+def test_contributions_match_the_oracle(case, scheme):
+    # a max pool hands on contributions, a Relu under it passes them on, and
+    # the first other node divides them once: phi and the multipliers are
+    # the oracle's, which takes every node's multiplier on its own
+    model, x, refs = contribution_net(case)
+    art = gl.compile_explainer(model, refs, scheme=scheme,
+                               expose_multipliers=True)
+    phi = gl.explain(art, x).phi.array
+    want = gl.deeplift_oracle(model, x, refs).phi.array
+    assert np.abs(phi - want).max() <= 1e-10
+    for k in range(3):
+        got = graph_multipliers(model, x, refs, output_index=k, scheme=scheme)
+        _, want = gl.deeplift_oracle(model, x, refs, output_index=k,
+                                     return_multipliers=True)
+        assert got.shape == want.shape == refs.shape
+        assert np.abs(got - want).max() <= 1e-10, k
+    # only a Relu whose flows are mixed runs its rule
+    assert bool(relu_rule_nodes(art.model)) == (case == "relu-feeds-two"), \
+        relu_rule_nodes(art.model)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_contributions_through_equal_relu_inputs_are_zero(scheme):
+    # where a reference equals the sample, Δ = 0 exactly at the Relu's input
+    # and every contribution that lands there is ±0: the division by 1
+    # keeps it, the explain raises no NumericError, and the oracle agrees
+    model, x, refs = contribution_net("scale-relu-maxpool")
+    _, x_trace = execute(model, {"x": x}, capture=True)
+    _, r_trace = execute(model, {"x": refs}, capture=True)
+    equal = x_trace["z"] == r_trace["z"]
+    assert equal[1, :, 1:5, 0:4].all() and equal[2].all()
+    for k in range(3):
+        got = graph_multipliers(model, x, refs, output_index=k, scheme=scheme)
+        assert np.all(got[2] == 0.0) and np.all(got[1, :, 1:5, 0:4] == 0.0), k
 
 
 @pytest.mark.parametrize("scheme", ["optimized", "naive"])
