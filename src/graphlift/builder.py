@@ -10,11 +10,12 @@ optimized scheme, while the same rule code emits live nodes for the
 replicated-batch scheme.  A compile-time constant is a known value and
 nothing more: the builder stores no initializers, and ``refopt`` alone
 decides which known values ship and how.  The builder keeps each folded
-one-input node, so ``refopt`` can ship a constant as the node that rebuilds
-it from another one.  A folded value that is not finite raises NumericError
-naming its node.  Each node is resolved once, when it is added: its output
-shapes and, under its first output, its kernel parameters are kept, so rules
-read shapes and parameters from the builder and from nothing else.
+node that has inputs, so ``refopt`` can ship a constant as the node that
+rebuilds it from others.  A folded value that is not finite raises
+NumericError naming its node.  Each node is resolved once, when it is
+added: its output shapes and, under its first output, its kernel
+parameters are kept, so rules read shapes and parameters from the builder
+and from nothing else.
 
 ``emit`` also numbers values (Click, "Global Code Motion / Global Value
 Numbering", PLDI 1995): every op is pure, so an op emitted again with the
@@ -57,7 +58,8 @@ class GraphBuilder:
         # constants and anything computed only from them); folded booleans
         # live here too
         self.known: dict[str, np.ndarray] = {}
-        # each output of a folded one-input node -> that node, in fold order
+        # each output of a folded node that has inputs -> that node, in fold
+        # order
         self.folds: dict[str, Node] = {}
         self._counter = itertools.count()
         # (op_type, inputs, canonical attributes) -> outputs of an emitted op,
@@ -96,7 +98,9 @@ class GraphBuilder:
         are kept, and a folded node's kernel runs on those parameters.  A
         node folds when every input is known (a node with no inputs, such
         as a Constant, too); otherwise it is appended, and its known inputs
-        stay known values for ``refopt`` to ship.
+        stay known values for ``refopt`` to ship.  A folded node that has
+        inputs, whatever their number, goes into ``folds`` under each of
+        its outputs, so ``refopt`` can ship those as the node.
         A folded output that is not finite raises NumericError naming the
         node, as ``execute`` does for a node it runs.
         """
@@ -113,7 +117,7 @@ class GraphBuilder:
                         f"{node.op_type} node {node.name!r} folded to non-finite "
                         f"values in {name!r}")
                 self.known[name] = arr
-                if len(node.inputs) == 1:
+                if node.inputs:
                     self.folds[name] = node
             return True
         self.nodes.append(node)

@@ -39,9 +39,12 @@ Execution is planned once per model.  ``ExecutionPlan`` takes the nodes in
 their declared dependency order and gives every value an integer slot.  A
 *constant step*, one whose inputs are all initializers or outputs of earlier
 constant steps, runs once, when the plan is built, and its outputs are kept
-read-only; a ``Constant`` is the no-input case.  An optimized artifact ships
-each reference activation it can rebuild from one of its payloads this way
-(see ``refopt``), so it costs nothing per explain.  Every other node is a
+read-only; a ``Constant`` is the no-input case.  An artifact ships each
+constant it can rebuild from its payloads this way, such as a reference
+activation or a max-pool rank mask (see ``refopt``), so it costs nothing
+per explain.  Once the constant steps have run, the plan drops every
+constant that no step reads and no output names, such as the values
+between a rebuilt constant and its payloads.  Every other node is a
 step: the plan records where each intermediate is read for the last time
 and which values are scanned for non-finite elements; ``execute`` is then
 one loop over the steps that dispatches each through ``eval_node`` with its
@@ -398,12 +401,14 @@ class ExecutionPlan:
     such nodes; a ``Constant`` has none) is resolved and run once, here,
     under the error state ``execute`` uses; its outputs join the constants,
     read-only, and the first one that is not finite is recorded and raised
-    as NumericError naming it on every ``execute``.  Every other node is a
-    step, and the plan holds per step the slots it reads for the last time,
-    so that an intermediate is dropped as soon as its last consumer has
-    run.  It keeps the model's initializer arrays by reference and reads
-    nothing else from the model after it is built: a model changed
-    afterwards, initializer contents included, needs a new plan.
+    as NumericError naming it on every ``execute``.  Once they have all
+    run, a constant that no step reads and no output names is dropped.
+    Every other node is a step, and the plan holds per step the slots it
+    reads for the last time, so that an intermediate is dropped as soon as
+    its last consumer has run.  It keeps the initializer arrays it holds by
+    reference and reads nothing else from the model after it is built: a
+    model changed afterwards, initializer contents included, needs a new
+    plan.
 
     Checks run here, not in the kernels.  ``verify`` resolves every step
     on the concrete shapes of a feed: ``resolve_node`` runs the step's law
@@ -488,6 +493,11 @@ class ExecutionPlan:
                          if not _preserves(node.op_type, k))
         stops.update(slot for _, _, outs in steps for slot in outs
                      if slot not in read)
+        # every constant step has run: a constant that no step reads and no
+        # output names is dropped
+        for slot in range(len(self.template)):
+            if slot not in read and slot not in kept:
+                self.template[slot] = None
         self.scans = []
         for node, ins, outs in steps:
             # Greater's bool output cannot hold a non-finite value
@@ -585,8 +595,10 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: Mapping,
     that runs one model many times builds an ``ExecutionPlan`` once and
     passes that.  Returns ``(outputs, trace)`` where outputs maps each
     declared graph output to its array and trace maps every value name to its
-    array when ``capture`` is set (None otherwise).  Without ``capture``
-    each intermediate is released after its last consumer runs.  The first
+    array when ``capture`` is set (None otherwise); in the trace a constant
+    that no step reads and no output names maps to None, as the plan drops
+    it once built.  Without ``capture`` each intermediate is released after
+    its last consumer runs.  The first
     node whose output holds a NaN or an infinity raises NumericError.  A
     feed that is no mapping or has no numeric array for an input raises
     ValidationError, a wrong dtype, rank or extent ShapeError.

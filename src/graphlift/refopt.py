@@ -15,9 +15,9 @@ Two ways to attach an attribution head to a forward graph:
 Both layouts add the forward nodes, in the model's declared dependency
 order, to the GraphBuilder the gradient rules emit through; nothing sorts.
 The builder folds every node whose inputs are all known, forward or
-backward, so a constant-only forward chain ships as the constants its
-runtime consumers read, not as nodes.  It is also the compile's one shape
-table: rules read every shape from it.
+backward, so a constant-only forward chain runs at compile time, not per
+explain, and ships as ``_finish`` decides (below).  It is also the
+compile's one shape table: rules read every shape from it.
 
 The same folder evaluates the reference side, once per compile: each
 forward node that depends on the graph input is added again over the B
@@ -26,16 +26,20 @@ ships only when a runtime node reads it.
 
 Every compile-time constant is a known value in the builder, and ``_finish``
 alone decides how one that a runtime node or output reads ships, in one of
-two forms.  One the builder folded from a one-input node (an activation, a
-pool, a softmax, a reduction, a transpose) whose input ships unchanged, as a
-payload already in the artifact's dtype, or comes from another such node,
-ships as that node, ahead of its readers; so does each node of such a
-chain whose value no runtime node reads.  The execution plan runs these
-nodes once, when it is built, to the bits the fold made, so they cost no
-payload bytes and nothing per explain.  Every other constant ships as a payload: the output of a Conv,
-GEMM, BatchNormalization or an Add or Mul of two payloads, whose derivation
-at load would amount to the reference forward pass, and a folded boolean,
-stored as 0/1 floats.
+two forms.  One the builder folded from a node whose every input ships
+unchanged, as a payload already in the artifact's dtype or as the output of
+another such node, ships as that node, ahead of its readers; so does each
+node of such a chain whose value no runtime node reads.  So a reference
+activation ships as the node that rebuilds it from the copy below it, and
+a max-pool rank mask as the gather and comparisons that rebuild it from the
+pool's reference copies.  The execution plan runs these nodes once, when it
+is built, to the bits the fold made, so they cost no payload bytes and
+nothing per explain.  One exception: the reference forward pass's weight
+layers, a Conv, MatMul, Gemm or BatchNormalization that reads a model
+weight, ship as payloads, as rebuilding them at load would re-run that
+pass.  Every other constant ships as a payload: a model weight as the
+model's own tensor, anything else in the artifact's dtype, so a folded
+boolean as 0/1 floats.  Equal payloads ship once.
 
 count_flops prices either artifact with fixed per-op conventions so the two
 schemes can be compared analytically; it prices the steps an explain runs,
@@ -48,6 +52,7 @@ import hashlib
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 import numpy as np
 
@@ -71,6 +76,10 @@ __all__ = [
 # fixed per-element price for transcendental activations; the remaining
 # conventions live in _node_flops
 ACTIVATION_FLOP_COST = 4
+
+# the reference forward pass's weight layers: one that reads a model weight
+# ships as a payload, never as a node the plan re-runs at load
+_WEIGHT_LAYERS = frozenset({"Conv", "MatMul", "Gemm", "BatchNormalization"})
 
 _PREDICTION = "prediction"
 _ATTRIBUTION = "attribution"
@@ -196,29 +205,36 @@ def _metadata(scheme: str, model: GraphModel, *, output_index: int,
     }
 
 
-def _derive(builder: GraphBuilder, ships: set[str]) -> list[Node]:
-    """The folded one-input nodes that ship in place of the payloads
-    ``ships`` names, in fold order (dependency order).  A node can ship
-    when its input ships unchanged, as a payload already in the artifact's
+def _derive(builder: GraphBuilder, ships: set[str],
+            weights: AbstractSet[str]) -> list[Node]:
+    """The folded nodes that ship in place of the payloads ``ships``
+    names, in fold order (dependency order).  A node can ship when each of
+    its inputs ships unchanged, as a payload already in the artifact's
     dtype, or is made by another node that can; it does ship when its
     output ships or feeds a node that does.  So a chain of them derives
-    from the payload at its foot, even where no runtime node reads the
-    values in between.  A folded boolean ships as 0/1 floats, not
-    unchanged, so a node reading one stays a payload; a one-input op keeps
-    its operand's dtype, so the node's outputs are in the artifact's dtype
-    too."""
+    from the payloads at its feet, whatever their number, even where no
+    runtime node reads the values in between.  A boolean such a node makes
+    stays a boolean, which its runtime readers take as they take 0/1
+    floats: a rule's ``Where`` as its condition, any other op beside a
+    float operand.  A folded boolean that ships as a payload is stored as
+    0/1 floats, not unchanged, so a node reading it stays a payload.  One
+    exception: a weight layer (``_WEIGHT_LAYERS``) that reads one of the
+    model's ``weights`` stays a payload, as rebuilding it at load would
+    re-run the reference forward pass."""
     dtype = DTYPES[builder.dtype]
     able, made = [], set()
     for name, node in builder.folds.items():
-        source = node.inputs[0]
-        if name == node.outputs[0] and (source in ships or source in made) \
-                and builder.known[source].dtype == dtype:
+        baked = node.op_type in _WEIGHT_LAYERS \
+            and not weights.isdisjoint(node.inputs)
+        if name == node.outputs[0] and not baked and all(
+                i in made or (i in ships and builder.known[i].dtype == dtype)
+                for i in node.inputs):
             able.append(node)
             made.update(node.outputs)
     wanted, derived = set(ships), []
     for node in reversed(able):
         if not wanted.isdisjoint(node.outputs):
-            wanted.add(node.inputs[0])
+            wanted.update(node.inputs)
             derived.append(node)
     return derived[::-1]
 
@@ -232,23 +248,44 @@ def _finish(model: GraphModel, builder: GraphBuilder, prediction: str,
     left out.  One ``_derive`` picks ships as its node, ahead of every node
     that reads it, and every other one as a payload, in ``known`` order: a
     model initializer as the model's own tensor, anything else in the
-    artifact's dtype, so a folded boolean as 0/1 floats."""
+    artifact's dtype, so a folded boolean as 0/1 floats.  Payloads equal in
+    dtype, shape and bytes, such as two reference copies over zero rows,
+    ship once, under the first one's name, which their readers read
+    instead; an output keeps its own."""
     names = [prediction, phi] + ([multipliers] if multipliers else [])
     read = {i for node in builder.nodes for i in node.inputs} | set(names)
-    derived = _derive(builder, read & builder.known.keys())
+    derived = _derive(builder, read & builder.known.keys(),
+                      model.initializers.keys())
     made = {o for node in derived for o in node.outputs}
-    ships = [name for name in builder.known if name in read and name not in made]
+    # (dtype, shape) -> the payloads of that form, so only they are compared
+    initializers, alias, forms = {}, {}, {}
+    for name in builder.known:
+        if name not in read or name in made:
+            continue
+        tensor = model.initializers[name] if name in model.initializers \
+            else TensorValue(builder.known[name], builder.dtype)
+        same = forms.setdefault((tensor.dtype, tensor.shape), [])
+        twin = next((other for other in same if initializers[other] == tensor),
+                    None)
+        if twin is None or name in names:
+            initializers[name] = tensor
+            same.append(name)
+        else:
+            alias[name] = twin
+
+    def reading_twins(node: Node, name: str) -> Node:
+        return Node(node.op_type, name, [alias.get(i, i) for i in node.inputs],
+                    list(node.outputs), dict(node.attributes))
+
     input_name = model.inputs[0].name
     artifact = GraphModel(
         name=f"{model.name}.explainer",
         inputs=[ValueSpec(input_name, builder.dtype, builder.shape(input_name))],
         outputs=[ValueSpec(n, builder.dtype, builder.shape(n)) for n in names],
-        initializers={name: model.initializers[name] if name in model.initializers
-                      else TensorValue(builder.known[name], builder.dtype)
-                      for name in ships},
-        nodes=[Node(node.op_type, builder.fresh(node.name), list(node.inputs),
-                    list(node.outputs), dict(node.attributes))
-               for node in derived] + builder.nodes,
+        initializers=initializers,
+        nodes=[reading_twins(node, builder.fresh(node.name)) for node in derived]
+        + [node if alias.keys().isdisjoint(node.inputs)
+           else reading_twins(node, node.name) for node in builder.nodes],
     )
     validate_model(artifact)
     return artifact

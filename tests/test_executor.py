@@ -611,6 +611,29 @@ def test_a_step_over_constants_runs_once_when_the_plan_is_built(monkeypatch):
     assert not plan.template[plan.slots["ws"]].flags.writeable
 
 
+def test_a_constant_that_no_step_reads_is_dropped_and_captured_as_none():
+    # once the constant steps have run, the plan keeps only the constants
+    # a step reads or an output names; a capture maps the others to None
+    rng = np.random.default_rng(1)
+    w = TensorValue(rng.normal(size=(2, 3)))
+    model = GraphModel("c", [ValueSpec("x", "float64", (-1, 3))],
+                       [ValueSpec("y", "float64", (-1, 2)),
+                        ValueSpec("wt", "float64", (3, 2))], {"w": w},
+                       [Node("Transpose", "t", ["w"], ["wt"], {"perm": [1, 0]}),
+                        Node("Tanh", "squash", ["wt"], ["ws"]),
+                        Node("MatMul", "mm", ["x", "ws"], ["y"])])
+    plan = ExecutionPlan(model)
+    held = {name for name, slot in plan.slots.items()
+            if plan.template[slot] is not None}
+    assert held == {"ws", "wt"}
+    x = rng.normal(size=(1, 3))
+    outs, trace = execute(plan, {"x": x}, capture=True)
+    assert trace["w"] is None
+    assert trace["ws"] is plan.template[plan.slots["ws"]]
+    assert outs["wt"].tobytes() == np.ascontiguousarray(w.array.T).tobytes()
+    assert np.array_equal(outs["y"], x @ np.tanh(w.array.T))
+
+
 def test_an_artifact_runs_its_constant_nodes_once(artifacts, monkeypatch):
     built = artifacts("plain_deep", "float32")
     art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)

@@ -389,6 +389,23 @@ def test_digest_tracks_one_payload_element():
     assert model_digest(a) != model_digest(b)
 
 
+def test_tensors_are_equal_when_their_payload_bits_are():
+    # equal payloads ship once, so -0.0 and 0.0 must not be taken as equal
+    arr = np.array([[0.0, 1.5], [-2.0, 3.0]])
+    same = TensorValue(arr.copy())
+    assert TensorValue(arr) == same and TensorValue(np.array(0.0)) == \
+        TensorValue(np.array(0.0))
+    signed = arr.copy()
+    signed[0, 0] = -0.0
+    last = arr.copy()
+    last[-1, -1] = np.nextafter(last[-1, -1], 4.0)
+    for other in (TensorValue(signed), TensorValue(last),
+                  TensorValue(arr, "float32"), TensorValue(arr.reshape(4)),
+                  TensorValue(np.array(-0.0))):
+        assert TensorValue(arr) != other
+    assert TensorValue(np.array(0.0)) != TensorValue(np.array(-0.0))
+
+
 def with_weight(array, dtype="float32"):
     m = tiny_model()
     m.initializers["w"] = TensorValue(array, dtype)

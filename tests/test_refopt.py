@@ -14,7 +14,7 @@ from graphlift.builder import GraphBuilder
 from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, random_references
 from graphlift.executor import execute
-from graphlift.ir import dumps_model
+from graphlift.ir import DTYPES, dumps_model
 from graphlift.refopt import build_naive, build_optimized, count_flops, op_census
 
 B = 5
@@ -222,8 +222,8 @@ def test_no_conv_spans_a_flattened_pooling_window(artifacts, corpus_f32,
 
 
 # (optimized, naive) node count of every corpus artifact
-CORPUS_NODE_COUNTS = {"plain_deep": (81, 104), "residual_add": (38, 50),
-                      "dense_concat": (49, 65), "scaled_add_mul": (38, 49)}
+CORPUS_NODE_COUNTS = {"plain_deep": (92, 105), "residual_add": (38, 50),
+                      "dense_concat": (54, 65), "scaled_add_mul": (39, 49)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -262,21 +262,29 @@ def _every_artifact(artifacts, corpus_f32, dtype, scheme):
     return arts
 
 
+# the reference forward pass's weight layers: one that reads a model weight
+# ships as a payload, whatever its inputs
+WEIGHT_LAYERS = {"Conv", "MatMul", "Gemm", "BatchNormalization"}
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("scheme", ["optimized", "naive"])
-def test_only_one_input_constants_ship_as_nodes(artifacts, corpus_f32,
-                                                dtype, scheme):
+def test_no_weight_layer_reading_a_model_weight_ships_as_a_node(
+        corpus_f32, dtype, scheme):
     # one folder: a node whose inputs are all known at build time is folded,
-    # forward or backward; a constant folded from one shipped payload ships
-    # as its node, which the plan runs once, and no other node reads only
-    # constants
-    for art in _every_artifact(artifacts, corpus_f32, dtype, scheme):
-        model = art.model
+    # forward or backward; a constant folded from shipped constants ships as
+    # its node, which the plan runs once, whatever its arity, unless it is
+    # a weight layer of the reference forward pass
+    for name, source, refs in _sources(corpus_f32, dtype):
+        model = gl.compile_explainer(source, refs, scheme=scheme).model
         constants = set(model.initializers)
         for node in model.nodes:
-            assert node.op_type != "Constant", (model.name, node.name)
+            assert node.op_type != "Constant", (name, node.name)
             if constants.issuperset(node.inputs):
-                assert len(node.inputs) == 1, (model.name, node.name)
+                assert node.inputs, (name, node.name)
+                assert node.op_type not in WEIGHT_LAYERS \
+                    or source.initializers.keys().isdisjoint(node.inputs), \
+                    (name, node.name)
                 constants.update(node.outputs)
 
 
@@ -333,16 +341,23 @@ def test_const_names_an_equal_constant_once():
     assert b.known[first].dtype == np.float64
 
 
-def _compile_everything(dtype, scheme):
-    """Every corpus net and the demo net over random references, and every
-    micro net over its own, compiled."""
+def _everything(dtype):
+    """(model, references) of every corpus net and the demo net over random
+    references, and of every micro net over its own."""
     models = [cast_model(e.model, dtype) for e in gl.build_corpus()]
     models.append(cast_model(demo_model(), dtype))
     nets = [(m, random_references(m, 5, seed=5)) for m in models]
     nets += [(net.model, net.references) for net in
              (gl.micro_net(family, dtype=dtype) for family in gl.MICRO_FAMILIES)]
-    return [gl.compile_explainer(model, refs, scheme=scheme)
-            for model, refs in nets]
+    return nets
+
+
+def _compile_everything(dtype, scheme, zero=False):
+    """Every net of ``_everything`` compiled, over zero rows of its
+    references' shape when ``zero`` is set."""
+    return [gl.compile_explainer(model, np.zeros_like(refs) if zero else refs,
+                                 scheme=scheme)
+            for model, refs in _everything(dtype)]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -365,9 +380,10 @@ def test_no_rule_emits_a_constant_node(monkeypatch, dtype, scheme):
 @pytest.mark.parametrize("scheme", ["optimized", "naive"])
 def test_no_artifact_ships_a_payload_twice(dtype, scheme):
     # equal rule constants share one name, so one payload; two folded
-    # reference copies can still coincide over degenerate references, such
-    # as zero rows, which this does not cover
-    for art in _compile_everything(dtype, scheme):
+    # reference copies that coincide over degenerate references, such as
+    # zero rows, ship once too
+    for art in _compile_everything(dtype, scheme, zero=False) \
+            + _compile_everything(dtype, scheme, zero=True):
         seen = {}
         for name, tensor in art.model.initializers.items():
             key = (tensor.shape, tensor.to_bytes())
@@ -493,17 +509,26 @@ def _constant_nodes(plan, model):
     return [node for node in model.nodes if node.name not in steps]
 
 
+def _read_by_a_step(plan, model):
+    """The values some step of ``plan`` reads or some output names."""
+    return {i for node, *_ in plan.steps for i in node.inputs} \
+        | {spec.name for spec in model.outputs}
+
+
 def _as_payloads(model, plan):
-    """``model`` laid out with every constant node's outputs as payloads,
-    the way artifacts were saved before constants shipped as nodes."""
+    """``model`` laid out with every constant a step reads as a payload, a
+    folded boolean as 0/1 floats, the way artifacts were saved before
+    constants shipped as nodes."""
+    dtype = DTYPES[model.inputs[0].dtype]
     constants = _constant_nodes(plan, model)
-    made = {o: gl.TensorValue(np.array(plan.template[plan.slots[o]]))
-            for node in constants for o in node.outputs}
-    read = {i for node in model.nodes if node not in constants
-            for i in node.inputs} | {spec.name for spec in model.outputs}
+    read = _read_by_a_step(plan, model)
     initializers = {name: t for name, t in model.initializers.items()
                     if name in read}
-    initializers.update((o, t) for o, t in made.items() if o in read)
+    for node in constants:
+        for out in set(node.outputs) & read:
+            arr = plan.template[plan.slots[out]]
+            initializers[out] = gl.TensorValue(
+                arr.astype(dtype) if arr.dtype == bool else np.array(arr))
     return gl.GraphModel(model.name, model.inputs, model.outputs, initializers,
                          [n for n in model.nodes if n not in constants])
 
@@ -520,10 +545,14 @@ def test_a_constant_node_rebuilds_the_folded_array_bit_for_bit(
         gl.save_artifact(gl.ExplainerArtifact(artifact, meta), path)
         for graph in (artifact, gl.load_artifact(path).model):
             plan = gl.ExecutionPlan(graph)
+            read = _read_by_a_step(plan, graph)
             for node in _constant_nodes(plan, graph):
-                assert len(node.inputs) == 1, (name, node.name)
                 for out in node.outputs:
                     got, want = plan.template[plan.slots[out]], builder.known[out]
+                    if out not in read:
+                        # the plan keeps no constant that no step reads
+                        assert got is None, (name, out)
+                        continue
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (name, out)
                     assert not got.flags.writeable
@@ -602,3 +631,74 @@ def test_column_major_references_fold_to_the_bits_their_payload_gives(
         out = node.outputs[0]
         assert plan.template[plan.slots[out]].tobytes() == \
             builder.known[out].tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_no_payload_is_one_a_constant_node_could_rebuild(dtype, scheme,
+                                                          monkeypatch):
+    # a payload folded from a node ships as a payload only when that node
+    # is a weight layer reading a model weight, or reads something the plan
+    # would not hold unchanged when it is built: a value that does not
+    # ship, or a folded boolean, which ships as 0/1 floats.  The folds are
+    # recorded here, not read from the builder's own record of them
+    folded, add = {}, GraphBuilder.add
+
+    def record(builder, node):
+        if add(builder, node):
+            folded.update((out, node) for out in node.outputs)
+            return True
+        return False
+
+    monkeypatch.setattr(GraphBuilder, "add", record)
+    checked = 0
+    for model, refs in _everything(dtype):
+        folded.clear()
+        artifact, _, builder = _with_builder(model, refs, scheme, monkeypatch)
+        plan = gl.ExecutionPlan(artifact)
+        made = {o for node in _constant_nodes(plan, artifact)
+                for o in node.outputs}
+        held = made | {name for name, t in artifact.initializers.items()
+                       if builder.known[name].dtype == DTYPES[dtype]}
+        for name in artifact.initializers:
+            node = folded.get(name)
+            if node is None or not node.inputs:
+                continue
+            checked += 1
+            baked = node.op_type in WEIGHT_LAYERS \
+                and not model.initializers.keys().isdisjoint(node.inputs)
+            assert baked or not held.issuperset(node.inputs), \
+                (model.name, scheme, name)
+    assert checked
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+def test_a_plan_holds_no_constant_that_no_step_reads(artifacts, corpus_f32,
+                                                     dtype, scheme):
+    for art in _every_artifact(artifacts, corpus_f32, dtype, scheme):
+        plan = gl.ExecutionPlan(art.model)
+        read = {plan.slots[name] for name in _read_by_a_step(plan, art.model)}
+        held = {slot for slot, value in enumerate(plan.template)
+                if value is not None}
+        assert held <= read, art.model.name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_rebuilt_rank_mask_saves_loads_and_explains_bit_identically(
+        artifacts, dtype, tmp_path):
+    # plain_deep's reference rank mask is rebuilt when the plan is built,
+    # from the reference conv1 payload, through the pool's comparisons
+    art = artifacts("plain_deep", dtype)
+    constants = _constant_nodes(art.plan, art.model)
+    assert "Greater" in {node.op_type for node in constants}
+    assert not [name for name in art.model.initializers if "mpr_" in name]
+    first, again = tmp_path / "first.sgm", tmp_path / "again.sgm"
+    gl.save_artifact(art, str(first))
+    loaded = gl.load_artifact(str(first))
+    gl.save_artifact(loaded, str(again))
+    assert first.read_bytes() == again.read_bytes()
+    for x in gl.random_inputs(art.model, 3, seed=17):
+        a, b = gl.explain(art, x), gl.explain(loaded, x)
+        assert a.phi.array.tobytes() == b.phi.array.tobytes()
+        assert a.prediction.array.tobytes() == b.prediction.array.tobytes()
