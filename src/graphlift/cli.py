@@ -184,7 +184,7 @@ def cmd_bench(args) -> int:
     for artifact, laps, ms in zip(artifacts, timings, compile_ms):
         warm = laps[1:] if len(laps) > 1 else laps
         census = op_census(artifact.model)
-        _, _, scans = artifact.plan.resolved
+        _, ready = artifact.plan.resolved
         records.append({
             "model": model.name, "scheme": artifact.metadata["scheme"],
             "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
@@ -196,7 +196,7 @@ def cmd_bench(args) -> int:
             "nodes": len(artifact.model.nodes),
             "steps": len(artifact.plan.steps),
             "split_concat_nodes": census["Split"] + census["Concat"],
-            "scans": sum(map(len, scans)),
+            "scans": sum(len(scan) for *_, scan in ready),
         })
     print(f"model {model.name}  batch {refs.shape[0]}  "
           f"(first run excluded from p50 and p95)")

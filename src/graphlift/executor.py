@@ -46,10 +46,16 @@ per explain.  Once the constant steps have run, the plan drops every
 constant that no step reads and no output names, such as the values
 between a rebuilt constant and its payloads.  Every other node is a
 step: the plan records where each intermediate is read for the last time
-and which values are scanned for non-finite elements; ``execute`` is then
-one loop over the steps that dispatches each through ``eval_node`` with its
-resolved parameters, scans the values the plan marks and drops every
-intermediate after its last consumer.  ``execute`` takes a plan, or a
+and which values are scanned for non-finite elements.  Once per feed shape
+it prepares one list of ready steps, each holding its node, an
+``operator.itemgetter`` over its input slots, its output slot or slots,
+its frees, its resolved parameters and its scan positions.  ``execute`` is
+then one loop over that list: per step one unpack, one gather of the
+operands as a sequence and one ``eval_node`` call, the one dispatch point,
+looked up in this module at each call so that a wrapper put in its place
+sees every step; then the scans the plan marks, the store of the outputs
+(a lone one without a ``zip``) and the drop of every intermediate after its
+last consumer.  ``execute`` takes a plan, or a
 model that it plans on the spot, so a model edited between calls is never
 run from a stale plan.  An ``ExplainerArtifact`` builds its plan on its
 first ``explain`` and keeps it, so an artifact must not be changed after
@@ -83,6 +89,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from operator import itemgetter
 
 import numpy as np
 
@@ -101,7 +108,9 @@ def _sigmoid(x):
     e = np.empty_like(x)
     np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
     out = np.add(e, 1, out=np.empty_like(e))
-    np.copyto(e, 1, where=x >= 0)
+    # the numerator 1 where x >= 0: there e <= 1, so the maximum with True
+    # is exactly 1; elsewhere the maximum with False keeps e (or its NaN)
+    np.maximum(e, x >= 0, out=e)
     return np.divide(e, out, out=out)
 
 
@@ -260,7 +269,9 @@ def _batch_norm(inputs, eps):
     x, scale, bias, mean, var = inputs
     shape = (1, -1) + (1,) * (x.ndim - 2)
     k = scale.reshape(shape) / np.sqrt(var.reshape(shape) + eps)
-    return x * k + (bias.reshape(shape) - mean.reshape(shape) * k)
+    # x·k + (bias - mean·k), the sum taken in place of a second temporary
+    out = np.multiply(x, k)
+    return np.add(out, bias.reshape(shape) - mean.reshape(shape) * k, out=out)
 
 
 def _where(cond, a, b):
@@ -345,12 +356,15 @@ def _preserves(op_type: str, slot: int) -> bool:
     return slots is None or slot in slots
 
 
-def eval_node(node: Node, inputs: list[np.ndarray], params) -> list[np.ndarray]:
+def eval_node(node: Node, inputs, params) -> list[np.ndarray]:
     """Apply one operator to concrete arrays; returns one array per output.
 
-    ``params`` is what ``resolve_node`` returned for the node at the inputs'
-    shapes.  Every kernel takes its dtype from its operands or, for
-    ``Constant``, its attributes.
+    ``inputs`` is a sequence of the node's operands in order, a list or a
+    tuple.  ``params`` is what ``resolve_node`` returned for the node at the
+    inputs' shapes.  Every kernel takes its dtype from its operands or, for
+    ``Constant``, its attributes.  This is the one dispatch point: every
+    kernel call, of a plan's step, a constant step or ``run_kernel``, goes
+    through it.
     """
     try:
         return _KERNELS[node.op_type](inputs, params)
@@ -374,7 +388,9 @@ def _coerce_input(spec: ValueSpec, feed: Mapping) -> np.ndarray:
     name = spec.name
     if name not in feed:
         raise ShapeError(f"feed is missing graph input {name!r}")
-    arr = _as_array(feed[name], None, f"input {name!r}")
+    arr = feed[name]
+    if arr.__class__ is not np.ndarray:   # an ndarray is taken as it is
+        arr = _as_array(arr, None, f"input {name!r}")
     if arr.dtype != DTYPES[spec.dtype]:
         raise ShapeError(
             f"input {name!r} has dtype {arr.dtype}, model wants {spec.dtype}")
@@ -414,13 +430,15 @@ class ExecutionPlan:
     on the concrete shapes of a feed: ``resolve_node`` runs the step's law
     and returns the parameters its kernel takes at those shapes (window
     geometry, the ``ConvTranspose`` phase table, the ``AveragePool``
-    divisor plane, a mean's element count).  That
+    divisor plane, a mean's element count), and the ready steps ``execute``
+    runs are prepared from them.  That
     happens the first time the plan sees those feed shapes and again only
-    when they change, so a plan over a free-batch model resolves again when
-    the batch changes.  The feed shapes and what was resolved for them are
-    replaced as one value, so a feed never runs on parameters resolved for
-    another's shapes.  A law that refuses raises ShapeError, UnsupportedOp
-    or ValidationError naming the node, before any kernel of that feed runs.
+    when they change, so a plan over a free-batch model resolves and
+    prepares again when the batch changes.  The feed shapes and the ready
+    steps prepared for them are replaced as one value, ``resolved``, so a
+    feed never runs on parameters resolved for another's shapes.  A law
+    that refuses raises ShapeError, UnsupportedOp or ValidationError naming
+    the node, before any kernel of that feed runs.
 
     A scan after every step names the first node whose output holds a
     non-finite value.  By induction over the order (a non-finite constant
@@ -452,10 +470,9 @@ class ExecutionPlan:
         self.template: list[np.ndarray | None] = []
         # (node name, value name) of the first non-finite constant output
         self.non_finite: tuple[str, str] | None = None
-        # (feed shapes every step was last resolved on, each step's kernel
-        # parameters and the positions of its outputs to scan at those
-        # shapes), replaced as one value
-        self.resolved: tuple[tuple | None, list, list] = (None, [], [])
+        # (feed shapes every step was last resolved on, the ready steps
+        # prepared at those shapes), replaced as one value
+        self.resolved: tuple[tuple | None, list] = (None, [])
         self.feed = [(spec, self._claim(spec.name, None)) for spec in model.inputs]
         initial = {self._claim(name, tensor.array): tensor.array
                    for name, tensor in model.initializers.items()}
@@ -521,16 +538,24 @@ class ExecutionPlan:
         self.steps = [(node, ins, outs, tuple(free)) for
                       (node, ins, outs), free in zip(steps, frees)]
 
-    def verify(self, values: list) -> tuple[list, list]:
+    def verify(self, values: list) -> list[tuple]:
         """Resolve every step on the shapes of ``values``, a slot list with
         the feed filled in, unless the feed shapes are the ones last
-        resolved.  Returns, in step order, every step's kernel parameters
-        and the positions of its outputs to scan: ``scans``, or every
-        output when some output is empty at these shapes."""
+        resolved, and return the ready steps for those shapes.
+
+        A ready step is what ``_run`` takes per step, in step order:
+        ``(node, gather, out, frees, params, scan)``.  ``gather`` is an
+        ``operator.itemgetter`` that takes the step's operands out of the
+        slot list as one sequence; ``out`` is its output slot when it has
+        one output and the tuple of its output slots otherwise; ``frees``
+        are the slots it reads for the last time; ``params`` are its kernel
+        parameters at these shapes; ``scan`` holds the positions of its
+        outputs to scan, ``scans``' entry or, when some output is empty at
+        these shapes, every output position."""
         fed = tuple(values[slot].shape for _, slot in self.feed)
-        verified, params, scans = self.resolved
+        verified, ready = self.resolved
         if fed == verified:
-            return params, scans
+            return ready
         shapes = [None if v is None else v.shape for v in values]
         params, empty = [], False
         for node, ins, outs, _ in self.steps:
@@ -540,8 +565,12 @@ class ExecutionPlan:
                 empty = empty or 0 in shape
             params.append(step_params)
         scans = self.every_output() if empty else self.scans
-        self.resolved = (fed, params, scans)
-        return params, scans
+        ready = [(node, _gather(ins), outs[0] if len(outs) == 1 else outs,
+                  frees, step_params, scan)
+                 for (node, ins, outs, frees), step_params, scan
+                 in zip(self.steps, params, scans)]
+        self.resolved = (fed, ready)
+        return ready
 
     def every_output(self) -> list[range]:
         """Every output position of every step, in step order."""
@@ -568,19 +597,30 @@ class ExecutionPlan:
         return self.slots[name]
 
 
-def _run(plan: ExecutionPlan, values: list, params: list, scans,
-         capture: bool):
-    """Run every step of ``plan`` into ``values``, scanning the outputs
-    ``scans`` names per step.  Returns (node, output position) of the first
-    scan that finds a non-finite value, or None."""
-    for (node, ins, outs, frees), step_params, scan in zip(
-            plan.steps, params, scans):
-        results = eval_node(node, [values[s] for s in ins], step_params)
+def _gather(ins: tuple[int, ...]) -> itemgetter:
+    """An itemgetter that takes the operands in slots ``ins`` out of a slot
+    list as one sequence: a tuple, or for one operand a one-element list,
+    as an itemgetter of one index would return the bare operand."""
+    return itemgetter(*ins) if len(ins) > 1 else itemgetter(
+        slice(ins[0], ins[0] + 1))
+
+
+def _run(ready: list[tuple], values: list, capture: bool):
+    """Run the ready steps into ``values``, scanning the outputs each one
+    names.  Returns (node, output position) of the first scan that finds a
+    non-finite value, or None.  Each step is dispatched through the module's
+    ``eval_node``, looked up at the call, so a wrapper put in its place sees
+    every step."""
+    for node, gather, out, frees, params, scan in ready:
+        results = eval_node(node, gather(values), params)
         for k in scan:
             if not all_finite(results[k]):
                 return node, k
-        for slot, arr in zip(outs, results):
-            values[slot] = arr
+        if out.__class__ is int:
+            values[out] = results[0]
+        else:
+            for slot, arr in zip(out, results):
+                values[slot] = arr
         if not capture:
             for slot in frees:
                 values[slot] = None
@@ -599,9 +639,11 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: Mapping,
     that no step reads and no output names maps to None, as the plan drops
     it once built.  Without ``capture`` each intermediate is released after
     its last consumer runs.  The first
-    node whose output holds a NaN or an infinity raises NumericError.  A
-    feed that is no mapping or has no numeric array for an input raises
-    ValidationError, a wrong dtype, rank or extent ShapeError.
+    node whose output holds a NaN or an infinity raises NumericError.  An
+    input given as an ndarray is run as it is, anything else through
+    ``np.asarray``.  A feed that is no mapping or has no numeric array for
+    an input raises ValidationError, a wrong dtype, rank or extent
+    ShapeError.
     """
     plan = model_or_plan if isinstance(model_or_plan, ExecutionPlan) \
         else ExecutionPlan(model_or_plan)
@@ -612,21 +654,23 @@ def execute(model_or_plan: GraphModel | ExecutionPlan, feed: Mapping,
     values = list(plan.template)
     for slot, arr in fed:
         values[slot] = arr
-    params, scans = plan.verify(values)
+    ready = plan.verify(values)
     if plan.non_finite is not None:
         raise NumericError("node {!r} produced non-finite values in {!r}"
                            .format(*plan.non_finite))
     # the scans report an overflow as a NumericError naming its node, not a
     # warning; one error state per call, as one per step costs like a kernel
     with np.errstate(all="ignore"):
-        failed = _run(plan, values, params, scans, capture)
+        failed = _run(ready, values, capture)
         if failed is not None:
             # kernels are deterministic, so the replay scanning every output
             # stops at the first node that made a non-finite value
             values = list(plan.template)
             for slot, arr in fed:
                 values[slot] = arr
-            failed = _run(plan, values, params, plan.every_output(), False) or failed
+            every = [step[:-1] + (scan,)
+                     for step, scan in zip(ready, plan.every_output())]
+            failed = _run(every, values, False) or failed
             node, k = failed
             raise NumericError(f"node {node.name!r} produced non-finite "
                                f"values in {node.outputs[k]!r}")

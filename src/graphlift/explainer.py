@@ -9,13 +9,15 @@ a saved artifact can be shipped and executed anywhere the executor runs, with
 no other state.
 
 The graph is the one statement of that interface: ``explain`` feeds its
-input and reads its outputs by position.  The metadata holds what the graph
-cannot say, such as the explained class and the mean reference output the
-completeness residual is taken against.  The rules' one epsilon, for the
-smooth activations, is a constant (``rules.EPS_ACT``), so the metadata
-does not record it; an artifact whose metadata still records epsilons, as
-older versions wrote it, explains as it was compiled, and ``graphlift
-verify`` checks it against the rules as they are.
+input, coerced to the artifact's dtype once, and reads its outputs by
+position, handing back the arrays the plan's scans have already covered.
+The metadata holds what the graph cannot say, such as the explained class
+and the mean reference output the completeness residual is taken against.
+The rules' one epsilon, for the smooth activations, is a constant
+(``rules.EPS_ACT``), so the metadata does not record it; an artifact whose
+metadata still records epsilons, as older versions wrote it, explains as it
+was compiled, and ``graphlift verify`` checks it against the rules as they
+are.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ def _check_metadata(model: GraphModel, meta) -> None:
         raise ValidationError(
             f"an artifact takes one input and gives at least two outputs, not "
             f"{len(model.inputs)} and {len(model.outputs)}")
+    if model.inputs[0].name in (out.name for out in model.outputs[:2]):
+        raise ValidationError(
+            "an artifact's prediction and attribution are computed from its "
+            "input, not the input itself")
     shape = model.outputs[0].shape
     classes = shape[-1] if shape else 0
     if not 0 <= meta["output_index"] < classes:
@@ -112,7 +118,15 @@ def compile_explainer(model: GraphModel, references, output_index: int = 0,
 
 
 def explain(artifact: ExplainerArtifact, sample) -> Attribution:
-    """Run the artifact on one sample row."""
+    """Run the artifact on one sample row.
+
+    The sample is coerced to the artifact's dtype once, here, and
+    ``execute`` takes that array as it is.  The attribution holds the
+    prediction and φ arrays ``execute`` returned, with no second finiteness
+    scan: the plan scans every output a step makes that could hold a
+    non-finite value, a non-finite constant stops every ``execute``, and an
+    artifact's first two outputs are never its input (``_check_metadata``),
+    so a non-finite prediction or φ raises NumericError naming its node."""
     plan = artifact.plan
     meta = artifact.metadata
     spec = artifact.model.inputs[0]
@@ -121,9 +135,11 @@ def explain(artifact: ExplainerArtifact, sample) -> Attribution:
     prediction, phi = (outputs[out.name] for out in artifact.model.outputs[:2])
     predicted = float(prediction.reshape(-1, prediction.shape[-1])
                       [0, meta["output_index"]])
-    residual = abs(float(phi.sum()) - (predicted - meta["ref_output_mean"]))
-    return Attribution(phi=TensorValue(phi, spec.dtype), residual=residual,
-                       prediction=TensorValue(prediction, spec.dtype))
+    residual = abs(float(np.add.reduce(phi, None))
+                   - (predicted - meta["ref_output_mean"]))
+    return Attribution(phi=TensorValue._scanned(phi, spec.dtype),
+                       residual=residual,
+                       prediction=TensorValue._scanned(prediction, spec.dtype))
 
 
 def save_artifact(artifact: ExplainerArtifact, path: str) -> None:

@@ -184,6 +184,15 @@ class TensorValue:
         self.shape = arr.shape
         self.array = arr
 
+    @classmethod
+    def _scanned(cls, array: np.ndarray, dtype: str) -> TensorValue:
+        """A TensorValue over an array of ``dtype`` that a scan has already
+        found finite: kept as it is when row-major, with no second scan."""
+        value = object.__new__(cls)
+        value.array = np.asarray(array, DTYPES[dtype], order="C")
+        value.dtype, value.shape = dtype, value.array.shape
+        return value
+
     def little_endian(self) -> np.ndarray:
         """Row-major little-endian payload; a copy only on big-endian hosts."""
         kind = "<f4" if self.dtype == "float32" else "<f8"

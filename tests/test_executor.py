@@ -292,7 +292,8 @@ def test_sigmoid_is_the_masked_form_bit_for_bit(dtype):
     edges = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 1000.0,
                       -1000.0, limit, -limit, np.nextafter(limit, np.inf),
                       -np.nextafter(limit, np.inf), info.tiny, -info.tiny,
-                      info.smallest_subnormal, -info.smallest_subnormal], dtype)
+                      info.smallest_subnormal, -info.smallest_subnormal,
+                      info.max, -info.max], dtype)
     rng = np.random.default_rng(12)
     cases = [edges, rng.normal(0.0, 8.0, size=(3, 4, 5, 6)).astype(dtype),
              rng.normal(size=(4, 6)).astype(dtype).T, np.asarray(dtype(-2.5))]
@@ -318,6 +319,24 @@ def test_batchnorm_kernel():
     r = lambda v: v.reshape(1, 3, 1, 1)
     want = r(scale) * (x - r(mean)) / np.sqrt(r(var) + 1e-5) + r(shift)
     assert np.allclose(got, want)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (6, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_is_the_chained_form_bit_for_bit(dtype, shape):
+    # the kernel adds in place of the chained x * k + c temporary; the two
+    # roundings are the same, so are the bits
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=shape).astype(dtype)
+    scale, shift, mean = (rng.normal(size=3).astype(dtype) for _ in range(3))
+    var = rng.uniform(0.5, 2.0, size=3).astype(dtype)
+    got = kernel("BatchNormalization", [x, scale, shift, mean, var],
+                 {"epsilon": 1e-5})
+    r = lambda v: v.reshape((1, 3) + (1,) * (len(shape) - 2))
+    k = r(scale) / np.sqrt(r(var) + 1e-5)
+    want = x * k + (r(shift) - r(mean) * k)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_movement_and_selection_kernels():
@@ -964,6 +983,50 @@ def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
     assert all(a is b for (_, a), (_, b) in zip(handed, first))
 
 
+@pytest.mark.parametrize("name", ["plain_deep", "residual_add", "dense_concat",
+                                  "scaled_add_mul"])
+def test_each_step_dispatches_once_through_eval_node_in_plan_order(
+        artifacts, monkeypatch, name):
+    """A wrapper in ``eval_node``'s place sees every step of every explain
+    once, in plan order, with its operands as one sequence: on the first
+    explain, which prepares the steps, and on warm ones."""
+    built = artifacts(name, "float32")
+    art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
+    art.plan   # its constant steps run here, before the wrapper is in place
+    order = [node.name for node, *_ in art.plan.steps]
+    seen = []
+    kernel = executor.eval_node
+
+    def counted(node, inputs, params):
+        assert len(inputs) == len(node.inputs)
+        seen.append(node.name)
+        return kernel(node, inputs, params)
+
+    monkeypatch.setattr(executor, "eval_node", counted)
+    for x in gl.random_inputs(art.model, 3, seed=8):
+        seen.clear()
+        gl.explain(art, x)
+        assert seen == order
+
+
+def test_a_free_batch_plan_prepares_new_steps_when_the_batch_changes():
+    # the mean's element count is the batch: a step list kept from another
+    # batch would divide by the wrong count
+    plan = ExecutionPlan(chain_model(
+        [Node("ReduceMean", "mean", ["x"], ["m"], {"axes": [0], "keepdims": 1}),
+         Node("Sub", "centre", ["x", "m"], ["y"])]))
+    prepared = []
+    for batch in (2, 2, 3, 2):
+        x = RNG.normal(size=(batch, 2))
+        got = execute(plan, {"x": x})[0]["y"]
+        assert got.tobytes() == (x - x.mean(axis=0, keepdims=True)).tobytes()
+        fed, ready = plan.resolved
+        assert fed == ((batch, 2),)
+        prepared.append(ready)
+    assert prepared[1] is prepared[0]   # the same shapes reuse the list
+    assert prepared[2] is not prepared[1] and prepared[3] is not prepared[2]
+
+
 def test_an_empty_output_runs_the_request_under_the_guards():
     # the overflowing Exp is read only by a Tile, whose repeats of 0 make
     # its output empty: the inf reaches no scanned value, so this feed
@@ -974,7 +1037,7 @@ def test_an_empty_output_runs_the_request_under_the_guards():
     assert plan.scans == [(), (0,)]
     with pytest.raises(NumericError, match="'grow'"):
         execute(plan, {"x": np.full((1, 2), 1000.0)})
-    assert [tuple(scan) for scan in plan.resolved[2]] == [(0,), (0,)]
+    assert [tuple(scan) for *_, scan in plan.resolved[1]] == [(0,), (0,)]
     assert execute(plan, {"x": np.ones((1, 2))})[0]["y"].shape == (0, 2)
 
 

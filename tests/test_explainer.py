@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import graphlift as gl
-from graphlift import (Attribution, GraphModel, Node, ParseError, ShapeError,
-                       TensorValue, ValidationError, ValueSpec, ir)
+from graphlift import (Attribution, GraphModel, Node, NumericError, ParseError,
+                       ShapeError, TensorValue, ValidationError, ValueSpec,
+                       explainer, ir)
 from graphlift.corpus import demo_model, demo_sample, random_references
 
 
@@ -141,6 +142,75 @@ def test_a_graph_listing_the_prediction_twice_is_refused(demo, tmp_path):
         gl.load_artifact(path)
     with pytest.raises(ValidationError, match=match):
         gl.explain(broken, sample)
+
+
+@pytest.mark.parametrize("scheme", ["optimized", "naive"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["plain_deep", "residual_add", "dense_concat",
+                                  "scaled_add_mul"])
+def test_explain_hands_back_the_arrays_execute_returned(artifacts, monkeypatch,
+                                                        name, dtype, scheme):
+    art = artifacts(name, dtype, scheme)
+    returned = []
+    run = explainer.execute
+
+    def kept(plan, feed, capture=False):
+        result = run(plan, feed, capture)
+        returned.append(result[0])
+        return result
+
+    monkeypatch.setattr(explainer, "execute", kept)
+    result = gl.explain(art, gl.random_inputs(art.model, 1, seed=2)[0])
+    prediction, phi = (returned[0][spec.name] for spec in art.model.outputs[:2])
+    assert result.prediction.array is prediction and result.phi.array is phi
+    for value in (result.prediction, result.phi):
+        assert value.dtype == dtype and value.array.dtype == np.dtype(dtype)
+        assert value.shape == value.array.shape
+        assert value.array.flags.c_contiguous
+
+
+def grow_artifact(overflowing):
+    """A hand-built artifact whose prediction is Relu(x) and phi Tanh(x),
+    except for the ``overflowing`` output, which is Exp(x)."""
+    x = ValueSpec("x", "float64", (1, 2))
+    nodes = [Node("Exp" if out == overflowing else op, f"{out}_node", ["x"],
+                  [out]) for op, out in (("Relu", "pred"), ("Tanh", "phi"))]
+    model = GraphModel("grow", [x], [ValueSpec("pred", "float64", (1, 2)),
+                                     ValueSpec("phi", "float64", (1, 2))],
+                       {}, nodes)
+    return gl.ExplainerArtifact(
+        model=model, metadata={"output_index": 0, "ref_output_mean": 0.0})
+
+
+@pytest.mark.parametrize("overflowing", ["pred", "phi"])
+def test_an_output_that_goes_non_finite_raises_naming_its_node(overflowing):
+    # explain scans neither returned array itself: the plan's scan of each
+    # graph output is what names the node
+    art = grow_artifact(overflowing)
+    assert np.isfinite(gl.explain(art, np.ones((1, 2))).residual)
+    with pytest.raises(NumericError, match=f"node '{overflowing}_node' "
+                       f"produced non-finite values in '{overflowing}'"):
+        gl.explain(art, np.full((1, 2), 1000.0))
+
+
+def test_a_compiled_artifact_whose_prediction_overflows_raises(demo):
+    model, refs, sample = demo
+    art = gl.compile_explainer(model, refs)
+    big = np.full_like(np.asarray(sample), np.finfo(np.float64).max)
+    with pytest.raises(NumericError, match="produced non-finite values"):
+        gl.explain(art, big)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_an_artifact_that_outputs_its_input_is_refused(position):
+    # the plan scans what steps make, never the feed itself
+    art = grow_artifact(None)
+    outputs = list(art.model.outputs)
+    outputs[position] = art.model.inputs[0]
+    model = GraphModel("echo", art.model.inputs, outputs, {}, art.model.nodes)
+    echo = gl.ExplainerArtifact(model=model, metadata=art.metadata)
+    with pytest.raises(ValidationError, match="not the input itself"):
+        gl.explain(echo, np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("key", ["output_index", "ref_output_mean"])
