@@ -27,8 +27,10 @@ of images at a time, so the window matrices of a chunk fit a fixed budget
 stride each row of that matrix is one contiguous run of the framed image,
 read flat; a strided ``Conv`` copies its window view.  A padded ``Conv``
 frames each chunk of images on its own, never the whole batch.
-``ConvTranspose`` is one unit-stride ``Conv`` per stride phase of its
-output, so it never multiplies the zeros of a dilated input.
+``ConvTranspose`` is one unit-stride ``Conv`` too, so it never multiplies
+the zeros of a dilated input: the taps of every stride phase of its output
+are stacked into one filter (the sub-pixel identity), and each chunk's
+product is copied block by block into the phases' strided output slices.
 
 ``MaxPool`` keeps a running maximum over the taps and ``Sigmoid`` computes
 both signs from exp(-|x|), each with the per-element operations of the
@@ -140,7 +142,7 @@ def _window_views(x, kernel, strides):
 _CHUNK_BYTES = 512 * 1024
 
 
-def _conv(x, w, bias, strides, pads):
+def _conv(x, w, bias, strides, pads, out=None, blocks=None):
     """im2col and one GEMM per chunk of images: each image's (C·kh·kw, N)
     window matrix, left-multiplied by the (O, C·kh·kw) filters, is its NCHW
     output.  A chunk holds as many images as fit ``_CHUNK_BYTES`` (at least
@@ -156,27 +158,38 @@ def _conv(x, w, bias, strides, pads):
     the first Wo are kept.  A strided Conv copies its (C, kh, kw, Ho, Wo)
     window view instead, N = Ho·Wo, since a flat read would compute about
     sh times the columns it keeps.
+
+    With ``blocks``, a list of (output slice, product block) pairs, each
+    chunk's product is copied block by block into those slices of ``out``,
+    so it is never held for the whole batch; without, the product is the
+    output.  The bias is added once, to the whole output.
     """
     o, c, kh, kw = w.shape
     b, _, h, wd = x.shape
     hp, wp = h + pads[0] + pads[2], wd + pads[1] + pads[3]
     (sh, sw), size = strides, x.itemsize
     ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
-    # the columns of one (channel, tap) row of an image's window matrix
+    # the columns of one (channel, tap) row of an image's window matrix, and
+    # the pitch of an output row among them
     if sh == sw == 1:
-        n = (ho - 1) * wp + wo
+        n, pitch = (ho - 1) * wp + wo, wp
         columns, column_strides = (n,), (size,)
     else:
-        n = ho * wo
+        n, pitch = ho * wo, wo
         columns, column_strides = (ho, wo), (sh * wp * size, sw * size)
     view_strides = (c * hp * wp * size, hp * wp * size, wp * size,
                     size) + column_strides
     chunk = max(1, _CHUNK_BYTES // max(1, c * kh * kw * n * size))
-    out = np.empty((b, o, ho, wo), np.result_type(x, w))
-    filters = w.reshape(o, -1)
+    if out is None:
+        out = np.empty((b, o, ho, wo), np.result_type(x, w))
+    filters = w.reshape(o, c * kh * kw)
     # a padded chunk is copied into the interior of one zero frame, which
     # every chunk reuses and whose border is never written
     frame = np.zeros((min(chunk, b), c, hp, wp), x.dtype) if any(pads) else None
+    # with no column to drop and no block to place, the GEMM writes straight
+    # into the output; otherwise into one product buffer every chunk reuses
+    buffer = None if blocks is None and n == ho * wo else np.empty(
+        (min(chunk, b), o, n), out.dtype)
     for start in range(0, b, chunk):
         k = min(chunk, b - start)
         images = x[start:start + k]
@@ -185,35 +198,47 @@ def _conv(x, w, bias, strides, pads):
             images = frame[:k]
         windows = np.ndarray((k, c, kh, kw) + columns, x.dtype,
                              np.ascontiguousarray(images), 0, view_strides)
-        # with no column to drop, the GEMM writes straight into the output
-        direct = out[start:start + k].reshape(k, o, n) if n == ho * wo else None
         # the window matrix is a copy, except for 1x1 taps at unit stride,
         # where it is the framed images themselves
-        gemm = np.matmul(filters, windows.reshape(k, c * kh * kw, n), out=direct)
-        if direct is None:
-            out[start:start + k] = np.ndarray(
-                (k, o, ho, wo), out.dtype, gemm, 0,
-                (o * n * out.itemsize, n * out.itemsize, wp * out.itemsize,
-                 out.itemsize))
+        gemm = np.matmul(filters, windows.reshape(k, c * kh * kw, n),
+                         out=out[start:start + k].reshape(k, o, n)
+                         if buffer is None else buffer[:k])
+        if buffer is None:
+            continue
+        item = gemm.itemsize
+        product = np.ndarray((k, o, ho, wo), gemm.dtype, gemm, 0,
+                             (o * n * item, n * item, pitch * item, item))
+        if blocks is None:
+            out[start:start + k] = product
+        else:
+            part = out[start:start + k]
+            for rows, block in blocks:
+                part[rows] = product[block]
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
 
 
 def _conv_transpose(x, w, bias, geometry):
-    """ConvTranspose over the output shape and phase table its law resolved
-    for these shapes: one unit-stride Conv per phase."""
-    shape, phases = geometry
-    out = None if shape is None else np.zeros(shape, dtype=x.dtype)
-    for rows, taps, crop, frame in phases:
-        part = _conv(x[crop], w[taps].transpose(1, 0, 2, 3), None, [1, 1], frame)
-        if out is None:
-            out = part
-        else:
-            out[rows] = part
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
-    return out
+    """ConvTranspose over the stacked geometry its law resolved for these
+    shapes (``shapes._stacked``): one unit-stride Conv of the cropped and
+    framed x by the filter of every live stride phase, gathered from W's
+    flat values and, where a phase reads no tap, from one zero slot after
+    them; each chunk's product is copied block by block into the phases'
+    strided output slices.  At stride 1 the Conv's output is the output.
+
+    A zero tap multiplies x cells its phase does not read, so a non-finite
+    x cell may make NaN in an output cell that does not depend on it.  An
+    operand of a GEMM is a breaker slot, so the plan scans a computed x
+    before this kernel reads it.
+    """
+    index, holes, crop, frame, shape, tiled, blocks = geometry
+    flat = w.reshape(-1)
+    if holes:
+        flat = np.concatenate((flat, np.zeros(1, w.dtype)))
+    out = None if shape is None else (np.empty if tiled else np.zeros)(
+        shape, np.result_type(x, w))
+    return _conv(x[crop], flat[index], bias, [1, 1], frame, out, blocks)
 
 
 def _max_pool(x, geometry):
@@ -429,7 +454,7 @@ class ExecutionPlan:
     Checks run here, not in the kernels.  ``verify`` resolves every step
     on the concrete shapes of a feed: ``resolve_node`` runs the step's law
     and returns the parameters its kernel takes at those shapes (window
-    geometry, the ``ConvTranspose`` phase table, the ``AveragePool``
+    geometry, the ``ConvTranspose`` stacked geometry, the ``AveragePool``
     divisor plane, a mean's element count), and the ready steps ``execute``
     runs are prepared from them.  That
     happens the first time the plan sees those feed shapes and again only

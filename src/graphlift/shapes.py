@@ -21,6 +21,7 @@ ONNX's "infer this extent".
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -77,39 +78,88 @@ def _window_taps(size, kernel, stride, pad_begin, count) -> list[int]:
             for start in range(-pad_begin, count * stride - pad_begin, stride)]
 
 
-def _phases(x, kernel, strides, pads, size) -> list:
-    """Stride-phase table of a ConvTranspose of input shape ``x`` into
-    spatial extents ``size``, the adjoint of a Conv with the same weights
-    and geometry.
+def _stack_axis(d, k, s, lo, n):
+    """One axis of the stacked ConvTranspose of an input extent ``d`` into
+    ``n`` outputs: its live phases as (phase, output count), their taps over
+    the stacked window as a (live phases, window) array, -1 where a phase
+    reads no tap, whether any does, and the crop of x and its frame
+    (before, after).
 
-    Output row j = q·s + r is row p = j + pad of the uncropped output, which
-    input row i reaches through tap t = p - i·s, so only the taps
-    t ≡ r + pad (mod s) feed phase r.  Each output phase (rh, rw) is one
-    unit-stride Conv of x with its taps, flipped and channel-swapped, over x
-    framed (or cropped, where the frame is negative) to exactly the rows the
-    phase reads.  Per phase that some tap reaches, the table holds the
-    phase's output rows, its flipped taps, the crop of x and the frame; a
-    phase that no tap reaches stays zero.
+    Output row j = q·s + r is row p = j + lo of the uncropped output, which
+    input row i reaches through tap t = p - i·s.  With first = (r + lo) mod s
+    and c = (r + lo) // s, phase r's taps are t = first + m·s for m < M, and
+    its output q reads input row q + c - m: the offsets c - M + 1 to c.  A
+    phase that no tap reaches (M = 0) stays zero and is not stacked.  The
+    stacked window spans the union of the live phases' offsets, and x is
+    framed, or cropped, to exactly the rows that window reads for the most
+    outputs any phase has.
     """
-    phases = []
-    for phase in np.ndindex(*strides):
-        taps, crop, frame = [], [], [0, 0, 0, 0]
-        for a, (r, d, k, s, lo, n) in enumerate(zip(phase, x[2:], kernel, strides,
-                                                     pads[:2], size)):
-            first = (r + lo) % s
-            m = len(range(first, k, s))                   # taps of this phase
-            before = m - 1 - (r + lo) // s                # frame; < 0 crops
-            after = len(range(r, n, s)) - d + (r + lo) // s
-            taps.append(slice(first + (m - 1) * s, first - 1 if first else None, -s))
-            crop.append(slice(max(-before, 0), d - max(-after, 0)))
-            frame[a], frame[a + 2] = max(before, 0), max(after, 0)
-            if m == 0 or r >= n:
-                break                                     # stays zero
-        else:
-            phases.append(((Ellipsis, slice(phase[0], None, strides[0]),
-                            slice(phase[1], None, strides[1])),
-                           (Ellipsis, *taps), (Ellipsis, *crop), frame))
-    return phases
+    live, reach = [], []
+    for r in range(min(s, n)):
+        c, first = divmod(r + lo, s)
+        if first < k:
+            live.append((r, (n - 1 - r) // s + 1))
+            reach.append((c, first, (k - 1 - first) // s + 1))
+    low = min((c - m + 1 for c, _, m in reach), default=0)
+    width = max((c for c, _, _ in reach), default=0) - low + 1
+    # phase p's taps m-1 down to 0 read offsets c - m + 1 up to c
+    taps = [[-1] * width for _ in reach]
+    for row, (c, first, m) in zip(taps, reach):
+        row[c - low - m + 1:c - low + 1] = range(first + (m - 1) * s, first - 1, -s)
+    # the framed rows: the window over as many outputs as any live phase has
+    total = max((q for _, q in live), default=1) + width - 1
+    start = min(max(low, 0), d)
+    stop = min(max(low + total, start), d)
+    before = min(max(-low, 0), total)
+    return (live, np.array(taps, np.intp).reshape(len(taps), width),
+            any(m < width for _, _, m in reach), slice(start, stop),
+            (before, total - before - stop + start))
+
+
+def _stacked(x, w, strides, pads, out):
+    """Stacked geometry of a ConvTranspose of input shape ``x`` by weight
+    shape ``w`` into output shape ``out``, the adjoint of a Conv with the
+    same weights and geometry: one unit-stride Conv of x, cropped and framed
+    to the union of the rows its live stride phases read, by a (live phases
+    × O, C, u_h, u_w) filter stacked from every live phase's taps, flipped
+    and channel-swapped (the sub-pixel identity, Shi et al.,
+    arXiv:1609.05158).
+
+    Returns (index, holes, crop, frame, shape, tiled, blocks).  ``index``
+    gathers that filter from W's flat values, reading the zero slot W.size
+    wherever a phase reads no tap; ``holes`` says whether it reads that slot
+    anywhere.  At stride 1 the one phase is the whole output, so ``shape``
+    and ``blocks`` are None; otherwise ``shape`` is the output shape,
+    ``tiled`` whether the live phases cover every output cell, and
+    ``blocks`` holds per live phase its output slice and its block of the
+    stacked product.
+    """
+    c_in, c_out, kh, kw = w
+    (live_h, th, holes_h, crop_h, frame_h), (live_w, tw, holes_w, crop_w, frame_w) = (
+        _stack_axis(*axis) for axis in zip(x[2:], w[2:], strides, pads[:2],
+                                           out[2:]))
+    # W's flat positions as (kh + 1, kw + 1, O, C): tap -1 reads the last
+    # row or column, the zero slot
+    size = math.prod(w)
+    flat = np.full((kh + 1, kw + 1, c_out, c_in), size)
+    flat[:kh, :kw] = np.arange(size).reshape(w).transpose(2, 3, 1, 0)
+    # (Ph, Pw, uh, uw, O, C) to (Ph, Pw, O, C, uh, uw): phase-major, so live
+    # phase p is rows p·O on; contiguous, so the gathered filter is too
+    index = np.ascontiguousarray(
+        flat[th[:, None, :, None], tw[None, :, None, :]].transpose(
+            0, 1, 4, 5, 2, 3).reshape(-1, c_in, th.shape[1], tw.shape[1]))
+    holes = holes_h or holes_w
+    crop = (Ellipsis, crop_h, crop_w)
+    frame = [frame_h[0], frame_w[0], frame_h[1], frame_w[1]]
+    if strides == [1, 1]:
+        return index, holes, crop, frame, None, True, None
+    blocks = [((Ellipsis, slice(rh, None, strides[0]), slice(rw, None, strides[1])),
+               (slice(None), slice(p * c_out, (p + 1) * c_out), slice(qh), slice(qw)))
+              for p, ((rh, qh), (rw, qw)) in enumerate(itertools.product(live_h,
+                                                                         live_w))]
+    tiled = len(live_h) == min(strides[0], out[2]) and \
+        len(live_w) == min(strides[1], out[3])
+    return index, holes, crop, frame, out, tiled, blocks
 
 
 def _window_op(op: str, in_shapes, attrs):
@@ -170,9 +220,7 @@ def _window_op(op: str, in_shapes, attrs):
     if min(size) < 1:
         raise ShapeError(f"ConvTranspose pads {pads} crop away the output")
     out = (x[0], channels, *size)
-    # at stride 1 the one phase is the whole output, so no output is allocated
-    return out, (None if strides == [1, 1] else out,
-                 _phases(x, kernel, strides, pads, size))
+    return out, _stacked(x, w, strides, pads, out)
 
 
 def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
@@ -181,8 +229,8 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
     operands or attributes its kernel cannot run on, and ValidationError for
     a node ``_check_signature`` refuses.
 
-    The parameters are window geometry, the ``ConvTranspose`` output shape
-    and phase table, the ``AveragePool`` divisor plane, and the indices,
+    The parameters are window geometry, the ``ConvTranspose`` stacked
+    geometry (``_stacked``), the ``AveragePool`` divisor plane, and the indices,
     axes, permutation, widths, extents and scalars of other ops with their
     defaults filled in, or the attribute dict of an op with nothing to
     resolve.

@@ -13,7 +13,8 @@ import pytest
 
 import graphlift as gl
 from graphlift import (GraphModel, Node, ShapeError, UnsupportedOp,
-                       ValidationError, ValueSpec, corpus, validate_model)
+                       ValidationError, ValueSpec, corpus, executor,
+                       validate_model)
 from graphlift.executor import run_kernel
 from graphlift.shapes import resolve_node
 from test_executor import assert_rows_run_alone, chunk_batches, chunk_step
@@ -77,13 +78,12 @@ def test_pad_matches_loop_reference(pads, dtype):
                           ref_pad(x, pads, 0.0))
 
 
-def phase_step(x, w, attrs):
-    """The fewest images per chunk of any phase's unit-stride Conv in the
-    ConvTranspose of ``x`` by ``w``."""
-    _, (_, phases) = resolve_node(node_for("ConvTranspose", [x, w], attrs),
-                                  [x.shape, w.shape])
-    return min(chunk_step(x[crop].shape, w[taps].shape[2:], [1, 1], frame,
-                          x.itemsize) for _, taps, crop, frame in phases)
+def stacked_step(x, w, attrs):
+    """Images per chunk of the one unit-stride Conv that stacks the live
+    stride phases of the ConvTranspose of ``x`` by ``w``."""
+    _, (index, _, crop, frame, *_) = resolve_node(
+        node_for("ConvTranspose", [x, w], attrs), [x.shape, w.shape])
+    return chunk_step(x[crop].shape, index.shape[2:], [1, 1], frame, x.itemsize)
 
 
 # (strides, pads, output_padding), with symmetric and asymmetric pads
@@ -108,9 +108,8 @@ def test_conv_transpose_matches_loop_reference(strides, pads, extra):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(8, 3, 3, 2)).astype(dtype)
         bias = rng.normal(size=(3,)).astype(dtype)
-        # batches either side of the chunk boundaries of the phase with the
-        # largest window matrix
-        step = phase_step(np.empty((1, 8, 9, 11), dtype), w, attrs)
+        # batches either side of the chunk boundaries of the stacked Conv
+        step = stacked_step(np.empty((1, 8, 9, 11), dtype), w, attrs)
         for batch in chunk_batches(step):
             x = rng.normal(size=(batch, 8, 9, 11)).astype(dtype)
             got = run_checked("ConvTranspose", [x, w], attrs)
@@ -127,6 +126,101 @@ def test_conv_transpose_matches_loop_reference(strides, pads, extra):
         assert run_checked("ConvTranspose", [wide[..., ::2], w, bias],
                            attrs).tobytes() == with_bias.tobytes()
         assert_rows_run_alone("ConvTranspose", x, [w, bias], attrs, with_bias)
+
+
+def conv_transpose_geometries(count, seed):
+    """``count`` seeded ConvTranspose geometries as (attributes, input
+    extents): kernel 1-4 and stride 1-3 per axis, pads 0-3, an output
+    padding below the stride and input extents 1-5."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        strides = rng.integers(1, 4, 2).tolist()
+        yield ({"kernel_shape": rng.integers(1, 5, 2).tolist(),
+                "strides": strides, "pads": rng.integers(0, 4, 4).tolist(),
+                "output_padding": [int(rng.integers(0, s)) for s in strides]},
+               tuple(rng.integers(1, 6, 2).tolist()))
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+def test_conv_transpose_geometry_sweep_matches_loop_reference(dtype, atol):
+    rng = np.random.default_rng(3)
+    accepted = 0
+    for attrs, extents in conv_transpose_geometries(480, seed=2017):
+        x = rng.normal(size=(2, 3, *extents)).astype(dtype)
+        w = rng.normal(size=(3, 2, *attrs["kernel_shape"])).astype(dtype)
+        bias = rng.normal(size=(2,)).astype(dtype)
+        size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e in zip(
+            extents, attrs["kernel_shape"], attrs["strides"], attrs["pads"][:2],
+            attrs["pads"][2:], attrs["output_padding"])]
+        # the law refuses exactly the geometries whose pads crop every output
+        if min(size) < 1:
+            with pytest.raises(ShapeError, match="crop away"):
+                run_kernel("ConvTranspose", [x, w, bias], attrs)
+            continue
+        accepted += 1
+        got = run_checked("ConvTranspose", [x, w, bias], attrs)
+        want = ref_conv_transpose(x, w, attrs["strides"], attrs["pads"],
+                                  attrs["output_padding"]) + bias.reshape(1, 2, 1, 1)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert np.allclose(got, want, rtol=0, atol=atol), (attrs, extents)
+    assert accepted > 250
+
+
+def test_every_conv_transpose_is_one_conv(monkeypatch):
+    calls = []
+    conv = executor._conv
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return conv(*args)
+
+    monkeypatch.setattr(executor, "_conv", counted)
+    rng = np.random.default_rng(4)
+    for attrs, extents in conv_transpose_geometries(60, seed=5):
+        x = rng.normal(size=(2, 3, *extents))
+        w = rng.normal(size=(3, 2, *attrs["kernel_shape"]))
+        del calls[:]
+        try:
+            run_kernel("ConvTranspose", [x, w], attrs)
+        except ShapeError:
+            continue
+        assert len(calls) == 1, attrs
+    # and in an explain, where the Conv nodes call it too
+    entry = gl.corpus_entry("plain_deep")
+    art = gl.compile_explainer(entry.model, entry.references)
+    kernels = executor._KERNELS["ConvTranspose"]
+    per_node = []
+
+    def spied(inputs, params):
+        del calls[:]
+        out = kernels(inputs, params)
+        per_node.append(len(calls))
+        return out
+
+    monkeypatch.setitem(executor._KERNELS, "ConvTranspose", spied)
+    gl.explain(art, entry.sample)
+    census = gl.op_census(art.model)["ConvTranspose"]
+    assert census > 0 and per_node == [1] * census
+
+
+@pytest.mark.parametrize("kernel", [[1, 1], [3, 2], [4, 4]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unit_stride_conv_transpose_is_the_conv_of_its_flipped_filter(kernel,
+                                                                       dtype):
+    # bit for bit: at stride 1 the stacked filter is W flipped and
+    # channel-swapped, and its GEMM is that Conv's
+    rng = np.random.default_rng(kernel[0])
+    x = rng.normal(size=(3, 5, 6, 7)).astype(dtype)
+    w = rng.normal(size=(5, 4, *kernel)).astype(dtype)
+    bias = rng.normal(size=(4,)).astype(dtype)
+    for pads in ([0, 0, 0, 0], [kernel[0] - 1, 0, 0, kernel[1] - 1]):
+        got = run_checked("ConvTranspose", [x, w, bias],
+                          {"kernel_shape": kernel, "pads": pads})
+        flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        frame = [k - 1 - p for k, p in zip(kernel * 2, pads)]
+        want = run_kernel("Conv", [x, flipped, bias],
+                          {"kernel_shape": kernel, "pads": frame})[0]
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("height, width", [(7, 6), (8, 7)])

@@ -145,14 +145,22 @@ def workspace_peak(op, x, w, attrs):
     return out, peak
 
 
-def test_conv_transpose_workspace_is_bounded_by_the_chunk_budget():
+@pytest.mark.parametrize("attrs, budgets", [
     # the whole batch's window matrix would be 9 times the input, and a
     # framed copy of the whole batch 1.27 times
-    x = RNG.normal(size=(64, 8, 16, 16))
+    ({"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]}, 2),
+    # the 4 phases stack 2x2 taps each, so the product of a chunk (4·8 rows)
+    # is as large as its window matrix (8·2·2 rows): each fits one budget,
+    # beside the frame; the whole batch's product would be 4.3 times the
+    # input at B=64
+    ({"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 1, 1],
+      "output_padding": [1, 1]}, 3)], ids=["unit_stride", "strided"])
+def test_conv_transpose_workspace_is_bounded_by_the_chunk_budget(attrs, budgets):
     w = RNG.normal(size=(8, 8, 3, 3))
-    out, peak = workspace_peak("ConvTranspose", x, w,
-                               {"kernel_shape": [3, 3], "pads": [1, 1, 1, 1]})
-    assert peak < out.nbytes + 2 * executor._CHUNK_BYTES, peak
+    for batch in (64, 256):
+        x = RNG.normal(size=(batch, 8, 16, 16))
+        out, peak = workspace_peak("ConvTranspose", x, w, attrs)
+        assert peak < out.nbytes + budgets * executor._CHUNK_BYTES, (batch, peak)
 
 
 def test_padded_strided_conv_workspace_is_bounded_by_the_chunk_budget():
