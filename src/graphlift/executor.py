@@ -7,18 +7,20 @@ broadcasting on binary ops, NCHW layout for convolutions and pools, and
 average pooling that excludes padding from the divisor.
 
 Kernels check and resolve nothing, the ``Constant`` kernel included.
-``shapes.resolve_node`` is each node's one resolution: it runs
-``ir._check_signature``, the one node check (``validate_model`` adds only
-graph-level ones), and the node's law, and returns the parameters its
-kernel runs on at those input shapes, such as window geometry, the
-``AveragePool`` divisor plane, a mean's element count or the
-``Transpose`` permutation.
-``ExecutionPlan`` resolves each constant step once and all its other
-steps once per feed shape, and ``run_kernel`` its one node on the spot.
-At compile time ``GraphBuilder.add`` resolves each node once and keeps its
-parameters, which the gradient rules read, so a compile makes no other law
-call.  Each op has one kernel, whoever calls it, and no strided
-window view is built on geometry the law refuses.
+A node's law returns the parameters its kernel runs on at the input
+shapes, such as window geometry, the ``AveragePool`` divisor plane, a
+mean's element count or the ``Transpose`` permutation.
+``ir._check_signature`` is the one node check (``validate_model`` adds only
+graph-level ones), and each node passes it once before its law runs:
+``shapes.resolve_node`` runs the check and then the law, for
+``run_kernel`` and ``GraphBuilder.add``; ``ExecutionPlan`` checks every
+node once when it is built and then calls the law alone
+(``shapes.resolve_checked``), for each constant step once and all its
+other steps once per feed shape.  At compile time ``GraphBuilder.add``
+resolves each node once and keeps its parameters, which the gradient
+rules read, so a compile makes no other law call.  Each op has one kernel,
+whoever calls it, and no strided window view is built on geometry the law
+refuses.
 
 Convolutions are GEMMs.  ``Conv`` copies each image's windows into a
 (C·kh·kw, N) matrix (im2col) and multiplies the filters into it, one chunk
@@ -98,7 +100,7 @@ import numpy as np
 from .errors import NumericError, ShapeError, ValidationError
 from .ir import (DTYPES, GraphModel, Node, ValueSpec, _as_array, _check_signature,
                  _unproduced, all_finite)
-from .shapes import resolve_node
+from .shapes import resolve_checked, resolve_node
 
 __all__ = ["ExecutionPlan", "execute", "eval_node", "run_kernel"]
 
@@ -385,9 +387,10 @@ def eval_node(node: Node, inputs, params) -> list[np.ndarray]:
     """Apply one operator to concrete arrays; returns one array per output.
 
     ``inputs`` is a sequence of the node's operands in order, a list or a
-    tuple.  ``params`` is what ``resolve_node`` returned for the node at the
-    inputs' shapes.  Every kernel takes its dtype from its operands or, for
-    ``Constant``, its attributes.  This is the one dispatch point: every
+    tuple.  ``params`` is what the node's law (``resolve_node`` or
+    ``resolve_checked``) returned for it at the inputs' shapes.  Every
+    kernel takes its dtype from its operands or, for ``Constant``, its
+    attributes.  This is the one dispatch point: every
     kernel call, of a plan's step, a constant step or ``run_kernel``, goes
     through it.
     """
@@ -437,7 +440,9 @@ class ExecutionPlan:
     with every value name replaced by an integer slot; a node that
     ``ir._check_signature`` refuses, or that reads a name no earlier node,
     graph input or initializer produced, raises ValidationError naming it,
-    as does a graph output declared twice.  A
+    as does a graph output declared twice.  That check runs here, once per
+    node, and every law the plan calls afterwards is
+    ``shapes.resolve_checked``, which does not run it again.  A
     node whose inputs are all constants (initializers or outputs of earlier
     such nodes; a ``Constant`` has none) is resolved and run once, here,
     under the error state ``execute`` uses; its outputs join the constants,
@@ -452,8 +457,8 @@ class ExecutionPlan:
     plan.
 
     Checks run here, not in the kernels.  ``verify`` resolves every step
-    on the concrete shapes of a feed: ``resolve_node`` runs the step's law
-    and returns the parameters its kernel takes at those shapes (window
+    on the concrete shapes of a feed: ``resolve_checked`` runs the step's
+    law and returns the parameters its kernel takes at those shapes (window
     geometry, the ``ConvTranspose`` stacked geometry, the ``AveragePool``
     divisor plane, a mean's element count), and the ready steps ``execute``
     runs are prepared from them.  That
@@ -505,7 +510,8 @@ class ExecutionPlan:
         tainted.update(slot for slot, arr in initial.items() if not all_finite(arr))
         steps = []
         for node in model.nodes:
-            # before the scan schedule below reads an attribute
+            # the node's one check: before the scan schedule below reads an
+            # attribute, and every law the plan calls skips it
             _check_signature(node, len(node.inputs))
             for name in node.inputs:
                 if name not in self.slots:
@@ -566,7 +572,9 @@ class ExecutionPlan:
     def verify(self, values: list) -> list[tuple]:
         """Resolve every step on the shapes of ``values``, a slot list with
         the feed filled in, unless the feed shapes are the ones last
-        resolved, and return the ready steps for those shapes.
+        resolved, and return the ready steps for those shapes.  Each step
+        runs its law alone (``resolve_checked``): the plan checked every
+        node's signature when it was built.
 
         A ready step is what ``_run`` takes per step, in step order:
         ``(node, gather, out, frees, params, scan)``.  ``gather`` is an
@@ -584,7 +592,7 @@ class ExecutionPlan:
         shapes = [None if v is None else v.shape for v in values]
         params, empty = [], False
         for node, ins, outs, _ in self.steps:
-            out_shapes, step_params = resolve_node(node, [shapes[s] for s in ins])
+            out_shapes, step_params = resolve_checked(node, [shapes[s] for s in ins])
             for slot, shape in zip(outs, out_shapes):
                 shapes[slot] = shape
                 empty = empty or 0 in shape
@@ -602,10 +610,11 @@ class ExecutionPlan:
         return [range(len(outs)) for _, _, outs, _ in self.steps]
 
     def _constant_step(self, node: Node, args: list[np.ndarray]) -> None:
-        """Run a step whose inputs are all constants, once: its outputs
-        become read-only constants of the plan, and the first non-finite
-        one is recorded."""
-        _, params = resolve_node(node, [arg.shape for arg in args])
+        """Run a step whose inputs are all constants, once, on the law
+        alone (``__init__`` has checked the node): its outputs become
+        read-only constants of the plan, and the first non-finite one is
+        recorded."""
+        _, params = resolve_checked(node, [arg.shape for arg in args])
         with np.errstate(all="ignore"):
             results = eval_node(node, args, params)
         for name, arr in zip(node.outputs, results):

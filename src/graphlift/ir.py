@@ -9,19 +9,21 @@ walk of a model is a pass over ``model.nodes`` and nothing sorts.
 
 Models and explainer artifacts (``.sgm``) and single tensors (``.stn``) share
 one container, laid out like safetensors: the 8-byte magic ``GLIFT\\0\\1\\n``,
-a little-endian u64 header length, a canonical JSON header padded with
-spaces to a 64-byte boundary, then each payload once, raw, row-major and
-little-endian, at a 64-byte aligned offset from the end of the header.  The
-header holds what ``model_digest`` hashes (name, specs, nodes, and each
-initializer's name, dtype and shape; a tensor file has only the
-initializer list), an artifact's ``metadata``, the payload ``offsets`` and
-the ``digest``.  The digest covers the header, metadata included, and
-every payload, so a plain model's digest is its ``model_digest`` and one
-hash proves a whole artifact.  A load reads the file once, takes every
-payload as a read-only ``np.frombuffer`` view and recomputes the digest, so
-a flipped byte, an edited node or metadata value or a truncated file raises
-ParseError.  Artifacts saved before the digest covered their metadata, and
-files in the earlier JSON format, do not load: recompile them.
+a little-endian u64 header length, a JSON header, canonical as written,
+padded with spaces to a 64-byte boundary, then each payload once, raw,
+row-major and little-endian, at a 64-byte aligned offset from the end of
+the header.  The header holds what ``model_digest`` hashes (name, specs,
+nodes, and each initializer's name, dtype and shape; a tensor file has only
+the initializer list), an artifact's ``metadata``, and then, as its last
+keys, the payload ``offsets`` and the ``digest``.  The digest covers the
+header, metadata included, and every payload, so a plain model's digest is
+its ``model_digest`` and one hash proves a whole artifact.  A load reads the
+file once, takes every payload as a read-only ``np.frombuffer`` view and
+recomputes the digest over the header bytes as they are stored (see
+``_read``), so a flipped byte, an edited node or metadata value, a key
+after the digest or a truncated file raises ParseError.  Artifacts saved
+before the digest covered their metadata, and files in the earlier JSON
+format, do not load: recompile them.
 """
 
 from __future__ import annotations
@@ -364,11 +366,19 @@ def _canonical(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode()
 
 
-def _digest(header: dict, payloads) -> str:
-    digest = hashlib.sha256(_canonical(header))
+def _digest(encoded: bytes, payloads) -> str:
+    """sha256 of a header's canonical bytes and then every payload."""
+    digest = hashlib.sha256(encoded)
     for payload in payloads:
         digest.update(payload)
     return digest.hexdigest()
+
+
+def _tail(offsets: list, digest: str) -> bytes:
+    """What the stored header text holds after the canonical header without
+    its closing brace: the ``offsets`` and ``digest`` keys and that brace."""
+    return (b',"offsets":' + _canonical(offsets) + b',"digest":'
+            + _canonical(digest) + b"}")
 
 
 _MAGIC = b"GLIFT\0\1\n"
@@ -378,15 +388,20 @@ _ALIGN = 64
 def _pack(header: dict, tensors, metadata=None) -> bytes:
     """The one writer: ``header`` and ``metadata``, offsets and the digest of
     both and the payloads of ``tensors``, which ``header["initializers"]``
-    describes."""
+    describes.
+
+    The header is encoded once: the stored text is its canonical bytes with
+    ``_tail`` in place of the closing brace, which is the canonical
+    encoding of the header with ``offsets`` and ``digest`` added as its
+    last keys, then spaces up to the 64-byte boundary."""
     payloads = [t.little_endian() for t in tensors]
     offsets, end = [], 0
     for payload in payloads:
         offsets.append(-(-end // _ALIGN) * _ALIGN)
         end = offsets[-1] + payload.nbytes
     header = header if metadata is None else {**header, "metadata": metadata}
-    text = _canonical({**header, "offsets": offsets,
-                       "digest": _digest(header, payloads)})
+    encoded = _canonical(header)
+    text = encoded[:-1] + _tail(offsets, _digest(encoded, payloads))
     text += b" " * (-(len(text) + 16) % _ALIGN)
     parts, end = [_MAGIC, struct.pack("<Q", len(text)), text], 0
     for offset, payload in zip(offsets, payloads):
@@ -404,7 +419,16 @@ def _finite_number(text: str) -> float:
 def _read(path: str) -> tuple[dict, list[np.ndarray], object]:
     """The one reader: header, payload views and metadata of a container, or
     ParseError unless the digest recomputes over the header (metadata too) and
-    payloads and the file ends where its last payload does."""
+    payloads and the file ends where its last payload does.
+
+    The header is hashed as it is stored, not encoded again: the stored
+    text must end in ``_tail`` of the parsed offsets and digest, then
+    spaces only, and the digest covers every byte before that tail with a
+    closing brace in its place.  So every byte parsed is either hashed or
+    derived again from the parsed offsets and digest, and a key after the
+    digest is refused.  A header written by ``_pack`` is canonical JSON; one
+    written by hand need not be, and loads when its digest covers its own
+    bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != _MAGIC or len(raw) < 16:
@@ -412,10 +436,15 @@ def _read(path: str) -> tuple[dict, list[np.ndarray], object]:
     base = 16 + struct.unpack_from("<Q", raw, 8)[0]
     if base > len(raw):
         raise ParseError(f"{path!r} is truncated inside its header")
+    text = raw[16:base].rstrip(b" ")
     try:
-        header = json.loads(raw[16:base], parse_constant=_finite_number,
+        header = json.loads(text, parse_constant=_finite_number,
                             parse_float=_finite_number)
         digest, offsets = header.pop("digest"), header.pop("offsets")
+        tail = _tail(offsets, digest)
+        if not text.endswith(tail):
+            raise ValueError("the bytes after the header are not its offsets "
+                             "and digest, then spaces")
         layout = []
         for entry, offset in zip(header["initializers"], offsets, strict=True):
             kind = np.dtype({"float32": "<f4", "float64": "<f8"}[entry["dtype"]])
@@ -430,7 +459,8 @@ def _read(path: str) -> tuple[dict, list[np.ndarray], object]:
         raise ParseError(f"{path!r} holds {len(raw)} bytes, its header declares {end}")
     payloads = [np.frombuffer(raw, kind, n, at).reshape(shape)
                 for at, kind, n, shape in layout]
-    if _digest(header, payloads) != digest:
+    hashed = memoryview(text)[:len(text) - len(tail)]
+    if _digest(hashed, [b"}", *payloads]) != digest:
         raise ParseError(f"{path!r}: digest mismatch, the file was damaged or edited")
     return header, payloads, header.pop("metadata", None)
 
@@ -501,7 +531,7 @@ def model_digest(model: GraphModel) -> str:
     the digest.
     """
     try:
-        return _digest(_header(model),
+        return _digest(_canonical(_header(model)),
                        [t.little_endian() for t in model.initializers.values()])
     except ValueError:  # a non-finite float, which only an attribute can hold
         validate_model(model)

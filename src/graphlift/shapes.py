@@ -2,11 +2,14 @@
 
 ``resolve_node`` runs ``ir._check_signature``, the one node check (op,
 operand and output counts, every attribute's name, kind and finiteness),
-which ``validate_model`` runs too and adds only graph-level checks to.  It
-then reads a node's attributes and defaults once, at the concrete shapes
-of its inputs, checks them against those shapes and returns its output
-shapes together with the parameters its kernel runs on: a kernel runs
-unchecked on whatever its law accepts.  A law is the one statement of what
+which ``validate_model`` runs too and adds only graph-level checks to, and
+then the node's law.  ``resolve_checked`` is the law alone, for a caller
+that has already checked the node: ``ExecutionPlan`` checks each node once
+when it is built and resolves through it.  A law reads a node's
+attributes and defaults once, at the concrete shapes of its inputs, checks
+them against those shapes and returns its output shapes together with the
+parameters its kernel runs on: a kernel runs unchecked on whatever its law
+accepts.  A law is the one statement of what
 its op supports, and it refuses with UnsupportedOp what no kernel runs or
 no rule explains: a grouped or dilated convolution, ``Gemm`` with
 ``transA``, a ``Softmax`` over an axis other than the last, a ``MatMul``
@@ -21,7 +24,6 @@ ONNX's "infer this extent".
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 
@@ -30,7 +32,8 @@ import numpy as np
 from .errors import ShapeError, UnsupportedOp, ValidationError
 from .ir import DTYPES, GraphModel, Node, _check_signature, _unproduced
 
-__all__ = ["broadcast_shapes", "infer_graph_shapes", "resolve_node"]
+__all__ = ["broadcast_shapes", "infer_graph_shapes", "resolve_checked",
+           "resolve_node"]
 
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -78,12 +81,22 @@ def _window_taps(size, kernel, stride, pad_begin, count) -> list[int]:
             for start in range(-pad_begin, count * stride - pad_begin, stride)]
 
 
-def _stack_axis(d, k, s, lo, n):
+def _padding_window(size, kernel, stride, pad_begin, count) -> bool:
+    """Whether one of the ``count`` windows along one axis lies entirely in
+    padding, reading no input position.  Windows start in order, at
+    n·stride - pad_begin, so only the first (wholly before the input) or
+    the last (wholly after it) can, unless the axis is empty, when all do.
+    Equivalent to ``0 in _window_taps(...)`` in constant time."""
+    return size == 0 or kernel <= pad_begin or \
+        (count - 1) * stride - pad_begin >= size
+
+
+def _stack_axis(d, k, s, lo, n, scale, hole):
     """One axis of the stacked ConvTranspose of an input extent ``d`` into
-    ``n`` outputs: its live phases as (phase, output count), their taps over
-    the stacked window as a (live phases, window) array, -1 where a phase
-    reads no tap, whether any does, and the crop of x and its frame
-    (before, after).
+    ``n`` outputs: its live phases as (phase, output count), per live phase
+    its taps over the stacked window as W offsets (tap · ``scale``, or
+    ``hole`` where the phase reads no tap), whether any phase reads a hole,
+    and the crop of x and its frame (before, after).
 
     Output row j = q·s + r is row p = j + lo of the uncropped output, which
     input row i reaches through tap t = p - i·s.  With first = (r + lo) mod s
@@ -95,24 +108,31 @@ def _stack_axis(d, k, s, lo, n):
     outputs any phase has.
     """
     live, reach = [], []
+    low = high = 0
     for r in range(min(s, n)):
         c, first = divmod(r + lo, s)
         if first < k:
+            m = (k - 1 - first) // s + 1
+            low = min(low, c - m + 1) if live else c - m + 1
+            high = c    # c grows with r
             live.append((r, (n - 1 - r) // s + 1))
-            reach.append((c, first, (k - 1 - first) // s + 1))
-    low = min((c - m + 1 for c, _, m in reach), default=0)
-    width = max((c for c, _, _ in reach), default=0) - low + 1
+            reach.append((c, first, m))
+    width = high - low + 1
     # phase p's taps m-1 down to 0 read offsets c - m + 1 up to c
-    taps = [[-1] * width for _ in reach]
-    for row, (c, first, m) in zip(taps, reach):
-        row[c - low - m + 1:c - low + 1] = range(first + (m - 1) * s, first - 1, -s)
-    # the framed rows: the window over as many outputs as any live phase has
-    total = max((q for _, q in live), default=1) + width - 1
+    rows, holes, step = [], False, s * scale
+    for c, first, m in reach:
+        holes = holes or m < width
+        last = (first + (m - 1) * s) * scale
+        rows.append([hole] * (c - low - m + 1)
+                    + list(range(last, first * scale - 1, -step))
+                    + [hole] * (high - c))
+    # the framed rows: the window over as many outputs as any live phase
+    # has, the first (outputs per phase shrink with r)
+    total = (live[0][1] if live else 1) + width - 1
     start = min(max(low, 0), d)
     stop = min(max(low + total, start), d)
     before = min(max(-low, 0), total)
-    return (live, np.array(taps, np.intp).reshape(len(taps), width),
-            any(m < width for _, _, m in reach), slice(start, stop),
+    return (live, rows, width, holes, slice(start, stop),
             (before, total - before - stop + start))
 
 
@@ -135,30 +155,36 @@ def _stacked(x, w, strides, pads, out):
     stacked product.
     """
     c_in, c_out, kh, kw = w
-    (live_h, th, holes_h, crop_h, frame_h), (live_w, tw, holes_w, crop_w, frame_w) = (
-        _stack_axis(*axis) for axis in zip(x[2:], w[2:], strides, pads[:2],
-                                           out[2:]))
-    # W's flat positions as (kh + 1, kw + 1, O, C): tap -1 reads the last
-    # row or column, the zero slot
-    size = math.prod(w)
-    flat = np.full((kh + 1, kw + 1, c_out, c_in), size)
-    flat[:kh, :kw] = np.arange(size).reshape(w).transpose(2, 3, 1, 0)
-    # (Ph, Pw, uh, uw, O, C) to (Ph, Pw, O, C, uh, uw): phase-major, so live
-    # phase p is rows p·O on; contiguous, so the gathered filter is too
-    index = np.ascontiguousarray(
-        flat[th[:, None, :, None], tw[None, :, None, :]].transpose(
-            0, 1, 4, 5, 2, 3).reshape(-1, c_in, th.shape[1], tw.shape[1]))
+    size = c_in * c_out * kh * kw
+    # W[c, o, i, j] is flat value (c·O + o)·kh·kw + i·kw + j: a row tap's
+    # offset is i·kw, a column tap's j, and a hole's offset W.size takes any
+    # sum with it to W.size or past it, the zero slot after the clamp below
+    live_h, rows, uh, holes_h, crop_h, frame_h = _stack_axis(
+        x[2], kh, strides[0], pads[0], out[2], kw, size)
+    live_w, cols, uw, holes_w, crop_w, frame_w = _stack_axis(
+        x[3], kw, strides[1], pads[1], out[3], 1, size)
+    # (Ph·Pw, O, C, uh·uw), phase-major, so live phase p is rows p·O on;
+    # contiguous, so the gathered filter is too
+    taps = np.array([r + c for row in rows for col in cols for r in row for c in col],
+                    np.intp).reshape(-1, 1, 1, uh * uw)
+    index = np.empty((len(rows) * len(cols), c_out, c_in, uh * uw), np.intp)
+    np.add(taps, np.arange(0, size, kh * kw).reshape(c_in, c_out, 1).swapaxes(0, 1),
+           out=index)
     holes = holes_h or holes_w
+    if holes:
+        np.minimum(index, size, out=index)
+    index = index.reshape(-1, c_in, uh, uw)
     crop = (Ellipsis, crop_h, crop_w)
     frame = [frame_h[0], frame_w[0], frame_h[1], frame_w[1]]
     if strides == [1, 1]:
         return index, holes, crop, frame, None, True, None
-    blocks = [((Ellipsis, slice(rh, None, strides[0]), slice(rw, None, strides[1])),
-               (slice(None), slice(p * c_out, (p + 1) * c_out), slice(qh), slice(qw)))
-              for p, ((rh, qh), (rw, qw)) in enumerate(itertools.product(live_h,
-                                                                         live_w))]
-    tiled = len(live_h) == min(strides[0], out[2]) and \
-        len(live_w) == min(strides[1], out[3])
+    (sh, sw), blocks = strides, []
+    for rh, qh in live_h:
+        for rw, qw in live_w:
+            p = len(blocks) * c_out
+            blocks.append(((Ellipsis, slice(rh, None, sh), slice(rw, None, sw)),
+                           (slice(None), slice(p, p + c_out), slice(qh), slice(qw))))
+    tiled = len(live_h) == min(sh, out[2]) and len(live_w) == min(sw, out[3])
     return index, holes, crop, frame, out, tiled, blocks
 
 
@@ -199,27 +225,28 @@ def _window_op(op: str, in_shapes, attrs):
         out = (x[0], channels) + spatial
         if op == "Conv":
             return out, (strides, pads)
-        taps = [_window_taps(x[2 + i], kernel[i], strides[i], pads[i], n)
-                for i, n in enumerate(spatial)]
-        if 0 in taps[0] or 0 in taps[1]:
+        if any(_padding_window(x[2 + i], kernel[i], strides[i], pads[i], n)
+               for i, n in enumerate(spatial)):
             raise ShapeError(f"{op} pads {pads} leave a window lying "
                              "entirely in padding")
         if op == "MaxPool":
             return out, (kernel, strides, pads)
+        taps = [_window_taps(x[2 + i], kernel[i], strides[i], pads[i], n)
+                for i, n in enumerate(spatial)]
         # the divisor plane: every window's in-bounds cell count, so padding
         # is excluded from the mean
         count = np.outer(*taps).astype(np.float64).reshape(1, 1, *out[2:])
         return out, (kernel, strides, pads, count)
-    extra = list(attrs.get("output_padding", [0, 0]))
-    if min(kernel) < 1 or min(pads) < 0 or len(extra) != 2 \
-            or not all(0 <= e < s for e, s in zip(extra, strides)):
+    extra = attrs.get("output_padding", [0, 0])
+    (kh, kw), (sh, sw), (top, left, bottom, right) = kernel, strides, pads
+    if min(kh, kw) < 1 or min(pads) < 0 or len(extra) != 2 \
+            or not (0 <= extra[0] < sh and 0 <= extra[1] < sw):
         raise ShapeError(f"ConvTranspose attributes {attrs} do not fit "
                          f"input {x} and weight {w}")
-    size = [s * (d - 1) + e + k - lo - hi for d, k, s, lo, hi, e
-            in zip(x[2:], kernel, strides, pads[:2], pads[2:], extra)]
-    if min(size) < 1:
+    out = (x[0], channels, sh * (x[2] - 1) + extra[0] + kh - top - bottom,
+           sw * (x[3] - 1) + extra[1] + kw - left - right)
+    if min(out[2:]) < 1:
         raise ShapeError(f"ConvTranspose pads {pads} crop away the output")
-    out = (x[0], channels, *size)
     return out, _stacked(x, w, strides, pads, out)
 
 
@@ -227,7 +254,10 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
     """``(output shapes, kernel parameters)`` of one node on inputs of these
     concrete shapes, or ShapeError / UnsupportedOp naming the node for
     operands or attributes its kernel cannot run on, and ValidationError for
-    a node ``_check_signature`` refuses.
+    a node ``_check_signature`` refuses: the check, then the law
+    (``resolve_checked``), for every caller that has not checked the node,
+    such as ``GraphBuilder.add``, ``run_kernel`` and
+    ``infer_graph_shapes``.
 
     The parameters are window geometry, the ``ConvTranspose`` stacked
     geometry (``_stacked``), the ``AveragePool`` divisor plane, and the indices,
@@ -236,6 +266,15 @@ def resolve_node(node: Node, in_shapes: list[tuple[int, ...]]):
     resolve.
     """
     _check_signature(node, len(in_shapes))
+    return resolve_checked(node, in_shapes)
+
+
+def resolve_checked(node: Node, in_shapes: list[tuple[int, ...]]):
+    """``resolve_node`` of a node that ``_check_signature`` has already
+    passed with ``len(in_shapes)`` operands: the law alone, without the
+    check again.  ``ExecutionPlan`` checks each node once, when it is
+    built, and resolves its constant steps and every ``verify`` here.
+    Raises the same ShapeError / UnsupportedOp naming the node."""
     try:
         return _resolve(node, in_shapes)
     except (ShapeError, UnsupportedOp) as exc:

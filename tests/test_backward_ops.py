@@ -7,6 +7,7 @@ package's typed errors.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from graphlift import (GraphModel, Node, ShapeError, UnsupportedOp,
                        ValidationError, ValueSpec, corpus, executor,
                        validate_model)
 from graphlift.executor import run_kernel
-from graphlift.shapes import resolve_node
+from graphlift.shapes import _stacked, resolve_node
 from test_executor import assert_rows_run_alone, chunk_batches, chunk_step
 
 TYPED = (ValidationError, ShapeError, UnsupportedOp)
@@ -164,6 +165,87 @@ def test_conv_transpose_geometry_sweep_matches_loop_reference(dtype, atol):
         assert got.dtype == dtype and got.flags.c_contiguous
         assert np.allclose(got, want, rtol=0, atol=atol), (attrs, extents)
     assert accepted > 250
+
+
+def frozen_stack_axis(d, k, s, lo, n):
+    """One axis of the stacked geometry as the first stacked law built it,
+    kept as the reference for ``frozen_stacked``."""
+    live, reach = [], []
+    for r in range(min(s, n)):
+        c, first = divmod(r + lo, s)
+        if first < k:
+            live.append((r, (n - 1 - r) // s + 1))
+            reach.append((c, first, (k - 1 - first) // s + 1))
+    low = min((c - m + 1 for c, _, m in reach), default=0)
+    width = max((c for c, _, _ in reach), default=0) - low + 1
+    taps = [[-1] * width for _ in reach]
+    for row, (c, first, m) in zip(taps, reach):
+        row[c - low - m + 1:c - low + 1] = range(first + (m - 1) * s, first - 1, -s)
+    total = max((q for _, q in live), default=1) + width - 1
+    start = min(max(low, 0), d)
+    stop = min(max(low + total, start), d)
+    before = min(max(-low, 0), total)
+    return (live, np.array(taps, np.intp).reshape(len(taps), width),
+            any(m < width for _, _, m in reach), slice(start, stop),
+            (before, total - before - stop + start))
+
+
+def frozen_stacked(x, w, strides, pads, out):
+    """The stacked ConvTranspose geometry as the first stacked law built it:
+    W's flat positions gathered through a (kh + 1, kw + 1, O, C) grid whose
+    last row and column are the zero slot."""
+    c_in, c_out, kh, kw = w
+    (live_h, th, holes_h, crop_h, frame_h), (live_w, tw, holes_w, crop_w, frame_w) = (
+        frozen_stack_axis(*axis) for axis in zip(x[2:], w[2:], strides, pads[:2],
+                                                 out[2:]))
+    size = math.prod(w)
+    flat = np.full((kh + 1, kw + 1, c_out, c_in), size)
+    flat[:kh, :kw] = np.arange(size).reshape(w).transpose(2, 3, 1, 0)
+    index = np.ascontiguousarray(
+        flat[th[:, None, :, None], tw[None, :, None, :]].transpose(
+            0, 1, 4, 5, 2, 3).reshape(-1, c_in, th.shape[1], tw.shape[1]))
+    crop = (Ellipsis, crop_h, crop_w)
+    frame = [frame_h[0], frame_w[0], frame_h[1], frame_w[1]]
+    if strides == [1, 1]:
+        return index, holes_h or holes_w, crop, frame, None, True, None
+    blocks = [((Ellipsis, slice(rh, None, strides[0]), slice(rw, None, strides[1])),
+               (slice(None), slice(p * c_out, (p + 1) * c_out), slice(qh), slice(qw)))
+              for p, ((rh, qh), (rw, qw)) in enumerate(itertools.product(live_h,
+                                                                         live_w))]
+    tiled = len(live_h) == min(strides[0], out[2]) and \
+        len(live_w) == min(strides[1], out[3])
+    return index, holes_h or holes_w, crop, frame, out, tiled, blocks
+
+
+def test_stacked_geometry_matches_the_frozen_reference():
+    """Kernels 1-4 x 1-3, strides 1-3, pads 0-2, every output padding below
+    the stride and extents 1-5, about 12,900 geometries: the same index
+    (values, dtype, shape, contiguity), holes, crop, frame, shape, tiled
+    flag and blocks."""
+    checked = holes = 0
+    for (kh, kw), (sh, sw), (top, bottom), (dh, dw) in itertools.product(
+            itertools.product(range(1, 5), range(1, 4)),
+            itertools.product(range(1, 4), repeat=2),
+            itertools.product(range(3), repeat=2),
+            [(1, 1), (2, 5), (3, 2), (5, 4)]):
+        left, right = bottom, (top + 1) % 3
+        for eh, ew in itertools.product(range(sh), range(sw)):
+            x, w = (2, 3, dh, dw), (3, 2, kh, kw)
+            strides, pads = [sh, sw], [top, left, bottom, right]
+            out = (2, 2, sh * (dh - 1) + eh + kh - top - bottom,
+                   sw * (dw - 1) + ew + kw - left - right)
+            if min(out[2:]) < 1:
+                continue
+            got, want = _stacked(x, w, strides, pads, out), \
+                frozen_stacked(x, w, strides, pads, out)
+            geometry = (kh, kw, sh, sw, pads, eh, ew, dh, dw)
+            assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+            assert got[0].flags.c_contiguous and np.array_equal(got[0], want[0]), \
+                geometry
+            assert got[1:] == want[1:], geometry
+            checked += 1
+            holes += want[1]
+    assert checked > 10000 and holes > 1000
 
 
 def test_every_conv_transpose_is_one_conv(monkeypatch):

@@ -723,15 +723,16 @@ def test_explain_is_repeatable_and_survives_save_load(artifacts, tmp_path):
 
 
 def count_laws(monkeypatch):
-    """Names of the nodes the executor resolves from now on."""
+    """Names of the nodes the executor resolves from now on: a plan calls
+    each law through ``resolve_checked``, having checked the node once."""
     calls = []
-    law = executor.resolve_node
+    law = executor.resolve_checked
 
     def counted(node, in_shapes):
         calls.append(node.name)
         return law(node, in_shapes)
 
-    monkeypatch.setattr(executor, "resolve_node", counted)
+    monkeypatch.setattr(executor, "resolve_checked", counted)
     return calls
 
 
@@ -766,6 +767,48 @@ def test_plan_checks_again_when_the_batch_changes(monkeypatch):
     with pytest.raises(ShapeError, match="'a'"):
         execute(plan, {"x": np.ones((3, 2))})
     assert calls[4:] == ["r", "a"] and kernels == []
+
+
+def test_a_plan_checks_each_node_once(artifacts, monkeypatch):
+    """A plan build and the first explain run ``_check_signature`` exactly
+    once per node; the second explain runs it on none."""
+    from graphlift import ir, shapes
+    built = artifacts("plain_deep", "float32")
+    art = gl.ExplainerArtifact(model=built.model, metadata=built.metadata)
+    checked = []
+    check = ir._check_signature
+
+    def counted(node, n_inputs):
+        checked.append(node.name)
+        return check(node, n_inputs)
+
+    for module in (ir, shapes, executor):
+        monkeypatch.setattr(module, "_check_signature", counted)
+    xs = gl.random_inputs(art.model, 2, seed=4)
+    gl.explain(art, xs[0])
+    assert sorted(checked) == sorted(node.name for node in art.model.nodes)
+    gl.explain(art, xs[1])
+    assert len(checked) == len(art.model.nodes)
+
+
+def test_resolve_node_still_checks_for_the_builder_and_run_kernel():
+    """Outside a plan the law still runs after the node check: a bad node
+    is refused through ``GraphBuilder.add`` and ``run_kernel``."""
+    from graphlift.builder import GraphBuilder
+    x = np.ones((2, 3))
+    with pytest.raises(ValidationError, match="'anon'.*takes between 1 and 1"):
+        run_kernel("Relu", [x, x])
+    with pytest.raises(ValidationError, match="'anon'.*unknown attribute 'alpha'"):
+        run_kernel("Relu", [x], {"alpha": 0.5})
+    builder = GraphBuilder()
+    builder.register_value("x", x.shape)
+    for node, message in [
+            (Node("Relu", "r", ["x"], ["y"], {"alpha": 0.5}), "unknown attribute"),
+            (Node("Softmax", "s", ["x"], ["y"], {"axis": 1.5}), "of kind int"),
+            (Node("Relu", "r", ["x"], ["y", "z"]), "produces 1 outputs")]:
+        with pytest.raises(ValidationError, match=f"'{node.name}'.*{message}"):
+            builder.add(node)
+    assert builder.nodes == [] and builder.shapes == {"x": x.shape}
 
 
 def extremes(dtype, shape, seed):

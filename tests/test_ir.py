@@ -1,6 +1,9 @@
 """Model structure, validation and serialization round trips."""
 
+import hashlib
+import json
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -596,6 +599,151 @@ def constant_model():
         nodes=[Node("Constant", "c", [], ["c"], {"dtype": "float64", "shape": [2],
                                                  "value": [0.5, 1e300]}),
                Node("Add", "add", ["x", "c"], ["y"])])
+
+
+def reference_container(header: dict, arrays, metadata=None) -> bytes:
+    """The container as its layout is documented, written without
+    ``ir._pack``: the magic, the u64 header length, the canonical JSON
+    header with ``offsets`` and then ``digest`` as its last keys, spaces up
+    to a 64-byte boundary, and each little-endian payload at a 64-byte
+    aligned offset from the end of the header.  The digest is the sha256 of
+    the canonical header (metadata included) and then every payload."""
+    payloads = [np.asarray(a, a.dtype.newbyteorder("<")).tobytes() for a in arrays]
+    if metadata is not None:
+        header = {**header, "metadata": metadata}
+    offsets, end = [], 0
+    for payload in payloads:
+        offsets.append((end + 63) // 64 * 64)
+        end = offsets[-1] + len(payload)
+    canonical = json.dumps(header, separators=(",", ":")).encode()
+    digest = hashlib.sha256(canonical + b"".join(payloads)).hexdigest()
+    text = json.dumps({**header, "offsets": offsets, "digest": digest},
+                      separators=(",", ":")).encode()
+    text += b" " * (-(len(text) + 16) % 64)
+    body = b""
+    for offset, payload in zip(offsets, payloads):
+        body += bytes(offset - len(body)) + payload
+    return b"GLIFT\0\1\n" + struct.pack("<Q", len(text)) + text + body
+
+
+def two_weight_model():
+    m = with_weight(np.linspace(-1, 1, 6).reshape(3, 2), "float64")
+    m.initializers["b"] = TensorValue(np.array([0.5, -2.0], np.float32))
+    return m
+
+
+@pytest.mark.parametrize("metadata", [None, {"k": 1, "mean": 0.25, "tags": ["a"]}])
+@pytest.mark.parametrize("model", [tiny_model, two_weight_model, constant_model])
+def test_the_writer_is_the_documented_layout(tmp_path, model, metadata):
+    m = model()
+    want = reference_container(_header(m), [t.array for t in m.initializers.values()],
+                               metadata)
+    assert dumps_model(m, metadata) == want
+    path = tmp_path / "m.sgm"
+    path.write_bytes(want)
+    assert load_model(str(path)) == m
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_tensor_file_is_the_documented_layout(tmp_path, dtype):
+    arr = np.linspace(-3, 3, 10).astype(dtype).reshape(2, 5)
+    path = tmp_path / "t.stn"
+    save_tensor(TensorValue(arr, dtype), str(path), name="probe")
+    want = reference_container(
+        {"initializers": [{"name": "probe", "dtype": dtype, "shape": [2, 5]}]}, [arr])
+    assert path.read_bytes() == want
+    other = tmp_path / "ref.stn"
+    other.write_bytes(want)
+    assert load_tensor(str(other)).array.tobytes() == arr.tobytes()
+
+
+def rewrite_header_text(path, change):
+    """Pass the stored header text, padding and all, through ``change`` and
+    store the result with its length, leaving every payload byte as it is."""
+    data = path.read_bytes()
+    size = struct.unpack_from("<Q", data, 8)[0]
+    text = change(data[16:16 + size])
+    path.write_bytes(data[:8] + struct.pack("<Q", len(text)) + text
+                     + data[16 + size:])
+
+
+def _before_last_brace(text, insert):
+    body = text.rstrip(b" ")
+    return body[:-1] + insert + b"}" + text[len(body):]
+
+
+def _space_in_offsets(text):
+    assert text.count(b',"offsets":[0,64]') == 1
+    return text.replace(b',"offsets":[0,64]', b',"offsets":[0, 64]')
+
+
+def _escaped_digest(text):
+    at = text.index(b'"digest":"') + len(b'"digest":"')
+    return text[:at] + b"\\u00" + text[at:at + 1].hex().encode() + text[at + 1:]
+
+
+def _last_padding_byte(byte):
+    def change(text):
+        assert text.endswith(b" ")
+        return text[:-1] + byte
+    return change
+
+
+def _flip(needle, offset):
+    def change(text):
+        at = text.index(needle) + offset
+        return text[:at] + bytes([text[at] ^ 1]) + text[at + 1:]
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: _before_last_brace(t, b',"nodes":[]'), "malformed"),
+    (lambda t: _before_last_brace(t, b',"extra":1'), "malformed"),
+    (_space_in_offsets, "malformed"),
+    (lambda t: t.replace(b'"digest":"', b'"digest": "'), "malformed"),
+    (_escaped_digest, "malformed"),
+    (lambda t: t.replace(b',"offsets":[0,64],', b',"offsets":[0,64.0],'), "malformed"),
+    (_last_padding_byte(b"\n"), "malformed"),
+    (_last_padding_byte(b"\t"), "malformed"),
+    (_last_padding_byte(b"x"), "malformed"),
+    (_flip(b'"name":"mm"', 9), "digest mismatch"),
+    (_flip(b'"name":"tiny"', 9), "digest mismatch"),
+    (_flip(b'"digest":"', 12), "digest mismatch"),
+], ids=["key-after-digest", "extra-key", "offsets-spaced", "digest-spaced",
+        "digest-escaped", "offset-float", "padding-newline", "padding-tab",
+        "padding-letter", "node-name", "model-name", "digest-digit"])
+def test_every_stored_header_byte_is_hashed_or_derived(tmp_path, change, message):
+    m = two_weight_model()
+    m.nodes[0].name = "mm"
+    path = tmp_path / "m.sgm"
+    save_model(m, str(path), metadata={"k": 1})
+    load_model(str(path))
+    rewrite_header_text(path, change)
+    with pytest.raises(ParseError, match=message):
+        load_model(str(path))
+
+
+def test_a_non_canonical_header_loads_when_its_digest_covers_its_bytes(tmp_path):
+    """The digest covers the header as stored: one written by hand with
+    other whitespace loads, where a file that re-encoded it would not."""
+    m = two_weight_model()
+    canonical = dumps_model(m)
+    size = struct.unpack_from("<Q", canonical, 8)[0]
+    header = json.loads(canonical[16:16 + size])
+    offsets = header.pop("offsets")
+    del header["digest"]
+    spaced = json.dumps(header, indent=1).encode()
+    payloads = b"".join(t.to_bytes() for t in m.initializers.values())
+    # the hashed bytes are the stored text before the offsets, then a brace
+    digest = hashlib.sha256(spaced + payloads).hexdigest()
+    text = spaced[:-1] + b',"offsets":' + json.dumps(offsets, separators=(",", ":")
+                                                     ).encode() \
+        + b',"digest":"' + digest.encode() + b'"}'
+    text += b" " * (-(len(text) + 16) % 64)
+    path = tmp_path / "m.sgm"
+    path.write_bytes(canonical[:8] + struct.pack("<Q", len(text)) + text
+                     + canonical[16 + size:])
+    assert load_model(str(path)) == m
 
 
 def _out_of_range(path, mantissa):

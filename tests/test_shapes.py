@@ -12,8 +12,8 @@ from graphlift import (ExecutionPlan, GraphModel, Node, ShapeError, TensorValue,
 from graphlift.executor import eval_node, run_kernel
 from graphlift.builder import GraphBuilder
 from graphlift.ir import _OPS, SUPPORTED_OPS, validate_model
-from graphlift.shapes import (_window_taps, broadcast_shapes, infer_graph_shapes,
-                              resolve_node)
+from graphlift.shapes import (_padding_window, _window_taps, broadcast_shapes,
+                              infer_graph_shapes, resolve_node)
 
 
 def infer(op, in_shapes, attrs=None, n_outputs=1):
@@ -347,6 +347,40 @@ def test_window_taps_match_a_tap_by_tap_count():
         assert got == want, (size, kernel, stride, lo, hi, dilation)
         assert (0 in got) == _old_window_in_padding(size, kernel, stride, lo,
                                                     dilation, len(got))
+
+
+def test_padding_window_refuses_exactly_what_the_tap_lists_refuse():
+    """The constant-time check of the first and last window against the
+    per-window tap count it replaced, empty axes included."""
+    refused = 0
+    for size, kernel, stride, lo, hi in itertools.product(
+            range(0, 9), range(1, 6), range(1, 5), range(6), range(6)):
+        if size + lo + hi < kernel:
+            continue
+        count = (size + lo + hi - kernel) // stride + 1
+        want = 0 in _window_taps(size, kernel, stride, lo, count)
+        assert _padding_window(size, kernel, stride, lo, count) == want, (
+            size, kernel, stride, lo, hi)
+        refused += want
+    assert refused > 500
+
+
+def test_pools_refuse_the_geometries_the_tap_lists_refuse():
+    for h, kh, sh, top, bottom in itertools.product(
+            range(1, 5), range(1, 4), range(1, 4), range(4), range(4)):
+        if h + top + bottom < kh:
+            continue
+        count = (h + top + bottom - kh) // sh + 1
+        refused = 0 in _window_taps(h, kh, sh, top, count)
+        for op in ("MaxPool", "AveragePool"):
+            node = Node(op, "pool", ["x"], ["y"], {
+                "kernel_shape": [kh, 1], "strides": [sh, 1],
+                "pads": [top, 0, bottom, 0]})
+            if refused:
+                with pytest.raises(ShapeError, match="'pool'.*entirely in padding"):
+                    resolve_node(node, [(1, 1, h, 3)])
+            else:
+                assert resolve_node(node, [(1, 1, h, 3)])[0] == [(1, 1, count, 3)]
 
 
 def test_average_pool_divisor_plane_is_a_padded_ones_sum():
