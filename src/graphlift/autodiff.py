@@ -18,6 +18,8 @@ multiplier by ``rules.to_multiplier``, which joins the other flows.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .builder import GraphBuilder, RuleEnv
 from .errors import NoPathError, StuckError, UnsupportedOp
 from .ir import GraphModel
@@ -43,6 +45,10 @@ def differentiate(model: GraphModel, backward: BackwardGraph, loss_name: str,
     input_name = model.inputs[0].name
     builder = env.builder
     diff = backward.differentiable
+    reads = Counter(i for node in model.nodes for i in node.inputs)
+    reads.update(spec.name for spec in model.outputs)
+    env.sole_sources = {node.outputs[0]: node for node in backward.order
+                        if reads[node.outputs[0]] == 1}
     # value -> the multipliers, and the contributions, that reached it
     flows: dict[str, list[str]] = {backward.explained_output: [loss_name]}
     parts: dict[str, list[str]] = {}

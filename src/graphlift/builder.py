@@ -166,6 +166,12 @@ class RuleEnv:
         self.alias: dict[str, str] = {}
         # forward name -> its reference-side copy
         self.refs = refs or {}
+        # forward value that one forward node reads and no output names ->
+        # the forward node that makes it (``autodiff.differentiate`` fills it)
+        self.sole_sources: dict[str, Node] = {}
+        # Conv output -> the per-channel scale its BatchNormalization reader
+        # handed on, for the Conv's adjoint to fold into its filter
+        self.filter_scales: dict[str, np.ndarray] = {}
 
     def act(self, name: str) -> str:
         """Stream-width activation of a forward value (broadcasts on the target side)."""

@@ -30,7 +30,7 @@ from .explainer import (compile_explainer, explain, load_artifact,
 from .ir import (DTYPES, GraphModel, TensorValue, ValueSpec, dumps_model,
                  load_model, load_tensor, save_model, save_tensor)
 from .oracle import compare_attributions, deeplift_oracle
-from .refopt import count_flops, op_census
+from .refopt import count_flops, op_census, row_passes
 
 _DTYPE_FLAGS = {"f32": "float32", "f64": "float64"}
 
@@ -185,6 +185,10 @@ def cmd_bench(args) -> int:
         warm = laps[1:] if len(laps) > 1 else laps
         census = op_census(artifact.model)
         _, ready = artifact.plan.resolved
+        # a full-size pass covers the B reference rows, or the naive
+        # layout's 2B-row stream
+        rows = refs.shape[0] * (1 if artifact.metadata["scheme"] == "optimized" else 2)
+        passes, written = row_passes(artifact.model, rows)
         records.append({
             "model": model.name, "scheme": artifact.metadata["scheme"],
             "dtype": model.inputs[0].dtype, "batch": int(refs.shape[0]),
@@ -197,6 +201,7 @@ def cmd_bench(args) -> int:
             "steps": len(artifact.plan.steps),
             "split_concat_nodes": census["Split"] + census["Concat"],
             "scans": sum(len(scan) for *_, scan in ready),
+            "row_passes": passes, "row_pass_bytes": written,
         })
     print(f"model {model.name}  batch {refs.shape[0]}  "
           f"(first run excluded from p50 and p95)")

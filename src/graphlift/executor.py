@@ -33,6 +33,7 @@ frames each chunk of images on its own, never the whole batch.
 the zeros of a dilated input: the taps of every stride phase of its output
 are stacked into one filter (the sub-pixel identity), and each chunk's
 product is copied block by block into the phases' strided output slices.
+When W is a constant, the plan gathers that filter once per feed shape.
 
 ``MaxPool`` keeps a running maximum over the taps and ``Sigmoid`` computes
 both signs from exp(-|x|), each with the per-element operations of the
@@ -71,11 +72,13 @@ non-finite output element (every operand of ``Add``, ``Sub``, ``Mul`` and
 ``Concat``, the numerator of ``Div``, the operand of ``Reshape``,
 ``Flatten``, ``Transpose``, ``Tile``, ``Abs`` and the reduces); every other
 slot is a *breaker*, which may hide one (a ``Where`` branch, a ``Div``
-denominator, ``Relu`` of -inf, a GEMM, a pool).  A value that may hold a
-non-finite element (a ``Greater``'s bool output never does) is scanned when
-a breaker reads it, when it is a graph output or when nothing reads it; a
-value that only preserving slots read hands its non-finite elements on, and
-the scan of a value downstream finds them.  A scan is ``ir.all_finite``, the
+denominator, an ``Equal`` operand, ``Relu`` of -inf, a GEMM, a pool).  A
+value that may hold a non-finite element (a comparison's bool output, a
+*mask*, never does, nor does a ``Cast`` of a mask or an ``Add`` of one over
+finite operands) is scanned when a breaker reads it, when it is a graph
+output or when nothing reads it; a value that only preserving slots read
+hands its non-finite elements on, and the scan of a value downstream finds
+them.  A scan is ``ir.all_finite``, the
 check ``TensorValue`` and the builder's fold make too: one reduction (the
 sum of the squares, which is finite exactly when every element is, unless
 the squares overflow), with the exact per-element test as its fallback.
@@ -221,6 +224,15 @@ def _conv(x, w, bias, strides, pads, out=None, blocks=None):
     return out
 
 
+def _stacked_filter(w, index, holes):
+    """The stacked filter ``index`` gathers from W's flat values and, when
+    ``holes``, from one zero slot after them (``shapes._stacked``)."""
+    flat = w.reshape(-1)
+    if holes:
+        flat = np.concatenate((flat, np.zeros(1, w.dtype)))
+    return flat[index]
+
+
 def _conv_transpose(x, w, bias, geometry):
     """ConvTranspose over the stacked geometry its law resolved for these
     shapes (``shapes._stacked``): one unit-stride Conv of the cropped and
@@ -228,6 +240,9 @@ def _conv_transpose(x, w, bias, geometry):
     flat values and, where a phase reads no tap, from one zero slot after
     them; each chunk's product is copied block by block into the phases'
     strided output slices.  At stride 1 the Conv's output is the output.
+    A geometry whose ``holes`` is None holds that filter itself in place
+    of its index: the plan gathers it once per feed shape from a constant
+    W (``ExecutionPlan.verify``).
 
     A zero tap multiplies x cells its phase does not read, so a non-finite
     x cell may make NaN in an output cell that does not depend on it.  An
@@ -235,12 +250,10 @@ def _conv_transpose(x, w, bias, geometry):
     before this kernel reads it.
     """
     index, holes, crop, frame, shape, tiled, blocks = geometry
-    flat = w.reshape(-1)
-    if holes:
-        flat = np.concatenate((flat, np.zeros(1, w.dtype)))
+    filters = index if holes is None else _stacked_filter(w, index, holes)
     out = None if shape is None else (np.empty if tiled else np.zeros)(
         shape, np.result_type(x, w))
-    return _conv(x[crop], flat[index], bias, [1, 1], frame, out, blocks)
+    return _conv(x[crop], filters, bias, [1, 1], frame, out, blocks)
 
 
 def _max_pool(x, geometry):
@@ -334,6 +347,8 @@ _KERNELS = {
     "ReduceSum": lambda x, p: [np.add.reduce(x[0], p[0], None, None, p[1])],
     "ReduceMean": lambda x, p: [_mean(x[0], *p)],
     "Greater": lambda x, p: [x[0] > x[1]],
+    "Equal": lambda x, p: [x[0] == x[1]],
+    "Cast": lambda x, p: [x[0].astype(p)],
     "Where": lambda x, p: [_where(x[0], x[1], x[2])],
     "Tile": lambda x, p: [np.tile(x[0], p["repeats"])],
     "Split": lambda x, p: [np.ascontiguousarray(x[0][index]) for index in p],
@@ -349,13 +364,22 @@ _KERNELS = {
 # select, copy, compare, take maxima or are bounded (Sigmoid, Tanh,
 # Softmax).  Pad is one only while its fill value is finite.
 _FINITE_CLOSED = frozenset({
-    "Where", "Greater", "Reshape", "Flatten", "Transpose", "Concat", "Split",
-    "Abs", "Relu", "MaxPool", "GlobalMaxPool", "Tile", "Sigmoid", "Tanh",
-    "Softmax", "Pad"})
+    "Where", "Greater", "Equal", "Reshape", "Flatten", "Transpose", "Concat",
+    "Split", "Abs", "Relu", "MaxPool", "GlobalMaxPool", "Tile", "Sigmoid",
+    "Tanh", "Softmax", "Pad"})
+
+# ops whose bool output holds 0 and 1 only, a *mask*, as does a Cast of a mask
+_COMPARISONS = frozenset({"Greater", "Equal"})
 
 
-def _closed_over_finite(node: Node) -> bool:
-    """Whether ``node`` gives finite outputs whenever its inputs are finite."""
+def _closed_over_finite(node: Node, masks=()) -> bool:
+    """Whether ``node`` gives finite outputs whenever its inputs are finite.
+    ``masks`` flags each operand that is a mask (``_COMPARISONS``): a Cast
+    of one gives 0 and 1, and an Add of one moves its other operand by at
+    most 1, which rounds to a finite value, since |x + m| <= |x| + 1 and
+    finfo.max + 1 rounds to finfo.max."""
+    if node.op_type in ("Cast", "Add") and any(masks):
+        return True
     return node.op_type in _FINITE_CLOSED and (
         node.op_type != "Pad" or math.isfinite(node.attributes.get("value", 0.0)))
 
@@ -369,8 +393,8 @@ def _closed_over_finite(node: Node) -> bool:
 # a breaker, which may hide one: a Where branch may go unselected, a Div
 # denominator of inf gives 0, Relu, Exp, Sigmoid, Tanh, Softmax and the
 # pools map -inf to finite values, and BLAS may skip a zero operand of a
-# GEMM.  An op not argued here (Split, Pad, Greater, BatchNormalization)
-# counts as a breaker.
+# GEMM.  An op not argued here (Split, Pad, Greater, Equal, Cast,
+# BatchNormalization) counts as a breaker.
 _PRESERVING = {
     "Add": None, "Sub": None, "Mul": None, "Concat": None, "Div": (0,),
     "Reshape": (0,), "Flatten": (0,), "Transpose": (0,), "Tile": (0,),
@@ -473,18 +497,20 @@ class ExecutionPlan:
     A scan after every step names the first node whose output holds a
     non-finite value.  By induction over the order (a non-finite constant
     stops ``execute`` before the first step), that node's op
-    can turn finite operands into a non-finite value (it is outside
-    ``_FINITE_CLOSED``) or it reads the feed or an initializer that was not
+    can turn finite operands into a non-finite value (it is not closed over
+    finite values) or it reads the feed or an initializer that was not
     finite when the plan was built: any other step reads finite values only
     and gives finite outputs.
 
     The plan scans fewer values than that, decided per output slot.  A value
     is *tainted* when it may hold a non-finite element that no scan has
     seen: the feed, a non-finite initializer, and the outputs of a step
-    outside ``_FINITE_CLOSED`` or of a step that reads a tainted value, a
-    ``Greater``'s aside.  A tainted output is scanned when a breaker slot
-    reads it (see ``_PRESERVING``), when it is a graph output or when
-    nothing reads it; once scanned it is no longer tainted.  A tainted value that is not
+    that is not closed over finite values (``_closed_over_finite``: one
+    outside ``_FINITE_CLOSED``, but for a ``Cast`` or an ``Add`` that reads
+    a mask) or that reads a tainted value, a comparison's aside.  A tainted
+    output is scanned when a breaker slot reads it (see ``_PRESERVING``),
+    when it is a graph output or when nothing reads it; once scanned it is
+    no longer tainted.  A tainted value that is not
     scanned is read by preserving slots only, so each of its non-finite
     elements reaches a non-finite element of a reader's output, tainted in
     turn, and so on until a scanned value holds one.  Hence a request with
@@ -546,11 +572,14 @@ class ExecutionPlan:
         for slot in range(len(self.template)):
             if slot not in read and slot not in kept:
                 self.template[slot] = None
-        self.scans = []
+        self.scans, masks = [], set()
         for node, ins, outs in steps:
-            # Greater's bool output cannot hold a non-finite value
-            every = () if node.op_type == "Greater" else tuple(range(len(outs)))
-            if not _closed_over_finite(node) or not tainted.isdisjoint(ins):
+            flags = [slot in masks for slot in ins]
+            if node.op_type in _COMPARISONS or node.op_type == "Cast" and flags[0]:
+                masks.update(outs)
+            # a comparison's bool output cannot hold a non-finite value
+            every = () if node.op_type in _COMPARISONS else tuple(range(len(outs)))
+            if not _closed_over_finite(node, flags) or not tainted.isdisjoint(ins):
                 tainted.update(outs[k] for k in every if outs[k] not in stops)
                 self.scans.append(tuple(k for k in every if outs[k] in stops))
             else:
@@ -582,9 +611,10 @@ class ExecutionPlan:
         slot list as one sequence; ``out`` is its output slot when it has
         one output and the tuple of its output slots otherwise; ``frees``
         are the slots it reads for the last time; ``params`` are its kernel
-        parameters at these shapes; ``scan`` holds the positions of its
-        outputs to scan, ``scans``' entry or, when some output is empty at
-        these shapes, every output position."""
+        parameters at these shapes, with a ``ConvTranspose``'s stacked
+        filter gathered here when its W is a constant; ``scan`` holds the
+        positions of its outputs to scan, ``scans``' entry or, when some
+        output is empty at these shapes, every output position."""
         fed = tuple(values[slot].shape for _, slot in self.feed)
         verified, ready = self.resolved
         if fed == verified:
@@ -593,6 +623,11 @@ class ExecutionPlan:
         params, empty = [], False
         for node, ins, outs, _ in self.steps:
             out_shapes, step_params = resolve_checked(node, [shapes[s] for s in ins])
+            w = self.template[ins[1]] if node.op_type == "ConvTranspose" else None
+            if w is not None:
+                # a constant filter is stacked once per feed shape, not per call
+                index, holes, *rest = step_params
+                step_params = (_stacked_filter(w, index, holes), None, *rest)
             for slot, shape in zip(outs, out_shapes):
                 shapes[slot] = shape
                 empty = empty or 0 in shape

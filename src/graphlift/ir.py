@@ -58,6 +58,9 @@ __all__ = [
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
+# ONNX's TensorProto element type of each dtype, the value of Cast's "to"
+ONNX_TYPES = {"float32": 1, "float64": 11}
+
 # op_type -> (fewest inputs, most inputs or None for any number, outputs or
 # None for any number, {attribute: kind}), ONNX's one schema per op.  A kind
 # ending in "!" marks an attribute the op requires.
@@ -90,7 +93,9 @@ _OPS = {
     "ReduceSum": (1, 1, 1, {"axes": "ints", "keepdims": "int"}),
     "ReduceMean": (1, 1, 1, {"axes": "ints", "keepdims": "int"}),
     "Greater": (2, 2, 1, {}),
+    "Equal": (2, 2, 1, {}),
     "Where": (3, 3, 1, {}),
+    "Cast": (1, 1, 1, {"to": "int!"}),
     "Tile": (1, 1, 1, {"repeats": "ints!"}),
     "Split": (1, 1, None, {"axis": "int", "split": "ints"}),
     "Constant": (0, 0, 1, {"dtype": "string!", "shape": "ints!", "value": "floats!"}),

@@ -43,7 +43,8 @@ boolean as 0/1 floats.  Equal payloads ship once.
 
 count_flops prices either artifact with fixed per-op conventions so the two
 schemes can be compared analytically; it prices the steps an explain runs,
-not the nodes the plan runs once.
+not the nodes the plan runs once.  row_passes counts those of the steps
+that run over every reference row, and the bytes they make.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
     "build_naive",
     "op_census",
     "count_flops",
+    "row_passes",
 ]
 
 # fixed per-element price for transcendental activations; the remaining
@@ -441,7 +443,7 @@ def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
         if len(node.inputs) == 3:
             flops += out_elems
         return flops
-    if op in ("Add", "Sub", "Mul", "Div", "Greater", "Where", "Abs"):
+    if op in ("Add", "Sub", "Mul", "Div", "Greater", "Equal", "Where", "Abs", "Cast"):
         return out_elems
     if op in ("Sigmoid", "Tanh", "Exp", "Softmax", "Relu"):
         return ACTIVATION_FLOP_COST * out_elems
@@ -455,6 +457,36 @@ def _node_flops(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     # movement only: Transpose, Reshape, Flatten, Tile, Concat, Split, Pad,
     # Constant
     return 0
+
+
+def _steps(model: GraphModel) -> tuple[list[Node], set[str]]:
+    """The nodes an explain runs, and the names of the constants: a node
+    whose every input is an initializer or the output of such a node runs
+    once, when the execution plan is built, and is not a step."""
+    constants, steps = set(model.initializers), []
+    for node in model.nodes:
+        if constants.issuperset(node.inputs):
+            constants.update(node.outputs)
+        else:
+            steps.append(node)
+    return steps, constants
+
+
+def row_passes(model: GraphModel, rows: int) -> tuple[int, int]:
+    """(passes, bytes): the steps of a one-row explain whose output's
+    leading extent is ``rows``, the full-size passes over the reference rows
+    (B in the optimized layout, 2B in the naive one), and the bytes those
+    outputs hold, a comparison's bool one byte per element."""
+    shapes = infer_graph_shapes(model)
+    itemsize = np.dtype(DTYPES[model.inputs[0].dtype]).itemsize
+    passes = written = 0
+    for node in _steps(model)[0]:
+        full = [shapes[o] for o in node.outputs if shapes[o][:1] == (rows,)]
+        if full:
+            passes += 1
+            size = 1 if node.op_type in ("Greater", "Equal") else itemsize
+            written += size * sum(int(np.prod(shape)) for shape in full)
+    return passes, written
 
 
 def count_flops(model: GraphModel, batch: int | None = None,
@@ -474,15 +506,12 @@ def count_flops(model: GraphModel, batch: int | None = None,
     itemsize = np.dtype(DTYPES[model.inputs[0].dtype]).itemsize if model.inputs else 8
     forward = set(forward_nodes) if forward_nodes is not None \
         else {n.name for n in model.nodes}
-    constants = set(model.initializers)
+    steps, constants = _steps(model)
     by_node = []
     by_op: dict[str, int] = {}
     fwd = bwd = 0
     peak = 0
-    for node in model.nodes:
-        if constants.issuperset(node.inputs):
-            constants.update(node.outputs)
-            continue
+    for node in steps:
         flops = _node_flops(node, shapes)
         by_node.append((node.name, node.op_type, flops))
         by_op[node.op_type] = by_op.get(node.op_type, 0) + flops

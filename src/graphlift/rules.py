@@ -5,10 +5,14 @@ operator nodes that push an equivalent stream to the node's differentiable
 inputs.  Linear ops reuse their ordinary adjoint.  Nonlinear ops replace the
 local derivative with the secant between the target activation and a
 reference activation.  Relu takes it wherever the two differ at all, and its
-local derivative only where they are equal.  Sigmoid, Tanh and Softmax fall
-back to the local derivative when the two are closer than ``EPS_ACT``.  That
-epsilon is a constant of the rules: no caller sets it, and an artifact does
-not record it.
+local derivative only where they are equal: an exact guard
+(``_exact_ratio``) compares Δ with zero once, as the mask
+m = Cast(Equal(Δ, 0)), and divides by Δ + m, which is Δ wherever Δ is
+nonzero and 1 where it is ±0, with no ``Abs`` and no ``Where``.  Sigmoid,
+Tanh and Softmax fall back to the local derivative when the two are closer
+than ``EPS_ACT`` (``_guarded_ratio``, whose |Δ| is ``Abs``).  That epsilon is
+a constant of the rules: no caller sets it, and an artifact does not record
+it.
 
 A flow comes in one of two kinds.  Most rules hand on a *multiplier*, on the
 whole stream.  The max-pool rules (``CONTRIBUTES``) hand on a
@@ -18,8 +22,8 @@ every arriving flow is a contribution passes their sum on to its input
 unchanged, since a Rescale chain telescopes: (C / Δact) · (Δact / Δz) is
 C / Δz.  Anywhere else ``to_multiplier`` divides a contribution by the Δ of
 the value it reached, once, and the node's rule runs on the multiplier.
-That division needs no epsilon: it divides only where Δ is nonzero, and a
-route never lands where it is zero (``rule_maxpool``).
+That division is the exact guard too: it divides only where Δ is nonzero,
+and a route never lands where it is zero (``rule_maxpool``).
 
 The rules emit standard ops only.  Convolution and average-pooling gradients
 are one ``ConvTranspose`` each, reading the forward filters (or a ones
@@ -27,8 +31,12 @@ kernel) directly.  Max-pool routing takes the same nodes whatever the
 window: it pads with a huge negative (``Pad``), gathers every window with one
 ``Conv`` over a one-hot filter, keeps each window's first maximum in
 row-major order by ranking its cells under a ``MaxPool``, and scatters the
-routes back with one ``ConvTranspose`` over the same filter.  ``|v|`` is
-``Abs``.
+routes back with one ``ConvTranspose`` over the same filter.
+``rule_batchnorm`` scales by a per-channel constant k; when the normalized
+value is the output of a Conv with a compile-time constant filter, and it
+alone reads that output, it hands k through the ``RuleEnv`` to
+``rule_conv`` instead, whose ``ConvTranspose`` reads the filter W ⊙ k
+folded at compile time: one full-size ``Mul`` fewer per explain.
 
 Rules are scheme-agnostic: they resolve target/reference activations through
 a RuleEnv, so the same code produces baked reference constants under the
@@ -46,7 +54,7 @@ import numpy as np
 
 from .builder import GraphBuilder, RuleEnv
 from .errors import UnsupportedOp
-from .ir import Node
+from .ir import ONNX_TYPES, Node
 
 __all__ = [
     "EPS_ACT",
@@ -156,14 +164,29 @@ def _guarded_ratio(b: GraphBuilder, num: str, den: str, fallback: str,
     return b.emit("Where", [small, fallback, ratio], tag=f"{tag}_sel")
 
 
-def _exact_ratio(b: GraphBuilder, num: str, den: str, tag: str) -> tuple[str, str]:
-    """(num/den where den is nonzero and num elsewhere, the mask of where
-    den is nonzero): the division needs no epsilon where num is known to be
-    no larger than den."""
-    moved = b.emit("Greater", [b.emit("Abs", [den], tag=f"{tag}_abs"),
-                               b.const(0.0, "zero")], tag=f"{tag}_moved")
-    safe = b.emit("Where", [moved, den, b.const(1.0, "one")], tag=f"{tag}_safe")
-    return b.emit("Div", [num, safe], tag=f"{tag}_ratio"), moved
+def _mask(b: GraphBuilder, condition: str, tag: str) -> str:
+    """A comparison's bool output as 0/1 floats of the builder's dtype."""
+    return b.emit("Cast", [condition], {"to": ONNX_TYPES[b.dtype]}, tag=tag)
+
+
+def _exact_ratio(b: GraphBuilder, num: str, den: str, tag: str,
+                 local: str | None = None) -> str:
+    """num/den where den is nonzero, and ``local`` (num if none) where it
+    is ±0, as (num + m·local) / (den + m) with m = Cast(Equal(den, 0)): the
+    division needs no epsilon where num is known to be no larger than den.
+    Where den is nonzero, m is +0, so den + m is den and m·local is +0 (a
+    local is 0 or 1), which leaves num as it is unless num is −0.  Where
+    den is ±0, den + m is 1, and num must be ±0 there, so num + m·local is
+    local."""
+    mask = _mask(b, b.emit("Equal", [den, b.const(0.0, "zero")],
+                           tag=f"{tag}_still"), f"{tag}_m")
+    # den + m first, so den's last read comes before the numerator's passes
+    # and fewer full-size values are live at once
+    safe = b.emit("Add", [den, mask], tag=f"{tag}_safe")
+    if local is not None:
+        num = b.emit("Add", [num, b.emit("Mul", [mask, local], tag=f"{tag}_mlocal")],
+                     tag=f"{tag}_num")
+    return b.emit("Div", [num, safe], tag=f"{tag}_ratio")
 
 
 def to_multiplier(env: RuleEnv, name: str, contribution: str) -> str:
@@ -174,7 +197,7 @@ def to_multiplier(env: RuleEnv, name: str, contribution: str) -> str:
     the multiplier is too."""
     b = env.builder
     gap = b.emit("Sub", [env.x_of(name), env.r_of(name)], tag="mpdx")
-    return env.wrap_stream(_exact_ratio(b, contribution, gap, "mp")[0])
+    return env.wrap_stream(_exact_ratio(b, contribution, gap, "mp"))
 
 
 def _reduce_like(b: GraphBuilder, grad: str, shape: tuple[int, ...], tag: str) -> str:
@@ -233,7 +256,13 @@ def rule_conv(ctx: RuleContext) -> dict[str, str]:
     data, weight = node.inputs[0], node.inputs[1]
     strides, pads = ctx.params
     sample = b.shape(data)
-    # the adjoint of the forward correlation reads the forward filters as is
+    # the adjoint of the forward correlation reads the forward filters as is,
+    # or scaled per output channel by the k its BatchNormalization reader
+    # handed on: ConvTranspose(g ⊙ k, W) = ConvTranspose(g, W ⊙ k)
+    scale = ctx.env.filter_scales.pop(node.outputs[0], None)
+    if scale is not None:
+        weight = b.emit("Mul", [weight, b.const(scale.reshape(-1, 1, 1, 1), "bnfold")],
+                        tag="bnfilter")
     grad = _transpose_conv(b, ctx.grad_in, weight, sample[2:], b.shape(weight)[2:],
                            strides, pads, "convgrad")
     return {data: grad}
@@ -277,13 +306,22 @@ def rule_div(ctx: RuleContext) -> dict[str, str]:
 
 
 def rule_batchnorm(ctx: RuleContext) -> dict[str, str]:
-    node, b = ctx.node, ctx.builder
+    """The gradient times the per-channel k = scale / sqrt(var + eps).  When
+    the normalized value is a Conv output with a constant filter that no
+    other node reads, k goes to that Conv's rule instead (``RuleEnv``), whose
+    adjoint folds it into its filter, so no B-row Mul runs per explain."""
+    node, b, env = ctx.node, ctx.builder, ctx.env
     data = node.inputs[0]
     scale, var = b.known[node.inputs[1]], b.known[node.inputs[4]]
     eps = ctx.params
+    k = scale / np.sqrt(var + eps)
+    source = env.sole_sources.get(data)
+    if source is not None and source.op_type == "Conv" and source.inputs[1] in b.known:
+        env.filter_scales[data] = k
+        return {data: ctx.grad_in}
     rank = len(b.shape(data))
-    k = (scale / np.sqrt(var + eps)).reshape((1, -1) + (1,) * (rank - 2))
-    grad = b.emit("Mul", [ctx.grad_in, b.const(k, "bnback")], tag="bngrad")
+    grad = b.emit("Mul", [ctx.grad_in, b.const(k.reshape((1, -1) + (1,) * (rank - 2)),
+                                                "bnback")], tag="bngrad")
     return {data: grad}
 
 
@@ -353,20 +391,20 @@ def rule_concat(ctx: RuleContext) -> dict[str, str]:
 def rule_rescale(ctx: RuleContext) -> dict[str, str]:
     node, b, env = ctx.node, ctx.builder, ctx.env
     data, out = node.inputs[0], node.outputs[0]
-    one = b.const(1.0, "one")
-    zero = b.const(0.0, "zero")
     d_in = env.delta(data)
     d_out = env.delta(out)
     act_in, act_out = env.act(data), env.act(out)
     if node.op_type == "Relu":
         # relu is 1-Lipschitz and rounding is monotone, so its secant lies in
         # [0, 1] at every nonzero gap, however small; only an equal pair takes
-        # the local derivative, where an exactly-zero input counts as inactive
-        local = b.emit("Where", [b.emit("Greater", [act_in, zero], tag="reluon"),
-                                 one, zero], tag="relulocal")
-        ratio, moved = _exact_ratio(b, d_out, d_in, "relu")
-        mult = b.emit("Where", [moved, ratio, local], tag="relu_sel")
+        # the local derivative, where an exactly-zero input counts as inactive.
+        # The kernel's maximum with 0 gives +0 for ±0, so Δout is never −0,
+        # and where Δin is ±0 the two sides are equal and Δout is +0
+        local = _mask(b, b.emit("Greater", [act_in, b.const(0.0, "zero")],
+                                tag="reluon"), "relulocal")
+        mult = _exact_ratio(b, d_out, d_in, "relu", local)
     else:
+        one = b.const(1.0, "one")
         if node.op_type == "Sigmoid":
             local = b.emit("Mul", [act_out, b.emit("Sub", [one, act_out],
                                                    tag="sigcmp")], tag="siglocal")

@@ -30,10 +30,14 @@ import numbers
 import numpy as np
 
 from .errors import ShapeError, UnsupportedOp, ValidationError
-from .ir import DTYPES, GraphModel, Node, _check_signature, _unproduced
+from .ir import DTYPES, ONNX_TYPES, GraphModel, Node, _check_signature, _unproduced
 
 __all__ = ["broadcast_shapes", "infer_graph_shapes", "resolve_checked",
            "resolve_node"]
+
+
+# Cast's "to" -> the numpy dtype it makes, for the dtypes a model may hold
+_CAST_TO = {code: DTYPES[name] for name, code in ONNX_TYPES.items()}
 
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -285,13 +289,18 @@ def _resolve(node: Node, in_shapes: list[tuple[int, ...]]):
     op = node.op_type
     attrs = node.attributes
 
-    if op in ("Add", "Sub", "Mul", "Div", "Greater"):
+    if op in ("Add", "Sub", "Mul", "Div", "Greater", "Equal"):
         return [broadcast_shapes(in_shapes[0], in_shapes[1])], attrs
     if op == "Where":
         return [broadcast_shapes(broadcast_shapes(in_shapes[0], in_shapes[1]),
                                  in_shapes[2])], attrs
     if op in ("Relu", "Sigmoid", "Tanh", "Exp", "Abs"):
         return [in_shapes[0]], attrs
+    if op == "Cast":
+        if attrs["to"] not in _CAST_TO:
+            raise UnsupportedOp(f"Cast supports 'to' of {sorted(_CAST_TO)} only "
+                                f"(float32, float64), got {attrs['to']}")
+        return [in_shapes[0]], _CAST_TO[attrs["to"]]
     if op == "Softmax":
         rank = len(in_shapes[0])
         if _axis(attrs.get("axis", -1), rank, op) != rank - 1:

@@ -1,4 +1,4 @@
-"""The backward-plumbing ops Abs, Pad and ConvTranspose.
+"""The backward-plumbing ops Abs, Equal, Cast, Pad and ConvTranspose.
 
 Each kernel is checked against a plain nested-loop reference, each shape law
 against the kernel's output, ConvTranspose against Conv as its adjoint, and
@@ -65,6 +65,29 @@ def test_abs_matches_sign_flip():
     got = run_checked("Abs", [x], {})
     assert np.array_equal(got, np.where(x > 0, x, -x))
     assert not np.signbit(got).any()
+
+
+def test_equal_compares_signed_zeros_and_subnormals_exactly():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.array([[-0.0, 0.0, tiny, -tiny, np.nan, 2.0]])
+    got = run_checked("Equal", [x, np.zeros((1, 1))], {})
+    assert got.dtype == np.bool_
+    assert got.tolist() == [[True, True, False, False, False, False]]
+
+
+@pytest.mark.parametrize("to, dtype", [(1, np.float32), (11, np.float64)])
+def test_cast_makes_the_onnx_element_type(to, dtype):
+    mask = np.array([[True, False], [False, True]])
+    got = run_checked("Cast", [mask], {"to": to})
+    assert got.dtype == dtype and got.tobytes() == np.eye(2, dtype=dtype).tobytes()
+    x = np.array([[-0.0, 1.5, 1e-30]])
+    assert run_checked("Cast", [x], {"to": to}).tobytes() == x.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("to", [0, 6, 9, 10])
+def test_cast_refuses_an_element_type_no_model_holds(to):
+    with pytest.raises(UnsupportedOp, match="'anon'.*Cast supports"):
+        run_kernel("Cast", [np.zeros((1, 2))], {"to": to})
 
 
 @pytest.mark.parametrize("pads", [[0, 0, 0, 0, 0, 0], [1, 0, 2, 0, 3, 1],

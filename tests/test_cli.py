@@ -158,7 +158,8 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
         assert set(record) == {"model", "scheme", "dtype", "batch", "images",
                                "p50_ms", "p95_ms", "cold_ms", "compile_ms",
                                "artifact_bytes", "nodes", "steps",
-                               "split_concat_nodes", "scans"}
+                               "split_concat_nodes", "scans", "row_passes",
+                               "row_pass_bytes"}
         assert record["model"] == "demo"
         assert record["dtype"] == "float64"
         assert record["batch"] == 5 and record["images"] == 3
@@ -178,6 +179,35 @@ def test_bench_json_records_one_row_per_scheme(demo_files, capsys, tmp_path):
     # the stacked scheme splits its 2B-row stream, the cached one does not
     assert records[1]["nodes"] > records[0]["nodes"]
     assert records[1]["split_concat_nodes"] > records[0]["split_concat_nodes"]
+
+
+def test_bench_json_counts_the_full_size_passes(tmp_path, capsys):
+    """``row_passes`` counts the steps whose output has the B reference
+    rows (the naive layout's 2B) as its leading extent, and
+    ``row_pass_bytes`` the bytes of those outputs, as a captured explain
+    holds them."""
+    code, _, err = run(capsys, "corpus", "--name", "residual_add", "--batch", "4",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    report = str(tmp_path / "bench.json")
+    model_path, refs_path, sample_path = (
+        str(tmp_path / f"residual_add{suffix}")
+        for suffix in (".sgm", "_refs.stn", "_sample.stn"))
+    code, _, err = run(capsys, "bench", "--model", model_path, "--refs", refs_path,
+                       "--images", "2", "--json", report)
+    assert code == 0, err
+    model, refs = gl.load_model(model_path), gl.load_tensor(refs_path).array
+    feed = {model.inputs[0].name: gl.load_tensor(sample_path).array}
+    for record, rows in zip(json.loads(open(report).read())["records"], (4, 8)):
+        art = gl.compile_explainer(model, refs, scheme=record["scheme"])
+        _, trace = gl.execute(art.plan, feed, capture=True)
+        passes = written = 0
+        for node, *_ in art.plan.steps:
+            full = [trace[o] for o in node.outputs if trace[o].shape[:1] == (rows,)]
+            passes += bool(full)
+            written += sum(arr.nbytes for arr in full)
+        assert 0 < record["row_passes"] == passes < record["steps"]
+        assert record["row_pass_bytes"] == written
 
 
 @pytest.mark.parametrize("name, scheme", [("opt", "optimized"),

@@ -8,7 +8,7 @@ from graphlift import corpus
 from graphlift.ir import SUPPORTED_OPS
 
 
-PLUMBING_OPS = {"Abs", "Pad", "ConvTranspose"}
+PLUMBING_OPS = {"Abs", "Pad", "ConvTranspose", "Equal", "Cast"}
 
 
 def coverage_matrix(models):

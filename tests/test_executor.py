@@ -12,6 +12,7 @@ import graphlift as gl
 from graphlift import (ExecutionPlan, GraphModel, Node, NumericError,
                        ShapeError, TensorValue, ValidationError, ValueSpec)
 from graphlift import executor
+from graphlift.ir import ONNX_TYPES
 from graphlift.executor import eval_node, execute, run_kernel
 from graphlift.shapes import resolve_node
 
@@ -824,6 +825,7 @@ def extremes(dtype, shape, seed):
 FINITE_CLOSED_CASES = [
     ("Where", [(2, 3, 4, 4), (2, 3, 4, 4), (1, 3, 1, 4)], {}, 1),
     ("Greater", [(2, 3, 4, 4), (2, 3, 4, 4)], {}, 1),
+    ("Equal", [(2, 3, 4, 4), (1, 3, 1, 4)], {}, 1),
     ("Reshape", [(2, 3, 4, 4)], {"shape": [2, -1]}, 1),
     ("Flatten", [(2, 3, 4, 4)], {"axis": 2}, 1),
     ("Transpose", [(2, 3, 4, 4)], {"perm": [0, 2, 3, 1]}, 1),
@@ -868,6 +870,29 @@ def test_guard_skips_exactly_the_finite_closed_ops():
     assert executor._closed_over_finite(node("Pad", value=-1e300))
     for value in (np.inf, -np.inf, np.nan):
         assert not executor._closed_over_finite(node("Pad", value=value))
+    # a Cast of a mask, and an Add of one, are closed; of anything else not
+    add = Node("Add", "n", ["x", "m"], ["y"])
+    assert executor._closed_over_finite(node("Cast", to=1), [True])
+    assert not executor._closed_over_finite(node("Cast", to=1), [False])
+    assert executor._closed_over_finite(add, [False, True])
+    assert executor._closed_over_finite(add, [True, False])
+    assert not executor._closed_over_finite(add, [False, False])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_add_of_a_cast_mask_keeps_finite_inputs_finite(dtype):
+    """|x + m| <= |x| + 1 for a 0/1 mask m, and finfo.max + 1 rounds to
+    finfo.max, so no finite x overflows."""
+    to = ONNX_TYPES[np.dtype(dtype).name]
+    for seed in range(4):
+        x = extremes(dtype, (2, 3, 4, 4), seed)
+        mask = run_kernel("Cast", [run_kernel("Equal", [x, extremes(
+            dtype, (1, 3, 1, 4), seed + 1)])[0]], {"to": to})[0]
+        assert mask.dtype == dtype and set(np.unique(mask)) <= {0, 1}
+        for pair in ([x, mask], [mask, x]):
+            out = run_kernel("Add", pair)[0]
+            still = np.broadcast_to(mask == 0, out.shape)
+            assert np.isfinite(out).all() and np.array_equal(out[still], x[still])
 
 
 # (op, input shapes, attributes) for every op with a preserving operand slot;
@@ -1009,6 +1034,44 @@ def test_plan_rebinds_a_strided_conv_transpose_when_the_batch_changes():
         assert got.tobytes() == want.tobytes()
 
 
+def test_a_constant_conv_transpose_filter_is_stacked_once_per_feed_shape(
+        monkeypatch):
+    """The plan gathers the stacked filter of a constant W once per feed
+    shape, to the bits the kernel gathers itself; a W that is fed is
+    gathered on every call."""
+    rng = np.random.default_rng(21)
+    w = rng.normal(size=(3, 2, 3, 3))
+    attrs = {"kernel_shape": [3, 3], "strides": [2, 2], "pads": [1, 1, 0, 1],
+             "output_padding": [1, 0]}
+    y = ValueSpec("y", "float64", (-1, 2, 9, 9))
+    plan = ExecutionPlan(GraphModel(
+        "ct", [ValueSpec("x", "float64", (-1, 3, 4, 5))], [y], {"w": TensorValue(w)},
+        [Node("ConvTranspose", "up", ["x", "w"], ["y"], attrs)]))
+    fed = ExecutionPlan(GraphModel(
+        "ct", [ValueSpec("x", "float64", (-1, 3, 4, 5)),
+               ValueSpec("w", "float64", (3, 2, 3, 3))], [y], {},
+        [Node("ConvTranspose", "up", ["x", "w"], ["y"], attrs)]))
+    calls = []
+    stack = executor._stacked_filter
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return stack(*args)
+
+    for batch, gathers in ((2, 1), (2, 0), (2, 0), (3, 1), (3, 0), (2, 1)):
+        x = rng.normal(size=(batch, 3, 4, 5))
+        want = run_kernel("ConvTranspose", [x, w], attrs)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "_stacked_filter", counted)
+            del calls[:]
+            got = execute(plan, {"x": x})[0]["y"]
+            assert len(calls) == gathers, batch
+            del calls[:]
+            again = execute(fed, {"x": x, "w": w})[0]["y"]
+            assert len(calls) == 1
+        assert got.tobytes() == again.tobytes() == want.tobytes()
+
+
 def test_artifact_binds_its_steps_on_the_first_explain_only(artifacts,
                                                            monkeypatch):
     """The second explain hands every kernel the very parameters the first
@@ -1116,13 +1179,22 @@ def guarded_by_every_step_scan(model):
     """The nodes whose outputs a scan after every step that could make a
     non-finite value checks, worked out without a plan: those whose op can
     make one from finite operands, or that read the feed or a non-finite
-    initializer, except a ``Greater``, whose bool output cannot hold one."""
+    initializer, except a comparison, whose bool output cannot hold one.
+    A Cast or an Add of a mask (a comparison's output or a Cast of one)
+    cannot make one."""
     unchecked = {spec.name for spec in model.inputs} | {
         name for name, tensor in model.initializers.items()
         if not np.isfinite(tensor.array).all()}
-    return {node.name for node in model.nodes if node.op_type != "Greater"
-            and (not executor._closed_over_finite(node)
-                 or not unchecked.isdisjoint(node.inputs))}
+    masks, guarded = set(), set()
+    for node in model.nodes:
+        flags = [name in masks for name in node.inputs]
+        if node.op_type in ("Greater", "Equal") or node.op_type == "Cast" and flags[0]:
+            masks.update(node.outputs)
+        if node.op_type not in ("Greater", "Equal") and (
+                not executor._closed_over_finite(node, flags)
+                or not unchecked.isdisjoint(node.inputs)):
+            guarded.add(node.name)
+    return guarded
 
 
 def first_guarded_non_finite(model, feed):

@@ -15,7 +15,8 @@ from graphlift.cli import cast_model
 from graphlift.corpus import demo_model, random_references
 from graphlift.executor import execute
 from graphlift.ir import DTYPES, dumps_model
-from graphlift.refopt import build_naive, build_optimized, count_flops, op_census
+from graphlift.refopt import (build_naive, build_optimized, count_flops, op_census,
+                             row_passes)
 
 B = 5
 
@@ -573,17 +574,24 @@ def test_a_fold_chain_ships_from_the_payload_at_its_foot(artifacts, dtype):
     assert not set(constants[0].outputs) & set(art.model.initializers)
 
 
-# per-explain steps and scanned values of every optimized corpus artifact
-CORPUS_STEPS = {"plain_deep": (75, 20), "residual_add": (36, 14),
-                "dense_concat": (46, 13), "scaled_add_mul": (36, 9)}
+# per-explain steps, scanned values and full-size passes (``row_passes``)
+# of every optimized corpus artifact.  residual_add scans one value fewer:
+# its Relu guard's quotient is read by a Mul, not by a Where branch, a
+# breaker, and the guard's denominator, an Add of a mask, needs no scan.
+# Its 22 passes are one fewer for the BatchNormalization fold and one more
+# for the guard's Mul by the mask
+CORPUS_STEPS = {"plain_deep": (75, 20, 45), "residual_add": (36, 13, 22),
+                "dense_concat": (46, 13, 27), "scaled_add_mul": (36, 9, 21)}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_corpus_steps_and_scans(artifacts, dtype):
-    for name, (steps, scans) in CORPUS_STEPS.items():
-        plan = gl.ExecutionPlan(artifacts(name, dtype).model)
-        assert (len(plan.steps), sum(map(len, plan.scans))) == (steps, scans), \
-            name
+    for name, (steps, scans, passes) in CORPUS_STEPS.items():
+        art = artifacts(name, dtype)
+        plan = gl.ExecutionPlan(art.model)
+        assert (len(plan.steps), sum(map(len, plan.scans)),
+                row_passes(art.model, art.metadata["batch"])[0]) == \
+            (steps, scans, passes), name
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -605,6 +605,7 @@ def test_split_on_differentiable_path_rejected():
 
 @pytest.mark.parametrize("op, attrs, extra, in_shape, head_shape", [
     ("Abs", {}, {}, (-1, 2), (-1, 2)),
+    ("Cast", {"to": 11}, {}, (-1, 2), (-1, 2)),
     ("Pad", {"pads": [0, 1, 0, 1]}, {}, (-1, 2), (-1, 4)),
     ("ConvTranspose", {"kernel_shape": [1, 2]},
      {"w": TensorValue(np.ones((1, 2, 1, 2)), F64)}, (-1, 1, 1, 1), None),

@@ -151,6 +151,8 @@ VALID = [
     ("Mul", [(1, 3), (2, 1)], {}, 1),
     ("Div", [(2, 3), (2, 3)], {}, 1),
     ("Greater", [(2, 3), (1,)], {}, 1),
+    ("Equal", [(2, 1), (1, 3)], {}, 1),
+    ("Cast", [(2, 3)], {"to": 1}, 1),
     ("Where", [(2, 3), (1, 3), (2, 1)], {}, 1),
     ("Relu", [(2, 3)], {}, 1),
     ("Sigmoid", [(2, 3)], {}, 1),
